@@ -15,12 +15,12 @@ from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
                        OrderFit, TailCurve, chaos_vs_mc, run_ensemble,
                        strong_order, tail_curve, weak_order)
 from .grids import Field, Grid, State, make_grid
-from .models import (EstimateReport, Model, ModelParams, apply_J, build_model,
-                     conserved, verify_estimates)
+from .models import (EstimateReport, Model, ModelParams, build_model,
+                     verify_estimates)
 from .noise import (BrownianPath, CovarianceSpec, QWienerSampler,
                     default_covariance, discrete_pairing, empirical_covariance,
                     multiple_wiener, orthogonality_check)
-from .operators import SpectralOperator, apply, graph_norm, make_operator, propagate
+from .operators import SpectralOperator, make_operator
 from .solver import (BlowUpError, PicardResult, ThetaPotential, Trajectory,
                      holomorphy_check, picard_solve, solve_deterministic,
                      solve_ito, step_exp_euler, step_strang)

@@ -30,7 +30,10 @@ Conjugation convention: powers like |psi|^2 psi are not Wick polynomials in
 psi alone. We use the doubled-variable convention, treating psi and its
 coefficient-conjugate psi* as independent Wick arguments, so
 :|psi|^2 psi: = psi : psi : psi*. For real test vectors zeta this gives
-S(:J(psi):)(zeta) = J(S psi(zeta)) exactly (modulo truncation).
+S(:J(psi):)(zeta) = J(S psi(zeta)) exactly (modulo truncation). J itself is
+not restated here: ``wick_nonlinearity`` evaluates ``Model.nonlinearity`` in
+the Wick algebra, whose product is ``ChaosSpace.convolve`` and whose sine is
+the truncated Wick-Taylor series.
 
 The weighted norms |zeta|_p = |A^p zeta| use the reference weights w_i > 1
 (default w_i = i + 1, whose inverse is Hilbert-Schmidt in the infinite
@@ -52,6 +55,7 @@ import numpy as np
 
 from .grids import State
 from .models import Model
+from .solver import _step_count
 
 
 def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
@@ -503,43 +507,39 @@ class ChaosState:
         return State(self.model.grid, values, self.model.roles)
 
 
-class _WickFieldAlgebra:
-    """Wick products of chaos-valued scalar fields on a grid."""
+class _WickAlgebra:
+    """Wick arithmetic on (n_indices, *grid.shape) chaos coefficient stacks."""
 
-    def __init__(self, space: ChaosSpace, grid_shape):
+    conj = staticmethod(np.conj)
+
+    def __init__(self, space: ChaosSpace):
         self.space = space
-        self.shape = (space.n_indices,) + tuple(grid_shape)
+        self.product = space.convolve
 
-    def zero(self):
-        return np.zeros(self.shape, dtype=complex)
-
-    def product(self, a, b):
-        I, J, K = self.space.pair_table
-        out = self.zero()
-        np.add.at(out, K, a[I] * b[J])
-        return out
-
-    def conj(self, a):
-        return np.conj(a)
-
-    def re(self, a):
+    @staticmethod
+    def re(a):
         return 0.5 * (a + np.conj(a))
 
-    def power(self, a, k):
-        out = self.zero()
-        out[0] = 1.0
-        for _ in range(k):
-            out = self.product(out, a)
-        return out
+    def modsq(self, a):
+        return self.product(a, np.conj(a))
 
-    def sin_series(self, a):
+    def abs_pow(self, a, p):
+        """:|a|^{p-1} a: = a^{:(p+1)/2:} : conj(a)^{:(p-1)/2:} for odd p."""
+        if p % 2 == 0:
+            raise ValueError("Wick quantization needs an odd power p")
+        mag = modsq = self.modsq(a)
+        for _ in range((p - 3) // 2):
+            mag = self.product(mag, modsq)
+        return self.product(mag, a)
+
+    def sin(self, a):
         """Wick sine via Taylor expansion around the degree-0 block (exact)."""
-        c = a[0].copy()
+        c = a[0]
         shifted = a.copy()
         shifted[0] = 0.0
         derivs = [np.sin(c), np.cos(c), -np.sin(c), -np.cos(c)]
-        out = self.zero()
-        term = self.zero()
+        out = np.zeros_like(shifted)
+        term = np.zeros_like(shifted)
         term[0] = 1.0  # (a - c)^{:0:}
         fact = 1.0
         for j in range(self.space.max_degree + 1):
@@ -553,57 +553,13 @@ class _WickFieldAlgebra:
 def wick_nonlinearity(model: Model, chaos_state: ChaosState) -> ChaosState:
     """Wick quantization of the model nonlinearity, block by block.
 
-    Polynomial terms become Wick powers (conjugates via the doubled-variable
-    convention); the sine nonlinearity uses its exact truncated Wick-Taylor
-    series. Degree-0-only inputs reproduce the ordinary J.
+    The same ``Model.nonlinearity`` that defines J, evaluated in the Wick
+    algebra: polynomial terms become Wick powers (conjugates via the
+    doubled-variable convention) and the sine its exact truncated Wick-Taylor
+    series, so degree-0-only inputs reproduce the ordinary J.
     """
-    space, pr = chaos_state.space, model.params
-    alg = _WickFieldAlgebra(space, model.grid.shape)
-    d = chaos_state.data
-    out = np.zeros_like(d)
-
-    def dealias(block_stack):
-        if not model.dealias:
-            return block_stack
-        coeffs = model.grid.to_spectral(block_stack)
-        coeffs *= model.grid.dealias_mask
-        return model.grid.to_physical(coeffs)
-
-    if model.name == "nls":
-        if pr.sign != 0:
-            if pr.p % 2 == 0:
-                raise ValueError("Wick quantization needs an odd power p")
-            psi = d[:, 0]
-            mag = alg.power(alg.product(psi, alg.conj(psi)), (pr.p - 1) // 2)
-            out[:, 0] = 1j * pr.sign * dealias(alg.product(mag, psi))
-    elif model.name == "klein_gordon":
-        if pr.sign != 0:
-            if pr.p % 2 == 0:
-                raise ValueError("Wick quantization needs an odd power p")
-            psi = d[:, 0]
-            mag = alg.power(alg.product(psi, alg.conj(psi)), (pr.p - 1) // 2)
-            out[:, 1] = pr.sign * dealias(alg.product(mag, psi))
-    elif model.name == "sine_gordon":
-        out[:, 1] = pr.g * alg.sin_series(d[:, 0])
-    elif model.name == "zakharov":
-        psi, v = d[:, 0], d[:, 1]
-        out[:, 0] = -1j * dealias(alg.product(psi, alg.re(v)))
-        density = dealias(alg.product(psi, alg.conj(psi)))
-        coeffs = model.grid.to_spectral(density)
-        out[:, 1] = 1j * model.grid.to_physical(model._absgrad * coeffs)
-    elif model.name == "maxwell_dirac":
-        psi1, psi2 = d[:, 0], d[:, 1]
-        a0, a1 = alg.re(d[:, 2]), alg.re(d[:, 4])
-        out[:, 0] = 1j * dealias(alg.product(a0, psi1) + alg.product(a1, psi2))
-        out[:, 1] = 1j * dealias(alg.product(a0, psi2) + alg.product(a1, psi1))
-        j0 = alg.product(psi1, alg.conj(psi1)) + alg.product(psi2, alg.conj(psi2))
-        j1 = 2.0 * alg.re(alg.product(psi1, alg.conj(psi2)))
-        k2 = pr.k0**2
-        out[:, 3] = dealias(j0) + k2 * d[:, 2]
-        out[:, 5] = dealias(j1) + k2 * d[:, 4]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown model {model.name}")
-    return ChaosState(space, model, out)
+    space = chaos_state.space
+    return ChaosState(space, model, model.nonlinearity(_WickAlgebra(space), chaos_state.data))
 
 
 @dataclass
@@ -631,9 +587,7 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     zeta follows the deterministic flow with potential sum_i zeta_i q_i up
     to O(dt) and the degree-M truncation tail.
     """
-    n_steps = round(T / dt)
-    if not np.isclose(n_steps * dt, T, rtol=1e-9, atol=0):
-        raise ValueError("dt must divide T")
+    n_steps = _step_count(T, dt)
     record_every = record_every or max(1, n_steps // 8)
     fields = [np.asarray(getattr(q, "values", q), dtype=complex) for q in noise_fields]
     if len(fields) > space.n_modes:

@@ -18,11 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import (ChaosVector, export_chaos_csv, s_transform,
-                    solve_wick_evolution, wick_product)
+from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig
 from .ensemble import EnsembleConfig, chaos_vs_mc, strong_order, weak_order
-from .grids import Field
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
 from .solver import (BlowUpError, export_trajectory_csv, holomorphy_check,
@@ -198,10 +196,7 @@ def cmd_chaos(args) -> int:
     report = chaos_vs_mc(model, ens, space)
     # Coefficient dump: pairings of each chaos block against the initial state.
     probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
-    fields = [Field(cov.grid, np.sqrt(lam) * e.values)
-              for lam, e in zip(cov.eigenvalues, cov.eigenfields[: space.n_modes])]
-    wick = solve_wick_evolution(model, phi0, fields, sb["T"], sb["dt"], space)
-    final = wick.final()
+    final = report.wick.final()
     coeffs = np.array([model.inner(final.block(i), probe)
                        for i in range(space.n_indices)])
     export_chaos_csv(ChaosVector(space, coeffs), out / "chaos_coefficients.csv")
@@ -215,7 +210,7 @@ def cmd_chaos(args) -> int:
     (out / "chaos_space.json").write_text(json.dumps(header, sort_keys=True, indent=1))
     _write_resolved(cfg, out)
     _write_report(out, {"chaos_vs_mc": report.to_dict(),
-                        "truncation_flagged": wick.truncation_flagged}, cfg)
+                        "truncation_flagged": report.wick.truncation_flagged}, cfg)
     print(f"mean agreement within 3 stderr: {report.mean_within_3se}")
     return EXIT_OK
 

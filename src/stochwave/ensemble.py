@@ -13,15 +13,15 @@ Monte Carlo noise floor.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import ChaosSpace, solve_wick_evolution
+from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
 from .grids import Field, State
 from .models import Model
 from .noise import CovarianceSpec, QWienerSampler
-from .solver import Trajectory, solve_ito, step_exp_euler
+from .solver import Trajectory, _step_count, solve_ito, step_exp_euler
 
 
 @dataclass
@@ -42,9 +42,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("an ensemble needs at least 2 paths")
-        n = round(self.T / self.dt)
-        if n < 1 or not np.isclose(n * self.dt, self.T, rtol=1e-9, atol=0):
-            raise ValueError("dt must divide T")
+        _step_count(self.T, self.dt)
 
 
 def _observable_fn(model: Model, name: str, phi0: State):
@@ -207,6 +205,42 @@ def _fit_order(dts, errors, stderrs, scale, floor=10.0) -> OrderFit:
     return OrderFit(dts, errors, stderrs, float(slope), resid, monotone)
 
 
+def _ladder_finals(config: EnsembleConfig, dt_ladder):
+    """Validate an order-fit ladder and march every path on each rung.
+
+    Returns the coarse dts (descending) and an iterator that yields, path by
+    path, the final state at the finest dt (the reference) and the final
+    states at the coarse dts. Coarse increments are sums of the path's fine
+    ones, so every rung sees the same Brownian path.
+    """
+    dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
+    if len(dts) < 4:
+        raise ValueError("order fits need a ladder of at least 4 dt values")
+    dt_ref, n_ref = dts[-1], _step_count(config.T, dts[-1])
+    factors = []
+    for dt in dts[:-1]:
+        n = _step_count(config.T, dt)
+        if n_ref % n:
+            raise ValueError("ladder entries must be multiples of the finest dt")
+        factors.append(n_ref // n)
+
+    def finals():
+        model, phi0 = config.model, config.phi0
+        for i in range(config.n_paths):
+            increments = None
+            if config.covariance is not None:
+                sampler = QWienerSampler(config.covariance, config.master_seed, stream_id=i)
+                increments = sampler.increments(dt_ref, n_ref)
+            ref = _solve_with_increments(model, phi0, dt_ref, increments, n_ref)
+            coarse = []
+            for dt, f in zip(dts[:-1], factors):
+                dW = None if increments is None else _coarsen(increments, f)
+                coarse.append(_solve_with_increments(model, phi0, dt, dW, n_ref // f))
+            yield ref, coarse
+
+    return dts[:-1], finals()
+
+
 def strong_order(config: EnsembleConfig, dt_ladder,
                  noise_floor_factor: float = 10.0) -> OrderFit:
     """Pathwise strong error E||phi_dt(T) - phi_ref(T)|| vs dt, log-log fit.
@@ -215,72 +249,39 @@ def strong_order(config: EnsembleConfig, dt_ladder,
     sums of the fine ones, so every level sees the same Brownian path.
     Rungs below noise_floor_factor times their standard error are dropped.
     """
-    dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
-    if len(dts) < 4:
-        raise ValueError("order fits need a ladder of at least 4 dt values")
-    dt_ref = dts[-1]
-    n_ref = round(config.T / dt_ref)
-    if not np.isclose(n_ref * dt_ref, config.T, rtol=1e-9, atol=0):
-        raise ValueError("reference dt must divide T")
-    factors = []
-    for dt in dts[:-1]:
-        f = round(dt / dt_ref)
-        if not np.isclose(f * dt_ref, dt, rtol=1e-9, atol=0):
-            raise ValueError("ladder entries must be multiples of the finest dt")
-        factors.append(f)
-
-    model, phi0 = config.model, config.phi0
-    errs = np.zeros((len(factors), config.n_paths))
-    for i in range(config.n_paths):
-        increments = None
-        if config.covariance is not None:
-            sampler = QWienerSampler(config.covariance, config.master_seed, stream_id=i)
-            increments = sampler.increments(dt_ref, n_ref)
-        ref = _solve_with_increments(model, phi0, dt_ref, increments, n_ref)
-        for k, f in enumerate(factors):
-            coarse = _coarsen(increments, f) if increments is not None else None
-            sol = _solve_with_increments(model, phi0, dts[k], coarse, n_ref // f)
+    model = config.model
+    dts, finals = _ladder_finals(config, dt_ladder)
+    errs = np.zeros((len(dts), config.n_paths))
+    for i, (ref, coarse) in enumerate(finals):
+        for k, sol in enumerate(coarse):
             errs[k, i] = model.norm(sol - ref)
     mean = errs.mean(axis=1)
-    stderr = errs.std(axis=1, ddof=1) / np.sqrt(config.n_paths) \
-        if config.n_paths > 1 else np.zeros_like(mean)
-    return _fit_order(dts[:-1], mean, stderr, scale=model.norm(phi0),
+    stderr = errs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
+    return _fit_order(dts, mean, stderr, scale=model.norm(config.phi0),
                       floor=noise_floor_factor)
 
 
 def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
                noise_floor_factor: float = 10.0) -> OrderFit:
     """Coupled weak error |E f(phi_dt) - E f(phi_ref)| vs dt, log-log fit."""
-    dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
-    if len(dts) < 4:
-        raise ValueError("order fits need a ladder of at least 4 dt values")
-    dt_ref = dts[-1]
-    n_ref = round(config.T / dt_ref)
-    factors = [round(dt / dt_ref) for dt in dts[:-1]]
-    model, phi0 = config.model, config.phi0
-    fn = _observable_fn(model, observable, phi0)
+    model = config.model
+    fn = _observable_fn(model, observable, config.phi0)
 
     def f_of(state: State) -> float:
         traj = Trajectory(np.array([config.T]), [state],
                           model.graph_norms(state)[None, :])
         return fn(traj)
 
-    diffs = np.zeros((len(factors), config.n_paths))
-    for i in range(config.n_paths):
-        increments = None
-        if config.covariance is not None:
-            sampler = QWienerSampler(config.covariance, config.master_seed, stream_id=i)
-            increments = sampler.increments(dt_ref, n_ref)
-        f_ref = f_of(_solve_with_increments(model, phi0, dt_ref, increments, n_ref))
-        for k, fac in enumerate(factors):
-            coarse = _coarsen(increments, fac) if increments is not None else None
-            f_dt = f_of(_solve_with_increments(model, phi0, dts[k], coarse, n_ref // fac))
-            diffs[k, i] = f_dt - f_ref
+    dts, finals = _ladder_finals(config, dt_ladder)
+    diffs = np.zeros((len(dts), config.n_paths))
+    for i, (ref, coarse) in enumerate(finals):
+        f_ref = f_of(ref)
+        for k, sol in enumerate(coarse):
+            diffs[k, i] = f_of(sol) - f_ref
     mean = np.abs(diffs.mean(axis=1))
-    stderr = diffs.std(axis=1, ddof=1) / np.sqrt(config.n_paths) \
-        if config.n_paths > 1 else np.zeros_like(mean)
-    scale = abs(f_of(phi0)) + 1.0
-    return _fit_order(dts[:-1], mean, stderr, scale=scale,
+    stderr = diffs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
+    scale = abs(f_of(config.phi0)) + 1.0
+    return _fit_order(dts, mean, stderr, scale=scale,
                       floor=noise_floor_factor)
 
 
@@ -343,6 +344,7 @@ class ChaosMcReport:
     chaos_energy: float
     second_moment_gap: float
     tail_fraction: float
+    wick: WickTrajectory = field(repr=False)  # the chaos side's solve; not reported
 
     def to_dict(self):
         return {
@@ -411,5 +413,5 @@ def chaos_vs_mc(model: Model, config: EnsembleConfig, space: ChaosSpace,
         probe_mc=probe_mc, probe_chaos=probe_chaos, mean_within_3se=bool(ok),
         mc_second_moment=mc2, mc_second_moment_stderr=mc2_se,
         chaos_energy=energy, second_moment_gap=float(energy - mc2),
-        tail_fraction=tail,
+        tail_fraction=tail, wick=wick,
     )

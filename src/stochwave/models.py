@@ -23,6 +23,11 @@ maxwell_dirac  1+1-dimensional reduction with 2-spinors (alpha = sigma1,
                wave block invertible. This sign/phase choice is the one that
                conserves the charge int |psi|^2 along the coupled flow.
 
+Each J is written once, in ``Model.nonlinearity``, over an algebra that
+supplies the products: ``apply_J`` evaluates it with pointwise arithmetic, and
+``chaos.wick_nonlinearity`` evaluates the same expression with Wick products
+on chaos coefficients, so the two agree on degree-0 inputs by construction.
+
 Note the factors of i on the NLS, Zakharov and Dirac couplings: they are part
 of the normalization and are exactly what makes mass/charge invariants of the
 deterministic flow. The sine-Gordon estimate ||J(phi)|| <= ||phi|| holds on
@@ -77,6 +82,23 @@ class ModelParams:
     m: float = 1.0
 
 
+class _Pointwise:
+    """Pointwise arithmetic on field values, the algebra in which J is J."""
+
+    product = staticmethod(np.multiply)
+    conj = staticmethod(np.conj)
+    re = staticmethod(np.real)
+    sin = staticmethod(np.sin)
+
+    @staticmethod
+    def modsq(a):
+        return np.abs(a) ** 2
+
+    @staticmethod
+    def abs_pow(a, p):
+        return np.abs(a) ** (p - 1) * a
+
+
 @dataclass
 class Model:
     """Named bundle: generator, component structure, nonlinearity, invariants."""
@@ -88,7 +110,6 @@ class Model:
     params: ModelParams
     smoothness: int
     dealias: bool = True
-    potential_modes: list[Field] | None = None
     break_j_hook: bool = False  # failure-injection hook for the verify command
     _absgrad: np.ndarray | None = dc_field(default=None, repr=False)
 
@@ -135,39 +156,44 @@ class Model:
     def apply_J(self, state: State) -> State:
         """Evaluate J(state) in the abstract normalization (see module doc)."""
         self.generator._check_state(state)
-        out = self._raw_J(state)
+        out = State(self.grid, self.nonlinearity(_Pointwise, state.data), self.roles)
         if self.break_j_hook:
             out = out * (1.0 + self.norm(state))
         return out
 
-    def _raw_J(self, state: State) -> State:
+    def nonlinearity(self, alg, data: np.ndarray) -> np.ndarray:
+        """J of a (..., s, *grid.shape) stack, with products taken in ``alg``.
+
+        ``alg`` supplies product, conj, re, modsq (|a|^2), abs_pow
+        (|a|^{p-1} a) and sin on (..., *grid.shape) field stacks. The
+        pointwise algebra gives J itself; the Wick algebra of ``chaos`` gives
+        its Wick quantization on chaos coefficient stacks.
+        """
         name, pr = self.name, self.params
-        out = self.zero_state()
+        out = np.zeros(data.shape, dtype=complex)
+        axis = -1 - self.grid.dim  # component axis first in the views u, o
+        u, o = data.swapaxes(0, axis), out.swapaxes(0, axis)
         if name == "nls":
-            psi = state.data[0]
             if pr.sign != 0:
-                w = pr.sign * np.abs(psi) ** (pr.p - 1) * psi
-                out.data[0] = 1j * self._dealias(w)
+                o[0] = 1j * pr.sign * self._dealias(alg.abs_pow(u[0], pr.p))
         elif name == "klein_gordon":
-            psi = state.data[0]
             if pr.sign != 0:
-                out.data[1] = self._dealias(pr.sign * np.abs(psi) ** (pr.p - 1) * psi)
+                o[1] = pr.sign * self._dealias(alg.abs_pow(u[0], pr.p))
         elif name == "sine_gordon":
-            out.data[1] = pr.g * np.sin(state.data[0])
+            o[1] = pr.g * alg.sin(u[0])
         elif name == "zakharov":
-            psi, v = state.data[0], state.data[1]
-            out.data[0] = -1j * self._dealias(psi * np.real(v))
-            out.data[1] = 1j * self._apply_absgrad(self._dealias(np.abs(psi) ** 2))
+            o[0] = -1j * self._dealias(alg.product(u[0], alg.re(u[1])))
+            o[1] = 1j * self._apply_absgrad(self._dealias(alg.modsq(u[0])))
         elif name == "maxwell_dirac":
-            psi1, psi2 = state.data[0], state.data[1]
-            a0, a1 = np.real(state.data[2]), np.real(state.data[4])
-            out.data[0] = 1j * self._dealias(a0 * psi1 + a1 * psi2)
-            out.data[1] = 1j * self._dealias(a0 * psi2 + a1 * psi1)
-            j0 = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
-            j1 = 2.0 * np.real(psi1 * np.conj(psi2))
+            psi1, psi2 = u[0], u[1]
+            a0, a1 = alg.re(u[2]), alg.re(u[4])
+            o[0] = 1j * self._dealias(alg.product(a0, psi1) + alg.product(a1, psi2))
+            o[1] = 1j * self._dealias(alg.product(a0, psi2) + alg.product(a1, psi1))
+            j0 = alg.modsq(psi1) + alg.modsq(psi2)
+            j1 = 2.0 * alg.re(alg.product(psi1, alg.conj(psi2)))
             k2 = pr.k0**2
-            out.data[3] = self._dealias(j0) + k2 * state.data[2]
-            out.data[5] = self._dealias(j1) + k2 * state.data[4]
+            o[3] = self._dealias(j0) + k2 * u[2]
+            o[5] = self._dealias(j1) + k2 * u[4]
         else:  # pragma: no cover
             raise ValueError(f"unknown model {name}")
         return out
@@ -309,8 +335,7 @@ class Model:
 
 def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0,
                 k0: float = 1.0, m: float = 1.0, smoothness: int | None = None,
-                dealias: bool = True, potential_modes=None,
-                break_j_hook: bool = False) -> Model:
+                dealias: bool = True, break_j_hook: bool = False) -> Model:
     """Instantiate one of the five models on a grid.
 
     ``sign`` in {-1, 0, +1}: focusing/defocusing for power nonlinearities,
@@ -340,7 +365,7 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
     model = Model(
         name=name, grid=grid, generator=gen, roles=_ROLES[name], params=params,
         smoothness=_DEFAULT_SMOOTHNESS[name] if smoothness is None else int(smoothness),
-        dealias=dealias, potential_modes=potential_modes, break_j_hook=break_j_hook,
+        dealias=dealias, break_j_hook=break_j_hook,
     )
     # |grad| multiplier shared by the Zakharov source and diagnostics.
     model._absgrad = np.real(make_operator("abs_grad", grid).symbol[0, 0])
@@ -530,11 +555,3 @@ def verify_estimates(model: Model, sample_count: int = 1000,
             declared_constant=ineq.declared,
         ))
     return reports
-
-
-def apply_J(model: Model, state: State) -> State:
-    return model.apply_J(state)
-
-
-def conserved(model: Model, state: State) -> dict[str, float]:
-    return model.conserved(state)

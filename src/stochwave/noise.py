@@ -121,21 +121,9 @@ class QWienerSampler:
     def fork(self, stream_id: int) -> "QWienerSampler":
         return QWienerSampler(self.spec, self.master_seed, stream_id)
 
-    def reset(self):
-        self._rng = None
-
     def normals(self, n_steps: int) -> np.ndarray:
         """(n_steps, n_modes) standard normals from this stream."""
         return self._generator().standard_normal((n_steps, self.spec.n_modes))
-
-    def increment(self, dt: float) -> Field:
-        """One increment dW = sum_i sqrt(lambda_i * dt) xi_i e_i."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        xi = self.normals(1)[0]
-        amp = np.sqrt(self.spec.eigenvalues * dt) * xi
-        values = np.tensordot(amp, self.spec.mode_matrix(), axes=(0, 0))
-        return Field(self.spec.grid, values.astype(complex))
 
     def increments(self, dt: float, n_steps: int) -> np.ndarray:
         """(n_steps, *grid.shape) real increment fields, vectorized."""

@@ -108,49 +108,31 @@ class SpectralOperator:
 
     def propagate(self, t: float, state: State) -> State:
         """Apply exp(-i*t*A); exactly metric-norm preserving per mode."""
-        if not self.hermitian:
-            raise ValueError("propagate requires a (metric-)Hermitian symbol")
         self._check_state(state)
-        coeffs = state.spectral()
-        s = self.n_components
-        flat = coeffs.reshape(s, self.grid.size)
-        if s == 1:
-            out = flat * self._cached_phase(t)
-        else:
-            key = float(t)
-            P = self._prop_cache.get(key)
-            if P is None:
-                P = self.propagator_matrices(t)
-                if len(self._prop_cache) > 16:
-                    self._prop_cache.clear()
-                self._prop_cache[key] = P
-            out = np.einsum("mab,bm->am", P, flat)
-        return State.from_spectral(self.grid, out.reshape(coeffs.shape), state.roles)
-
-    def _cached_phase(self, t: float) -> np.ndarray:
-        key = ("phase", float(t))
-        ph = self._prop_cache.get(key)
-        if ph is None:
-            sym = np.real(self._flat_symbol()[0, 0])
-            ph = np.exp(-1j * t * sym)
-            if len(self._prop_cache) > 16:
-                self._prop_cache.clear()
-            self._prop_cache[key] = ph
-        return ph
+        return State(self.grid, self._propagate(t, state.data), state.roles)
 
     def propagate_blocks(self, t: float, data: np.ndarray) -> np.ndarray:
         """Apply exp(-i*t*A) to a (B, s, *grid.shape) stack of states."""
+        return self._propagate(t, data)
+
+    def _propagate(self, t: float, data: np.ndarray) -> np.ndarray:
+        # The one propagator kernel; per-mode phases (s = 1) or matrices are
+        # cached per time step under the keys ("phase", t) and t.
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
         s = self.n_components
-        B = data.shape[0]
-        coeffs = self.grid.to_spectral(data).reshape(B, s, self.grid.size)
-        if s == 1:
-            sym = np.real(self._flat_symbol()[0, 0])
-            out = coeffs * np.exp(-1j * t * sym)
-        else:
-            P = self.propagator_matrices(t)
-            out = np.einsum("mab,nbm->nam", P, coeffs)
+        key = ("phase", float(t)) if s == 1 else float(t)
+        P = self._prop_cache.get(key)
+        if P is None:
+            if s == 1:
+                P = np.exp(-1j * t * np.real(self._flat_symbol()[0, 0]))
+            else:
+                P = self.propagator_matrices(t)
+            if len(self._prop_cache) > 16:
+                self._prop_cache.clear()
+            self._prop_cache[key] = P
+        coeffs = self.grid.to_spectral(data).reshape(-1, s, self.grid.size)
+        out = coeffs * P if s == 1 else np.einsum("mab,nbm->nam", P, coeffs)
         return self.grid.to_physical(out.reshape(data.shape))
 
     def apply(self, state: State) -> State:
@@ -304,17 +286,3 @@ def make_operator(kind: str, grid: Grid, **params) -> SpectralOperator:
             sym[a, a] = 1.0
         return SpectralOperator(grid, sym, kind=kind)
     raise ValueError(f"unknown operator kind '{kind}'")
-
-
-# Functional aliases for the module-level operation names.
-
-def apply(op: SpectralOperator, state: State) -> State:
-    return op.apply(state)
-
-
-def propagate(op: SpectralOperator, t: float, state: State) -> State:
-    return op.propagate(t, state)
-
-
-def graph_norm(op: SpectralOperator, state: State, j: int) -> float:
-    return op.graph_norm(state, j)

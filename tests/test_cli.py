@@ -191,6 +191,35 @@ def test_chaos_command(tmp_path):
     assert header["n_modes"] == 2
 
 
+def test_chaos_command_solves_the_wick_evolution_once(tmp_path, monkeypatch):
+    import stochwave.cli as cli
+    import stochwave.ensemble as ensemble
+
+    calls = []
+    solve = ensemble.solve_wick_evolution
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "solve_wick_evolution", counted)
+    monkeypatch.setattr(cli, "solve_wick_evolution", counted, raising=False)
+    cfg = {
+        "model": {"name": "klein_gordon", "p": 3, "sign": 1},
+        "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
+        "initial": {"kind": "modes", "amplitude": 0.3, "modes": [[0, 1, 1.0, 0.0]]},
+        "solver": {"T": 0.1, "dt": 0.02},
+        "noise": {"enabled": True, "n_modes": 2, "lambda0": 0.2, "gamma": 2.0},
+        "chaos": {"n_modes": 2, "max_degree": 2},
+        "mc": {"n_paths": 4},
+        "master_seed": 3,
+    }
+    out = tmp_path / "once"
+    assert main(["chaos", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "chaos_coefficients.csv").exists()
+
+
 def test_rerun_same_config_is_bit_identical(tmp_path):
     cfg = {
         "model": {"name": "nls", "sign": 0, "smoothness": 1},

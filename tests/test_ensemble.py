@@ -126,6 +126,21 @@ def test_order_fit_requires_four_rungs():
         weak_order(cfg, [1 / 4, 1 / 8, 1 / 16])
 
 
+@pytest.mark.parametrize("fit", [strong_order, weak_order])
+def test_order_fits_reject_rungs_that_do_not_divide_T(fit):
+    # 0.3 is not a multiple of 0.04; in the second ladder it is a multiple of
+    # 0.025 but still does not divide T = 1, so its rung would stop at 0.9
+    # without noise and could not sum the fine increments with noise.
+    m = _linear_model(UNIT_GRID)
+    phi0 = _mode_state(UNIT_GRID, m)
+    for ladder in ([0.3, 0.2, 0.1, 0.04], [0.3, 0.1, 0.05, 0.025]):
+        for cov in (_scalar_noise(), None):
+            cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=min(ladder),
+                                 covariance=cov, n_paths=4, master_seed=1)
+            with pytest.raises(ValueError, match="finest dt|divide T"):
+                fit(cfg, ladder)
+
+
 def test_weak_order_scalar_mode():
     m = _linear_model(UNIT_GRID)
     phi0 = _mode_state(UNIT_GRID, m)

@@ -95,7 +95,7 @@ def test_refinement_consistency(cov):
 
 def test_increment_rejects_nonpositive_dt(cov):
     with pytest.raises(ValueError):
-        QWienerSampler(cov, 0, 0).increment(0.0)
+        QWienerSampler(cov, 0, 0).increments(0.0, 1)
 
 
 def test_empirical_covariance_examples(cov):

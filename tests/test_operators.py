@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from stochwave import State, make_grid, make_operator
-from stochwave.operators import apply, graph_norm, propagate
 
 
 @pytest.fixture(scope="module")
@@ -54,17 +53,17 @@ def test_make_operator_rejects_unknown_and_missing(grid):
 def test_apply_laplacian_plane_wave(grid):
     lap = make_operator("laplacian", grid)
     st_ = _mode_state(grid, 1)
-    out = apply(lap, st_)
+    out = lap.apply(st_)
     assert np.allclose(out.data, -st_.data, atol=1e-13)
 
 
 def test_apply_identity_and_b_squared(grid):
     ident = make_operator("identity", grid)
     st_ = _random_state(grid, 1, seed=1)
-    assert np.allclose(apply(ident, st_).data, st_.data, atol=1e-13)
+    assert np.allclose(ident.apply(st_).data, st_.data, atol=1e-13)
     B = make_operator("shifted_sqrt", grid, k0=2.0)
     const = State(grid, np.full((1,) + grid.shape, 1.5 + 0.5j), ("c0",))
-    twice = apply(B, apply(B, const))
+    twice = B.apply(B.apply(const))
     assert np.allclose(twice.data, 4.0 * const.data, atol=1e-12)
 
 
@@ -72,14 +71,14 @@ def test_free_schrodinger_phase(grid):
     # generator A = -Lap, so the k = 1 multiplier is exp(-i t)
     neg_lap = make_operator("laplacian", grid).scaled(-1.0)
     st_ = _mode_state(grid, 1)
-    out = propagate(neg_lap, 0.5, st_)
+    out = neg_lap.propagate(0.5, st_)
     assert np.allclose(out.data, np.exp(-0.5j) * st_.data, atol=1e-13)
 
 
 def test_propagate_t_zero_identity(grid):
     wave = make_operator("wave_block", grid, k0=1.0)
     st_ = _random_state(grid, 2, seed=2)
-    assert np.allclose(propagate(wave, 0.0, st_).data, st_.data, atol=1e-13)
+    assert np.allclose(wave.propagate(0.0, st_).data, st_.data, atol=1e-13)
 
 
 def test_wave_zero_mode_rotation(grid):
@@ -88,7 +87,7 @@ def test_wave_zero_mode_rotation(grid):
     st_ = State(grid, np.zeros((2,) + grid.shape, dtype=complex), ("u", "v"))
     st_.data[0] = 1.0
     t = 0.73
-    out = propagate(wave, t, st_)
+    out = wave.propagate(t, st_)
     assert np.allclose(out.data[0], np.cos(t), atol=1e-12)
     assert np.allclose(out.data[1], -np.sin(t), atol=1e-12)
 
@@ -130,13 +129,28 @@ def test_propagate_requires_hermitian(grid):
     op = SpectralOperator(grid, sym)
     assert not op.hermitian
     with pytest.raises(ValueError):
-        propagate(op, 0.1, _random_state(grid, 1))
+        op.propagate(0.1, _random_state(grid, 1))
+
+
+def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
+    wave = make_operator("wave_block", grid, k0=1.0)
+    built = []
+    build = wave.propagator_matrices
+    monkeypatch.setattr(wave, "propagator_matrices", lambda t: built.append(t) or build(t))
+    st_ = _random_state(grid, 2, seed=4)
+    stack = np.stack([st_.data, 2.0 * st_.data])
+    first = wave.propagate_blocks(0.3, stack)
+    second = wave.propagate_blocks(0.3, stack)
+    single = wave.propagate(0.3, st_)
+    assert built == [0.3]
+    assert np.array_equal(first, second)
+    assert np.allclose(single.data, first[0], rtol=0, atol=1e-14)
 
 
 def test_shape_mismatch_rejected(grid):
     lap = make_operator("laplacian", grid)
     with pytest.raises(ValueError):
-        apply(lap, _random_state(grid, 2))
+        lap.apply(_random_state(grid, 2))
 
 
 @pytest.mark.parametrize("kind,params,s", [
@@ -156,10 +170,10 @@ def test_unitarity_and_group_law(grid, kind, params, s):
         st_ = _random_state(grid, s, seed=seed)
         t1, t2 = rng.uniform(-5, 5, size=2)
         n0 = op.metric_norm(st_)
-        moved = propagate(op, t1, st_)
+        moved = op.propagate(t1, st_)
         assert abs(op.metric_norm(moved) / n0 - 1) < 1e-12
-        twice = propagate(op, t2, moved)
-        direct = propagate(op, t1 + t2, st_)
+        twice = op.propagate(t2, moved)
+        direct = op.propagate(t1 + t2, st_)
         assert op.metric_norm(twice - direct) < 1e-12 * n0
 
 
@@ -167,11 +181,11 @@ def test_graph_norm_values(grid):
     neg_lap = make_operator("laplacian", grid).scaled(-1.0)
     st_ = _mode_state(grid, 2)
     st_ = st_ * (1.0 / neg_lap.metric_norm(st_))
-    assert graph_norm(neg_lap, st_, 0) == pytest.approx(1.0, rel=1e-12)
-    assert graph_norm(neg_lap, st_, 1) == pytest.approx(4.0, rel=1e-12)
-    assert graph_norm(neg_lap, st_, 2) == pytest.approx(16.0, rel=1e-12)
+    assert neg_lap.graph_norm(st_, 0) == pytest.approx(1.0, rel=1e-12)
+    assert neg_lap.graph_norm(st_, 1) == pytest.approx(4.0, rel=1e-12)
+    assert neg_lap.graph_norm(st_, 2) == pytest.approx(16.0, rel=1e-12)
     with pytest.raises(ValueError):
-        graph_norm(neg_lap, st_, -1)
+        neg_lap.graph_norm(st_, -1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -180,11 +194,11 @@ def test_graph_norm_monotone_under_truncation(seed, j):
     grid = make_grid(1, [16], [2 * np.pi])
     op = make_operator("laplacian", grid).scaled(-1.0)
     st_ = _random_state(grid, 1, seed=seed)
-    full = graph_norm(op, st_, j)
+    full = op.graph_norm(st_, j)
     coeffs = st_.spectral()
     keep = np.abs(grid.k_axes[0]) <= 2.0
     truncated = State.from_spectral(grid, coeffs * keep, st_.roles)
-    assert graph_norm(op, truncated, j) <= full + 1e-12
+    assert op.graph_norm(truncated, j) <= full + 1e-12
 
 
 def test_metric_hermiticity_flag_tolerance(grid):
