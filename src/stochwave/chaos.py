@@ -53,6 +53,7 @@ from math import factorial
 
 import numpy as np
 
+from ._files import write_atomic
 from .grids import State
 from .models import Model
 from .solver import _step_count
@@ -492,11 +493,11 @@ class ChaosState:
 
     def degree_energy(self) -> np.ndarray:
         """Energy alpha! ||Phi_alpha||_H^2 aggregated per degree."""
-        per_index = np.array([
-            self.space.factorials[i]
-            * self.model.norm(State(self.model.grid, self.data[i], self.model.roles)) ** 2
-            for i in range(self.space.n_indices)
-        ])
+        norms = self.model.generator.metric_norm_blocks(self.data)
+        # Python's float ** 2 (libm pow), as model.norm(...) ** 2 squared each
+        # norm; numpy's array ** 2 (x * x) rounds differently about once in
+        # a thousand values
+        per_index = self.space.factorials * np.array([n ** 2 for n in norms.tolist()])
         out = np.zeros(self.space.max_degree + 1)
         np.add.at(out, self.space.degrees, per_index)
         return out
@@ -625,8 +626,8 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
 
 def export_chaos_csv(vec: ChaosVector, path) -> None:
     """Indexed coefficient dump: multi-index, real, imag."""
-    with open(path, "w") as fh:
-        fh.write("multi_index,real,imag\n")
-        for alpha, c in zip(vec.space.indices, vec.coeffs):
-            label = "(" + " ".join(str(int(a)) for a in alpha) + ")"
-            fh.write(f"{label},{c.real:.17g},{c.imag:.17g}\n")
+    lines = ["multi_index,real,imag\n"]
+    for alpha, c in zip(vec.space.indices, vec.coeffs):
+        label = "(" + " ".join(str(int(a)) for a in alpha) + ")"
+        lines.append(f"{label},{c.real:.17g},{c.imag:.17g}\n")
+    write_atomic(path, "".join(lines))

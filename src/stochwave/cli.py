@@ -3,7 +3,9 @@
 Subcommands: simulate, picard, converge, chaos, verify. Every run writes a
 fixed set of files into its output directory (trajectory/table CSVs,
 report.json, config.resolved.json), all stamped with the config hash.
-Re-using a run directory with a different configuration is refused.
+Re-using a run directory with a different configuration is refused. Each
+file is written whole through a temporary file and a rename, and
+report.json comes last. ``python -m stochwave`` runs the same commands.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
 blow-up or stopped trajectory without --allow-stop.
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_atomic
 from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig
 from .ensemble import EnsembleConfig, chaos_vs_mc, strong_order, weak_order
@@ -51,7 +54,7 @@ def _prepare_outdir(cfg: ExperimentConfig, out_override) -> Path:
 def _write_resolved(cfg: ExperimentConfig, out: Path):
     doc = dict(cfg.doc)
     doc["config_hash"] = cfg.hash
-    (out / "config.resolved.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+    write_atomic(out / "config.resolved.json", json.dumps(doc, sort_keys=True, indent=1))
 
 
 def _write_report(out: Path, payload: dict, cfg: ExperimentConfig):
@@ -60,7 +63,7 @@ def _write_report(out: Path, payload: dict, cfg: ExperimentConfig):
     payload = dict(payload)
     payload["config_hash"] = cfg.hash
     payload["artifact_version"] = __version__
-    (out / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
+    write_atomic(out / "report.json", json.dumps(payload, sort_keys=True, indent=1))
 
 
 def _load(args) -> ExperimentConfig:
@@ -140,10 +143,8 @@ def cmd_picard(args) -> int:
                                 [0.0], probe, spacing=1e-2,
                                 n_time_nodes=sb["n_time_nodes"],
                                 tol=min(sb["tol"], 1e-12))
-    with open(out / "picard_residuals.csv", "w") as fh:
-        fh.write("iteration,residual\n")
-        for i, r in enumerate(result.residuals):
-            fh.write(f"{i},{r:.17g}\n")
+    write_atomic(out / "picard_residuals.csv", "iteration,residual\n" + "".join(
+        f"{i},{r:.17g}\n" for i, r in enumerate(result.residuals)))
     _write_resolved(cfg, out)
     _write_report(out, {
         "converged": result.converged,
@@ -170,10 +171,9 @@ def cmd_converge(args) -> int:
     # log of the squared norm keeps the coupled weak estimator low-variance
     weak = weak_order(ens, ladder, observable="log_norm_sq",
                       noise_floor_factor=3.0)
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("dt,strong_error,strong_stderr\n")
-        for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs):
-            fh.write(f"{dt:.17g},{e:.17g},{s:.17g}\n")
+    write_atomic(out / "convergence.csv", "dt,strong_error,strong_stderr\n" + "".join(
+        f"{dt:.17g},{e:.17g},{s:.17g}\n"
+        for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs)))
     _write_resolved(cfg, out)
     _write_report(out, {"strong": strong.to_dict(), "weak": weak.to_dict()}, cfg)
     print(f"strong order {strong.order:.3f}  weak order {weak.order:.3f}")
@@ -207,7 +207,7 @@ def cmd_chaos(args) -> int:
         "convention": "pairing of each chaos block against the normalized initial state",
         "config_hash": cfg.hash,
     }
-    (out / "chaos_space.json").write_text(json.dumps(header, sort_keys=True, indent=1))
+    write_atomic(out / "chaos_space.json", json.dumps(header, sort_keys=True, indent=1))
     _write_resolved(cfg, out)
     _write_report(out, {"chaos_vs_mc": report.to_dict(),
                         "truncation_flagged": report.wick.truncation_flagged}, cfg)

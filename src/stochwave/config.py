@@ -19,7 +19,7 @@ from .chaos import ChaosSpace
 from .grids import Field, State, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
-from .solver import ThetaPotential
+from .solver import ThetaPotential, _step_count
 
 
 class ConfigError(ValueError):
@@ -113,7 +113,28 @@ def validate_and_resolve(raw: dict) -> dict:
             resolved[key] = raw.get(key, default)
     if resolved["model"]["name"] is None:
         raise ConfigError("model.name is required")
+    _check_values(resolved)
     return resolved
+
+
+def _check_values(resolved: dict) -> None:
+    """Reject a grid or a time step no command can run with.
+
+    Both are checked by the code that builds the grid and counts the steps;
+    doing it here makes a bad value a config error, raised before any
+    output directory exists.
+    """
+    g, sb = resolved["grid"], resolved["solver"]
+    try:
+        make_grid(g["dim"], g["points"], g["lengths"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    try:
+        if not sb["dt"] > 0:
+            raise ValueError("dt must be positive")
+        _step_count(sb["T"], sb["dt"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver: {exc}") from exc
 
 
 def load_config(path) -> dict:

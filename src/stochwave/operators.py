@@ -150,9 +150,19 @@ class SpectralOperator:
 
     def metric_norm(self, state: State) -> float:
         self._check_state(state)
-        coeffs = state.spectral().reshape(self.n_components, self.grid.size)
+        return float(self.metric_norm_blocks(state.data[None])[0])
+
+    def metric_norm_blocks(self, data: np.ndarray) -> np.ndarray:
+        """Metric norms of a (B, s, *grid.shape) stack, from one transform.
+
+        Each block's s x M weighted squares are one contiguous run that
+        np.sum reduces pairwise, as it would the block alone, so a norm does
+        not depend on the stack it is computed in, bit for bit.
+        """
+        coeffs = self.grid.to_spectral(data).reshape(
+            len(data), self.n_components, self.grid.size)
         g = self._flat_metric()
-        return float(np.sqrt(np.sum(g * np.abs(coeffs) ** 2).real))
+        return np.sqrt(np.sum(g * np.abs(coeffs) ** 2, axis=(1, 2)).real)
 
     def metric_inner(self, a: State, b: State) -> complex:
         """Energy-weighted pairing <a, b>, conjugating the second argument."""

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._files import write_atomic
 from .grids import Field, State
 from .models import Model
 from .noise import QWienerSampler
@@ -207,12 +208,14 @@ def step_exp_euler(model: Model, state: State, dt: float,
     """One exponential Euler step with left-point multiplicative noise."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    inner = state + dt * model.apply_J(state)
+    # phi + dt*J(phi) + phi*dW on the raw arrays, in the order and with the
+    # roundings of the State algebra, wrapped in one State for the propagator
+    data = state.data
+    inner = data + model.apply_J(state).data * dt
     if dW is not None:
-        values = dW.values if isinstance(dW, Field) else dW
-        inner = inner + state.times_field(values)
-    out = model.generator.propagate(dt, inner)
-    if not np.all(np.isfinite(out.data)):
+        inner = inner + data * (dW.values if isinstance(dW, Field) else dW)
+    out = model.generator.propagate(dt, State(state.grid, inner, state.roles))
+    if not np.isfinite(out.data).all():
         raise BlowUpError("non-finite state after exponential Euler step")
     return out
 
@@ -338,11 +341,9 @@ def export_trajectory_csv(model: Model, traj: Trajectory, path) -> None:
     names = sorted(model.conserved(traj.states[0]).keys())
     n_orders = traj.graph_norms.shape[1]
     header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
-    rows = []
+    lines = [",".join(header) + "\n"]
     for i, t in enumerate(traj.times):
         cons = model.conserved(traj.states[i])
-        rows.append([t, *traj.graph_norms[i], *[cons[n] for n in names]])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        row = [t, *traj.graph_norms[i], *[cons[n] for n in names]]
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_atomic(path, "".join(lines))

@@ -286,6 +286,25 @@ def test_wick_power_requires_odd_exponent():
         wick_nonlinearity(model, ChaosState.deterministic(space, model, st))
 
 
+def test_degree_energy_equals_per_block_norms_bit_for_bit():
+    # one transform of the stack must give each block's model.norm(...) ** 2;
+    # 10,500 blocks, since squaring as x * x instead of pow(x, 2) changes
+    # about one value in a thousand
+    grid = make_grid(1, [16], [2 * np.pi])
+    model = build_model("klein_gordon", grid, p=3, sign=1)
+    space = ChaosSpace(3, 4)
+    rng = np.random.default_rng(8)
+    shape = (space.n_indices, 2) + grid.shape
+    for _ in range(300):
+        chaos = ChaosState(space, model, rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        per_index = [space.factorials[i] * model.norm(chaos.block(i)) ** 2
+                     for i in range(space.n_indices)]
+        want = np.zeros(space.max_degree + 1)
+        np.add.at(want, space.degrees, per_index)
+        assert chaos.degree_energy().tobytes() == want.tobytes()
+
+
 def test_wick_evolution_zero_noise_reduces_to_deterministic():
     grid = make_grid(1, [16], [2 * np.pi])
     space = ChaosSpace(2, 3)

@@ -1,9 +1,16 @@
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochwave.cli import main
+from stochwave import _files
+from stochwave.cli import _write_report, main
+from stochwave.config import ExperimentConfig
 
 BASE_CONFIG = {
     "model": {"name": "sine_gordon", "g": 1.0, "k0": 1.0},
@@ -50,6 +57,70 @@ def test_unknown_key_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "r")])
     assert code == 2
     assert "extra_block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("solver", "dt", 0.03, "dt must divide T"),
+    ("solver", "dt", 0.0, "dt must be positive"),
+    ("grid", "points", [31], "must be even"),
+    ("grid", "points", [2], "at least 4 points"),
+])
+def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    bad[block][key] = value
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", _write(tmp_path, dict(BASE_CONFIG)),
+                 "--out", str(out), "--dt", "0.03"])
+    assert code == 2
+    assert "dt must divide T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE_CONFIG)))
+    _write_report(tmp_path, {"status": "first"}, cfg)
+    before = (tmp_path / "report.json").read_bytes()
+
+    class FullDisk:
+        """A file that takes half of what is written, then reports a full disk."""
+
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(_files, "open", FullDisk, raising=False)
+    with pytest.raises(OSError):
+        _write_report(tmp_path, {"status": "second"}, cfg)
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_python_dash_m_stochwave_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    res = subprocess.run([sys.executable, "-m", "stochwave", "--help"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "simulate" in res.stdout
 
 
 def test_dt_override_echoed_in_resolved_config(tmp_path):

@@ -91,3 +91,17 @@ def test_operations_do_not_mutate_inputs():
     _ = st_ * 3.0
     _ = st_.times_field(np.arange(8.0))
     assert np.array_equal(st_.data, snapshot)
+
+
+@pytest.mark.parametrize("points", [[16], [8, 4], [4, 6, 8]])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_transforms_equal_fftn_bit_for_bit(points, lead):
+    # the per-axis passes must reproduce fftn/ifftn exactly, stack axes or not
+    g = make_grid(len(points), points, [1.5] * len(points))
+    rng = np.random.default_rng(len(points) + 3 * len(lead))
+    x = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
+    axes = tuple(range(len(lead), x.ndim))
+    fwd = np.fft.fftn(x, axes=axes) * g._fft_scale
+    inv = np.fft.ifftn(x / g._fft_scale, axes=axes)
+    assert g.to_spectral(x).tobytes() == fwd.tobytes()
+    assert g.to_physical(x).tobytes() == inv.tobytes()

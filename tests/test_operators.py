@@ -147,6 +147,22 @@ def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
     assert np.allclose(single.data, first[0], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind,params,s", [
+    ("laplacian", {}, 1),
+    ("wave_block", {"k0": 1.0}, 2),
+    ("maxwell_dirac_block", {"k0": 1.0, "m": 1.0}, 6),
+])
+def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, params, s):
+    op = make_operator(kind, grid, **params)
+    g = np.ones((s, grid.size)) if op.metric is None else op.metric.reshape(s, grid.size)
+    states = [_random_state(grid, s, seed=seed) for seed in range(12)]
+    want = np.array([np.sqrt(np.sum(g * np.abs(st_.spectral().reshape(s, grid.size)) ** 2).real)
+                     for st_ in states])
+    blocks = op.metric_norm_blocks(np.stack([st_.data for st_ in states]))
+    assert blocks.tobytes() == want.tobytes()
+    assert np.array([op.metric_norm(st_) for st_ in states]).tobytes() == want.tobytes()
+
+
 def test_shape_mismatch_rejected(grid):
     lap = make_operator("laplacian", grid)
     with pytest.raises(ValueError):

@@ -103,6 +103,38 @@ def test_step_exp_euler_flags_nonfinite():
         step_exp_euler(m, bad, 0.01)
 
 
+def _state_algebra_step(model, state, dt, dW):
+    # the exponential Euler step written with State arithmetic
+    inner = state + dt * model.apply_J(state)
+    if dW is not None:
+        inner = inner + state.times_field(dW.values if isinstance(dW, Field) else dW)
+    return model.generator.propagate(dt, inner)
+
+
+@pytest.mark.parametrize("name, params", [("nls", {"sign": 0}),
+                                          ("klein_gordon", {"p": 3, "sign": 1})])
+@pytest.mark.parametrize("noise", [None, "array", "field"])
+def test_step_exp_euler_equals_state_algebra_bit_for_bit(name, params, noise):
+    m = build_model(name, GRID, **params)
+    st = m.random_smooth_state(np.random.default_rng(4), 0.5)
+    w = 0.05 * np.random.default_rng(5).standard_normal(GRID.shape)
+    dW = {None: None, "array": w, "field": Field(GRID, w)}[noise]
+    got = step_exp_euler(m, st, 0.01, dW)
+    assert got.data.tobytes() == _state_algebra_step(m, st, 0.01, dW).data.tobytes()
+    assert got.roles == st.roles
+
+
+def test_step_exp_euler_flags_nonfinite_noise():
+    from stochwave import BlowUpError
+
+    m = build_model("klein_gordon", GRID, p=3, sign=1)
+    st = m.random_smooth_state(np.random.default_rng(4), 0.5)
+    dW = np.zeros(GRID.shape)
+    dW[3] = np.nan
+    with pytest.raises(BlowUpError):
+        step_exp_euler(m, st, 0.01, dW)
+
+
 def test_step_exp_euler_exact_linear():
     m = build_model("nls", GRID, sign=0)
     st = m.random_smooth_state(np.random.default_rng(3), 0.5)
