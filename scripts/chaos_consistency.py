@@ -58,7 +58,7 @@ def main():
         cfg = sw.EnsembleConfig(model=cubic, phi0=phi0, T=0.4, dt=0.02,
                                 covariance=cov, n_paths=args.paths,
                                 master_seed=args.seed)
-        rep = sw.chaos_vs_mc(cubic, cfg, space)
+        rep = sw.chaos_vs_mc(cfg, space)
         rel = abs(rep.second_moment_gap) / cubic.norm(phi0) ** 2
         gaps.append((amp, rel, rep.mean_within_3se))
         print(f"amplitude {amp:<5} relative second-moment gap {rel:.3e} "

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace
+from .ensemble import _ladder
 from .grids import Field, State, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
@@ -118,13 +119,14 @@ def validate_and_resolve(raw: dict) -> dict:
 
 
 def _check_values(resolved: dict) -> None:
-    """Reject a grid or a time step no command can run with.
+    """Reject a value no command can run with.
 
-    Both are checked by the code that builds the grid and counts the steps;
-    doing it here makes a bad value a config error, raised before any
-    output directory exists.
+    The grid, the time step and the dt ladder are checked by the code that
+    builds the grid, counts the steps and fits the orders; doing it here
+    makes a bad value a config error, raised before any output directory
+    exists.
     """
-    g, sb = resolved["grid"], resolved["solver"]
+    g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
     try:
         make_grid(g["dim"], g["points"], g["lengths"])
     except (TypeError, ValueError) as exc:
@@ -135,6 +137,17 @@ def _check_values(resolved: dict) -> None:
         _step_count(sb["T"], sb["dt"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    if sb["scheme"] not in ("strang", "exp_euler"):
+        raise ConfigError(f"unknown solver.scheme '{sb['scheme']}'")
+    if ib["kind"] not in ("smooth_random", "modes"):
+        raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
+    if mb["n_workers"] != 1:
+        raise ConfigError("mc.n_workers must be 1: every path runs in one thread")
+    try:
+        if mb["dt_ladder"]:
+            _ladder(sb["T"], mb["dt_ladder"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc.dt_ladder: {exc}") from exc
 
 
 def load_config(path) -> dict:

@@ -1,8 +1,10 @@
 """Ensemble execution, convergence-order fits, tail statistics, cross-checks.
 
-Paths are embarrassingly parallel: path i owns noise stream i, results are
-reduced in index order, and the aggregate is bit-identical regardless of the
-worker count. Strong-order fits couple refinement levels pathwise by summing
+Paths are independent: path i owns noise stream i and results are reduced
+in index order, so the aggregate is bit-identical from run to run. Every
+path gets its stream from ``_noise`` and is marched either with the
+stopping rule (``_stopping_paths``) or to T on one or more dts
+(``_path_finals``). Strong-order fits couple refinement levels pathwise by summing
 fine increments into coarse ones; weak-order fits use the same coupling so
 the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the variance of a
 pathwise difference rather than of two independent ensembles. Order fits are
@@ -12,7 +14,7 @@ Monte Carlo noise floor.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,27 +48,29 @@ class EnsembleConfig:
 
 
 def _observable_fn(model: Model, name: str, phi0: State):
+    """Map a final state to a float; ``sup_sum_sq`` needs the path, not a state."""
     probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
     if name == "norm_sq":
-        return lambda traj: model.norm(traj.final_state()) ** 2
+        return lambda st: model.norm(st) ** 2
     if name == "constant":
-        return lambda traj: 1.0
+        return lambda st: 1.0
     if name == "log_norm_sq":
         # low-variance functional for weak-order fits on multiplicative noise
-        return lambda traj: 2.0 * np.log(max(model.norm(traj.final_state()), 1e-300))
+        return lambda st: 2.0 * np.log(max(model.norm(st), 1e-300))
     if name == "norm":
-        return lambda traj: model.norm(traj.final_state())
+        return lambda st: model.norm(st)
     if name == "sup_sum_sq":
-        return lambda traj: traj.sup_sum_sq()
+        raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
+                         "of the final state")
     if name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
-        return lambda traj: model.graph_norm(traj.final_state(), j)
+        return lambda st: model.graph_norm(st, j)
     if name == "pairing_re":
-        return lambda traj: model.inner(traj.final_state(), probe).real
+        return lambda st: model.inner(st, probe).real
     if name == "pairing_im":
-        return lambda traj: model.inner(traj.final_state(), probe).imag
+        return lambda st: model.inner(st, probe).imag
     if name in ("mass", "energy", "charge"):
-        return lambda traj: model.conserved(traj.final_state()).get(name, np.nan)
+        return lambda st: model.conserved(st).get(name, np.nan)
     raise ValueError(f"unknown observable '{name}'")
 
 
@@ -97,40 +101,65 @@ class EnsembleResult:
         }
 
 
-def _run_path(config: EnsembleConfig, i: int) -> Trajectory:
-    sampler = None
-    if config.covariance is not None:
-        sampler = QWienerSampler(config.covariance, config.master_seed, stream_id=i)
-    n_steps = round(config.T / config.dt)
-    return solve_ito(config.model, config.phi0, config.T, config.dt, sampler,
-                     threshold=config.threshold, n_smooth=config.n_smooth,
-                     record_every=n_steps)
+def _noise(config: EnsembleConfig, i: int) -> QWienerSampler | None:
+    """Path i's noise: Philox stream i of the master seed, or none."""
+    if config.covariance is None:
+        return None
+    return QWienerSampler(config.covariance, config.master_seed, stream_id=i)
 
 
-def run_ensemble(config: EnsembleConfig, n_workers: int = 1) -> EnsembleResult:
+def _stopping_paths(config: EnsembleConfig) -> Iterator[Trajectory]:
+    """Each path marched by ``solve_ito`` with the stopping rule, in index order."""
+    n_steps = _step_count(config.T, config.dt)
+    for i in range(config.n_paths):
+        yield solve_ito(config.model, config.phi0, config.T, config.dt, _noise(config, i),
+                        threshold=config.threshold, n_smooth=config.n_smooth,
+                        record_every=n_steps)
+
+
+def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
+    """Yield, path by path, the final state at each dt in ``dts`` (finest last).
+
+    The increments are drawn once at the finest dt; a coarser dt sums them,
+    so every dt sees the same Brownian path.
+    """
+    steps = [_step_count(config.T, dt) for dt in dts]
+    n_fine = steps[-1]
+    for i in range(config.n_paths):
+        sampler = _noise(config, i)
+        fine = None if sampler is None else sampler.increments(dts[-1], n_fine)
+        finals = []
+        for dt, n in zip(dts, steps):
+            dW = fine
+            if fine is not None and n < n_fine:
+                dW = fine.reshape(n, n_fine // n, *fine.shape[1:]).sum(axis=1)
+            state = config.phi0
+            for k in range(n):
+                state = step_exp_euler(config.model, state, dt,
+                                       None if dW is None else dW[k])
+            finals.append(state)
+        yield finals
+
+
+def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Independent trajectories with stream_id = path index, ordered reduction.
 
     Per-path blow-ups are counted as stopped paths, not fatal. The result is
-    reproducible bit for bit from (config, master_seed) for any n_workers.
+    reproducible bit for bit from (config, master_seed).
     """
     fns = {name: _observable_fn(config.model, name, config.phi0)
-           for name in config.observables}
-    indices = list(range(config.n_paths))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            trajs = list(pool.map(lambda i: _run_path(config, i), indices))
-    else:
-        trajs = [_run_path(config, i) for i in indices]
-
-    values = {name: np.array([fn(t) for t in trajs]) for name, fn in fns.items()}
+           for name in config.observables if name != "sup_sum_sq"}
+    trajs = list(_stopping_paths(config))
+    sups = np.array([t.sup_sum_sq() for t in trajs])
     observables = {}
-    for name, vals in values.items():
+    for name in config.observables:
+        vals = sups if name == "sup_sum_sq" else \
+            np.array([fns[name](t.final_state()) for t in trajs])
         observables[name] = {
             "mean": float(np.mean(vals)),
             "var": float(np.var(vals, ddof=1)),
             "stderr": float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
         }
-    sups = np.array([t.sup_sum_sq() for t in trajs])
     denom = float(np.sum(config.model.graph_norms(config.phi0,
                                                   config.model.smoothness
                                                   if config.n_smooth is None
@@ -141,7 +170,7 @@ def run_ensemble(config: EnsembleConfig, n_workers: int = 1) -> EnsembleResult:
         n_stopped=sum(t.stopped for t in trajs),
         n_blown=sum(t.blown_up for t in trajs),
         sup_ratio=float(np.mean(sups) / denom) if denom > 0 else np.nan,
-        path_seeds=indices,
+        path_seeds=list(range(config.n_paths)),
         master_seed=config.master_seed,
         n_paths=config.n_paths,
     )
@@ -150,20 +179,6 @@ def run_ensemble(config: EnsembleConfig, n_workers: int = 1) -> EnsembleResult:
 # ---------------------------------------------------------------------------
 # Convergence orders with pathwise-coupled refinement
 # ---------------------------------------------------------------------------
-
-def _solve_with_increments(model: Model, phi0: State, dt: float,
-                           increments: np.ndarray | None, n_steps: int) -> State:
-    state = phi0
-    for n in range(n_steps):
-        dW = increments[n] if increments is not None else None
-        state = step_exp_euler(model, state, dt, dW)
-    return state
-
-
-def _coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
-    n_fine = increments.shape[0]
-    return increments.reshape(n_fine // factor, factor, *increments.shape[1:]).sum(axis=1)
-
 
 @dataclass
 class OrderFit:
@@ -205,40 +220,20 @@ def _fit_order(dts, errors, stderrs, scale, floor=10.0) -> OrderFit:
     return OrderFit(dts, errors, stderrs, float(slope), resid, monotone)
 
 
-def _ladder_finals(config: EnsembleConfig, dt_ladder):
-    """Validate an order-fit ladder and march every path on each rung.
+def _ladder(T: float, dt_ladder) -> np.ndarray:
+    """Validate an order-fit ladder; returns its dts descending (finest last).
 
-    Returns the coarse dts (descending) and an iterator that yields, path by
-    path, the final state at the finest dt (the reference) and the final
-    states at the coarse dts. Coarse increments are sums of the path's fine
-    ones, so every rung sees the same Brownian path.
+    A ladder needs at least 4 rungs, every rung must divide T, and every rung
+    must be a multiple of the finest, whose increments it sums.
     """
     dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
     if len(dts) < 4:
         raise ValueError("order fits need a ladder of at least 4 dt values")
-    dt_ref, n_ref = dts[-1], _step_count(config.T, dts[-1])
-    factors = []
+    n_ref = _step_count(T, dts[-1])
     for dt in dts[:-1]:
-        n = _step_count(config.T, dt)
-        if n_ref % n:
+        if n_ref % _step_count(T, dt):
             raise ValueError("ladder entries must be multiples of the finest dt")
-        factors.append(n_ref // n)
-
-    def finals():
-        model, phi0 = config.model, config.phi0
-        for i in range(config.n_paths):
-            increments = None
-            if config.covariance is not None:
-                sampler = QWienerSampler(config.covariance, config.master_seed, stream_id=i)
-                increments = sampler.increments(dt_ref, n_ref)
-            ref = _solve_with_increments(model, phi0, dt_ref, increments, n_ref)
-            coarse = []
-            for dt, f in zip(dts[:-1], factors):
-                dW = None if increments is None else _coarsen(increments, f)
-                coarse.append(_solve_with_increments(model, phi0, dt, dW, n_ref // f))
-            yield ref, coarse
-
-    return dts[:-1], finals()
+    return dts
 
 
 def strong_order(config: EnsembleConfig, dt_ladder,
@@ -250,38 +245,30 @@ def strong_order(config: EnsembleConfig, dt_ladder,
     Rungs below noise_floor_factor times their standard error are dropped.
     """
     model = config.model
-    dts, finals = _ladder_finals(config, dt_ladder)
-    errs = np.zeros((len(dts), config.n_paths))
-    for i, (ref, coarse) in enumerate(finals):
-        for k, sol in enumerate(coarse):
-            errs[k, i] = model.norm(sol - ref)
+    dts = _ladder(config.T, dt_ladder)
+    errs = np.zeros((len(dts) - 1, config.n_paths))
+    for i, finals in enumerate(_path_finals(config, dts)):
+        for k, sol in enumerate(finals[:-1]):
+            errs[k, i] = model.norm(sol - finals[-1])
     mean = errs.mean(axis=1)
     stderr = errs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
-    return _fit_order(dts, mean, stderr, scale=model.norm(config.phi0),
+    return _fit_order(dts[:-1], mean, stderr, scale=model.norm(config.phi0),
                       floor=noise_floor_factor)
 
 
 def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
                noise_floor_factor: float = 10.0) -> OrderFit:
     """Coupled weak error |E f(phi_dt) - E f(phi_ref)| vs dt, log-log fit."""
-    model = config.model
-    fn = _observable_fn(model, observable, config.phi0)
-
-    def f_of(state: State) -> float:
-        traj = Trajectory(np.array([config.T]), [state],
-                          model.graph_norms(state)[None, :])
-        return fn(traj)
-
-    dts, finals = _ladder_finals(config, dt_ladder)
-    diffs = np.zeros((len(dts), config.n_paths))
-    for i, (ref, coarse) in enumerate(finals):
-        f_ref = f_of(ref)
-        for k, sol in enumerate(coarse):
-            diffs[k, i] = f_of(sol) - f_ref
+    f = _observable_fn(config.model, observable, config.phi0)
+    dts = _ladder(config.T, dt_ladder)
+    diffs = np.zeros((len(dts) - 1, config.n_paths))
+    for i, finals in enumerate(_path_finals(config, dts)):
+        f_ref = f(finals[-1])
+        for k, sol in enumerate(finals[:-1]):
+            diffs[k, i] = f(sol) - f_ref
     mean = np.abs(diffs.mean(axis=1))
     stderr = diffs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
-    scale = abs(f_of(config.phi0)) + 1.0
-    return _fit_order(dts, mean, stderr, scale=scale,
+    return _fit_order(dts[:-1], mean, stderr, scale=abs(f(config.phi0)) + 1.0,
                       floor=noise_floor_factor)
 
 
@@ -318,10 +305,8 @@ def tail_curve(config: EnsembleConfig, rho_grid) -> TailCurve:
     rhos = np.asarray(rho_grid, dtype=float)
     if np.any(rhos <= 0) or np.any(rhos >= 1):
         raise ValueError("rho grid must lie in (0, 1)")
-    taus = np.empty(config.n_paths)
-    for i in range(config.n_paths):
-        traj = _run_path(config, i)
-        taus[i] = np.inf if traj.stop_time is None else traj.stop_time
+    taus = np.array([np.inf if t.stop_time is None else t.stop_time
+                     for t in _stopping_paths(config)])
     survival = np.array([np.mean(taus > r) for r in rhos])
     band = 3.0 * np.sqrt(survival * (1 - survival) / config.n_paths) + 1.0 / config.n_paths
     sel = rhos <= 0.5
@@ -359,7 +344,7 @@ class ChaosMcReport:
         }
 
 
-def chaos_vs_mc(model: Model, config: EnsembleConfig, space: ChaosSpace,
+def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace,
                 probes: list[State] | None = None) -> ChaosMcReport:
     """Compare the Ito ensemble against the Wick-evolution chaos solution.
 
@@ -369,20 +354,16 @@ def chaos_vs_mc(model: Model, config: EnsembleConfig, space: ChaosSpace,
     differ between the time-white Ito noise and the time-frozen chaos noise;
     the gap is reported as a diagnostic, not asserted.
     """
-    cov = config.covariance
+    model, cov = config.model, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
     if probes is None:
         probes = [config.phi0 * (1.0 / max(model.norm(config.phi0), 1e-300))]
 
     # Monte Carlo side: pairings against each probe plus the second moment.
-    n_steps = round(config.T / config.dt)
     pair_vals = np.zeros((len(probes), config.n_paths), dtype=complex)
     norm_sq = np.zeros(config.n_paths)
-    for i in range(config.n_paths):
-        sampler = QWienerSampler(cov, config.master_seed, stream_id=i)
-        final = _solve_with_increments(model, config.phi0, config.dt,
-                                       sampler.increments(config.dt, n_steps), n_steps)
+    for i, (final,) in enumerate(_path_finals(config, [config.dt])):
         for k, v in enumerate(probes):
             pair_vals[k, i] = model.inner(final, v)
         norm_sq[i] = model.norm(final) ** 2

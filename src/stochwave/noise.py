@@ -101,10 +101,9 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
 class QWienerSampler:
     """Seeded increment generator for one trajectory (one stream).
 
-    Streams are cheap to fork by stream_id and own no shared state. The
-    per-step normal draws come from a single Philox generator keyed by
-    (master_seed, stream_id); replaying a stream with the same dt sequence
-    reproduces identical increments.
+    A stream owns no shared state. The per-step normal draws come from a
+    single Philox generator keyed by (master_seed, stream_id); replaying a
+    stream with the same dt sequence reproduces identical increments.
     """
 
     spec: CovarianceSpec
@@ -117,9 +116,6 @@ class QWienerSampler:
             ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
             self._rng = np.random.Generator(np.random.Philox(ss))
         return self._rng
-
-    def fork(self, stream_id: int) -> "QWienerSampler":
-        return QWienerSampler(self.spec, self.master_seed, stream_id)
 
     def normals(self, n_steps: int) -> np.ndarray:
         """(n_steps, n_modes) standard normals from this stream."""
@@ -181,7 +177,7 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
     c_phi = np.array([Field(phi.grid, m.astype(complex)).inner(phi).real for m in modes])
     prods = np.empty(n_paths)
     for p in range(n_paths):
-        stream = sampler.fork(p)
+        stream = QWienerSampler(sampler.spec, sampler.master_seed, p)
         xi = stream.normals(n_steps) * np.sqrt(dt)
         beta = np.cumsum(xi, axis=0)
         w_t = lam_sqrt * beta[i_t - 1] if i_t > 0 else np.zeros_like(lam_sqrt)

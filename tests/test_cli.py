@@ -64,10 +64,16 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("solver", "dt", 0.0, "dt must be positive"),
     ("grid", "points", [31], "must be even"),
     ("grid", "points", [2], "at least 4 points"),
+    ("solver", "scheme", "rk4", "unknown solver.scheme 'rk4'"),
+    ("initial", "kind", "nope", "unknown initial.kind 'nope'"),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.03, 0.01], "dt must divide T"),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.04, 0.02], "multiples of the finest dt"),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.01], "at least 4 dt values"),
+    ("mc", "n_workers", 3, "mc.n_workers must be 1"),
 ])
 def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
-    bad[block][key] = value
+    bad.setdefault(block, {})[key] = value
     out = tmp_path / "run"
     code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
     err = capsys.readouterr().err

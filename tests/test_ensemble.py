@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stochwave import (ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
-                       State, build_model, chaos_vs_mc, default_covariance,
-                       make_grid, run_ensemble, strong_order, tail_curve,
-                       weak_order)
+                       QWienerSampler, State, build_model, chaos_vs_mc,
+                       default_covariance, make_grid, run_ensemble,
+                       step_exp_euler, strong_order, tail_curve, weak_order)
 
 GRID = make_grid(1, [16], [2 * np.pi])
 UNIT_GRID = make_grid(1, [8], [1.0])
@@ -58,18 +58,6 @@ def test_ensemble_replay_is_bit_identical():
     a = run_ensemble(cfg)
     b = run_ensemble(cfg)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-
-
-def test_worker_count_does_not_change_result():
-    m = _linear_model(UNIT_GRID)
-    phi0 = _mode_state(UNIT_GRID, m)
-    cfg = EnsembleConfig(model=m, phi0=phi0, T=0.5, dt=0.05,
-                        covariance=_scalar_noise(), n_paths=12, master_seed=5,
-                        observables=("norm_sq", "sup_sum_sq"))
-    serial = run_ensemble(cfg, n_workers=1)
-    threaded = run_ensemble(cfg, n_workers=4)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == \
-        json.dumps(threaded.to_dict(), sort_keys=True)
 
 
 def test_sup_ratio_stable_across_initial_data():
@@ -208,7 +196,7 @@ def test_chaos_vs_mc_linear_agreement():
     phi0 = State(g, (np.exp(1j * x) + 0.3)[None, :], m.roles)
     cfg = EnsembleConfig(model=m, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                         n_paths=600, master_seed=29)
-    rep = chaos_vs_mc(m, cfg, ChaosSpace(2, 4))
+    rep = chaos_vs_mc(cfg, ChaosSpace(2, 4))
     assert rep.mean_within_3se
     assert rep.tail_fraction < 1e-4
     assert rep.mc_second_moment > 0 and rep.chaos_energy > 0
@@ -224,7 +212,7 @@ def test_chaos_vs_mc_discrepancy_grows_with_amplitude():
         phi0 = State(g, (amp * np.exp(1j * x))[None, :], m.roles)
         cfg = EnsembleConfig(model=m, phi0=phi0, T=0.4, dt=0.02, covariance=cov,
                             n_paths=200, master_seed=31)
-        rep = chaos_vs_mc(m, cfg, ChaosSpace(2, 3))
+        rep = chaos_vs_mc(cfg, ChaosSpace(2, 3))
         ref = m.norm(phi0) ** 2
         gaps.append(abs(rep.second_moment_gap) / ref)
     assert gaps[0] < gaps[-1]
@@ -234,10 +222,70 @@ def test_seed_isolation_under_path_permutation():
     # summing per-path results in any order cannot change the aggregate:
     # check stream draws are tied to the path index, not execution order
     cov = _scalar_noise()
-    from stochwave import QWienerSampler
-
     forward = [QWienerSampler(cov, 41, i).increments(0.1, 4) for i in range(6)]
     backward = [QWienerSampler(cov, 41, i).increments(0.1, 4)
                 for i in reversed(range(6))]
     for i in range(6):
         assert np.array_equal(forward[i], backward[5 - i])
+
+
+def _march(model, phi0, dt, increments):
+    state = phi0
+    for dW in increments:
+        state = step_exp_euler(model, state, dt, dW)
+    return state
+
+
+def test_chaos_vs_mc_monte_carlo_side_equals_a_per_stream_loop():
+    g = make_grid(1, [16], [2 * np.pi])
+    m = build_model("nls", g, p=3, sign=1, smoothness=1)
+    cov = default_covariance(g, n_modes=2, lambda0=0.3, gamma=2.0)
+    x = g.x_axes[0]
+    phi0 = State(g, (0.5 * np.exp(1j * x) + 0.2)[None, :], m.roles)
+    n_paths, T, dt = 5, 0.1, 0.02
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=T, dt=dt, covariance=cov,
+                         n_paths=n_paths, master_seed=37)
+    rep = chaos_vs_mc(cfg, ChaosSpace(2, 2))
+
+    probe = phi0 * (1.0 / m.norm(phi0))
+    pairs, norm_sq = [], []
+    for i in range(n_paths):
+        final = _march(m, phi0, dt, QWienerSampler(cov, 37, i).increments(dt, 5))
+        pairs.append(m.inner(final, probe))
+        norm_sq.append(m.norm(final) ** 2)
+    re, im, norm_sq = np.real(pairs), np.imag(pairs), np.array(norm_sq)
+    root_n = np.sqrt(n_paths)
+    assert rep.probe_mc == [(float(re.mean()), float(im.mean()),
+                             float(re.std(ddof=1) / root_n),
+                             float(im.std(ddof=1) / root_n))]
+    assert rep.mc_second_moment == float(norm_sq.mean())
+    assert rep.mc_second_moment_stderr == float(norm_sq.std(ddof=1) / root_n)
+
+
+def test_strong_order_errors_equal_a_coupled_march():
+    m = build_model("nls", UNIT_GRID, p=3, sign=1, smoothness=1)
+    phi0 = _mode_state(UNIT_GRID, m)
+    cov = _scalar_noise()
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=1 / 32, covariance=cov,
+                         n_paths=3, master_seed=43)
+    fit = strong_order(cfg, [1 / 8, 1 / 4, 1 / 32, 1 / 16])
+
+    errs = np.zeros((3, 3))
+    for i in range(3):
+        fine = QWienerSampler(cov, 43, i).increments(1 / 32, 32)
+        ref = _march(m, phi0, 1 / 32, fine)
+        for k, factor in enumerate((8, 4, 2)):
+            coarse = fine.reshape(32 // factor, factor, *fine.shape[1:]).sum(axis=1)
+            errs[k, i] = m.norm(_march(m, phi0, factor / 32, coarse) - ref)
+    np.testing.assert_array_equal(fit.dts, [1 / 4, 1 / 8, 1 / 16])
+    np.testing.assert_array_equal(fit.errors, errs.mean(axis=1))
+    np.testing.assert_array_equal(fit.stderrs, errs.std(axis=1, ddof=1) / np.sqrt(3))
+
+
+def test_weak_order_rejects_a_path_observable():
+    m = _linear_model(UNIT_GRID)
+    phi0 = _mode_state(UNIT_GRID, m)
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=1 / 16,
+                         covariance=_scalar_noise(), n_paths=4, master_seed=1)
+    with pytest.raises(ValueError, match="whole path"):
+        weak_order(cfg, [1 / 2, 1 / 4, 1 / 8, 1 / 16], observable="sup_sum_sq")
