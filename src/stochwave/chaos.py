@@ -19,11 +19,17 @@ This dictionary makes the three central structures elementary:
   sum_{alpha+beta=gamma} a_alpha b_beta, the unique product with
   S(Phi : Psi) = (S Phi)(S Psi).
 
+``ChaosSpace.convolve`` adds each coefficient's products one at a time,
+from zero, in the order of the pair table, one column of pairs per pass, so
+it rounds as a scatter-add over that table would, bit for bit.
+
 Exponential vectors satisfy <<phi_zeta, phi_eta>> = e^{<zeta,eta>} (bilinear
 pairing, no conjugation; the Hilbert inner product is used only for norms).
-Annihilation/creation act as the usual lowering/raising maps and satisfy the
-CCR on degrees strictly below the truncation order. Second quantization
-Gamma(B) is polynomial substitution zeta -> B^T zeta, which is
+Annihilation/creation act as the usual lowering/raising maps
+(``ChaosSpace.lowering``/``raising``, on coefficient stacks with scalar or
+field weights; the operator matrices are the maps applied to the identity)
+and satisfy the CCR on degrees strictly below the truncation order. Second
+quantization Gamma(B) is polynomial substitution zeta -> B^T zeta, which is
 degree-homogeneous and hence exact under truncation.
 
 Conjugation convention: powers like |psi|^2 psi are not Wick polynomials in
@@ -102,50 +108,37 @@ class ChaosSpace:
     def position(self, alpha) -> int:
         return self._pos[tuple(int(a) for a in alpha)]
 
-    @property
-    def pair_table(self):
-        """(I, J, K) with alpha_I + alpha_J = alpha_K, all degrees <= M."""
-        tab = self._cache.get("pairs")
+    def _pair_columns(self):
+        """Pairs alpha_I + alpha_J = alpha_K as ordered (I, J) columns.
+
+        Each K keeps its pairs in table order (by I, then J); the K's go by pair
+        count, most first, and column c holds the c-th pair of every K with
+        more than c, a prefix of the sorted K's. Also returns the unsort.
+        """
+        tab = self._cache.get("columns")
         if tab is None:
-            I, J, K = [], [], []
+            groups = [[] for _ in range(self.n_indices)]
             for i, a in enumerate(self.indices):
                 for j, b in enumerate(self.indices):
                     if self.degrees[i] + self.degrees[j] <= self.max_degree:
-                        I.append(i)
-                        J.append(j)
-                        K.append(self._pos[tuple(a + b)])
-            tab = (np.array(I), np.array(J), np.array(K))
-            self._cache["pairs"] = tab
+                        groups[self._pos[tuple(a + b)]].append((i, j))
+            order = sorted(range(self.n_indices), key=lambda k: -len(groups[k]))
+            columns = []
+            for c in range(len(groups[order[0]])):
+                I, J = zip(*(groups[k][c] for k in order if len(groups[k]) > c))
+                columns.append((np.array(I), np.array(J)))
+            tab = (columns, np.argsort(order))
+            self._cache["columns"] = tab
         return tab
 
-    @property
-    def raise_table(self) -> np.ndarray:
-        """raise_table[i, m] = position of alpha_i + e_m, or -1 past degree M."""
-        tab = self._cache.get("raise")
+    def _shifts(self, step: int) -> np.ndarray:
+        """[i, m] = position of alpha_i + step e_m, or -1 outside the table."""
+        tab = self._cache.get(("shift", step))
         if tab is None:
-            tab = np.full((self.n_indices, self.n_modes), -1, dtype=int)
-            for i, a in enumerate(self.indices):
-                for m in range(self.n_modes):
-                    if self.degrees[i] < self.max_degree:
-                        up = a.copy()
-                        up[m] += 1
-                        tab[i, m] = self._pos[tuple(up)]
-            self._cache["raise"] = tab
-        return tab
-
-    @property
-    def lower_table(self) -> np.ndarray:
-        """lower_table[i, m] = position of alpha_i - e_m, or -1 if alpha_im = 0."""
-        tab = self._cache.get("lower")
-        if tab is None:
-            tab = np.full((self.n_indices, self.n_modes), -1, dtype=int)
-            for i, a in enumerate(self.indices):
-                for m in range(self.n_modes):
-                    if a[m] > 0:
-                        dn = a.copy()
-                        dn[m] -= 1
-                        tab[i, m] = self._pos[tuple(dn)]
-            self._cache["lower"] = tab
+            unit = step * np.eye(self.n_modes, dtype=int)
+            tab = np.array([[self._pos.get(tuple(a + u), -1) for u in unit]
+                            for a in self.indices], dtype=int).reshape(-1, self.n_modes)
+            self._cache[("shift", step)] = tab
         return tab
 
     def monomials(self, zeta: np.ndarray) -> np.ndarray:
@@ -158,10 +151,42 @@ class ChaosSpace:
         return out
 
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Wick coefficient convolution; works on (n_idx, ...) stacks."""
-        I, J, K = self.pair_table
+        """Wick coefficient convolution; works on (n_idx, ...) stacks.
+
+        Column by column, so each coefficient adds its products one at a
+        time, from zero, in pair-table order: a scatter-add's sums, bit for bit.
+        """
+        columns, undo = self._pair_columns()
         out = np.zeros_like(np.broadcast_arrays(a, b)[0])
-        np.add.at(out, K, a[I] * b[J])
+        for I, J in columns:
+            out[:len(I)] += a[I] * b[J]
+        return out[undo]
+
+    def raising(self, weights, data: np.ndarray) -> np.ndarray:
+        """(a+_y Phi)_beta = sum_m y_m Phi_{beta-e_m} on an (n_idx, ...) stack.
+
+        One weight y_m per mode: a scalar, a field broadcasting against a
+        block, or None to leave the mode out. Terms past degree M drop.
+        """
+        return self._ladder(weights, data, -1)
+
+    def lowering(self, weights, data: np.ndarray) -> np.ndarray:
+        """(a_y Phi)_beta = sum_m y_m (beta_m + 1) Phi_{beta+e_m}; see ``raising``."""
+        return self._ladder(weights, data, +1)
+
+    def _ladder(self, weights, data, step):
+        # sum_m y_m [beta_m + 1 if lowering] data_{beta + step e_m}
+        table = self._shifts(step)
+        weights = list(weights.coords if isinstance(weights, TestVector) else weights)
+        if len(weights) != self.n_modes:
+            raise ValueError(f"need {self.n_modes} mode weights, got {len(weights)}")
+        out = np.zeros_like(data)
+        for m, y in enumerate(weights):
+            if y is not None:
+                ok = table[:, m] >= 0
+                if step > 0:
+                    y = y * (self.indices[ok, m] + 1).reshape((-1,) + (1,) * (data.ndim - 1))
+                out[ok] += y * data[table[ok, m]]
         return out
 
     def gamma_matrix(self, mode_map: np.ndarray) -> np.ndarray:
@@ -302,12 +327,7 @@ def wick_power(phi: ChaosVector, k: int) -> ChaosVector:
 def annihilate(space: ChaosSpace, y, phi: ChaosVector) -> ChaosVector:
     """Lowering map: (a_y Phi)_beta = sum_m y_m (beta_m + 1) a_{beta+e_m}."""
     y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-    out = np.zeros(space.n_indices, dtype=complex)
-    up = space.raise_table
-    for m in range(space.n_modes):
-        ok = up[:, m] >= 0
-        out[ok] += y[m] * (space.indices[ok, m] + 1) * phi.coeffs[up[ok, m]]
-    return ChaosVector(space, out, phi.truncated)
+    return ChaosVector(space, space.lowering(y, phi.coeffs), phi.truncated)
 
 
 def create(space: ChaosSpace, y, phi: ChaosVector) -> ChaosVector:
@@ -316,11 +336,7 @@ def create(space: ChaosSpace, y, phi: ChaosVector) -> ChaosVector:
     Coefficients pushed past degree M are dropped and flagged.
     """
     y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-    out = np.zeros(space.n_indices, dtype=complex)
-    dn = space.lower_table
-    for m in range(space.n_modes):
-        ok = dn[:, m] >= 0
-        out[ok] += y[m] * phi.coeffs[dn[ok, m]]
+    out = space.raising(y, phi.coeffs)
     top = space.degrees == space.max_degree
     spilled = bool(np.any(np.abs(phi.coeffs[top]) > 0) and np.any(np.abs(y) > 0))
     return ChaosVector(space, out, truncated=spilled or phi.truncated)
@@ -367,23 +383,11 @@ class FockOperator:
 
     @classmethod
     def annihilation(cls, space: ChaosSpace, y) -> "FockOperator":
-        y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-        M = np.zeros((space.n_indices, space.n_indices), dtype=complex)
-        up = space.raise_table
-        for m in range(space.n_modes):
-            ok = np.nonzero(up[:, m] >= 0)[0]
-            M[ok, up[ok, m]] += y[m] * (space.indices[ok, m] + 1)
-        return cls(space, M)
+        return cls(space, space.lowering(y, np.eye(space.n_indices, dtype=complex)))
 
     @classmethod
     def creation(cls, space: ChaosSpace, y) -> "FockOperator":
-        y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-        M = np.zeros((space.n_indices, space.n_indices), dtype=complex)
-        dn = space.lower_table
-        for m in range(space.n_modes):
-            ok = np.nonzero(dn[:, m] >= 0)[0]
-            M[ok, dn[ok, m]] += y[m]
-        return cls(space, M)
+        return cls(space, space.raising(y, np.eye(space.n_indices, dtype=complex)))
 
     def compose(self, other: "FockOperator") -> "FockOperator":
         return FockOperator(self.space, self.matrix @ other.matrix)
@@ -595,21 +599,15 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
         raise ValueError("more noise fields than chaos modes")
     chaos = ChaosState.deterministic(space, model, phi0)
     gen = model.generator
-    dn = space.lower_table
-
-    def z_wick(data):
-        out = np.zeros_like(data)
-        for m, q in enumerate(fields):
-            ok = np.nonzero(dn[:, m] >= 0)[0]
-            out[ok] += q * data[dn[ok, m]]
-        return out
+    # Z = sum_i q_i xi_i acts by Wick multiplication, the raising map
+    weights = fields + [None] * (space.n_modes - len(fields))
 
     times = [0.0]
     snaps = [ChaosState(space, model, chaos.data.copy())]
     tails = []
     flagged = False
     for n in range(n_steps):
-        drift = wick_nonlinearity(model, chaos).data + z_wick(chaos.data)
+        drift = wick_nonlinearity(model, chaos).data + space.raising(weights, chaos.data)
         new = gen.propagate_blocks(dt, chaos.data + dt * drift)
         chaos = ChaosState(space, model, new)
         energy = chaos.degree_energy()

@@ -26,8 +26,9 @@ from .config import ConfigError, ExperimentConfig
 from .ensemble import EnsembleConfig, chaos_vs_mc, strong_order, weak_order
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
-from .solver import (BlowUpError, export_trajectory_csv, holomorphy_check,
-                     picard_solve, solve_deterministic, solve_ito)
+from .solver import (BlowUpError, _initial_norms, export_trajectory_csv,
+                     holomorphy_check, picard_solve, solve_deterministic,
+                     solve_ito)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -82,12 +83,18 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out = _prepare_outdir(cfg, args.out)
     model = cfg.build_model()
     phi0 = cfg.build_initial(model)
     sb = cfg.doc["solver"]
     cov = cfg.build_covariance(model)
     threshold = sb["threshold"] if sb["threshold"] is not None else np.inf
+    if cov is not None:
+        # the Ito march stops on the threshold, which needs the initial state
+        try:
+            _initial_norms(model, phi0, threshold)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solver.threshold: {exc}") from exc
+    out = _prepare_outdir(cfg, args.out)
     try:
         if cov is not None:
             sampler = QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)

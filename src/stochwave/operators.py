@@ -16,6 +16,10 @@ block-diagonal Dirac + two wave pairs used by the Maxwell-Dirac reduction.
 
 The unpaired Nyquist mode is zeroed inside odd-order symbols (|grad|, the
 Dirac momentum) so real fields stay real under the operator.
+
+Per-mode matrices are held as (s, s, M) arrays, the layout of the symbol,
+so every contraction with an (s, M) or (B, s, M) coefficient stack runs
+over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
 """
 
 from __future__ import annotations
@@ -117,7 +121,8 @@ class SpectralOperator:
 
     def _propagate(self, t: float, data: np.ndarray) -> np.ndarray:
         # The one propagator kernel; per-mode phases (s = 1) or matrices are
-        # cached per time step under the keys ("phase", t) and t.
+        # cached per time step under the keys ("phase", t) and t, the matrices
+        # as one contiguous (s, s, M) array.
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
         s = self.n_components
@@ -127,12 +132,12 @@ class SpectralOperator:
             if s == 1:
                 P = np.exp(-1j * t * np.real(self._flat_symbol()[0, 0]))
             else:
-                P = self.propagator_matrices(t)
+                P = np.ascontiguousarray(self.propagator_matrices(t).transpose(1, 2, 0))
             if len(self._prop_cache) > 16:
                 self._prop_cache.clear()
             self._prop_cache[key] = P
         coeffs = self.grid.to_spectral(data).reshape(-1, s, self.grid.size)
-        out = coeffs * P if s == 1 else np.einsum("mab,nbm->nam", P, coeffs)
+        out = coeffs * P if s == 1 else np.einsum("abm,nbm->nam", P, coeffs)
         return self.grid.to_physical(out.reshape(data.shape))
 
     def apply(self, state: State) -> State:

@@ -244,6 +244,18 @@ def solve_deterministic(model: Model, phi0: State, T: float, dt: float,
     return Trajectory(np.asarray(times), states, np.asarray(norms))
 
 
+def _initial_norms(model: Model, phi0: State, threshold: float,
+                   n_smooth: int | None = None) -> np.ndarray:
+    """Graph norms of phi0 up to N; ValueError unless those below N stay under threshold."""
+    N = model.smoothness if n_smooth is None else int(n_smooth)
+    norms0 = model.graph_norms(phi0, N)
+    top = float(np.max(norms0[:max(N, 1)]))
+    if threshold <= top:
+        raise ValueError(f"stopping threshold {threshold:g} must exceed the initial "
+                         f"norms (largest {top:.6g})")
+    return norms0
+
+
 def solve_ito(model: Model, phi0: State, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
               n_smooth: int | None = None, record_every: int = 1) -> Trajectory:
@@ -257,9 +269,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     n_steps = _step_count(T, dt)
     N = model.smoothness if n_smooth is None else int(n_smooth)
     state = phi0.copy()
-    norms0 = model.graph_norms(state, N)
-    if threshold <= float(np.max(norms0[:max(N, 1)])):
-        raise ValueError("stopping threshold must exceed the initial norms")
+    norms0 = _initial_norms(model, state, threshold, N)
     increments = None
     if sampler is not None:
         increments = sampler.increments(dt, n_steps)

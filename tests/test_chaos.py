@@ -151,6 +151,98 @@ def test_annihilation_and_creation():
     assert create(SPACE, y, top).truncated
 
 
+def _pair_table(space):
+    """(I, J, K) with alpha_I + alpha_J = alpha_K, in row-major (I, J) order."""
+    rows = [(i, j, space.position(a + b))
+            for i, a in enumerate(space.indices) for j, b in enumerate(space.indices)
+            if space.degrees[i] + space.degrees[j] <= space.max_degree]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _signed_zeros(rng, shape):
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[rng.random(shape) < 0.2] = 0.0
+    c[rng.random(shape) < 0.2] = -0.0
+    c.real[rng.random(shape) < 0.1] *= -0.0
+    return c
+
+
+@pytest.mark.parametrize("space", [ChaosSpace(4, 4), ChaosSpace(3, 4), ChaosSpace(1, 3)],
+                         ids=["4x4", "3x4", "1x3"])
+@pytest.mark.parametrize("tail", [(), (5,), (2, 8)], ids=["1d", "2d", "2comp"])
+def test_convolve_equals_a_scatter_add_bit_for_bit(space, tail):
+    I, J, K = _pair_table(space)
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        a = _signed_zeros(rng, (space.n_indices,) + tail)
+        b = _signed_zeros(rng, (space.n_indices,) + tail)
+        if trial % 2:
+            a = -a
+        want = np.zeros_like(a)
+        np.add.at(want, K, a[I] * b[J])
+        assert space.convolve(a, b).tobytes() == want.tobytes()
+
+
+def _shifted(space, m, step):
+    """Rows alpha with alpha + step e_m in the table, and that neighbour's position."""
+    rows, cols = [], []
+    for i, alpha in enumerate(space.indices):
+        moved = alpha + step * np.eye(space.n_modes, dtype=int)[m]
+        if moved.min() >= 0 and moved.sum() <= space.max_degree:
+            rows.append(i)
+            cols.append(space.position(moved))
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+def _raise_loop(space, weights, data):
+    out = np.zeros_like(data)
+    for m, y in enumerate(weights):
+        ok, dn = _shifted(space, m, -1)
+        out[ok] += y * data[dn]
+    return out
+
+
+def _lower_loop(space, weights, data):
+    out = np.zeros_like(data)
+    for m, y in enumerate(weights):
+        ok, up = _shifted(space, m, +1)
+        count = (space.indices[ok, m] + 1).reshape((-1,) + (1,) * (data.ndim - 1))
+        out[ok] += y * count * data[up]
+    return out
+
+
+def test_ladder_maps_equal_per_mode_loops_bit_for_bit():
+    rng = np.random.default_rng(12)
+    y = _signed_zeros(rng, SPACE.n_modes)
+    phi = ChaosVector(SPACE, _signed_zeros(rng, SPACE.n_indices))
+    assert create(SPACE, y, phi).coeffs.tobytes() == _raise_loop(SPACE, y, phi.coeffs).tobytes()
+    assert annihilate(SPACE, y, phi).coeffs.tobytes() == \
+        _lower_loop(SPACE, y, phi.coeffs).tobytes()
+    eye = np.eye(SPACE.n_indices, dtype=complex)
+    assert np.array_equal(FockOperator.creation(SPACE, y).matrix, _raise_loop(SPACE, y, eye))
+    assert np.array_equal(FockOperator.annihilation(SPACE, y).matrix,
+                          _lower_loop(SPACE, y, eye))
+    # field weights on a (n_idx, s, M) stack, as the Wick solve's noise term
+    fields = [_signed_zeros(rng, 16) for _ in range(SPACE.n_modes)]
+    stack = _signed_zeros(rng, (SPACE.n_indices, 2, 16))
+    assert SPACE.raising(fields, stack).tobytes() == _raise_loop(SPACE, fields, stack).tobytes()
+    assert SPACE.lowering(fields, stack).tobytes() == _lower_loop(SPACE, fields, stack).tobytes()
+    # a mode without a weight has no term
+    partial = fields[:2] + [None]
+    assert SPACE.raising(partial, stack).tobytes() == \
+        _raise_loop(SPACE, fields[:2], stack).tobytes()
+
+
+@pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], [1.0]])
+def test_ladder_maps_reject_a_weight_count_other_than_the_mode_count(y):
+    space = ChaosSpace(2, 3)
+    phi = _random_vec(space)
+    for ladder in (create, annihilate, FockOperator.creation, FockOperator.annihilation):
+        args = (space, y, phi) if ladder in (create, annihilate) else (space, y)
+        with pytest.raises(ValueError, match="need 2 mode weights"):
+            ladder(*args)
+
+
 def test_ccr_on_interior_degrees():
     y = _random_zeta(SPACE, 0.8)
     z = _random_zeta(SPACE, 0.6)

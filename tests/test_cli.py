@@ -82,6 +82,25 @@ def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value
     assert not out.exists()
 
 
+def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
+    noisy = dict(BASE_CONFIG, noise={"enabled": True, "n_modes": 1, "lambda0": 0.5})
+    for threshold in (1e-9, "high"):
+        out = tmp_path / "run"
+        bad = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=threshold))
+        code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: solver.threshold: ") and err.count("\n") == 1
+        assert not out.exists()
+    # a threshold above the initial norms runs, and the resolved config keeps its hash
+    good = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=1e6))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", _write(tmp_path, good), "--out", str(out)]) == 0
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["config_hash"] == ExperimentConfig.from_dict(good).hash
+    assert resolved["solver"]["threshold"] == 1e6
+
+
 def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["simulate", "--config", _write(tmp_path, dict(BASE_CONFIG)),

@@ -147,6 +147,31 @@ def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
     assert np.allclose(single.data, first[0], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("s", [1, 2, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
+    from stochwave.operators import SpectralOperator
+
+    rng = np.random.default_rng(10 * s + dim)
+    g = make_grid(dim, [8, 6, 4][:dim], [2 * np.pi, 3.0, 5.0][:dim])
+    X = rng.standard_normal((s, s) + g.shape) + 1j * rng.standard_normal((s, s) + g.shape)
+    op = SpectralOperator(g, X + np.conj(np.swapaxes(X, 0, 1)))
+    t = 0.37
+    for B in (1, 7):
+        data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[rng.random(data.shape) < 0.1] *= 1e-310  # subnormal
+        coeffs = g.to_spectral(data).reshape(B, s, g.size)
+        if s == 1:
+            out = coeffs * np.exp(-1j * t * np.real(op.symbol.reshape(1, 1, g.size)[0, 0]))
+        else:
+            out = np.einsum("mab,nbm->nam", op.propagator_matrices(t), coeffs)
+        want = g.to_physical(out.reshape(data.shape))
+        assert op.propagate_blocks(t, data).tobytes() == want.tobytes()
+        roles = tuple(f"c{i}" for i in range(s))
+        assert op.propagate(t, State(g, data[0], roles)).data.tobytes() == want[0].tobytes()
+
+
 @pytest.mark.parametrize("kind,params,s", [
     ("laplacian", {}, 1),
     ("wave_block", {"k0": 1.0}, 2),
