@@ -502,9 +502,10 @@ class ChaosState:
         # norm; numpy's array ** 2 (x * x) rounds differently about once in
         # a thousand values
         per_index = self.space.factorials * np.array([n ** 2 for n in norms.tolist()])
-        out = np.zeros(self.space.max_degree + 1)
-        np.add.at(out, self.space.degrees, per_index)
-        return out
+        # bincount adds the weights one at a time in index order, as a
+        # scatter-add over the indices would
+        return np.bincount(self.space.degrees, weights=per_index,
+                           minlength=self.space.max_degree + 1)
 
     def s_transform(self, zeta) -> State:
         mono = self.space.monomials(zeta)

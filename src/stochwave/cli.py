@@ -94,6 +94,9 @@ def cmd_simulate(args) -> int:
             _initial_norms(model, phi0, threshold)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver.threshold: {exc}") from exc
+    elif sb["threshold"] is not None:
+        raise ConfigError("solver.threshold: the noise-free march has no stopping "
+                          "rule; set it to null or enable the noise")
     out = _prepare_outdir(cfg, args.out)
     try:
         if cov is not None:

@@ -6,10 +6,18 @@ L2 norms agree between the physical and spectral views), and the value
 semantics shared by every downstream module: operations never mutate their
 inputs, grids are immutable and freely shareable.
 
-The transforms run one 1-D ``np.fft.fft``/``ifft`` pass per grid axis, last
-axis first. That is the order in which numpy's n-d ``fftn`` runs its own
-1-D passes, so the coefficients are those of ``fftn``/``ifftn`` bit for
-bit, without the cost of its n-d argument handling on every call.
+The transforms call numpy's own pocketfft kernels, the gufuncs
+``numpy.fft._pocketfft_umath.fft`` and ``.ifft`` (numpy >= 2.0), one 1-D pass
+per grid axis, last axis first. Those are the kernels that ``np.fft.fft`` and
+``ifft`` call, given here the same normalisation factor (1 forward, 1/n
+inverse), and last axis first is the order in which ``fftn`` runs its own 1-D
+passes, so the coefficients are those of ``np.fft.fftn``/``ifftn`` bit for bit,
+without the cost of numpy's Python wrappers and their temporaries on every
+call. The forward transform writes its first pass into a fresh complex array
+and runs every later pass, and the unitary scaling, in place on it; the
+inverse divides by the scaling into a fresh array and runs its passes in
+place on that (a real input gets a fresh complex array from its first pass).
+Neither transform modifies its argument.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 
 @dataclass(frozen=True)
@@ -108,21 +117,30 @@ class Grid:
         return float(np.sqrt(self.dv / self.size))
 
     @cached_property
-    def _fft_axes(self) -> tuple[int, ...]:
-        # the grid axes of a (..., *shape) array, last first, as fftn visits them
-        return tuple(range(-1, -self.dim - 1, -1))
+    def _fft_passes(self) -> tuple[tuple[list, float], ...]:
+        # per grid axis of a (..., *shape) array, last first as fftn visits
+        # them: the gufunc axes of the 1-D pass and its inverse factor 1/n
+        return tuple(
+            ([(axis,), (), (axis,)], 1.0 / self.npts[axis])
+            for axis in range(-1, -self.dim - 1, -1)
+        )
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward transform (unitary). Works on (..., *shape) arrays."""
-        for axis in self._fft_axes:
-            values = np.fft.fft(values, axis=axis)
-        return values * self._fft_scale
+        out = np.empty(np.shape(values), dtype=complex)
+        for axes, _ in self._fft_passes:
+            _pocketfft_umath.fft(values, 1, axes=axes, out=out)
+            values = out
+        out *= self._fft_scale
+        return out
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         values = coeffs / self._fft_scale
-        for axis in self._fft_axes:
-            values = np.fft.ifft(values, axis=axis)
-        return values
+        out = values if values.dtype == complex else np.empty(values.shape, dtype=complex)
+        for axes, inv_n in self._fft_passes:
+            _pocketfft_umath.ifft(values, inv_n, axes=axes, out=out)
+            values = out
+        return out
 
 
 def make_grid(dim: int, points_per_axis, lengths) -> Grid:

@@ -121,8 +121,9 @@ class SpectralOperator:
 
     def _propagate(self, t: float, data: np.ndarray) -> np.ndarray:
         # The one propagator kernel; per-mode phases (s = 1) or matrices are
-        # cached per time step under the keys ("phase", t) and t, the matrices
-        # as one contiguous (s, s, M) array.
+        # cached per time step under the keys ("phase", t) and t, the phases
+        # in the grid's shape and multiplied in place into the fresh
+        # coefficients, the matrices as one contiguous (s, s, M) array.
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
         s = self.n_components
@@ -130,15 +131,19 @@ class SpectralOperator:
         P = self._prop_cache.get(key)
         if P is None:
             if s == 1:
-                P = np.exp(-1j * t * np.real(self._flat_symbol()[0, 0]))
+                P = np.exp(-1j * t * np.real(self.symbol[0, 0]))
             else:
                 P = np.ascontiguousarray(self.propagator_matrices(t).transpose(1, 2, 0))
             if len(self._prop_cache) > 16:
                 self._prop_cache.clear()
             self._prop_cache[key] = P
-        coeffs = self.grid.to_spectral(data).reshape(-1, s, self.grid.size)
-        out = coeffs * P if s == 1 else np.einsum("abm,nbm->nam", P, coeffs)
-        return self.grid.to_physical(out.reshape(data.shape))
+        coeffs = self.grid.to_spectral(data)
+        if s == 1:
+            coeffs *= P
+        else:
+            flat = coeffs.reshape(-1, s, self.grid.size)
+            coeffs = np.einsum("abm,nbm->nam", P, flat).reshape(data.shape)
+        return self.grid.to_physical(coeffs)
 
     def apply(self, state: State) -> State:
         """Spectral action: multiply each coefficient vector by symbol(k)."""

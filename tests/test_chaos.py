@@ -397,6 +397,26 @@ def test_degree_energy_equals_per_block_norms_bit_for_bit():
         assert chaos.degree_energy().tobytes() == want.tobytes()
 
 
+def test_degree_energy_sums_each_degree_in_index_order():
+    # the per-degree sums must round as a scatter-add over the indices in
+    # table order; norms spread over many decades make the order visible
+    grid = make_grid(1, [8], [2 * np.pi])
+    model = build_model("klein_gordon", grid, p=3, sign=1)
+    space = ChaosSpace(4, 4)
+    assert space.n_indices == 70
+    rng = np.random.default_rng(12)
+    shape = (space.n_indices, 2) + grid.shape
+    for _ in range(2000):
+        scale = np.exp(rng.uniform(-8.0, 8.0, (space.n_indices, 1, 1)))
+        data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        chaos = ChaosState(space, model, data)
+        norms = model.generator.metric_norm_blocks(data)
+        per_index = space.factorials * np.array([n ** 2 for n in norms.tolist()])
+        want = np.zeros(space.max_degree + 1)
+        np.add.at(want, space.degrees, per_index)
+        assert chaos.degree_energy().tobytes() == want.tobytes()
+
+
 def test_wick_evolution_zero_noise_reduces_to_deterministic():
     grid = make_grid(1, [16], [2 * np.pi])
     space = ChaosSpace(2, 3)

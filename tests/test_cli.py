@@ -101,6 +101,19 @@ def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
     assert resolved["solver"]["threshold"] == 1e6
 
 
+def test_threshold_without_noise_exits_2(tmp_path, capsys):
+    # the noise-free march has no stopping rule, so a threshold there is refused
+    # rather than accepted, echoed and never applied
+    for threshold in (1e-9, 1e6):
+        out = tmp_path / "run"
+        bad = dict(BASE_CONFIG, solver=dict(BASE_CONFIG["solver"], threshold=threshold))
+        code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: solver.threshold: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["simulate", "--config", _write(tmp_path, dict(BASE_CONFIG)),

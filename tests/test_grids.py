@@ -96,12 +96,19 @@ def test_operations_do_not_mutate_inputs():
 @pytest.mark.parametrize("points", [[16], [8, 4], [4, 6, 8]])
 @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
 def test_transforms_equal_fftn_bit_for_bit(points, lead):
-    # the per-axis passes must reproduce fftn/ifftn exactly, stack axes or not
+    # the per-axis passes must reproduce fftn/ifftn exactly, stack axes or
+    # not, a real float64 argument as fftn/ifftn transform it; each transform
+    # returns a new complex array and never writes to its argument
     g = make_grid(len(points), points, [1.5] * len(points))
     rng = np.random.default_rng(len(points) + 3 * len(lead))
-    x = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
-    axes = tuple(range(len(lead), x.ndim))
-    fwd = np.fft.fftn(x, axes=axes) * g._fft_scale
-    inv = np.fft.ifftn(x / g._fft_scale, axes=axes)
-    assert g.to_spectral(x).tobytes() == fwd.tobytes()
-    assert g.to_physical(x).tobytes() == inv.tobytes()
+    real = rng.standard_normal(lead + g.shape)
+    axes = tuple(range(len(lead), real.ndim))
+    for x in (real + 1j * rng.standard_normal(lead + g.shape), real):
+        snapshot = x.tobytes()
+        want = {g.to_spectral: np.fft.fftn(x, axes=axes) * g._fft_scale,
+                g.to_physical: np.fft.ifftn(x / g._fft_scale, axes=axes)}
+        for transform, expected in want.items():
+            out = transform(x)
+            assert x.tobytes() == snapshot
+            assert out.dtype == np.complex128 and not np.shares_memory(out, x)
+            assert out.tobytes() == expected.tobytes()

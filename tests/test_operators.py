@@ -167,9 +167,11 @@ def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
         else:
             out = np.einsum("mab,nbm->nam", op.propagator_matrices(t), coeffs)
         want = g.to_physical(out.reshape(data.shape))
+        snapshot = data.tobytes()
         assert op.propagate_blocks(t, data).tobytes() == want.tobytes()
         roles = tuple(f"c{i}" for i in range(s))
         assert op.propagate(t, State(g, data[0], roles)).data.tobytes() == want[0].tobytes()
+        assert data.tobytes() == snapshot
 
 
 @pytest.mark.parametrize("kind,params,s", [
