@@ -10,7 +10,8 @@ Three integration routes share the exact free propagator exp(-i*A*t):
   with trapezoidal quadrature between nodes and the propagator applied
   exactly, so the time-discretization error is O(dt^2) and the fixed-point
   contraction structure (ratio proportional to the horizon T) survives
-  discretization.
+  discretization. Each sweep runs node by node, so a solve holds the free
+  path plus one iterate and a few nodes.
 
 * ``step_exp_euler`` is the left-point (Ito) exponential Euler step
   phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW); no Stratonovich
@@ -121,12 +122,6 @@ class PicardResult:
         return self.states[-1]
 
 
-def _xt_distance(model: Model, a: list[State], b: list[State], j_max: int) -> float:
-    return max(
-        model.sum_graph_norms(sa - sb, j_max) for sa, sb in zip(a, b)
-    )
-
-
 def picard_solve(model: Model, phi0: State, T: float,
                  theta: ThetaPotential | None = None,
                  zeta=None, eta=None, z: complex = 0.0,
@@ -137,7 +132,8 @@ def picard_solve(model: Model, phi0: State, T: float,
     Residuals are sup-over-time graph-norm distances between successive
     iterates (the X_T metric with j <= N). On convergence the returned
     fixed-point residual is guaranteed <= 2*tol for contraction ratios
-    below one.
+    below one. Every sweep, the final check too, raises BlowUpError on a
+    non-finite node; an iterate also on a final node above the safety cap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -164,34 +160,37 @@ def picard_solve(model: Model, phi0: State, T: float,
     for _ in range(n_nodes - 1):
         free.append(gen.propagate(dt, free[-1]))
 
-    def sweep(states: list[State]) -> list[State]:
-        """One application of the integral map via exact-propagator trapezoid."""
-        F = [rhs(s) for s in states]
-        out = [free[0]]
-        integral = model.zero_state()
-        for i in range(1, n_nodes):
-            integral = gen.propagate(dt, integral + (0.5 * dt) * F[i - 1])
-            integral = integral + (0.5 * dt) * F[i]
-            out.append(free[i] + integral)
-        return out
+    def sweep(states: list[State], keep: bool) -> float:
+        """One trapezoid application of the integral map, node by node; returns
+        the X_T distance from ``states``. J of node i is taken, and halved once
+        for both trapezoid halves, just before node i comes out; with ``keep``,
+        node i then replaces ``states[i]``, so a sweep holds one path."""
+        dist, integral, half = 0.0, model.zero_state(), None
+        for i in range(n_nodes):
+            prev, half = half, (0.5 * dt) * rhs(states[i])
+            node = free[0]
+            if i:
+                integral = gen.propagate(dt, integral + prev) + half
+                node = free[i] + integral
+            if not np.all(np.isfinite(node.data)) or \
+               (keep and i == n_nodes - 1 and model.norm(node) > BLOWUP_CAP):
+                raise BlowUpError("Picard iterate left the finite-norm region")
+            dist = max(dist, model.sum_graph_norms(node - states[i], model.smoothness))
+            if keep:
+                states[i] = node
+        return dist
 
     current = list(free)
     residuals: list[float] = []
     converged = False
     for _ in range(max_iter):
-        nxt = sweep(current)
-        if any(not np.all(np.isfinite(s.data)) for s in nxt) or \
-           model.norm(nxt[-1]) > BLOWUP_CAP:
-            raise BlowUpError("Picard iterate left the finite-norm region")
-        res = _xt_distance(model, nxt, current, model.smoothness)
+        res = sweep(current, keep=True)
         residuals.append(res)
-        current = nxt
         if res <= tol:
             converged = True
             break
 
-    final_check = sweep(current)
-    fp_res = _xt_distance(model, final_check, current, model.smoothness)
+    fp_res = sweep(current, keep=False)
     ratios = [
         residuals[i + 1] / residuals[i]
         for i in range(len(residuals) - 1)
@@ -264,7 +263,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold
     (N = n_smooth, defaulting to the model's smoothness order); the
     trajectory then ends at that time with stop_time set. Paths that blow
-    up are flagged rather than raised.
+    up are flagged rather than raised, and end at their last finite state.
     """
     n_steps = _step_count(T, dt)
     N = model.smoothness if n_smooth is None else int(n_smooth)
@@ -277,6 +276,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     norm_hist = [norms0]
     sup_sq = float(np.sum(norms0**2))
     stop_time, blown = None, False
+    t, norms = 0.0, norms0
     for n in range(n_steps):
         dW = increments[n] if increments is not None else None
         try:
@@ -285,21 +285,21 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
             blown = True
             stop_time = (n + 1) * dt
             break
-        norms = model.graph_norms(state, N)
+        t, norms = (n + 1) * dt, model.graph_norms(state, N)
         sup_sq = max(sup_sq, float(np.sum(norms**2)))
-        record = (n + 1) % record_every == 0 or n == n_steps - 1
         hit = float(np.max(norms[:max(N, 1)])) > threshold
-        if record or hit:
-            times.append((n + 1) * dt)
+        blown = not hit and float(norms[0]) > BLOWUP_CAP
+        if (n + 1) % record_every == 0 or n == n_steps - 1 or hit or blown:
+            times.append(t)
             states.append(state.copy())
             norm_hist.append(norms)
-        if hit:
-            stop_time = (n + 1) * dt
+        if hit or blown:
+            stop_time = t
             break
-        if norms[0] > BLOWUP_CAP:
-            blown = True
-            stop_time = (n + 1) * dt
-            break
+    if times[-1] != t:  # a non-finite step: end at the last finite state (tau ^ T)
+        times.append(t)
+        states.append(state.copy())
+        norm_hist.append(norms)
     seed_info = {}
     if sampler is not None:
         seed_info = {"master_seed": sampler.master_seed, "stream_id": sampler.stream_id}

@@ -5,7 +5,7 @@ import pytest
 
 from stochwave import (ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
                        QWienerSampler, State, build_model, chaos_vs_mc,
-                       default_covariance, make_grid, run_ensemble,
+                       default_covariance, make_grid, run_ensemble, solve_ito,
                        step_exp_euler, strong_order, tail_curve, weak_order)
 
 GRID = make_grid(1, [16], [2 * np.pi])
@@ -289,3 +289,29 @@ def test_weak_order_rejects_a_path_observable():
                          covariance=_scalar_noise(), n_paths=4, master_seed=1)
     with pytest.raises(ValueError, match="whole path"):
         weak_order(cfg, [1 / 2, 1 / 4, 1 / 8, 1 / 16], observable="sup_sum_sq")
+
+
+def test_blown_paths_end_at_their_last_finite_state():
+    # focusing cubic from amplitude 3: every path blows up before T. With one
+    # record per path, each must still end at its last finite state (the
+    # process stopped at tau ^ T), as the path recorded at every step does,
+    # not at phi0
+    m = build_model("nls", UNIT_GRID, p=3, sign=1)
+    phi0 = State(UNIT_GRID, np.full((1,) + UNIT_GRID.shape, 3.0 + 0j), m.roles)
+    cov = CovarianceSpec(np.array([0.5]), [Field(UNIT_GRID, np.ones(UNIT_GRID.shape))])
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
+                         n_paths=4, master_seed=3)
+    with np.errstate(all="ignore"):
+        res = run_ensemble(cfg)
+        finals = []
+        for i in range(cfg.n_paths):
+            sparse, dense = (solve_ito(m, phi0, cfg.T, cfg.dt, QWienerSampler(cov, 3, i),
+                                       record_every=every) for every in (100, 1))
+            assert sparse.blown_up and sparse.stop_time == dense.stop_time
+            assert len(set(sparse.times)) == len(sparse.times) == 2
+            assert sparse.times[-1] == dense.times[-1] <= sparse.stop_time
+            assert sparse.final_state().data.tobytes() == dense.final_state().data.tobytes()
+            assert sparse.graph_norms[-1].tobytes() == dense.graph_norms[-1].tobytes()
+            finals.append(m.norm(sparse.final_state()) ** 2)
+    assert res.n_blown == 4
+    assert res.observables["norm_sq"]["mean"] == np.mean(finals) > 9.0

@@ -112,3 +112,29 @@ def test_transforms_equal_fftn_bit_for_bit(points, lead):
             assert x.tobytes() == snapshot
             assert out.dtype == np.complex128 and not np.shares_memory(out, x)
             assert out.tobytes() == expected.tobytes()
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, any NaN matching any NaN."""
+    a, b = a.view(np.float64), b.view(np.float64)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("points,lengths", [([8], [2 * np.pi]), ([4, 6], [1.0, 3.0])])
+def test_inverse_scaling_keeps_the_division_bits_on_specials(points, lengths):
+    # to_physical multiplies complex input by (1/s) - 0j instead of dividing
+    # by s. On a grid with 1/s > 1 the inverse transform of a constant array
+    # of any pair of specials (signed zeros, infinities, NaN, subnormals, the
+    # largest finite values) equals that of the quotient, zero signs included
+    # (a +0j factor gets the real part of, e.g., -0 + 0j wrong)
+    g = make_grid(len(points), points, lengths)
+    assert 1.0 / g._fft_scale > 1.0
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                -2.2e-308, 1e308, -1e308, 1.5, -2.5]
+    with np.errstate(all="ignore"):
+        for re in specials:
+            for im in specials:
+                c = np.full((2,) + g.shape, complex(re, im))
+                want = np.fft.ifftn(c / g._fft_scale, axes=tuple(range(1, c.ndim)))
+                assert _same_bits(g.to_physical(c), want), (re, im)

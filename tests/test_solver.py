@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from stochwave import (CovarianceSpec, Field, QWienerSampler, State,
+from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State,
                        ThetaPotential, build_model, default_covariance,
                        holomorphy_check, make_grid, picard_solve,
                        solve_deterministic, solve_ito, step_exp_euler,
                        step_strang)
+from stochwave.solver import BLOWUP_CAP
 
 GRID = make_grid(1, [32], [2 * np.pi])
 
@@ -91,6 +92,137 @@ def test_picard_blowup_guard():
     st = m.random_smooth_state(np.random.default_rng(0), 0.5) * 1e7
     with pytest.raises(BlowUpError):
         picard_solve(m, st, 1.0, None, n_time_nodes=9, tol=1e-10, max_iter=40)
+
+
+def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
+                 n_time_nodes=64, tol=1e-10, max_iter=60):
+    """Oracle: the Picard iteration with whole-path sweeps, a list of J
+    values per sweep, and no guard on the final check."""
+    n_nodes = int(n_time_nodes)
+    dt = T / (n_nodes - 1)
+    gen = model.generator
+    theta_values = None
+    if theta is not None:
+        theta_values = theta.field_values(
+            np.zeros(theta.n_coords) if zeta is None else zeta, eta, z)
+
+    def rhs(state):
+        out = model.apply_J(state)
+        if theta_values is not None:
+            out = out + state.times_field(theta_values)
+        return out
+
+    free = [phi0.copy()]
+    for _ in range(n_nodes - 1):
+        free.append(gen.propagate(dt, free[-1]))
+
+    def sweep(states):
+        F = [rhs(s) for s in states]
+        out = [free[0]]
+        integral = model.zero_state()
+        for i in range(1, n_nodes):
+            integral = gen.propagate(dt, integral + (0.5 * dt) * F[i - 1])
+            integral = integral + (0.5 * dt) * F[i]
+            out.append(free[i] + integral)
+        return out
+
+    def distance(a, b):
+        return max(model.sum_graph_norms(sa - sb, model.smoothness)
+                   for sa, sb in zip(a, b))
+
+    current, residuals, converged = list(free), [], False
+    for _ in range(max_iter):
+        nxt = sweep(current)
+        if any(not np.all(np.isfinite(s.data)) for s in nxt) or \
+           model.norm(nxt[-1]) > BLOWUP_CAP:
+            raise BlowUpError("Picard iterate left the finite-norm region")
+        res = distance(nxt, current)
+        residuals.append(res)
+        current = nxt
+        if res <= tol:
+            converged = True
+            break
+    fp_res = distance(sweep(current), current)
+    ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)
+              if residuals[i] > 1e3 * np.finfo(float).eps]
+    ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+    return current, residuals, converged, fp_res, ratio
+
+
+def _zakharov_2d(n=16):
+    grid = make_grid(2, [n, n], [2 * np.pi] * 2)
+    m = build_model("zakharov", grid)
+    st = m.random_smooth_state(np.random.default_rng(4), 0.05)
+    cov = default_covariance(grid, n_modes=4, lambda0=0.01, gamma=2.0)
+    theta = ThetaPotential([Field(grid, np.sqrt(l) * e.values)
+                            for l, e in zip(cov.eigenvalues, cov.eigenfields)])
+    return m, st, theta, 0.3 * np.random.default_rng(1).standard_normal(4)
+
+
+def _picard_cases():
+    m, st, theta = _sine_gordon_setup(radius=0.3, seed=3)
+    nls = build_model("nls", GRID, p=3, sign=1)
+    nls_st = nls.random_smooth_state(np.random.default_rng(8), 0.4)
+    zak, zak_st, zak_theta, zak_zeta = _zakharov_2d()
+    return {
+        "nls_1d_theta": (nls, nls_st, 0.5, theta, [0.2, -0.3, 0.1],
+                         dict(n_time_nodes=17, tol=1e-11)),
+        "zakharov_2d_theta": (zak, zak_st, 0.5, zak_theta, zak_zeta,
+                              dict(n_time_nodes=9, tol=1e-10)),
+        "stopped_by_max_iter": (m, st, 0.5, theta, [0.5, 0.5, 0.5],
+                                dict(n_time_nodes=33, tol=1e-14, max_iter=3)),
+        "blow_up": (nls, nls_st * 1e7, 1.0, None, None,
+                    dict(n_time_nodes=9, tol=1e-10, max_iter=40)),
+    }
+
+
+@pytest.mark.parametrize("case", ["nls_1d_theta", "zakharov_2d_theta",
+                                  "stopped_by_max_iter", "blow_up"])
+def test_picard_matches_the_list_sweep_bit_for_bit(case):
+    # the node-by-node sweep forms every node, residual and the final check
+    # with the operations, in the order, of the whole-path sweep
+    model, phi0, T, theta, zeta, kw = _picard_cases()[case]
+    zeta = None if zeta is None else np.asarray(zeta)
+    with np.errstate(all="ignore"):
+        try:
+            want = _list_picard(model, phi0, T, theta, zeta, **kw)
+        except BlowUpError:
+            with pytest.raises(BlowUpError):
+                picard_solve(model, phi0, T, theta, zeta, **kw)
+            assert case == "blow_up"
+            return
+    assert case != "blow_up"
+    got = picard_solve(model, phi0, T, theta, zeta, **kw)
+    states, residuals, converged, fp_res, ratio = want
+    assert got.converged == converged == (case != "stopped_by_max_iter")
+    assert [s.data.tobytes() for s in got.states] == [s.data.tobytes() for s in states]
+    assert np.array(got.residuals).tobytes() == np.array(residuals).tobytes()
+    assert np.float64(got.fixed_point_residual).tobytes() == np.float64(fp_res).tobytes()
+    assert np.float64(got.contraction_ratio).tobytes() == np.float64(ratio).tobytes()
+
+
+def test_picard_solve_holds_about_two_paths():
+    # free path plus one iterate and a few nodes; whole-path sweeps held 4.1
+    import tracemalloc
+
+    m, st, theta, zeta = _zakharov_2d(32)
+    picard_solve(m, st, 0.5, theta, zeta, n_time_nodes=33, max_iter=2)  # warm caches
+    tracemalloc.start()
+    try:
+        res = picard_solve(m, st, 0.5, theta, zeta, n_time_nodes=33, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 2.5 * 33 * st.data.nbytes
+
+
+def test_picard_final_check_raises_on_a_non_finite_node():
+    # no sweep before the final check; J of the free path overflows
+    m = build_model("nls", GRID, p=3, sign=1, dealias=False)
+    st = m.random_smooth_state(np.random.default_rng(0), 0.5) * 1e200
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+        picard_solve(m, st, 0.1, None, n_time_nodes=5, max_iter=0)
 
 
 def test_step_exp_euler_flags_nonfinite():
@@ -199,6 +331,21 @@ def test_solve_ito_norm_history_matches_states():
     for i in range(len(traj.times)):
         recomputed = m.graph_norms(traj.states[i])
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
+
+
+def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
+    # p = 31 from amplitude 2.5: step 1 stays under the cap, step 2 overflows.
+    # Recorded sparsely or at every step, the path ends at the state of step 1
+    m = build_model("nls", make_grid(1, [8], [1.0]), p=31, sign=1, dealias=False)
+    st = State(m.grid, np.full((1, 8), 2.5 + 0j), m.roles)
+    with np.errstate(all="ignore"):
+        sparse, dense = (solve_ito(m, st, 1.0, 0.01, None, record_every=every)
+                         for every in (100, 1))
+    for traj in (sparse, dense):
+        assert traj.blown_up and traj.stop_time == 0.02
+        assert list(traj.times) == [0.0, 0.01] and len(traj.states) == 2
+        assert traj.final_state().data.tobytes() == step_exp_euler(m, st, 0.01).data.tobytes()
+        assert traj.graph_norms.tobytes() == dense.graph_norms.tobytes()
 
 
 def test_solve_ito_validates_threshold():
