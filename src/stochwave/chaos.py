@@ -62,7 +62,7 @@ import numpy as np
 from ._files import write_atomic
 from .grids import State
 from .models import Model
-from .solver import _step_count
+from .solver import _cr_residual, _step_count
 
 
 def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
@@ -276,9 +276,6 @@ class ChaosVector:
     def norm0(self) -> float:
         return float(np.sqrt(np.sum(self.space.factorials * np.abs(self.coeffs) ** 2)))
 
-    def conj_coeffs(self) -> "ChaosVector":
-        return ChaosVector(self.space, np.conj(self.coeffs), self.truncated)
-
     def __add__(self, other):
         return ChaosVector(self.space, self.coeffs + other.coeffs,
                            self.truncated or other.truncated)
@@ -389,11 +386,8 @@ class FockOperator:
     def creation(cls, space: ChaosSpace, y) -> "FockOperator":
         return cls(space, space.raising(y, np.eye(space.n_indices, dtype=complex)))
 
-    def compose(self, other: "FockOperator") -> "FockOperator":
+    def __matmul__(self, other: "FockOperator") -> "FockOperator":
         return FockOperator(self.space, self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def commutator(self, other: "FockOperator") -> "FockOperator":
         return FockOperator(self.space,
@@ -414,9 +408,6 @@ class GrowthFit:
     K: float
     cr_residual: float
     covered: bool
-
-    def envelope(self, x: float) -> float:
-        return self.C * np.exp(self.K * x)
 
 
 def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
@@ -453,17 +444,7 @@ def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
     covered = bool(np.all(ys <= np.log(C) + K * xs + 1e-9))
     # Entireness probe along a random complex line.
     zdir, base = dirs[0], 0.5 * dirs[min(1, n_directions - 1)]
-    h = cr_spacing
-    z0 = 0.37 + 0.21j
-
-    def G(zv):
-        return F(zv * zdir + base)
-
-    fx = [G(z0 + sgn * h) for sgn in (-2, -1, 1, 2)]
-    fy = [G(z0 + 1j * sgn * h) for sgn in (-2, -1, 1, 2)]
-    dfdx = (fx[0] - 8 * fx[1] + 8 * fx[2] - fx[3]) / (12 * h)
-    dfdy = (fy[0] - 8 * fy[1] + 8 * fy[2] - fy[3]) / (12 * h)
-    cr = abs(0.5 * (dfdx + 1j * dfdy))
+    cr = _cr_residual(lambda zv: F(zv * zdir + base), 0.37 + 0.21j, cr_spacing)
     return GrowthFit(C=C, K=K, cr_residual=float(cr), covered=covered)
 
 

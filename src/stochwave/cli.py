@@ -1,14 +1,15 @@
 """Config-driven command line driver.
 
-Subcommands: simulate, picard, converge, chaos, verify. Every run writes a
-fixed set of files into its output directory (trajectory/table CSVs,
-report.json, config.resolved.json), all stamped with the config hash.
+Subcommands: simulate, picard, converge, chaos, ensemble, verify. Every run
+writes a fixed set of files into its output directory (trajectory/table
+CSVs, report.json, config.resolved.json), all stamped with the config hash.
 Re-using a run directory with a different configuration is refused. Each
 file is written whole through a temporary file and a rename, and
 report.json comes last. ``python -m stochwave`` runs the same commands.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
-blow-up or stopped trajectory without --allow-stop.
+blow-up, stopped trajectory without --allow-stop, or a Picard solve that
+does not converge. ``ensemble`` counts stopped and blown-up paths as data.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import numpy as np
 from ._files import write_atomic
 from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig
-from .ensemble import EnsembleConfig, chaos_vs_mc, strong_order, weak_order
+from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, chaos_vs_mc,
+                       run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
-from .solver import (BlowUpError, _initial_norms, export_trajectory_csv,
-                     holomorphy_check, picard_solve, solve_deterministic,
-                     solve_ito)
+from .solver import (BlowUpError, ConvergenceError, _initial_norms,
+                     export_trajectory_csv, holomorphy_check, picard_solve,
+                     solve_deterministic, solve_ito)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -81,19 +83,30 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def cmd_simulate(args) -> int:
+def _setup(args):
+    """The resolved config (overrides applied), its model and initial state."""
     cfg = _load(args)
     model = cfg.build_model()
-    phi0 = cfg.build_initial(model)
+    return cfg, model, cfg.build_initial(model)
+
+
+def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
+    """solver.threshold (inf when null); a config error unless above phi0's norms."""
+    threshold = cfg.doc["solver"]["threshold"]
+    threshold = np.inf if threshold is None else threshold
+    try:
+        _initial_norms(model, phi0, threshold)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver.threshold: {exc}") from exc
+    return threshold
+
+
+def cmd_simulate(args) -> int:
+    cfg, model, phi0 = _setup(args)
     sb = cfg.doc["solver"]
     cov = cfg.build_covariance(model)
-    threshold = sb["threshold"] if sb["threshold"] is not None else np.inf
     if cov is not None:
-        # the Ito march stops on the threshold, which needs the initial state
-        try:
-            _initial_norms(model, phi0, threshold)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"solver.threshold: {exc}") from exc
+        threshold = _threshold(cfg, model, phi0)
     elif sb["threshold"] is not None:
         raise ConfigError("solver.threshold: the noise-free march has no stopping "
                           "rule; set it to null or enable the noise")
@@ -133,10 +146,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    cfg = _load(args)
+    cfg, model, phi0 = _setup(args)
     out = _prepare_outdir(cfg, args.out)
-    model = cfg.build_model()
-    phi0 = cfg.build_initial(model)
     sb = cfg.doc["solver"]
     theta = cfg.build_theta(model, cfg.build_covariance(model))
     nz = theta.n_coords
@@ -156,22 +167,23 @@ def cmd_picard(args) -> int:
     }
     del result
     probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
-    residual = holomorphy_check(model, phi0, sb["T"], theta, zeta, eta,
-                                [0.0], probe, spacing=1e-2,
-                                n_time_nodes=sb["n_time_nodes"],
-                                tol=min(sb["tol"], 1e-12))
+    try:
+        residual = holomorphy_check(model, phi0, sb["T"], theta, zeta, eta,
+                                    [0.0], probe, spacing=1e-2,
+                                    n_time_nodes=sb["n_time_nodes"],
+                                    tol=min(sb["tol"], 1e-12))
+    except ConvergenceError:
+        residual = None  # a stencil solve did not converge: reported as null
     write_atomic(out / "picard_residuals.csv", "iteration,residual\n" + "".join(
         f"{i},{r:.17g}\n" for i, r in enumerate(residuals)))
     _write_resolved(cfg, out)
     _write_report(out, {**summary, "holomorphy_residual": residual}, cfg)
-    return EXIT_OK if summary["converged"] else EXIT_BLOWUP
+    return EXIT_OK if summary["converged"] and residual is not None else EXIT_BLOWUP
 
 
 def cmd_converge(args) -> int:
-    cfg = _load(args)
+    cfg, model, phi0 = _setup(args)
     out = _prepare_outdir(cfg, args.out)
-    model = cfg.build_model()
-    phi0 = cfg.build_initial(model)
     sb, mb = cfg.doc["solver"], cfg.doc["mc"]
     cov = cfg.build_covariance(model)
     ladder = mb["dt_ladder"] or [sb["T"] / n for n in (8, 16, 32, 64, 128)]
@@ -192,14 +204,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(cfg, args.out)
-    model = cfg.build_model()
-    phi0 = cfg.build_initial(model)
+    cfg, model, phi0 = _setup(args)
     sb, mb = cfg.doc["solver"], cfg.doc["mc"]
     cov = cfg.build_covariance(model)
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
+    out = _prepare_outdir(cfg, args.out)
     space = cfg.build_chaos_space()
     ens = EnsembleConfig(model=model, phi0=phi0, T=sb["T"], dt=sb["dt"],
                          covariance=cov, n_paths=max(mb["n_paths"], 2),
@@ -223,6 +233,38 @@ def cmd_chaos(args) -> int:
     _write_report(out, {"chaos_vs_mc": report.to_dict(),
                         "truncation_flagged": report.wick.truncation_flagged}, cfg)
     print(f"mean agreement within 3 stderr: {report.mean_within_3se}")
+    return EXIT_OK
+
+
+def cmd_ensemble(args) -> int:
+    cfg, model, phi0 = _setup(args)
+    sb, mb = cfg.doc["solver"], cfg.doc["mc"]
+    threshold = _threshold(cfg, model, phi0)
+    try:  # every final-state observable must be defined, and finite, at phi0
+        for name in (n for n in mb["observables"] if n != "sup_sum_sq"):
+            if not np.isfinite(_observable_fn(model, name, phi0)(phi0)):
+                raise ValueError(f"'{name}' is not defined for model {model.name}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc.observables: {exc}") from exc
+    out = _prepare_outdir(cfg, args.out)
+    ens = EnsembleConfig(model=model, phi0=phi0, T=sb["T"], dt=sb["dt"],
+                         covariance=cfg.build_covariance(model),
+                         n_paths=max(mb["n_paths"], 2),
+                         master_seed=cfg.doc["master_seed"], threshold=threshold,
+                         observables=tuple(mb["observables"]))
+    result = run_ensemble(ens)
+    report = {"ensemble": result.to_dict()}
+    print(f"{result.n_stopped} of {result.n_paths} paths stopped, {result.n_blown} blown up")
+    if mb["rho_grid"]:
+        # the survival curve reduces the same paths' stop times: one march
+        curve = TailCurve.from_stop_times(result.stop_times, mb["rho_grid"])
+        write_atomic(out / "tail_curve.csv", "rho,survival,band,fitted_lower_bound\n" +
+                     "".join(f"{r:.17g},{s:.17g},{b:.17g},{1 - curve.m_hat * r * r:.17g}\n"
+                             for r, s, b in zip(curve.rhos, curve.survival, curve.band)))
+        report["tail_curve"] = curve.to_dict()
+        print(f"fitted M = {curve.m_hat:.4f}, lower bound ok: {curve.lower_bound_ok()}")
+    _write_resolved(cfg, out)
+    _write_report(out, report, cfg)
     return EXIT_OK
 
 
@@ -250,14 +292,13 @@ def cmd_verify(args) -> int:
     # Wick algebra spot checks on a small space.
     space = cfg.build_chaos_space()
     rng = np.random.default_rng(cfg.doc["master_seed"])
+
+    def low_degree() -> ChaosVector:
+        return ChaosVector(space, np.where(space.degrees <= 2, rng.standard_normal(
+            space.n_indices) + 1j * rng.standard_normal(space.n_indices), 0.0))
     wick_dev = 0.0
     for _ in range(10):
-        a = ChaosVector(space, np.where(space.degrees <= 2,
-                                        rng.standard_normal(space.n_indices)
-                                        + 1j * rng.standard_normal(space.n_indices), 0.0))
-        b = ChaosVector(space, np.where(space.degrees <= 2,
-                                        rng.standard_normal(space.n_indices)
-                                        + 1j * rng.standard_normal(space.n_indices), 0.0))
+        a, b = low_degree(), low_degree()
         zeta = 0.5 * (rng.standard_normal(space.n_modes)
                       + 1j * rng.standard_normal(space.n_modes))
         lhs = s_transform(wick_product(a, b), zeta)
@@ -305,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("simulate", cmd_simulate), ("picard", cmd_picard),
                      ("converge", cmd_converge), ("chaos", cmd_chaos),
-                     ("verify", cmd_verify)):
+                     ("ensemble", cmd_ensemble), ("verify", cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace
-from .ensemble import _ladder
+from .ensemble import _ladder, _rho_grid
 from .grids import Field, State, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
@@ -121,10 +121,10 @@ def validate_and_resolve(raw: dict) -> dict:
 def _check_values(resolved: dict) -> None:
     """Reject a value no command can run with.
 
-    The grid, the time step and the dt ladder are checked by the code that
-    builds the grid, counts the steps and fits the orders; doing it here
-    makes a bad value a config error, raised before any output directory
-    exists.
+    The grid, the time step, the dt ladder and the rho grid are checked by
+    the code that builds the grid, counts the steps, fits the orders and
+    reduces the stop times; doing it here makes a bad value a config error,
+    raised before any output directory exists.
     """
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
     try:
@@ -142,12 +142,17 @@ def _check_values(resolved: dict) -> None:
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
     if mb["n_workers"] != 1:
-        raise ConfigError("mc.n_workers must be 1: every path runs in one thread")
+        raise ConfigError("mc.n_workers must be 1: every path runs in one thread "
+                          "(the key stays so that every config_hash stays the same)")
     try:
         if mb["dt_ladder"]:
             _ladder(sb["T"], mb["dt_ladder"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc.dt_ladder: {exc}") from exc
+    try:
+        _rho_grid(mb["rho_grid"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc.rho_grid: {exc}") from exc
 
 
 def load_config(path) -> dict:

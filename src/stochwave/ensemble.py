@@ -62,7 +62,7 @@ def _observable_fn(model: Model, name: str, phi0: State):
     if name == "sup_sum_sq":
         raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
                          "of the final state")
-    if name.startswith("graph_norm_j"):
+    if isinstance(name, str) and name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
         return lambda st: model.graph_norm(st, j)
     if name == "pairing_re":
@@ -299,20 +299,33 @@ class TailCurve:
             "n_paths": self.n_paths,
         }
 
+    @classmethod
+    def from_stop_times(cls, stop_times, rho_grid) -> "TailCurve":
+        """Empirical survival P(tau > rho) of per-path stop times (None: ran to T)."""
+        rhos = _rho_grid(rho_grid)
+        n = len(stop_times)
+        taus = np.array([np.inf if s is None else s for s in stop_times])
+        survival = np.array([np.mean(taus > r) for r in rhos])
+        band = 3.0 * np.sqrt(survival * (1 - survival) / n) + 1.0 / n
+        sel = rhos <= 0.5
+        denom = float(np.sum(rhos[sel] ** 4))
+        m_hat = float(np.sum((1 - survival[sel]) * rhos[sel] ** 2) / denom) if denom > 0 else 0.0
+        return cls(rhos, survival, band, m_hat, n)
+
+
+def _rho_grid(rho_grid) -> np.ndarray:
+    """Validate a survival grid: a flat list of rho values, each in (0, 1)."""
+    rhos = np.asarray(rho_grid, dtype=float)
+    if rhos.ndim != 1 or not np.all((rhos > 0) & (rhos < 1)):
+        raise ValueError("rho grid must be a flat list of values in (0, 1)")
+    return rhos
+
 
 def tail_curve(config: EnsembleConfig, rho_grid) -> TailCurve:
     """Empirical survival P(tau > rho) of the graph-norm stopping time."""
-    rhos = np.asarray(rho_grid, dtype=float)
-    if np.any(rhos <= 0) or np.any(rhos >= 1):
-        raise ValueError("rho grid must lie in (0, 1)")
-    taus = np.array([np.inf if t.stop_time is None else t.stop_time
-                     for t in _stopping_paths(config)])
-    survival = np.array([np.mean(taus > r) for r in rhos])
-    band = 3.0 * np.sqrt(survival * (1 - survival) / config.n_paths) + 1.0 / config.n_paths
-    sel = rhos <= 0.5
-    denom = float(np.sum(rhos[sel] ** 4))
-    m_hat = float(np.sum((1 - survival[sel]) * rhos[sel] ** 2) / denom) if denom > 0 else 0.0
-    return TailCurve(rhos, survival, band, m_hat, config.n_paths)
+    _rho_grid(rho_grid)  # before the march
+    return TailCurve.from_stop_times([t.stop_time for t in _stopping_paths(config)],
+                                     rho_grid)
 
 
 # ---------------------------------------------------------------------------

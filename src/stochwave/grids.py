@@ -90,16 +90,6 @@ class Grid:
         return out
 
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True on modes whose index hits the unpaired Nyquist frequency."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax, n in enumerate(self.npts):
-            idx = [slice(None)] * self.dim
-            idx[ax] = n // 2
-            mask[tuple(idx)] = True
-        return mask
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep |mode index| <= floor(n/3) per axis."""
         keep = np.ones(self.shape, dtype=bool)
@@ -202,22 +192,12 @@ class Field:
     def from_spectral(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
         return cls(grid, grid.to_physical(np.asarray(coeffs, dtype=complex)))
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=complex))
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dv))
 
     def inner(self, other: "Field") -> complex:
         """L2 pairing int f * conj(g) dx."""
         return complex(np.sum(self.values * np.conj(other.values)) * self.grid.dv)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values))
 
     def __add__(self, other):
         return Field(self.grid, self.values + other.values)
@@ -286,10 +266,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.grid, self.data.copy(), self.roles)
-
-    def norm_plain(self) -> float:
-        """Unweighted L2 norm over all components."""
-        return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.grid.dv))
 
     def times_field(self, values: np.ndarray) -> "State":
         """Pointwise multiplication of every component by a scalar field."""

@@ -118,11 +118,6 @@ class Model:
     def zero_state(self) -> State:
         return State.zeros(self.grid, self.roles)
 
-    def state_from_fields(self, fields) -> State:
-        st = State.from_fields(fields, self.roles)
-        self.generator._check_state(st)
-        return st
-
     def norm(self, state: State) -> float:
         """The model's H-norm (energy-weighted for wave blocks)."""
         return self.generator.metric_norm(state)

@@ -145,10 +145,6 @@ class BrownianPath:
         beta = np.vstack([np.zeros((1, n_modes)), np.cumsum(dB, axis=0)])
         return cls(np.linspace(0.0, tau, n_steps + 1), beta)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
     def increments(self, mode: int = 0) -> np.ndarray:
         return np.diff(self.values[:, mode])
 

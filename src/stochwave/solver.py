@@ -45,6 +45,10 @@ class BlowUpError(RuntimeError):
     """Raised when a trajectory leaves the finite-norm safety region."""
 
 
+class ConvergenceError(RuntimeError):
+    """Raised when a Picard solve that must converge does not."""
+
+
 @dataclass
 class ThetaPotential:
     """Affine multiplicative potential Theta(zeta + z*eta) = sum_j <., b_j> q_j.
@@ -323,7 +327,8 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
 
     For each center the map is evaluated on the 8-point cross z + h*step,
     step in {+-1, +-2, +-i, +-2i}; the residual is |dF/dzbar| from
-    fourth-order central differences. Each evaluation is one Picard solve.
+    fourth-order central differences. Each evaluation is one Picard solve,
+    and one that does not converge raises ConvergenceError.
     """
     z_centers = np.atleast_1d(np.asarray(z_centers, dtype=complex))
 
@@ -331,19 +336,23 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
         res = picard_solve(model, phi0, T, theta, zeta, eta, zval,
                            n_time_nodes=n_time_nodes, tol=tol, max_iter=max_iter)
         if not res.converged:
-            raise RuntimeError("Picard solve failed to converge during stencil scan")
+            raise ConvergenceError("Picard solve failed to converge during stencil scan")
         return model.inner(res.final_state(), probe)
 
-    h = spacing
     worst = 0.0
     for z0 in z_centers:
-        fx = [F(z0 + s * h) for s in (-2, -1, 1, 2)]
-        fy = [F(z0 + 1j * s * h) for s in (-2, -1, 1, 2)]
-        dfdx = (fx[0] - 8 * fx[1] + 8 * fx[2] - fx[3]) / (12 * h)
-        dfdy = (fy[0] - 8 * fy[1] + 8 * fy[2] - fy[3]) / (12 * h)
-        residual = abs(0.5 * (dfdx + 1j * dfdy))
-        worst = max(worst, residual)
+        worst = max(worst, _cr_residual(F, z0, spacing))
     return worst
+
+
+def _cr_residual(F, z0, h: float):
+    """|dF/dzbar| at z0 from fourth-order central differences on the 8-point
+    cross z0 + h*step, step in {+-1, +-2, +-i, +-2i}."""
+    fx = [F(z0 + s * h) for s in (-2, -1, 1, 2)]
+    fy = [F(z0 + 1j * s * h) for s in (-2, -1, 1, 2)]
+    dfdx = (fx[0] - 8 * fx[1] + 8 * fx[2] - fx[3]) / (12 * h)
+    dfdy = (fy[0] - 8 * fy[1] + 8 * fy[2] - fy[3]) / (12 * h)
+    return abs(0.5 * (dfdx + 1j * dfdy))
 
 
 def export_trajectory_csv(model: Model, traj: Trajectory, path) -> None:

@@ -277,6 +277,20 @@ def test_second_quantization_properties():
     assert np.max(np.abs(g.coeffs - exp_vector(SPACE, SPACE.mode_weights * zeta).coeffs)) < 1e-12
 
 
+def test_test_vector_norm_p_closed_form():
+    # |y|_p^2 = sum_i w_i^(2p) |y_i|^2 with the default weights w = (2, 3)
+    from stochwave import chaos
+
+    space = chaos.ChaosSpace(2, 3)
+    y = chaos.TestVector(space, [3.0, 4.0j])
+    assert y.norm_p(0) == 5.0
+    assert y.norm_p(1) == pytest.approx(np.sqrt(6.0**2 + 12.0**2), rel=1e-15)
+    assert y.norm_p(2) == pytest.approx(np.sqrt(12.0**2 + 36.0**2), rel=1e-15)
+    weighted = chaos.ChaosSpace(2, 3, mode_weights=[1.5, 4.0])
+    assert chaos.TestVector(weighted, [1.0, -1.0]).norm_p(3) == \
+        pytest.approx(np.hypot(1.5**3, 4.0**3), rel=1e-15)
+
+
 def test_norm_beta_values_and_monotonicity():
     assert norm_beta(ChaosVector.vacuum(SPACE), 3, 0.7) == pytest.approx(1.0)
     first = ChaosVector.first_chaos(SPACE, [1.0, 0.0, 0.0])

@@ -300,6 +300,15 @@ def test_chaos_command(tmp_path):
     assert header["n_modes"] == 2
 
 
+def test_chaos_without_noise_exits_2_before_output(tmp_path, capsys):
+    out = tmp_path / "ch"
+    code = main(["chaos", "--config", _write(tmp_path, dict(BASE_CONFIG)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: the chaos command needs noise.enabled = true\n"
+    assert not out.exists()
+
+
 def test_chaos_command_solves_the_wick_evolution_once(tmp_path, monkeypatch):
     import stochwave.cli as cli
     import stochwave.ensemble as ensemble
@@ -346,3 +355,85 @@ def test_rerun_same_config_is_bit_identical(tmp_path):
     r1 = json.loads((p1 / "report.json").read_text())
     r2 = json.loads((p2 / "report.json").read_text())
     assert r1 == r2
+
+
+def test_picard_stencil_non_convergence_exits_3_with_a_full_run_dir(tmp_path, capsys):
+    # the main solve converges, but a holomorphy stencil solve does not within
+    # its max_iter: the run is reported like a main solve that does not converge
+    cfg = {
+        "model": {"name": "nls", "p": 3, "sign": 1},
+        "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
+        "initial": {"kind": "smooth_random", "amplitude": 2.0, "seed": 7},
+        "solver": {"T": 1.0, "n_time_nodes": 33, "max_iter": 200},
+    }
+    out = tmp_path / "p"
+    code = main(["picard", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True and report["holomorphy_residual"] is None
+    assert (out / "picard_residuals.csv").exists()
+    assert (out / "config.resolved.json").exists()
+
+
+TAIL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_tail.json"
+
+
+def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):
+    runs = [tmp_path / "e1", tmp_path / "e2"]
+    for out in runs:
+        # stopped paths are the study's data, so they do not change the exit code
+        assert main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "60",
+                     "--out", str(out)]) == 0
+    names = ("report.json", "config.resolved.json", "tail_curve.csv")
+    assert all((out / name).exists() for out in runs for name in names)
+    for name in ("report.json", "tail_curve.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    report = json.loads((runs[0] / "report.json").read_text())
+    ens, curve = report["ensemble"], report["tail_curve"]
+    assert ens["n_paths"] == 60 and 0 < ens["n_stopped"] < 60
+    assert sum(s is not None for s in ens["stop_times"]) == ens["n_stopped"]
+    assert curve["n_paths"] == 60 and len(curve["survival"]) == 19
+    rows = (runs[0] / "tail_curve.csv").read_text().splitlines()
+    assert rows[0] == "rho,survival,band,fitted_lower_bound" and len(rows) == 20
+    rho, survival, band, lower = map(float, rows[10].split(","))
+    assert (rho, survival, band) == (curve["rhos"][9], curve["survival"][9], curve["band"][9])
+    assert lower == 1 - curve["m_hat"] * rho * rho
+
+
+def test_ensemble_marches_every_path_once(tmp_path, monkeypatch):
+    import stochwave.ensemble as ensemble
+
+    calls = []
+    solve = ensemble.solve_ito
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "solve_ito", counted)
+    out = tmp_path / "once"
+    assert main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "12",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 12
+    assert json.loads((out / "report.json").read_text())["tail_curve"]["n_paths"] == 12
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("mc", "observables", ["norm_sq", "nope"], "mc.observables: unknown observable 'nope'"),
+    ("mc", "observables", ["charge"], "mc.observables: 'charge' is not defined for model nls"),
+    ("mc", "observables", ["graph_norm_j-1"], "mc.observables: graph_norm power j must be"),
+    ("mc", "rho_grid", [0.0, 0.5], "mc.rho_grid: "),
+    ("mc", "rho_grid", [0.5, 1.0], "mc.rho_grid: "),
+    ("solver", "threshold", 1e-9, "solver.threshold: "),
+])
+def test_ensemble_bad_value_exits_2_before_output(tmp_path, capsys, block, key, value,
+                                                  message):
+    bad = json.loads(TAIL_CONFIG.read_text())
+    bad[block][key] = value
+    out = tmp_path / "run"
+    code = main(["ensemble", "--config", _write(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not out.exists()
