@@ -13,7 +13,7 @@ from .chaos import (ChaosSpace, ChaosState, ChaosVector, FockOperator,
 from .config import ConfigError, ExperimentConfig
 from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
                        OrderFit, TailCurve, chaos_vs_mc, run_ensemble,
-                       strong_order, tail_curve, weak_order)
+                       strong_order, weak_order)
 from .grids import Field, Grid, State, make_grid
 from .models import (EstimateReport, Model, ModelParams, build_model,
                      verify_estimates)

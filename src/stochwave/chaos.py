@@ -64,6 +64,10 @@ from .grids import State
 from .models import Model
 from .solver import _cr_residual, _step_count
 
+# A Wick solve is flagged as truncated once the top degree holds more than
+# this fraction of the energy.
+TAIL_FLAG_FRACTION = 0.2
+
 
 def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
     """All multi-indices with |alpha| <= M in graded order."""
@@ -89,6 +93,9 @@ class ChaosSpace:
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_modes < 1 or self.max_degree < 0:
+            raise ValueError(f"a chaos space needs n_modes >= 1 and max_degree >= 0, "
+                             f"got {self.n_modes} and {self.max_degree}")
         if self.mode_weights is None:
             self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.mode_weights = np.asarray(self.mode_weights, dtype=float)
@@ -411,20 +418,20 @@ class GrowthFit:
 
 
 def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
-                     n_directions: int = 6, seed: int = 0,
-                     cr_spacing: float = 1e-3) -> GrowthFit:
+                     seed: int = 0) -> GrowthFit:
     """Fit |F(zeta)| <= C exp(K |zeta|_p^2) over ray samples.
 
-    K is the nonnegative least-squares slope of log|F| against |zeta|_p^2
-    and C is lifted so the envelope covers every sample. Also estimates the
+    The rays go along 6 random directions of unit p-norm. K is the
+    nonnegative least-squares slope of log|F| against |zeta|_p^2 and C is
+    lifted so the envelope covers every sample. Also estimates the
     Cauchy-Riemann residual of z -> F(z*zeta + eta) on a fourth-order
-    stencil as the entireness check.
+    stencil of spacing 1e-3 as the entireness check.
     """
     rng = np.random.default_rng(seed)
     radii = np.asarray(sample_radii, dtype=float)
     n = space.n_modes
     wp = space.mode_weights ** p
-    dirs = rng.standard_normal((n_directions, n)) + 1j * rng.standard_normal((n_directions, n))
+    dirs = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     dirs /= np.sqrt(np.sum(np.abs(wp * dirs) ** 2, axis=1))[:, None]  # |dir|_p = 1
     xs, ys = [], []
     for r in radii:
@@ -443,8 +450,8 @@ def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
     C = float(np.exp(np.max(ys - K * xs)))
     covered = bool(np.all(ys <= np.log(C) + K * xs + 1e-9))
     # Entireness probe along a random complex line.
-    zdir, base = dirs[0], 0.5 * dirs[min(1, n_directions - 1)]
-    cr = _cr_residual(lambda zv: F(zv * zdir + base), 0.37 + 0.21j, cr_spacing)
+    zdir, base = dirs[0], 0.5 * dirs[1]
+    cr = _cr_residual(lambda zv: F(zv * zdir + base), 0.37 + 0.21j, 1e-3)
     return GrowthFit(C=C, K=K, cr_residual=float(cr), covered=covered)
 
 
@@ -562,8 +569,7 @@ class WickTrajectory:
 
 def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
                          dt: float, space: ChaosSpace,
-                         record_every: int | None = None,
-                         tail_threshold: float = 0.2) -> WickTrajectory:
+                         record_every: int | None = None) -> WickTrajectory:
     """March the Wick-quantized equation on the truncated chaos space.
 
     ``noise_fields`` lists the potential fields q_i coupled to the Gaussian
@@ -572,7 +578,8 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     is lower triangular in degree and the degree-0 block evolves as the
     deterministic equation. The S-transform of the solution at test vector
     zeta follows the deterministic flow with potential sum_i zeta_i q_i up
-    to O(dt) and the degree-M truncation tail.
+    to O(dt) and the degree-M truncation tail. The solve is flagged once
+    the top degree's energy share exceeds ``TAIL_FLAG_FRACTION``.
     """
     n_steps = _step_count(T, dt)
     record_every = record_every or max(1, n_steps // 8)
@@ -596,7 +603,7 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
         total = float(np.sum(energy))
         tail = float(energy[-1] / total) if total > 0 else 0.0
         tails.append(tail)
-        if tail > tail_threshold:
+        if tail > TAIL_FLAG_FRACTION:
             flagged = True
         if (n + 1) % record_every == 0 or n == n_steps - 1:
             times.append((n + 1) * dt)

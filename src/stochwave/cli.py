@@ -1,8 +1,10 @@
 """Config-driven command line driver.
 
-Subcommands: simulate, picard, converge, chaos, ensemble, verify. Every run
-writes a fixed set of files into its output directory (trajectory/table
-CSVs, report.json, config.resolved.json), all stamped with the config hash.
+Subcommands: simulate, picard, converge, chaos, ensemble, verify. Each takes
+--config, --seed and --out, plus only the flags it reads (``_COMMANDS``).
+Every run writes a fixed set of files into its output directory
+(trajectory/table CSVs, report.json, config.resolved.json), all stamped with
+the config hash.
 Re-using a run directory with a different configuration is refused. Each
 file is written whole through a temporary file and a rename, and
 report.json comes last. ``python -m stochwave`` runs the same commands.
@@ -17,13 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ._files import write_atomic
 from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _checked
 from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
@@ -74,9 +77,9 @@ def _load(args) -> ExperimentConfig:
     doc = cfg.doc
     if args.seed is not None:
         doc["master_seed"] = int(args.seed)
-    if args.dt is not None:
+    if getattr(args, "dt", None) is not None:
         doc["solver"]["dt"] = float(args.dt)
-    if args.paths is not None:
+    if getattr(args, "paths", None) is not None:
         doc["mc"]["n_paths"] = int(args.paths)
     if args.out is not None:
         doc["output_dir"] = str(args.out)
@@ -84,27 +87,34 @@ def _load(args) -> ExperimentConfig:
 
 
 def _setup(args):
-    """The resolved config (overrides applied), its model and initial state."""
+    """The resolved config (overrides applied), its model, initial state and
+    covariance (None with the noise off), each a config error if it cannot be built."""
     cfg = _load(args)
-    model = cfg.build_model()
-    return cfg, model, cfg.build_initial(model)
+    model = _checked("model", cfg.build_model)
+    return (cfg, model, _checked("initial", cfg.build_initial, model),
+            _checked("noise", cfg.build_covariance, model))
+
+
+def _ensemble(cfg: ExperimentConfig, model, phi0, cov, dt=None, **fields) -> EnsembleConfig:
+    """The ensemble of the resolved config, at ``dt`` (default solver.dt)."""
+    sb = cfg.doc["solver"]
+    return EnsembleConfig(model=model, phi0=phi0, T=sb["T"],
+                          dt=sb["dt"] if dt is None else dt, covariance=cov,
+                          n_paths=cfg.doc["mc"]["n_paths"],
+                          master_seed=cfg.doc["master_seed"], **fields)
 
 
 def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
     """solver.threshold (inf when null); a config error unless above phi0's norms."""
     threshold = cfg.doc["solver"]["threshold"]
     threshold = np.inf if threshold is None else threshold
-    try:
-        _initial_norms(model, phi0, threshold)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.threshold: {exc}") from exc
+    _checked("solver.threshold", _initial_norms, model, phi0, threshold)
     return threshold
 
 
 def cmd_simulate(args) -> int:
-    cfg, model, phi0 = _setup(args)
+    cfg, model, phi0, cov = _setup(args)
     sb = cfg.doc["solver"]
-    cov = cfg.build_covariance(model)
     if cov is not None:
         threshold = _threshold(cfg, model, phi0)
     elif sb["threshold"] is not None:
@@ -146,17 +156,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    cfg, model, phi0 = _setup(args)
-    out = _prepare_outdir(cfg, args.out)
+    cfg, model, phi0, cov = _setup(args)
     sb = cfg.doc["solver"]
-    theta = cfg.build_theta(model, cfg.build_covariance(model))
+    theta = _checked("noise", cfg.build_theta, model, cov)
     nz = theta.n_coords
     rng = np.random.default_rng(cfg.doc["master_seed"])
     zeta = 0.3 * rng.standard_normal(nz)
     eta = 0.3 * rng.standard_normal(nz)
-    result = picard_solve(model, phi0, sb["T"], theta, zeta, eta, 0.0,
-                          n_time_nodes=sb["n_time_nodes"], tol=sb["tol"],
-                          max_iter=sb["max_iter"])
+    # the solve checks solver.n_time_nodes and solver.tol before it iterates
+    result = _checked("solver", picard_solve, model, phi0, sb["T"], theta, zeta, eta,
+                      0.0, n_time_nodes=sb["n_time_nodes"], tol=sb["tol"],
+                      max_iter=sb["max_iter"])
+    out = _prepare_outdir(cfg, args.out)
     # keep the scalars only: the solve's states need not live through the
     # stencil's eight solves
     residuals, summary = result.residuals, {
@@ -182,14 +193,11 @@ def cmd_picard(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg, model, phi0 = _setup(args)
+    cfg, model, phi0, cov = _setup(args)
     out = _prepare_outdir(cfg, args.out)
     sb, mb = cfg.doc["solver"], cfg.doc["mc"]
-    cov = cfg.build_covariance(model)
     ladder = mb["dt_ladder"] or [sb["T"] / n for n in (8, 16, 32, 64, 128)]
-    ens = EnsembleConfig(model=model, phi0=phi0, T=sb["T"], dt=min(ladder),
-                         covariance=cov, n_paths=max(mb["n_paths"], 2),
-                         master_seed=cfg.doc["master_seed"])
+    ens = _ensemble(cfg, model, phi0, cov, dt=min(ladder))
     strong = strong_order(ens, ladder)
     # log of the squared norm keeps the coupled weak estimator low-variance
     weak = weak_order(ens, ladder, observable="log_norm_sq",
@@ -204,17 +212,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    cfg, model, phi0 = _setup(args)
-    sb, mb = cfg.doc["solver"], cfg.doc["mc"]
-    cov = cfg.build_covariance(model)
+    cfg, model, phi0, cov = _setup(args)
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
+    space = _checked("chaos", cfg.build_chaos_space)
     out = _prepare_outdir(cfg, args.out)
-    space = cfg.build_chaos_space()
-    ens = EnsembleConfig(model=model, phi0=phi0, T=sb["T"], dt=sb["dt"],
-                         covariance=cov, n_paths=max(mb["n_paths"], 2),
-                         master_seed=cfg.doc["master_seed"])
-    report = chaos_vs_mc(ens, space)
+    report = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
     probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
     final = report.wick.final()
@@ -237,8 +240,8 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg, model, phi0 = _setup(args)
-    sb, mb = cfg.doc["solver"], cfg.doc["mc"]
+    cfg, model, phi0, cov = _setup(args)
+    mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
     try:  # every final-state observable must be defined, and finite, at phi0
         for name in (n for n in mb["observables"] if n != "sup_sum_sq"):
@@ -247,12 +250,8 @@ def cmd_ensemble(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc.observables: {exc}") from exc
     out = _prepare_outdir(cfg, args.out)
-    ens = EnsembleConfig(model=model, phi0=phi0, T=sb["T"], dt=sb["dt"],
-                         covariance=cfg.build_covariance(model),
-                         n_paths=max(mb["n_paths"], 2),
-                         master_seed=cfg.doc["master_seed"], threshold=threshold,
-                         observables=tuple(mb["observables"]))
-    result = run_ensemble(ens)
+    result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,
+                                    observables=tuple(mb["observables"])))
     report = {"ensemble": result.to_dict()}
     print(f"{result.n_stopped} of {result.n_paths} paths stopped, {result.n_blown} blown up")
     if mb["rho_grid"]:
@@ -269,12 +268,13 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(cfg, args.out)
-    model = cfg.build_model()
+    cfg, model, _, _ = _setup(args)
     vb = cfg.doc["verify"]
-    reports = verify_estimates(model, sample_count=vb["sample_count"],
-                               radius=vb["radius"], seed=cfg.doc["master_seed"])
+    space = _checked("chaos", cfg.build_chaos_space)
+    # the estimates check verify.sample_count before they sample
+    reports = _checked("verify", verify_estimates, model, sample_count=vb["sample_count"],
+                       radius=vb["radius"], seed=cfg.doc["master_seed"])
+    out = _prepare_outdir(cfg, args.out)
     violations = {r.inequality_id: r.violations for r in reports if r.violations}
 
     # Wiener-integral orthogonality at moderate path counts.
@@ -290,7 +290,6 @@ def cmd_verify(args) -> int:
     iso_ok = abs(iso_est - iso_ref) <= 3 * iso_se
 
     # Wick algebra spot checks on a small space.
-    space = cfg.build_chaos_space()
     rng = np.random.default_rng(cfg.doc["master_seed"])
 
     def low_degree() -> ChaosVector:
@@ -307,16 +306,7 @@ def cmd_verify(args) -> int:
     wick_ok = wick_dev < 1e-10
 
     payload = {
-        "estimates": [
-            {
-                "inequality_id": r.inequality_id,
-                "sample_count": r.sample_count,
-                "violations": r.violations,
-                "fitted_constant": r.fitted_constant,
-                "declared_constant": r.declared_constant,
-            }
-            for r in reports
-        ],
+        "estimates": [asdict(r) for r in reports],
         "estimate_violations": violations,
         "orthogonality": {"estimate": est, "stderr": se, "ok": ortho_ok},
         "ito_isometry": {"estimate": iso_est, "stderr": iso_se,
@@ -338,24 +328,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# The flags beyond --config, --seed and --out, and the commands that read them.
+_FLAGS = {
+    "--dt": dict(type=float, default=None, help="time step override"),
+    "--paths": dict(type=int, default=None, help="path count override"),
+    "--json": dict(action="store_true", help="machine-readable stdout"),
+    "--allow-stop": dict(action="store_true",
+                         help="exit 0 even when the trajectory stops or blows up"),
+}
+_COMMANDS = (
+    ("simulate", cmd_simulate, ("--dt", "--allow-stop")),
+    ("picard", cmd_picard, ()),
+    ("converge", cmd_converge, ("--paths",)),
+    ("chaos", cmd_chaos, ("--dt", "--paths")),
+    ("ensemble", cmd_ensemble, ("--dt", "--paths")),
+    ("verify", cmd_verify, ("--json",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochwave",
         description="Pseudospectral engine for stochastic semilinear wave models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("picard", cmd_picard),
-                     ("converge", cmd_converge), ("chaos", cmd_chaos),
-                     ("ensemble", cmd_ensemble), ("verify", cmd_verify)):
+    for name, fn, flags in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--paths", type=int, default=None, help="path count override")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
-        p.add_argument("--allow-stop", action="store_true",
-                       help="exit 0 even when the trajectory stops or blows up")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace
-from .ensemble import _ladder, _rho_grid
+from .ensemble import _check_paths, _ladder, _rho_grid
 from .grids import Field, State, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
@@ -121,38 +121,35 @@ def validate_and_resolve(raw: dict) -> dict:
 def _check_values(resolved: dict) -> None:
     """Reject a value no command can run with.
 
-    The grid, the time step, the dt ladder and the rho grid are checked by
-    the code that builds the grid, counts the steps, fits the orders and
-    reduces the stop times; doing it here makes a bad value a config error,
-    raised before any output directory exists.
+    The grid, the time step, the path count, the dt ladder and the rho
+    grid are checked by the code that builds the grid, counts the steps,
+    builds an ensemble, fits the orders and reduces the stop times; doing it
+    here makes a bad value a config error, raised before any output
+    directory exists.
     """
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
-    try:
-        make_grid(g["dim"], g["points"], g["lengths"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    try:
-        if not sb["dt"] > 0:
-            raise ValueError("dt must be positive")
-        _step_count(sb["T"], sb["dt"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
+    _checked("solver", _step_count, sb["T"], sb["dt"])
     if sb["scheme"] not in ("strang", "exp_euler"):
         raise ConfigError(f"unknown solver.scheme '{sb['scheme']}'")
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
+    _checked("mc.n_paths", _check_paths, mb["n_paths"])
     if mb["n_workers"] != 1:
         raise ConfigError("mc.n_workers must be 1: every path runs in one thread "
                           "(the key stays so that every config_hash stays the same)")
+    if mb["dt_ladder"]:
+        _checked("mc.dt_ladder", _ladder, sb["T"], mb["dt_ladder"])
+    _checked("mc.rho_grid", _rho_grid, mb["rho_grid"])
+
+
+def _checked(where: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError or TypeError it raises is a
+    config error in ``where``."""
     try:
-        if mb["dt_ladder"]:
-            _ladder(sb["T"], mb["dt_ladder"])
+        return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc.dt_ladder: {exc}") from exc
-    try:
-        _rho_grid(mb["rho_grid"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc.rho_grid: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -216,21 +213,26 @@ class ExperimentConfig:
         return default_covariance(model.grid, nb["n_modes"], nb["lambda0"], nb["gamma"])
 
     def build_initial(self, model: Model) -> State:
+        """The initial state; ValueError on an ``initial.modes`` entry that
+        is not [component, wavenumber, re, im] with a component of the model."""
         ib = self.doc["initial"]
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
             st = model.random_smooth_state(rng, radius=1.0)
             n = model.norm(st)
             return st * (ib["amplitude"] / n) if n > 0 else st
-        if ib["kind"] == "modes":
-            st = model.zero_state()
-            x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
-            L = model.grid.lengths[0]
-            for comp, kidx, re, im in ib["modes"]:
-                amp = complex(re, im)
-                st.data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)
-            return st * ib["amplitude"]
-        raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
+        st = model.zero_state()
+        x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
+        L = model.grid.lengths[0]
+        for entry in ib["modes"]:
+            if not isinstance(entry, list) or len(entry) != 4 \
+                    or entry[0] not in range(st.n_components):
+                raise ValueError(f"modes entry {entry!r} is not [component, wavenumber, "
+                                 f"re, im] with a component in 0..{st.n_components - 1}")
+            comp, kidx, re, im = entry
+            amp = complex(re, im)
+            st.data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)
+        return st * ib["amplitude"]
 
     def build_chaos_space(self) -> ChaosSpace:
         cb = self.doc["chaos"]

@@ -2,8 +2,9 @@
 
 Paths are independent: path i owns noise stream i and results are reduced
 in index order, so the aggregate is bit-identical from run to run. Every
-path gets its stream from ``_noise`` and is marched either with the
-stopping rule (``_stopping_paths``) or to T on one or more dts
+path gets its stream from ``_noise`` and is marched either by ``solve_ito``
+with the stopping rule (``run_ensemble``, whose stop times also give the
+survival curve, ``TailCurve.from_stop_times``) or to T on one or more dts
 (``_path_finals``). Strong-order fits couple refinement levels pathwise by summing
 fine increments into coarse ones; weak-order fits use the same coupling so
 the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the variance of a
@@ -23,7 +24,10 @@ from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
 from .grids import Field, State
 from .models import Model
 from .noise import CovarianceSpec, QWienerSampler
-from .solver import Trajectory, _step_count, solve_ito, step_exp_euler
+from .solver import _step_count, solve_ito, step_exp_euler
+
+# The survival curve's lower-bound fit window is rho <= TAIL_FIT_RHO_MAX.
+TAIL_FIT_RHO_MAX = 0.5
 
 
 @dataclass
@@ -38,13 +42,19 @@ class EnsembleConfig:
     n_paths: int
     master_seed: int
     threshold: float = np.inf
-    n_smooth: int | None = None
     observables: tuple[str, ...] = ("norm_sq",)
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("an ensemble needs at least 2 paths")
+        _check_paths(self.n_paths)
         _step_count(self.T, self.dt)
+
+
+def _check_paths(n_paths) -> None:
+    """An ensemble's path count: an integer of at least 2 (a variance needs two)."""
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) \
+            or n_paths < 2:
+        raise ValueError(f"an ensemble needs an integer count of at least 2 paths, "
+                         f"got {n_paths!r}")
 
 
 def _observable_fn(model: Model, name: str, phi0: State):
@@ -108,15 +118,6 @@ def _noise(config: EnsembleConfig, i: int) -> QWienerSampler | None:
     return QWienerSampler(config.covariance, config.master_seed, stream_id=i)
 
 
-def _stopping_paths(config: EnsembleConfig) -> Iterator[Trajectory]:
-    """Each path marched by ``solve_ito`` with the stopping rule, in index order."""
-    n_steps = _step_count(config.T, config.dt)
-    for i in range(config.n_paths):
-        yield solve_ito(config.model, config.phi0, config.T, config.dt, _noise(config, i),
-                        threshold=config.threshold, n_smooth=config.n_smooth,
-                        record_every=n_steps)
-
-
 def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
     """Yield, path by path, the final state at each dt in ``dts`` (finest last).
 
@@ -144,12 +145,16 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Independent trajectories with stream_id = path index, ordered reduction.
 
-    Per-path blow-ups are counted as stopped paths, not fatal. The result is
-    reproducible bit for bit from (config, master_seed).
+    Each path is marched by ``solve_ito`` with the stopping rule, in index
+    order. Per-path blow-ups are counted as stopped paths, not fatal. The
+    result is reproducible bit for bit from (config, master_seed).
     """
     fns = {name: _observable_fn(config.model, name, config.phi0)
            for name in config.observables if name != "sup_sum_sq"}
-    trajs = list(_stopping_paths(config))
+    n_steps = _step_count(config.T, config.dt)
+    trajs = [solve_ito(config.model, config.phi0, config.T, config.dt, _noise(config, i),
+                       threshold=config.threshold, record_every=n_steps)
+             for i in range(config.n_paths)]
     sups = np.array([t.sup_sum_sq() for t in trajs])
     observables = {}
     for name in config.observables:
@@ -160,10 +165,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
             "var": float(np.var(vals, ddof=1)),
             "stderr": float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
         }
-    denom = float(np.sum(config.model.graph_norms(config.phi0,
-                                                  config.model.smoothness
-                                                  if config.n_smooth is None
-                                                  else config.n_smooth) ** 2))
+    denom = float(np.sum(config.model.graph_norms(config.phi0) ** 2))
     return EnsembleResult(
         observables=observables,
         stop_times=[t.stop_time for t in trajs],
@@ -284,9 +286,9 @@ class TailCurve:
     m_hat: float              # least-squares fit of 1 - rho^2 * M to the curve
     n_paths: int
 
-    def lower_bound_ok(self, rho_max: float = 0.5) -> bool:
-        """Does 1 - rho^2 M_hat stay below the curve plus its band?"""
-        sel = self.rhos <= rho_max
+    def lower_bound_ok(self) -> bool:
+        """Does 1 - rho^2 M_hat stay below the curve plus its band on the fit window?"""
+        sel = self.rhos <= TAIL_FIT_RHO_MAX
         return bool(np.all(1.0 - self.m_hat * self.rhos[sel] ** 2
                            <= self.survival[sel] + self.band[sel]))
 
@@ -307,7 +309,7 @@ class TailCurve:
         taus = np.array([np.inf if s is None else s for s in stop_times])
         survival = np.array([np.mean(taus > r) for r in rhos])
         band = 3.0 * np.sqrt(survival * (1 - survival) / n) + 1.0 / n
-        sel = rhos <= 0.5
+        sel = rhos <= TAIL_FIT_RHO_MAX
         denom = float(np.sum(rhos[sel] ** 4))
         m_hat = float(np.sum((1 - survival[sel]) * rhos[sel] ** 2) / denom) if denom > 0 else 0.0
         return cls(rhos, survival, band, m_hat, n)
@@ -321,21 +323,14 @@ def _rho_grid(rho_grid) -> np.ndarray:
     return rhos
 
 
-def tail_curve(config: EnsembleConfig, rho_grid) -> TailCurve:
-    """Empirical survival P(tau > rho) of the graph-norm stopping time."""
-    _rho_grid(rho_grid)  # before the march
-    return TailCurve.from_stop_times([t.stop_time for t in _stopping_paths(config)],
-                                     rho_grid)
-
-
 # ---------------------------------------------------------------------------
 # Chaos-vs-Monte-Carlo cross validation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ChaosMcReport:
-    probe_mc: list            # per probe: (re, im, stderr_re, stderr_im)
-    probe_chaos: list         # per probe: (re, im)
+    probe_mc: list            # one row: (re, im, stderr_re, stderr_im)
+    probe_chaos: list         # one row: (re, im)
     mean_within_3se: bool
     mc_second_moment: float
     mc_second_moment_stderr: float
@@ -357,28 +352,26 @@ class ChaosMcReport:
         }
 
 
-def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace,
-                probes: list[State] | None = None) -> ChaosMcReport:
+def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace) -> ChaosMcReport:
     """Compare the Ito ensemble against the Wick-evolution chaos solution.
 
-    The mean field comparison is exact up to Monte Carlo and dt error: the
-    centered noise contributes nothing to either mean (the degree-0 block is
-    driven only by lower degrees, of which there are none). Second moments
-    differ between the time-white Ito noise and the time-frozen chaos noise;
-    the gap is reported as a diagnostic, not asserted.
+    The probe is the normalized initial state. The mean field comparison is
+    exact up to Monte Carlo and dt error: the centered noise contributes
+    nothing to either mean (the degree-0 block is driven only by lower
+    degrees, of which there are none). Second moments differ between the
+    time-white Ito noise and the time-frozen chaos noise; the gap is reported
+    as a diagnostic, not asserted.
     """
     model, cov = config.model, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
-    if probes is None:
-        probes = [config.phi0 * (1.0 / max(model.norm(config.phi0), 1e-300))]
+    probe = config.phi0 * (1.0 / max(model.norm(config.phi0), 1e-300))
 
-    # Monte Carlo side: pairings against each probe plus the second moment.
-    pair_vals = np.zeros((len(probes), config.n_paths), dtype=complex)
+    # Monte Carlo side: pairings against the probe plus the second moment.
+    pair_vals = np.zeros(config.n_paths, dtype=complex)
     norm_sq = np.zeros(config.n_paths)
     for i, (final,) in enumerate(_path_finals(config, [config.dt])):
-        for k, v in enumerate(probes):
-            pair_vals[k, i] = model.inner(final, v)
+        pair_vals[i] = model.inner(final, probe)
         norm_sq[i] = model.norm(final) ** 2
 
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
@@ -386,25 +379,21 @@ def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace,
               for lam, e in zip(cov.eigenvalues, cov.eigenfields[: space.n_modes])]
     wick = solve_wick_evolution(model, config.phi0, fields, config.T, config.dt, space)
     chaos_final = wick.final()
-    zero_block = chaos_final.block(0)
 
-    probe_mc, probe_chaos, ok = [], [], True
-    for k, v in enumerate(probes):
-        re, im = pair_vals[k].real, pair_vals[k].imag
-        se_re = float(re.std(ddof=1) / np.sqrt(config.n_paths))
-        se_im = float(im.std(ddof=1) / np.sqrt(config.n_paths))
-        cz = model.inner(zero_block, v)
-        probe_mc.append((float(re.mean()), float(im.mean()), se_re, se_im))
-        probe_chaos.append((cz.real, cz.imag))
-        ok &= abs(re.mean() - cz.real) <= 3 * se_re + 1e-12
-        ok &= abs(im.mean() - cz.imag) <= 3 * se_im + 1e-12
+    re, im = pair_vals.real, pair_vals.imag
+    se_re = float(re.std(ddof=1) / np.sqrt(config.n_paths))
+    se_im = float(im.std(ddof=1) / np.sqrt(config.n_paths))
+    cz = model.inner(chaos_final.block(0), probe)
+    ok = abs(re.mean() - cz.real) <= 3 * se_re + 1e-12
+    ok &= abs(im.mean() - cz.imag) <= 3 * se_im + 1e-12
 
     energy = float(np.sum(chaos_final.degree_energy()))
     mc2 = float(norm_sq.mean())
     mc2_se = float(norm_sq.std(ddof=1) / np.sqrt(config.n_paths))
     tail = float(wick.tail_fractions[-1]) if len(wick.tail_fractions) else 0.0
     return ChaosMcReport(
-        probe_mc=probe_mc, probe_chaos=probe_chaos, mean_within_3se=bool(ok),
+        probe_mc=[(float(re.mean()), float(im.mean()), se_re, se_im)],
+        probe_chaos=[(cz.real, cz.imag)], mean_within_3se=bool(ok),
         mc_second_moment=mc2, mc_second_moment_stderr=mc2_se,
         chaos_energy=energy, second_moment_gap=float(energy - mc2),
         tail_fraction=tail, wick=wick,

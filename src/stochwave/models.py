@@ -307,13 +307,12 @@ class Model:
     # ---- random smooth states for verification --------------------------
 
     def random_smooth_state(self, rng: np.random.Generator,
-                            radius: float = 1.0,
-                            min_fraction: float = 0.2) -> State:
+                            radius: float = 1.0) -> State:
         """Draw a random state with spectral decay (1+|k|^2)^-(N+1).
 
         The decay keeps all graph norms up to order N finite and controlled;
         the state is rescaled to a uniform random H-norm in
-        [min_fraction*radius, radius]. Sine-Gordon states are real-valued.
+        [0.2*radius, radius]. Sine-Gordon states are real-valued.
         """
         decay = (1.0 + self.grid.k_squared) ** (-(self.smoothness + 1))
         shape = (len(self.roles),) + self.grid.shape
@@ -324,7 +323,7 @@ class Model:
         n = self.norm(st)
         if n == 0:
             return st
-        target = radius * rng.uniform(min_fraction, 1.0)
+        target = radius * rng.uniform(0.2, 1.0)
         return st * (target / n)
 
 
@@ -400,9 +399,9 @@ class _Inequality:
     special_fit: callable | None = None  # for multi-term right-hand sides
 
 
-def _inequality_suite(model: Model, j_max: int) -> list[_Inequality]:
+def _inequality_suite(model: Model) -> list[_Inequality]:
     deg = _J_DEGREE[model.name](model.params.p)
-    N = min(model.smoothness, j_max)
+    N = model.smoothness
     suite: list[_Inequality] = []
 
     def norms(st, up_to):
@@ -506,20 +505,19 @@ def _inequality_suite(model: Model, j_max: int) -> list[_Inequality]:
     return suite
 
 
-def verify_estimates(model: Model, sample_count: int = 1000,
-                     j_max: int | None = None, radius: float = 1.0,
+def verify_estimates(model: Model, sample_count: int = 1000, radius: float = 1.0,
                      seed: int = 0) -> list[EstimateReport]:
-    """Sample the nonlinearity inequalities; reports, never raises.
+    """Sample the nonlinearity inequalities, graph orders up to N = model.smoothness.
 
-    A violation is a sample whose left-hand side exceeds constant * envelope
-    * core beyond 1e-10 relative slack, with the constant taken from the
-    declared value when one exists and from the sample fit otherwise.
+    Reports violations rather than raising. A violation is a sample whose
+    left-hand side exceeds constant * envelope * core beyond 1e-10 relative
+    slack, with the constant taken from the declared value when one exists
+    and from the sample fit otherwise.
     """
     if sample_count < 100:
         raise ValueError("estimate verification needs at least 100 samples")
-    j_max = model.smoothness if j_max is None else j_max
     rng = np.random.default_rng(seed)
-    suite = _inequality_suite(model, j_max)
+    suite = _inequality_suite(model)
     singles = [model.random_smooth_state(rng, radius) for _ in range(sample_count)]
     pairs = [
         (model.random_smooth_state(rng, radius), model.random_smooth_state(rng, radius))

@@ -81,6 +81,8 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
     gamma > 1 keeps the tail summable; the basis (constant, cos, sin, ...)
     along the first axis is exactly orthonormal on the grid.
     """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     if gamma <= 1:
         raise ValueError("gamma must exceed 1 for a trace-class tail")
     L = grid.lengths[0]
@@ -132,21 +134,20 @@ class QWienerSampler:
 
 @dataclass
 class BrownianPath:
-    """Per-mode Brownian values beta_i(t_k) on an increasing time grid."""
+    """Scalar Brownian values beta(t_k) on an increasing time grid."""
 
     times: np.ndarray
-    values: np.ndarray  # (n_times, n_modes), values[0] == 0
+    values: np.ndarray  # (n_times, 1), values[0] == 0
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, tau: float, n_steps: int,
-               n_modes: int = 1) -> "BrownianPath":
+    def sample(cls, rng: np.random.Generator, tau: float, n_steps: int) -> "BrownianPath":
         dt = tau / n_steps
-        dB = rng.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
-        beta = np.vstack([np.zeros((1, n_modes)), np.cumsum(dB, axis=0)])
+        dB = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
+        beta = np.vstack([np.zeros((1, 1)), np.cumsum(dB, axis=0)])
         return cls(np.linspace(0.0, tau, n_steps + 1), beta)
 
-    def increments(self, mode: int = 0) -> np.ndarray:
-        return np.diff(self.values[:, mode])
+    def increments(self) -> np.ndarray:
+        return np.diff(self.values[:, 0])
 
 
 def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
@@ -184,7 +185,7 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
     return est, stderr
 
 
-def multiple_wiener(n: int, kernel, path: BrownianPath, mode: int = 0) -> float:
+def multiple_wiener(n: int, kernel, path: BrownianPath) -> float:
     """Discrete iterated Ito integral I_n over the path's partition.
 
     n = 1: sum f(t_k) dB_k with left-endpoint kernel values.
@@ -192,7 +193,7 @@ def multiple_wiener(n: int, kernel, path: BrownianPath, mode: int = 0) -> float:
     piecewise constant on the partition cells.
     Kernels may be callables on left endpoints or precomputed arrays.
     """
-    dB = path.increments(mode)
+    dB = path.increments()
     n_steps = len(dB)
     lefts = path.times[:-1]
     if n == 1:
@@ -216,28 +217,27 @@ def multiple_wiener(n: int, kernel, path: BrownianPath, mode: int = 0) -> float:
 
 
 def orthogonality_check(n: int, m: int, f, g, n_paths: int = 2000,
-                        steps: int = 64, tau: float = 1.0,
-                        seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of E[I_n(f) I_m(g)] with its standard error."""
+                        steps: int = 64, seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo estimate of E[I_n(f) I_m(g)] over [0, 1] with its standard error."""
     if n not in (1, 2) or m not in (1, 2):
         raise ValueError("only orders 1 and 2 are supported")
     rng = np.random.default_rng(seed)
     prods = np.empty(n_paths)
     for p in range(n_paths):
-        path = BrownianPath.sample(rng, tau, steps)
+        path = BrownianPath.sample(rng, 1.0, steps)
         prods[p] = multiple_wiener(n, f, path) * multiple_wiener(m, g, path)
     est = float(np.mean(prods))
     stderr = float(np.std(prods, ddof=1) / np.sqrt(n_paths))
     return est, stderr
 
 
-def discrete_pairing(n: int, f, g, steps: int, tau: float = 1.0) -> float:
-    """Exact expectation of the discrete product E[I_n(f) I_n(g)].
+def discrete_pairing(n: int, f, g, steps: int) -> float:
+    """Exact expectation of the discrete product E[I_n(f) I_n(g)] over [0, 1].
 
     Order 1: sum f_i g_i dt. Order 2: 4 sum_{i<j} f_ij g_ij dt^2, the
     discrete form of 2 (f, g) over the square.
     """
-    dt = tau / steps
+    dt = 1.0 / steps
     lefts = np.arange(steps) * dt
     if n == 1:
         fv = f(lefts) if callable(f) else np.asarray(f, dtype=float)

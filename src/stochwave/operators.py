@@ -46,7 +46,6 @@ class SpectralOperator:
     grid: Grid
     symbol: np.ndarray
     metric: np.ndarray | None = None
-    kind: str = "custom"
     hermitian: bool = field(init=False)
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -88,8 +87,7 @@ class SpectralOperator:
 
     def scaled(self, c: float) -> "SpectralOperator":
         """Real rescaling; preserves metric-Hermiticity."""
-        return SpectralOperator(self.grid, self.symbol * c, self.metric,
-                                kind=f"{self.kind}*{c}")
+        return SpectralOperator(self.grid, self.symbol * c, self.metric)
 
     def _eigensystem(self):
         """Stacked eigendecomposition of the metric-symmetrized symbol."""
@@ -266,25 +264,25 @@ def make_operator(kind: str, grid: Grid, **params) -> SpectralOperator:
     shape = grid.shape
     if kind == "laplacian":
         sym = (-grid.k_squared)[None, None]
-        return SpectralOperator(grid, sym, kind=kind)
+        return SpectralOperator(grid, sym)
     if kind == "shifted_sqrt":
         k0 = need("k0")
         if k0 < 0:
             raise ValueError("k0 must be >= 0")
         sym = np.sqrt(grid.k_squared + k0**2)[None, None]
-        return SpectralOperator(grid, sym, kind=kind)
+        return SpectralOperator(grid, sym)
     if kind == "abs_grad":
-        return SpectralOperator(grid, _abs_grad_symbol(grid)[None, None], kind=kind)
+        return SpectralOperator(grid, _abs_grad_symbol(grid)[None, None])
     if kind == "wave_block":
         sym, metric = _wave_symbol_metric(grid, need("k0"))
-        return SpectralOperator(grid, sym, metric, kind=kind)
+        return SpectralOperator(grid, sym, metric)
     if kind == "dirac_1d":
-        return SpectralOperator(grid, _dirac_symbol(grid, need("m")), kind=kind)
+        return SpectralOperator(grid, _dirac_symbol(grid, need("m")))
     if kind == "zakharov_block":
         sym = np.zeros((2, 2) + shape, dtype=complex)
         sym[0, 0] = -grid.k_squared
         sym[1, 1] = _abs_grad_symbol(grid)
-        return SpectralOperator(grid, sym, kind=kind)
+        return SpectralOperator(grid, sym)
     if kind == "maxwell_dirac_block":
         if grid.dim != 1:
             raise ValueError("maxwell_dirac_block is defined on 1-d grids")
@@ -298,11 +296,11 @@ def make_operator(kind: str, grid: Grid, **params) -> SpectralOperator:
         metric = np.concatenate(
             [np.ones((2,) + shape), wave_metric, wave_metric]
         )
-        return SpectralOperator(grid, sym, metric, kind=kind)
+        return SpectralOperator(grid, sym, metric)
     if kind == "identity":
         s = int(params.get("s", 1))
         sym = np.zeros((s, s) + shape, dtype=complex)
         for a in range(s):
             sym[a, a] = 1.0
-        return SpectralOperator(grid, sym, kind=kind)
+        return SpectralOperator(grid, sym)
     raise ValueError(f"unknown operator kind '{kind}'")

@@ -51,39 +51,27 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ThetaPotential:
-    """Affine multiplicative potential Theta(zeta + z*eta) = sum_j <., b_j> q_j.
+    """Affine multiplicative potential Theta(zeta) = sum_j zeta_j q_j.
 
-    ``modes`` are the multiplication fields q_j; ``duals`` the fixed dual
-    test vectors b_j in mode coordinates (default: the coordinate basis, so
-    Theta(zeta) = sum_j zeta_j q_j, matching the S-transform of a
-    first-chaos noise built on the same fields). Exactly affine in z.
+    ``modes`` are the multiplication fields q_j, one per coordinate of zeta,
+    matching the S-transform of a first-chaos noise built on the same
+    fields. ``field_values`` evaluates Theta(zeta + z*eta), exactly affine
+    in z.
     """
 
     modes: list[Field]
-    duals: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.duals is None:
-            self.duals = np.eye(len(self.modes))
-        self.duals = np.asarray(self.duals, dtype=complex)
-        if self.duals.shape[0] != len(self.modes):
-            raise ValueError("need one dual vector per potential mode")
 
     @property
     def n_coords(self) -> int:
-        return self.duals.shape[1]
-
-    def coefficient(self, zeta: np.ndarray) -> np.ndarray:
-        """Bilinear pairings <zeta, b_j> (no conjugation)."""
-        zeta = np.asarray(zeta, dtype=complex)
-        return self.duals @ zeta
+        return len(self.modes)
 
     def field_values(self, zeta, eta=None, z: complex = 0.0) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=complex)
         vec = zeta if eta is None else zeta + z * np.asarray(eta, dtype=complex)
-        coef = self.coefficient(vec)
+        if vec.shape != (self.n_coords,):
+            raise ValueError("need one coordinate per potential mode")
         out = np.zeros(self.modes[0].grid.shape, dtype=complex)
-        for c, q in zip(coef, self.modes):
+        for c, q in zip(vec, self.modes):
             out += c * q.values
         return out
 
@@ -207,8 +195,11 @@ def picard_solve(model: Model, phi0: State, T: float,
 
 
 def step_exp_euler(model: Model, state: State, dt: float,
-                   dW: Field | np.ndarray | None = None) -> State:
-    """One exponential Euler step with left-point multiplicative noise."""
+                   dW: np.ndarray | None = None) -> State:
+    """One exponential Euler step with left-point multiplicative noise.
+
+    ``dW`` is the increment's values on the grid, or None for no noise.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     # phi + dt*J(phi) + phi*dW on the raw arrays, in the order and with the
@@ -216,7 +207,7 @@ def step_exp_euler(model: Model, state: State, dt: float,
     data = state.data
     inner = data + model.apply_J(state).data * dt
     if dW is not None:
-        inner = inner + data * (dW.values if isinstance(dW, Field) else dW)
+        inner = inner + data * dW
     out = model.generator.propagate(dt, State(state.grid, inner, state.roles))
     if not np.isfinite(out.data).all():
         raise BlowUpError("non-finite state after exponential Euler step")
@@ -247,10 +238,10 @@ def solve_deterministic(model: Model, phi0: State, T: float, dt: float,
     return Trajectory(np.asarray(times), states, np.asarray(norms))
 
 
-def _initial_norms(model: Model, phi0: State, threshold: float,
-                   n_smooth: int | None = None) -> np.ndarray:
-    """Graph norms of phi0 up to N; ValueError unless those below N stay under threshold."""
-    N = model.smoothness if n_smooth is None else int(n_smooth)
+def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
+    """Graph norms of phi0 up to N = model.smoothness; ValueError unless those
+    below N stay under threshold."""
+    N = model.smoothness
     norms0 = model.graph_norms(phi0, N)
     top = float(np.max(norms0[:max(N, 1)]))
     if threshold <= top:
@@ -261,18 +252,18 @@ def _initial_norms(model: Model, phi0: State, threshold: float,
 
 def solve_ito(model: Model, phi0: State, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
-              n_smooth: int | None = None, record_every: int = 1) -> Trajectory:
+              record_every: int = 1) -> Trajectory:
     """Exponential-Euler Ito marching with the graph-norm stopping rule.
 
-    Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold
-    (N = n_smooth, defaulting to the model's smoothness order); the
+    Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold,
+    N = model.smoothness, the order that also defines the X_T norm; the
     trajectory then ends at that time with stop_time set. Paths that blow
     up are flagged rather than raised, and end at their last finite state.
     """
     n_steps = _step_count(T, dt)
-    N = model.smoothness if n_smooth is None else int(n_smooth)
+    N = model.smoothness
     state = phi0.copy()
-    norms0 = _initial_norms(model, state, threshold, N)
+    norms0 = _initial_norms(model, state, threshold)
     increments = None
     if sampler is not None:
         increments = sampler.increments(dt, n_steps)
@@ -313,6 +304,8 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
 
 
 def _step_count(T: float, dt: float) -> int:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     n = round(T / dt)
     if n < 1 or not np.isclose(n * dt, T, rtol=1e-9, atol=0):
         raise ValueError("dt must divide T")

@@ -505,8 +505,7 @@ def test_wick_evolution_flags_truncation_overflow():
     from stochwave import Field
 
     q = Field(grid, 6.0 * np.ones(grid.shape))
-    wick = solve_wick_evolution(model, phi0, [q], 1.0, 0.01, space,
-                                tail_threshold=0.2)
+    wick = solve_wick_evolution(model, phi0, [q], 1.0, 0.01, space)
     assert wick.truncation_flagged
     assert np.max(wick.tail_fractions) > 0.2
 

@@ -19,6 +19,7 @@ BASE_CONFIG = {
     "solver": {"T": 0.2, "dt": 0.01, "scheme": "strang"},
     "master_seed": 42,
 }
+TAIL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_tail.json"
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -69,16 +70,93 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("mc", "dt_ladder", [0.1, 0.05, 0.03, 0.01], "dt must divide T"),
     ("mc", "dt_ladder", [0.1, 0.05, 0.04, 0.02], "multiples of the finest dt"),
     ("mc", "dt_ladder", [0.1, 0.05, 0.01], "at least 4 dt values"),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.01, 0.0], "mc.dt_ladder: dt must be positive"),
     ("mc", "n_workers", 3, "mc.n_workers must be 1"),
+    ("mc", "n_paths", 0, "mc.n_paths: "),
+    ("mc", "n_paths", 2.5, "mc.n_paths: "),
+    ("mc", "n_paths", "many", "mc.n_paths: "),
+    ("model", "name", "foo", "model: unknown model 'foo'"),
+    ("model", "p", 1, "model: power exponent p must be >= 2"),
+    ("model", "sign", 2, "model: sign must be -1, 0 or +1"),
+    ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry [0, 1, 1.0] is not"),
 ])
 def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad.setdefault(block, {})[key] = value
+    if key == "modes":
+        bad["initial"]["kind"] = "modes"
     out = tmp_path / "run"
     code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+COMMANDS = ("simulate", "picard", "converge", "chaos", "ensemble", "verify")
+NOISE_ON = {"noise": {"enabled": True}}
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    *[(command, {"mc": {"n_paths": 1}}, "mc.n_paths: an ensemble needs an integer "
+      "count of at least 2 paths, got 1") for command in COMMANDS],
+    ("simulate", {"model": {"name": "klein_gordon", "k0": 0}},
+     "model: wave blocks need k0 > 0"),
+    ("simulate", {"model": {"name": "nls"},
+                  "initial": {"kind": "modes", "modes": [[3, 1, 1.0, 0.0]]}},
+     "initial: modes entry [3, 1, 1.0, 0.0] is not [component, wavenumber, re, im] "
+     "with a component in 0..0"),
+    ("simulate", {"noise": {"enabled": True, "gamma": 1.0}},
+     "noise: gamma must exceed 1"),
+    ("simulate", {"noise": {"enabled": True, "lambda0": -1}},
+     "noise: covariance eigenvalues must be positive"),
+    ("simulate", {"noise": {"enabled": True, "n_modes": 0}},
+     "noise: n_modes must be at least 1, got 0"),
+    ("chaos", {**NOISE_ON, "chaos": {"max_degree": -1}},
+     "chaos: a chaos space needs n_modes >= 1 and max_degree >= 0, got 2 and -1"),
+    ("chaos", {**NOISE_ON, "chaos": {"n_modes": 0}}, "chaos: a chaos space needs n_modes"),
+    ("verify", {"chaos": {"max_degree": -1}}, "chaos: a chaos space needs n_modes"),
+    ("picard", {"solver": {"n_time_nodes": 1}}, "solver: need at least 2 time nodes"),
+    ("picard", {"solver": {"tol": 0}}, "solver: tol must be positive"),
+    ("verify", {"verify": {"sample_count": 10}},
+     "verify: estimate verification needs at least 100 samples"),
+])
+def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
+                                                     message):
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    for block, values in changes.items():
+        bad.setdefault(block, {}).update(values)
+    out = tmp_path / "run"
+    code = main([command, "--config", _write(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_paths_override_below_2_exits_2_before_output(tmp_path, capsys):
+    # --paths 1 once ran 2 paths while config.resolved.json said 1
+    out = tmp_path / "run"
+    code = main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: mc.n_paths: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("converge", ["--dt", "0.001"]),
+    ("picard", ["--paths", "9"]),
+    ("ensemble", ["--json"]),
+    ("verify", ["--allow-stop"]),
+])
+def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", _write(tmp_path, dict(BASE_CONFIG)),
+              "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -374,9 +452,6 @@ def test_picard_stencil_non_convergence_exits_3_with_a_full_run_dir(tmp_path, ca
     assert report["converged"] is True and report["holomorphy_residual"] is None
     assert (out / "picard_residuals.csv").exists()
     assert (out / "config.resolved.json").exists()
-
-
-TAIL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_tail.json"
 
 
 def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):

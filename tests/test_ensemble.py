@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stochwave import (ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
-                       QWienerSampler, State, build_model, chaos_vs_mc,
+                       QWienerSampler, State, TailCurve, build_model, chaos_vs_mc,
                        default_covariance, make_grid, run_ensemble, solve_ito,
-                       step_exp_euler, strong_order, tail_curve, weak_order)
+                       step_exp_euler, strong_order, weak_order)
 
 GRID = make_grid(1, [16], [2 * np.pi])
 UNIT_GRID = make_grid(1, [8], [1.0])
@@ -167,7 +167,7 @@ def test_tail_curve_zero_noise():
     phi0 = _mode_state(UNIT_GRID, m)
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.05, covariance=None,
                         n_paths=16, master_seed=19, threshold=1e9)
-    tc = tail_curve(cfg, np.linspace(0.1, 0.9, 9))
+    tc = TailCurve.from_stop_times(run_ensemble(cfg).stop_times, np.linspace(0.1, 0.9, 9))
     assert np.all(tc.survival == 1.0)
     assert tc.m_hat == pytest.approx(0.0)
     assert tc.lower_bound_ok()
@@ -179,13 +179,14 @@ def test_tail_curve_decreasing_and_bounded():
     n0 = max(m.graph_norms(phi0, 1))
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01,
                         covariance=_scalar_noise(4.0), n_paths=300,
-                        master_seed=23, threshold=2.0 * n0, n_smooth=1)
-    tc = tail_curve(cfg, np.arange(0.05, 1.0, 0.05))
+                        master_seed=23, threshold=2.0 * n0)
+    stop_times = run_ensemble(cfg).stop_times
+    tc = TailCurve.from_stop_times(stop_times, np.arange(0.05, 1.0, 0.05))
     assert np.all(np.diff(tc.survival) <= 1e-12)  # monotone nonincreasing
     assert tc.survival[-1] < 1.0
     assert tc.lower_bound_ok()
     with pytest.raises(ValueError):
-        tail_curve(cfg, [0.0, 0.5])
+        TailCurve.from_stop_times(stop_times, [0.0, 0.5])
 
 
 def test_chaos_vs_mc_linear_agreement():
