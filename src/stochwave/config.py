@@ -121,11 +121,13 @@ def validate_and_resolve(raw: dict) -> dict:
 def _check_values(resolved: dict) -> None:
     """Reject a value no command can run with.
 
-    The grid, the time step, the path count, the dt ladder and the rho
+    The grid, the time step, the path counts, the dt ladder and the rho
     grid are checked by the code that builds the grid, counts the steps,
     builds an ensemble, fits the orders and reduces the stop times; doing it
     here makes a bad value a config error, raised before any output
-    directory exists.
+    directory exists. The orthogonality check's paths, like an ensemble's,
+    need a standard error, so at least 2, and the picard command needs at
+    least one iteration to converge.
     """
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
@@ -134,7 +136,12 @@ def _check_values(resolved: dict) -> None:
         raise ConfigError(f"unknown solver.scheme '{sb['scheme']}'")
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
+    max_iter = sb["max_iter"]
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ConfigError(f"solver.max_iter must be an integer of at least 1, got {max_iter!r}")
     _checked("mc.n_paths", _check_paths, mb["n_paths"])
+    _checked("verify.orthogonality_paths", _check_paths,
+             resolved["verify"]["orthogonality_paths"])
     if mb["n_workers"] != 1:
         raise ConfigError("mc.n_workers must be 1: every path runs in one thread "
                           "(the key stays so that every config_hash stays the same)")

@@ -50,7 +50,8 @@ class EnsembleConfig:
 
 
 def _check_paths(n_paths) -> None:
-    """An ensemble's path count: an integer of at least 2 (a variance needs two)."""
+    """A Monte Carlo path count, an ensemble's or the orthogonality check's: an
+    integer of at least 2 (a variance needs two)."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) \
             or n_paths < 2:
         raise ValueError(f"an ensemble needs an integer count of at least 2 paths, "

@@ -20,6 +20,20 @@ Dirac momentum) so real fields stay real under the operator.
 Per-mode matrices are held as (s, s, M) arrays, the layout of the symbol,
 so every contraction with an (s, M) or (B, s, M) coefficient stack runs
 over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
+
+Two structures are detected once, at construction, and skip work that they
+make trivial. A diagonal symbol (s > 1, every off-diagonal entry exactly
+zero, as for the Zakharov block) keeps only the (s, M) diagonals of its
+symbol and of its propagators, and contracts with an element-wise einsum
+instead of the dense per-mode one. On finite coefficients the off-diagonal
+terms that this drops are signed zeros, and einsum sums into an output that
+starts at +0 either way, so the results are the same to the bit. (A
+non-finite coefficient differs: the dense form spreads it to every component
+of its mode as 0 * inf = NaN, the element-wise form keeps it in its own.)
+numpy's ``*`` is not used for this: its complex product rounds differently
+from einsum's, and it does not add to +0, so it keeps a -0. An unweighted
+operator (``metric`` None, plain L2) sums the squared moduli directly, which
+is exact since g * x with g = 1.0 is x.
 """
 
 from __future__ import annotations
@@ -41,12 +55,21 @@ class SpectralOperator:
     or a positive (s, *grid.shape) weight array defining the inner product
     <u, v> = sum_k sum_a g_a(k) u_a(k) conj(v_a(k)) on spectral coefficients.
     Immutable after construction; derived caches are lazy.
+
+    ``diagonal`` is set when s > 1 and every off-diagonal symbol entry is
+    exactly 0; ``propagate``, ``propagate_blocks``, ``apply`` and
+    ``apply_spectral`` then contract the (s, M) diagonals element-wise with
+    ``np.einsum``, bit for bit the dense contraction on finite coefficients
+    (see the module doc). With ``metric`` None the norms skip the product
+    with unit weights.
     """
 
     grid: Grid
     symbol: np.ndarray
     metric: np.ndarray | None = None
     hermitian: bool = field(init=False)
+    diagonal: bool = field(init=False)
+    _diag: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -62,6 +85,10 @@ class SpectralOperator:
             if np.any(self.metric <= 0):
                 raise ValueError("metric weights must be positive")
         self.hermitian = self._check_hermitian()
+        S = self._flat_symbol()
+        self.diagonal = s > 1 and not np.any(S[~np.eye(s, dtype=bool)])
+        if self.diagonal:
+            self._diag = _diagonals(S)
 
     @property
     def n_components(self) -> int:
@@ -76,6 +103,12 @@ class SpectralOperator:
         if self.metric is None:
             return np.ones((s, self.grid.size))
         return self.metric.reshape(s, self.grid.size)
+
+    def _weighted_squares(self, coeffs: np.ndarray) -> np.ndarray:
+        """g * |c|^2 over (..., s, M) coefficients; unweighted, |c|^2 alone,
+        the same bits without the product or a per-call array of ones."""
+        squares = np.abs(coeffs) ** 2
+        return squares if self.metric is None else self._flat_metric() * squares
 
     def _check_hermitian(self) -> bool:
         S = self._flat_symbol()
@@ -121,7 +154,8 @@ class SpectralOperator:
         # The one propagator kernel; per-mode phases (s = 1) or matrices are
         # cached per time step under the keys ("phase", t) and t, the phases
         # in the grid's shape and multiplied in place into the fresh
-        # coefficients, the matrices as one contiguous (s, s, M) array.
+        # coefficients, the matrices as one contiguous (s, s, M) array, or
+        # only their (s, M) diagonals when the symbol is diagonal.
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
         s = self.n_components
@@ -131,7 +165,8 @@ class SpectralOperator:
             if s == 1:
                 P = np.exp(-1j * t * np.real(self.symbol[0, 0]))
             else:
-                P = np.ascontiguousarray(self.propagator_matrices(t).transpose(1, 2, 0))
+                P = self.propagator_matrices(t).transpose(1, 2, 0)
+                P = _diagonals(P) if self.diagonal else np.ascontiguousarray(P)
             if len(self._prop_cache) > 16:
                 self._prop_cache.clear()
             self._prop_cache[key] = P
@@ -140,20 +175,21 @@ class SpectralOperator:
             coeffs *= P
         else:
             flat = coeffs.reshape(-1, s, self.grid.size)
-            coeffs = np.einsum("abm,nbm->nam", P, flat).reshape(data.shape)
+            spec = "am,nam->nam" if self.diagonal else "abm,nbm->nam"
+            coeffs = np.einsum(spec, P, flat).reshape(data.shape)
         return self.grid.to_physical(coeffs)
 
     def apply(self, state: State) -> State:
         """Spectral action: multiply each coefficient vector by symbol(k)."""
         self._check_state(state)
         coeffs = state.spectral()
-        s = self.n_components
-        flat = coeffs.reshape(s, self.grid.size)
-        out = np.einsum("abm,bm->am", self._flat_symbol(), flat)
+        out = self.apply_spectral(coeffs.reshape(self.n_components, self.grid.size))
         return State.from_spectral(self.grid, out.reshape(coeffs.shape), state.roles)
 
     def apply_spectral(self, flat: np.ndarray) -> np.ndarray:
         """Same as apply() but on flat (s, M) spectral coefficients."""
+        if self.diagonal:
+            return np.einsum("am,am->am", self._diag, flat)
         return np.einsum("abm,bm->am", self._flat_symbol(), flat)
 
     def metric_norm(self, state: State) -> float:
@@ -169,8 +205,7 @@ class SpectralOperator:
         """
         coeffs = self.grid.to_spectral(data).reshape(
             len(data), self.n_components, self.grid.size)
-        g = self._flat_metric()
-        return np.sqrt(np.sum(g * np.abs(coeffs) ** 2, axis=(1, 2)).real)
+        return np.sqrt(np.sum(self._weighted_squares(coeffs), axis=(1, 2)).real)
 
     def metric_inner(self, a: State, b: State) -> complex:
         """Energy-weighted pairing <a, b>, conjugating the second argument."""
@@ -191,10 +226,9 @@ class SpectralOperator:
             raise ValueError("graph_norm power j must be >= 0")
         self._check_state(state)
         flat = state.spectral().reshape(self.n_components, self.grid.size)
-        g = self._flat_metric()
         out = np.empty(j_max + 1)
         for j in range(j_max + 1):
-            out[j] = np.sqrt(np.sum(g * np.abs(flat) ** 2).real)
+            out[j] = np.sqrt(np.sum(self._weighted_squares(flat)).real)
             if j < j_max:
                 flat = self.apply_spectral(flat)
         return out
@@ -207,6 +241,11 @@ class SpectralOperator:
                 f"state has {state.n_components} components, "
                 f"operator expects {self.n_components}"
             )
+
+
+def _diagonals(matrices: np.ndarray) -> np.ndarray:
+    """The contiguous (s, M) diagonals of (s, s, M) per-mode matrices."""
+    return np.ascontiguousarray(np.diagonal(matrices, axis1=0, axis2=1).T)
 
 
 def _zeroed_nyquist_k(grid: Grid, axis: int) -> np.ndarray:

@@ -24,11 +24,13 @@ Three integration routes share the exact free propagator exp(-i*A*t):
 
 ``holomorphy_check`` probes analyticity of z -> <phi(T, z), v> for the
 Theta-perturbed deterministic flow with fourth-order Cauchy-Riemann
-residuals, solving the Picard problem once per stencil point.
+residuals, solving the Picard problem once per stencil point. The solves
+differ only in z, so they share one free path e^{-iAt_i} phi0, built once.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,6 +41,10 @@ from .models import Model
 from .noise import QWienerSampler
 
 BLOWUP_CAP = 1e12
+
+# (generator, phi0, (dt, n_nodes), free path) while a holomorphy stencil runs:
+# its Picard solves read the free path here instead of each building it anew
+_STENCIL_FREE: ContextVar[tuple | None] = ContextVar("_STENCIL_FREE", default=None)
 
 
 class BlowUpError(RuntimeError):
@@ -126,13 +132,13 @@ def picard_solve(model: Model, phi0: State, T: float,
     fixed-point residual is guaranteed <= 2*tol for contraction ratios
     below one. Every sweep, the final check too, raises BlowUpError on a
     non-finite node; an iterate also on a final node above the safety cap.
+    ``max_iter`` 0 runs the final check alone, on the free path.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_nodes = int(n_time_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 time nodes")
-    dt = T / (n_nodes - 1)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
     gen = model.generator
     theta_values = None
@@ -147,10 +153,7 @@ def picard_solve(model: Model, phi0: State, T: float,
             out = out + state.times_field(theta_values)
         return out
 
-    # Homogeneous part e^{-iA t_i} phi0, advanced stepwise (exact group law).
-    free = [phi0.copy()]
-    for _ in range(n_nodes - 1):
-        free.append(gen.propagate(dt, free[-1]))
+    free = _free_path(gen, phi0, dt, n_nodes)
 
     def sweep(states: list[State], keep: bool) -> float:
         """One trapezoid application of the integral map, node by node; returns
@@ -192,6 +195,28 @@ def picard_solve(model: Model, phi0: State, T: float,
     return PicardResult(times=times, states=current, residuals=residuals,
                         converged=converged, fixed_point_residual=fp_res,
                         contraction_ratio=ratio)
+
+
+def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
+    """The node count of a Picard solve, at least 2, and its node spacing."""
+    n_nodes = int(n_time_nodes)
+    if n_nodes < 2:
+        raise ValueError("need at least 2 time nodes")
+    return n_nodes, T / (n_nodes - 1)
+
+
+def _free_path(gen, phi0: State, dt: float, n_nodes: int) -> list[State]:
+    """Homogeneous part e^{-iA t_i} phi0 at the nodes t_i = i*dt, advanced
+    stepwise (exact group law), or the path the running holomorphy stencil
+    built for this generator, initial state and nodes."""
+    shared = _STENCIL_FREE.get()
+    if shared is not None and shared[0] is gen and shared[1] is phi0 \
+            and shared[2] == (dt, n_nodes):
+        return shared[3]
+    free = [phi0.copy()]
+    for _ in range(n_nodes - 1):
+        free.append(gen.propagate(dt, free[-1]))
+    return free
 
 
 def step_exp_euler(model: Model, state: State, dt: float,
@@ -321,9 +346,12 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
     For each center the map is evaluated on the 8-point cross z + h*step,
     step in {+-1, +-2, +-i, +-2i}; the residual is |dF/dzbar| from
     fourth-order central differences. Each evaluation is one Picard solve,
-    and one that does not converge raises ConvergenceError.
+    and one that does not converge raises ConvergenceError. The solves
+    share one free path, built here, and give the bits of separate solves.
     """
     z_centers = np.atleast_1d(np.asarray(z_centers, dtype=complex))
+    n_nodes, dt = _time_nodes(T, n_time_nodes)
+    free = _free_path(model.generator, phi0, dt, n_nodes)
 
     def F(zval: complex) -> complex:
         res = picard_solve(model, phi0, T, theta, zeta, eta, zval,
@@ -333,8 +361,12 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
         return model.inner(res.final_state(), probe)
 
     worst = 0.0
-    for z0 in z_centers:
-        worst = max(worst, _cr_residual(F, z0, spacing))
+    token = _STENCIL_FREE.set((model.generator, phi0, (dt, n_nodes), free))
+    try:
+        for z0 in z_centers:
+            worst = max(worst, _cr_residual(F, z0, spacing))
+    finally:
+        _STENCIL_FREE.reset(token)
     return worst
 
 

@@ -120,6 +120,15 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("picard", {"solver": {"tol": 0}}, "solver: tol must be positive"),
     ("verify", {"verify": {"sample_count": 10}},
      "verify: estimate verification needs at least 100 samples"),
+    # these once ran: max_iter <= 0 exited 3 with a full run directory, and one
+    # orthogonality path gave NaN standard errors and "verification FAILED"
+    ("picard", {"solver": {"max_iter": -1}},
+     "solver.max_iter must be an integer of at least 1, got -1"),
+    ("picard", {"solver": {"max_iter": 0}},
+     "solver.max_iter must be an integer of at least 1, got 0"),
+    ("verify", {"verify": {"orthogonality_paths": 1}},
+     "verify.orthogonality_paths: an ensemble needs an integer count of at least 2 "
+     "paths, got 1"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
                                                      message):

@@ -174,9 +174,64 @@ def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
         assert data.tobytes() == snapshot
 
 
+@pytest.mark.parametrize("s", [2, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
+    # a diagonal symbol contracts only its diagonals; on finite coefficients,
+    # signed zeros and subnormals included, that is the dense einsum's result
+    from stochwave.operators import SpectralOperator
+
+    rng = np.random.default_rng(100 + 10 * s + dim)
+    g = make_grid(dim, [8, 6, 4][:dim], [2 * np.pi, 3.0, 5.0][:dim])
+    sym = np.zeros((s, s) + g.shape, dtype=complex)
+    for a in range(s):
+        d = rng.standard_normal(g.shape)
+        d[rng.random(g.shape) < 0.2] = -0.0
+        sym[a, a] = d
+    sym[1, 1].flat[0] = sym[0, 0].flat[0]  # a degenerate mode
+    op = SpectralOperator(g, sym)
+    assert op.diagonal and op.hermitian
+    dense = sym.reshape(s, s, g.size)
+    t = -0.83
+    for B in (1, 5):
+        data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[rng.random(data.shape) < 0.1] *= 1e-310  # subnormal
+        coeffs = g.to_spectral(data).reshape(B, s, g.size)
+        out = np.einsum("mab,nbm->nam", op.propagator_matrices(t), coeffs)
+        want = g.to_physical(out.reshape(data.shape))
+        assert op.propagate_blocks(t, data).tobytes() == want.tobytes()
+        roles = tuple(f"c{i}" for i in range(s))
+        assert op.propagate(t, State(g, data[0], roles)).data.tobytes() == want[0].tobytes()
+        flat = coeffs[0].copy()
+        flat[rng.random(flat.shape) < 0.2] = -0.0
+        flat[rng.random(flat.shape) < 0.1] *= 1e-310
+        want = np.einsum("abm,bm->am", dense, flat)
+        assert op.apply_spectral(flat).tobytes() == want.tobytes()
+        state = State(g, data[0], roles)
+        assert op.apply(state).data.tobytes() == g.to_physical(
+            np.einsum("abm,bm->am", dense, state.spectral().reshape(s, g.size))
+            .reshape(state.data.shape)).tobytes()
+        ladder, c = [], state.spectral().reshape(s, g.size)
+        for _ in range(3):
+            ladder.append(np.sqrt(np.sum(np.ones((s, g.size)) * np.abs(c) ** 2).real))
+            c = np.einsum("abm,bm->am", dense, c)
+        assert op.graph_norm_ladder(state, 2).tobytes() == np.array(ladder).tobytes()
+
+
+def test_diagonal_flag():
+    g = make_grid(1, [8], [2 * np.pi])
+    assert make_operator("zakharov_block", g).diagonal
+    assert make_operator("identity", g, s=3).diagonal
+    for kind, params in (("laplacian", {}), ("wave_block", {"k0": 1.0}),
+                         ("dirac_1d", {"m": 0.5}), ("identity", {})):
+        assert not make_operator(kind, g, **params).diagonal
+
+
 @pytest.mark.parametrize("kind,params,s", [
     ("laplacian", {}, 1),
     ("wave_block", {"k0": 1.0}, 2),
+    ("zakharov_block", {}, 2),
     ("maxwell_dirac_block", {"k0": 1.0, "m": 1.0}, 6),
 ])
 def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, params, s):

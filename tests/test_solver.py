@@ -225,6 +225,12 @@ def test_picard_final_check_raises_on_a_non_finite_node():
         picard_solve(m, st, 0.1, None, n_time_nodes=5, max_iter=0)
 
 
+def test_picard_rejects_a_negative_max_iter():
+    m = build_model("nls", GRID, p=3, sign=1)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        picard_solve(m, m.zero_state(), 0.1, None, n_time_nodes=5, max_iter=-1)
+
+
 def test_step_exp_euler_flags_nonfinite():
     from stochwave import BlowUpError
 
@@ -462,6 +468,35 @@ def test_holomorphy_affine_single_mode():
     res = holomorphy_check(m, phi0, 0.5, theta, np.array([0.3]), np.array([2.0]),
                            [0.25], probe, spacing=1e-2, n_time_nodes=65, tol=1e-13)
     assert res < 1e-8  # entire exponential in z
+
+
+def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
+    # the stencil's 8 solves per center share one free path, built once
+    from stochwave.solver import _cr_residual
+
+    m, st, theta, zeta = _zakharov_2d()
+    eta = np.array([0.2, -0.1, 0.3, 0.05])
+    probe = st * (1.0 / m.norm(st))
+    centers = [0.0, 0.1 - 0.2j]
+    kw = dict(n_time_nodes=9, tol=1e-12, max_iter=80)
+    solves = []
+
+    def F(z):
+        solves.append(picard_solve(m, st, 0.5, theta, zeta, eta, z, **kw))
+        return m.inner(solves[-1].final_state(), probe)
+
+    want = max(0.0, *(_cr_residual(F, z0, 1e-2) for z0 in centers))
+    calls = []
+    propagate = m.generator.propagate
+    monkeypatch.setattr(m.generator, "propagate", lambda t, x: calls.append(t) or propagate(t, x))
+    got = holomorphy_check(m, st, 0.5, theta, zeta, eta, centers, probe, spacing=1e-2, **kw)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    sweeps = sum(len(res.residuals) + 1 for res in solves)
+    assert len(solves) == 16 and len(calls) == 8 * (1 + sweeps)
+    # outside the check, a solve builds its own free path again
+    calls.clear()
+    res = picard_solve(m, st, 0.5, theta, zeta, eta, 0.0, **kw)
+    assert len(calls) == 8 * (1 + len(res.residuals) + 1)
 
 
 def test_export_trajectory_csv(tmp_path):
