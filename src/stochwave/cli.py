@@ -31,7 +31,7 @@ from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
-from .solver import (BlowUpError, ConvergenceError, _initial_norms,
+from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
                      export_trajectory_csv, holomorphy_check, picard_solve,
                      solve_deterministic, solve_ito)
 
@@ -163,10 +163,13 @@ def cmd_picard(args) -> int:
     rng = np.random.default_rng(cfg.doc["master_seed"])
     zeta = 0.3 * rng.standard_normal(nz)
     eta = 0.3 * rng.standard_normal(nz)
-    # the solve checks solver.n_time_nodes and solver.tol before it iterates
+    # one free path e^{-iAt_i} phi0 serves the main solve and the stencil's;
+    # building it checks solver.n_time_nodes, the solve checks solver.tol
+    free = _checked("solver", _free_path, model.generator, phi0, sb["T"],
+                    sb["n_time_nodes"])
     result = _checked("solver", picard_solve, model, phi0, sb["T"], theta, zeta, eta,
                       0.0, n_time_nodes=sb["n_time_nodes"], tol=sb["tol"],
-                      max_iter=sb["max_iter"])
+                      max_iter=sb["max_iter"], _free=free)
     out = _prepare_outdir(cfg, args.out)
     # keep the scalars only: the solve's states need not live through the
     # stencil's eight solves
@@ -182,7 +185,7 @@ def cmd_picard(args) -> int:
         residual = holomorphy_check(model, phi0, sb["T"], theta, zeta, eta,
                                     [0.0], probe, spacing=1e-2,
                                     n_time_nodes=sb["n_time_nodes"],
-                                    tol=min(sb["tol"], 1e-12))
+                                    tol=min(sb["tol"], 1e-12), _free=free)
     except ConvergenceError:
         residual = None  # a stencil solve did not converge: reported as null
     write_atomic(out / "picard_residuals.csv", "iteration,residual\n" + "".join(

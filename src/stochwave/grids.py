@@ -13,8 +13,11 @@ per grid axis, last axis first. Those are the kernels that ``np.fft.fft`` and
 inverse), and last axis first is the order in which ``fftn`` runs its own 1-D
 passes, so the coefficients are those of ``np.fft.fftn``/``ifftn`` bit for bit,
 without the cost of numpy's Python wrappers and their temporaries on every
-call. The forward transform writes its first pass into a fresh complex array
-and runs every later pass, and the unitary scaling, in place on it; the
+call. The first pass runs on the last axis, the gufunc's default core axis,
+so it is called without an ``axes`` list (the same bits, less argument
+parsing); the later passes, their axes lists and the scale factors are cached
+per grid. The forward transform writes its first pass into a fresh complex
+array and runs every later pass, and the unitary scaling, in place on it; the
 inverse undoes the scaling into a fresh array and runs its passes in place on
 that (a real input gets a fresh complex array from its first pass). Neither
 transform modifies its argument.
@@ -27,6 +30,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
+
+_COMPLEX = np.dtype(complex)
 
 
 @dataclass(frozen=True)
@@ -107,26 +112,39 @@ class Grid:
         return float(np.sqrt(self.dv / self.size))
 
     @cached_property
-    def _inv_fft_scale(self) -> complex:
-        # (1/s) - 0j: the factor by which to_physical multiplies complex input
-        return complex(1.0 / self._fft_scale, -0.0)
+    def _fwd_fft_scale(self) -> np.ndarray:
+        # s + 0j, the factor of to_spectral: numpy multiplies a complex array
+        # by a float s as by s + 0j, and a complex 0-d array spares it the
+        # conversion on every call, with the same bits
+        return np.array(complex(self._fft_scale, 0.0))
 
     @cached_property
-    def _fft_passes(self) -> tuple[tuple[list, float], ...]:
-        # per grid axis of a (..., *shape) array, last first as fftn visits
-        # them: the gufunc axes of the 1-D pass and its inverse factor 1/n
+    def _inv_fft_scale(self) -> np.ndarray:
+        # (1/s) - 0j, the factor by which to_physical multiplies complex input
+        return np.array(complex(1.0 / self._fft_scale, -0.0))
+
+    @cached_property
+    def _inv_n_last(self) -> float:
+        # the inverse factor 1/n of the first (last-axis) pass
+        return 1.0 / self.npts[-1]
+
+    @cached_property
+    def _fft_rest(self) -> tuple[tuple[list, float], ...]:
+        # the passes after the first, one per remaining grid axis of a
+        # (..., *shape) array, last first as fftn visits them: the gufunc
+        # axes of the 1-D pass and its inverse factor 1/n
         return tuple(
             ([(axis,), (), (axis,)], 1.0 / self.npts[axis])
-            for axis in range(-1, -self.dim - 1, -1)
+            for axis in range(-2, -self.dim - 1, -1)
         )
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward transform (unitary). Works on (..., *shape) arrays."""
-        out = np.empty(np.shape(values), dtype=complex)
-        for axes, _ in self._fft_passes:
-            _pocketfft_umath.fft(values, 1, axes=axes, out=out)
-            values = out
-        out *= self._fft_scale
+        out = np.empty(values.shape, _COMPLEX)
+        _pocketfft_umath.fft(values, 1, out=out)
+        for axes, _ in self._fft_rest:
+            _pocketfft_umath.fft(out, 1, axes=axes, out=out)
+        out *= self._fwd_fft_scale
         return out
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
@@ -140,14 +158,14 @@ class Grid:
         (volume > size**2), where a product that underflows to zero can take
         the other zero's sign. Real input keeps the float division.
         """
-        if coeffs.dtype == complex:
+        if coeffs.dtype == _COMPLEX:
             values = out = coeffs * self._inv_fft_scale
         else:
             values = coeffs / self._fft_scale
             out = np.empty(values.shape, dtype=complex)
-        for axes, inv_n in self._fft_passes:
-            _pocketfft_umath.ifft(values, inv_n, axes=axes, out=out)
-            values = out
+        _pocketfft_umath.ifft(values, self._inv_n_last, out=out)
+        for axes, inv_n in self._fft_rest:
+            _pocketfft_umath.ifft(out, inv_n, axes=axes, out=out)
         return out
 
 

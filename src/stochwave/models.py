@@ -112,6 +112,13 @@ class Model:
     dealias: bool = True
     break_j_hook: bool = False  # failure-injection hook for the verify command
     _absgrad: np.ndarray | None = dc_field(default=None, repr=False)
+    # J is identically zero: a power model with sign 0 and no hook (with the
+    # hook, J = 0 * (1 + ||phi||) can be NaN); derived here, not settable
+    _zero_J: bool = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._zero_J = (self.name in ("nls", "klein_gordon")
+                        and self.params.sign == 0 and not self.break_j_hook)
 
     # ---- state helpers -------------------------------------------------
 
@@ -151,9 +158,14 @@ class Model:
     def apply_J(self, state: State) -> State:
         """Evaluate J(state) in the abstract normalization (see module doc)."""
         self.generator._check_state(state)
-        out = State(self.grid, self.nonlinearity(_Pointwise, state.data), self.roles)
+        return State(self.grid, self._J(state.data), self.roles)
+
+    def _J(self, data: np.ndarray) -> np.ndarray:
+        """The values of ``apply_J`` from the raw (s, *grid.shape) array of a
+        state already checked against the generator."""
+        out = self.nonlinearity(_Pointwise, data)
         if self.break_j_hook:
-            out = out * (1.0 + self.norm(state))
+            out = out * (1.0 + self.norm(State(self.grid, data, self.roles)))
         return out
 
     def nonlinearity(self, alg, data: np.ndarray) -> np.ndarray:

@@ -34,6 +34,14 @@ numpy's ``*`` is not used for this: its complex product rounds differently
 from einsum's, and it does not add to +0, so it keeps a -0. An unweighted
 operator (``metric`` None, plain L2) sums the squared moduli directly, which
 is exact since g * x with g = 1.0 is x.
+
+The propagator's plan is fixed at construction as well: s = 1 multiplies
+the cached per-mode phases in place, a diagonal symbol contracts its cached
+(s, M) diagonals with "am,nam->nam", any other its (s, s, M) matrices with
+"abm,nbm->nam". A call of the private kernel ``_propagate``, the one that
+``propagate``, ``propagate_blocks`` and the exponential-Euler step share, is
+then the cache lookup, one forward transform, the contraction and one
+inverse transform.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ class SpectralOperator:
     hermitian: bool = field(init=False)
     diagonal: bool = field(init=False)
     _diag: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _contract: str | None = field(default=None, init=False, repr=False, compare=False)
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -89,6 +98,9 @@ class SpectralOperator:
         self.diagonal = s > 1 and not np.any(S[~np.eye(s, dtype=bool)])
         if self.diagonal:
             self._diag = _diagonals(S)
+        # the propagator plan (module doc): None for the phases of s = 1
+        self._contract = None if s == 1 else (
+            "am,nam->nam" if self.diagonal else "abm,nbm->nam")
 
     @property
     def n_components(self) -> int:
@@ -151,19 +163,18 @@ class SpectralOperator:
         return self._propagate(t, data)
 
     def _propagate(self, t: float, data: np.ndarray) -> np.ndarray:
-        # The one propagator kernel; per-mode phases (s = 1) or matrices are
-        # cached per time step under the keys ("phase", t) and t, the phases
-        # in the grid's shape and multiplied in place into the fresh
-        # coefficients, the matrices as one contiguous (s, s, M) array, or
-        # only their (s, M) diagonals when the symbol is diagonal.
+        # The one propagator kernel (module doc). Phases (s = 1), shaped
+        # (1, *grid.shape) like one state so that the product with a state
+        # needs no broadcast, or matrices are cached per time step under the
+        # keys ("phase", t) and t.
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
-        s = self.n_components
-        key = ("phase", float(t)) if s == 1 else float(t)
+        spec = self._contract
+        key = ("phase", float(t)) if spec is None else float(t)
         P = self._prop_cache.get(key)
         if P is None:
-            if s == 1:
-                P = np.exp(-1j * t * np.real(self.symbol[0, 0]))
+            if spec is None:
+                P = np.exp(-1j * t * np.real(self.symbol[0]))
             else:
                 P = self.propagator_matrices(t).transpose(1, 2, 0)
                 P = _diagonals(P) if self.diagonal else np.ascontiguousarray(P)
@@ -171,11 +182,10 @@ class SpectralOperator:
                 self._prop_cache.clear()
             self._prop_cache[key] = P
         coeffs = self.grid.to_spectral(data)
-        if s == 1:
+        if spec is None:
             coeffs *= P
         else:
-            flat = coeffs.reshape(-1, s, self.grid.size)
-            spec = "am,nam->nam" if self.diagonal else "abm,nbm->nam"
+            flat = coeffs.reshape(-1, self.symbol.shape[0], self.grid.size)
             coeffs = np.einsum(spec, P, flat).reshape(data.shape)
         return self.grid.to_physical(coeffs)
 

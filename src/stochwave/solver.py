@@ -17,6 +17,9 @@ Three integration routes share the exact free propagator exp(-i*A*t):
   phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW); no Stratonovich
   correction. ``solve_ito`` marches it, records the graph-norm history, and
   stops at the first time sup_{j<=N-1} ||A^j phi|| exceeds the threshold.
+  A step checks the state once, works on raw arrays through the private
+  kernels ``Model._J`` and ``SpectralOperator._propagate``, and builds one
+  State; a J that is identically zero is the sum ``+ 0.0`` (see the step).
 
 * ``step_strang`` is the symmetric splitting used for deterministic
   conservation studies; model-specific nonlinear substeps are exact or
@@ -25,12 +28,12 @@ Three integration routes share the exact free propagator exp(-i*A*t):
 ``holomorphy_check`` probes analyticity of z -> <phi(T, z), v> for the
 Theta-perturbed deterministic flow with fourth-order Cauchy-Riemann
 residuals, solving the Picard problem once per stencil point. The solves
-differ only in z, so they share one free path e^{-iAt_i} phi0, built once.
+differ only in z, so they share one free path e^{-iAt_i} phi0, built once
+or handed in (``_free``), as ``stochwave picard`` hands its main solve's.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,10 +44,7 @@ from .models import Model
 from .noise import QWienerSampler
 
 BLOWUP_CAP = 1e12
-
-# (generator, phi0, (dt, n_nodes), free path) while a holomorphy stencil runs:
-# its Picard solves read the free path here instead of each building it anew
-_STENCIL_FREE: ContextVar[tuple | None] = ContextVar("_STENCIL_FREE", default=None)
+_PLUS_ZERO = np.array(0j)  # "+ 0.0" as numpy adds it to complex arrays, pre-cast
 
 
 class BlowUpError(RuntimeError):
@@ -124,7 +124,7 @@ def picard_solve(model: Model, phi0: State, T: float,
                  theta: ThetaPotential | None = None,
                  zeta=None, eta=None, z: complex = 0.0,
                  n_time_nodes: int = 64, tol: float = 1e-10,
-                 max_iter: int = 60) -> PicardResult:
+                 max_iter: int = 60, *, _free: list[State] | None = None) -> PicardResult:
     """Picard iteration for the Theta-perturbed deterministic mild equation.
 
     Residuals are sup-over-time graph-norm distances between successive
@@ -132,7 +132,8 @@ def picard_solve(model: Model, phi0: State, T: float,
     fixed-point residual is guaranteed <= 2*tol for contraction ratios
     below one. Every sweep, the final check too, raises BlowUpError on a
     non-finite node; an iterate also on a final node above the safety cap.
-    ``max_iter`` 0 runs the final check alone, on the free path.
+    ``max_iter`` 0 runs the final check alone, on the free path, which the
+    solve builds unless the caller hands it in as ``_free`` (``_free_path``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -141,11 +142,8 @@ def picard_solve(model: Model, phi0: State, T: float,
     n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
     gen = model.generator
-    theta_values = None
-    if theta is not None:
-        theta_values = theta.field_values(
-            np.zeros(theta.n_coords) if zeta is None else zeta, eta, z
-        )
+    theta_values = None if theta is None else theta.field_values(
+        np.zeros(theta.n_coords) if zeta is None else zeta, eta, z)
 
     def rhs(state: State) -> State:
         out = model.apply_J(state)
@@ -153,7 +151,7 @@ def picard_solve(model: Model, phi0: State, T: float,
             out = out + state.times_field(theta_values)
         return out
 
-    free = _free_path(gen, phi0, dt, n_nodes)
+    free = _free_path(gen, phi0, T, n_time_nodes) if _free is None else _free
 
     def sweep(states: list[State], keep: bool) -> float:
         """One trapezoid application of the integral map, node by node; returns
@@ -186,11 +184,8 @@ def picard_solve(model: Model, phi0: State, T: float,
             break
 
     fp_res = sweep(current, keep=False)
-    ratios = [
-        residuals[i + 1] / residuals[i]
-        for i in range(len(residuals) - 1)
-        if residuals[i] > 1e3 * np.finfo(float).eps
-    ]
+    ratios = [b / a for a, b in zip(residuals, residuals[1:])
+              if a > 1e3 * np.finfo(float).eps]
     ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     return PicardResult(times=times, states=current, residuals=residuals,
                         converged=converged, fixed_point_residual=fp_res,
@@ -205,14 +200,10 @@ def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
     return n_nodes, T / (n_nodes - 1)
 
 
-def _free_path(gen, phi0: State, dt: float, n_nodes: int) -> list[State]:
-    """Homogeneous part e^{-iA t_i} phi0 at the nodes t_i = i*dt, advanced
-    stepwise (exact group law), or the path the running holomorphy stencil
-    built for this generator, initial state and nodes."""
-    shared = _STENCIL_FREE.get()
-    if shared is not None and shared[0] is gen and shared[1] is phi0 \
-            and shared[2] == (dt, n_nodes):
-        return shared[3]
+def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
+    """Homogeneous part e^{-iA t_i} phi0 at the nodes t_i = i*dt of
+    ``_time_nodes``, advanced stepwise (exact group law)."""
+    n_nodes, dt = _time_nodes(T, n_time_nodes)
     free = [phi0.copy()]
     for _ in range(n_nodes - 1):
         free.append(gen.propagate(dt, free[-1]))
@@ -223,20 +214,28 @@ def step_exp_euler(model: Model, state: State, dt: float,
                    dW: np.ndarray | None = None) -> State:
     """One exponential Euler step with left-point multiplicative noise.
 
-    ``dW`` is the increment's values on the grid, or None for no noise.
+    ``dW`` is the increment's values on the grid, an array of the grid's
+    shape, or None for no noise. The state is checked once, and the step
+    works on the raw arrays, writing to neither. phi + dt*J(phi) + phi*dW is
+    formed in the order, and with the roundings, of the State algebra. When
+    J is identically zero (``Model._zero_J``), dt*J is +0 in every entry and
+    the step adds + 0.0 instead, the same bits; that sum stays, since it
+    turns a -0 of phi into +0 as dt*J does, and a kept -0 could move a bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # phi + dt*J(phi) + phi*dW on the raw arrays, in the order and with the
-    # roundings of the State algebra, wrapped in one State for the propagator
+    gen = model.generator
+    gen._check_state(state)
+    if dW is not None and np.shape(dW) != gen.grid.shape:
+        raise ValueError(f"increment shape {np.shape(dW)} != grid shape {gen.grid.shape}")
     data = state.data
-    inner = data + model.apply_J(state).data * dt
+    inner = data + (_PLUS_ZERO if model._zero_J else model._J(data) * dt)
     if dW is not None:
         inner = inner + data * dW
-    out = model.generator.propagate(dt, State(state.grid, inner, state.roles))
-    if not np.isfinite(out.data).all():
+    out = gen._propagate(dt, inner)
+    if not np.isfinite(out).all():
         raise BlowUpError("non-finite state after exponential Euler step")
-    return out
+    return State(gen.grid, out, state.roles)
 
 
 def step_strang(model: Model, state: State, dt: float) -> State:
@@ -340,33 +339,31 @@ def _step_count(T: float, dt: float) -> int:
 def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
                      zeta, eta, z_centers, probe: State, spacing: float = 1e-2,
                      n_time_nodes: int = 64, tol: float = 1e-12,
-                     max_iter: int = 80) -> float:
+                     max_iter: int = 80, *, _free: list[State] | None = None) -> float:
     """Max fourth-order Cauchy-Riemann residual of z -> <phi(T, z), probe>.
 
     For each center the map is evaluated on the 8-point cross z + h*step,
     step in {+-1, +-2, +-i, +-2i}; the residual is |dF/dzbar| from
     fourth-order central differences. Each evaluation is one Picard solve,
     and one that does not converge raises ConvergenceError. The solves
-    share one free path, built here, and give the bits of separate solves.
+    share one free path, built here unless handed in as ``_free``, and give
+    the bits of separate solves.
     """
     z_centers = np.atleast_1d(np.asarray(z_centers, dtype=complex))
-    n_nodes, dt = _time_nodes(T, n_time_nodes)
-    free = _free_path(model.generator, phi0, dt, n_nodes)
+    if _free is None:
+        _free = _free_path(model.generator, phi0, T, n_time_nodes)
 
     def F(zval: complex) -> complex:
         res = picard_solve(model, phi0, T, theta, zeta, eta, zval,
-                           n_time_nodes=n_time_nodes, tol=tol, max_iter=max_iter)
+                           n_time_nodes=n_time_nodes, tol=tol, max_iter=max_iter,
+                           _free=_free)
         if not res.converged:
             raise ConvergenceError("Picard solve failed to converge during stencil scan")
         return model.inner(res.final_state(), probe)
 
     worst = 0.0
-    token = _STENCIL_FREE.set((model.generator, phi0, (dt, n_nodes), free))
-    try:
-        for z0 in z_centers:
-            worst = max(worst, _cr_residual(F, z0, spacing))
-    finally:
-        _STENCIL_FREE.reset(token)
+    for z0 in z_centers:
+        worst = max(worst, _cr_residual(F, z0, spacing))
     return worst
 
 

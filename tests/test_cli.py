@@ -348,6 +348,40 @@ def test_picard_command(tmp_path):
     assert (out / "picard_residuals.csv").exists()
 
 
+def test_picard_builds_one_free_path_per_run(tmp_path, monkeypatch):
+    # the main solve and the holomorphy stencil share one free path
+    # e^{-iAt_i} phi0: n_time_nodes - 1 propagates for it per run; every
+    # other propagate is one of a sweep's n_time_nodes - 1
+    import stochwave.cli as cli
+    import stochwave.solver as solver
+    from stochwave.operators import SpectralOperator
+
+    calls, sweeps = [], []
+    propagate, solve = SpectralOperator.propagate, solver.picard_solve
+
+    def counted_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        sweeps.append(len(res.residuals) + 1)
+        return res
+
+    monkeypatch.setattr(SpectralOperator, "propagate",
+                        lambda op, t, state: calls.append(t) or propagate(op, t, state))
+    monkeypatch.setattr(solver, "picard_solve", counted_solve)
+    monkeypatch.setattr(cli, "picard_solve", counted_solve)
+    cfg = {
+        "model": {"name": "nls", "p": 3, "sign": 1},
+        "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
+        "initial": {"kind": "smooth_random", "amplitude": 0.3, "seed": 3},
+        "solver": {"T": 0.2, "n_time_nodes": 9, "tol": 1e-10},
+        "master_seed": 5,
+    }
+    out = tmp_path / "p"
+    assert main(["picard", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(sweeps) == 9  # the main solve and the 8 stencil solves
+    free_path_propagates = len(calls) - 8 * sum(sweeps)
+    assert free_path_propagates == 8  # one path, not one per solve or two
+
+
 def test_converge_command(tmp_path):
     cfg = {
         "model": {"name": "nls", "sign": 0, "smoothness": 1},

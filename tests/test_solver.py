@@ -249,17 +249,86 @@ def _state_algebra_step(model, state, dt, dW):
     return model.generator.propagate(dt, inner)
 
 
-@pytest.mark.parametrize("name, params", [("nls", {"sign": 0}),
-                                          ("klein_gordon", {"p": 3, "sign": 1})])
-@pytest.mark.parametrize("noise", [None, "array"])
-def test_step_exp_euler_equals_state_algebra_bit_for_bit(name, params, noise):
-    m = build_model(name, GRID, **params)
-    st = m.random_smooth_state(np.random.default_rng(4), 0.5)
-    w = 0.05 * np.random.default_rng(5).standard_normal(GRID.shape)
-    dW = {None: None, "array": w}[noise]
+GRID2 = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+# every model: 2-D Zakharov takes the diagonal propagator, Maxwell-Dirac a
+# dense 6 x 6 symbol with a metric; a power model with sign 0 has J = 0 and
+# takes the "+ 0.0" rule unless the failure hook is on
+STEP_MODELS = [("nls", {"sign": 0}), ("klein_gordon", {"p": 3, "sign": 1}),
+               ("zakharov", {}), ("maxwell_dirac", {"k0": 1.0, "m": 0.5}),
+               ("sine_gordon", {"g": 1.0, "k0": 1.0}), ("nls", {"sign": -1}),
+               ("nls", {"sign": 1}), ("klein_gordon", {"sign": 0}),
+               ("nls", {"sign": 0, "break_j_hook": True})]
+
+
+def _step_setup(name, params, seed=4):
+    grid = GRID2 if name == "zakharov" else GRID
+    m = build_model(name, grid, **params)
+    st = m.random_smooth_state(np.random.default_rng(seed), 0.5)
+    w = 0.05 * np.random.default_rng(seed + 1).standard_normal(grid.shape)
+    return m, st, w
+
+
+def _assert_step_matches_state_algebra(m, st, dW):
+    # read-only inputs: a step that wrote to the state or the increment raises
+    before = (st.data.tobytes(), None if dW is None else dW.tobytes())
+    st.data.flags.writeable = False
+    if dW is not None:
+        dW.flags.writeable = False
     got = step_exp_euler(m, st, 0.01, dW)
     assert got.data.tobytes() == _state_algebra_step(m, st, 0.01, dW).data.tobytes()
-    assert got.roles == st.roles
+    assert got.roles == st.roles and got.grid == st.grid
+    assert (st.data.tobytes(), None if dW is None else dW.tobytes()) == before
+
+
+@pytest.mark.parametrize("name, params", STEP_MODELS)
+@pytest.mark.parametrize("noise", [None, "array"])
+def test_step_exp_euler_equals_state_algebra_bit_for_bit(name, params, noise):
+    m, st, w = _step_setup(name, params)
+    _assert_step_matches_state_algebra(m, st, {None: None, "array": w}[noise])
+
+
+@pytest.mark.parametrize("name, params", STEP_MODELS)
+@pytest.mark.parametrize("noise", [None, "array"])
+def test_step_exp_euler_keeps_the_bits_of_signed_zeros(name, params, noise):
+    # -0 entries, in the real part, the imaginary part or both: the sum
+    # phi + dt*J turns each into +0, and so must the "+ 0.0" of a zero J
+    m, st, w = _step_setup(name, params)
+    flat = st.data.reshape(-1)
+    flat[::3] = complex(-0.0, -0.0)
+    flat.real[1::7] = -0.0
+    flat.imag[2::5] = -0.0
+    assert np.signbit(flat.real).any() and np.signbit(flat.imag).any()
+    _assert_step_matches_state_algebra(m, st, {None: None, "array": w}[noise])
+
+
+def test_zero_J_is_derived_from_the_model():
+    assert build_model("nls", GRID, sign=0)._zero_J
+    assert build_model("klein_gordon", GRID, sign=0)._zero_J
+    assert not build_model("nls", GRID, sign=0, break_j_hook=True)._zero_J
+    assert not build_model("nls", GRID, sign=1)._zero_J
+    assert not build_model("sine_gordon", GRID)._zero_J
+
+
+@pytest.mark.parametrize("case", ["other_grid", "component_count", "dt_zero",
+                                  "dt_negative", "dW_axis", "dW_components",
+                                  "dW_scalar", "dW_numpy_scalar"])
+def test_step_exp_euler_rejects_bad_input(case):
+    # a wrongly shaped increment once broadcast into a wrong step
+    m, st, w = _step_setup("zakharov", {})
+    state, dt, dW, match = st, 0.01, w, None
+    if case == "other_grid":
+        state, match = State(make_grid(2, [8, 8], [1.0, 1.0]),
+                             np.zeros((2, 8, 8)), m.roles), "grid"
+    elif case == "component_count":
+        state, match = State(GRID2, st.data[:1], ("c0",)), "components"
+    elif case.startswith("dt_"):
+        dt, match = {"dt_zero": 0.0, "dt_negative": -0.01}[case], "dt must be positive"
+    else:
+        dW = {"dW_axis": w[0], "dW_components": np.stack([w, w]), "dW_scalar": 0.01,
+              "dW_numpy_scalar": np.float64(0.01)}[case]
+        match = "increment shape"
+    with pytest.raises(ValueError, match=match):
+        step_exp_euler(m, state, dt, dW)
 
 
 def test_step_exp_euler_flags_nonfinite_noise():
