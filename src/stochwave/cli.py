@@ -219,6 +219,9 @@ def cmd_chaos(args) -> int:
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
     space = _checked("chaos", cfg.build_chaos_space)
+    pr = model.params
+    if model.name in ("nls", "klein_gordon") and pr.sign and pr.p % 2 == 0:
+        raise ConfigError(f"chaos: Wick quantization needs an odd power p, got {pr.p}")
     out = _prepare_outdir(cfg, args.out)
     report = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.

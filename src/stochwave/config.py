@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,9 +221,12 @@ class ExperimentConfig:
         return default_covariance(model.grid, nb["n_modes"], nb["lambda0"], nb["gamma"])
 
     def build_initial(self, model: Model) -> State:
-        """The initial state; ValueError on an ``initial.modes`` entry that
-        is not [component, wavenumber, re, im] with a component of the model."""
+        """The initial state; ValueError on an ``initial.amplitude`` that is
+        not finite, or an ``initial.modes`` entry that is not [component,
+        wavenumber, re, im] with a component of the model."""
         ib = self.doc["initial"]
+        if not math.isfinite(ib["amplitude"]):
+            raise ValueError(f"amplitude must be a finite number, got {ib['amplitude']!r}")
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
             st = model.random_smooth_state(rng, radius=1.0)

@@ -183,8 +183,8 @@ def make_grid(dim: int, points_per_axis, lengths) -> Grid:
         if n % 2 != 0:
             raise ValueError(f"points per axis must be even, got {n}")
     for L in lens:
-        if L <= 0:
-            raise ValueError(f"axis lengths must be positive, got {L}")
+        if not 0 < L < np.inf:
+            raise ValueError(f"axis lengths must be positive and finite, got {L}")
     return Grid(dim=dim, npts=points, lengths=lens)
 
 

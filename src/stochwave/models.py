@@ -33,11 +33,13 @@ of the normalization and are exactly what makes mass/charge invariants of the
 deterministic flow. The sine-Gordon estimate ||J(phi)|| <= ||phi|| holds on
 the energy space for real u, g <= 1 and k0 >= 1 (|sin x| <= |x| pointwise plus
 ||u|| <= ||B u||); the estimate sampler therefore draws real states for this
-model.
+model. ``verify_estimates`` takes J and the graph-norm ladders once per stack of
+samples, and each inequality is then arithmetic on those columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -55,14 +57,9 @@ _ROLES = {
     "maxwell_dirac": ("psi1", "psi2", "A0", "A0_t", "A1", "A1_t"),
 }
 
-# Polynomial degree of J in the state, used for estimate envelopes.
-_J_DEGREE = {
-    "nls": lambda p: p,
-    "klein_gordon": lambda p: p,
-    "sine_gordon": lambda p: 1,
-    "zakharov": lambda p: 2,
-    "maxwell_dirac": lambda p: 2,
-}
+# Polynomial degree of J in the state, used for estimate envelopes; the power
+# models (nls, klein_gordon) have degree p.
+_J_DEGREE = {"sine_gordon": 1, "zakharov": 2, "maxwell_dirac": 2}
 
 _DEFAULT_SMOOTHNESS = {
     "nls": 2,
@@ -162,10 +159,13 @@ class Model:
 
     def _J(self, data: np.ndarray) -> np.ndarray:
         """The values of ``apply_J`` from the raw (s, *grid.shape) array of a
-        state already checked against the generator."""
+        state already checked against the generator, or from a (B, s,
+        *grid.shape) stack of them; the hook scales each block by its own norm."""
         out = self.nonlinearity(_Pointwise, data)
         if self.break_j_hook:
-            out = out * (1.0 + self.norm(State(self.grid, data, self.roles)))
+            lead, block = data.shape[:-1 - self.grid.dim], data.shape[-1 - self.grid.dim:]
+            norms = self.generator.metric_norm_blocks(data.reshape((-1,) + block))
+            out = out * (1.0 + norms).reshape(lead + (1,) * len(block))
         return out
 
     def nonlinearity(self, alg, data: np.ndarray) -> np.ndarray:
@@ -349,10 +349,15 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
     """
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model '{name}', expected one of {MODEL_NAMES}")
-    if p < 2:
-        raise ValueError("power exponent p must be >= 2")
+    if not (p >= 2 and float(p).is_integer()):
+        raise ValueError(f"power exponent p must be >= 2 and an integer, got {p!r}")
     if sign not in (-1, 0, 1):
         raise ValueError("sign must be -1, 0 or +1")
+    for key, value in (("g", g), ("k0", k0), ("m", m)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if smoothness is not None and not (smoothness >= 0 and float(smoothness).is_integer()):
+        raise ValueError(f"smoothness must be an integer of at least 0, got {smoothness!r}")
     if name == "maxwell_dirac" and grid.dim != 1:
         raise ValueError("maxwell_dirac uses the 1+1-dimensional reduction")
     if name == "nls" and grid.dim > 2:
@@ -400,163 +405,107 @@ class EstimateReport:
     declared_constant: float | None = None
 
 
-@dataclass
-class _Inequality:
-    id: str
-    pair: bool            # needs two sampled states
-    lhs: callable
-    core: callable
-    envelope: callable    # monotone function of the indicated lower norms
-    declared: float | None = None
-    special_fit: callable | None = None  # for multi-term right-hand sides
+# Samples per stacked J and graph-norm ladder; the reports do not depend on it.
+_CHUNK = 64
 
 
-def _inequality_suite(model: Model) -> list[_Inequality]:
-    deg = _J_DEGREE[model.name](model.params.p)
-    N = model.smoothness
-    suite: list[_Inequality] = []
+def _powers(base: np.ndarray, e: int) -> np.ndarray:
+    """base ** e, taken per sample as a Python float ** int (whose rounding the
+    reports keep), inf where it overflows."""
+    out = []
+    for x in base.tolist():
+        try:
+            out.append(x ** e)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
-    def norms(st, up_to):
-        return model.graph_norms(st, up_to)
 
-    for j in range(N + 1):
-        # ||A^j J(phi)|| <= C(||phi||, ..., ||A^j phi||) ||A^j phi||
-        suite.append(_Inequality(
-            id=f"{model.name}:growth:j{j}", pair=False,
-            lhs=lambda st, j=j: model.graph_norm(model.apply_J(st), j),
-            core=lambda st, j=j: model.graph_norm(st, j),
-            envelope=lambda st, j=j: (1.0 + float(np.max(norms(st, j)))) ** (deg - 1),
-        ))
-        # ||A^j (J(phi)-J(psi))|| <= C(norms of both) ||A^j(phi-psi)||
-        suite.append(_Inequality(
-            id=f"{model.name}:lipschitz:j{j}", pair=True,
-            lhs=lambda a, b, j=j: model.graph_norm(model.apply_J(a) - model.apply_J(b), j),
-            core=lambda a, b, j=j: model.graph_norm(a - b, j),
-            envelope=lambda a, b, j=j: (1.0 + max(float(np.max(norms(a, j))),
-                                                  float(np.max(norms(b, j))))) ** (deg - 1),
-        ))
-    for j in range(1, N + 1):
-        # Stronger form with the envelope depending only on norms below j.
-        suite.append(_Inequality(
-            id=f"{model.name}:growth-lower:j{j}", pair=False,
-            lhs=lambda st, j=j: model.graph_norm(model.apply_J(st), j),
-            core=lambda st, j=j: model.graph_norm(st, j),
-            envelope=lambda st, j=j: (1.0 + float(np.max(norms(st, j - 1)))) ** (deg - 1),
-        ))
+def _ratios(lhs: np.ndarray, denom, floor: float = 1e-300) -> np.ndarray:
+    """lhs / denom per sample; where denom <= 1e-300, 0 if lhs <= floor else inf."""
+    tiny = denom <= 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = lhs / np.where(tiny, 1.0, denom)
+    return np.where(tiny, np.where(lhs <= floor, 0.0, np.inf), out)
 
-    if model.name == "klein_gordon" and model.params.p == 3:
-        suite += [
-            _Inequality(
-                id="cubic:power", pair=False,
-                lhs=lambda st: model.norm(model.apply_J(st)),
-                core=lambda st: 1.0,
-                envelope=lambda st: model.norm(st) ** 3,
-            ),
-            _Inequality(
-                id="cubic:lipschitz", pair=True,
-                lhs=lambda a, b: model.norm(model.apply_J(a) - model.apply_J(b)),
-                core=lambda a, b: model.norm(a - b),
-                envelope=lambda a, b: model.norm(a) ** 2 + model.norm(b) ** 2,
-            ),
-            _Inequality(
-                id="cubic:grad-power", pair=False,
-                lhs=lambda st: model.graph_norm(model.apply_J(st), 1),
-                core=lambda st: model.graph_norm(st, 1),
-                envelope=lambda st: model.norm(st) ** 2,
-            ),
-            _Inequality(
-                id="cubic:grad-lipschitz", pair=True,
-                lhs=lambda a, b: model.graph_norm(model.apply_J(a) - model.apply_J(b), 1),
-                core=lambda a, b: model.graph_norm(a - b, 1),
-                envelope=lambda a, b: (1.0 + max(model.norm(a), model.norm(b),
-                                                 model.graph_norm(a, 1),
-                                                 model.graph_norm(b, 1))) ** 2,
-            ),
-        ]
 
-    if model.name == "sine_gordon":
-        unit_bound_valid = model.params.g <= 1.0 and model.params.k0 >= 1.0
-
-        def two_term_fit(a, b):
-            # ||A(J(a)-J(b))|| <= K ||a-b|| ||A a|| + ||a-b||
-            lhs = model.graph_norm(model.apply_J(a) - model.apply_J(b), 1)
-            diff = model.norm(a - b)
-            denom = diff * model.graph_norm(a, 1)
-            excess = lhs - diff
-            if denom <= 1e-300:
-                return 0.0 if excess <= 0 else np.inf
-            return max(excess, 0.0) / denom
-
-        suite += [
-            _Inequality(
-                id="sine:contraction", pair=False,
-                lhs=lambda st: model.norm(model.apply_J(st)),
-                core=lambda st: model.norm(st),
-                envelope=lambda st: 1.0,
-                declared=1.0 if unit_bound_valid else None,
-            ),
-            _Inequality(
-                id="sine:grad-bound", pair=False,
-                lhs=lambda st: model.graph_norm(model.apply_J(st), 1),
-                core=lambda st: model.norm(st),
-                envelope=lambda st: 1.0,
-            ),
-            _Inequality(
-                id="sine:lipschitz", pair=True,
-                lhs=lambda a, b: model.norm(model.apply_J(a) - model.apply_J(b)),
-                core=lambda a, b: model.norm(a - b),
-                envelope=lambda a, b: 1.0,
-            ),
-            _Inequality(
-                id="sine:grad-lipschitz", pair=True,
-                lhs=lambda a, b: 0.0, core=lambda a, b: 1.0,
-                envelope=lambda a, b: 1.0,
-                special_fit=two_term_fit,
-            ),
-        ]
-    return suite
+def _ladders(model: Model, sample_count: int, radius: float, seed: int):
+    """Graph-norm ladders to max(N, 1) of the sampled states, drawn in a fixed
+    order (every single, then every pair): of the singles s and their J, of
+    the pair members a and b, of a - b and of J(a) - J(b), one (sample_count,
+    max(N, 1) + 1) array each, evaluated _CHUNK samples at a time."""
+    rng = np.random.default_rng(seed)
+    ladder = lambda x: model.generator.graph_norm_ladder_blocks(x, max(model.smoothness, 1))
+    draw = lambda n: np.stack([model.random_smooth_state(rng, radius).data
+                               for _ in range(n)])
+    sizes = [min(_CHUNK, sample_count - k) for k in range(0, sample_count, _CHUNK)]
+    singles = [(ladder(x), ladder(model._J(x))) for x in (draw(n) for n in sizes)]
+    pairs = []
+    for n in sizes:
+        ab = draw(2 * n)
+        a, b, jab = ab[0::2], ab[1::2], model._J(ab)
+        pairs.append((ladder(a), ladder(b), ladder(a - b), ladder(jab[0::2] - jab[1::2])))
+    return [np.concatenate(c) for c in (*zip(*singles), *zip(*pairs))]
 
 
 def verify_estimates(model: Model, sample_count: int = 1000, radius: float = 1.0,
                      seed: int = 0) -> list[EstimateReport]:
     """Sample the nonlinearity inequalities, graph orders up to N = model.smoothness.
 
-    Reports violations rather than raising. A violation is a sample whose
-    left-hand side exceeds constant * envelope * core beyond 1e-10 relative
-    slack, with the constant taken from the declared value when one exists
-    and from the sample fit otherwise.
+    Every inequality reads the same samples: ``sample_count`` single states
+    and as many pairs, each of H-norm in [0.2 * radius, radius]. J is taken
+    once per stack of samples and one graph-norm ladder once per stack of
+    states, J values and differences, so each inequality's ratio
+    lhs / (envelope * core) is arithmetic on those columns. Reports
+    violations rather than raising. A violation is a sample whose left-hand
+    side, core or envelope is not finite, or whose left-hand side exceeds
+    constant * envelope * core beyond 1e-10 relative slack, with the
+    constant taken from the declared value when one exists and from the fit
+    over the finite samples otherwise. ValueError below 100 samples or on a
+    radius that is not a finite number above 0.
     """
     if sample_count < 100:
         raise ValueError("estimate verification needs at least 100 samples")
-    rng = np.random.default_rng(seed)
-    suite = _inequality_suite(model)
-    singles = [model.random_smooth_state(rng, radius) for _ in range(sample_count)]
-    pairs = [
-        (model.random_smooth_state(rng, radius), model.random_smooth_state(rng, radius))
-        for _ in range(sample_count)
-    ]
-
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"estimate radius must be a finite number above 0, got {radius!r}")
+    s, js, a, b, d, jd = _ladders(model, sample_count, radius, seed)
+    name, N, e = model.name, model.smoothness, _J_DEGREE.get(model.name, model.params.p) - 1
+    top = lambda L, j: np.max(L[:, :j + 1], axis=1)
     reports = []
-    for ineq in suite:
-        ratios = []
-        for k in range(sample_count):
-            args = pairs[k] if ineq.pair else (singles[k],)
-            if ineq.special_fit is not None:
-                ratios.append(ineq.special_fit(*args))
-                continue
-            lhs = ineq.lhs(*args)
-            denom = ineq.envelope(*args) * ineq.core(*args)
-            if denom <= 1e-300:
-                ratios.append(0.0 if lhs <= 1e-300 else np.inf)
-            else:
-                ratios.append(lhs / denom)
-        ratios = np.asarray(ratios)
-        fitted = float(np.max(ratios)) if len(ratios) else 0.0
-        bound = ineq.declared if ineq.declared is not None else fitted
-        violations = int(np.sum(ratios > bound * (1.0 + 1e-10)))
+
+    def row(iid, lhs, core, env, declared=None, ratios=None):
+        ratios = _ratios(lhs, env * core) if ratios is None else ratios
+        finite = np.isfinite(lhs) & np.isfinite(core) & np.isfinite(env)
+        fitted = float(np.max(ratios[finite])) if finite.any() else math.nan
+        bound = fitted if declared is None else declared
         reports.append(EstimateReport(
-            inequality_id=ineq.id, sample_count=sample_count,
-            violations=violations, fitted_constant=fitted,
-            declared_constant=ineq.declared,
+            inequality_id=iid, sample_count=sample_count, fitted_constant=fitted,
+            violations=int(np.sum(~finite | (ratios > bound * (1.0 + 1e-10)))),
+            declared_constant=declared,
         ))
+
+    for j in range(N + 1):
+        # ||A^j J(phi)|| <= C(||phi||, ..., ||A^j phi||) ||A^j phi||
+        row(f"{name}:growth:j{j}", js[:, j], s[:, j], _powers(1.0 + top(s, j), e))
+        # ||A^j (J(phi)-J(psi))|| <= C(norms of both) ||A^j(phi-psi)||
+        row(f"{name}:lipschitz:j{j}", jd[:, j], d[:, j],
+            _powers(1.0 + np.maximum(top(a, j), top(b, j)), e))
+    for j in range(1, N + 1):
+        # stronger form with the envelope depending only on norms below j
+        row(f"{name}:growth-lower:j{j}", js[:, j], s[:, j], _powers(1.0 + top(s, j - 1), e))
+    if name == "klein_gordon" and model.params.p == 3:
+        row("cubic:power", js[:, 0], 1.0, _powers(s[:, 0], 3))
+        row("cubic:lipschitz", jd[:, 0], d[:, 0], _powers(a[:, 0], 2) + _powers(b[:, 0], 2))
+        row("cubic:grad-power", js[:, 1], s[:, 1], _powers(s[:, 0], 2))
+        row("cubic:grad-lipschitz", jd[:, 1], d[:, 1],
+            _powers(1.0 + np.maximum(top(a, 1), top(b, 1)), 2))
+    if name == "sine_gordon":
+        unit = model.params.g <= 1.0 and model.params.k0 >= 1.0
+        row("sine:contraction", js[:, 0], s[:, 0], 1.0, 1.0 if unit else None)
+        row("sine:grad-bound", js[:, 1], s[:, 0], 1.0)
+        row("sine:lipschitz", jd[:, 0], d[:, 0], 1.0)
+        # ||A(J(a)-J(b))|| <= K ||a-b|| ||A a|| + ||a-b||, fitted for K
+        excess = jd[:, 1] - d[:, 0]
+        row("sine:grad-lipschitz", jd[:, 1], d[:, 0], a[:, 1], ratios=_ratios(
+            np.where(0.0 > excess, 0.0, excess), d[:, 0] * a[:, 1], floor=0.0))
     return reports

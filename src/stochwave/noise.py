@@ -39,8 +39,8 @@ class CovarianceSpec:
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(self.eigenvalues <= 0):
-            raise ValueError("covariance eigenvalues must be positive")
+        if not np.all((self.eigenvalues > 0) & (self.eigenvalues < np.inf)):
+            raise ValueError("covariance eigenvalues must be positive and finite")
         if len(self.eigenfields) != len(self.eigenvalues):
             raise ValueError("need one eigenfield per eigenvalue")
         gram = np.array([
@@ -83,7 +83,7 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    if gamma <= 1:
+    if not gamma > 1:
         raise ValueError("gamma must exceed 1 for a trace-class tail")
     L = grid.lengths[0]
     x = grid.x_mesh[0] * np.ones(grid.shape)

@@ -197,10 +197,10 @@ class SpectralOperator:
         return State.from_spectral(self.grid, out.reshape(coeffs.shape), state.roles)
 
     def apply_spectral(self, flat: np.ndarray) -> np.ndarray:
-        """Same as apply() but on flat (s, M) spectral coefficients."""
+        """Same as apply() but on flat (s, M) or (B, s, M) spectral coefficients."""
         if self.diagonal:
-            return np.einsum("am,am->am", self._diag, flat)
-        return np.einsum("abm,bm->am", self._flat_symbol(), flat)
+            return np.einsum("am,...am->...am", self._diag, flat)
+        return np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
 
     def metric_norm(self, state: State) -> float:
         self._check_state(state)
@@ -232,13 +232,20 @@ class SpectralOperator:
 
     def graph_norm_ladder(self, state: State, j_max: int) -> np.ndarray:
         """All graph norms j = 0..j_max from one spectral transform."""
+        self._check_state(state)
+        return self.graph_norm_ladder_blocks(state.data[None], j_max)[0]
+
+    def graph_norm_ladder_blocks(self, data: np.ndarray, j_max: int) -> np.ndarray:
+        """The (B, j_max + 1) graph norms of a (B, s, *grid.shape) stack, from
+        one transform; as in ``metric_norm_blocks``, a block's norms do not
+        depend on the stack it is computed in, bit for bit."""
         if j_max < 0:
             raise ValueError("graph_norm power j must be >= 0")
-        self._check_state(state)
-        flat = state.spectral().reshape(self.n_components, self.grid.size)
-        out = np.empty(j_max + 1)
+        flat = self.grid.to_spectral(data).reshape(
+            len(data), self.n_components, self.grid.size)
+        out = np.empty((len(data), j_max + 1))
         for j in range(j_max + 1):
-            out[j] = np.sqrt(np.sum(self._weighted_squares(flat)).real)
+            out[:, j] = np.sqrt(np.sum(self._weighted_squares(flat), axis=(1, 2)).real)
             if j < j_max:
                 flat = self.apply_spectral(flat)
         return out
@@ -274,7 +281,7 @@ def _abs_grad_symbol(grid: Grid) -> np.ndarray:
 
 
 def _wave_symbol_metric(grid: Grid, k0: float):
-    if k0 <= 0:
+    if not k0 > 0:
         raise ValueError("wave blocks need k0 > 0 so B is invertible")
     b2 = grid.k_squared + k0**2
     sym = np.zeros((2, 2) + grid.shape, dtype=complex)
@@ -287,7 +294,7 @@ def _wave_symbol_metric(grid: Grid, k0: float):
 def _dirac_symbol(grid: Grid, m: float):
     if grid.dim != 1:
         raise ValueError("dirac_1d is defined on 1-dimensional grids")
-    if m < 0:
+    if not m >= 0:
         raise ValueError("Dirac mass must be >= 0")
     k = _zeroed_nyquist_k(grid, 0).ravel()
     sym = np.zeros((2, 2) + grid.shape, dtype=complex)
@@ -316,7 +323,7 @@ def make_operator(kind: str, grid: Grid, **params) -> SpectralOperator:
         return SpectralOperator(grid, sym)
     if kind == "shifted_sqrt":
         k0 = need("k0")
-        if k0 < 0:
+        if not k0 >= 0:
             raise ValueError("k0 must be >= 0")
         sym = np.sqrt(grid.k_squared + k0**2)[None, None]
         return SpectralOperator(grid, sym)

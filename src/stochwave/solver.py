@@ -135,7 +135,7 @@ def picard_solve(model: Model, phi0: State, T: float,
     ``max_iter`` 0 runs the final check alone, on the free path, which the
     solve builds unless the caller hands it in as ``_free`` (``_free_path``).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
@@ -268,7 +268,7 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
     N = model.smoothness
     norms0 = model.graph_norms(phi0, N)
     top = float(np.max(norms0[:max(N, 1)]))
-    if threshold <= top:
+    if not threshold > top:
         raise ValueError(f"stopping threshold {threshold:g} must exceed the initial "
                          f"norms (largest {top:.6g})")
     return norms0

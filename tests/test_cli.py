@@ -79,6 +79,19 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("model", "p", 1, "model: power exponent p must be >= 2"),
     ("model", "sign", 2, "model: sign must be -1, 0 or +1"),
     ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry [0, 1, 1.0] is not"),
+    # these once ran: a NaN amplitude or g exited 3, a NaN k0 exited 1 with a
+    # traceback, a NaN m ran, and p = 2.5 ran with p = 2 under 2.5's hash
+    ("initial", "amplitude", float("nan"), "initial: amplitude must be a finite number, got nan"),
+    ("model", "g", float("nan"), "model: g must be a finite number, got nan"),
+    ("model", "k0", float("nan"), "model: k0 must be a finite number, got nan"),
+    ("model", "m", float("inf"), "model: m must be a finite number, got inf"),
+    ("model", "p", 2.5, "model: power exponent p must be >= 2 and an integer, got 2.5"),
+    ("model", "p", float("nan"), "model: power exponent p must be >= 2 and an integer"),
+    # a NaN length and a smoothness of -1 exited 1 with a traceback and a run
+    # directory, and a smoothness of 2.5 ran with 2
+    ("grid", "lengths", [float("nan")], "grid: axis lengths must be positive and finite, got nan"),
+    ("model", "smoothness", -1, "model: smoothness must be an integer of at least 0, got -1"),
+    ("model", "smoothness", 2.5, "model: smoothness must be an integer of at least 0, got 2.5"),
 ])
 def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
@@ -129,6 +142,22 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("verify", {"verify": {"orthogonality_paths": 1}},
      "verify.orthogonality_paths: an ensemble needs an integer count of at least 2 "
      "paths, got 1"),
+    # these once ran: every such radius printed "verification ok", a NaN
+    # lambda0 or gamma exited 3 with a run directory, a NaN tol ran every
+    # sweep, a NaN threshold never stopped a path, and an even p marched
+    # every chaos path before it failed with a traceback
+    *[("verify", {"verify": {"radius": radius}},
+       f"verify: estimate radius must be a finite number above 0, got {radius!r}")
+      for radius in (float("nan"), 0, -1, float("inf"))],
+    ("simulate", {"noise": {"enabled": True, "lambda0": float("nan")}},
+     "noise: covariance eigenvalues must be positive and finite"),
+    ("simulate", {"noise": {"enabled": True, "gamma": float("nan")}},
+     "noise: gamma must exceed 1"),
+    ("picard", {"solver": {"tol": float("nan")}}, "solver: tol must be positive"),
+    ("ensemble", {"solver": {"threshold": float("nan")}},
+     "solver.threshold: stopping threshold nan must exceed the initial norms"),
+    ("chaos", {**NOISE_ON, "model": {"name": "nls", "p": 2}},
+     "chaos: Wick quantization needs an odd power p, got 2"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
                                                      message):

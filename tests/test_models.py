@@ -190,6 +190,100 @@ def test_estimates_zero_radius_trivial():
     assert all(r.violations == 0 for r in reports)
 
 
+def _reference_reports(m, n, radius, seed):
+    """verify_estimates sample by sample, from public per-state calls."""
+    rng = np.random.default_rng(seed)
+    singles = [(m.random_smooth_state(rng, radius),) for _ in range(n)]
+    pairs = [(m.random_smooth_state(rng, radius), m.random_smooth_state(rng, radius))
+             for _ in range(n)]
+    gn, J, norm = m.graph_norm, m.apply_J, m.norm
+    e = {"sine_gordon": 1, "zakharov": 2, "maxwell_dirac": 2}.get(m.name, m.params.p) - 1
+    top = lambda x, j: float(np.max(m.graph_norms(x, j)))
+    suite = []  # (id, pair, args -> (lhs, core, envelope), declared)
+    for j in range(m.smoothness + 1):
+        suite += [(f"{m.name}:growth:j{j}", False,
+                   lambda x, j=j: (gn(J(x), j), gn(x, j), (1.0 + top(x, j)) ** e), None),
+                  (f"{m.name}:lipschitz:j{j}", True, lambda x, y, j=j: (
+                      gn(J(x) - J(y), j), gn(x - y, j),
+                      (1.0 + max(top(x, j), top(y, j))) ** e), None)]
+    suite += [(f"{m.name}:growth-lower:j{j}", False,
+               lambda x, j=j: (gn(J(x), j), gn(x, j), (1.0 + top(x, j - 1)) ** e), None)
+              for j in range(1, m.smoothness + 1)]
+    if m.name == "klein_gordon" and m.params.p == 3:
+        suite += [
+            ("cubic:power", False, lambda x: (norm(J(x)), 1.0, norm(x) ** 3), None),
+            ("cubic:lipschitz", True, lambda x, y: (
+                norm(J(x) - J(y)), norm(x - y), norm(x) ** 2 + norm(y) ** 2), None),
+            ("cubic:grad-power", False, lambda x: (gn(J(x), 1), gn(x, 1), norm(x) ** 2), None),
+            ("cubic:grad-lipschitz", True, lambda x, y: (
+                gn(J(x) - J(y), 1), gn(x - y, 1),
+                (1.0 + max(norm(x), norm(y), gn(x, 1), gn(y, 1))) ** 2), None)]
+    if m.name == "sine_gordon":
+        suite += [
+            ("sine:contraction", False, lambda x: (norm(J(x)), norm(x), 1.0), 1.0),
+            ("sine:grad-bound", False, lambda x: (gn(J(x), 1), norm(x), 1.0), None),
+            ("sine:lipschitz", True, lambda x, y: (norm(J(x) - J(y)), norm(x - y), 1.0), None),
+            ("sine:grad-lipschitz", True, None, None)]
+    reports = []
+    for iid, pair, f, declared in suite:
+        ratios = []
+        for args in (pairs if pair else singles):
+            if f is None:  # ||A(J(a)-J(b))|| <= K ||a-b|| ||A a|| + ||a-b||
+                a, b = args
+                diff = norm(a - b)
+                excess, denom = gn(J(a) - J(b), 1) - diff, diff * gn(a, 1)
+                ratios.append((0.0 if excess <= 0 else np.inf) if denom <= 1e-300
+                              else max(excess, 0.0) / denom)
+                continue
+            lhs, core, env = f(*args)
+            denom = env * core
+            ratios.append((0.0 if lhs <= 1e-300 else np.inf) if denom <= 1e-300
+                          else lhs / denom)
+        fitted = float(np.max(ratios))
+        bound = fitted if declared is None else declared
+        reports.append((iid, n, int(np.sum(np.array(ratios) > bound * (1.0 + 1e-10))),
+                        fitted.hex(), declared))
+    return reports
+
+
+GRID2D = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+
+
+@pytest.mark.parametrize("name, grid, params", [
+    ("nls", GRID, {"p": 3, "sign": 1}),
+    ("klein_gordon", GRID, {"p": 3, "sign": -1, "k0": 1.0}),
+    ("sine_gordon", GRID, {"g": 1.0, "k0": 1.0}),
+    ("zakharov", GRID, {}),
+    ("maxwell_dirac", GRID, {"k0": 1.0, "m": 1.0}),
+    ("klein_gordon", GRID, {"p": 3, "sign": 1, "k0": 1.0}),
+    ("sine_gordon", GRID, {"g": 1.0, "k0": 1.0, "break_j_hook": True}),
+    ("zakharov", GRID2D, {}),
+    ("nls", GRID, {"p": 5, "sign": 1}),
+])
+def test_verify_estimates_equal_the_per_sample_reference(name, grid, params):
+    # 130 samples: two full stacks of 64 and a partial one
+    m = build_model(name, grid, **params)
+    got = [(r.inequality_id, r.sample_count, r.violations, r.fitted_constant.hex(),
+            r.declared_constant) for r in verify_estimates(m, sample_count=130, seed=101)]
+    assert got == _reference_reports(m, 130, 1.0, 101)
+
+
+def test_overflowing_samples_are_violations():
+    # norms that overflow once read every ratio as 0 (or NaN) and passed
+    for m in (build_model("sine_gordon", GRID, g=1.0, k0=1.0),
+              build_model("klein_gordon", GRID, p=3, sign=1, k0=1.0)):
+        for radius in (1e200, 1e308):
+            with np.errstate(all="ignore"):
+                reports = verify_estimates(m, sample_count=100, radius=radius, seed=5)
+            assert all(r.violations == 100 for r in reports), (m.name, radius)
+
+
+def test_build_model_rejects_a_non_integral_power():
+    assert build_model("nls", GRID, p=3.0).params.p == 3
+    with pytest.raises(ValueError, match="an integer, got 2.5"):
+        build_model("nls", GRID, p=2.5)
+
+
 def test_verify_estimates_enforces_sample_floor():
     m = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError):

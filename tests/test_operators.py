@@ -245,6 +245,42 @@ def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, par
     assert np.array([op.metric_norm(st_) for st_ in states]).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim, kind, params", [
+    (1, "laplacian", {}),
+    (2, "laplacian", {}),
+    (1, "zakharov_block", {}),
+    (2, "zakharov_block", {}),
+    (1, "wave_block", {"k0": 1.0}),
+    (2, "wave_block", {"k0": 1.0}),
+    (1, "maxwell_dirac_block", {"k0": 1.0, "m": 1.0}),
+])
+def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, kind, params):
+    # scalar, diagonal and dense-with-metric symbols: a block's ladder is the
+    # per-state ladder and the single-state formula, whatever the stack
+    g = make_grid(dim, [8, 6][:dim], [2 * np.pi, 3.0][:dim])
+    op = make_operator(kind, g, **params)
+    s = op.n_components
+    dense = op.symbol.reshape(s, s, g.size)
+    weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
+    rng = np.random.default_rng(40 + dim)
+    roles = tuple(f"c{i}" for i in range(s))
+    for B in (1, 7):
+        data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        blocks = op.graph_norm_ladder_blocks(data, 3)
+        assert blocks.shape == (B, 4)
+        for k in range(B):
+            state = State(g, data[k], roles)
+            assert blocks[k].tobytes() == op.graph_norm_ladder(state, 3).tobytes()
+            ladder, c = [], state.spectral().reshape(s, g.size)
+            for _ in range(4):
+                ladder.append(np.sqrt(np.sum(weights * np.abs(c) ** 2).real))
+                c = np.einsum("abm,bm->am", dense, c)
+            assert blocks[k].tobytes() == np.array(ladder).tobytes()
+    with pytest.raises(ValueError):
+        op.graph_norm_ladder_blocks(data, -1)
+
+
 def test_shape_mismatch_rejected(grid):
     lap = make_operator("laplacian", grid)
     with pytest.raises(ValueError):
