@@ -128,9 +128,18 @@ def _check_values(resolved: dict) -> None:
     here makes a bad value a config error, raised before any output
     directory exists. The orthogonality check's paths, like an ensemble's,
     need a standard error, so at least 2, and the picard command needs at
-    least one iteration to converge.
+    least one iteration to converge. A switch is JSON true or false, not a
+    value that merely reads as one, and the master seed keys the noise
+    streams, so it is an integer of at least 0.
     """
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
+    for block, key in (("model", "dealias"), ("model", "break_j_hook"), ("noise", "enabled")):
+        if not isinstance(resolved[block][key], bool):
+            raise ConfigError(f"{block}.{key} must be true or false, "
+                              f"got {resolved[block][key]!r}")
+    seed = resolved["master_seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"master_seed must be an integer of at least 0, got {seed!r}")
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
     _checked("solver", _step_count, sb["T"], sb["dt"])
     if sb["scheme"] not in ("strang", "exp_euler"):

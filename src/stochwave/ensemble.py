@@ -1,11 +1,11 @@
 """Ensemble execution, convergence-order fits, tail statistics, cross-checks.
 
-Paths are independent: path i owns noise stream i and results are reduced
-in index order, so the aggregate is bit-identical from run to run. Every
-path gets its stream from ``_noise`` and is marched either by ``solve_ito``
-with the stopping rule (``run_ensemble``, whose stop times also give the
-survival curve, ``TailCurve.from_stop_times``) or to T on one or more dts
-(``_path_finals``). Strong-order fits couple refinement levels pathwise by summing
+Paths are independent: path i owns noise stream i (``_noise``) and results
+are reduced in index order, so the aggregate is bit-identical from run to
+run. ``run_ensemble`` marches the paths in stacks with the stopping rule
+(``solver._ito_march``; the stop times also give the survival curve,
+``TailCurve.from_stop_times``), and ``_path_finals`` one by one to T on one
+or more dts. Strong-order fits couple refinement levels pathwise by summing
 fine increments into coarse ones; weak-order fits use the same coupling so
 the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the variance of a
 pathwise difference rather than of two independent ensembles. Order fits are
@@ -24,10 +24,11 @@ from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
 from .grids import Field, State
 from .models import Model
 from .noise import CovarianceSpec, QWienerSampler
-from .solver import _step_count, solve_ito, step_exp_euler
+from .solver import _ito_march, _step_count, step_exp_euler
 
 # The survival curve's lower-bound fit window is rho <= TAIL_FIT_RHO_MAX.
 TAIL_FIT_RHO_MAX = 0.5
+_STACK_BYTES = 2 << 20  # the bytes of one stack's increments in run_ensemble
 
 
 @dataclass
@@ -144,34 +145,40 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
 
 
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
-    """Independent trajectories with stream_id = path index, ordered reduction.
-
-    Each path is marched by ``solve_ito`` with the stopping rule, in index
-    order. Per-path blow-ups are counted as stopped paths, not fatal. The
-    result is reproducible bit for bit from (config, master_seed).
-    """
-    fns = {name: _observable_fn(config.model, name, config.phi0)
+    """Independent trajectories with stream_id = path index, ordered reduction:
+    ``_ito_march`` on stacks of paths in index order, whose increments fill one
+    array of ``_STACK_BYTES`` (one path's, if larger). Blown-up paths count as
+    stopped, not fatal; the result is the same bit for bit for any stack size."""
+    model, phi0, dt, grid = config.model, config.phi0, config.dt, config.model.grid
+    fns = {name: _observable_fn(model, name, phi0)
            for name in config.observables if name != "sup_sum_sq"}
-    n_steps = _step_count(config.T, config.dt)
-    trajs = [solve_ito(config.model, config.phi0, config.T, config.dt, _noise(config, i),
-                       threshold=config.threshold, record_every=n_steps)
-             for i in range(config.n_paths)]
-    sups = np.array([t.sup_sum_sq() for t in trajs])
+    n_steps = _step_count(config.T, dt)
+    size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
+    buf = None if config.covariance is None else np.empty((n_steps, size, 1) + grid.shape)
+    marches = []
+    for start in range(0, config.n_paths, size):
+        paths = range(start, min(start + size, config.n_paths))
+        if buf is not None:
+            for b, i in enumerate(paths):
+                buf[:, b, 0] = _noise(config, i).increments(dt, n_steps)
+        dW = None if buf is None else buf[:, :len(paths)]
+        marches.append(_ito_march(model, phi0, dt, n_steps, config.threshold, dW, len(paths)))
+    finals, sups, stops, blown = (np.concatenate(part) for part in zip(*marches))
+    states = [State(grid, data, phi0.roles) for data in finals]
     observables = {}
     for name in config.observables:
-        vals = sups if name == "sup_sum_sq" else \
-            np.array([fns[name](t.final_state()) for t in trajs])
+        vals = sups if name == "sup_sum_sq" else np.array([fns[name](st) for st in states])
         observables[name] = {
             "mean": float(np.mean(vals)),
             "var": float(np.var(vals, ddof=1)),
             "stderr": float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
         }
-    denom = float(np.sum(config.model.graph_norms(config.phi0) ** 2))
+    denom = float(np.sum(model.graph_norms(phi0) ** 2))
     return EnsembleResult(
         observables=observables,
-        stop_times=[t.stop_time for t in trajs],
-        n_stopped=sum(t.stopped for t in trajs),
-        n_blown=sum(t.blown_up for t in trajs),
+        stop_times=[k * dt if k else None for k in stops.tolist()],
+        n_stopped=int(np.count_nonzero(stops)),
+        n_blown=int(np.count_nonzero(blown)),
         sup_ratio=float(np.mean(sups) / denom) if denom > 0 else np.nan,
         path_seeds=list(range(config.n_paths)),
         master_seed=config.master_seed,

@@ -15,11 +15,10 @@ Three integration routes share the exact free propagator exp(-i*A*t):
 
 * ``step_exp_euler`` is the left-point (Ito) exponential Euler step
   phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW); no Stratonovich
-  correction. ``solve_ito`` marches it, records the graph-norm history, and
-  stops at the first time sup_{j<=N-1} ||A^j phi|| exceeds the threshold.
-  A step checks the state once, works on raw arrays through the private
-  kernels ``Model._J`` and ``SpectralOperator._propagate``, and builds one
-  State; a J that is identically zero is the sum ``+ 0.0`` (see the step).
+  correction. Its arithmetic is one kernel, ``_exp_euler``, on raw arrays or
+  stacks. ``_ito_march`` runs the kernel on a stack of paths that each stop
+  at the first time sup_{j<=N-1} ||A^j phi|| exceeds the threshold, or at a
+  blow-up; ``solve_ito`` is its one-path case, recording every step.
 
 * ``step_strang`` is the symmetric splitting used for deterministic
   conservation studies; model-specific nonlinear substeps are exact or
@@ -92,7 +91,6 @@ class Trajectory:
     stop_time: float | None = None   # None means "ran to T"
     blown_up: bool = False
     seed_info: dict = dc_field(default_factory=dict)
-    sup_sq: float | None = None      # running sup over every step, if tracked
 
     @property
     def stopped(self) -> bool:
@@ -100,11 +98,6 @@ class Trajectory:
 
     def final_state(self) -> State:
         return self.states[-1]
-
-    def sup_sum_sq(self) -> float:
-        """sup over time of sum_j ||A^j phi(t)||^2 (all steps when tracked)."""
-        recorded = float(np.max(np.sum(self.graph_norms**2, axis=1)))
-        return max(recorded, self.sup_sq) if self.sup_sq is not None else recorded
 
 
 @dataclass
@@ -212,30 +205,30 @@ def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
 
 def step_exp_euler(model: Model, state: State, dt: float,
                    dW: np.ndarray | None = None) -> State:
-    """One exponential Euler step with left-point multiplicative noise.
-
-    ``dW`` is the increment's values on the grid, an array of the grid's
-    shape, or None for no noise. The state is checked once, and the step
-    works on the raw arrays, writing to neither. phi + dt*J(phi) + phi*dW is
-    formed in the order, and with the roundings, of the State algebra. When
-    J is identically zero (``Model._zero_J``), dt*J is +0 in every entry and
-    the step adds + 0.0 instead, the same bits; that sum stays, since it
-    turns a -0 of phi into +0 as dt*J does, and a kept -0 could move a bit.
-    """
+    """One exponential Euler step with left-point multiplicative noise; ``dW``
+    is the increment on the grid (an array of its shape) or None. The state is
+    checked once, and ``_exp_euler`` works on the raw arrays, writing to neither."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen = model.generator
     gen._check_state(state)
     if dW is not None and np.shape(dW) != gen.grid.shape:
         raise ValueError(f"increment shape {np.shape(dW)} != grid shape {gen.grid.shape}")
-    data = state.data
-    inner = data + (_PLUS_ZERO if model._zero_J else model._J(data) * dt)
-    if dW is not None:
-        inner = inner + data * dW
-    out = gen._propagate(dt, inner)
+    out = _exp_euler(model, state.data, dt, dW)
     if not np.isfinite(out).all():
         raise BlowUpError("non-finite state after exponential Euler step")
     return State(gen.grid, out, state.roles)
+
+
+def _exp_euler(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
+    """The step, unchecked, of an (s, *grid.shape) array or a (B, s, *grid.shape)
+    stack with dW (B, 1, *grid.shape): phi + dt*J(phi) + phi*dW in the order and
+    roundings of the State algebra. A J that is identically zero (``Model._zero_J``)
+    adds + 0.0, the bits of dt*J: it turns a -0 of phi into +0, as dt*J does."""
+    inner = data + (_PLUS_ZERO if model._zero_J else model._J(data) * dt)
+    if dW is not None:
+        inner = inner + data * dW
+    return model.generator._propagate(dt, inner)
 
 
 def step_strang(model: Model, state: State, dt: float) -> State:
@@ -275,59 +268,76 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
 
 
 def solve_ito(model: Model, phi0: State, T: float, dt: float,
-              sampler: QWienerSampler | None, threshold: float = np.inf,
-              record_every: int = 1) -> Trajectory:
-    """Exponential-Euler Ito marching with the graph-norm stopping rule.
+              sampler: QWienerSampler | None, threshold: float = np.inf) -> Trajectory:
+    """Exponential-Euler Ito marching with the graph-norm stopping rule: the
+    one-path case of ``_ito_march``, recording every step.
 
-    Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold,
-    N = model.smoothness, the order that also defines the X_T norm; the
-    trajectory then ends at that time with stop_time set. Paths that blow
-    up are flagged rather than raised, and end at their last finite state.
+    Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold, N =
+    model.smoothness, the order of the X_T norm, with stop_time set. A path
+    that blows up is flagged, not raised, and ends at its last finite state.
     """
     n_steps = _step_count(T, dt)
-    N = model.smoothness
-    state = phi0.copy()
-    norms0 = _initial_norms(model, state, threshold)
-    increments = None
-    if sampler is not None:
-        increments = sampler.increments(dt, n_steps)
-    times, states = [0.0], [state.copy()]
-    norm_hist = [norms0]
-    sup_sq = float(np.sum(norms0**2))
-    stop_time, blown = None, False
-    t, norms = 0.0, norms0
-    for n in range(n_steps):
-        dW = increments[n] if increments is not None else None
-        try:
-            state = step_exp_euler(model, state, dt, dW)
-        except BlowUpError:
-            blown = True
-            stop_time = (n + 1) * dt
-            break
-        t, norms = (n + 1) * dt, model.graph_norms(state, N)
-        sup_sq = max(sup_sq, float(np.sum(norms**2)))
-        hit = float(np.max(norms[:max(N, 1)])) > threshold
-        blown = not hit and float(norms[0]) > BLOWUP_CAP
-        if (n + 1) % record_every == 0 or n == n_steps - 1 or hit or blown:
+    dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
+    times, states, norms = [0.0], [phi0.copy()], [model.graph_norms(phi0)]
+
+    def record(t, data, ladders):
+        for d, g in zip(data, ladders):
             times.append(t)
-            states.append(state.copy())
-            norm_hist.append(norms)
-        if hit or blown:
-            stop_time = t
-            break
-    if times[-1] != t:  # a non-finite step: end at the last finite state (tau ^ T)
-        times.append(t)
-        states.append(state.copy())
-        norm_hist.append(norms)
-    seed_info = {}
-    if sampler is not None:
-        seed_info = {"master_seed": sampler.master_seed, "stream_id": sampler.stream_id}
-    return Trajectory(np.asarray(times), states, np.asarray(norm_hist),
-                      stop_time=stop_time, blown_up=blown, seed_info=seed_info,
-                      sup_sq=sup_sq)
+            states.append(State(model.grid, d, phi0.roles))
+            norms.append(g)
+
+    _, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record)
+    k = int(stop[0])
+    seed_info = {} if sampler is None else {"master_seed": sampler.master_seed,
+                                            "stream_id": sampler.stream_id}
+    return Trajectory(np.asarray(times), states, np.asarray(norms),
+                      stop_time=k * dt if k else None,
+                      blown_up=bool(blown[0]), seed_info=seed_info)
+
+
+def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: float,
+               dW: np.ndarray | None, n_paths: int, record=None):
+    """March ``n_paths`` copies of phi0 by ``_exp_euler``, path b with increments
+    ``dW[:, b]`` (dW: (n_steps, n_paths, 1, *grid.shape) or None).
+
+    A path stops at a threshold hit, at a norm above BLOWUP_CAP or at a
+    non-finite step (blown up, at its last finite state) and leaves the stack,
+    with the bits of a march alone. ``record(t, data, norms)`` gets each step's
+    finite states. Returns, per path, the final state, the sup of
+    sum_j ||A^j phi||^2, the stop step (0: ran to T) and the blown-up flag.
+    """
+    N = model.smoothness
+    norms0 = _initial_norms(model, phi0, threshold)
+    final = np.repeat(phi0.data[None], n_paths, axis=0)
+    sup = np.full(n_paths, np.sum(norms0**2))
+    stop, blown = np.zeros(n_paths, dtype=int), np.zeros(n_paths, dtype=bool)
+    live, data = np.arange(n_paths), final.copy()
+    for n in range(n_steps):
+        step = _exp_euler(model, data, dt, None if dW is None else dW[n, live])
+        finite = np.isfinite(step.reshape(len(live), -1)).all(axis=1)
+        step[~finite] = data[~finite]  # keep the last finite state, already checked
+        data, norms = step, model.generator.graph_norm_ladder_blocks(step, N)
+        sup[live] = np.fmax(sup[live], np.sum(norms**2, axis=1))  # like max(), NaN-blind
+        hit = np.max(norms[:, :max(N, 1)], axis=1) > threshold
+        capped = ~hit & (norms[:, 0] > BLOWUP_CAP)
+        if record is not None:
+            record((n + 1) * dt, data[finite], norms[finite])
+        out = ~finite | hit | capped
+        if out.any():
+            ended = live[out]
+            final[ended] = data[out]
+            stop[ended] = n + 1
+            blown[ended] = (~finite | capped)[out]
+            live, data = live[~out], data[~out]
+            if not len(live):
+                break
+    final[live] = data
+    return final, sup, stop, blown
 
 
 def _step_count(T: float, dt: float) -> int:
+    if not np.isfinite(T):
+        raise ValueError(f"T must be a finite number, got {T!r}")
     if not dt > 0:
         raise ValueError("dt must be positive")
     n = round(T / dt)

@@ -92,6 +92,20 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("grid", "lengths", [float("nan")], "grid: axis lengths must be positive and finite, got nan"),
     ("model", "smoothness", -1, "model: smoothness must be an integer of at least 0, got -1"),
     ("model", "smoothness", 2.5, "model: smoothness must be an integer of at least 0, got 2.5"),
+    # these once ran: a string switched a feature on ("false" ran a noisy
+    # simulation, "no" the failure hook), a fractional or string point count
+    # was truncated and dim true ran as 1 under the bad value's hash, and an
+    # infinite T exited 1 with an OverflowError traceback
+    ("model", "dealias", "false", "model.dealias must be true or false, got 'false'"),
+    ("model", "break_j_hook", "no", "model.break_j_hook must be true or false, got 'no'"),
+    ("noise", "enabled", "false", "noise.enabled must be true or false, got 'false'"),
+    ("noise", "enabled", 1, "noise.enabled must be true or false, got 1"),
+    ("solver", "T", float("inf"), "solver: T must be a finite number, got inf"),
+    ("grid", "points", [32.5], "grid: points per axis must be whole numbers, got [32.5]"),
+    ("grid", "points", ["32"], "grid: points per axis must be whole numbers, got ['32']"),
+    ("grid", "points", [True], "grid: points per axis must be whole numbers, got [True]"),
+    ("grid", "dim", True, "grid: dim must be 1, 2 or 3, got True"),
+    ("grid", "lengths", ["6.28"], "grid: axis lengths must be numbers, got ['6.28']"),
 ])
 def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
@@ -158,14 +172,28 @@ NOISE_ON = {"noise": {"enabled": True}}
      "solver.threshold: stopping threshold nan must exceed the initial norms"),
     ("chaos", {**NOISE_ON, "model": {"name": "nls", "p": 2}},
      "chaos: Wick quantization needs an odd power p, got 2"),
+    # these once crashed with a traceback after the run directory existed
+    *[("ensemble", {**NOISE_ON, "master_seed": seed},
+       f"master_seed must be an integer of at least 0, got {seed!r}")
+      for seed in (-3, 1.5, True)],
+    ("ensemble", {**NOISE_ON, "--seed": "-3"},
+     "master_seed must be an integer of at least 0, got -3"),
+    *[(command, {"solver": {"T": float("inf")}}, "solver: T must be a finite number, got inf")
+      for command in ("converge", "ensemble")],
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
                                                      message):
     bad = json.loads(json.dumps(BASE_CONFIG))
+    flags = []  # a "--flag" key is a command-line flag, a scalar a top-level key
     for block, values in changes.items():
-        bad.setdefault(block, {}).update(values)
+        if block.startswith("--"):
+            flags += [block, values]
+        elif isinstance(values, dict):
+            bad.setdefault(block, {}).update(values)
+        else:
+            bad[block] = values
     out = tmp_path / "run"
-    code = main([command, "--config", _write(tmp_path, bad), "--out", str(out)])
+    code = main([command, "--config", _write(tmp_path, bad), "--out", str(out), *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
@@ -549,20 +577,21 @@ def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):
 
 
 def test_ensemble_marches_every_path_once(tmp_path, monkeypatch):
+    # one noise stream per path, in index order
     import stochwave.ensemble as ensemble
 
-    calls = []
-    solve = ensemble.solve_ito
+    streams = []
+    noise = ensemble._noise
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(config, i):
+        streams.append(i)
+        return noise(config, i)
 
-    monkeypatch.setattr(ensemble, "solve_ito", counted)
+    monkeypatch.setattr(ensemble, "_noise", counted)
     out = tmp_path / "once"
     assert main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "12",
                  "--out", str(out)]) == 0
-    assert len(calls) == 12
+    assert streams == list(range(12))
     assert json.loads((out / "report.json").read_text())["tail_curve"]["n_paths"] == 12
 
 

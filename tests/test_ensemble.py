@@ -293,10 +293,9 @@ def test_weak_order_rejects_a_path_observable():
 
 
 def test_blown_paths_end_at_their_last_finite_state():
-    # focusing cubic from amplitude 3: every path blows up before T. With one
-    # record per path, each must still end at its last finite state (the
-    # process stopped at tau ^ T), as the path recorded at every step does,
-    # not at phi0
+    # focusing cubic from amplitude 3: every path blows up before T and must
+    # end at its last finite state (the process stopped at tau ^ T), as its
+    # solve_ito trajectory does, not at phi0
     m = build_model("nls", UNIT_GRID, p=3, sign=1)
     phi0 = State(UNIT_GRID, np.full((1,) + UNIT_GRID.shape, 3.0 + 0j), m.roles)
     cov = CovarianceSpec(np.array([0.5]), [Field(UNIT_GRID, np.ones(UNIT_GRID.shape))])
@@ -306,13 +305,28 @@ def test_blown_paths_end_at_their_last_finite_state():
         res = run_ensemble(cfg)
         finals = []
         for i in range(cfg.n_paths):
-            sparse, dense = (solve_ito(m, phi0, cfg.T, cfg.dt, QWienerSampler(cov, 3, i),
-                                       record_every=every) for every in (100, 1))
-            assert sparse.blown_up and sparse.stop_time == dense.stop_time
-            assert len(set(sparse.times)) == len(sparse.times) == 2
-            assert sparse.times[-1] == dense.times[-1] <= sparse.stop_time
-            assert sparse.final_state().data.tobytes() == dense.final_state().data.tobytes()
-            assert sparse.graph_norms[-1].tobytes() == dense.graph_norms[-1].tobytes()
-            finals.append(m.norm(sparse.final_state()) ** 2)
+            traj = solve_ito(m, phi0, cfg.T, cfg.dt, QWienerSampler(cov, 3, i))
+            assert traj.blown_up and traj.stop_time == res.stop_times[i]
+            assert traj.times[-1] <= traj.stop_time
+            assert traj.graph_norms[-1].tobytes() == \
+                m.graph_norms(traj.final_state()).tobytes()
+            finals.append(m.norm(traj.final_state()) ** 2)
     assert res.n_blown == 4
     assert res.observables["norm_sq"]["mean"] == np.mean(finals) > 9.0
+
+
+def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
+    # stacks of every path (the default budget here), of 7 and of 1 path
+    import stochwave.ensemble as ensemble
+
+    m = _linear_model()
+    phi0 = _mode_state(GRID, m)
+    cov = default_covariance(GRID, n_modes=3, lambda0=4.0, gamma=1.5)
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
+                         n_paths=30, master_seed=5, threshold=2.0 * max(m.graph_norms(phi0)),
+                         observables=("norm_sq", "sup_sum_sq", "pairing_re", "graph_norm_j1"))
+    want = json.dumps(run_ensemble(cfg).to_dict(), sort_keys=True)
+    assert 0 < json.loads(want)["n_stopped"] < cfg.n_paths
+    for size in (7, 1):
+        monkeypatch.setattr(ensemble, "_STACK_BYTES", size * 8 * 100 * GRID.size)
+        assert json.dumps(run_ensemble(cfg).to_dict(), sort_keys=True) == want

@@ -6,7 +6,7 @@ from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State
                        holomorphy_check, make_grid, picard_solve,
                        solve_deterministic, solve_ito, step_exp_euler,
                        step_strang)
-from stochwave.solver import BLOWUP_CAP
+from stochwave.solver import BLOWUP_CAP, Trajectory, _ito_march
 
 GRID = make_grid(1, [32], [2 * np.pi])
 
@@ -401,25 +401,24 @@ def test_solve_ito_linear_no_noise():
 def test_solve_ito_norm_history_matches_states():
     m, st, _ = _sine_gordon_setup(radius=0.3, seed=6)
     cov = default_covariance(GRID, n_modes=2, lambda0=0.2, gamma=2.0)
-    traj = solve_ito(m, st, 0.2, 0.01, QWienerSampler(cov, 5, 0), record_every=5)
+    traj = solve_ito(m, st, 0.2, 0.01, QWienerSampler(cov, 5, 0))
     for i in range(len(traj.times)):
         recomputed = m.graph_norms(traj.states[i])
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
 
 
 def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
-    # p = 31 from amplitude 2.5: step 1 stays under the cap, step 2 overflows.
-    # Recorded sparsely or at every step, the path ends at the state of step 1
+    # p = 31 from amplitude 2.5: step 1 stays under the cap, step 2 overflows,
+    # so the path ends at the state of step 1
     m = build_model("nls", make_grid(1, [8], [1.0]), p=31, sign=1, dealias=False)
     st = State(m.grid, np.full((1, 8), 2.5 + 0j), m.roles)
     with np.errstate(all="ignore"):
-        sparse, dense = (solve_ito(m, st, 1.0, 0.01, None, record_every=every)
-                         for every in (100, 1))
-    for traj in (sparse, dense):
-        assert traj.blown_up and traj.stop_time == 0.02
-        assert list(traj.times) == [0.0, 0.01] and len(traj.states) == 2
-        assert traj.final_state().data.tobytes() == step_exp_euler(m, st, 0.01).data.tobytes()
-        assert traj.graph_norms.tobytes() == dense.graph_norms.tobytes()
+        traj = solve_ito(m, st, 1.0, 0.01, None)
+    step1 = step_exp_euler(m, st, 0.01)
+    assert traj.blown_up and traj.stop_time == 0.02
+    assert list(traj.times) == [0.0, 0.01] and len(traj.states) == 2
+    assert traj.final_state().data.tobytes() == step1.data.tobytes()
+    assert traj.graph_norms[-1].tobytes() == m.graph_norms(step1).tobytes()
 
 
 def test_solve_ito_validates_threshold():
@@ -439,7 +438,7 @@ def test_tight_threshold_stops_with_strong_noise():
     stopped = 0
     for i in range(100):
         traj = solve_ito(m, phi0, 1.0, 1e-3, QWienerSampler(spec, 17, i),
-                         threshold=threshold, record_every=1000)
+                         threshold=threshold)
         stopped += traj.stopped
     # continuum crossing is almost sure; discrete sampling misses the paths
     # whose partial sums stay strictly below the hairline margin
@@ -457,10 +456,149 @@ def test_stop_time_monotone_in_threshold():
         previous = -np.inf
         for factor in (1.05, 1.2, 1.5, 2.5):
             traj = solve_ito(m, phi0, 1.0, 1e-2, QWienerSampler(spec, 23, stream),
-                             threshold=n0 * factor, record_every=100)
+                             threshold=n0 * factor)
             tau = np.inf if traj.stop_time is None else traj.stop_time
             assert tau >= previous
             previous = tau
+
+
+def _per_path_ito(model, phi0, T, dt, sampler, threshold=np.inf):
+    """The oracle of the stacked march: the per-path loop that ``solve_ito``
+    ran before it, on ``step_exp_euler`` and ``model.graph_norms``, recording
+    every step. Returns the trajectory and the running sup of
+    sum_j ||A^j phi||^2."""
+    n_steps = round(T / dt)
+    N = model.smoothness
+    state = phi0.copy()
+    norms0 = model.graph_norms(state, N)
+    increments = None if sampler is None else sampler.increments(dt, n_steps)
+    times, states, norm_hist = [0.0], [state.copy()], [norms0]
+    sup_sq = float(np.sum(norms0**2))
+    stop_time, blown = None, False
+    for n in range(n_steps):
+        dW = increments[n] if increments is not None else None
+        try:
+            state = step_exp_euler(model, state, dt, dW)
+        except BlowUpError:
+            blown = True
+            stop_time = (n + 1) * dt
+            break
+        t, norms = (n + 1) * dt, model.graph_norms(state, N)
+        sup_sq = max(sup_sq, float(np.sum(norms**2)))
+        hit = float(np.max(norms[:max(N, 1)])) > threshold
+        blown = not hit and float(norms[0]) > BLOWUP_CAP
+        times.append(t)
+        states.append(state.copy())
+        norm_hist.append(norms)
+        if hit or blown:
+            stop_time = t
+            break
+    seed_info = {}
+    if sampler is not None:
+        seed_info = {"master_seed": sampler.master_seed, "stream_id": sampler.stream_id}
+    return Trajectory(np.asarray(times), states, np.asarray(norm_hist),
+                      stop_time=stop_time, blown_up=blown, seed_info=seed_info), sup_sq
+
+
+def _march_case(name):
+    """(model, phi0, T, dt, covariance, master_seed, n_paths, threshold, mixed):
+    ``mixed`` says that some paths stop and some run to T."""
+    unit = make_grid(1, [8], [1.0])
+    scalar = lambda lam: CovarianceSpec(np.array([lam]), [Field(unit, np.ones(unit.shape))])
+    mode = lambda m, g: State(g, np.exp(2j * np.pi * g.x_axes[0] / g.lengths[0])[None],
+                              m.roles)
+    top = lambda m, st: max(m.graph_norms(st)[:max(m.smoothness, 1)])
+    if name == "moment_law":
+        m = build_model("nls", unit, sign=0, smoothness=1)
+        return m, mode(m, unit), 1.0, 0.02, scalar(0.5), 301, 40, np.inf, False
+    if name == "tail_curve":
+        m = build_model("nls", make_grid(1, [16], [2 * np.pi]), sign=0, smoothness=1)
+        phi0 = mode(m, m.grid)
+        cov = default_covariance(m.grid, n_modes=3, lambda0=4.0, gamma=1.5)
+        return m, phi0, 1.0, 0.01, cov, 501, 60, 2.0 * top(m, phi0), True
+    if name == "klein_gordon":  # dense block with a metric
+        m = build_model("klein_gordon", GRID, p=3)
+        phi0 = m.random_smooth_state(np.random.default_rng(3), 0.5)
+        cov = default_covariance(GRID, n_modes=3, lambda0=1.0, gamma=2.0)
+        return m, phi0, 0.5, 0.01, cov, 11, 40, 1.2 * top(m, phi0), True
+    if name == "zakharov_2d":  # diagonal block
+        m, phi0, _, _ = _zakharov_2d()
+        cov = default_covariance(m.grid, n_modes=3, lambda0=1.0, gamma=2.0)
+        return m, phi0, 0.3, 0.01, cov, 12, 16, 1.02 * top(m, phi0), True
+    if name == "focusing":  # blown up above the cap
+        m = build_model("nls", unit, p=3, sign=1)
+        phi0 = State(unit, np.full((1, 8), 3.0 + 0j), m.roles)
+        return m, phi0, 0.5, 0.01, scalar(0.5), 13, 20, np.inf, True
+    if name == "non_finite":  # blown up by an overflowing step
+        m = build_model("nls", unit, p=31, sign=1, dealias=False)
+        phi0 = State(unit, np.full((1, 8), 2.5 + 0j), m.roles)
+        return m, phi0, 0.1, 0.01, scalar(0.5), 16, 9, np.inf, False
+    if name == "sine_gordon_hook":  # J scaled by each path's own norm
+        m = build_model("sine_gordon", GRID, g=1.0, k0=1.0, break_j_hook=True)
+        _, phi0, _ = _sine_gordon_setup(radius=0.3, seed=5)
+        cov = default_covariance(GRID, n_modes=3, lambda0=1.0, gamma=2.0)
+        return m, phi0, 0.5, 0.01, cov, 14, 30, 1.1 * top(m, phi0), True
+    if name == "no_noise":
+        m = build_model("klein_gordon", GRID, p=3)
+        phi0 = m.random_smooth_state(np.random.default_rng(4), 0.5)
+        return m, phi0, 0.2, 0.01, None, 0, 9, np.inf, False
+    if name == "cap":  # the norm passes BLOWUP_CAP but stays finite
+        m = build_model("nls", unit, sign=0, smoothness=1)
+        return m, mode(m, unit) * 5e11, 1.0, 0.02, scalar(1.0), 15, 30, np.inf, True
+    raise KeyError(name)
+
+
+MARCH_CASES = ("moment_law", "tail_curve", "klein_gordon", "zakharov_2d", "focusing",
+               "non_finite", "sine_gordon_hook", "no_noise", "cap")
+
+
+def _sampler(cov, seed, i):
+    return None if cov is None else QWienerSampler(cov, seed, i)
+
+
+@pytest.mark.parametrize("case", MARCH_CASES)
+def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
+    # final states, sups, stop times and blown flags, for stacks of 1, 7 and
+    # all paths, each path on its own stream
+    m, phi0, T, dt, cov, seed, n_paths, threshold, mixed = _march_case(case)
+    n_steps = round(T / dt)
+    with np.errstate(all="ignore"):
+        oracle = [_per_path_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold)
+                  for i in range(n_paths)]
+        dW = None if cov is None else np.stack(
+            [_sampler(cov, seed, i).increments(dt, n_steps) for i in range(n_paths)],
+            axis=1)[:, :, None]
+        for size in (1, 7, n_paths):
+            for start in range(0, n_paths, size):
+                paths = range(start, min(start + size, n_paths))
+                final, sup, stop, blown = _ito_march(
+                    m, phi0, dt, n_steps, threshold,
+                    None if dW is None else dW[:, start:paths.stop], len(paths))
+                for b, (traj, sup_sq) in enumerate(oracle[start:paths.stop]):
+                    assert final[b].tobytes() == traj.final_state().data.tobytes()
+                    assert sup[b].tobytes() == np.float64(sup_sq).tobytes()
+                    assert (stop[b] * dt if stop[b] else None) == traj.stop_time
+                    assert blown[b] == traj.blown_up
+    n_stopped = sum(traj.stopped for traj, _ in oracle)
+    assert (0 < n_stopped < n_paths) == mixed
+    if case in ("focusing", "non_finite", "cap"):
+        assert all(traj.blown_up == traj.stopped for traj, _ in oracle) and n_stopped
+
+
+@pytest.mark.parametrize("case", ("tail_curve", "cap", "non_finite"))
+def test_solve_ito_records_the_per_path_trajectory(case):
+    # the threshold, the cap and the non-finite stop, step by step
+    m, phi0, T, dt, cov, seed, n_paths, threshold, _ = _march_case(case)
+    for i in range(min(n_paths, 12)):
+        with np.errstate(all="ignore"):
+            want, _ = _per_path_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold)
+            got = solve_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold=threshold)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.graph_norms.tobytes() == want.graph_norms.tobytes()
+        assert [s.data.tobytes() for s in got.states] == \
+            [s.data.tobytes() for s in want.states]
+        assert (got.stop_time, got.blown_up, got.seed_info) == \
+            (want.stop_time, want.blown_up, want.seed_info)
 
 
 def test_ito_mean_square_continuity():
