@@ -22,7 +22,7 @@ from .noise import (BrownianPath, CovarianceSpec, QWienerSampler,
                     multiple_wiener, orthogonality_check)
 from .operators import SpectralOperator, make_operator
 from .solver import (BlowUpError, PicardResult, ThetaPotential, Trajectory,
-                     holomorphy_check, picard_solve, solve_deterministic,
-                     solve_ito, step_exp_euler, step_strang)
+                     holomorphy_check, picard_solve, solve_ito, step_exp_euler,
+                     step_strang)
 
 __version__ = "0.1.0"

@@ -558,18 +558,19 @@ def wick_nonlinearity(model: Model, chaos_state: ChaosState) -> ChaosState:
 
 @dataclass
 class WickTrajectory:
-    times: np.ndarray
-    snapshots: list[ChaosState]
+    """The end of a Wick solve: its final state, the top degree's energy share
+    after each step, and whether that share ever passed ``TAIL_FLAG_FRACTION``."""
+
+    final_state: ChaosState
     tail_fractions: np.ndarray
     truncation_flagged: bool
 
     def final(self) -> ChaosState:
-        return self.snapshots[-1]
+        return self.final_state
 
 
 def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
-                         dt: float, space: ChaosSpace,
-                         record_every: int | None = None) -> WickTrajectory:
+                         dt: float, space: ChaosSpace) -> WickTrajectory:
     """March the Wick-quantized equation on the truncated chaos space.
 
     ``noise_fields`` lists the potential fields q_i coupled to the Gaussian
@@ -582,7 +583,6 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     the top degree's energy share exceeds ``TAIL_FLAG_FRACTION``.
     """
     n_steps = _step_count(T, dt)
-    record_every = record_every or max(1, n_steps // 8)
     fields = [np.asarray(getattr(q, "values", q), dtype=complex) for q in noise_fields]
     if len(fields) > space.n_modes:
         raise ValueError("more noise fields than chaos modes")
@@ -591,24 +591,16 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     # Z = sum_i q_i xi_i acts by Wick multiplication, the raising map
     weights = fields + [None] * (space.n_modes - len(fields))
 
-    times = [0.0]
-    snaps = [ChaosState(space, model, chaos.data.copy())]
     tails = []
-    flagged = False
-    for n in range(n_steps):
+    for _ in range(n_steps):
         drift = wick_nonlinearity(model, chaos).data + space.raising(weights, chaos.data)
         new = gen.propagate_blocks(dt, chaos.data + dt * drift)
         chaos = ChaosState(space, model, new)
         energy = chaos.degree_energy()
         total = float(np.sum(energy))
-        tail = float(energy[-1] / total) if total > 0 else 0.0
-        tails.append(tail)
-        if tail > TAIL_FLAG_FRACTION:
-            flagged = True
-        if (n + 1) % record_every == 0 or n == n_steps - 1:
-            times.append((n + 1) * dt)
-            snaps.append(ChaosState(space, model, chaos.data.copy()))
-    return WickTrajectory(np.asarray(times), snaps, np.asarray(tails), flagged)
+        tails.append(float(energy[-1] / total) if total > 0 else 0.0)
+    tails = np.asarray(tails)
+    return WickTrajectory(chaos, tails, bool(np.any(tails > TAIL_FLAG_FRACTION)))
 
 
 def export_chaos_csv(vec: ChaosVector, path) -> None:

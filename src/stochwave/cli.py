@@ -27,13 +27,12 @@ import numpy as np
 from ._files import write_atomic
 from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig, _checked
-from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, chaos_vs_mc,
+from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, _probe, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
-                     export_trajectory_csv, holomorphy_check, picard_solve,
-                     solve_deterministic, solve_ito)
+                     export_trajectory_csv, holomorphy_check, picard_solve, solve_ito)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -115,24 +114,16 @@ def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
 def cmd_simulate(args) -> int:
     cfg, model, phi0, cov = _setup(args)
     sb = cfg.doc["solver"]
-    if cov is not None:
-        threshold = _threshold(cfg, model, phi0)
-    elif sb["threshold"] is not None:
+    if cov is None and sb["threshold"] is not None:
         raise ConfigError("solver.threshold: the noise-free march has no stopping "
                           "rule; set it to null or enable the noise")
+    threshold = _threshold(cfg, model, phi0)
+    if cov is not None and sb["scheme"] == "strang":
+        raise ConfigError("solver.scheme: the Strang scheme has no noise term; "
+                          "set it to exp_euler or disable the noise")
     out = _prepare_outdir(cfg, args.out)
-    try:
-        if cov is not None:
-            sampler = QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
-            traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler,
-                             threshold=threshold)
-        else:
-            traj = solve_deterministic(model, phi0, sb["T"], sb["dt"],
-                                       scheme=sb["scheme"])
-    except BlowUpError:
-        _write_resolved(cfg, out)
-        _write_report(out, {"status": "blowup"}, cfg)
-        return EXIT_OK if args.allow_stop else EXIT_BLOWUP
+    sampler = None if cov is None else QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
+    traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
     export_trajectory_csv(model, traj, out / "trajectory.csv")
     cons0 = model.conserved(traj.states[0])
     consT = model.conserved(traj.states[-1])
@@ -180,7 +171,7 @@ def cmd_picard(args) -> int:
         "fixed_point_residual": result.fixed_point_residual,
     }
     del result
-    probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    probe = _probe(model, phi0)
     try:
         residual = holomorphy_check(model, phi0, sb["T"], theta, zeta, eta,
                                     [0.0], probe, spacing=1e-2,
@@ -225,7 +216,7 @@ def cmd_chaos(args) -> int:
     out = _prepare_outdir(cfg, args.out)
     report = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
-    probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    probe = _probe(model, phi0)
     final = report.wick.final()
     coeffs = np.array([model.inner(final.block(i), probe)
                        for i in range(space.n_indices)])

@@ -59,9 +59,14 @@ def _check_paths(n_paths) -> None:
                          f"got {n_paths!r}")
 
 
+def _probe(model: Model, phi0: State) -> State:
+    """phi0 normalized in the model's H-norm, the probe of every pairing."""
+    return phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+
+
 def _observable_fn(model: Model, name: str, phi0: State):
     """Map a final state to a float; ``sup_sum_sq`` needs the path, not a state."""
-    probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    probe = _probe(model, phi0)
     if name == "norm_sq":
         return lambda st: model.norm(st) ** 2
     if name == "constant":
@@ -373,7 +378,7 @@ def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace) -> ChaosMcReport:
     model, cov = config.model, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
-    probe = config.phi0 * (1.0 / max(model.norm(config.phi0), 1e-300))
+    probe = _probe(model, config.phi0)
 
     # Monte Carlo side: pairings against the probe plus the second moment.
     pair_vals = np.zeros(config.n_paths, dtype=complex)

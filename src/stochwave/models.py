@@ -244,8 +244,9 @@ class Model:
 
     # ---- exact/midpoint nonlinear substep for the split-step scheme -----
 
-    def nonlinear_substep(self, state: State, dt: float) -> State:
-        """Flow of dphi/dt = J(phi) over dt.
+    def nonlinear_substep(self, data: np.ndarray, dt: float) -> np.ndarray:
+        """Flow of dphi/dt = J(phi) over dt, from the raw (s, *grid.shape) array
+        of a state or a (B, s, *grid.shape) stack of them, written to a copy.
 
         Exact for nls (pointwise phase rotation), klein_gordon / sine_gordon
         (the forced component is frozen), and zakharov (|psi| and Re v are
@@ -253,23 +254,22 @@ class Model:
         spinor rotation with midpoint current evaluation, locally O(dt^3).
         """
         name, pr = self.name, self.params
-        out = state.copy()
+        out = data.copy()
+        axis = -1 - self.grid.dim  # component axis first in the views u, o
+        u, o = data.swapaxes(0, axis), out.swapaxes(0, axis)
         if name == "nls":
             if pr.sign != 0:
-                psi = state.data[0]
-                out.data[0] = psi * np.exp(1j * dt * pr.sign * np.abs(psi) ** (pr.p - 1))
+                o[0] = u[0] * np.exp(1j * dt * pr.sign * np.abs(u[0]) ** (pr.p - 1))
         elif name == "klein_gordon":
             if pr.sign != 0:
-                psi = state.data[0]
-                out.data[1] = state.data[1] + dt * pr.sign * np.abs(psi) ** (pr.p - 1) * psi
+                o[1] = u[1] + dt * pr.sign * np.abs(u[0]) ** (pr.p - 1) * u[0]
         elif name == "sine_gordon":
-            out.data[1] = state.data[1] + dt * pr.g * np.sin(state.data[0])
+            o[1] = u[1] + dt * pr.g * np.sin(u[0])
         elif name == "zakharov":
-            psi, v = state.data[0], state.data[1]
-            out.data[1] = v + 1j * dt * self._apply_absgrad(np.abs(psi) ** 2)
-            out.data[0] = psi * np.exp(-1j * dt * np.real(v))
+            o[1] = u[1] + 1j * dt * self._apply_absgrad(np.abs(u[0]) ** 2)
+            o[0] = u[0] * np.exp(-1j * dt * np.real(u[1]))
         elif name == "maxwell_dirac":
-            a0, a1 = np.real(state.data[2]), np.real(state.data[4])
+            a0, a1 = np.real(u[2]), np.real(u[4])
             k2 = pr.k0**2
 
             def rotate(p1, p2, tau):
@@ -277,12 +277,12 @@ class Model:
                 c, s = np.cos(tau * a1), 1j * np.sin(tau * a1)
                 return ph * (c * p1 + s * p2), ph * (s * p1 + c * p2)
 
-            m1, m2 = rotate(state.data[0], state.data[1], 0.5 * dt)
+            m1, m2 = rotate(u[0], u[1], 0.5 * dt)
             j0 = np.abs(m1) ** 2 + np.abs(m2) ** 2
             j1 = 2.0 * np.real(m1 * np.conj(m2))
-            out.data[0], out.data[1] = rotate(state.data[0], state.data[1], dt)
-            out.data[3] = state.data[3] + dt * (j0 + k2 * state.data[2])
-            out.data[5] = state.data[5] + dt * (j1 + k2 * state.data[4])
+            o[0], o[1] = rotate(u[0], u[1], dt)
+            o[3] = u[3] + dt * (j0 + k2 * u[2])
+            o[5] = u[5] + dt * (j1 + k2 * u[4])
         return out
 
     # ---- gauge diagnostics (Maxwell-Dirac) -------------------------------

@@ -1,6 +1,6 @@
 """Time integration of the unified evolution, deterministic and Ito.
 
-Three integration routes share the exact free propagator exp(-i*A*t):
+Two integration routes share the exact free propagator exp(-i*A*t):
 
 * ``picard_solve`` iterates the variation-of-constants map
 
@@ -13,16 +13,17 @@ Three integration routes share the exact free propagator exp(-i*A*t):
   discretization. Each sweep runs node by node, so a solve holds the free
   path plus one iterate and a few nodes.
 
-* ``step_exp_euler`` is the left-point (Ito) exponential Euler step
-  phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW); no Stratonovich
-  correction. Its arithmetic is one kernel, ``_exp_euler``, on raw arrays or
-  stacks. ``_ito_march`` runs the kernel on a stack of paths that each stop
-  at the first time sup_{j<=N-1} ||A^j phi|| exceeds the threshold, or at a
-  blow-up; ``solve_ito`` is its one-path case, recording every step.
-
-* ``step_strang`` is the symmetric splitting used for deterministic
-  conservation studies; model-specific nonlinear substeps are exact or
-  midpoint-corrected, giving O(dt^2) drift of the invariants.
+* ``_ito_march`` is the one march of every trajectory, noisy or not: a stack
+  of paths, each stopping when sup_{j<=N-1} ||A^j phi|| first exceeds the
+  threshold or at a blow-up (a norm above BLOWUP_CAP, or a non-finite step:
+  it ends at its last finite state); ``solve_ito`` is its one-path case,
+  recording every step. Its step is one of two kernels on raw arrays or
+  stacks, whose one-state calls are ``step_exp_euler`` and ``step_strang``:
+  ``_exp_euler``, the left-point (Ito) exponential Euler step
+  phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no Stratonovich
+  correction, and ``_strang``, the noise-free symmetric splitting of the
+  conservation studies, whose exact or midpoint-corrected nonlinear substeps
+  give O(dt^2) drift of the invariants.
 
 ``holomorphy_check`` probes analyticity of z -> <phi(T, z), v> for the
 Theta-perturbed deterministic flow with fourth-order Cauchy-Riemann
@@ -186,8 +187,13 @@ def picard_solve(model: Model, phi0: State, T: float,
 
 
 def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
-    """The node count of a Picard solve, at least 2, and its node spacing."""
-    n_nodes = int(n_time_nodes)
+    """The node count of a Picard solve, a whole number (33.0 is 33; not a
+    string or a bool) of at least 2, and its node spacing."""
+    n = n_time_nodes
+    if isinstance(n, bool) or not isinstance(n, (int, float, np.integer)) \
+            or not float(n).is_integer():
+        raise ValueError(f"n_time_nodes must be a whole number, got {n!r}")
+    n_nodes = int(n)
     if n_nodes < 2:
         raise ValueError("need at least 2 time nodes")
     return n_nodes, T / (n_nodes - 1)
@@ -206,17 +212,27 @@ def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
 def step_exp_euler(model: Model, state: State, dt: float,
                    dW: np.ndarray | None = None) -> State:
     """One exponential Euler step with left-point multiplicative noise; ``dW``
-    is the increment on the grid (an array of its shape) or None. The state is
-    checked once, and ``_exp_euler`` works on the raw arrays, writing to neither."""
+    is the increment on the grid (an array of its shape) or None."""
+    return _one_step(_exp_euler, "exponential Euler", model, state, dt, dW)
+
+
+def step_strang(model: Model, state: State, dt: float) -> State:
+    """Symmetric split step: half free flow, nonlinear substep, half free flow."""
+    return _one_step(_strang, "Strang", model, state, dt, None)
+
+
+def _one_step(kernel, name: str, model: Model, state: State, dt: float, dW) -> State:
+    """``kernel`` on one state: the state is checked once, and the kernel works
+    on the raw arrays, writing to neither; BlowUpError on a non-finite result."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen = model.generator
     gen._check_state(state)
     if dW is not None and np.shape(dW) != gen.grid.shape:
         raise ValueError(f"increment shape {np.shape(dW)} != grid shape {gen.grid.shape}")
-    out = _exp_euler(model, state.data, dt, dW)
+    out = kernel(model, state.data, dt, dW)
     if not np.isfinite(out).all():
-        raise BlowUpError("non-finite state after exponential Euler step")
+        raise BlowUpError(f"non-finite state after {name} step")
     return State(gen.grid, out, state.roles)
 
 
@@ -231,28 +247,15 @@ def _exp_euler(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
     return model.generator._propagate(dt, inner)
 
 
-def step_strang(model: Model, state: State, dt: float) -> State:
-    """Symmetric split step: half free flow, nonlinear substep, half free flow."""
-    half = model.generator.propagate(0.5 * dt, state)
-    mid = model.nonlinear_substep(half, dt)
-    return model.generator.propagate(0.5 * dt, mid)
+def _strang(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
+    """The split step, unchecked, of an array or a stack as ``_exp_euler`` takes
+    them: half free flow, ``Model.nonlinear_substep``, half free flow. It has no
+    noise term, so dW is None."""
+    prop = model.generator._propagate
+    return prop(0.5 * dt, model.nonlinear_substep(prop(0.5 * dt, data), dt))
 
 
-def solve_deterministic(model: Model, phi0: State, T: float, dt: float,
-                        scheme: str = "strang", record_every: int = 1) -> Trajectory:
-    """March the noise-free flow, recording states and graph norms."""
-    n_steps = _step_count(T, dt)
-    stepper = {"strang": step_strang,
-               "exp_euler": lambda m, s, h: step_exp_euler(m, s, h, None)}[scheme]
-    state = phi0.copy()
-    times, states, norms = [0.0], [state.copy()], [model.graph_norms(state)]
-    for n in range(n_steps):
-        state = stepper(model, state, dt)
-        if (n + 1) % record_every == 0 or n == n_steps - 1:
-            times.append((n + 1) * dt)
-            states.append(state.copy())
-            norms.append(model.graph_norms(state))
-    return Trajectory(np.asarray(times), states, np.asarray(norms))
+_SCHEMES = {"exp_euler": _exp_euler, "strang": _strang}
 
 
 def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
@@ -268,14 +271,20 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
 
 
 def solve_ito(model: Model, phi0: State, T: float, dt: float,
-              sampler: QWienerSampler | None, threshold: float = np.inf) -> Trajectory:
-    """Exponential-Euler Ito marching with the graph-norm stopping rule: the
-    one-path case of ``_ito_march``, recording every step.
+              sampler: QWienerSampler | None, threshold: float = np.inf,
+              scheme: str = "exp_euler") -> Trajectory:
+    """March one trajectory with the graph-norm stopping rule: the one-path
+    case of ``_ito_march``, recording every step, by exponential Euler or, with
+    no sampler, by Strang splitting (``scheme``, the config's solver.scheme).
 
     Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold, N =
     model.smoothness, the order of the X_T norm, with stop_time set. A path
     that blows up is flagged, not raised, and ends at its last finite state.
     """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "strang" and sampler is not None:
+        raise ValueError("the Strang scheme has no noise term; march noise by exp_euler")
     n_steps = _step_count(T, dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
     times, states, norms = [0.0], [phi0.copy()], [model.graph_norms(phi0)]
@@ -286,7 +295,8 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
             states.append(State(model.grid, d, phi0.roles))
             norms.append(g)
 
-    _, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record)
+    _, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
+                                   _SCHEMES[scheme])
     k = int(stop[0])
     seed_info = {} if sampler is None else {"master_seed": sampler.master_seed,
                                             "stream_id": sampler.stream_id}
@@ -296,9 +306,10 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
 
 
 def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: float,
-               dW: np.ndarray | None, n_paths: int, record=None):
-    """March ``n_paths`` copies of phi0 by ``_exp_euler``, path b with increments
-    ``dW[:, b]`` (dW: (n_steps, n_paths, 1, *grid.shape) or None).
+               dW: np.ndarray | None, n_paths: int, record=None, kernel=_exp_euler):
+    """March ``n_paths`` copies of phi0 by the step ``kernel`` (``_exp_euler``,
+    or ``_strang`` with dW None), path b with increments ``dW[:, b]`` (dW:
+    (n_steps, n_paths, 1, *grid.shape) or None).
 
     A path stops at a threshold hit, at a norm above BLOWUP_CAP or at a
     non-finite step (blown up, at its last finite state) and leaves the stack,
@@ -313,7 +324,7 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
     stop, blown = np.zeros(n_paths, dtype=int), np.zeros(n_paths, dtype=bool)
     live, data = np.arange(n_paths), final.copy()
     for n in range(n_steps):
-        step = _exp_euler(model, data, dt, None if dW is None else dW[n, live])
+        step = kernel(model, data, dt, None if dW is None else dW[n, live])
         finite = np.isfinite(step.reshape(len(live), -1)).all(axis=1)
         step[~finite] = data[~finite]  # keep the last finite state, already checked
         data, norms = step, model.generator.graph_norm_ladder_blocks(step, N)

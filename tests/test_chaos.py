@@ -438,9 +438,9 @@ def test_wick_evolution_zero_noise_reduces_to_deterministic():
     st = model.random_smooth_state(np.random.default_rng(6), 0.3)
     st = State(grid, np.real(st.data).astype(complex), model.roles)
     wick = solve_wick_evolution(model, st, [], 0.3, 0.01, space)
-    from stochwave import solve_deterministic
+    from stochwave import solve_ito
 
-    det = solve_deterministic(model, st, 0.3, 0.01, scheme="exp_euler", record_every=30)
+    det = solve_ito(model, st, 0.3, 0.01, None)
     assert model.norm(wick.final().block(0) - det.final_state()) < 1e-10
     assert np.max(np.abs(wick.final().data[1:])) == 0.0
 

@@ -180,6 +180,13 @@ NOISE_ON = {"noise": {"enabled": True}}
      "master_seed must be an integer of at least 0, got -3"),
     *[(command, {"solver": {"T": float("inf")}}, "solver: T must be a finite number, got inf")
       for command in ("converge", "ensemble")],
+    # these once ran: Strang with noise on marched exponential Euler, and a
+    # node count of 9.5 or "9" ran picard on 9 nodes under the bad value's hash
+    ("simulate", {**NOISE_ON, "solver": {"scheme": "strang"}},
+     "solver.scheme: the Strang scheme has no noise term"),
+    *[("picard", {"solver": {"n_time_nodes": nodes}},
+       f"solver: n_time_nodes must be a whole number, got {nodes!r}")
+      for nodes in (9.5, "9", True)],
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
                                                      message):
@@ -237,7 +244,7 @@ def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
         assert err.startswith("config error: solver.threshold: ") and err.count("\n") == 1
         assert not out.exists()
     # a threshold above the initial norms runs, and the resolved config keeps its hash
-    good = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=1e6))
+    good = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=1e6, scheme="exp_euler"))
     out = tmp_path / "run"
     assert main(["simulate", "--config", _write(tmp_path, good), "--out", str(out)]) == 0
     resolved = json.loads((out / "config.resolved.json").read_text())
@@ -356,6 +363,32 @@ def test_stop_exit_code_and_allow_stop(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "r2" / "report.json").read_text())
     assert report["status"] == "stopped"
+
+
+@pytest.mark.parametrize("scheme", ("strang", "exp_euler"))
+def test_noise_free_blow_up_stops_at_the_last_finite_state(tmp_path, scheme):
+    # focusing Klein-Gordon from amplitude 30: once Strang wrote NaN norms and
+    # "ran_to_T" with exit 0, and exponential Euler wrote no trajectory
+    cfg = {
+        "model": {"name": "klein_gordon", "p": 3, "sign": 1},
+        "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
+        "initial": {"kind": "smooth_random", "amplitude": 30.0, "seed": 7},
+        "solver": {"T": 1.0, "dt": 0.01, "scheme": scheme},
+        "master_seed": 1,
+    }
+    for flags, code in (([], 3), (["--allow-stop"], 0)):
+        out = tmp_path / f"run{code}"
+        assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                     *flags]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "stopped" and report["blown_up"] is True
+        assert 0 < report["stop_time"] < 1.0
+        assert np.all(np.isfinite(report["final_norms"]))
+        assert np.isfinite(report["conserved_final"]["energy"])
+        last = [float(v) for v in
+                (out / "trajectory.csv").read_text().splitlines()[-1].split(",")]
+        assert np.all(np.isfinite(last))
+        assert last[0] == report["stop_time"] and last[1:3] == report["final_norms"]
 
 
 def test_verify_ok_and_json(tmp_path, capsys):

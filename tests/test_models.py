@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from stochwave import State, build_model, make_grid, verify_estimates
-from stochwave.solver import solve_deterministic
+from stochwave.solver import solve_ito
 
 GRID = make_grid(1, [32], [2 * np.pi])
 ALL_NAMES = ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon")
+
+
+def _every(states, k):
+    """The states of steps 0, k, 2k, ... and of the last step."""
+    return states[::k] + states[-1:]
 
 
 def _real_state(model, seed=0, radius=0.3):
@@ -119,7 +124,7 @@ def test_maxwell_dirac_charge_conserved():
     m = build_model("maxwell_dirac", GRID, k0=1.0, m=1.0)
     st = _real_state(m, seed=7, radius=0.4)
     q0 = m.conserved(st)["charge"]
-    traj = solve_deterministic(m, st, 1.0, 1e-3, scheme="strang", record_every=500)
+    traj = solve_ito(m, st, 1.0, 1e-3, None, scheme="strang")
     qT = m.conserved(traj.final_state())["charge"]
     assert abs(qT - q0) / q0 < 1e-6
 
@@ -131,8 +136,8 @@ def test_maxwell_dirac_gauge_projection_and_residual():
     fixed = m.make_gauge_compatible(st)
     assert m.gauge_residual(fixed) < 1e-12
     # the residual is a diagnostic, not enforced: it stays bounded but moves
-    traj = solve_deterministic(m, fixed, 0.2, 1e-3, scheme="strang", record_every=50)
-    residuals = [m.gauge_residual(s) for s in traj.states]
+    traj = solve_ito(m, fixed, 0.2, 1e-3, None, scheme="strang")
+    residuals = [m.gauge_residual(s) for s in _every(traj.states, 50)]
     assert all(np.isfinite(r) for r in residuals)
     nls = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError):
@@ -146,8 +151,8 @@ def test_exact_invariants_under_strang(name, invariant):
     m = build_model(name, GRID, p=3, sign=1, k0=1.0, m=1.0)
     st = _real_state(m, seed=2, radius=0.4)
     c0 = m.conserved(st)[invariant]
-    traj = solve_deterministic(m, st, 0.5, 2e-3, scheme="strang", record_every=125)
-    for s in traj.states:
+    traj = solve_ito(m, st, 0.5, 2e-3, None, scheme="strang")
+    for s in _every(traj.states, 125):
         assert abs(m.conserved(s)[invariant] - c0) / abs(c0) < 1e-10
 
 
@@ -160,8 +165,8 @@ def test_energy_drift_second_order(name, sign):
     e0 = m.conserved(st)["energy"]
     drifts = []
     for dt in (8e-3, 4e-3, 2e-3):
-        traj = solve_deterministic(m, st, 0.48, dt, scheme="strang", record_every=24)
-        drifts.append(max(abs(m.conserved(s)["energy"] - e0) for s in traj.states)
+        traj = solve_ito(m, st, 0.48, dt, None, scheme="strang")
+        drifts.append(max(abs(m.conserved(s)["energy"] - e0) for s in _every(traj.states, 24))
                       / abs(e0))
     slopes = [np.log2(drifts[i] / drifts[i + 1]) for i in range(len(drifts) - 1)]
     assert min(slopes) >= 1.8

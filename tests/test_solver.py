@@ -3,9 +3,8 @@ import pytest
 
 from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State,
                        ThetaPotential, build_model, default_covariance,
-                       holomorphy_check, make_grid, picard_solve,
-                       solve_deterministic, solve_ito, step_exp_euler,
-                       step_strang)
+                       holomorphy_check, make_grid, picard_solve, solve_ito,
+                       step_exp_euler, step_strang)
 from stochwave.solver import BLOWUP_CAP, Trajectory, _ito_march
 
 GRID = make_grid(1, [32], [2 * np.pi])
@@ -585,6 +584,63 @@ def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
         assert all(traj.blown_up == traj.stopped for traj, _ in oracle) and n_stopped
 
 
+def _deterministic_loop(model, phi0, T, dt, scheme):
+    """The oracle of the noise-free march: the loop of the former
+    ``solve_deterministic``, recording every step, with the split step written
+    in State arithmetic. Returns the times, states and graph norms."""
+    gen = model.generator
+
+    def strang(state):
+        half = gen.propagate(0.5 * dt, state)
+        mid = State(model.grid, model.nonlinear_substep(half.data, dt), state.roles)
+        return gen.propagate(0.5 * dt, mid)
+
+    stepper = {"strang": strang, "exp_euler": lambda s: step_exp_euler(model, s, dt)}[scheme]
+    state = phi0.copy()
+    times, states, norms = [0.0], [state.copy()], [model.graph_norms(state)]
+    for n in range(round(T / dt)):
+        state = stepper(state)
+        times.append((n + 1) * dt)
+        states.append(state.copy())
+        norms.append(model.graph_norms(state))
+    return np.asarray(times), states, np.asarray(norms)
+
+
+@pytest.mark.parametrize("scheme", ("strang", "exp_euler"))
+@pytest.mark.parametrize("name", ("nls", "klein_gordon", "zakharov", "maxwell_dirac",
+                                  "sine_gordon"))
+def test_march_equals_the_deterministic_loop_bit_for_bit(name, scheme):
+    # every recorded state, time and graph norm of the noise-free march
+    m = build_model(name, make_grid(1, [16], [2 * np.pi]))
+    phi0 = m.random_smooth_state(np.random.default_rng(7), 0.3)
+    times, states, norms = _deterministic_loop(m, phi0, 0.2, 0.005, scheme)
+    traj = solve_ito(m, phi0, 0.2, 0.005, None, scheme=scheme)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.graph_norms.tobytes() == norms.tobytes()
+    assert [s.data.tobytes() for s in traj.states] == [s.data.tobytes() for s in states]
+    assert (traj.stop_time, traj.blown_up, traj.seed_info) == (None, False, {})
+
+
+def test_solve_ito_scheme_is_checked():
+    m, st, _ = _sine_gordon_setup()
+    cov = default_covariance(GRID, n_modes=2, lambda0=0.2, gamma=2.0)
+    with pytest.raises(ValueError, match="no noise term"):
+        solve_ito(m, st, 0.1, 0.01, QWienerSampler(cov, 5, 0), scheme="strang")
+    with pytest.raises(ValueError, match="unknown scheme 'rk4'"):
+        solve_ito(m, st, 0.1, 0.01, None, scheme="rk4")
+
+
+def test_step_strang_is_the_one_state_kernel():
+    # the one-state call checks the state and raises on a non-finite result
+    m = build_model("nls", make_grid(1, [8], [1.0]), p=31, sign=1, dealias=False)
+    with pytest.raises(ValueError, match="components"):
+        step_strang(m, State(m.grid, np.ones((2, 8), dtype=complex), ("a", "b")), 0.01)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_strang(m, m.zero_state(), 0.0)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="Strang"):
+        step_strang(m, State(m.grid, np.full((1, 8), 1e20 + 0j), m.roles), 0.01)
+
+
 @pytest.mark.parametrize("case", ("tail_curve", "cap", "non_finite"))
 def test_solve_ito_records_the_per_path_trajectory(case):
     # the threshold, the cap and the non-finite stop, step by step
@@ -708,7 +764,7 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 
 def test_export_trajectory_csv(tmp_path):
     m, st, _ = _sine_gordon_setup()
-    traj = solve_deterministic(m, st, 0.1, 0.01, record_every=2)
+    traj = solve_ito(m, st, 0.1, 0.01, None, scheme="strang")
     from stochwave.solver import export_trajectory_csv
 
     path = tmp_path / "trajectory.csv"
