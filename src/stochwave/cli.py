@@ -86,12 +86,16 @@ def _load(args) -> ExperimentConfig:
 
 
 def _setup(args):
-    """The resolved config (overrides applied), its model, initial state and
-    covariance (None with the noise off), each a config error if it cannot be built."""
+    """The resolved config (overrides applied), its model, initial state and covariance
+    (None with the noise off), each a config error if it cannot be built or is not finite."""
     cfg = _load(args)
-    model = _checked("model", cfg.build_model)
-    return (cfg, model, _checked("initial", cfg.build_initial, model),
-            _checked("noise", cfg.build_covariance, model))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite build fails below
+        model = _checked("model", cfg.build_model)
+        phi0 = _checked("initial", cfg.build_initial, model)
+        if not np.all(np.isfinite(model.graph_norms(phi0))):
+            raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
+                              f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
+        return cfg, model, phi0, _checked("noise", cfg.build_covariance, model)
 
 
 def _ensemble(cfg: ExperimentConfig, model, phi0, cov, dt=None, **fields) -> EnsembleConfig:
@@ -240,12 +244,10 @@ def cmd_ensemble(args) -> int:
     cfg, model, phi0, cov = _setup(args)
     mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
-    try:  # every final-state observable must be defined, and finite, at phi0
-        for name in (n for n in mb["observables"] if n != "sup_sum_sq"):
-            if not np.isfinite(_observable_fn(model, name, phi0)(phi0)):
-                raise ValueError(f"'{name}' is not defined for model {model.name}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc.observables: {exc}") from exc
+    for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
+        value = _checked("mc.observables", lambda: _observable_fn(model, name, phi0)(phi0))
+        if not np.isfinite(value):
+            raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
     out = _prepare_outdir(cfg, args.out)
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,
                                     observables=tuple(mb["observables"])))
@@ -286,12 +288,14 @@ def cmd_verify(args) -> int:
     iso_ref = discrete_pairing(1, f_one, f_one, steps=32)
     iso_ok = abs(iso_est - iso_ref) <= 3 * iso_se
 
-    # Wick algebra spot checks on a small space.
+    # Wick algebra spot checks on a small space: the product of two vectors of
+    # degree at most max_degree // 2 stays inside the truncation.
     rng = np.random.default_rng(cfg.doc["master_seed"])
 
     def low_degree() -> ChaosVector:
-        return ChaosVector(space, np.where(space.degrees <= 2, rng.standard_normal(
-            space.n_indices) + 1j * rng.standard_normal(space.n_indices), 0.0))
+        return ChaosVector(space, np.where(
+            space.degrees <= space.max_degree // 2, rng.standard_normal(space.n_indices)
+            + 1j * rng.standard_normal(space.n_indices), 0.0))
     wick_dev = 0.0
     for _ in range(10):
         a, b = low_degree(), low_degree()

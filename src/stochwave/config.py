@@ -113,42 +113,74 @@ def validate_and_resolve(raw: dict) -> dict:
             resolved[key] = merged
         else:
             resolved[key] = raw.get(key, default)
-    if resolved["model"]["name"] is None:
-        raise ConfigError("model.name is required")
     _check_values(resolved)
     return resolved
 
 
-def _check_values(resolved: dict) -> None:
-    """Reject a value no command can run with.
+_BAD = object()  # what _parse returns for a value of the wrong type
+# stand-in defaults of the keys whose default, null or [], does not show the
+# type they take; (None, x) is null or x's type
+_EXPLICIT = {"model.name": "", "model.smoothness": (None, 0), "solver.threshold": (None, 0.0),
+             "initial.modes": [[0.0]], "mc.dt_ladder": [0.0], "mc.rho_grid": [0.0]}
+_RULES = {bool: ("true or false", None), int: ("an integer", "integers"),
+          float: ("a finite number", "finite numbers"), str: ("a string", "strings")}
 
-    The grid, the time step, the path counts, the dt ladder and the rho
-    grid are checked by the code that builds the grid, counts the steps,
-    builds an ensemble, fits the orders and reduces the stop times; doing it
-    here makes a bad value a config error, raised before any output
-    directory exists. The orthogonality check's paths, like an ensemble's,
-    need a standard error, so at least 2, and the picard command needs at
-    least one iteration to converge. A switch is JSON true or false, not a
-    value that merely reads as one, and the master seed keys the noise
-    streams, so it is an integer of at least 0.
-    """
+
+def _rule(proto, plural=False) -> str:
+    """The type a key whose default is ``proto`` takes, in words."""
+    if isinstance(proto, tuple):
+        return "null or " + _rule(proto[1])
+    if isinstance(proto, list):
+        return ("lists" if plural else "a list") + " of " + _rule(proto[0], plural=True)
+    return _RULES[type(proto)][plural]
+
+
+def _parse(proto, v):
+    """``v`` as the resolved document keeps it if it has ``proto``'s type, else _BAD."""
+    if isinstance(proto, tuple):
+        return None if v is None else _parse(proto[1], v)
+    if isinstance(proto, list):
+        items = [_parse(proto[0], x) for x in v] if isinstance(v, list) else [_BAD]
+        return _BAD if any(x is _BAD for x in items) else items
+    if isinstance(v, bool) or isinstance(proto, bool):
+        return v if type(v) is type(proto) else _BAD
+    if isinstance(proto, int):  # a whole float reads as its integer (32.0 is 32)
+        return int(v) if isinstance(v, int) or isinstance(v, float) and v.is_integer() else _BAD
+    if isinstance(proto, float):
+        try:  # an int beyond the float range is not finite either
+            return v if math.isfinite(v) else _BAD
+        except (TypeError, OverflowError):
+            return _BAD
+    return v if isinstance(v, str) else _BAD
+
+
+def _check_values(resolved: dict) -> None:
+    """Reject a value no command can run with, before any output exists: first
+    one not of its default's JSON type (or its ``_EXPLICIT`` stand-in's), then
+    one out of the range of the code that builds the grid, counts the steps,
+    builds an ensemble, fits the orders or reduces the stop times."""
+    for block, default in _SCHEMA.items():
+        holder, keys = ((resolved[block], default) if isinstance(default, dict)
+                        else (resolved, {block: default}))
+        for key, proto in keys.items():
+            name = key if holder is resolved else f"{block}.{key}"
+            proto = _EXPLICIT.get(name, proto)
+            value = _parse(proto, holder[key])
+            if value is _BAD:
+                raise ConfigError(f"{name} must be {_rule(proto)}, got {holder[key]!r}")
+            holder[key] = value
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
-    for block, key in (("model", "dealias"), ("model", "break_j_hook"), ("noise", "enabled")):
-        if not isinstance(resolved[block][key], bool):
-            raise ConfigError(f"{block}.{key} must be true or false, "
-                              f"got {resolved[block][key]!r}")
-    seed = resolved["master_seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"master_seed must be an integer of at least 0, got {seed!r}")
+    for name, value, least in (("master_seed", resolved["master_seed"], 0),
+                               ("initial.seed", ib["seed"], 0),
+                               ("solver.max_iter", sb["max_iter"], 1)):
+        if value < least:
+            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
     _checked("solver", _step_count, sb["T"], sb["dt"])
     if sb["scheme"] not in ("strang", "exp_euler"):
         raise ConfigError(f"unknown solver.scheme '{sb['scheme']}'")
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
-    max_iter = sb["max_iter"]
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ConfigError(f"solver.max_iter must be an integer of at least 1, got {max_iter!r}")
     _checked("mc.n_paths", _check_paths, mb["n_paths"])
     _checked("verify.orthogonality_paths", _check_paths,
              resolved["verify"]["orthogonality_paths"])
@@ -161,35 +193,18 @@ def _check_values(resolved: dict) -> None:
 
 
 def _checked(where: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``; a ValueError or TypeError it raises is a
-    config error in ``where``."""
+    """``fn(*args, **kwargs)``; its ValueError or TypeError is a config error in ``where``."""
     try:
         return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):
-        raw.pop("config_hash", None)  # resolved configs reload cleanly
-    return validate_and_resolve(raw)
-
-
-def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(resolved: dict) -> str:
     """Hash of the experiment identity; where outputs land is not part of it."""
     doc = {k: v for k, v in resolved.items() if k != "output_dir"}
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
 
 
 @dataclass
@@ -200,7 +215,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls(load_config(path))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if isinstance(raw, dict):
+            raw.pop("config_hash", None)  # resolved configs reload cleanly
+        return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -210,17 +234,12 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.doc)
 
-    def build_grid(self):
-        g = self.doc["grid"]
-        return make_grid(g["dim"], g["points"], g["lengths"])
-
     def build_model(self) -> Model:
-        grid = self.build_grid()
-        mb = self.doc["model"]
+        g, mb = self.doc["grid"], self.doc["model"]
         return build_model(
-            mb["name"], grid, p=mb["p"], sign=mb["sign"], g=mb["g"], k0=mb["k0"],
-            m=mb["m"], smoothness=mb["smoothness"], dealias=mb["dealias"],
-            break_j_hook=mb["break_j_hook"],
+            mb["name"], make_grid(g["dim"], g["points"], g["lengths"]), p=mb["p"],
+            sign=mb["sign"], g=mb["g"], k0=mb["k0"], m=mb["m"], smoothness=mb["smoothness"],
+            dealias=mb["dealias"], break_j_hook=mb["break_j_hook"],
         )
 
     def build_covariance(self, model: Model) -> CovarianceSpec | None:
@@ -230,12 +249,9 @@ class ExperimentConfig:
         return default_covariance(model.grid, nb["n_modes"], nb["lambda0"], nb["gamma"])
 
     def build_initial(self, model: Model) -> State:
-        """The initial state; ValueError on an ``initial.amplitude`` that is
-        not finite, or an ``initial.modes`` entry that is not [component,
-        wavenumber, re, im] with a component of the model."""
+        """The initial state; ValueError on an ``initial.modes`` entry that is
+        not [component, wavenumber, re, im] with a component of the model."""
         ib = self.doc["initial"]
-        if not math.isfinite(ib["amplitude"]):
-            raise ValueError(f"amplitude must be a finite number, got {ib['amplitude']!r}")
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
             st = model.random_smooth_state(rng, radius=1.0)
@@ -245,8 +261,7 @@ class ExperimentConfig:
         x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
         L = model.grid.lengths[0]
         for entry in ib["modes"]:
-            if not isinstance(entry, list) or len(entry) != 4 \
-                    or entry[0] not in range(st.n_components):
+            if len(entry) != 4 or entry[0] not in range(st.n_components):
                 raise ValueError(f"modes entry {entry!r} is not [component, wavenumber, "
                                  f"re, im] with a component in 0..{st.n_components - 1}")
             comp, kidx, re, im = entry

@@ -51,10 +51,8 @@ class EnsembleConfig:
 
 
 def _check_paths(n_paths) -> None:
-    """A Monte Carlo path count, an ensemble's or the orthogonality check's: an
-    integer of at least 2 (a variance needs two)."""
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) \
-            or n_paths < 2:
+    """A Monte Carlo path count, at least 2: a variance needs two."""
+    if n_paths < 2:
         raise ValueError(f"an ensemble needs an integer count of at least 2 paths, "
                          f"got {n_paths!r}")
 
@@ -238,16 +236,15 @@ def _fit_order(dts, errors, stderrs, scale, floor=10.0) -> OrderFit:
 def _ladder(T: float, dt_ladder) -> np.ndarray:
     """Validate an order-fit ladder; returns its dts descending (finest last).
 
-    A ladder needs at least 4 rungs, every rung must divide T, and every rung
-    must be a multiple of the finest, whose increments it sums.
+    A ladder needs at least 4 rungs, every rung must divide T, and the rungs
+    must be distinct multiples of the finest, whose increments they sum.
     """
     dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
     if len(dts) < 4:
         raise ValueError("order fits need a ladder of at least 4 dt values")
-    n_ref = _step_count(T, dts[-1])
-    for dt in dts[:-1]:
-        if n_ref % _step_count(T, dt):
-            raise ValueError("ladder entries must be multiples of the finest dt")
+    steps = [_step_count(T, dt) for dt in dts]
+    if any(steps[-1] % n for n in steps) or len(set(steps)) < len(steps):
+        raise ValueError("ladder entries must be distinct multiples of the finest dt")
     return dts
 
 

@@ -170,19 +170,11 @@ class Grid:
 
 
 def make_grid(dim: int, points_per_axis, lengths) -> Grid:
-    """Build a periodic grid, rejecting odd, tiny or non-integral sizes and bad
-    lengths; a size or length must be a number (32.0 is 32), not a string or
-    a bool."""
-    if isinstance(dim, bool) or dim not in (1, 2, 3):
+    """Build a periodic grid, rejecting odd or tiny sizes and bad lengths."""
+    if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim!r}")
-    pts, lens = np.atleast_1d(points_per_axis), np.atleast_1d(lengths)
-    if pts.dtype.kind not in "iuf" or not np.all(np.isfinite(pts) & (pts == np.round(pts))):
-        raise ValueError(f"points per axis must be whole numbers, got {points_per_axis!r}")
-    if lens.dtype.kind not in "iuf":
-        raise ValueError(f"axis lengths must be numbers, got {lengths!r}")
-    dim = int(dim)
-    points = tuple(int(n) for n in pts)
-    lens = tuple(float(L) for L in lens)
+    points = tuple(int(n) for n in np.atleast_1d(points_per_axis))
+    lens = tuple(float(L) for L in np.atleast_1d(lengths))
     if len(points) != dim or len(lens) != dim:
         raise ValueError("points_per_axis and lengths must have one entry per axis")
     for n in points:
@@ -193,7 +185,7 @@ def make_grid(dim: int, points_per_axis, lengths) -> Grid:
     for L in lens:
         if not 0 < L < np.inf:
             raise ValueError(f"axis lengths must be positive and finite, got {L}")
-    return Grid(dim=dim, npts=points, lengths=lens)
+    return Grid(dim=int(dim), npts=points, lengths=lens)
 
 
 @dataclass

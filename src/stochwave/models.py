@@ -353,10 +353,7 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
         raise ValueError(f"power exponent p must be >= 2 and an integer, got {p!r}")
     if sign not in (-1, 0, 1):
         raise ValueError("sign must be -1, 0 or +1")
-    for key, value in (("g", g), ("k0", k0), ("m", m)):
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if smoothness is not None and not (smoothness >= 0 and float(smoothness).is_integer()):
+    if smoothness is not None and smoothness < 0:
         raise ValueError(f"smoothness must be an integer of at least 0, got {smoothness!r}")
     if name == "maxwell_dirac" and grid.dim != 1:
         raise ValueError("maxwell_dirac uses the 1+1-dimensional reduction")

@@ -73,25 +73,25 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("mc", "dt_ladder", [0.1, 0.05, 0.01, 0.0], "mc.dt_ladder: dt must be positive"),
     ("mc", "n_workers", 3, "mc.n_workers must be 1"),
     ("mc", "n_paths", 0, "mc.n_paths: "),
-    ("mc", "n_paths", 2.5, "mc.n_paths: "),
-    ("mc", "n_paths", "many", "mc.n_paths: "),
+    ("mc", "n_paths", 2.5, "mc.n_paths must be an integer, got 2.5"),
+    ("mc", "n_paths", "many", "mc.n_paths must be an integer, got 'many'"),
     ("model", "name", "foo", "model: unknown model 'foo'"),
     ("model", "p", 1, "model: power exponent p must be >= 2"),
     ("model", "sign", 2, "model: sign must be -1, 0 or +1"),
     ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry [0, 1, 1.0] is not"),
     # these once ran: a NaN amplitude or g exited 3, a NaN k0 exited 1 with a
     # traceback, a NaN m ran, and p = 2.5 ran with p = 2 under 2.5's hash
-    ("initial", "amplitude", float("nan"), "initial: amplitude must be a finite number, got nan"),
-    ("model", "g", float("nan"), "model: g must be a finite number, got nan"),
-    ("model", "k0", float("nan"), "model: k0 must be a finite number, got nan"),
-    ("model", "m", float("inf"), "model: m must be a finite number, got inf"),
-    ("model", "p", 2.5, "model: power exponent p must be >= 2 and an integer, got 2.5"),
-    ("model", "p", float("nan"), "model: power exponent p must be >= 2 and an integer"),
+    ("initial", "amplitude", float("nan"), "initial.amplitude must be a finite number, got nan"),
+    ("model", "g", float("nan"), "model.g must be a finite number, got nan"),
+    ("model", "k0", float("nan"), "model.k0 must be a finite number, got nan"),
+    ("model", "m", float("inf"), "model.m must be a finite number, got inf"),
+    ("model", "p", 2.5, "model.p must be an integer, got 2.5"),
+    ("model", "p", float("nan"), "model.p must be an integer, got nan"),
     # a NaN length and a smoothness of -1 exited 1 with a traceback and a run
     # directory, and a smoothness of 2.5 ran with 2
-    ("grid", "lengths", [float("nan")], "grid: axis lengths must be positive and finite, got nan"),
+    ("grid", "lengths", [float("nan")], "grid.lengths must be a list of finite numbers, got [nan]"),
     ("model", "smoothness", -1, "model: smoothness must be an integer of at least 0, got -1"),
-    ("model", "smoothness", 2.5, "model: smoothness must be an integer of at least 0, got 2.5"),
+    ("model", "smoothness", 2.5, "model.smoothness must be null or an integer, got 2.5"),
     # these once ran: a string switched a feature on ("false" ran a noisy
     # simulation, "no" the failure hook), a fractional or string point count
     # was truncated and dim true ran as 1 under the bad value's hash, and an
@@ -100,14 +100,33 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("model", "break_j_hook", "no", "model.break_j_hook must be true or false, got 'no'"),
     ("noise", "enabled", "false", "noise.enabled must be true or false, got 'false'"),
     ("noise", "enabled", 1, "noise.enabled must be true or false, got 1"),
-    ("solver", "T", float("inf"), "solver: T must be a finite number, got inf"),
-    ("grid", "points", [32.5], "grid: points per axis must be whole numbers, got [32.5]"),
-    ("grid", "points", ["32"], "grid: points per axis must be whole numbers, got ['32']"),
-    ("grid", "points", [True], "grid: points per axis must be whole numbers, got [True]"),
-    ("grid", "dim", True, "grid: dim must be 1, 2 or 3, got True"),
-    ("grid", "lengths", ["6.28"], "grid: axis lengths must be numbers, got ['6.28']"),
+    ("solver", "T", float("inf"), "solver.T must be a finite number, got inf"),
+    ("grid", "points", [32.5], "grid.points must be a list of integers, got [32.5]"),
+    ("grid", "points", ["32"], "grid.points must be a list of integers, got ['32']"),
+    ("grid", "points", [True], "grid.points must be a list of integers, got [True]"),
+    ("grid", "dim", True, "grid.dim must be an integer, got True"),
+    ("grid", "lengths", ["6.28"], "grid.lengths must be a list of finite numbers, got ['6.28']"),
+    # these once ran, reading true as 1, or failed with a message that did not
+    # name the key, such as numpy's "ufunc 'isfinite' not supported"
+    ("model", "sign", True, "model.sign must be an integer, got True"),
+    ("initial", "seed", True, "initial.seed must be an integer, got True"),
+    ("noise", "lambda0", True, "noise.lambda0 must be a finite number, got True"),
+    ("initial", "amplitude", True, "initial.amplitude must be a finite number, got True"),
+    ("model", "smoothness", True, "model.smoothness must be null or an integer, got True"),
+    ("solver", "T", "1", "solver.T must be a finite number, got '1'"),
+    ("noise", "gamma", "2", "noise.gamma must be a finite number, got '2'"),
+    ("model", "k0", "1", "model.k0 must be a finite number, got '1'"),
+    ("model", "name", None, "model.name must be a string, got None"),
+    ("initial", "modes", [[0, 1, "1", 0]],
+     "initial.modes must be a list of lists of finite numbers, got [[0, 1, '1', 0]]"),
+    # these once failed with numpy's "expected non-negative integer", and
+    # converge with a repeated rung printed "strong order nan" and exited 0
+    ("initial", "seed", -3, "initial.seed must be an integer of at least 0, got -3"),
+    ("mc", "dt_ladder", [0.1, 0.1, 0.05, 0.025],
+     "mc.dt_ladder: ladder entries must be distinct multiples of the finest dt"),
 ])
-def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value, message):
+def test_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, block, key, value,
+                                             message):
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad.setdefault(block, {})[key] = value
     if key == "modes":
@@ -118,6 +137,7 @@ def test_invalid_value_exits_2_before_output(tmp_path, capsys, block, key, value
     assert code == 2
     assert message in err and err.count("\n") == 1
     assert not out.exists()
+    assert not [str(w.message) for w in recwarn]
 
 
 COMMANDS = ("simulate", "picard", "converge", "chaos", "ensemble", "verify")
@@ -161,35 +181,52 @@ NOISE_ON = {"noise": {"enabled": True}}
     # sweep, a NaN threshold never stopped a path, and an even p marched
     # every chaos path before it failed with a traceback
     *[("verify", {"verify": {"radius": radius}},
-       f"verify: estimate radius must be a finite number above 0, got {radius!r}")
+       f"verify: estimate radius must be a finite number above 0, got {radius!r}"
+       if np.isfinite(radius) else f"verify.radius must be a finite number, got {radius!r}")
       for radius in (float("nan"), 0, -1, float("inf"))],
     ("simulate", {"noise": {"enabled": True, "lambda0": float("nan")}},
-     "noise: covariance eigenvalues must be positive and finite"),
+     "noise.lambda0 must be a finite number, got nan"),
     ("simulate", {"noise": {"enabled": True, "gamma": float("nan")}},
-     "noise: gamma must exceed 1"),
-    ("picard", {"solver": {"tol": float("nan")}}, "solver: tol must be positive"),
+     "noise.gamma must be a finite number, got nan"),
+    ("picard", {"solver": {"tol": float("nan")}}, "solver.tol must be a finite number, got nan"),
     ("ensemble", {"solver": {"threshold": float("nan")}},
-     "solver.threshold: stopping threshold nan must exceed the initial norms"),
+     "solver.threshold must be null or a finite number, got nan"),
     ("chaos", {**NOISE_ON, "model": {"name": "nls", "p": 2}},
      "chaos: Wick quantization needs an odd power p, got 2"),
     # these once crashed with a traceback after the run directory existed
+    ("ensemble", {**NOISE_ON, "master_seed": -3},
+     "master_seed must be an integer of at least 0, got -3"),
     *[("ensemble", {**NOISE_ON, "master_seed": seed},
-       f"master_seed must be an integer of at least 0, got {seed!r}")
-      for seed in (-3, 1.5, True)],
+       f"master_seed must be an integer, got {seed!r}") for seed in (1.5, True)],
     ("ensemble", {**NOISE_ON, "--seed": "-3"},
      "master_seed must be an integer of at least 0, got -3"),
-    *[(command, {"solver": {"T": float("inf")}}, "solver: T must be a finite number, got inf")
+    *[(command, {"solver": {"T": float("inf")}}, "solver.T must be a finite number, got inf")
       for command in ("converge", "ensemble")],
     # these once ran: Strang with noise on marched exponential Euler, and a
     # node count of 9.5 or "9" ran picard on 9 nodes under the bad value's hash
     ("simulate", {**NOISE_ON, "solver": {"scheme": "strang"}},
      "solver.scheme: the Strang scheme has no noise term"),
     *[("picard", {"solver": {"n_time_nodes": nodes}},
-       f"solver: n_time_nodes must be a whole number, got {nodes!r}")
+       f"solver.n_time_nodes must be an integer, got {nodes!r}")
       for nodes in (9.5, "9", True)],
+    # these once ran, reading true as 1 or a string letter by letter, or failed
+    # with a message that did not name the key; and an initial state too large
+    # to square printed numpy's overflow warning and blamed solver.threshold
+    ("chaos", {**NOISE_ON, "noise": {"enabled": True, "n_modes": True}},
+     "noise.n_modes must be an integer, got True"),
+    ("picard", {"solver": {"tol": True}}, "solver.tol must be a finite number, got True"),
+    ("verify", {"verify": {"radius": True}}, "verify.radius must be a finite number, got True"),
+    ("ensemble", {**NOISE_ON, "mc": {"observables": "norm_sq"}},
+     "mc.observables must be a list of strings, got 'norm_sq'"),
+    ("verify", {"chaos": {"max_degree": 2.5}}, "chaos.max_degree must be an integer, got 2.5"),
+    ("verify", {"verify": {"sample_count": 150.5}},
+     "verify.sample_count must be an integer, got 150.5"),
+    ("simulate", {"model": {"name": "nls"}, "grid": {"points": [16]},
+                  "initial": {"amplitude": 1e300}},
+     "initial.amplitude must keep the graph norms up to model.smoothness finite, got 1e+300"),
 ])
-def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, changes,
-                                                     message):
+def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
+                                                     changes, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
     flags = []  # a "--flag" key is a command-line flag, a scalar a top-level key
     for block, values in changes.items():
@@ -205,6 +242,7 @@ def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, command, 
     assert code == 2
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert not out.exists()
+    assert not [str(w.message) for w in recwarn]
 
 
 def test_paths_override_below_2_exits_2_before_output(tmp_path, capsys):
@@ -235,13 +273,14 @@ def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag
 
 def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
     noisy = dict(BASE_CONFIG, noise={"enabled": True, "n_modes": 1, "lambda0": 0.5})
-    for threshold in (1e-9, "high"):
+    for threshold, message in ((1e-9, "solver.threshold: "), ("high", "solver.threshold must "
+                               "be null or a finite number, got 'high'")):
         out = tmp_path / "run"
         bad = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=threshold))
         code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error: solver.threshold: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
     # a threshold above the initial norms runs, and the resolved config keeps its hash
     good = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=1e6, scheme="exp_euler"))
@@ -404,6 +443,23 @@ def test_verify_ok_and_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["estimate_violations"] == {}
+
+
+@pytest.mark.parametrize("max_degree", range(6))
+def test_verify_wick_check_stays_inside_the_truncation(tmp_path, max_degree):
+    # the spot-check vectors once kept degrees <= 2 at every truncation, so at
+    # max_degree 1, 2 and 3 their product left the space and verify exited 1
+    cfg = {
+        "model": {"name": "nls"},
+        "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
+        "chaos": {"n_modes": 2, "max_degree": max_degree},
+        "verify": {"sample_count": 100, "orthogonality_paths": 500},
+        "master_seed": 5,
+    }
+    out = tmp_path / "v"
+    assert main(["verify", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    wick = json.loads((out / "report.json").read_text())["wick_multiplicativity"]
+    assert wick["ok"] is True and wick["max_deviation"] < 1e-10
 
 
 def test_verify_broken_j_exits_1(tmp_path, capsys):
@@ -646,3 +702,17 @@ def test_ensemble_bad_value_exits_2_before_output(tmp_path, capsys, block, key, 
     assert code == 2
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_ensemble_without_observables_still_reports_its_stop_times(tmp_path):
+    # an empty mc.observables is a valid study: the stop times, the sup ratio
+    # and the survival curve are its output
+    cfg = json.loads(TAIL_CONFIG.read_text())
+    cfg["mc"]["observables"] = []
+    out = tmp_path / "run"
+    assert main(["ensemble", "--config", _write(tmp_path, cfg), "--paths", "20",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    ens = report["ensemble"]
+    assert ens["observables"] == {} and len(ens["stop_times"]) == 20
+    assert "sup_ratio" in ens and report["tail_curve"]["n_paths"] == 20
