@@ -127,22 +127,22 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
     """Yield, path by path, the final state at each dt in ``dts`` (finest last).
 
     The increments are drawn once at the finest dt; a coarser dt sums them,
-    so every dt sees the same Brownian path.
+    so every dt sees the same Brownian path. Each rung's increments are cast
+    to complex once, the cast that the product with the state makes anyway.
     """
-    steps = [_step_count(config.T, dt) for dt in dts]
-    n_fine = steps[-1]
+    model, phi0 = config.model, config.phi0
+    rungs = [(dt, _step_count(config.T, dt)) for dt in dts]
+    n_fine = rungs[-1][1]
     for i in range(config.n_paths):
         sampler = _noise(config, i)
         fine = None if sampler is None else sampler.increments(dts[-1], n_fine)
         finals = []
-        for dt, n in zip(dts, steps):
-            dW = fine
-            if fine is not None and n < n_fine:
-                dW = fine.reshape(n, n_fine // n, *fine.shape[1:]).sum(axis=1)
-            state = config.phi0
-            for k in range(n):
-                state = step_exp_euler(config.model, state, dt,
-                                       None if dW is None else dW[k])
+        for dt, n in rungs:
+            dW = [None] * n if fine is None else (fine if n == n_fine else fine.reshape(
+                n, n_fine // n, *fine.shape[1:]).sum(axis=1)).astype(complex)
+            state = phi0
+            for inc in dW:
+                state = step_exp_euler(model, state, dt, inc)
             finals.append(state)
         yield finals
 

@@ -141,9 +141,9 @@ class Grid:
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward transform (unitary). Works on (..., *shape) arrays."""
         out = np.empty(values.shape, _COMPLEX)
-        _pocketfft_umath.fft(values, 1, out=out)
+        _pocketfft_umath.fft(values, 1, out)
         for axes, _ in self._fft_rest:
-            _pocketfft_umath.fft(out, 1, axes=axes, out=out)
+            _pocketfft_umath.fft(out, 1, out, axes=axes)
         out *= self._fwd_fft_scale
         return out
 
@@ -163,9 +163,9 @@ class Grid:
         else:
             values = coeffs / self._fft_scale
             out = np.empty(values.shape, dtype=complex)
-        _pocketfft_umath.ifft(values, self._inv_n_last, out=out)
+        _pocketfft_umath.ifft(values, self._inv_n_last, out)
         for axes, inv_n in self._fft_rest:
-            _pocketfft_umath.ifft(out, inv_n, axes=axes, out=out)
+            _pocketfft_umath.ifft(out, inv_n, out, axes=axes)
         return out
 
 
@@ -247,7 +247,8 @@ class State:
     roles: tuple[str, ...]
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        if type(self.data) is not np.ndarray or self.data.dtype is not _COMPLEX:
+            self.data = np.asarray(self.data, dtype=complex)
         if self.data.shape != (len(self.roles),) + self.grid.shape:
             raise ValueError(
                 f"state shape {self.data.shape} incompatible with "

@@ -49,6 +49,8 @@ class CovarianceSpec:
         dev = np.max(np.abs(gram - np.eye(len(self.eigenfields))))
         if dev > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenfields not orthonormal (deviation {dev:.2e})")
+        # mode_matrix() as (n_modes, grid.size) rows, built once for every increment
+        self._mode_rows = self.mode_matrix().reshape(len(self.eigenvalues), -1)
 
     @property
     def n_modes(self) -> int:
@@ -83,6 +85,8 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    if n_modes >= grid.npts[0]:  # the next mode would be the Nyquist pair
+        raise ValueError(f"n_modes must be below grid.points[0] = {grid.npts[0]}, got {n_modes}")
     if not gamma > 1:
         raise ValueError("gamma must exceed 1 for a trace-class tail")
     L = grid.lengths[0]
@@ -129,7 +133,8 @@ class QWienerSampler:
             raise ValueError("dt must be positive")
         xi = self.normals(n_steps)
         amp = xi * np.sqrt(self.spec.eigenvalues * dt)
-        return np.tensordot(amp, self.spec.mode_matrix(), axes=(1, 0))
+        # np.tensordot(amp, mode_matrix(), axes=(1, 0)): its np.dot, without its reshapes
+        return np.dot(amp, self.spec._mode_rows).reshape((n_steps,) + self.spec.grid.shape)
 
 
 @dataclass

@@ -253,7 +253,7 @@ class SpectralOperator:
     def _check_state(self, state: State):
         if state.grid is not self.grid and state.grid != self.grid:
             raise ValueError("state grid does not match operator grid")
-        if state.n_components != self.n_components:
+        if len(state.roles) != self.symbol.shape[0]:
             raise ValueError(
                 f"state has {state.n_components} components, "
                 f"operator expects {self.n_components}"

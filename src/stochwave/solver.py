@@ -23,7 +23,8 @@ Two integration routes share the exact free propagator exp(-i*A*t):
   phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no Stratonovich
   correction, and ``_strang``, the noise-free symmetric splitting of the
   conservation studies, whose exact or midpoint-corrected nonlinear substeps
-  give O(dt^2) drift of the invariants.
+  give O(dt^2) drift of the invariants. A one-state call checks its input once;
+  ``ensemble._path_finals`` hands it increments pre-cast to complex (same bits).
 
 ``holomorphy_check`` probes analyticity of z -> <phi(T, z), v> for the
 Theta-perturbed deterministic flow with fourth-order Cauchy-Riemann
@@ -180,7 +181,8 @@ def picard_solve(model: Model, phi0: State, T: float,
     fp_res = sweep(current, keep=False)
     ratios = [b / a for a, b in zip(residuals, residuals[1:])
               if a > 1e3 * np.finfo(float).eps]
-    ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+    with np.errstate(divide="ignore"):  # a residual of exactly 0 makes the ratio 0
+        ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     return PicardResult(times=times, states=current, residuals=residuals,
                         converged=converged, fixed_point_residual=fp_res,
                         contraction_ratio=ratio)
@@ -223,10 +225,11 @@ def _one_step(kernel, name: str, model: Model, state: State, dt: float, dW) -> S
         raise ValueError("dt must be positive")
     gen = model.generator
     gen._check_state(state)
-    if dW is not None and np.shape(dW) != gen.grid.shape:
-        raise ValueError(f"increment shape {np.shape(dW)} != grid shape {gen.grid.shape}")
+    shape = None if dW is None else dW.shape if type(dW) is np.ndarray else np.shape(dW)
+    if shape not in (None, gen.grid.shape):
+        raise ValueError(f"increment shape {shape} != grid shape {gen.grid.shape}")
     out = kernel(model, state.data, dt, dW)
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise BlowUpError(f"non-finite state after {name} step")
     return State(gen.grid, out, state.roles)
 
@@ -238,7 +241,7 @@ def _exp_euler(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
     adds + 0.0, the bits of dt*J: it turns a -0 of phi into +0, as dt*J does."""
     inner = data + (_PLUS_ZERO if model._zero_J else model._J(data) * dt)
     if dW is not None:
-        inner = inner + data * dW
+        inner += data * dW
     return model.generator._propagate(dt, inner)
 
 

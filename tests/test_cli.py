@@ -224,6 +224,13 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("simulate", {"model": {"name": "nls"}, "grid": {"points": [16]},
                   "initial": {"amplitude": 1e300}},
      "initial.amplitude must keep the graph norms up to model.smoothness finite, got 1e+300"),
+    # these once read "eigenfields not orthonormal": the basis's next mode on
+    # 4 points is the Nyquist pair, and picard builds its potential from the
+    # noise block with the noise off too
+    ("simulate", {"grid": {"points": [4]}, "noise": {"enabled": True, "n_modes": 4}},
+     "noise: n_modes must be below grid.points[0] = 4, got 4"),
+    ("picard", {"grid": {"points": [4]}},
+     "noise: n_modes must be below grid.points[0] = 4, got 4"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):

@@ -10,6 +10,11 @@ accepted config reloads to the same resolved document and config_hash.
 Every generated size is small: a chaos space of 50 modes at degree 4 has
 316,251 indices, which ``ChaosSpace`` pairs in Python, so mode counts, degrees,
 grids, path counts and step counts stay in the ranges below.
+
+A second mutation keeps every value inside its accepted range, with the noise
+on and off, so every example runs its command to the end: it must exit 0, 1
+or 3 with a ``report.json`` stamped with the run's config_hash, and raise no
+warning.
 """
 
 import contextlib
@@ -19,7 +24,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from stochwave.cli import _COMMANDS, main
@@ -178,3 +183,111 @@ def test_an_accepted_config_reloads_to_the_same_document_and_hash(case):
         path.write_text(json.dumps({**cfg.doc, "config_hash": cfg.hash}))
         again = ExperimentConfig.from_file(path)
     assert again.doc == cfg.doc and again.hash == cfg.hash
+
+
+# accepted values at tiny sizes; the models are the five with 1-D forms, the
+# powers odd so the chaos command's Wick quantization takes them
+IN_RANGE = {
+    "model.name": st.sampled_from(["nls", "klein_gordon", "sine_gordon", "zakharov",
+                                   "maxwell_dirac"]),
+    "model.p": st.sampled_from([3, 5]),
+    "model.sign": st.integers(-1, 1),
+    "model.smoothness": st.none() | st.integers(0, 2),
+    "model.dealias": st.booleans(),
+    "grid.points": st.sampled_from([[4], [8], [16]]),
+    "grid.lengths": st.sampled_from([[1.0], [6.283185307179586], [10.0]]),
+    "initial.kind": st.sampled_from(["smooth_random", "modes"]),
+    "initial.amplitude": st.floats(0.01, 0.5),
+    "initial.seed": st.integers(0, 2**32),
+    "initial.modes": st.lists(st.tuples(st.just(0), st.integers(-2, 2),
+                                        st.floats(-1, 1), st.floats(-1, 1)).map(list),
+                              min_size=1, max_size=3),
+    "noise.n_modes": st.integers(1, 3),
+    "noise.lambda0": st.floats(0.01, 1.0),
+    "noise.gamma": st.floats(1.1, 3.0),
+    "chaos.n_modes": st.integers(1, 3),
+    "chaos.max_degree": st.integers(0, 3),
+    "mc.n_paths": st.integers(2, 6),
+    "mc.observables": st.lists(st.sampled_from(
+        ["norm_sq", "norm", "log_norm_sq", "constant", "sup_sum_sq", "graph_norm_j1",
+         "pairing_re", "pairing_im"]), max_size=3),
+    "mc.rho_grid": st.lists(st.sampled_from([0.1, 0.5, 0.9]), max_size=3),
+    "solver.threshold": st.sampled_from([None, 1e9]),
+    "solver.n_time_nodes": st.integers(2, 9),
+    "solver.max_iter": st.integers(1, 40),
+    "solver.tol": st.sampled_from([1e-10, 1e-8, 1e-6]),
+    "verify.sample_count": st.integers(100, 120),
+    "verify.radius": st.floats(0.5, 1.5),
+    "verify.orthogonality_paths": st.integers(2, 40),
+    "master_seed": st.integers(0, 2**32),
+}
+# (T, dt) of the commands that march at solver.dt; dt also as a --dt flag
+TIMES = {"simulate": [(0.05, 0.01), (0.1, 0.025), (0.2, 0.05)],
+         "chaos": [(0.05, 0.01), (0.1, 0.05)], "ensemble": [(0.05, 0.01), (0.1, 0.025)]}
+
+
+@st.composite
+def in_range(draw):
+    """(command, config document, flags), every value accepted: one to four
+    keys changed, the noise on or off (on for chaos), and the flags the
+    command reads."""
+    command = draw(st.sampled_from(sorted(TINY)))
+    doc = json.loads(json.dumps(TINY[command]))
+    for key in draw(st.lists(st.sampled_from(sorted(IN_RANGE)), min_size=1, max_size=4)):
+        block, _, sub = key.rpartition(".")
+        holder = doc.setdefault(block, {}) if block else doc
+        holder[sub] = draw(IN_RANGE[key])
+        if key == "initial.modes":
+            holder["kind"] = "modes"
+    noise = doc.setdefault("noise", {})
+    noise["enabled"] = command == "chaos" or draw(st.booleans())
+    # the trigonometric basis holds fewer modes than the first axis has points
+    # (picard builds its potential from the noise block with the noise off too)
+    noise["n_modes"] = min(noise.get("n_modes", 4), doc["grid"]["points"][0] - 1)
+    solver = doc.setdefault("solver", {})
+    if command in TIMES:
+        solver["T"], solver["dt"] = draw(st.sampled_from(TIMES[command]))
+    if command == "simulate" and noise["enabled"]:
+        solver["scheme"] = "exp_euler"
+    elif command == "simulate":
+        solver["threshold"] = None
+        solver["scheme"] = draw(st.sampled_from(["exp_euler", "strang"]))
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(0, 1000)))]
+    if command in TIMES and draw(st.booleans()):
+        flags += ["--dt", repr(solver["dt"] / draw(st.sampled_from([1, 2])))]
+    if command in ("converge", "chaos", "ensemble") and draw(st.booleans()):
+        flags += ["--paths", str(draw(st.integers(2, 6)))]
+    if command == "verify" and draw(st.booleans()):
+        flags += ["--json"]
+    if command == "simulate" and draw(st.booleans()):
+        flags += ["--allow-stop"]
+    return command, doc, flags
+
+
+def _run_hash(doc, flags) -> str:
+    """The config_hash of ``doc`` with the overrides of ``flags`` applied."""
+    doc = json.loads(json.dumps(doc))
+    for flag, value in zip(flags, flags[1:] + [None]):
+        if flag == "--seed":
+            doc["master_seed"] = int(value)
+        elif flag == "--dt":
+            doc["solver"]["dt"] = float(value)
+        elif flag == "--paths":
+            doc.setdefault("mc", {})["n_paths"] = int(value)
+    return ExperimentConfig.from_dict(doc).hash
+
+
+@settings(deadline=None)
+@given(in_range())
+def test_an_in_range_config_runs_its_command(case):
+    command, doc, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, caught = _run(command, doc, flags, tmp)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 3), (code, err)
+        report = json.loads(Path(tmp, "run", "report.json").read_text())
+        assert report["config_hash"] == _run_hash(doc, flags)
+        assert not caught, caught
+        assert "Warning" not in err, err

@@ -330,3 +330,44 @@ def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
     for size in (7, 1):
         monkeypatch.setattr(ensemble, "_STACK_BYTES", size * 8 * 100 * GRID.size)
         assert json.dumps(run_ensemble(cfg).to_dict(), sort_keys=True) == want
+
+
+def test_order_fits_step_once_per_path_and_step_through_the_module_name(monkeypatch):
+    # the model, noise and ladder of the ito_ladder benchmark at 6 paths: each
+    # fit makes n_paths x sum(steps) calls of stochwave.ensemble.step_exp_euler,
+    # and its errors are those of a per-path march on the real increments
+    import stochwave.ensemble as ensemble
+
+    m = _linear_model(UNIT_GRID)
+    phi0 = _mode_state(UNIT_GRID, m)
+    cov = default_covariance(UNIT_GRID, n_modes=1, lambda0=0.5, gamma=2.0)
+    ladder, n_paths, seed = [0.25, 0.125, 0.0625, 0.015625], 6, 2024
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=ladder[-1], covariance=cov,
+                         n_paths=n_paths, master_seed=seed)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step_exp_euler(*args)
+
+    monkeypatch.setattr(ensemble, "step_exp_euler", counted)
+    strong = strong_order(cfg, ladder)
+    assert len(calls) == n_paths * (4 + 8 + 16 + 64)
+    weak = weak_order(cfg, ladder, observable="log_norm_sq", noise_floor_factor=3.0)
+    assert len(calls) == 2 * n_paths * (4 + 8 + 16 + 64)
+
+    errs, diffs = np.zeros((3, n_paths)), np.zeros((3, n_paths))
+    f = lambda st: 2.0 * np.log(max(m.norm(st), 1e-300))
+    for i in range(n_paths):
+        fine = QWienerSampler(cov, seed, i).increments(ladder[-1], 64)
+        ref = _march(m, phi0, ladder[-1], fine)
+        for k, dt in enumerate(ladder[:-1]):
+            factor = round(dt / ladder[-1])
+            sol = _march(m, phi0, dt, fine.reshape(64 // factor, factor, -1).sum(axis=1))
+            errs[k, i] = m.norm(sol - ref)
+            diffs[k, i] = f(sol) - f(ref)
+    root_n = np.sqrt(n_paths)
+    assert strong.errors.tobytes() == errs.mean(axis=1).tobytes()
+    assert strong.stderrs.tobytes() == (errs.std(axis=1, ddof=1) / root_n).tobytes()
+    assert weak.errors.tobytes() == np.abs(diffs.mean(axis=1)).tobytes()
+    assert weak.stderrs.tobytes() == (diffs.std(axis=1, ddof=1) / root_n).tobytes()

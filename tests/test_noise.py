@@ -57,6 +57,21 @@ def test_replay_is_bit_identical(cov):
     assert np.array_equal(a, chunks)  # chunked draws see the same stream
 
 
+@pytest.mark.parametrize("grid", [GRID, make_grid(2, [8, 6], [2 * np.pi, 3.0])],
+                         ids=["1d", "2d"])
+def test_increments_equal_the_tensordot_form_bit_for_bit(grid):
+    # the mode matrix is built once per covariance, and the product is the
+    # np.dot that tensordot calls; both draws share the stream's state
+    spec = default_covariance(grid, n_modes=5, lambda0=0.7, gamma=1.5)
+    sampler, replay = QWienerSampler(spec, 9, 2), QWienerSampler(spec, 9, 2)
+    for n_steps, dt in ((17, 0.01), (1, 0.25), (0, 0.1), (40, 1e-3)):
+        got = sampler.increments(dt, n_steps)
+        amp = replay.normals(n_steps) * np.sqrt(spec.eigenvalues * dt)
+        want = np.tensordot(amp, spec.mode_matrix(), axes=(1, 0))
+        assert got.shape == want.shape == (n_steps,) + grid.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_streams_are_uncorrelated(cov):
     n = 4000
     a = QWienerSampler(cov, 7, 0).normals(n)[:, 0]

@@ -83,6 +83,18 @@ def test_picard_reports_non_convergence():
     assert len(res.residuals) == 2  # history returned even without convergence
 
 
+def test_picard_residual_of_exactly_zero_gives_ratio_zero_without_a_warning(recwarn):
+    # the geometric mean of the residual ratios once took the log of 0 with
+    # numpy's divide warning: the iterate of a solve at tol 1e-300 repeats
+    g = make_grid(1, [8], [1.0])
+    m = build_model("nls", g, p=3, sign=1)
+    st = m.random_smooth_state(np.random.default_rng(1), 0.3)
+    res = picard_solve(m, st, 0.1, n_time_nodes=5, tol=1e-300, max_iter=40)
+    assert res.residuals[-1] == 0.0 and res.residuals[-2] > 0 and res.converged
+    assert res.contraction_ratio == 0.0
+    assert not [str(w.message) for w in recwarn]
+
+
 def test_picard_blowup_guard():
     from stochwave import BlowUpError
 
@@ -267,27 +279,34 @@ def _step_setup(name, params, seed=4):
     return m, st, w
 
 
-def _assert_step_matches_state_algebra(m, st, dW):
+# the step's increment: none, the real field w, or w cast to complex as
+# ensemble._path_finals casts it; the state-algebra oracle steps the real w
+NOISES = [None, "array", "complex"]
+
+
+def _assert_step_matches_state_algebra(m, st, w, noise):
+    dW = {None: None, "array": w, "complex": w.astype(complex)}[noise]
     # read-only inputs: a step that wrote to the state or the increment raises
     before = (st.data.tobytes(), None if dW is None else dW.tobytes())
     st.data.flags.writeable = False
     if dW is not None:
         dW.flags.writeable = False
     got = step_exp_euler(m, st, 0.01, dW)
-    assert got.data.tobytes() == _state_algebra_step(m, st, 0.01, dW).data.tobytes()
+    oracle = _state_algebra_step(m, st, 0.01, None if dW is None else w)
+    assert got.data.tobytes() == oracle.data.tobytes()
     assert got.roles == st.roles and got.grid == st.grid
     assert (st.data.tobytes(), None if dW is None else dW.tobytes()) == before
 
 
 @pytest.mark.parametrize("name, params", STEP_MODELS)
-@pytest.mark.parametrize("noise", [None, "array"])
+@pytest.mark.parametrize("noise", NOISES)
 def test_step_exp_euler_equals_state_algebra_bit_for_bit(name, params, noise):
     m, st, w = _step_setup(name, params)
-    _assert_step_matches_state_algebra(m, st, {None: None, "array": w}[noise])
+    _assert_step_matches_state_algebra(m, st, w, noise)
 
 
 @pytest.mark.parametrize("name, params", STEP_MODELS)
-@pytest.mark.parametrize("noise", [None, "array"])
+@pytest.mark.parametrize("noise", NOISES)
 def test_step_exp_euler_keeps_the_bits_of_signed_zeros(name, params, noise):
     # -0 entries, in the real part, the imaginary part or both: the sum
     # phi + dt*J turns each into +0, and so must the "+ 0.0" of a zero J
@@ -297,7 +316,7 @@ def test_step_exp_euler_keeps_the_bits_of_signed_zeros(name, params, noise):
     flat.real[1::7] = -0.0
     flat.imag[2::5] = -0.0
     assert np.signbit(flat.real).any() and np.signbit(flat.imag).any()
-    _assert_step_matches_state_algebra(m, st, {None: None, "array": w}[noise])
+    _assert_step_matches_state_algebra(m, st, w, noise)
 
 
 def test_zero_J_is_derived_from_the_model():
