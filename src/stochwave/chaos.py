@@ -59,7 +59,6 @@ from math import factorial
 
 import numpy as np
 
-from ._files import write_atomic
 from .grids import State
 from .models import Model
 from .solver import _cr_residual, _step_count
@@ -603,10 +602,10 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     return WickTrajectory(chaos, tails, bool(np.any(tails > TAIL_FLAG_FRACTION)))
 
 
-def export_chaos_csv(vec: ChaosVector, path) -> None:
+def chaos_csv(vec: ChaosVector) -> str:
     """Indexed coefficient dump: multi-index, real, imag."""
     lines = ["multi_index,real,imag\n"]
     for alpha, c in zip(vec.space.indices, vec.coeffs):
         label = "(" + " ".join(str(int(a)) for a in alpha) + ")"
         lines.append(f"{label},{c.real:.17g},{c.imag:.17g}\n")
-    write_atomic(path, "".join(lines))
+    return "".join(lines)

@@ -2,12 +2,14 @@
 
 Subcommands: simulate, picard, converge, chaos, ensemble, verify. Each takes
 --config, --seed and --out, plus only the flags it reads (``_COMMANDS``).
-Every run writes a fixed set of files into its output directory
-(trajectory/table CSVs, report.json, config.resolved.json), all stamped with
-the config hash.
-Re-using a run directory with a different configuration is refused. Each
-file is written whole through a temporary file and a rename, and
-report.json comes last. ``python -m stochwave`` runs the same commands.
+A command computes and ``main`` writes. A command takes the resolved config
+and returns its exit code, its report and its other files (name -> text).
+Before the command runs, ``main`` refuses an output path that is not a
+directory or holds a run of a different config; once it returns, ``main``
+writes the command's files, then config.resolved.json, then report.json
+last (both carry the config hash), each whole through a temporary file and
+a rename. An error raised on the way leaves no run directory, or a re-used
+one as it was. ``python -m stochwave`` runs the same commands.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
 blow-up, stopped trajectory without --allow-stop, or a Picard solve that
@@ -25,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_atomic
-from .chaos import ChaosVector, export_chaos_csv, s_transform, wick_product
+from .chaos import ChaosVector, chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig, _checked
 from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, _probe, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
-                     export_trajectory_csv, holomorphy_check, picard_solve, solve_ito)
+                     holomorphy_check, picard_solve, solve_ito, trajectory_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,35 +42,33 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _prepare_outdir(cfg: ExperimentConfig, out_override) -> Path:
-    out = Path(out_override) if out_override else Path(cfg.doc["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    marker = out / "config.resolved.json"
-    if marker.exists():
-        try:
-            previous = json.loads(marker.read_text())
-        except json.JSONDecodeError:
-            previous = None
-        if previous is not None and previous.get("config_hash") not in (None, cfg.hash):
-            raise ConfigError(
-                f"output dir {out} holds a run with a different config hash; refusing re-use"
-            )
-    return out
+def _refuse_other_run(out: Path, cfg: ExperimentConfig) -> None:
+    """A config error if ``out`` is not a directory or holds the run of a
+    different config: the directory is made only after the command's work."""
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output dir {out} is not a directory")
+    try:
+        previous = json.loads((out / "config.resolved.json").read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return
+    if isinstance(previous, dict) and previous.get("config_hash") not in (None, cfg.hash):
+        raise ConfigError(
+            f"output dir {out} holds a run with a different config hash; refusing re-use"
+        )
 
 
-def _write_resolved(cfg: ExperimentConfig, out: Path):
-    doc = dict(cfg.doc)
-    doc["config_hash"] = cfg.hash
-    write_atomic(out / "config.resolved.json", json.dumps(doc, sort_keys=True, indent=1))
-
-
-def _write_report(out: Path, payload: dict, cfg: ExperimentConfig):
+def _write_run(out: Path, cfg: ExperimentConfig, report: dict, files: dict) -> None:
+    """Create ``out`` and write the command's files in order, then
+    config.resolved.json, then report.json last, both stamped with the hash."""
     from . import __version__
 
-    payload = dict(payload)
-    payload["config_hash"] = cfg.hash
-    payload["artifact_version"] = __version__
-    write_atomic(out / "report.json", json.dumps(payload, sort_keys=True, indent=1))
+    resolved = dict(cfg.doc, config_hash=cfg.hash)
+    report = dict(report, config_hash=cfg.hash, artifact_version=__version__)
+    files = {**files, "config.resolved.json": json.dumps(resolved, sort_keys=True, indent=1),
+             "report.json": json.dumps(report, sort_keys=True, indent=1)}
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        write_atomic(out / name, text)
 
 
 def _load(args) -> ExperimentConfig:
@@ -85,17 +85,16 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _setup(args):
-    """The resolved config (overrides applied), its model, initial state and covariance
+def _setup(cfg: ExperimentConfig):
+    """The model of the resolved config, its initial state and covariance
     (None with the noise off), each a config error if it cannot be built or is not finite."""
-    cfg = _load(args)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite build fails below
         model = _checked("model", cfg.build_model)
         phi0 = _checked("initial", cfg.build_initial, model)
         if not np.all(np.isfinite(model.graph_norms(phi0))):
             raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
                               f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
-        return cfg, model, phi0, _checked("noise", cfg.build_covariance, model)
+        return model, phi0, _checked("noise", cfg.build_covariance, model)
 
 
 def _ensemble(cfg: ExperimentConfig, model, phi0, cov, dt=None, **fields) -> EnsembleConfig:
@@ -115,8 +114,8 @@ def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
     return threshold
 
 
-def cmd_simulate(args) -> int:
-    cfg, model, phi0, cov = _setup(args)
+def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, phi0, cov = _setup(cfg)
     sb = cfg.doc["solver"]
     if cov is None and sb["threshold"] is not None:
         raise ConfigError("solver.threshold: the noise-free march has no stopping "
@@ -125,10 +124,8 @@ def cmd_simulate(args) -> int:
     if cov is not None and sb["scheme"] == "strang":
         raise ConfigError("solver.scheme: the Strang scheme has no noise term; "
                           "set it to exp_euler or disable the noise")
-    out = _prepare_outdir(cfg, args.out)
     sampler = None if cov is None else QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
     traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
-    export_trajectory_csv(model, traj, out / "trajectory.csv")
     cons0 = model.conserved(traj.states[0])
     consT = model.conserved(traj.states[-1])
     report = {
@@ -143,15 +140,12 @@ def cmd_simulate(args) -> int:
     if model.name == "maxwell_dirac":
         report["gauge_residual_initial"] = model.gauge_residual(traj.states[0])
         report["gauge_residual_final"] = model.gauge_residual(traj.states[-1])
-    _write_resolved(cfg, out)
-    _write_report(out, report, cfg)
-    if (traj.stopped or traj.blown_up) and not args.allow_stop:
-        return EXIT_BLOWUP
-    return EXIT_OK
+    code = EXIT_BLOWUP if (traj.stopped or traj.blown_up) and not args.allow_stop else EXIT_OK
+    return code, report, {"trajectory.csv": trajectory_csv(model, traj)}
 
 
-def cmd_picard(args) -> int:
-    cfg, model, phi0, cov = _setup(args)
+def cmd_picard(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, phi0, cov = _setup(cfg)
     sb = cfg.doc["solver"]
     theta = _checked("noise", cfg.build_theta, model, cov)
     nz = theta.n_coords
@@ -165,7 +159,6 @@ def cmd_picard(args) -> int:
     result = _checked("solver", picard_solve, model, phi0, sb["T"], theta, zeta, eta,
                       0.0, n_time_nodes=sb["n_time_nodes"], tol=sb["tol"],
                       max_iter=sb["max_iter"], _free=free)
-    out = _prepare_outdir(cfg, args.out)
     # keep the scalars only: the solve's states need not live through the
     # stencil's eight solves
     residuals, summary = result.residuals, {
@@ -183,16 +176,14 @@ def cmd_picard(args) -> int:
                                     tol=min(sb["tol"], 1e-12), _free=free)
     except ConvergenceError:
         residual = None  # a stencil solve did not converge: reported as null
-    write_atomic(out / "picard_residuals.csv", "iteration,residual\n" + "".join(
-        f"{i},{r:.17g}\n" for i, r in enumerate(residuals)))
-    _write_resolved(cfg, out)
-    _write_report(out, {**summary, "holomorphy_residual": residual}, cfg)
-    return EXIT_OK if summary["converged"] and residual is not None else EXIT_BLOWUP
+    code = EXIT_OK if summary["converged"] and residual is not None else EXIT_BLOWUP
+    return code, {**summary, "holomorphy_residual": residual}, {
+        "picard_residuals.csv": "iteration,residual\n" + "".join(
+            f"{i},{r:.17g}\n" for i, r in enumerate(residuals))}
 
 
-def cmd_converge(args) -> int:
-    cfg, model, phi0, cov = _setup(args)
-    out = _prepare_outdir(cfg, args.out)
+def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, phi0, cov = _setup(cfg)
     sb, mb = cfg.doc["solver"], cfg.doc["mc"]
     ladder = mb["dt_ladder"] or [sb["T"] / n for n in (8, 16, 32, 64, 128)]
     ens = _ensemble(cfg, model, phi0, cov, dt=min(ladder))
@@ -200,31 +191,27 @@ def cmd_converge(args) -> int:
     # log of the squared norm keeps the coupled weak estimator low-variance
     weak = weak_order(ens, ladder, observable="log_norm_sq",
                       noise_floor_factor=3.0)
-    write_atomic(out / "convergence.csv", "dt,strong_error,strong_stderr\n" + "".join(
-        f"{dt:.17g},{e:.17g},{s:.17g}\n"
-        for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs)))
-    _write_resolved(cfg, out)
-    _write_report(out, {"strong": strong.to_dict(), "weak": weak.to_dict()}, cfg)
     print(f"strong order {strong.order:.3f}  weak order {weak.order:.3f}")
-    return EXIT_OK
+    return EXIT_OK, {"strong": strong.to_dict(), "weak": weak.to_dict()}, {
+        "convergence.csv": "dt,strong_error,strong_stderr\n" + "".join(
+            f"{dt:.17g},{e:.17g},{s:.17g}\n"
+            for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs))}
 
 
-def cmd_chaos(args) -> int:
-    cfg, model, phi0, cov = _setup(args)
+def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, phi0, cov = _setup(cfg)
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
     space = _checked("chaos", cfg.build_chaos_space)
     pr = model.params
     if model.name in ("nls", "klein_gordon") and pr.sign and pr.p % 2 == 0:
         raise ConfigError(f"chaos: Wick quantization needs an odd power p, got {pr.p}")
-    out = _prepare_outdir(cfg, args.out)
     report = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
     probe = _probe(model, phi0)
     final = report.wick.final()
     coeffs = np.array([model.inner(final.block(i), probe)
                        for i in range(space.n_indices)])
-    export_chaos_csv(ChaosVector(space, coeffs), out / "chaos_coefficients.csv")
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,
@@ -232,48 +219,43 @@ def cmd_chaos(args) -> int:
         "convention": "pairing of each chaos block against the normalized initial state",
         "config_hash": cfg.hash,
     }
-    write_atomic(out / "chaos_space.json", json.dumps(header, sort_keys=True, indent=1))
-    _write_resolved(cfg, out)
-    _write_report(out, {"chaos_vs_mc": report.to_dict(),
-                        "truncation_flagged": report.wick.truncation_flagged}, cfg)
     print(f"mean agreement within 3 stderr: {report.mean_within_3se}")
-    return EXIT_OK
+    return EXIT_OK, {"chaos_vs_mc": report.to_dict(),
+                     "truncation_flagged": report.wick.truncation_flagged}, {
+        "chaos_coefficients.csv": chaos_csv(ChaosVector(space, coeffs)),
+        "chaos_space.json": json.dumps(header, sort_keys=True, indent=1)}
 
 
-def cmd_ensemble(args) -> int:
-    cfg, model, phi0, cov = _setup(args)
+def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, phi0, cov = _setup(cfg)
     mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
     for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
         value = _checked("mc.observables", lambda: _observable_fn(model, name, phi0)(phi0))
         if not np.isfinite(value):
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
-    out = _prepare_outdir(cfg, args.out)
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,
                                     observables=tuple(mb["observables"])))
-    report = {"ensemble": result.to_dict()}
+    report, files = {"ensemble": result.to_dict()}, {}
     print(f"{result.n_stopped} of {result.n_paths} paths stopped, {result.n_blown} blown up")
     if mb["rho_grid"]:
         # the survival curve reduces the same paths' stop times: one march
         curve = TailCurve.from_stop_times(result.stop_times, mb["rho_grid"])
-        write_atomic(out / "tail_curve.csv", "rho,survival,band,fitted_lower_bound\n" +
-                     "".join(f"{r:.17g},{s:.17g},{b:.17g},{1 - curve.m_hat * r * r:.17g}\n"
-                             for r, s, b in zip(curve.rhos, curve.survival, curve.band)))
+        files["tail_curve.csv"] = "rho,survival,band,fitted_lower_bound\n" + "".join(
+            f"{r:.17g},{s:.17g},{b:.17g},{1 - curve.m_hat * r * r:.17g}\n"
+            for r, s, b in zip(curve.rhos, curve.survival, curve.band))
         report["tail_curve"] = curve.to_dict()
         print(f"fitted M = {curve.m_hat:.4f}, lower bound ok: {curve.lower_bound_ok()}")
-    _write_resolved(cfg, out)
-    _write_report(out, report, cfg)
-    return EXIT_OK
+    return EXIT_OK, report, files
 
 
-def cmd_verify(args) -> int:
-    cfg, model, _, _ = _setup(args)
+def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
+    model, _, _ = _setup(cfg)
     vb = cfg.doc["verify"]
     space = _checked("chaos", cfg.build_chaos_space)
     # the estimates check verify.sample_count before they sample
     reports = _checked("verify", verify_estimates, model, sample_count=vb["sample_count"],
                        radius=vb["radius"], seed=cfg.doc["master_seed"])
-    out = _prepare_outdir(cfg, args.out)
     violations = {r.inequality_id: r.violations for r in reports if r.violations}
 
     # Wiener-integral orthogonality at moderate path counts.
@@ -316,8 +298,6 @@ def cmd_verify(args) -> int:
     }
     ok = not violations and ortho_ok and iso_ok and wick_ok
     payload["ok"] = ok
-    _write_resolved(cfg, out)
-    _write_report(out, payload, cfg)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -326,7 +306,7 @@ def cmd_verify(args) -> int:
               f"{sum(violations.values())} violations")
         for iid, count in violations.items():
             print(f"  violated: {iid} ({count} samples)")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if ok else EXIT_VERIFY, payload, {}
 
 
 # The flags beyond --config, --seed and --out, and the commands that read them.
@@ -367,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load(args)
+        out = Path(cfg.doc["output_dir"])
+        _refuse_other_run(out, cfg)
+        code, report, files = args.fn(cfg, args)
+        _write_run(out, cfg, report, files)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

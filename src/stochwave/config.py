@@ -18,7 +18,7 @@ import numpy as np
 
 from .chaos import ChaosSpace
 from .ensemble import _check_paths, _ladder, _rho_grid
-from .grids import Field, State, make_grid
+from .grids import State, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
 from .solver import ThetaPotential, _step_count
@@ -169,10 +169,12 @@ def _check_values(resolved: dict) -> None:
             if value is _BAD:
                 raise ConfigError(f"{name} must be {_rule(proto)}, got {holder[key]!r}")
             holder[key] = value
-    g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
+    g, sb, ib, mb, vb = (resolved[k] for k in ("grid", "solver", "initial", "mc", "verify"))
     for name, value, least in (("master_seed", resolved["master_seed"], 0),
                                ("initial.seed", ib["seed"], 0),
-                               ("solver.max_iter", sb["max_iter"], 1)):
+                               ("solver.max_iter", sb["max_iter"], 1),
+                               # fewer paths fail verify's 3-standard-error checks by chance
+                               ("verify.orthogonality_paths", vb["orthogonality_paths"], 1000)):
         if value < least:
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
@@ -182,8 +184,6 @@ def _check_values(resolved: dict) -> None:
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
     _checked("mc.n_paths", _check_paths, mb["n_paths"])
-    _checked("verify.orthogonality_paths", _check_paths,
-             resolved["verify"]["orthogonality_paths"])
     if mb["n_workers"] != 1:
         raise ConfigError("mc.n_workers must be 1: every path runs in one thread "
                           "(the key stays so that every config_hash stays the same)")
@@ -278,6 +278,4 @@ class ExperimentConfig:
             model.grid, self.doc["noise"]["n_modes"],
             self.doc["noise"]["lambda0"], self.doc["noise"]["gamma"],
         )
-        modes = [Field(model.grid, np.sqrt(lam) * e.values)
-                 for lam, e in zip(cov.eigenvalues, cov.eigenfields)]
-        return ThetaPotential(modes)
+        return ThetaPotential(cov.noise_fields())

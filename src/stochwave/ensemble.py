@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
-from .grids import Field, State
+from .grids import State
 from .models import Model
 from .noise import CovarianceSpec, QWienerSampler
 from .solver import _ito_march, _step_count, step_exp_euler
@@ -385,8 +385,7 @@ def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace) -> ChaosMcReport:
         norm_sq[i] = model.norm(final) ** 2
 
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
-    fields = [Field(cov.grid, np.sqrt(lam) * np.real(e.values).astype(complex))
-              for lam, e in zip(cov.eigenvalues, cov.eigenfields[: space.n_modes])]
+    fields = cov.noise_fields()[: space.n_modes]
     wick = solve_wick_evolution(model, config.phi0, fields, config.T, config.dt, space)
     chaos_final = wick.final()
 

@@ -71,6 +71,11 @@ class CovarianceSpec:
             out += lam * psi.inner(e) * e.values
         return Field(self.grid, out)
 
+    def noise_fields(self) -> list[Field]:
+        """The noise potential sqrt(lambda_i) e_i, one field per mode."""
+        return [Field(self.grid, np.sqrt(lam) * e.values)
+                for lam, e in zip(self.eigenvalues, self.eigenfields)]
+
     def mode_matrix(self) -> np.ndarray:
         """(n_modes, *grid.shape) stack of eigenfield values (real part)."""
         return np.stack([np.real(e.values) for e in self.eigenfields])

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._files import write_atomic
 from .grids import Field, State
 from .models import Model
 from .noise import QWienerSampler
@@ -179,10 +178,9 @@ def picard_solve(model: Model, phi0: State, T: float,
             break
 
     fp_res = sweep(current, keep=False)
-    ratios = [b / a for a, b in zip(residuals, residuals[1:])
-              if a > 1e3 * np.finfo(float).eps]
-    with np.errstate(divide="ignore"):  # a residual of exactly 0 makes the ratio 0
-        ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+    floor = 1e3 * np.finfo(float).eps  # residuals at roundoff say nothing of the rate
+    ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor]
+    ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     return PicardResult(times=times, states=current, residuals=residuals,
                         converged=converged, fixed_point_residual=fp_res,
                         contraction_ratio=ratio)
@@ -394,7 +392,7 @@ def _cr_residual(F, z0, h: float):
     return abs(0.5 * (dfdx + 1j * dfdy))
 
 
-def export_trajectory_csv(model: Model, traj: Trajectory, path) -> None:
+def trajectory_csv(model: Model, traj: Trajectory) -> str:
     """CSV table: time, graph norms per order, conserved quantities."""
     names = sorted(model.conserved(traj.states[0]).keys())
     n_orders = traj.graph_norms.shape[1]
@@ -404,4 +402,4 @@ def export_trajectory_csv(model: Model, traj: Trajectory, path) -> None:
         cons = model.conserved(traj.states[i])
         row = [t, *traj.graph_norms[i], *[cons[n] for n in names]]
         lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
-    write_atomic(path, "".join(lines))
+    return "".join(lines)

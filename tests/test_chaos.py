@@ -9,7 +9,7 @@ from numpy.polynomial import hermite_e
 from stochwave import State, build_model, make_grid
 from stochwave.chaos import (ChaosSpace, ChaosState, ChaosVector, FockOperator,
                              annihilate, create, duality, exp_vector,
-                             export_chaos_csv, growth_bound_fit, norm_beta,
+                             chaos_csv, growth_bound_fit, norm_beta,
                              operator_symbol, s_transform, second_quantization,
                              solve_wick_evolution, wick_nonlinearity,
                              wick_power, wick_product)
@@ -510,11 +510,9 @@ def test_wick_evolution_flags_truncation_overflow():
     assert np.max(wick.tail_fractions) > 0.2
 
 
-def test_chaos_csv_export(tmp_path):
+def test_chaos_csv_export():
     vec = _random_vec(SPACE, max_deg=2)
-    path = tmp_path / "coeffs.csv"
-    export_chaos_csv(vec, path)
-    lines = path.read_text().strip().splitlines()
+    lines = chaos_csv(vec).strip().splitlines()
     assert lines[0] == "multi_index,real,imag"
     assert len(lines) == SPACE.n_indices + 1
 

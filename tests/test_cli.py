@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochwave import _files
-from stochwave.cli import _write_report, main
+import stochwave.ensemble as ensemble
+from stochwave import BlowUpError, _files
+from stochwave.cli import _write_run, main
 from stochwave.config import ExperimentConfig
 
 BASE_CONFIG = {
@@ -174,8 +175,7 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("picard", {"solver": {"max_iter": 0}},
      "solver.max_iter must be an integer of at least 1, got 0"),
     ("verify", {"verify": {"orthogonality_paths": 1}},
-     "verify.orthogonality_paths: an ensemble needs an integer count of at least 2 "
-     "paths, got 1"),
+     "verify.orthogonality_paths must be an integer of at least 1000, got 1"),
     # these once ran: every such radius printed "verification ok", a NaN
     # lambda0 or gamma exited 3 with a run directory, a NaN tol ran every
     # sweep, a NaN threshold never stopped a path, and an even p marched
@@ -231,6 +231,10 @@ NOISE_ON = {"noise": {"enabled": True}}
      "noise: n_modes must be below grid.points[0] = 4, got 4"),
     ("picard", {"grid": {"points": [4]}},
      "noise: n_modes must be below grid.points[0] = 4, got 4"),
+    # this once ran, though below 1,000 paths verify's 3-standard-error checks
+    # fail by chance far above their nominal rate
+    ("verify", {"verify": {"orthogonality_paths": 999}},
+     "verify.orthogonality_paths must be an integer of at least 1000, got 999"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -322,8 +326,9 @@ def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):
 
 def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE_CONFIG)))
-    _write_report(tmp_path, {"status": "first"}, cfg)
-    before = (tmp_path / "report.json").read_bytes()
+    _write_run(tmp_path, cfg, {"status": "first"}, {})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["config.resolved.json", "report.json"]
 
     class FullDisk:
         """A file that takes half of what is written, then reports a full disk."""
@@ -343,9 +348,9 @@ def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch
 
     monkeypatch.setattr(_files, "open", FullDisk, raising=False)
     with pytest.raises(OSError):
-        _write_report(tmp_path, {"status": "second"}, cfg)
-    assert (tmp_path / "report.json").read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        _write_run(tmp_path, cfg, {"status": "second"}, {})
+    # the previous files stay whole, and no temporary file is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_python_dash_m_stochwave_runs_the_cli():
@@ -390,6 +395,67 @@ def test_mismatched_run_dir_is_refused(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "hash" in capsys.readouterr().err
+
+
+# converge and chaos on 4 paths of the noisy linear model
+NOISY_LINEAR = {
+    "model": {"name": "nls", "sign": 0, "smoothness": 1},
+    "grid": {"dim": 1, "points": [8], "lengths": [1.0]},
+    "initial": {"kind": "modes", "amplitude": 1.0, "modes": [[0, 1, 1.0, 0.0]]},
+    "solver": {"T": 0.2, "dt": 0.0125},
+    "noise": {"enabled": True, "n_modes": 1, "lambda0": 0.5},
+    "chaos": {"n_modes": 1, "max_degree": 2},
+    "mc": {"n_paths": 4, "dt_ladder": [0.1, 0.05, 0.025, 0.0125]},
+}
+
+
+def _blow_up(*args, **kwargs):
+    raise BlowUpError("a path left the finite-norm region")
+
+
+@pytest.mark.parametrize("command", ["converge", "chaos"])
+def test_a_blow_up_mid_run_exits_3_without_a_run_dir(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # converge once exited 3 and left an empty run directory
+    monkeypatch.setattr(ensemble, "step_exp_euler", _blow_up)
+    out = tmp_path / "run"
+    code = main([command, "--config", _write(tmp_path, NOISY_LINEAR), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "blow-up: a path left the finite-norm region\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failure", ["blow-up", "another config"])
+def test_a_failing_rerun_leaves_the_run_dir_byte_identical(tmp_path, monkeypatch, failure):
+    out = tmp_path / "run"
+    assert main(["converge", "--config", _write(tmp_path, NOISY_LINEAR),
+                 "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc = json.loads(json.dumps(NOISY_LINEAR))
+    if failure == "blow-up":
+        monkeypatch.setattr(ensemble, "step_exp_euler", _blow_up)
+    else:
+        doc["master_seed"] = 777
+    code = main(["converge", "--config", _write(tmp_path, doc, "c2.json"), "--out", str(out)])
+    assert code == (3 if failure == "blow-up" else 2)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_out_that_is_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # the run directory is made only after the work, so a file in its place
+    # must be refused before it; a run file that is not a JSON object is
+    # overwritten like an unreadable one
+    out = tmp_path / "run"
+    out.write_text("")
+    monkeypatch.setattr(ensemble, "step_exp_euler", _blow_up)
+    code = main(["converge", "--config", _write(tmp_path, NOISY_LINEAR), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: output dir {out} is not a directory\n"
+    out.unlink()
+    out.mkdir()
+    (out / "config.resolved.json").write_text("[]")
+    assert main(["simulate", "--config", _write(tmp_path, dict(BASE_CONFIG)),
+                 "--out", str(out)]) == 0
 
 
 def test_stop_exit_code_and_allow_stop(tmp_path):
@@ -441,7 +507,7 @@ def test_verify_ok_and_json(tmp_path, capsys):
     cfg = {
         "model": {"name": "sine_gordon", "g": 1.0, "k0": 1.0},
         "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
-        "verify": {"sample_count": 100, "orthogonality_paths": 500},
+        "verify": {"sample_count": 100, "orthogonality_paths": 1000},
         "master_seed": 5,
     }
     code = main(["verify", "--config", _write(tmp_path, cfg),
@@ -460,7 +526,7 @@ def test_verify_wick_check_stays_inside_the_truncation(tmp_path, max_degree):
         "model": {"name": "nls"},
         "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
         "chaos": {"n_modes": 2, "max_degree": max_degree},
-        "verify": {"sample_count": 100, "orthogonality_paths": 500},
+        "verify": {"sample_count": 100, "orthogonality_paths": 1000},
         "master_seed": 5,
     }
     out = tmp_path / "v"
@@ -473,7 +539,7 @@ def test_verify_broken_j_exits_1(tmp_path, capsys):
     cfg = {
         "model": {"name": "sine_gordon", "g": 1.0, "k0": 1.0, "break_j_hook": True},
         "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
-        "verify": {"sample_count": 100, "orthogonality_paths": 500},
+        "verify": {"sample_count": 100, "orthogonality_paths": 1000},
         "master_seed": 5,
     }
     code = main(["verify", "--config", _write(tmp_path, cfg),

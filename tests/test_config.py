@@ -47,7 +47,7 @@ TINY = {
                  "noise": {"enabled": True, "n_modes": 2},
                  "mc": {"n_paths": 4, "rho_grid": [0.5]}},
     "verify": {"model": NLS, "grid": GRID, "chaos": {"n_modes": 2, "max_degree": 2},
-               "verify": {"sample_count": 100, "orthogonality_paths": 50}},
+               "verify": {"sample_count": 100, "orthogonality_paths": 1000}},
 }
 KEYS = [f"{block}.{key}" for block, keys in _SCHEMA.items() if isinstance(keys, dict)
         for key in keys] + [key for key, value in _SCHEMA.items() if not isinstance(value, dict)]
@@ -94,7 +94,7 @@ BOUNDED = {
     "mc.rho_grid": st.lists(st.sampled_from([0.1, 0.5, 0.9, 0, 1, -0.5, 1.5]), max_size=4),
     "mc.n_workers": st.integers(-1, 3),
     "verify.sample_count": st.integers(0, 150),
-    "verify.orthogonality_paths": st.integers(-2, 50),
+    "verify.orthogonality_paths": st.integers(-2, 2) | st.integers(998, 1002),
     "master_seed": st.integers(-3, 2**130),
     "output_dir": st.sampled_from(["runs/out", ""]),
 }
@@ -218,7 +218,7 @@ IN_RANGE = {
     "solver.tol": st.sampled_from([1e-10, 1e-8, 1e-6]),
     "verify.sample_count": st.integers(100, 120),
     "verify.radius": st.floats(0.5, 1.5),
-    "verify.orthogonality_paths": st.integers(2, 40),
+    "verify.orthogonality_paths": st.integers(1000, 1040),
     "master_seed": st.integers(0, 2**32),
 }
 # (T, dt) of the commands that march at solver.dt; dt also as a --dt flag

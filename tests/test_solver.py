@@ -83,15 +83,20 @@ def test_picard_reports_non_convergence():
     assert len(res.residuals) == 2  # history returned even without convergence
 
 
-def test_picard_residual_of_exactly_zero_gives_ratio_zero_without_a_warning(recwarn):
+def test_picard_residual_of_exactly_zero_is_left_out_of_the_ratio(recwarn):
     # the geometric mean of the residual ratios once took the log of 0 with
-    # numpy's divide warning: the iterate of a solve at tol 1e-300 repeats
+    # numpy's divide warning, and then read 0.0 though no other ratio is near
+    # 0: the iterate of a solve at tol 1e-300 repeats
     g = make_grid(1, [8], [1.0])
     m = build_model("nls", g, p=3, sign=1)
     st = m.random_smooth_state(np.random.default_rng(1), 0.3)
     res = picard_solve(m, st, 0.1, n_time_nodes=5, tol=1e-300, max_iter=40)
     assert res.residuals[-1] == 0.0 and res.residuals[-2] > 0 and res.converged
-    assert res.contraction_ratio == 0.0
+    rest = res.residuals[:-1]  # every residual above the roundoff floor
+    assert min(rest) > 1e3 * np.finfo(float).eps
+    ratios = [b / a for a, b in zip(rest, rest[1:])]
+    assert res.contraction_ratio == pytest.approx(np.prod(ratios) ** (1 / len(ratios)))
+    assert 0 < res.contraction_ratio < 1
     assert not [str(w.message) for w in recwarn]
 
 
@@ -781,14 +786,12 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
     assert len(calls) == 8 * (1 + len(res.residuals) + 1)
 
 
-def test_export_trajectory_csv(tmp_path):
+def test_export_trajectory_csv():
     m, st, _ = _sine_gordon_setup()
     traj = solve_ito(m, st, 0.1, 0.01, None, scheme="strang")
-    from stochwave.solver import export_trajectory_csv
+    from stochwave.solver import trajectory_csv
 
-    path = tmp_path / "trajectory.csv"
-    export_trajectory_csv(m, traj, path)
-    lines = path.read_text().strip().splitlines()
+    lines = trajectory_csv(m, traj).strip().splitlines()
     assert lines[0].startswith("time,graph_norm_j0")
     assert "energy" in lines[0]
     assert len(lines) == len(traj.times) + 1
