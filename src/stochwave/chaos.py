@@ -92,9 +92,9 @@ class ChaosSpace:
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_modes < 1 or self.max_degree < 0:
-            raise ValueError(f"a chaos space needs n_modes >= 1 and max_degree >= 0, "
-                             f"got {self.n_modes} and {self.max_degree}")
+        for key, least in (("n_modes", 1), ("max_degree", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.mode_weights is None:
             self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.mode_weights = np.asarray(self.mode_weights, dtype=float)

@@ -126,22 +126,20 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
                           "set it to exp_euler or disable the noise")
     sampler = None if cov is None else QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
     traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
-    cons0 = model.conserved(traj.states[0])
-    consT = model.conserved(traj.states[-1])
     report = {
         "status": "stopped" if traj.stopped else "ran_to_T",
         "stop_time": traj.stop_time,
         "blown_up": traj.blown_up,
         "final_norms": [float(x) for x in traj.graph_norms[-1]],
-        "conserved_initial": cons0,
-        "conserved_final": consT,
+        "conserved_initial": {n: float(c[0]) for n, c in traj.conserved.items()},
+        "conserved_final": {n: float(c[-1]) for n, c in traj.conserved.items()},
         "seed_info": traj.seed_info,
     }
     if model.name == "maxwell_dirac":
-        report["gauge_residual_initial"] = model.gauge_residual(traj.states[0])
-        report["gauge_residual_final"] = model.gauge_residual(traj.states[-1])
+        report["gauge_residual_initial"] = model.gauge_residual(phi0)
+        report["gauge_residual_final"] = model.gauge_residual(traj.final_state())
     code = EXIT_BLOWUP if (traj.stopped or traj.blown_up) and not args.allow_stop else EXIT_OK
-    return code, report, {"trajectory.csv": trajectory_csv(model, traj)}
+    return code, report, {"trajectory.csv": trajectory_csv(traj)}
 
 
 def cmd_picard(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:

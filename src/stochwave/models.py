@@ -218,22 +218,17 @@ class Model:
             grad2 = float(np.sum(self.grid.k_squared * np.abs(coeffs) ** 2))
             pot = float(np.sum(np.abs(psi) ** (pr.p + 1)) * dv)
             out["energy"] = grad2 - pr.sign * 2.0 / (pr.p + 1) * pot
-        elif name == "klein_gordon":
-            psi, v = state.data[0], state.data[1]
-            b2 = self.grid.k_squared + pr.k0**2
-            coeffs = self.grid.to_spectral(psi)
-            bnorm2 = float(np.sum(b2 * np.abs(coeffs) ** 2))
-            kin = float(np.sum(np.abs(v) ** 2) * dv)
-            pot = float(np.sum(np.abs(psi) ** (pr.p + 1)) * dv)
-            out["energy"] = 0.5 * kin + 0.5 * bnorm2 - pr.sign / (pr.p + 1) * pot
-        elif name == "sine_gordon":
+        elif name in ("klein_gordon", "sine_gordon"):
             u, v = state.data[0], state.data[1]
             b2 = self.grid.k_squared + pr.k0**2
             coeffs = self.grid.to_spectral(u)
             bnorm2 = float(np.sum(b2 * np.abs(coeffs) ** 2))
             kin = float(np.sum(np.abs(v) ** 2) * dv)
-            cos_term = float(np.sum(np.real(np.cos(u))) * dv)
-            out["energy"] = 0.5 * kin + 0.5 * bnorm2 + pr.g * cos_term
+            if name == "klein_gordon":
+                pot = -pr.sign / (pr.p + 1) * float(np.sum(np.abs(u) ** (pr.p + 1)) * dv)
+            else:
+                pot = pr.g * float(np.sum(np.real(np.cos(u))) * dv)
+            out["energy"] = 0.5 * kin + 0.5 * bnorm2 + pot
         elif name == "zakharov":
             out["mass"] = float(np.sum(np.abs(state.data[0]) ** 2) * dv)
         elif name == "maxwell_dirac":

@@ -92,8 +92,10 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     if n_modes >= grid.npts[0]:  # the next mode would be the Nyquist pair
         raise ValueError(f"n_modes must be below grid.points[0] = {grid.npts[0]}, got {n_modes}")
+    if not lambda0 > 0:
+        raise ValueError(f"lambda0 must be positive, got {lambda0}")
     if not gamma > 1:
-        raise ValueError("gamma must exceed 1 for a trace-class tail")
+        raise ValueError(f"gamma must exceed 1 for a trace-class tail, got {gamma}")
     L = grid.lengths[0]
     x = grid.x_mesh[0] * np.ones(grid.shape)
     vol = grid.volume

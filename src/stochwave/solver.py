@@ -17,9 +17,9 @@ Two integration routes share the exact free propagator exp(-i*A*t):
   of paths, each stopping when sup_{j<=N-1} ||A^j phi|| first exceeds the
   threshold or at a blow-up (a norm above BLOWUP_CAP, or a non-finite step:
   it ends at its last finite state); ``solve_ito`` is its one-path case,
-  recording every step. Its step is one of two kernels on raw arrays or
-  stacks, whose one-state calls are ``step_exp_euler`` and ``step_strang``:
-  ``_exp_euler``, the left-point (Ito) exponential Euler step
+  keeping each step's row and the final state. Its step is one of two kernels
+  on raw arrays or stacks, whose one-state calls are ``step_exp_euler`` and
+  ``step_strang``: ``_exp_euler``, the left-point (Ito) exponential Euler step
   phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no Stratonovich
   correction, and ``_strang``, the noise-free symmetric splitting of the
   conservation studies, whose exact or midpoint-corrected nonlinear substeps
@@ -84,11 +84,13 @@ class ThetaPotential:
 
 @dataclass
 class Trajectory:
-    """Recorded path: times, states, graph-norm history, stopping data."""
+    """A recorded path as its table, one row per step: times, graph norms and
+    conserved quantities (name -> column); the one state kept, the final."""
 
     times: np.ndarray
-    states: list[State]
     graph_norms: np.ndarray          # (n_times, N+1)
+    conserved: dict[str, np.ndarray]
+    final: State                     # the last finite state
     stop_time: float | None = None   # None means "ran to T"
     blown_up: bool = False
     seed_info: dict = dc_field(default_factory=dict)
@@ -98,7 +100,7 @@ class Trajectory:
         return self.stop_time is not None
 
     def final_state(self) -> State:
-        return self.states[-1]
+        return self.final
 
 
 @dataclass
@@ -190,7 +192,7 @@ def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
     """The node count of a Picard solve, at least 2, and its node spacing."""
     n_nodes = int(n_time_nodes)
     if n_nodes < 2:
-        raise ValueError("need at least 2 time nodes")
+        raise ValueError(f"n_time_nodes must be at least 2, got {n_time_nodes}")
     return n_nodes, T / (n_nodes - 1)
 
 
@@ -270,8 +272,9 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
               scheme: str = "exp_euler") -> Trajectory:
     """March one trajectory with the graph-norm stopping rule: the one-path
-    case of ``_ito_march``, recording every step, by exponential Euler or, with
-    no sampler, by Strang splitting (``scheme``, the config's solver.scheme).
+    case of ``_ito_march``, keeping each step's row and the final state, by
+    exponential Euler or, with no sampler, by Strang splitting (``scheme``,
+    the config's solver.scheme).
 
     Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold, N =
     model.smoothness, the order of the X_T norm, with stop_time set. A path
@@ -283,20 +286,24 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
         raise ValueError("the Strang scheme has no noise term; march noise by exp_euler")
     n_steps = _step_count(T, dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
-    times, states, norms = [0.0], [phi0.copy()], [model.graph_norms(phi0)]
+    times, norms, conserved = [], [], {}
 
     def record(t, data, ladders):
         for d, g in zip(data, ladders):
             times.append(t)
-            states.append(State(model.grid, d, phi0.roles))
-            norms.append(g)
+            norms.append(g.tolist())  # a row of floats, not an array per step
+            for name, value in model.conserved(State(model.grid, d, phi0.roles)).items():
+                conserved.setdefault(name, []).append(value)
 
-    _, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
-                                   _SCHEMES[scheme])
+    record(0.0, phi0.data[None], [model.graph_norms(phi0)])
+    final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
+                                       _SCHEMES[scheme])
     k = int(stop[0])
     seed_info = {} if sampler is None else {"master_seed": sampler.master_seed,
                                             "stream_id": sampler.stream_id}
-    return Trajectory(np.asarray(times), states, np.asarray(norms),
+    return Trajectory(np.asarray(times), np.asarray(norms),
+                      {n: np.array(v) for n, v in conserved.items()},
+                      State(model.grid, final[0], phi0.roles),
                       stop_time=k * dt if k else None,
                       blown_up=bool(blown[0]), seed_info=seed_info)
 
@@ -392,14 +399,10 @@ def _cr_residual(F, z0, h: float):
     return abs(0.5 * (dfdx + 1j * dfdy))
 
 
-def trajectory_csv(model: Model, traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory) -> str:
     """CSV table: time, graph norms per order, conserved quantities."""
-    names = sorted(model.conserved(traj.states[0]).keys())
-    n_orders = traj.graph_norms.shape[1]
-    header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
-    lines = [",".join(header) + "\n"]
-    for i, t in enumerate(traj.times):
-        cons = model.conserved(traj.states[i])
-        row = [t, *traj.graph_norms[i], *[cons[n] for n in names]]
-        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
-    return "".join(lines)
+    names = sorted(traj.conserved)
+    header = ["time"] + [f"graph_norm_j{j}" for j in range(traj.graph_norms.shape[1])] + names
+    table = np.column_stack([traj.times, traj.graph_norms, *(traj.conserved[n] for n in names)])
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    return "".join(line + "\n" for line in lines)

@@ -155,16 +155,17 @@ NOISE_ON = {"noise": {"enabled": True}}
      "initial: modes entry [3, 1, 1.0, 0.0] is not [component, wavenumber, re, im] "
      "with a component in 0..0"),
     ("simulate", {"noise": {"enabled": True, "gamma": 1.0}},
-     "noise: gamma must exceed 1"),
+     "noise: gamma must exceed 1 for a trace-class tail, got 1.0"),
     ("simulate", {"noise": {"enabled": True, "lambda0": -1}},
-     "noise: covariance eigenvalues must be positive"),
+     "noise: lambda0 must be positive, got -1"),
     ("simulate", {"noise": {"enabled": True, "n_modes": 0}},
      "noise: n_modes must be at least 1, got 0"),
     ("chaos", {**NOISE_ON, "chaos": {"max_degree": -1}},
-     "chaos: a chaos space needs n_modes >= 1 and max_degree >= 0, got 2 and -1"),
-    ("chaos", {**NOISE_ON, "chaos": {"n_modes": 0}}, "chaos: a chaos space needs n_modes"),
-    ("verify", {"chaos": {"max_degree": -1}}, "chaos: a chaos space needs n_modes"),
-    ("picard", {"solver": {"n_time_nodes": 1}}, "solver: need at least 2 time nodes"),
+     "chaos: max_degree must be at least 0, got -1"),
+    ("chaos", {**NOISE_ON, "chaos": {"n_modes": 0}}, "chaos: n_modes must be at least 1, got 0"),
+    ("verify", {"chaos": {"max_degree": -1}}, "chaos: max_degree must be at least 0, got -1"),
+    ("picard", {"solver": {"n_time_nodes": 1}},
+     "solver: n_time_nodes must be at least 2, got 1"),
     ("picard", {"solver": {"tol": 0}}, "solver: tol must be positive"),
     ("verify", {"verify": {"sample_count": 10}},
      "verify: estimate verification needs at least 100 samples"),

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from stochwave import State, build_model, make_grid, verify_estimates
-from stochwave.solver import solve_ito
+from stochwave.solver import _ito_march, _strang, solve_ito
 
 GRID = make_grid(1, [32], [2 * np.pi])
 ALL_NAMES = ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon")
-
-
-def _every(states, k):
-    """The states of steps 0, k, 2k, ... and of the last step."""
-    return states[::k] + states[-1:]
 
 
 def _real_state(model, seed=0, radius=0.3):
@@ -125,8 +120,8 @@ def test_maxwell_dirac_charge_conserved():
     st = _real_state(m, seed=7, radius=0.4)
     q0 = m.conserved(st)["charge"]
     traj = solve_ito(m, st, 1.0, 1e-3, None, scheme="strang")
-    qT = m.conserved(traj.final_state())["charge"]
-    assert abs(qT - q0) / q0 < 1e-6
+    assert len(traj.conserved["charge"]) == 1001
+    assert np.max(np.abs(traj.conserved["charge"] - q0)) / q0 < 1e-6
 
 
 def test_maxwell_dirac_gauge_projection_and_residual():
@@ -136,9 +131,14 @@ def test_maxwell_dirac_gauge_projection_and_residual():
     fixed = m.make_gauge_compatible(st)
     assert m.gauge_residual(fixed) < 1e-12
     # the residual is a diagnostic, not enforced: it stays bounded but moves
-    traj = solve_ito(m, fixed, 0.2, 1e-3, None, scheme="strang")
-    residuals = [m.gauge_residual(s) for s in _every(traj.states, 50)]
-    assert all(np.isfinite(r) for r in residuals)
+    # at every step of the march that solve_ito runs, collected by its record
+    residuals = []
+
+    def record(t, data, norms):
+        residuals.extend(m.gauge_residual(State(m.grid, d, m.roles)) for d in data)
+
+    _ito_march(m, fixed, 1e-3, 200, np.inf, None, 1, record, _strang)
+    assert len(residuals) == 200 and all(np.isfinite(r) for r in residuals)
     nls = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError):
         nls.gauge_residual(nls.zero_state())
@@ -152,8 +152,8 @@ def test_exact_invariants_under_strang(name, invariant):
     st = _real_state(m, seed=2, radius=0.4)
     c0 = m.conserved(st)[invariant]
     traj = solve_ito(m, st, 0.5, 2e-3, None, scheme="strang")
-    for s in _every(traj.states, 125):
-        assert abs(m.conserved(s)[invariant] - c0) / abs(c0) < 1e-10
+    assert len(traj.conserved[invariant]) == 251
+    assert np.max(np.abs(traj.conserved[invariant] - c0)) / abs(c0) < 1e-10
 
 
 @pytest.mark.parametrize("name,sign", [
@@ -166,8 +166,7 @@ def test_energy_drift_second_order(name, sign):
     drifts = []
     for dt in (8e-3, 4e-3, 2e-3):
         traj = solve_ito(m, st, 0.48, dt, None, scheme="strang")
-        drifts.append(max(abs(m.conserved(s)["energy"] - e0) for s in _every(traj.states, 24))
-                      / abs(e0))
+        drifts.append(np.max(np.abs(traj.conserved["energy"] - e0)) / abs(e0))
     slopes = [np.log2(drifts[i] / drifts[i + 1]) for i in range(len(drifts) - 1)]
     assert min(slopes) >= 1.8
 

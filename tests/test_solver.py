@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State
                        ThetaPotential, build_model, default_covariance,
                        holomorphy_check, make_grid, picard_solve, solve_ito,
                        step_exp_euler, step_strang)
-from stochwave.solver import BLOWUP_CAP, Trajectory, _ito_march
+from stochwave.solver import (BLOWUP_CAP, _SCHEMES, _exp_euler, _ito_march,
+                              trajectory_csv)
 
 GRID = make_grid(1, [32], [2 * np.pi])
 
@@ -421,13 +425,64 @@ def test_solve_ito_linear_no_noise():
     assert np.max(np.abs(traj.graph_norms - traj.graph_norms[0])) < 1e-12
 
 
+def _recorded(model, phi0, T, dt, sampler=None, threshold=np.inf, kernel=_exp_euler):
+    """The march of ``solve_ito``, with a ``record`` that collects every
+    recorded step: the times, the states and the graph norms, phi0's first."""
+    n_steps = round(T / dt)
+    dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
+    times, states, norms = [0.0], [phi0.copy()], [model.graph_norms(phi0)]
+
+    def record(t, data, ladders):
+        for d, g in zip(data, ladders):
+            times.append(t)
+            states.append(State(model.grid, d, phi0.roles))
+            norms.append(g)
+
+    _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record, kernel)
+    return np.asarray(times), states, np.asarray(norms)
+
+
+def _assert_table_of(traj, model, times, states, norms):
+    """``traj`` is the table of the path ``times``, ``states``, ``norms`` bit
+    for bit: its times, graph norms, every conserved column and final state."""
+    assert traj.times.tobytes() == np.asarray(times).tobytes()
+    assert traj.graph_norms.tobytes() == np.asarray(norms).tobytes()
+    rows = [model.conserved(s) for s in states]
+    assert list(traj.conserved) == list(rows[0])
+    for name, column in traj.conserved.items():
+        assert column.tobytes() == np.array([r[name] for r in rows]).tobytes()
+    assert traj.final_state().data.tobytes() == states[-1].data.tobytes()
+
+
 def test_solve_ito_norm_history_matches_states():
     m, st, _ = _sine_gordon_setup(radius=0.3, seed=6)
     cov = default_covariance(GRID, n_modes=2, lambda0=0.2, gamma=2.0)
     traj = solve_ito(m, st, 0.2, 0.01, QWienerSampler(cov, 5, 0))
-    for i in range(len(traj.times)):
-        recomputed = m.graph_norms(traj.states[i])
+    times, states, _ = _recorded(m, st, 0.2, 0.01, QWienerSampler(cov, 5, 0))
+    assert len(states) == len(traj.times) == 21
+    for i, state in enumerate(states):
+        recomputed = m.graph_norms(state)
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
+        energy = m.conserved(state)["energy"]
+        assert abs(energy - traj.conserved["energy"][i]) <= 1e-12 * abs(energy)
+    assert traj.final_state().data.tobytes() == states[-1].data.tobytes()
+
+
+def test_solve_ito_keeps_rows_not_states():
+    # the traced peak of a 400-step march exceeds a 100-step one's by less than
+    # a few states: each step adds its row, a few floats, and drops its state
+    m, phi0, _, _ = _zakharov_2d(n=32)
+    solve_ito(m, phi0, 1e-3, 1e-3, None, scheme="strang")  # propagator cache, once
+    peaks = []
+    for n_steps in (100, 400):
+        tracemalloc.start()
+        try:
+            traj = solve_ito(m, phi0, n_steps * 1e-3, 1e-3, None, scheme="strang")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == n_steps + 1
+    assert peaks[1] - peaks[0] < 4 * phi0.data.nbytes
 
 
 def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
@@ -439,7 +494,7 @@ def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
         traj = solve_ito(m, st, 1.0, 0.01, None)
     step1 = step_exp_euler(m, st, 0.01)
     assert traj.blown_up and traj.stop_time == 0.02
-    assert list(traj.times) == [0.0, 0.01] and len(traj.states) == 2
+    assert list(traj.times) == [0.0, 0.01] and len(traj.conserved["mass"]) == 2
     assert traj.final_state().data.tobytes() == step1.data.tobytes()
     assert traj.graph_norms[-1].tobytes() == m.graph_norms(step1).tobytes()
 
@@ -485,11 +540,14 @@ def test_stop_time_monotone_in_threshold():
             previous = tau
 
 
+_Path = namedtuple("_Path", "times states norms stop_time blown_up seed_info sup_sq")
+
+
 def _per_path_ito(model, phi0, T, dt, sampler, threshold=np.inf):
     """The oracle of the stacked march: the per-path loop that ``solve_ito``
     ran before it, on ``step_exp_euler`` and ``model.graph_norms``, recording
-    every step. Returns the trajectory and the running sup of
-    sum_j ||A^j phi||^2."""
+    every step. Returns its times, states, graph norms, stop time, blown-up
+    flag and seed info, and the running sup of sum_j ||A^j phi||^2."""
     n_steps = round(T / dt)
     N = model.smoothness
     state = phi0.copy()
@@ -519,8 +577,8 @@ def _per_path_ito(model, phi0, T, dt, sampler, threshold=np.inf):
     seed_info = {}
     if sampler is not None:
         seed_info = {"master_seed": sampler.master_seed, "stream_id": sampler.stream_id}
-    return Trajectory(np.asarray(times), states, np.asarray(norm_hist),
-                      stop_time=stop_time, blown_up=blown, seed_info=seed_info), sup_sq
+    return _Path(np.asarray(times), states, np.asarray(norm_hist), stop_time, blown,
+                 seed_info, sup_sq)
 
 
 def _march_case(name):
@@ -582,7 +640,8 @@ def _sampler(cov, seed, i):
 @pytest.mark.parametrize("case", MARCH_CASES)
 def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
     # final states, sups, stop times and blown flags, for stacks of 1, 7 and
-    # all paths, each path on its own stream
+    # all paths, each path on its own stream; each one-path march's recorded
+    # states; and the table and final state that solve_ito keeps of each path
     m, phi0, T, dt, cov, seed, n_paths, threshold, mixed = _march_case(case)
     n_steps = round(T / dt)
     with np.errstate(all="ignore"):
@@ -594,18 +653,26 @@ def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
         for size in (1, 7, n_paths):
             for start in range(0, n_paths, size):
                 paths = range(start, min(start + size, n_paths))
+                recorded = []
                 final, sup, stop, blown = _ito_march(
                     m, phi0, dt, n_steps, threshold,
-                    None if dW is None else dW[:, start:paths.stop], len(paths))
-                for b, (traj, sup_sq) in enumerate(oracle[start:paths.stop]):
-                    assert final[b].tobytes() == traj.final_state().data.tobytes()
-                    assert sup[b].tobytes() == np.float64(sup_sq).tobytes()
-                    assert (stop[b] * dt if stop[b] else None) == traj.stop_time
-                    assert blown[b] == traj.blown_up
-    n_stopped = sum(traj.stopped for traj, _ in oracle)
-    assert (0 < n_stopped < n_paths) == mixed
+                    None if dW is None else dW[:, start:paths.stop], len(paths),
+                    lambda t, data, norms: recorded.extend(d.tobytes() for d in data))
+                for b, path in enumerate(oracle[start:paths.stop]):
+                    assert final[b].tobytes() == path.states[-1].data.tobytes()
+                    assert sup[b].tobytes() == np.float64(path.sup_sq).tobytes()
+                    assert (stop[b] * dt if stop[b] else None) == path.stop_time
+                    assert blown[b] == path.blown_up
+                if size == 1:
+                    assert recorded == [s.data.tobytes() for s in oracle[start].states[1:]]
+        for i, path in enumerate(oracle):  # solve_ito keeps the table of each path
+            traj = solve_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold=threshold)
+            _assert_table_of(traj, m, path.times, path.states, path.norms)
+            assert (traj.stop_time, traj.blown_up) == (path.stop_time, path.blown_up)
+    stopped = [path.stop_time is not None for path in oracle]
+    assert (0 < sum(stopped) < n_paths) == mixed
     if case in ("focusing", "non_finite", "cap"):
-        assert all(traj.blown_up == traj.stopped for traj, _ in oracle) and n_stopped
+        assert [path.blown_up for path in oracle] == stopped and any(stopped)
 
 
 def _deterministic_loop(model, phi0, T, dt, scheme):
@@ -634,14 +701,16 @@ def _deterministic_loop(model, phi0, T, dt, scheme):
 @pytest.mark.parametrize("name", ("nls", "klein_gordon", "zakharov", "maxwell_dirac",
                                   "sine_gordon"))
 def test_march_equals_the_deterministic_loop_bit_for_bit(name, scheme):
-    # every recorded state, time and graph norm of the noise-free march
+    # every recorded state, time and graph norm of the noise-free march, and
+    # the table and final state that solve_ito keeps of it
     m = build_model(name, make_grid(1, [16], [2 * np.pi]))
     phi0 = m.random_smooth_state(np.random.default_rng(7), 0.3)
     times, states, norms = _deterministic_loop(m, phi0, 0.2, 0.005, scheme)
+    got = _recorded(m, phi0, 0.2, 0.005, kernel=_SCHEMES[scheme])
+    assert got[0].tobytes() == times.tobytes() and got[2].tobytes() == norms.tobytes()
+    assert [s.data.tobytes() for s in got[1]] == [s.data.tobytes() for s in states]
     traj = solve_ito(m, phi0, 0.2, 0.005, None, scheme=scheme)
-    assert traj.times.tobytes() == times.tobytes()
-    assert traj.graph_norms.tobytes() == norms.tobytes()
-    assert [s.data.tobytes() for s in traj.states] == [s.data.tobytes() for s in states]
+    _assert_table_of(traj, m, times, states, norms)
     assert (traj.stop_time, traj.blown_up, traj.seed_info) == (None, False, {})
 
 
@@ -667,16 +736,19 @@ def test_step_strang_is_the_one_state_kernel():
 
 @pytest.mark.parametrize("case", ("tail_curve", "cap", "non_finite"))
 def test_solve_ito_records_the_per_path_trajectory(case):
-    # the threshold, the cap and the non-finite stop, step by step
+    # the threshold, the cap and the non-finite stop, step by step: every
+    # recorded state, and the table and final state that solve_ito keeps
     m, phi0, T, dt, cov, seed, n_paths, threshold, _ = _march_case(case)
     for i in range(min(n_paths, 12)):
         with np.errstate(all="ignore"):
-            want, _ = _per_path_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold)
+            want = _per_path_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold)
+            times, states, norms = _recorded(m, phi0, T, dt, _sampler(cov, seed, i),
+                                             threshold)
             got = solve_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold=threshold)
-        assert got.times.tobytes() == want.times.tobytes()
-        assert got.graph_norms.tobytes() == want.graph_norms.tobytes()
-        assert [s.data.tobytes() for s in got.states] == \
-            [s.data.tobytes() for s in want.states]
+            _assert_table_of(got, m, want.times, want.states, want.norms)
+        assert times.tobytes() == want.times.tobytes()
+        assert norms.tobytes() == want.norms.tobytes()
+        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in want.states]
         assert (got.stop_time, got.blown_up, got.seed_info) == \
             (want.stop_time, want.blown_up, want.seed_info)
 
@@ -786,12 +858,32 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
     assert len(calls) == 8 * (1 + len(res.residuals) + 1)
 
 
-def test_export_trajectory_csv():
-    m, st, _ = _sine_gordon_setup()
-    traj = solve_ito(m, st, 0.1, 0.01, None, scheme="strang")
-    from stochwave.solver import trajectory_csv
+def _csv_of_states(model, times, states, graph_norms):
+    """The former ``trajectory_csv``, the reference: it took the conserved
+    quantities of every recorded state when it formatted the table."""
+    names = sorted(model.conserved(states[0]).keys())
+    n_orders = graph_norms.shape[1]
+    header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
+    lines = [",".join(header) + "\n"]
+    for i, t in enumerate(times):
+        cons = model.conserved(states[i])
+        row = [t, *graph_norms[i], *[cons[n] for n in names]]
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
 
-    lines = trajectory_csv(m, traj).strip().splitlines()
-    assert lines[0].startswith("time,graph_norm_j0")
-    assert "energy" in lines[0]
-    assert len(lines) == len(traj.times) + 1
+
+def test_export_trajectory_csv():
+    # the columns of the table, byte for byte the per-state formatter's text,
+    # for every model and scheme
+    for name in ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon"):
+        m = build_model(name, make_grid(1, [32], [2 * np.pi]))
+        phi0 = m.random_smooth_state(np.random.default_rng(7), 0.3)
+        for scheme in _SCHEMES:
+            traj = solve_ito(m, phi0, 0.1, 0.005, None, scheme=scheme)
+            times, states, norms = _recorded(m, phi0, 0.1, 0.005, kernel=_SCHEMES[scheme])
+            text = trajectory_csv(traj)
+            assert text == _csv_of_states(m, times, states, norms)
+            lines = text.strip().splitlines()
+            assert lines[0].startswith("time,graph_norm_j0")
+            assert all(n in lines[0] for n in m.conserved(phi0))
+            assert len(lines) == len(traj.times) + 1 == 22
