@@ -3,25 +3,34 @@
 Subcommands: simulate, picard, converge, chaos, ensemble, verify. Each takes
 --config, --seed and --out, plus only the flags it reads (``_COMMANDS``).
 A command computes and ``main`` writes. A command takes the resolved config
-and returns its exit code, its report and its other files (name -> text).
-Before the command runs, ``main`` refuses an output path that is not a
-directory or holds a run of a different config; once it returns, ``main``
-writes the command's files, then config.resolved.json, then report.json
-last (both carry the config hash), each whole through a temporary file and
-a rename. An error raised on the way leaves no run directory, or a re-used
-one as it was. ``python -m stochwave`` runs the same commands.
+and returns its exit code, its report and its other files (name -> the text
+of a CSV, or the value of a .json file). Before the command runs, ``main``
+refuses an output path that is not a directory or holds a run of a
+different config; once it returns, ``main`` writes the command's files, then
+config.resolved.json, then report.json last (both carry the config hash),
+each whole through a temporary file and a rename. An error raised on the way
+leaves no run directory, or a re-used one as it was. ``python -m stochwave``
+runs the same commands.
+
+Every JSON file, and verify's --json stdout, is strict JSON written by one
+rule (``_json``): a non-finite number is written as null. CSVs keep ``inf``
+and ``nan``, which numeric CSV readers parse.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
 blow-up, stopped trajectory without --allow-stop, or a Picard solve that
-does not converge. ``ensemble`` counts stopped and blown-up paths as data.
+does not converge, 4 a run that cannot be carried out (out of memory, or an
+unexpected error, whose traceback is printed). ``ensemble`` counts stopped
+and blown-up paths as data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict
+import traceback
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+EXIT_ERROR = 4
 
 
 def _refuse_other_run(out: Path, cfg: ExperimentConfig) -> None:
@@ -57,18 +67,37 @@ def _refuse_other_run(out: Path, cfg: ExperimentConfig) -> None:
         )
 
 
+def _plain(value):
+    """``value`` in plain JSON values: a dataclass by its fields, a dict, list,
+    tuple or ndarray item by item, a numpy scalar as its Python value, and a
+    non-finite float as None."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json(value, indent=1) -> str:
+    """``value`` as strict JSON text (``_plain``), keys sorted."""
+    return json.dumps(_plain(value), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def _write_run(out: Path, cfg: ExperimentConfig, report: dict, files: dict) -> None:
     """Create ``out`` and write the command's files in order, then
-    config.resolved.json, then report.json last, both stamped with the hash."""
+    config.resolved.json, then report.json last, both stamped with the hash;
+    a .json file's value is written by ``_json``, any other file is text."""
     from . import __version__
 
-    resolved = dict(cfg.doc, config_hash=cfg.hash)
-    report = dict(report, config_hash=cfg.hash, artifact_version=__version__)
-    files = {**files, "config.resolved.json": json.dumps(resolved, sort_keys=True, indent=1),
-             "report.json": json.dumps(report, sort_keys=True, indent=1)}
+    files = {**files, "config.resolved.json": dict(cfg.doc, config_hash=cfg.hash),
+             "report.json": dict(report, config_hash=cfg.hash, artifact_version=__version__)}
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        write_atomic(out / name, text)
+    for name, content in files.items():
+        write_atomic(out / name, _json(content) if name.endswith(".json") else content)
 
 
 def _load(args) -> ExperimentConfig:
@@ -130,9 +159,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         "status": "stopped" if traj.stopped else "ran_to_T",
         "stop_time": traj.stop_time,
         "blown_up": traj.blown_up,
-        "final_norms": [float(x) for x in traj.graph_norms[-1]],
-        "conserved_initial": {n: float(c[0]) for n, c in traj.conserved.items()},
-        "conserved_final": {n: float(c[-1]) for n, c in traj.conserved.items()},
+        "final_norms": traj.graph_norms[-1],
+        "conserved_initial": {n: c[0] for n, c in traj.conserved.items()},
+        "conserved_final": {n: c[-1] for n, c in traj.conserved.items()},
         "seed_info": traj.seed_info,
     }
     if model.name == "maxwell_dirac":
@@ -190,7 +219,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     weak = weak_order(ens, ladder, observable="log_norm_sq",
                       noise_floor_factor=3.0)
     print(f"strong order {strong.order:.3f}  weak order {weak.order:.3f}")
-    return EXIT_OK, {"strong": strong.to_dict(), "weak": weak.to_dict()}, {
+    return EXIT_OK, {"strong": strong, "weak": weak}, {
         "convergence.csv": "dt,strong_error,strong_stderr\n" + "".join(
             f"{dt:.17g},{e:.17g},{s:.17g}\n"
             for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs))}
@@ -204,24 +233,23 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     pr = model.params
     if model.name in ("nls", "klein_gordon") and pr.sign and pr.p % 2 == 0:
         raise ConfigError(f"chaos: Wick quantization needs an odd power p, got {pr.p}")
-    report = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
+    report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
     probe = _probe(model, phi0)
-    final = report.wick.final()
+    final = wick.final()
     coeffs = np.array([model.inner(final.block(i), probe)
                        for i in range(space.n_indices)])
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,
-        "mode_weights": [float(w) for w in space.mode_weights],
+        "mode_weights": space.mode_weights,
         "convention": "pairing of each chaos block against the normalized initial state",
         "config_hash": cfg.hash,
     }
     print(f"mean agreement within 3 stderr: {report.mean_within_3se}")
-    return EXIT_OK, {"chaos_vs_mc": report.to_dict(),
-                     "truncation_flagged": report.wick.truncation_flagged}, {
+    return EXIT_OK, {"chaos_vs_mc": report, "truncation_flagged": wick.truncation_flagged}, {
         "chaos_coefficients.csv": chaos_csv(ChaosVector(space, coeffs)),
-        "chaos_space.json": json.dumps(header, sort_keys=True, indent=1)}
+        "chaos_space.json": header}
 
 
 def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
@@ -234,7 +262,7 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,
                                     observables=tuple(mb["observables"])))
-    report, files = {"ensemble": result.to_dict()}, {}
+    report, files = {"ensemble": result}, {}
     print(f"{result.n_stopped} of {result.n_paths} paths stopped, {result.n_blown} blown up")
     if mb["rho_grid"]:
         # the survival curve reduces the same paths' stop times: one march
@@ -242,7 +270,7 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         files["tail_curve.csv"] = "rho,survival,band,fitted_lower_bound\n" + "".join(
             f"{r:.17g},{s:.17g},{b:.17g},{1 - curve.m_hat * r * r:.17g}\n"
             for r, s, b in zip(curve.rhos, curve.survival, curve.band))
-        report["tail_curve"] = curve.to_dict()
+        report["tail_curve"] = curve
         print(f"fitted M = {curve.m_hat:.4f}, lower bound ok: {curve.lower_bound_ok()}")
     return EXIT_OK, report, files
 
@@ -287,7 +315,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     wick_ok = wick_dev < 1e-10
 
     payload = {
-        "estimates": [asdict(r) for r in reports],
+        "estimates": reports,
         "estimate_violations": violations,
         "orthogonality": {"estimate": est, "stderr": se, "ok": ortho_ok},
         "ito_isometry": {"estimate": iso_est, "stderr": iso_se,
@@ -297,7 +325,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     ok = not violations and ortho_ok and iso_ok and wick_ok
     payload["ok"] = ok
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(_json(payload, indent=None))
     else:
         status = "ok" if ok else "FAILED"
         print(f"verification {status}: {len(reports)} inequalities, "
@@ -357,6 +385,12 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except MemoryError as exc:
+        print(f"out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -260,10 +260,10 @@ class ExperimentConfig:
         st = model.zero_state()
         x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
         L = model.grid.lengths[0]
-        for entry in ib["modes"]:
+        for i, entry in enumerate(ib["modes"]):
             if len(entry) != 4 or entry[0] not in range(st.n_components):
-                raise ValueError(f"modes entry {entry!r} is not [component, wavenumber, "
-                                 f"re, im] with a component in 0..{st.n_components - 1}")
+                raise ValueError(f"modes entry {i} must be [component, wavenumber, re, im] with "
+                                 f"a component in 0..{st.n_components - 1}, got {entry!r}")
             comp, kidx, re, im = entry
             amp = complex(re, im)
             st.data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)

@@ -16,7 +16,7 @@ Monte Carlo noise floor.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,24 +96,8 @@ class EnsembleResult:
     n_stopped: int
     n_blown: int
     sup_ratio: float             # E[sup_t sum_j ||A^j phi||^2] / sum_j ||A^j phi0||^2
-    path_seeds: list
     master_seed: int
     n_paths: int
-
-    def to_dict(self) -> dict:
-        return {
-            "observables": {
-                k: {kk: float(vv) for kk, vv in v.items()}
-                for k, v in sorted(self.observables.items())
-            },
-            "stop_times": [None if s is None else float(s) for s in self.stop_times],
-            "n_stopped": self.n_stopped,
-            "n_blown": self.n_blown,
-            "sup_ratio": float(self.sup_ratio),
-            "path_seeds": list(self.path_seeds),
-            "master_seed": self.master_seed,
-            "n_paths": self.n_paths,
-        }
 
 
 def _noise(config: EnsembleConfig, i: int) -> QWienerSampler | None:
@@ -183,7 +167,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         n_stopped=int(np.count_nonzero(stops)),
         n_blown=int(np.count_nonzero(blown)),
         sup_ratio=float(np.mean(sups) / denom) if denom > 0 else np.nan,
-        path_seeds=list(range(config.n_paths)),
         master_seed=config.master_seed,
         n_paths=config.n_paths,
     )
@@ -202,20 +185,6 @@ class OrderFit:
     fit_residual: float
     monotone: bool
     skipped: bool = False   # exact integrator: errors at roundoff
-
-    def to_dict(self):
-        def clean(x):
-            return float(x) if np.isfinite(x) else None
-
-        return {
-            "dts": [float(x) for x in self.dts],
-            "errors": [float(x) for x in self.errors],
-            "stderrs": [float(x) for x in self.stderrs],
-            "order": clean(self.order),
-            "fit_residual": clean(self.fit_residual),
-            "monotone": bool(self.monotone),
-            "skipped": bool(self.skipped),
-        }
 
 
 def _fit_order(dts, errors, stderrs, scale, floor=10.0) -> OrderFit:
@@ -302,15 +271,6 @@ class TailCurve:
         return bool(np.all(1.0 - self.m_hat * self.rhos[sel] ** 2
                            <= self.survival[sel] + self.band[sel]))
 
-    def to_dict(self):
-        return {
-            "rhos": [float(x) for x in self.rhos],
-            "survival": [float(x) for x in self.survival],
-            "band": [float(x) for x in self.band],
-            "m_hat": float(self.m_hat),
-            "n_paths": self.n_paths,
-        }
-
     @classmethod
     def from_stop_times(cls, stop_times, rho_grid) -> "TailCurve":
         """Empirical survival P(tau > rho) of per-path stop times (None: ran to T)."""
@@ -347,23 +307,12 @@ class ChaosMcReport:
     chaos_energy: float
     second_moment_gap: float
     tail_fraction: float
-    wick: WickTrajectory = field(repr=False)  # the chaos side's solve; not reported
-
-    def to_dict(self):
-        return {
-            "probe_mc": [[float(x) for x in row] for row in self.probe_mc],
-            "probe_chaos": [[float(x) for x in row] for row in self.probe_chaos],
-            "mean_within_3se": bool(self.mean_within_3se),
-            "mc_second_moment": float(self.mc_second_moment),
-            "mc_second_moment_stderr": float(self.mc_second_moment_stderr),
-            "chaos_energy": float(self.chaos_energy),
-            "second_moment_gap": float(self.second_moment_gap),
-            "tail_fraction": float(self.tail_fraction),
-        }
 
 
-def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace) -> ChaosMcReport:
-    """Compare the Ito ensemble against the Wick-evolution chaos solution.
+def chaos_vs_mc(config: EnsembleConfig,
+                space: ChaosSpace) -> tuple[ChaosMcReport, WickTrajectory]:
+    """Compare the Ito ensemble against the Wick-evolution chaos solution;
+    returns the report and the chaos side's solve.
 
     The probe is the normalized initial state. The mean field comparison is
     exact up to Monte Carlo and dt error: the centered noise contributes
@@ -405,5 +354,5 @@ def chaos_vs_mc(config: EnsembleConfig, space: ChaosSpace) -> ChaosMcReport:
         probe_chaos=[(cz.real, cz.imag)], mean_within_3se=bool(ok),
         mc_second_moment=mc2, mc_second_moment_stderr=mc2_se,
         chaos_energy=energy, second_moment_gap=float(energy - mc2),
-        tail_fraction=tail, wick=wick,
-    )
+        tail_fraction=tail,
+    ), wick

@@ -176,7 +176,8 @@ def make_grid(dim: int, points_per_axis, lengths) -> Grid:
     points = tuple(int(n) for n in np.atleast_1d(points_per_axis))
     lens = tuple(float(L) for L in np.atleast_1d(lengths))
     if len(points) != dim or len(lens) != dim:
-        raise ValueError("points_per_axis and lengths must have one entry per axis")
+        raise ValueError(f"points and lengths must each have dim = {dim} entries, "
+                         f"got {points_per_axis!r} and {lengths!r}")
     for n in points:
         if n < 4:
             raise ValueError(f"grid needs at least 4 points per axis, got {n}")

@@ -5,7 +5,6 @@ stream); each line states the measured quantity and its tolerance. Statistical
 checks use fixed master seeds so the suite is deterministic.
 """
 
-import json
 from math import factorial
 
 import numpy as np
@@ -16,6 +15,7 @@ import stochwave as sw
 from stochwave.chaos import (ChaosSpace, ChaosVector, FockOperator, exp_vector,
                              growth_bound_fit, s_transform, second_quantization,
                              solve_wick_evolution, wick_product)
+from stochwave.cli import _json
 from stochwave.noise import discrete_pairing
 
 GRID32 = sw.make_grid(1, [32], [2 * np.pi])
@@ -494,7 +494,7 @@ def test_cross_formulation():
     phi0.data[0] += 0.3
     cfg = sw.EnsembleConfig(model=lin, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                            n_paths=3000, master_seed=803)
-    rep = sw.chaos_vs_mc(cfg, space)
+    rep, _ = sw.chaos_vs_mc(cfg, space)
     ok = consistency_ok and rep.mean_within_3se
     _report("cross-formulation", ok,
             f"S-transform matches Theta flow within C*dt + tail at 5 test vectors "
@@ -512,8 +512,7 @@ def test_reproducibility():
                            master_seed=901,
                            observables=("norm_sq", "sup_sum_sq", "pairing_re",
                                         "pairing_im"))
-    blobs = [json.dumps(sw.run_ensemble(cfg).to_dict(), sort_keys=True)
-             for _ in range(3)]
+    blobs = [_json(sw.run_ensemble(cfg)) for _ in range(3)]
     ok = blobs[0] == blobs[1] == blobs[2]
     _report("reproducibility", ok,
             f"ensemble bytes identical across three reruns: {ok}")

@@ -79,7 +79,8 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("model", "name", "foo", "model: unknown model 'foo'"),
     ("model", "p", 1, "model: power exponent p must be >= 2"),
     ("model", "sign", 2, "model: sign must be -1, 0 or +1"),
-    ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry [0, 1, 1.0] is not"),
+    ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry 0 must be [component, "
+     "wavenumber, re, im] with a component in 0..1, got [0, 1, 1.0]"),
     # these once ran: a NaN amplitude or g exited 3, a NaN k0 exited 1 with a
     # traceback, a NaN m ran, and p = 2.5 ran with p = 2 under 2.5's hash
     ("initial", "amplitude", float("nan"), "initial.amplitude must be a finite number, got nan"),
@@ -152,8 +153,8 @@ NOISE_ON = {"noise": {"enabled": True}}
      "model: wave blocks need k0 > 0"),
     ("simulate", {"model": {"name": "nls"},
                   "initial": {"kind": "modes", "modes": [[3, 1, 1.0, 0.0]]}},
-     "initial: modes entry [3, 1, 1.0, 0.0] is not [component, wavenumber, re, im] "
-     "with a component in 0..0"),
+     "initial: modes entry 0 must be [component, wavenumber, re, im] with a component in 0..0, "
+     "got [3, 1, 1.0, 0.0]"),
     ("simulate", {"noise": {"enabled": True, "gamma": 1.0}},
      "noise: gamma must exceed 1 for a trace-class tail, got 1.0"),
     ("simulate", {"noise": {"enabled": True, "lambda0": -1}},
@@ -236,6 +237,14 @@ NOISE_ON = {"noise": {"enabled": True}}
     # fail by chance far above their nominal rate
     ("verify", {"verify": {"orthogonality_paths": 999}},
      "verify.orthogonality_paths must be an integer of at least 1000, got 999"),
+    # these once named the grid builder's parameters and no value, or put the
+    # modes entry before its rule
+    ("simulate", {"grid": {"points": [32, 32]}}, "grid: points and lengths must each have "
+     "dim = 1 entries, got [32, 32] and [6.283185307179586]"),
+    ("simulate", {"model": {"name": "nls"},
+                  "initial": {"kind": "modes", "modes": [[0, 1, 1.0, 0.0], [0, 2, 1.0]]}},
+     "initial: modes entry 1 must be [component, wavenumber, re, im] with a component in 0..0, "
+     "got [0, 2, 1.0]"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -502,6 +511,56 @@ def test_noise_free_blow_up_stops_at_the_last_finite_state(tmp_path, scheme):
                 (out / "trajectory.csv").read_text().splitlines()[-1].split(",")]
         assert np.all(np.isfinite(last))
         assert last[0] == report["stop_time"] and last[1:3] == report["final_norms"]
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_non_finite_report_value_is_written_as_null(tmp_path):
+    # NLS p = 31 from amplitude 2.5 stops at a state whose energy overflows:
+    # report.json once held a bare -Infinity, which strict parsers reject
+    cfg = {
+        "model": {"name": "nls", "p": 31, "sign": 1},
+        "grid": {"dim": 1, "points": [8], "lengths": [1.0]},
+        "initial": {"kind": "modes", "amplitude": 1.0, "modes": [[0, 0, 2.5, 0.0]]},
+        "solver": {"T": 1.0, "dt": 0.01},
+        "master_seed": 1,
+    }
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--allow-stop"]) == 0
+    report = _strict_json((out / "report.json").read_text())
+    assert report["status"] == "stopped"
+    assert report["conserved_final"]["energy"] is None
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB\n"),
+    (MemoryError(), "out of memory\n"),
+    (RuntimeError("an unforeseen fault"), "RuntimeError: an unforeseen fault\n"),
+])
+def test_a_run_that_cannot_be_carried_out_exits_4_without_a_run_dir(
+        tmp_path, capsys, monkeypatch, error, message):
+    # such a run once exited 1, the code of a failed verification
+    import stochwave.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "_setup", fail)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", _write(tmp_path, dict(BASE_CONFIG)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert not out.exists()
+    if isinstance(error, MemoryError):
+        assert err == message
+    else:
+        assert err.startswith("Traceback (most recent call last):\n") and err.endswith(message)
 
 
 def test_verify_ok_and_json(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_a_mutated_config_exits_cleanly(case):
     with tempfile.TemporaryDirectory() as tmp:
         code, err, caught = _run(command, doc, flags, tmp)
         out = Path(tmp, "run")
-        assert code in (None, 0, 1, 2, 3)
+        assert code in (None, 0, 1, 2, 3), (code, err)
         if code in (None, 2):
             assert not out.exists()
         if code == 2:
@@ -279,6 +279,11 @@ def _run_hash(doc, flags) -> str:
     return ExperimentConfig.from_dict(doc).hash
 
 
+def _refuse_constant(constant):
+    """A ``parse_constant`` for ``json.loads``: NaN and Infinity are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 @settings(deadline=None)
 @given(in_range())
 def test_an_in_range_config_runs_its_command(case):
@@ -287,7 +292,8 @@ def test_an_in_range_config_runs_its_command(case):
         code, err, caught = _run(command, doc, flags, tmp)
         event(f"{command} exit {code}")
         assert code in (0, 1, 3), (code, err)
-        report = json.loads(Path(tmp, "run", "report.json").read_text())
+        report = json.loads(Path(tmp, "run", "report.json").read_text(),
+                            parse_constant=_refuse_constant)
         assert report["config_hash"] == _run_hash(doc, flags)
         assert not caught, caught
         assert "Warning" not in err, err

@@ -7,6 +7,7 @@ from stochwave import (ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
                        QWienerSampler, State, TailCurve, build_model, chaos_vs_mc,
                        default_covariance, make_grid, run_ensemble, solve_ito,
                        step_exp_euler, strong_order, weak_order)
+from stochwave.cli import _json
 
 GRID = make_grid(1, [16], [2 * np.pi])
 UNIT_GRID = make_grid(1, [8], [1.0])
@@ -57,7 +58,7 @@ def test_ensemble_replay_is_bit_identical():
                         observables=("norm_sq", "pairing_re", "pairing_im"))
     a = run_ensemble(cfg)
     b = run_ensemble(cfg)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert _json(a) == _json(b)
 
 
 def test_sup_ratio_stable_across_initial_data():
@@ -197,7 +198,7 @@ def test_chaos_vs_mc_linear_agreement():
     phi0 = State(g, (np.exp(1j * x) + 0.3)[None, :], m.roles)
     cfg = EnsembleConfig(model=m, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                         n_paths=600, master_seed=29)
-    rep = chaos_vs_mc(cfg, ChaosSpace(2, 4))
+    rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 4))
     assert rep.mean_within_3se
     assert rep.tail_fraction < 1e-4
     assert rep.mc_second_moment > 0 and rep.chaos_energy > 0
@@ -213,7 +214,7 @@ def test_chaos_vs_mc_discrepancy_grows_with_amplitude():
         phi0 = State(g, (amp * np.exp(1j * x))[None, :], m.roles)
         cfg = EnsembleConfig(model=m, phi0=phi0, T=0.4, dt=0.02, covariance=cov,
                             n_paths=200, master_seed=31)
-        rep = chaos_vs_mc(cfg, ChaosSpace(2, 3))
+        rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 3))
         ref = m.norm(phi0) ** 2
         gaps.append(abs(rep.second_moment_gap) / ref)
     assert gaps[0] < gaps[-1]
@@ -246,7 +247,7 @@ def test_chaos_vs_mc_monte_carlo_side_equals_a_per_stream_loop():
     n_paths, T, dt = 5, 0.1, 0.02
     cfg = EnsembleConfig(model=m, phi0=phi0, T=T, dt=dt, covariance=cov,
                          n_paths=n_paths, master_seed=37)
-    rep = chaos_vs_mc(cfg, ChaosSpace(2, 2))
+    rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 2))
 
     probe = phi0 * (1.0 / m.norm(phi0))
     pairs, norm_sq = [], []
@@ -325,11 +326,11 @@ def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
                          n_paths=30, master_seed=5, threshold=2.0 * max(m.graph_norms(phi0)),
                          observables=("norm_sq", "sup_sum_sq", "pairing_re", "graph_norm_j1"))
-    want = json.dumps(run_ensemble(cfg).to_dict(), sort_keys=True)
+    want = _json(run_ensemble(cfg))
     assert 0 < json.loads(want)["n_stopped"] < cfg.n_paths
     for size in (7, 1):
         monkeypatch.setattr(ensemble, "_STACK_BYTES", size * 8 * 100 * GRID.size)
-        assert json.dumps(run_ensemble(cfg).to_dict(), sort_keys=True) == want
+        assert _json(run_ensemble(cfg)) == want
 
 
 def test_order_fits_step_once_per_path_and_step_through_the_module_name(monkeypatch):
