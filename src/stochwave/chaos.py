@@ -54,13 +54,13 @@ with exponent +beta for p >= 0 and -beta for p < 0 (the dual scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import numpy as np
 
 from .grids import State
-from .models import Model
+from .models import Model, _powers
 from .solver import _cr_residual, _step_count
 
 # A Wick solve is flagged as truncated once the top degree holds more than
@@ -109,7 +109,7 @@ class ChaosSpace:
             [np.prod([factorial(int(a)) for a in alpha]) for alpha in self.indices],
             dtype=float,
         )
-        self._pos = {tuple(alpha): i for i, alpha in enumerate(self.indices)}
+        self._pos = {tuple(alpha): i for i, alpha in enumerate(self.indices.tolist())}
 
     def position(self, alpha) -> int:
         return self._pos[tuple(int(a) for a in alpha)]
@@ -117,17 +117,18 @@ class ChaosSpace:
     def _pair_columns(self):
         """Pairs alpha_I + alpha_J = alpha_K as ordered (I, J) columns.
 
-        Each K keeps its pairs in table order (by I, then J); the K's go by pair
-        count, most first, and column c holds the c-th pair of every K with
-        more than c, a prefix of the sorted K's. Also returns the unsort.
+        K's pairs are its sub-indices alpha_I <= alpha_K with J at alpha_K -
+        alpha_I, at most 2^degree of them rather than a scan of every (I, J),
+        in table order (by I, then J). The K's go by pair count, most first,
+        and column c holds the c-th pair of every K with more than c, a prefix
+        of the sorted K's. Also returns the unsort.
         """
         tab = self._cache.get("columns")
         if tab is None:
-            groups = [[] for _ in range(self.n_indices)]
-            for i, a in enumerate(self.indices):
-                for j, b in enumerate(self.indices):
-                    if self.degrees[i] + self.degrees[j] <= self.max_degree:
-                        groups[self._pos[tuple(a + b)]].append((i, j))
+            pos = self._pos
+            groups = [sorted((pos[sub], pos[tuple(a - c for a, c in zip(alpha, sub))])
+                             for sub in product(*(range(a + 1) for a in alpha)))
+                      for alpha in self.indices.tolist()]
             order = sorted(range(self.n_indices), key=lambda k: -len(groups[k]))
             columns = []
             for c in range(len(groups[order[0]])):
@@ -485,10 +486,7 @@ class ChaosState:
     def degree_energy(self) -> np.ndarray:
         """Energy alpha! ||Phi_alpha||_H^2 aggregated per degree."""
         norms = self.model.generator.metric_norm_blocks(self.data)
-        # Python's float ** 2 (libm pow), as model.norm(...) ** 2 squared each
-        # norm; numpy's array ** 2 (x * x) rounds differently about once in
-        # a thousand values
-        per_index = self.space.factorials * np.array([n ** 2 for n in norms.tolist()])
+        per_index = self.space.factorials * _powers(norms, 2)
         # bincount adds the weights one at a time in index order, as a
         # scatter-add over the indices would
         return np.bincount(self.space.degrees, weights=per_index,
@@ -560,12 +558,9 @@ class WickTrajectory:
     """The end of a Wick solve: its final state, the top degree's energy share
     after each step, and whether that share ever passed ``TAIL_FLAG_FRACTION``."""
 
-    final_state: ChaosState
+    final: ChaosState
     tail_fractions: np.ndarray
     truncation_flagged: bool
-
-    def final(self) -> ChaosState:
-        return self.final_state
 
 
 def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,

@@ -38,7 +38,7 @@ import numpy as np
 from ._files import write_atomic
 from .chaos import ChaosVector, chaos_csv, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig, _checked
-from .ensemble import (EnsembleConfig, TailCurve, _observable_fn, _probe, chaos_vs_mc,
+from .ensemble import (EnsembleConfig, TailCurve, _observable, _probe, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
@@ -166,7 +166,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     }
     if model.name == "maxwell_dirac":
         report["gauge_residual_initial"] = model.gauge_residual(phi0)
-        report["gauge_residual_final"] = model.gauge_residual(traj.final_state())
+        report["gauge_residual_final"] = model.gauge_residual(traj.final)
     code = EXIT_BLOWUP if (traj.stopped or traj.blown_up) and not args.allow_stop else EXIT_OK
     return code, report, {"trajectory.csv": trajectory_csv(traj)}
 
@@ -235,10 +235,7 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         raise ConfigError(f"chaos: Wick quantization needs an odd power p, got {pr.p}")
     report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
-    probe = _probe(model, phi0)
-    final = wick.final()
-    coeffs = np.array([model.inner(final.block(i), probe)
-                       for i in range(space.n_indices)])
+    coeffs = model.generator.metric_inner_blocks(wick.final.data, _probe(model, phi0).data)
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,
@@ -257,7 +254,7 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
     for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
-        value = _checked("mc.observables", lambda: _observable_fn(model, name, phi0)(phi0))
+        value = _checked("mc.observables", _observable, model, name, phi0, phi0.data[None])[0]
         if not np.isfinite(value):
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,

@@ -11,6 +11,11 @@ the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the variance of a
 pathwise difference rather than of two independent ensembles. Order fits are
 least squares on log-log ladders, discarding points below ten times the
 Monte Carlo noise floor.
+
+A Monte Carlo sample is a column: ``_observable`` maps a (B, s, *grid.shape)
+stack of final states (an ensemble's paths, or one path's rungs) to one float
+per state, each as from the state alone, and ``noise.sample_moments`` reduces
+columns to means, variances and standard errors.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import numpy as np
 
 from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
 from .grids import State
-from .models import Model
-from .noise import CovarianceSpec, QWienerSampler
+from .models import Model, _powers
+from .noise import CovarianceSpec, QWienerSampler, sample_moments
 from .solver import _ito_march, _step_count, step_exp_euler
 
 # The survival curve's lower-bound fit window is rho <= TAIL_FIT_RHO_MAX.
@@ -62,30 +67,31 @@ def _probe(model: Model, phi0: State) -> State:
     return phi0 * (1.0 / max(model.norm(phi0), 1e-300))
 
 
-def _observable_fn(model: Model, name: str, phi0: State):
-    """Map a final state to a float; ``sup_sum_sq`` needs the path, not a state."""
-    probe = _probe(model, phi0)
-    if name == "norm_sq":
-        return lambda st: model.norm(st) ** 2
-    if name == "constant":
-        return lambda st: 1.0
-    if name == "log_norm_sq":
-        # low-variance functional for weak-order fits on multiplicative noise
-        return lambda st: 2.0 * np.log(max(model.norm(st), 1e-300))
-    if name == "norm":
-        return lambda st: model.norm(st)
+def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.ndarray:
+    """The observable ``name`` of each state of a (B, s, *grid.shape) stack, one
+    float per state; ``sup_sum_sq`` needs the path, not a state."""
+    gen = model.generator
     if name == "sup_sum_sq":
         raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
                          "of the final state")
+    if name in ("norm_sq", "log_norm_sq", "norm"):
+        norms = gen.metric_norm_blocks(data)
+        if name == "norm_sq":
+            return _powers(norms, 2)
+        if name == "log_norm_sq":
+            # low-variance functional for weak-order fits on multiplicative noise
+            return np.array([2.0 * np.log(max(n, 1e-300)) for n in norms.tolist()])
+        return norms
+    if name == "constant":
+        return np.ones(len(data))
     if isinstance(name, str) and name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
-        return lambda st: model.graph_norm(st, j)
-    if name == "pairing_re":
-        return lambda st: model.inner(st, probe).real
-    if name == "pairing_im":
-        return lambda st: model.inner(st, probe).imag
+        return gen.graph_norm_ladder_blocks(data, j)[:, j]
+    if name in ("pairing_re", "pairing_im"):
+        pairs = gen.metric_inner_blocks(data, _probe(model, phi0).data)
+        return pairs.real if name == "pairing_re" else pairs.imag
     if name in ("mass", "energy", "charge"):
-        return lambda st: model.conserved(st).get(name, np.nan)
+        return model.conserved_blocks(data).get(name, np.full(len(data), np.nan))
     raise ValueError(f"unknown observable '{name}'")
 
 
@@ -107,8 +113,8 @@ def _noise(config: EnsembleConfig, i: int) -> QWienerSampler | None:
     return QWienerSampler(config.covariance, config.master_seed, stream_id=i)
 
 
-def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
-    """Yield, path by path, the final state at each dt in ``dts`` (finest last).
+def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
+    """Yield each path's final states, one per dt in ``dts`` (finest last).
 
     The increments are drawn once at the finest dt; a coarser dt sums them,
     so every dt sees the same Brownian path. Each rung's increments are cast
@@ -120,14 +126,14 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[list[State]]:
     for i in range(config.n_paths):
         sampler = _noise(config, i)
         fine = None if sampler is None else sampler.increments(dts[-1], n_fine)
-        finals = []
-        for dt, n in rungs:
+        finals = np.empty((len(rungs),) + phi0.data.shape, dtype=complex)
+        for r, (dt, n) in enumerate(rungs):
             dW = [None] * n if fine is None else (fine if n == n_fine else fine.reshape(
                 n, n_fine // n, *fine.shape[1:]).sum(axis=1)).astype(complex)
             state = phi0
             for inc in dW:
                 state = step_exp_euler(model, state, dt, inc)
-            finals.append(state)
+            finals[r] = state.data
         yield finals
 
 
@@ -137,8 +143,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     array of ``_STACK_BYTES`` (one path's, if larger). Blown-up paths count as
     stopped, not fatal; the result is the same bit for bit for any stack size."""
     model, phi0, dt, grid = config.model, config.phi0, config.dt, config.model.grid
-    fns = {name: _observable_fn(model, name, phi0)
-           for name in config.observables if name != "sup_sum_sq"}
     n_steps = _step_count(config.T, dt)
     size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
     buf = None if config.covariance is None else np.empty((n_steps, size, 1) + grid.shape)
@@ -151,15 +155,10 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         dW = None if buf is None else buf[:, :len(paths)]
         marches.append(_ito_march(model, phi0, dt, n_steps, config.threshold, dW, len(paths)))
     finals, sups, stops, blown = (np.concatenate(part) for part in zip(*marches))
-    states = [State(grid, data, phi0.roles) for data in finals]
     observables = {}
     for name in config.observables:
-        vals = sups if name == "sup_sum_sq" else np.array([fns[name](st) for st in states])
-        observables[name] = {
-            "mean": float(np.mean(vals)),
-            "var": float(np.var(vals, ddof=1)),
-            "stderr": float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
-        }
+        vals = sups if name == "sup_sum_sq" else _observable(model, name, phi0, finals)
+        observables[name] = dict(zip(("mean", "var", "stderr"), map(float, sample_moments(vals))))
     denom = float(np.sum(model.graph_norms(phi0) ** 2))
     return EnsembleResult(
         observables=observables,
@@ -227,12 +226,10 @@ def strong_order(config: EnsembleConfig, dt_ladder,
     """
     model = config.model
     dts = _ladder(config.T, dt_ladder)
-    errs = np.zeros((len(dts) - 1, config.n_paths))
+    errs = np.zeros((len(dts) - 1, config.n_paths))  # a row per rung, reduced along it
     for i, finals in enumerate(_path_finals(config, dts)):
-        for k, sol in enumerate(finals[:-1]):
-            errs[k, i] = model.norm(sol - finals[-1])
-    mean = errs.mean(axis=1)
-    stderr = errs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
+        errs[:, i] = model.generator.metric_norm_blocks(finals[:-1] - finals[-1])
+    mean, _, stderr = sample_moments(errs)
     return _fit_order(dts[:-1], mean, stderr, scale=model.norm(config.phi0),
                       floor=noise_floor_factor)
 
@@ -240,16 +237,15 @@ def strong_order(config: EnsembleConfig, dt_ladder,
 def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
                noise_floor_factor: float = 10.0) -> OrderFit:
     """Coupled weak error |E f(phi_dt) - E f(phi_ref)| vs dt, log-log fit."""
-    f = _observable_fn(config.model, observable, config.phi0)
+    model, phi0 = config.model, config.phi0
+    scale = abs(_observable(model, observable, phi0, phi0.data[None])[0]) + 1.0
     dts = _ladder(config.T, dt_ladder)
     diffs = np.zeros((len(dts) - 1, config.n_paths))
     for i, finals in enumerate(_path_finals(config, dts)):
-        f_ref = f(finals[-1])
-        for k, sol in enumerate(finals[:-1]):
-            diffs[k, i] = f(sol) - f_ref
-    mean = np.abs(diffs.mean(axis=1))
-    stderr = diffs.std(axis=1, ddof=1) / np.sqrt(config.n_paths)
-    return _fit_order(dts[:-1], mean, stderr, scale=abs(f(config.phi0)) + 1.0,
+        f = _observable(model, observable, phi0, finals)
+        diffs[:, i] = f[:-1] - f[-1]
+    mean, _, stderr = sample_moments(diffs)
+    return _fit_order(dts[:-1], np.abs(mean), stderr, scale=scale,
                       floor=noise_floor_factor)
 
 
@@ -321,37 +317,29 @@ def chaos_vs_mc(config: EnsembleConfig,
     time-white Ito noise and the time-frozen chaos noise; the gap is reported
     as a diagnostic, not asserted.
     """
-    model, cov = config.model, config.covariance
+    model, phi0, cov = config.model, config.phi0, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
-    probe = _probe(model, config.phi0)
+    probe = _probe(model, phi0).data
 
-    # Monte Carlo side: pairings against the probe plus the second moment.
-    pair_vals = np.zeros(config.n_paths, dtype=complex)
-    norm_sq = np.zeros(config.n_paths)
-    for i, (final,) in enumerate(_path_finals(config, [config.dt])):
-        pair_vals[i] = model.inner(final, probe)
-        norm_sq[i] = model.norm(final) ** 2
+    # Monte Carlo side: the paths' finals as one stack, paired with the probe.
+    finals = np.concatenate(list(_path_finals(config, [config.dt])))
+    pairs = model.generator.metric_inner_blocks(finals, probe)
+    re, _, se_re = map(float, sample_moments(pairs.real))
+    im, _, se_im = map(float, sample_moments(pairs.imag))
+    mc2, _, mc2_se = map(float, sample_moments(_observable(model, "norm_sq", phi0, finals)))
 
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
     fields = cov.noise_fields()[: space.n_modes]
-    wick = solve_wick_evolution(model, config.phi0, fields, config.T, config.dt, space)
-    chaos_final = wick.final()
+    wick = solve_wick_evolution(model, phi0, fields, config.T, config.dt, space)
+    cz = complex(model.generator.metric_inner_blocks(wick.final.data[:1], probe)[0])
+    ok = abs(re - cz.real) <= 3 * se_re + 1e-12 and abs(im - cz.imag) <= 3 * se_im + 1e-12
 
-    re, im = pair_vals.real, pair_vals.imag
-    se_re = float(re.std(ddof=1) / np.sqrt(config.n_paths))
-    se_im = float(im.std(ddof=1) / np.sqrt(config.n_paths))
-    cz = model.inner(chaos_final.block(0), probe)
-    ok = abs(re.mean() - cz.real) <= 3 * se_re + 1e-12
-    ok &= abs(im.mean() - cz.imag) <= 3 * se_im + 1e-12
-
-    energy = float(np.sum(chaos_final.degree_energy()))
-    mc2 = float(norm_sq.mean())
-    mc2_se = float(norm_sq.std(ddof=1) / np.sqrt(config.n_paths))
+    energy = float(np.sum(wick.final.degree_energy()))
     tail = float(wick.tail_fractions[-1]) if len(wick.tail_fractions) else 0.0
     return ChaosMcReport(
-        probe_mc=[(float(re.mean()), float(im.mean()), se_re, se_im)],
-        probe_chaos=[(cz.real, cz.imag)], mean_within_3se=bool(ok),
+        probe_mc=[(re, im, se_re, se_im)],
+        probe_chaos=[(cz.real, cz.imag)], mean_within_3se=ok,
         mc_second_moment=mc2, mc_second_moment_stderr=mc2_se,
         chaos_energy=energy, second_moment_gap=float(energy - mc2),
         tail_fraction=tail,

@@ -162,6 +162,13 @@ class BrownianPath:
         return np.diff(self.values[:, 0])
 
 
+def sample_moments(sample: np.ndarray) -> tuple:
+    """Mean, ddof = 1 variance and standard error of samples along the last
+    axis; the standard error is np.std(ddof=1) / sqrt(n), to the bit."""
+    var = np.var(sample, axis=-1, ddof=1)
+    return np.mean(sample, axis=-1), var, np.sqrt(var) / np.sqrt(sample.shape[-1])
+
+
 def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
                          psi: Field, phi: Field, n_paths: int = 1000,
                          n_steps: int = 64) -> tuple[float, float]:
@@ -192,9 +199,8 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
         w_t = lam_sqrt * beta[i_t - 1] if i_t > 0 else np.zeros_like(lam_sqrt)
         w_tau = lam_sqrt * beta[i_tau - 1] if i_tau > 0 else np.zeros_like(lam_sqrt)
         prods[p] = float(np.dot(w_t, c_psi) * np.dot(w_tau, c_phi))
-    est = float(np.mean(prods))
-    stderr = float(np.std(prods, ddof=1) / np.sqrt(n_paths))
-    return est, stderr
+    est, _, stderr = sample_moments(prods)
+    return float(est), float(stderr)
 
 
 def multiple_wiener(n: int, kernel, path: BrownianPath) -> float:
@@ -238,9 +244,8 @@ def orthogonality_check(n: int, m: int, f, g, n_paths: int = 2000,
     for p in range(n_paths):
         path = BrownianPath.sample(rng, 1.0, steps)
         prods[p] = multiple_wiener(n, f, path) * multiple_wiener(m, g, path)
-    est = float(np.mean(prods))
-    stderr = float(np.std(prods, ddof=1) / np.sqrt(n_paths))
-    return est, stderr
+    est, _, stderr = sample_moments(prods)
+    return float(est), float(stderr)
 
 
 def discrete_pairing(n: int, f, g, steps: int) -> float:

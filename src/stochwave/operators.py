@@ -219,10 +219,16 @@ class SpectralOperator:
 
     def metric_inner(self, a: State, b: State) -> complex:
         """Energy-weighted pairing <a, b>, conjugating the second argument."""
-        ca = a.spectral().reshape(self.n_components, self.grid.size)
-        cb = b.spectral().reshape(self.n_components, self.grid.size)
-        g = self._flat_metric()
-        return complex(np.sum(g * ca * np.conj(cb)))
+        return complex(self.metric_inner_blocks(a.data[None], b.data)[0])
+
+    def metric_inner_blocks(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pairings <a, b> of each state a of a (B, s, *grid.shape) stack with the
+        (s, *grid.shape) state b, bit for bit as each block alone. Unit weights
+        multiply too: that keeps the signed zeros and non-finite values of g * a * conj(b)."""
+        s, size = self.n_components, self.grid.size
+        ca = self.grid.to_spectral(data).reshape(len(data), s, size)
+        cb = self.grid.to_spectral(b).reshape(s, size)
+        return np.sum(self._flat_metric() * ca * np.conj(cb), axis=(1, 2))
 
     def graph_norm(self, state: State, j: int) -> float:
         """Metric norm of A^j applied to the state; j = 0 is the plain norm."""

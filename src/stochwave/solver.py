@@ -99,9 +99,6 @@ class Trajectory:
     def stopped(self) -> bool:
         return self.stop_time is not None
 
-    def final_state(self) -> State:
-        return self.final
-
 
 @dataclass
 class PicardResult:
@@ -112,7 +109,8 @@ class PicardResult:
     fixed_point_residual: float
     contraction_ratio: float
 
-    def final_state(self) -> State:
+    @property
+    def final(self) -> State:
         return self.states[-1]
 
 
@@ -289,13 +287,12 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     times, norms, conserved = [], [], {}
 
     def record(t, data, ladders):
-        for d, g in zip(data, ladders):
-            times.append(t)
-            norms.append(g.tolist())  # a row of floats, not an array per step
-            for name, value in model.conserved(State(model.grid, d, phi0.roles)).items():
-                conserved.setdefault(name, []).append(value)
+        times.extend([t] * len(data))
+        norms.extend(ladders.tolist())  # rows of floats, not an array per step
+        for name, column in model.conserved_blocks(data).items():
+            conserved.setdefault(name, []).extend(column.tolist())
 
-    record(0.0, phi0.data[None], [model.graph_norms(phi0)])
+    record(0.0, phi0.data[None], model.graph_norms(phi0)[None])
     final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
                                        _SCHEMES[scheme])
     k = int(stop[0])
@@ -319,6 +316,8 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
     with the bits of a march alone. ``record(t, data, norms)`` gets each step's
     finite states. Returns, per path, the final state, the sup of
     sum_j ||A^j phi||^2, the stop step (0: ran to T) and the blown-up flag.
+    The steps, ``record`` included, run with numpy's overflow and invalid
+    warnings off: a path that leaves the finite numbers ends as a flag.
     """
     N = model.smoothness
     norms0 = _initial_norms(model, phi0, threshold)
@@ -326,25 +325,26 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
     sup = np.full(n_paths, np.sum(norms0**2))
     stop, blown = np.zeros(n_paths, dtype=int), np.zeros(n_paths, dtype=bool)
     live, data = np.arange(n_paths), final.copy()
-    for n in range(n_steps):
-        step = kernel(model, data, dt, None if dW is None else dW[n, live])
-        finite = np.isfinite(step.reshape(len(live), -1)).all(axis=1)
-        step[~finite] = data[~finite]  # keep the last finite state, already checked
-        data, norms = step, model.generator.graph_norm_ladder_blocks(step, N)
-        sup[live] = np.fmax(sup[live], np.sum(norms**2, axis=1))  # like max(), NaN-blind
-        hit = np.max(norms[:, :max(N, 1)], axis=1) > threshold
-        capped = ~hit & (norms[:, 0] > BLOWUP_CAP)
-        if record is not None:
-            record((n + 1) * dt, data[finite], norms[finite])
-        out = ~finite | hit | capped
-        if out.any():
-            ended = live[out]
-            final[ended] = data[out]
-            stop[ended] = n + 1
-            blown[ended] = (~finite | capped)[out]
-            live, data = live[~out], data[~out]
-            if not len(live):
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            step = kernel(model, data, dt, None if dW is None else dW[n, live])
+            finite = np.isfinite(step.reshape(len(live), -1)).all(axis=1)
+            step[~finite] = data[~finite]  # keep the last finite state, already checked
+            data, norms = step, model.generator.graph_norm_ladder_blocks(step, N)
+            sup[live] = np.fmax(sup[live], np.sum(norms**2, axis=1))  # like max(), NaN-blind
+            hit = np.max(norms[:, :max(N, 1)], axis=1) > threshold
+            capped = ~hit & (norms[:, 0] > BLOWUP_CAP)
+            if record is not None:
+                record((n + 1) * dt, data[finite], norms[finite])
+            out = ~finite | hit | capped
+            if out.any():
+                ended = live[out]
+                final[ended] = data[out]
+                stop[ended] = n + 1
+                blown[ended] = (~finite | capped)[out]
+                live, data = live[~out], data[~out]
+                if not len(live):
+                    break
     final[live] = data
     return final, sup, stop, blown
 
@@ -381,7 +381,7 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
                            _free=_free)
         if not res.converged:
             raise ConvergenceError("Picard solve failed to converge during stencil scan")
-        return model.inner(res.final_state(), probe)
+        return model.inner(res.final, probe)
 
     worst = 0.0
     for z0 in z_centers:

@@ -480,7 +480,7 @@ def test_cross_formulation():
             pic = sw.picard_solve(m, st, 0.4, theta, zeta,
                                   n_time_nodes=round(0.4 / dt) + 1, tol=1e-12,
                                   max_iter=80)
-            diffs.append(m.norm(wick.final().s_transform(zeta) - pic.final_state()))
+            diffs.append(m.norm(wick.final.s_transform(zeta) - pic.final))
         C, tail = np.polyfit(dts, diffs, 1)
         max_C = max(max_C, C)
         model_err = np.max(np.abs(np.polyval([C, tail], dts) - diffs))

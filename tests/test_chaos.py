@@ -152,11 +152,16 @@ def test_annihilation_and_creation():
 
 
 def _pair_table(space):
-    """(I, J, K) with alpha_I + alpha_J = alpha_K, in row-major (I, J) order."""
-    rows = [(i, j, space.position(a + b))
-            for i, a in enumerate(space.indices) for j, b in enumerate(space.indices)
-            if space.degrees[i] + space.degrees[j] <= space.max_degree]
-    return tuple(np.array(col) for col in zip(*rows))
+    """(I, J, K) with alpha_I + alpha_J = alpha_K, in row-major (I, J) order:
+    a scan of every (I, J). An index's key has its entries as digits in base
+    max_degree + 1, so the key of a sum within the table is the sum of keys."""
+    I, J = np.nonzero(space.degrees[:, None] + space.degrees[None, :] <= space.max_degree)
+    keys = space.indices @ (space.max_degree + 1) ** np.arange(space.n_modes)
+    by_key = np.argsort(keys)
+    K = by_key[np.searchsorted(keys[by_key], keys[I] + keys[J])]
+    assert all(space.position(space.indices[i] + space.indices[j]) == k
+               for i, j, k in zip(I[::97], J[::97], K[::97]))
+    return I, J, K
 
 
 def _signed_zeros(rng, shape):
@@ -441,8 +446,8 @@ def test_wick_evolution_zero_noise_reduces_to_deterministic():
     from stochwave import solve_ito
 
     det = solve_ito(model, st, 0.3, 0.01, None)
-    assert model.norm(wick.final().block(0) - det.final_state()) < 1e-10
-    assert np.max(np.abs(wick.final().data[1:])) == 0.0
+    assert model.norm(wick.final.block(0) - det.final) < 1e-10
+    assert np.max(np.abs(wick.final.data[1:])) == 0.0
 
 
 def test_wick_evolution_linear_closed_form():
@@ -460,7 +465,7 @@ def test_wick_evolution_linear_closed_form():
     errs = []
     for dt in (0.02, 0.01, 0.005):
         wick = solve_wick_evolution(model, phi0, [q], T, dt, space)
-        final = wick.final()
+        final = wick.final
         worst = 0.0
         for k in range(space.max_degree + 1):
             block = final.data[space.position([k]), 0]
@@ -488,10 +493,10 @@ def test_wick_evolution_s_transform_tracks_picard():
     diffs = []
     for dt in (0.02, 0.01):
         wick = solve_wick_evolution(model, st, qfields, 0.4, dt, space)
-        s_state = wick.final().s_transform(zeta)
+        s_state = wick.final.s_transform(zeta)
         pic = picard_solve(model, st, 0.4, theta, zeta, n_time_nodes=round(0.4 / dt) + 1,
                            tol=1e-12, max_iter=80)
-        diffs.append(model.norm(s_state - pic.final_state()))
+        diffs.append(model.norm(s_state - pic.final))
     assert diffs[1] < diffs[0]
     assert diffs[0] / diffs[1] > 1.6  # O(dt) with a small truncation floor
 
@@ -520,3 +525,23 @@ def test_chaos_csv_export():
 def test_wick_power_of_vacuum():
     assert np.allclose(wick_power(ChaosVector.vacuum(SPACE), 5).coeffs,
                        ChaosVector.vacuum(SPACE).coeffs)
+
+
+@pytest.mark.parametrize("n_modes, degree", [(1, 6), (2, 8), (3, 6), (6, 2), (6, 5), (8, 4),
+                                             (10, 3), (12, 4)])
+def test_pair_columns_equal_a_scan_of_every_pair(n_modes, degree):
+    # each K's pairs in scan order, K's by pair count (a stable sort), column
+    # c the c-th pair of each K with more than c: the table that the
+    # sub-index enumeration must reproduce array for array
+    space = ChaosSpace(n_modes, degree)
+    groups = [[] for _ in range(space.n_indices)]
+    for i, j, k in zip(*(col.tolist() for col in _pair_table(space))):
+        groups[k].append((i, j))
+    order = sorted(range(space.n_indices), key=lambda k: -len(groups[k]))
+    columns, undo = space._pair_columns()
+    assert len(columns) == len(groups[order[0]])
+    for c, (I, J) in enumerate(columns):
+        want = [groups[k][c] for k in order if len(groups[k]) > c]
+        assert I.tolist() == [i for i, _ in want]
+        assert J.tolist() == [j for _, j in want]
+    assert undo.tolist() == np.argsort(order).tolist()

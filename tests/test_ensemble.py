@@ -310,8 +310,8 @@ def test_blown_paths_end_at_their_last_finite_state():
             assert traj.blown_up and traj.stop_time == res.stop_times[i]
             assert traj.times[-1] <= traj.stop_time
             assert traj.graph_norms[-1].tobytes() == \
-                m.graph_norms(traj.final_state()).tobytes()
-            finals.append(m.norm(traj.final_state()) ** 2)
+                m.graph_norms(traj.final).tobytes()
+            finals.append(m.norm(traj.final) ** 2)
     assert res.n_blown == 4
     assert res.observables["norm_sq"]["mean"] == np.mean(finals) > 9.0
 
@@ -372,3 +372,73 @@ def test_order_fits_step_once_per_path_and_step_through_the_module_name(monkeypa
     assert strong.stderrs.tobytes() == (errs.std(axis=1, ddof=1) / root_n).tobytes()
     assert weak.errors.tobytes() == np.abs(diffs.mean(axis=1)).tobytes()
     assert weak.stderrs.tobytes() == (diffs.std(axis=1, ddof=1) / root_n).tobytes()
+
+
+def _conserved_of_one_state(model, state):
+    """Model.conserved as a sum over one state's grid at a time."""
+    pr, dv, grid = model.params, model.grid.dv, model.grid
+    data, out = state.data, {}
+    if model.name == "nls":
+        psi = data[0]
+        out["mass"] = float(np.sum(np.abs(psi) ** 2) * dv)
+        grad2 = float(np.sum(grid.k_squared * np.abs(grid.to_spectral(psi)) ** 2))
+        pot = float(np.sum(np.abs(psi) ** (pr.p + 1)) * dv)
+        out["energy"] = grad2 - pr.sign * 2.0 / (pr.p + 1) * pot
+    elif model.name in ("klein_gordon", "sine_gordon"):
+        u, v = data[0], data[1]
+        b2 = grid.k_squared + pr.k0**2
+        bnorm2 = float(np.sum(b2 * np.abs(grid.to_spectral(u)) ** 2))
+        kin = float(np.sum(np.abs(v) ** 2) * dv)
+        if model.name == "klein_gordon":
+            pot = -pr.sign / (pr.p + 1) * float(np.sum(np.abs(u) ** (pr.p + 1)) * dv)
+        else:
+            pot = pr.g * float(np.sum(np.real(np.cos(u))) * dv)
+        out["energy"] = 0.5 * kin + 0.5 * bnorm2 + pot
+    elif model.name == "zakharov":
+        out["mass"] = float(np.sum(np.abs(data[0]) ** 2) * dv)
+    else:
+        out["charge"] = float(np.sum(np.abs(data[0]) ** 2 + np.abs(data[1]) ** 2) * dv)
+    return out
+
+
+def _observable_of_one_state(model, name, phi0, state):
+    """An observable as a function of one final state, the oracle of the columns."""
+    gen = model.generator
+    s, size = gen.n_components, model.grid.size
+    norm = float(np.sqrt(np.sum(gen._flat_metric()
+                                * np.abs(state.spectral().reshape(s, size)) ** 2).real))
+    probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    pairing = complex(np.sum(gen._flat_metric() * state.spectral().reshape(s, size)
+                             * np.conj(probe.spectral().reshape(s, size))))
+    if name.startswith("graph_norm_j"):
+        return model.graph_norm(state, int(name.removeprefix("graph_norm_j")))
+    return {"norm_sq": norm ** 2, "constant": 1.0, "norm": norm,
+            "log_norm_sq": 2.0 * np.log(max(norm, 1e-300)),
+            "pairing_re": pairing.real, "pairing_im": pairing.imag,
+            }.get(name, _conserved_of_one_state(model, state).get(name, np.nan))
+
+
+@pytest.mark.parametrize("name, dim", [("nls", 1), ("nls", 2), ("klein_gordon", 1),
+                                       ("sine_gordon", 1), ("zakharov", 1), ("zakharov", 2),
+                                       ("maxwell_dirac", 1)])
+def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
+    from stochwave.ensemble import _observable
+
+    grid = make_grid(dim, [16, 8][:dim], [2 * np.pi, 3.0][:dim])
+    model = build_model(name, grid, smoothness=2)
+    rng = np.random.default_rng(5)
+    states = [model.random_smooth_state(rng, radius=r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    states.append(model.zero_state())
+    data = np.stack([st.data for st in states])
+    phi0 = states[1]
+    names = ("norm_sq", "constant", "log_norm_sq", "norm", "graph_norm_j0", "graph_norm_j1",
+             "graph_norm_j2", "pairing_re", "pairing_im", "mass", "energy", "charge")
+    for observable in names:
+        column = _observable(model, observable, phi0, data)
+        want = np.array([_observable_of_one_state(model, observable, phi0, st) for st in states])
+        assert column.shape == (len(states),)
+        assert np.ascontiguousarray(column).tobytes() == want.tobytes(), observable
+    with pytest.raises(ValueError, match="whole path"):
+        _observable(model, "sup_sum_sq", phi0, data)
+    with pytest.raises(ValueError, match="unknown observable"):
+        _observable(model, "nope", phi0, data)

@@ -342,3 +342,38 @@ def test_metric_hermiticity_flag_tolerance(grid):
     GS = g[:, None, :] * S
     dev = np.max(np.abs(GS - np.conj(np.transpose(GS, (1, 0, 2)))))
     assert dev < 1e-13 * (1 + np.max(np.abs(GS)))
+
+
+@pytest.mark.parametrize("dim, kind, params", [
+    (1, "laplacian", {}),
+    (2, "laplacian", {}),
+    (1, "zakharov_block", {}),
+    (2, "zakharov_block", {}),
+    (1, "wave_block", {"k0": 1.0}),
+    (1, "maxwell_dirac_block", {"k0": 1.0, "m": 1.0}),
+])
+def test_metric_inner_blocks_equal_the_single_state_pairing_bit_for_bit(dim, kind, params):
+    # g * a * conj(b) per block, with the weights multiplied even when they
+    # are all 1: (1 + 0j) * (-0 - 0j) is +0 - 0j, so skipping them would
+    # flip signed zeros; zero components give such coefficients
+    g = make_grid(dim, [8, 6][:dim], [2 * np.pi, 3.0][:dim])
+    op = make_operator(kind, g, **params)
+    s = op.n_components
+    weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
+    rng = np.random.default_rng(60 + dim)
+    roles = tuple(f"c{i}" for i in range(s))
+    for B in (1, 7):
+        data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[-1, 0] = -0.0
+        b = np.where(rng.random((s,) + g.shape) < 0.5, -0.0, data[0])
+        b[-1] = complex(-0.0, -0.0)
+        pairs = op.metric_inner_blocks(data, b)
+        assert pairs.shape == (B,)
+        cb = State(g, b, roles).spectral().reshape(s, g.size)
+        for k in range(B):
+            a = State(g, data[k], roles)
+            want = np.array(complex(np.sum(weights * a.spectral().reshape(s, g.size)
+                                           * np.conj(cb))))
+            assert pairs[k].tobytes() == want.tobytes()
+            assert np.array(op.metric_inner(a, State(g, b, roles))).tobytes() == want.tobytes()

@@ -41,7 +41,7 @@ def test_picard_homogeneous_single_sweep():
     res = picard_solve(m, st, 0.5, None, n_time_nodes=33, tol=1e-12)
     assert res.converged and len(res.residuals) == 1
     free = m.generator.propagate(0.5, st)
-    assert m.norm(res.final_state() - free) < 1e-13
+    assert m.norm(res.final - free) < 1e-13
 
 
 def test_picard_constant_potential_closed_form():
@@ -55,12 +55,12 @@ def test_picard_constant_potential_closed_form():
     res = picard_solve(m, phi0, T, theta, np.array([c]), n_time_nodes=129, tol=1e-13,
                        max_iter=100)
     ref = phi0 * np.exp((-1j + c) * T)  # generator eigenvalue a = 1 at k = 1
-    err = m.norm(res.final_state() - ref) / m.norm(ref)
+    err = m.norm(res.final - ref) / m.norm(ref)
     assert res.converged
     assert err < 5e-5  # trapezoid quadrature, O(dt^2)
     res2 = picard_solve(m, phi0, T, theta, np.array([c]), n_time_nodes=257, tol=1e-13,
                         max_iter=100)
-    err2 = m.norm(res2.final_state() - ref) / m.norm(ref)
+    err2 = m.norm(res2.final - ref) / m.norm(ref)
     assert err / err2 > 3.0  # halving dt cuts the error about 4x
 
 
@@ -451,7 +451,7 @@ def _assert_table_of(traj, model, times, states, norms):
     assert list(traj.conserved) == list(rows[0])
     for name, column in traj.conserved.items():
         assert column.tobytes() == np.array([r[name] for r in rows]).tobytes()
-    assert traj.final_state().data.tobytes() == states[-1].data.tobytes()
+    assert traj.final.data.tobytes() == states[-1].data.tobytes()
 
 
 def test_solve_ito_norm_history_matches_states():
@@ -465,7 +465,7 @@ def test_solve_ito_norm_history_matches_states():
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
         energy = m.conserved(state)["energy"]
         assert abs(energy - traj.conserved["energy"][i]) <= 1e-12 * abs(energy)
-    assert traj.final_state().data.tobytes() == states[-1].data.tobytes()
+    assert traj.final.data.tobytes() == states[-1].data.tobytes()
 
 
 def test_solve_ito_keeps_rows_not_states():
@@ -495,7 +495,7 @@ def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
     step1 = step_exp_euler(m, st, 0.01)
     assert traj.blown_up and traj.stop_time == 0.02
     assert list(traj.times) == [0.0, 0.01] and len(traj.conserved["mass"]) == 2
-    assert traj.final_state().data.tobytes() == step1.data.tobytes()
+    assert traj.final.data.tobytes() == step1.data.tobytes()
     assert traj.graph_norms[-1].tobytes() == m.graph_norms(step1).tobytes()
 
 
@@ -842,7 +842,7 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 
     def F(z):
         solves.append(picard_solve(m, st, 0.5, theta, zeta, eta, z, **kw))
-        return m.inner(solves[-1].final_state(), probe)
+        return m.inner(solves[-1].final, probe)
 
     want = max(0.0, *(_cr_residual(F, z0, 1e-2) for z0 in centers))
     calls = []
