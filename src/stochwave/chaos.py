@@ -105,10 +105,11 @@ class ChaosSpace:
         self.indices = _multi_indices(self.n_modes, self.max_degree)
         self.n_indices = len(self.indices)
         self.degrees = self.indices.sum(axis=1)
-        self.factorials = np.array(
-            [np.prod([factorial(int(a)) for a in alpha]) for alpha in self.indices],
-            dtype=float,
-        )
+        # exact k! for k <= max_degree as Python ints: each alpha! is the exact
+        # product rounded once to float (an int64 product wraps above 2^63)
+        self._factorial = np.array([factorial(k) for k in range(self.max_degree + 1)],
+                                   dtype=object)
+        self.factorials = np.prod(self._factorial[self.indices], axis=1).astype(float)
         self._pos = {tuple(alpha): i for i, alpha in enumerate(self.indices.tolist())}
 
     def position(self, alpha) -> int:
@@ -358,7 +359,7 @@ def norm_beta(phi: ChaosVector, p: int, beta: float) -> float:
         raise ValueError("beta must lie in [0, 1]")
     space = phi.space
     sign = 1.0 if p >= 0 else -1.0
-    deg_fact = np.array([factorial(int(d)) for d in space.degrees], dtype=float)
+    deg_fact = space._factorial[space.degrees].astype(float)
     wpow = np.prod(space.mode_weights[None, :] ** (2.0 * p * space.indices), axis=1)
     weights = (deg_fact ** (sign * beta)) * space.factorials * wpow
     return float(np.sqrt(np.sum(weights * np.abs(phi.coeffs) ** 2)))
@@ -595,12 +596,3 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
         tails.append(float(energy[-1] / total) if total > 0 else 0.0)
     tails = np.asarray(tails)
     return WickTrajectory(chaos, tails, bool(np.any(tails > TAIL_FLAG_FRACTION)))
-
-
-def chaos_csv(vec: ChaosVector) -> str:
-    """Indexed coefficient dump: multi-index, real, imag."""
-    lines = ["multi_index,real,imag\n"]
-    for alpha, c in zip(vec.space.indices, vec.coeffs):
-        label = "(" + " ".join(str(int(a)) for a in alpha) + ")"
-        lines.append(f"{label},{c.real:.17g},{c.imag:.17g}\n")
-    return "".join(lines)

@@ -3,18 +3,21 @@
 Subcommands: simulate, picard, converge, chaos, ensemble, verify. Each takes
 --config, --seed and --out, plus only the flags it reads (``_COMMANDS``).
 A command computes and ``main`` writes. A command takes the resolved config
-and returns its exit code, its report and its other files (name -> the text
-of a CSV, or the value of a .json file). Before the command runs, ``main``
-refuses an output path that is not a directory or holds a run of a
-different config; once it returns, ``main`` writes the command's files, then
-config.resolved.json, then report.json last (both carry the config hash),
-each whole through a temporary file and a rename. An error raised on the way
-leaves no run directory, or a re-used one as it was. ``python -m stochwave``
-runs the same commands.
+and returns its exit code, its report and its other files (name -> the value
+of a .json file, or a CSV's named columns in the order they are written).
+Before the command runs, ``main`` refuses an output path that is not a
+directory or holds a run of a different config; once it returns, ``main``
+writes the command's files, then config.resolved.json, then report.json
+last (both carry the config hash), each whole through a temporary file and a
+rename. An error raised on the way leaves no run directory, or a re-used one
+as it was. ``python -m stochwave`` runs the same commands.
 
-Every JSON file, and verify's --json stdout, is strict JSON written by one
-rule (``_json``): a non-finite number is written as null. CSVs keep ``inf``
-and ``nan``, which numeric CSV readers parse.
+The file suffix picks one of two rules, and no other module formats file
+text. Every JSON file, and verify's --json stdout, is strict JSON written by
+``_json``: a non-finite number is written as null. Every CSV is written by
+``_csv``: a header row of the column names, then one row per entry with a
+float as ``%.17g`` (so ``inf`` and ``nan`` stay, which numeric CSV readers
+parse) and anything else by ``str``.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
 blow-up, stopped trajectory without --allow-stop, or a Picard solve that
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import fields, is_dataclass
@@ -35,15 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import write_atomic
-from .chaos import ChaosVector, chaos_csv, s_transform, wick_product
+from .chaos import ChaosVector, s_transform, wick_product
 from .config import ConfigError, ExperimentConfig, _checked
 from .ensemble import (EnsembleConfig, TailCurve, _observable, _probe, chaos_vs_mc,
                        run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
-                     holomorphy_check, picard_solve, solve_ito, trajectory_csv)
+                     holomorphy_check, picard_solve, solve_ito)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -87,17 +90,41 @@ def _json(value, indent=1) -> str:
     return json.dumps(_plain(value), sort_keys=True, indent=indent, allow_nan=False)
 
 
+def _csv(columns: dict) -> str:
+    """Named columns as CSV text: a header of the names, then one row per
+    entry, a float as ``%.17g`` and anything else by ``str``."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    return "".join(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in [list(columns), *rows])
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it.
+
+    ``os.replace`` swaps the finished file in at once, so a run that fails
+    while writing leaves the previous file whole and no temporary behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_run(out: Path, cfg: ExperimentConfig, report: dict, files: dict) -> None:
     """Create ``out`` and write the command's files in order, then
     config.resolved.json, then report.json last, both stamped with the hash;
-    a .json file's value is written by ``_json``, any other file is text."""
+    a .json file's value is written by ``_json``, a .csv file's columns by
+    ``_csv``."""
     from . import __version__
 
     files = {**files, "config.resolved.json": dict(cfg.doc, config_hash=cfg.hash),
              "report.json": dict(report, config_hash=cfg.hash, artifact_version=__version__)}
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        write_atomic(out / name, _json(content) if name.endswith(".json") else content)
+        write_atomic(out / name, _json(content) if name.endswith(".json") else _csv(content))
 
 
 def _load(args) -> ExperimentConfig:
@@ -168,7 +195,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         report["gauge_residual_initial"] = model.gauge_residual(phi0)
         report["gauge_residual_final"] = model.gauge_residual(traj.final)
     code = EXIT_BLOWUP if (traj.stopped or traj.blown_up) and not args.allow_stop else EXIT_OK
-    return code, report, {"trajectory.csv": trajectory_csv(traj)}
+    return code, report, {"trajectory.csv": {
+        "time": traj.times,
+        **{f"graph_norm_j{j}": norms for j, norms in enumerate(traj.graph_norms.T)},
+        **{name: traj.conserved[name] for name in sorted(traj.conserved)}}}
 
 
 def cmd_picard(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
@@ -205,8 +235,7 @@ def cmd_picard(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         residual = None  # a stencil solve did not converge: reported as null
     code = EXIT_OK if summary["converged"] and residual is not None else EXIT_BLOWUP
     return code, {**summary, "holomorphy_residual": residual}, {
-        "picard_residuals.csv": "iteration,residual\n" + "".join(
-            f"{i},{r:.17g}\n" for i, r in enumerate(residuals))}
+        "picard_residuals.csv": {"iteration": range(len(residuals)), "residual": residuals}}
 
 
 def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
@@ -219,10 +248,8 @@ def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     weak = weak_order(ens, ladder, observable="log_norm_sq",
                       noise_floor_factor=3.0)
     print(f"strong order {strong.order:.3f}  weak order {weak.order:.3f}")
-    return EXIT_OK, {"strong": strong, "weak": weak}, {
-        "convergence.csv": "dt,strong_error,strong_stderr\n" + "".join(
-            f"{dt:.17g},{e:.17g},{s:.17g}\n"
-            for dt, e, s in zip(strong.dts, strong.errors, strong.stderrs))}
+    return EXIT_OK, {"strong": strong, "weak": weak}, {"convergence.csv": {
+        "dt": strong.dts, "strong_error": strong.errors, "strong_stderr": strong.stderrs}}
 
 
 def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
@@ -245,7 +272,9 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     }
     print(f"mean agreement within 3 stderr: {report.mean_within_3se}")
     return EXIT_OK, {"chaos_vs_mc": report, "truncation_flagged": wick.truncation_flagged}, {
-        "chaos_coefficients.csv": chaos_csv(ChaosVector(space, coeffs)),
+        "chaos_coefficients.csv": {
+            "multi_index": ["(" + " ".join(map(str, a)) + ")" for a in space.indices.tolist()],
+            "real": coeffs.real, "imag": coeffs.imag},
         "chaos_space.json": header}
 
 
@@ -264,9 +293,9 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     if mb["rho_grid"]:
         # the survival curve reduces the same paths' stop times: one march
         curve = TailCurve.from_stop_times(result.stop_times, mb["rho_grid"])
-        files["tail_curve.csv"] = "rho,survival,band,fitted_lower_bound\n" + "".join(
-            f"{r:.17g},{s:.17g},{b:.17g},{1 - curve.m_hat * r * r:.17g}\n"
-            for r, s, b in zip(curve.rhos, curve.survival, curve.band))
+        files["tail_curve.csv"] = {
+            "rho": curve.rhos, "survival": curve.survival, "band": curve.band,
+            "fitted_lower_bound": 1 - curve.m_hat * curve.rhos * curve.rhos}
         report["tail_curve"] = curve
         print(f"fitted M = {curve.m_hat:.4f}, lower bound ok: {curve.lower_bound_ok()}")
     return EXIT_OK, report, files

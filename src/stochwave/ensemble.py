@@ -20,6 +20,7 @@ columns to means, variances and standard errors.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -84,8 +85,11 @@ def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.nd
         return norms
     if name == "constant":
         return np.ones(len(data))
-    if isinstance(name, str) and name.startswith("graph_norm_j"):
-        j = int(name.removeprefix("graph_norm_j"))
+    # one spelling per power: ASCII digits with no sign or leading zero; a
+    # negative power gets past the spelling for the ladder's own error
+    power = re.fullmatch(r"graph_norm_j(0|-?[1-9][0-9]*)", name)
+    if power:
+        j = int(power[1])
         return gen.graph_norm_ladder_blocks(data, j)[:, j]
     if name in ("pairing_re", "pairing_im"):
         pairs = gen.metric_inner_blocks(data, _probe(model, phi0).data)

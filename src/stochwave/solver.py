@@ -397,12 +397,3 @@ def _cr_residual(F, z0, h: float):
     dfdx = (fx[0] - 8 * fx[1] + 8 * fx[2] - fx[3]) / (12 * h)
     dfdy = (fy[0] - 8 * fy[1] + 8 * fy[2] - fy[3]) / (12 * h)
     return abs(0.5 * (dfdx + 1j * dfdy))
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV table: time, graph norms per order, conserved quantities."""
-    names = sorted(traj.conserved)
-    header = ["time"] + [f"graph_norm_j{j}" for j in range(traj.graph_norms.shape[1])] + names
-    table = np.column_stack([traj.times, traj.graph_norms, *(traj.conserved[n] for n in names)])
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
-    return "".join(line + "\n" for line in lines)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,11 @@ from math import factorial
 from numpy.polynomial import hermite_e
 
 from stochwave import State, build_model, make_grid
+from stochwave.cli import _csv, cmd_chaos
+from stochwave.config import ExperimentConfig
 from stochwave.chaos import (ChaosSpace, ChaosState, ChaosVector, FockOperator,
                              annihilate, create, duality, exp_vector,
-                             chaos_csv, growth_bound_fit, norm_beta,
+                             growth_bound_fit, norm_beta,
                              operator_symbol, s_transform, second_quantization,
                              solve_wick_evolution, wick_nonlinearity,
                              wick_power, wick_product)
@@ -516,10 +521,43 @@ def test_wick_evolution_flags_truncation_overflow():
 
 
 def test_chaos_csv_export():
-    vec = _random_vec(SPACE, max_deg=2)
-    lines = chaos_csv(vec).strip().splitlines()
+    # the chaos command's coefficient table: one row per multi-index of the
+    # space, in table order, each pairing read back bit for bit
+    cfg = ExperimentConfig.from_dict({
+        "model": {"name": "nls", "sign": 0, "smoothness": 1},
+        "grid": {"dim": 1, "points": [8], "lengths": [1.0]},
+        "initial": {"kind": "modes", "amplitude": 1.0, "modes": [[0, 1, 1.0, 0.0]]},
+        "solver": {"T": 0.1, "dt": 0.0125},
+        "noise": {"enabled": True, "n_modes": 3, "lambda0": 0.5},
+        "chaos": {"n_modes": 3, "max_degree": 4}, "mc": {"n_paths": 4}})
+    _, _, files = cmd_chaos(cfg, None)
+    lines = _csv(files["chaos_coefficients.csv"]).splitlines()
     assert lines[0] == "multi_index,real,imag"
     assert len(lines) == SPACE.n_indices + 1
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [f"({' '.join(map(str, a))})" for a in SPACE.indices.tolist()]
+    table = files["chaos_coefficients.csv"]
+    assert np.array_equal([float(r[1]) for r in rows], table["real"])
+    assert np.array_equal([float(r[2]) for r in rows], table["imag"])
+    assert np.any(table["real"] != 0)
+
+
+@pytest.mark.parametrize("n_modes, degree", [(2, 30), (3, 26)])
+def test_factorials_are_exact_products_rounded_once(n_modes, degree):
+    # an int64 product of the entries' factorials wraps above 2^63: on (2, 30)
+    # 79 of 496 came out wrong, 52 of them negative
+    space = ChaosSpace(n_modes, degree)
+    want = [float(math.prod(factorial(a) for a in alpha)) for alpha in space.indices.tolist()]
+    assert space.factorials.tolist() == want
+    # <<E(z), E(z)>> = sum over |alpha| <= M of z^(2 alpha) / alpha!, which
+    # sums by degree to the truncated series of exp(|z|^2)
+    zeta = np.full(n_modes, 2.0)
+    v = exp_vector(space, zeta)
+    series = sum(Fraction(4 * n_modes) ** k / factorial(k) for k in range(degree + 1))
+    assert duality(v, v) == pytest.approx(float(series), rel=1e-14)
+    # with the degree factorials |alpha|! the degree-d block sums to |z|^(2d)
+    assert norm_beta(v, 0, 1.0) ** 2 == pytest.approx(
+        sum((4 * n_modes) ** d for d in range(degree + 1)), rel=1e-13)
 
 
 def test_wick_power_of_vacuum():

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochwave.cli as cli
 import stochwave.ensemble as ensemble
-from stochwave import BlowUpError, _files
-from stochwave.cli import _write_run, main
+from stochwave import BlowUpError
+from stochwave.cli import _csv, _write_run, main
 from stochwave.config import ExperimentConfig
 
 BASE_CONFIG = {
@@ -246,6 +247,12 @@ NOISE_ON = {"noise": {"enabled": True}}
                   "initial": {"kind": "modes", "modes": [[0, 1, 1.0, 0.0], [0, 2, 1.0]]}},
      "initial: modes entry 1 must be [component, wavenumber, re, im] with a component in 0..0, "
      "got [0, 2, 1.0]"),
+    # these once ran as graph_norm_j1 or graph_norm_j10 under a hash and a
+    # report key of their own, or failed with int()'s message for 'x'
+    *[("ensemble", {**NOISE_ON, "mc": {"observables": ["norm_sq", name]}},
+       f"mc.observables: unknown observable '{name}'")
+      for name in ("graph_norm_j+1", "graph_norm_j 1", "graph_norm_j01", "graph_norm_jx",
+                   "graph_norm_j1_0", "graph_norm_j\u0661", "graph_norm_j", "graph_norm_j-0")],
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -357,11 +364,26 @@ def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch
             self.fh.write(text[: len(text) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(_files, "open", FullDisk, raising=False)
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     with pytest.raises(OSError):
         _write_run(tmp_path, cfg, {"status": "second"}, {})
     # the previous files stay whole, and no temporary file is left
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_csv_writes_a_header_then_floats_at_17_digits_and_the_rest_by_str():
+    text = _csv({"label": ["(0 1)", "(2 0)", "x"], "n": np.arange(3),
+                 "value": [-0.0, float("inf"), float("nan")],
+                 "f64": np.array([0.1, 1e300, -2.5]), "scalars": [np.float64(1 / 3), 7, "s"]})
+    assert text == ("label,n,value,f64,scalars\n"
+                    "(0 1),0,-0,0.10000000000000001,0.33333333333333331\n"
+                    "(2 0),1,inf,1.0000000000000001e+300,7\n"
+                    "x,2,nan,-2.5,s\n")
+    # a float column reads back bit for bit
+    values = np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25)
+    rows = _csv({"v": values}).splitlines()
+    assert rows[0] == "v" and np.array_equal([float(r) for r in rows[1:]], values)
+    assert _csv({"a": [], "b": []}) == "a,b\n"
 
 
 def test_python_dash_m_stochwave_runs_the_cli():

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State
                        ThetaPotential, build_model, default_covariance,
                        holomorphy_check, make_grid, picard_solve, solve_ito,
                        step_exp_euler, step_strang)
-from stochwave.solver import (BLOWUP_CAP, _SCHEMES, _exp_euler, _ito_march,
-                              trajectory_csv)
+from stochwave.cli import _csv, cmd_simulate
+from stochwave.config import ExperimentConfig
+from stochwave.solver import BLOWUP_CAP, _SCHEMES, _exp_euler, _ito_march
 
 GRID = make_grid(1, [32], [2 * np.pi])
 
@@ -859,8 +861,8 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 
 
 def _csv_of_states(model, times, states, graph_norms):
-    """The former ``trajectory_csv``, the reference: it took the conserved
-    quantities of every recorded state when it formatted the table."""
+    """The reference trajectory table: it takes the conserved quantities of
+    every recorded state when it formats the table."""
     names = sorted(model.conserved(states[0]).keys())
     n_orders = graph_norms.shape[1]
     header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
@@ -873,17 +875,22 @@ def _csv_of_states(model, times, states, graph_norms):
 
 
 def test_export_trajectory_csv():
-    # the columns of the table, byte for byte the per-state formatter's text,
-    # for every model and scheme
+    # the columns simulate writes, byte for byte the per-state formatter's
+    # text, for every model and scheme
     for name in ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon"):
-        m = build_model(name, make_grid(1, [32], [2 * np.pi]))
-        phi0 = m.random_smooth_state(np.random.default_rng(7), 0.3)
         for scheme in _SCHEMES:
-            traj = solve_ito(m, phi0, 0.1, 0.005, None, scheme=scheme)
+            cfg = ExperimentConfig.from_dict({
+                "model": {"name": name},
+                "grid": {"dim": 1, "points": [32], "lengths": [2 * np.pi]},
+                "initial": {"kind": "smooth_random", "amplitude": 0.3, "seed": 7},
+                "solver": {"T": 0.1, "dt": 0.005, "scheme": scheme}})
+            m = cfg.build_model()
+            phi0 = cfg.build_initial(m)
+            _, _, files = cmd_simulate(cfg, SimpleNamespace(allow_stop=False))
             times, states, norms = _recorded(m, phi0, 0.1, 0.005, kernel=_SCHEMES[scheme])
-            text = trajectory_csv(traj)
+            text = _csv(files["trajectory.csv"])
             assert text == _csv_of_states(m, times, states, norms)
             lines = text.strip().splitlines()
             assert lines[0].startswith("time,graph_norm_j0")
             assert all(n in lines[0] for n in m.conserved(phi0))
-            assert len(lines) == len(traj.times) + 1 == 22
+            assert len(lines) == len(times) + 1 == 22
