@@ -17,7 +17,7 @@ from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
 from .grids import Field, Grid, State, make_grid
 from .models import (EstimateReport, Model, ModelParams, build_model,
                      verify_estimates)
-from .noise import (BrownianPath, CovarianceSpec, QWienerSampler,
+from .noise import (CovarianceSpec, QWienerSampler, brownian_increments,
                     default_covariance, discrete_pairing, empirical_covariance,
                     multiple_wiener, orthogonality_check)
 from .operators import SpectralOperator, make_operator

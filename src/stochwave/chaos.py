@@ -95,6 +95,8 @@ class ChaosSpace:
         for key, least in (("n_modes", 1), ("max_degree", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.max_degree > 170:  # alpha! <= |alpha|!, and 171! overflows a float
+            raise ValueError(f"max_degree must be at most 170, got {self.max_degree}")
         if self.mode_weights is None:
             self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.mode_weights = np.asarray(self.mode_weights, dtype=float)

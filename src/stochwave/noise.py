@@ -16,7 +16,9 @@ symmetric kernel f the order-2 integral is
 whose covariance is E[I_2(f) I_2(g)] = 4 sum_{i<j} f_ij g_ij dt^2, the
 discrete version of 2 (f, g) over the full square (equivalently (2!)^2 times
 the inner product over the ordered simplex). Orthogonality across different
-orders holds exactly in expectation.
+orders holds exactly in expectation. The integrals on [0, 1] take a
+(n_paths, steps) stack of increments from one draw; each row's sum stays one
+np.dot (one r F r for order 2), which keeps the rounding of a path on its own.
 """
 
 from __future__ import annotations
@@ -144,24 +146,6 @@ class QWienerSampler:
         return np.dot(amp, self.spec._mode_rows).reshape((n_steps,) + self.spec.grid.shape)
 
 
-@dataclass
-class BrownianPath:
-    """Scalar Brownian values beta(t_k) on an increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray  # (n_times, 1), values[0] == 0
-
-    @classmethod
-    def sample(cls, rng: np.random.Generator, tau: float, n_steps: int) -> "BrownianPath":
-        dt = tau / n_steps
-        dB = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
-        beta = np.vstack([np.zeros((1, 1)), np.cumsum(dB, axis=0)])
-        return cls(np.linspace(0.0, tau, n_steps + 1), beta)
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values[:, 0])
-
-
 def sample_moments(sample: np.ndarray) -> tuple:
     """Mean, ddof = 1 variance and standard error of samples along the last
     axis; the standard error is np.std(ddof=1) / sqrt(n), to the bit."""
@@ -203,48 +187,57 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
     return float(est), float(stderr)
 
 
-def multiple_wiener(n: int, kernel, path: BrownianPath) -> float:
-    """Discrete iterated Ito integral I_n over the path's partition.
+def brownian_increments(rng: np.random.Generator, n_paths: int, steps: int) -> np.ndarray:
+    """(n_paths, steps) Brownian increments on [0, 1], one path per row.
+
+    The normals come from one draw, in the order of one draw per path, and each
+    increment is the difference of its row's partial sums, rounding included.
+    """
+    dB = rng.standard_normal((n_paths, steps)) * np.sqrt(1.0 / steps)
+    return np.diff(np.cumsum(dB, axis=1), axis=1, prepend=0.0)
+
+
+def _kernel_values(n: int, kernel, steps: int) -> np.ndarray:
+    """An order-n kernel at the left points of [0, 1] cut into `steps` cells.
+
+    Kernels may be callables on left endpoints or precomputed arrays; the
+    values must have one entry per step (per cell of the square for n = 2),
+    and an order-2 kernel must be symmetric.
+    """
+    if n not in (1, 2):
+        raise ValueError("only orders n in {1, 2} are supported")
+    lefts = np.arange(steps) * (1.0 / steps)
+    if callable(kernel):
+        K = kernel(lefts) if n == 1 else kernel(lefts[:, None], lefts[None, :])
+    else:
+        K = np.asarray(kernel, dtype=float)
+    if K.shape != (steps,) * n:
+        raise ValueError(f"order-{n} kernel must have shape {(steps,) * n}, got {K.shape}")
+    if n == 2 and np.max(np.abs(K - K.T)) > 1e-12 * (1.0 + np.max(np.abs(K))):
+        raise ValueError("order-2 kernel must be symmetric")
+    return K
+
+
+def multiple_wiener(n: int, kernel, dB: np.ndarray) -> np.ndarray:
+    """Discrete iterated Ito integral I_n of each row of a (n_paths, steps) stack.
 
     n = 1: sum f(t_k) dB_k with left-endpoint kernel values.
     n = 2: 2 sum_{i<j} f(t_i, t_j) dB_i dB_j, kernel symmetric and
     piecewise constant on the partition cells.
-    Kernels may be callables on left endpoints or precomputed arrays.
     """
-    dB = path.increments()
-    n_steps = len(dB)
-    lefts = path.times[:-1]
+    K = _kernel_values(n, kernel, dB.shape[1])
     if n == 1:
-        f = kernel(lefts) if callable(kernel) else np.asarray(kernel, dtype=float)
-        if f.shape != (n_steps,):
-            raise ValueError("order-1 kernel must have one value per step")
-        return float(np.dot(f, dB))
-    if n == 2:
-        if callable(kernel):
-            F = kernel(lefts[:, None], lefts[None, :])
-        else:
-            F = np.asarray(kernel, dtype=float)
-        if F.shape != (n_steps, n_steps):
-            raise ValueError("order-2 kernel must be (n_steps, n_steps)")
-        if np.max(np.abs(F - F.T)) > 1e-12 * (1.0 + np.max(np.abs(F))):
-            raise ValueError("order-2 kernel must be symmetric")
-        total = float(dB @ F @ dB)
-        diag = float(np.dot(np.diag(F), dB**2))
-        return total - diag  # equals 2 * sum_{i<j} F_ij dB_i dB_j
-    raise ValueError("only orders n in {1, 2} are supported")
+        return np.array([np.dot(K, r) for r in dB])
+    diag = np.diag(K)
+    # r F r - sum F_ii r_i^2 equals 2 sum_{i<j} F_ij r_i r_j
+    return np.array([r @ K @ r - np.dot(diag, r**2) for r in dB])
 
 
 def orthogonality_check(n: int, m: int, f, g, n_paths: int = 2000,
                         steps: int = 64, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of E[I_n(f) I_m(g)] over [0, 1] with its standard error."""
-    if n not in (1, 2) or m not in (1, 2):
-        raise ValueError("only orders 1 and 2 are supported")
-    rng = np.random.default_rng(seed)
-    prods = np.empty(n_paths)
-    for p in range(n_paths):
-        path = BrownianPath.sample(rng, 1.0, steps)
-        prods[p] = multiple_wiener(n, f, path) * multiple_wiener(m, g, path)
-    est, _, stderr = sample_moments(prods)
+    dB = brownian_increments(np.random.default_rng(seed), n_paths, steps)
+    est, _, stderr = sample_moments(multiple_wiener(n, f, dB) * multiple_wiener(m, g, dB))
     return float(est), float(stderr)
 
 
@@ -254,15 +247,9 @@ def discrete_pairing(n: int, f, g, steps: int) -> float:
     Order 1: sum f_i g_i dt. Order 2: 4 sum_{i<j} f_ij g_ij dt^2, the
     discrete form of 2 (f, g) over the square.
     """
+    F, G = _kernel_values(n, f, steps), _kernel_values(n, g, steps)
     dt = 1.0 / steps
-    lefts = np.arange(steps) * dt
     if n == 1:
-        fv = f(lefts) if callable(f) else np.asarray(f, dtype=float)
-        gv = g(lefts) if callable(g) else np.asarray(g, dtype=float)
-        return float(np.dot(fv, gv) * dt)
-    if n == 2:
-        F = f(lefts[:, None], lefts[None, :]) if callable(f) else np.asarray(f)
-        G = g(lefts[:, None], lefts[None, :]) if callable(g) else np.asarray(g)
-        lower = np.tril(np.ones((steps, steps)), k=-1)
-        return float(4.0 * np.sum(F * G * lower.T) * dt * dt)
-    raise ValueError("only orders 1 and 2 are supported")
+        return float(np.dot(F, G) * dt)
+    lower = np.tril(np.ones((steps, steps)), k=-1)
+    return float(4.0 * np.sum(F * G * lower.T) * dt * dt)

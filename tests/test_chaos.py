@@ -560,6 +560,14 @@ def test_factorials_are_exact_products_rounded_once(n_modes, degree):
         sum((4 * n_modes) ** d for d in range(degree + 1)), rel=1e-13)
 
 
+def test_max_degree_stops_where_the_factorials_leave_the_floats():
+    # alpha! <= |alpha|! and 170! ~ 7.3e306 is a float; 171! once raised
+    # OverflowError from the factorial table
+    assert ChaosSpace(1, 170).factorials[-1] == float(factorial(170))
+    with pytest.raises(ValueError, match="max_degree must be at most 170, got 171"):
+        ChaosSpace(1, 171)
+
+
 def test_wick_power_of_vacuum():
     assert np.allclose(wick_power(ChaosVector.vacuum(SPACE), 5).coeffs,
                        ChaosVector.vacuum(SPACE).coeffs)

@@ -253,6 +253,9 @@ NOISE_ON = {"noise": {"enabled": True}}
        f"mc.observables: unknown observable '{name}'")
       for name in ("graph_norm_j+1", "graph_norm_j 1", "graph_norm_j01", "graph_norm_jx",
                    "graph_norm_j1_0", "graph_norm_j\u0661", "graph_norm_j", "graph_norm_j-0")],
+    # these once printed an OverflowError traceback and exited 4: 171! is no float
+    *[(command, {**NOISE_ON, "chaos": {"n_modes": 1, "max_degree": 171}},
+       "chaos: max_degree must be at most 170, got 171") for command in ("verify", "chaos")],
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):

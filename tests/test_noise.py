@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stochwave import (BrownianPath, CovarianceSpec, Field, QWienerSampler,
+from stochwave import (CovarianceSpec, Field, QWienerSampler, brownian_increments,
                        default_covariance, empirical_covariance, make_grid,
                        multiple_wiener, orthogonality_check)
-from stochwave.noise import discrete_pairing
+from stochwave.noise import discrete_pairing, sample_moments
 
 GRID = make_grid(1, [32], [2 * np.pi])
 
@@ -132,24 +132,20 @@ def test_empirical_covariance_enforces_path_floor(cov):
 
 
 def test_wiener_integral_order_one_telescopes():
-    rng = np.random.default_rng(0)
-    path = BrownianPath.sample(rng, 1.0, 128)
+    dB = brownian_increments(np.random.default_rng(0), 4, 128)
     ones = lambda t: np.ones_like(t)
-    assert multiple_wiener(1, ones, path) == pytest.approx(path.values[-1, 0])
+    assert multiple_wiener(1, ones, dB) == pytest.approx(dB.sum(axis=1))
     zero = lambda t: np.zeros_like(t)
-    assert multiple_wiener(1, zero, path) == 0.0
+    assert np.array_equal(multiple_wiener(1, zero, dB), np.zeros(4))
 
 
 def test_wiener_integral_order_two_closed_form_moments():
     # I_2(1) should match beta(tau)^2 - tau in its first two moments
-    rng = np.random.default_rng(1)
     ones2 = lambda s, t: np.ones_like(s + t)
     n = 3000
-    i2, ref = np.empty(n), np.empty(n)
-    for k in range(n):
-        path = BrownianPath.sample(rng, 1.0, 64)
-        i2[k] = multiple_wiener(2, ones2, path)
-        ref[k] = path.values[-1, 0] ** 2 - 1.0
+    dB = brownian_increments(np.random.default_rng(1), n, 64)
+    i2 = multiple_wiener(2, ones2, dB)
+    ref = dB.sum(axis=1) ** 2 - 1.0
     for moment in (1, 2):
         se = np.std(i2**moment, ddof=1) / np.sqrt(n) \
             + np.std(ref**moment, ddof=1) / np.sqrt(n)
@@ -157,13 +153,64 @@ def test_wiener_integral_order_two_closed_form_moments():
 
 
 def test_wiener_integral_rejects_bad_kernels():
-    rng = np.random.default_rng(2)
-    path = BrownianPath.sample(rng, 1.0, 16)
-    with pytest.raises(ValueError):
-        multiple_wiener(3, lambda t: t, path)
+    dB = brownian_increments(np.random.default_rng(2), 3, 16)
+    with pytest.raises(ValueError, match="orders"):
+        multiple_wiener(3, lambda t: t, dB)
     asym = np.triu(np.ones((16, 16)))
-    with pytest.raises(ValueError):
-        multiple_wiener(2, asym, path)
+    with pytest.raises(ValueError, match="symmetric"):
+        multiple_wiener(2, asym, dB)
+    with pytest.raises(ValueError, match="shape"):
+        multiple_wiener(2, np.ones((16, 15)), dB)
+    with pytest.raises(ValueError, match="shape"):
+        multiple_wiener(1, np.ones(17), dB)
+
+
+def _per_path_orthogonality(n, m, f, g, n_paths, steps, seed):
+    """orthogonality_check one path at a time: a (steps, 1) draw per path from
+    one Generator, its values on a linspace time grid, and each kernel
+    evaluated and symmetry-checked per path."""
+    def integral(order, kernel, times, dB):
+        lefts = times[:-1]
+        if order == 1:
+            return float(np.dot(kernel(lefts), dB))
+        F = kernel(lefts[:, None], lefts[None, :])
+        assert np.max(np.abs(F - F.T)) <= 1e-12 * (1.0 + np.max(np.abs(F)))
+        return float(dB @ F @ dB) - float(np.dot(np.diag(F), dB**2))
+    rng = np.random.default_rng(seed)
+    prods = np.empty(n_paths)
+    for p in range(n_paths):
+        step_dB = rng.standard_normal((steps, 1)) * np.sqrt(1.0 / steps)
+        beta = np.vstack([np.zeros((1, 1)), np.cumsum(step_dB, axis=0)])
+        times = np.linspace(0.0, 1.0, steps + 1)
+        dB = np.diff(beta[:, 0])
+        prods[p] = integral(n, f, times, dB) * integral(m, g, times, dB)
+    est, _, stderr = sample_moments(prods)
+    return float(est), float(stderr)
+
+
+def test_stacked_integrals_equal_the_per_path_loop_bit_for_bit():
+    ones = lambda t: np.ones_like(t)
+    ones2 = lambda s, t: np.ones_like(s + t)
+    wavy = lambda t: np.cos(3.0 * t) + t
+    bump2 = lambda s, t: np.exp(-(s - t) ** 2) + s * t
+    kernels = {1: wavy, 2: bump2}
+    # verify's two checks (master seed 42, 2,000 paths, 32 steps), then each
+    # pair of orders at three step counts
+    cases = [(1, 2, ones, ones2, 2000, 32, 42), (1, 1, ones, ones, 2000, 32, 43)]
+    cases += [(n, m, kernels[n], kernels[m], 500, steps, 10 * steps + 3 * n + m)
+              for steps in (16, 32, 64) for n, m in ((1, 1), (1, 2), (2, 2))]
+    for case in cases:
+        assert orthogonality_check(*case[:4], n_paths=case[4], steps=case[5],
+                                   seed=case[6]) == _per_path_orthogonality(*case)
+    for steps in (16, 32, 64):
+        lefts = np.linspace(0.0, 1.0, steps + 1)[:-1]
+        dt = 1.0 / steps
+        assert discrete_pairing(1, wavy, ones, steps) == float(
+            np.dot(wavy(lefts), ones(lefts)) * dt)
+        F, G = bump2(lefts[:, None], lefts[None, :]), ones2(lefts[:, None], lefts[None, :])
+        lower = np.tril(np.ones((steps, steps)), k=-1)
+        assert discrete_pairing(2, bump2, ones2, steps) == float(
+            4.0 * np.sum(F * G * lower.T) * dt * dt)
 
 
 def test_orthogonality_across_orders():
