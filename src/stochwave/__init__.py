@@ -22,7 +22,6 @@ from .noise import (CovarianceSpec, QWienerSampler, brownian_increments,
                     multiple_wiener, orthogonality_check)
 from .operators import SpectralOperator, make_operator
 from .solver import (BlowUpError, PicardResult, ThetaPotential, Trajectory,
-                     holomorphy_check, picard_solve, solve_ito, step_exp_euler,
-                     step_strang)
+                     holomorphy_check, picard_solve, solve_ito, step_exp_euler)
 
 __version__ = "0.1.0"

@@ -570,7 +570,7 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
                          dt: float, space: ChaosSpace) -> WickTrajectory:
     """March the Wick-quantized equation on the truncated chaos space.
 
-    ``noise_fields`` lists the potential fields q_i coupled to the Gaussian
+    ``noise_fields`` lists the potential ``Field``s q_i coupled to the Gaussian
     modes; the noise term is the time-frozen first-chaos element
     Z = sum_i q_i xi_i acting by Wick multiplication, so Wick multiplication
     is lower triangular in degree and the degree-0 block evolves as the
@@ -580,7 +580,7 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     the top degree's energy share exceeds ``TAIL_FLAG_FRACTION``.
     """
     n_steps = _step_count(T, dt)
-    fields = [np.asarray(getattr(q, "values", q), dtype=complex) for q in noise_fields]
+    fields = [q.values for q in noise_fields]
     if len(fields) > space.n_modes:
         raise ValueError("more noise fields than chaos modes")
     chaos = ChaosState.deterministic(space, model, phi0)

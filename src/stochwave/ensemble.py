@@ -230,9 +230,7 @@ def strong_order(config: EnsembleConfig, dt_ladder,
     """
     model = config.model
     dts = _ladder(config.T, dt_ladder)
-    errs = np.zeros((len(dts) - 1, config.n_paths))  # a row per rung, reduced along it
-    for i, finals in enumerate(_path_finals(config, dts)):
-        errs[:, i] = model.generator.metric_norm_blocks(finals[:-1] - finals[-1])
+    errs = _path_columns(config, dts, lambda f: model.generator.metric_norm_blocks(f[:-1] - f[-1]))
     mean, _, stderr = sample_moments(errs)
     return _fit_order(dts[:-1], mean, stderr, scale=model.norm(config.phi0),
                       floor=noise_floor_factor)
@@ -244,13 +242,16 @@ def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
     model, phi0 = config.model, config.phi0
     scale = abs(_observable(model, observable, phi0, phi0.data[None])[0]) + 1.0
     dts = _ladder(config.T, dt_ladder)
-    diffs = np.zeros((len(dts) - 1, config.n_paths))
-    for i, finals in enumerate(_path_finals(config, dts)):
-        f = _observable(model, observable, phi0, finals)
-        diffs[:, i] = f[:-1] - f[-1]
-    mean, _, stderr = sample_moments(diffs)
+    f = _path_columns(config, dts, lambda finals: _observable(model, observable, phi0, finals))
+    mean, _, stderr = sample_moments(f[:-1] - f[-1])
     return _fit_order(dts[:-1], np.abs(mean), stderr, scale=scale,
                       floor=noise_floor_factor)
+
+
+def _path_columns(config: EnsembleConfig, dts, column) -> np.ndarray:
+    """``column(finals)`` of each path's finals (``_path_finals``), one column
+    per path: a row per rung, which ``sample_moments`` reduces along."""
+    return np.stack([column(finals) for finals in _path_finals(config, dts)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ so it is called without an ``axes`` list (the same bits, less argument
 parsing); the later passes, their axes lists and the scale factors are cached
 per grid. The forward transform writes its first pass into a fresh complex
 array and runs every later pass, and the unitary scaling, in place on it; the
-inverse undoes the scaling into a fresh array and runs its passes in place on
-that (a real input gets a fresh complex array from its first pass). Neither
-transform modifies its argument.
+inverse takes complex coefficients, undoes the scaling into a fresh array and
+runs its passes in place on that. Neither transform modifies its argument.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ class Grid:
 
     @cached_property
     def _inv_fft_scale(self) -> np.ndarray:
-        # (1/s) - 0j, the factor by which to_physical multiplies complex input
+        # (1/s) - 0j, the factor by which to_physical multiplies its input
         return np.array(complex(1.0 / self._fft_scale, -0.0))
 
     @cached_property
@@ -141,29 +140,26 @@ class Grid:
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward transform (unitary). Works on (..., *shape) arrays."""
         out = np.empty(values.shape, _COMPLEX)
-        _pocketfft_umath.fft(values, 1, out)
+        # the gufunc's factor is a double: a float spares the int's conversion
+        _pocketfft_umath.fft(values, 1.0, out)
         for axes, _ in self._fft_rest:
-            _pocketfft_umath.fft(out, 1, out, axes=axes)
+            _pocketfft_umath.fft(out, 1.0, out, axes=axes)
         out *= self._fwd_fft_scale
         return out
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform (unitary). Works on (..., *shape) arrays.
+        """Inverse transform (unitary) of complex (..., *shape) coefficients.
 
         numpy divides a complex array by the scale s as by s + 0j, by Smith's
-        terms (re + im*0) * (1/s) and (im - re*0) * (1/s). Complex input is
-        instead multiplied by (1/s) - 0j, which forms re*(1/s) + im*0 and
+        terms (re + im*0) * (1/s) and (im - re*0) * (1/s). The coefficients
+        are instead multiplied by (1/s) - 0j, which forms re*(1/s) + im*0 and
         im*(1/s) - re*0: the same bits (NaN sign and payload aside) at a
         fraction of the cost. The one exception is a grid with 1/s < 1
         (volume > size**2), where a product that underflows to zero can take
-        the other zero's sign. Real input keeps the float division.
+        the other zero's sign.
         """
-        if coeffs.dtype == _COMPLEX:
-            values = out = coeffs * self._inv_fft_scale
-        else:
-            values = coeffs / self._fft_scale
-            out = np.empty(values.shape, dtype=complex)
-        _pocketfft_umath.ifft(values, self._inv_n_last, out)
+        out = coeffs * self._inv_fft_scale
+        _pocketfft_umath.ifft(out, self._inv_n_last, out)
         for axes, inv_n in self._fft_rest:
             _pocketfft_umath.ifft(out, inv_n, out, axes=axes)
         return out
@@ -203,14 +199,6 @@ class Field:
                 f"field shape {self.values.shape} != grid shape {self.grid.shape}"
             )
 
-    @property
-    def spectral(self) -> np.ndarray:
-        return self.grid.to_spectral(self.values)
-
-    @classmethod
-    def from_spectral(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
-        return cls(grid, grid.to_physical(np.asarray(coeffs, dtype=complex)))
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dv))
 
@@ -218,29 +206,13 @@ class Field:
         """L2 pairing int f * conj(g) dx."""
         return complex(np.sum(self.values * np.conj(other.values)) * self.grid.dv)
 
-    def __add__(self, other):
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        if isinstance(c, Field):
-            return Field(self.grid, self.values * c.values)
-        return Field(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
 
 @dataclass
 class State:
     """Ordered bundle of components on a shared grid.
 
     Stored as one (s, *grid.shape) complex array so spectral operators can
-    act on all components at once. ``component(i)`` returns a Field view.
+    act on all components at once.
     """
 
     grid: Grid
@@ -259,18 +231,6 @@ class State:
     @property
     def n_components(self) -> int:
         return len(self.roles)
-
-    def component(self, i) -> Field:
-        if isinstance(i, str):
-            i = self.roles.index(i)
-        return Field(self.grid, self.data[i])
-
-    @classmethod
-    def from_fields(cls, fields, roles=None) -> "State":
-        grid = fields[0].grid
-        roles = tuple(roles) if roles else tuple(f"c{i}" for i in range(len(fields)))
-        data = np.stack([f.values for f in fields])
-        return cls(grid, data, roles)
 
     @classmethod
     def zeros(cls, grid: Grid, roles) -> "State":

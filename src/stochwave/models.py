@@ -129,9 +129,6 @@ class Model:
     def inner(self, a: State, b: State) -> complex:
         return self.generator.metric_inner(a, b)
 
-    def graph_norm(self, state: State, j: int) -> float:
-        return self.generator.graph_norm(state, j)
-
     def graph_norms(self, state: State, j_max: int | None = None) -> np.ndarray:
         j_max = self.smoothness if j_max is None else j_max
         return self.generator.graph_norm_ladder(state, j_max)

@@ -21,6 +21,11 @@ Per-mode matrices are held as (s, s, M) arrays, the layout of the symbol,
 so every contraction with an (s, M) or (B, s, M) coefficient stack runs
 over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
 
+Each action has one entry point: the symbol acts on spectral coefficients
+through ``apply_spectral``, and the graph norms of a stack come from
+``graph_norm_ladder_blocks``, whose one-state case is ``graph_norm_ladder``
+(a single graph norm is one entry of a ladder).
+
 Two structures are detected once, at construction, and skip work that they
 make trivial. A diagonal symbol (s > 1, every off-diagonal entry exactly
 zero, as for the Zakharov block) keeps only the (s, M) diagonals of its
@@ -65,8 +70,8 @@ class SpectralOperator:
     Immutable after construction; derived caches are lazy.
 
     ``diagonal`` is set when s > 1 and every off-diagonal symbol entry is
-    exactly 0; ``propagate``, ``propagate_blocks``, ``apply`` and
-    ``apply_spectral`` then contract the (s, M) diagonals element-wise with
+    exactly 0; ``propagate``, ``propagate_blocks`` and ``apply_spectral``
+    then contract the (s, M) diagonals element-wise with
     ``np.einsum``, bit for bit the dense contraction on finite coefficients
     (see the module doc). With ``metric`` None the norms skip the product
     with unit weights.
@@ -189,15 +194,9 @@ class SpectralOperator:
             coeffs = np.einsum(spec, P, flat).reshape(data.shape)
         return self.grid.to_physical(coeffs)
 
-    def apply(self, state: State) -> State:
-        """Spectral action: multiply each coefficient vector by symbol(k)."""
-        self._check_state(state)
-        coeffs = state.spectral()
-        out = self.apply_spectral(coeffs.reshape(self.n_components, self.grid.size))
-        return State.from_spectral(self.grid, out.reshape(coeffs.shape), state.roles)
-
     def apply_spectral(self, flat: np.ndarray) -> np.ndarray:
-        """Same as apply() but on flat (s, M) or (B, s, M) spectral coefficients."""
+        """Spectral action on flat (s, M) or (B, s, M) coefficients: each
+        coefficient vector times symbol(k)."""
         if self.diagonal:
             return np.einsum("am,...am->...am", self._diag, flat)
         return np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
@@ -230,14 +229,9 @@ class SpectralOperator:
         cb = self.grid.to_spectral(b).reshape(s, size)
         return np.sum(self._flat_metric() * ca * np.conj(cb), axis=(1, 2))
 
-    def graph_norm(self, state: State, j: int) -> float:
-        """Metric norm of A^j applied to the state; j = 0 is the plain norm."""
-        if j < 0:
-            raise ValueError("graph_norm power j must be >= 0")
-        return self.graph_norm_ladder(state, j)[j]
-
     def graph_norm_ladder(self, state: State, j_max: int) -> np.ndarray:
-        """All graph norms j = 0..j_max from one spectral transform."""
+        """The metric norms of A^j applied to the state, j = 0..j_max (j = 0
+        the plain norm), from one spectral transform."""
         self._check_state(state)
         return self.graph_norm_ladder_blocks(state.data[None], j_max)[0]
 

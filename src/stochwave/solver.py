@@ -18,13 +18,13 @@ Two integration routes share the exact free propagator exp(-i*A*t):
   threshold or at a blow-up (a norm above BLOWUP_CAP, or a non-finite step:
   it ends at its last finite state); ``solve_ito`` is its one-path case,
   keeping each step's row and the final state. Its step is one of two kernels
-  on raw arrays or stacks, whose one-state calls are ``step_exp_euler`` and
-  ``step_strang``: ``_exp_euler``, the left-point (Ito) exponential Euler step
-  phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no Stratonovich
-  correction, and ``_strang``, the noise-free symmetric splitting of the
-  conservation studies, whose exact or midpoint-corrected nonlinear substeps
-  give O(dt^2) drift of the invariants. A one-state call checks its input once;
-  ``ensemble._path_finals`` hands it increments pre-cast to complex (same bits).
+  on raw arrays or stacks: ``_exp_euler``, the left-point (Ito) exponential
+  Euler step phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no
+  Stratonovich correction, whose one-state call ``step_exp_euler`` checks its
+  input once (``ensemble._path_finals`` hands it increments pre-cast to
+  complex, the same bits), and ``_strang``, the noise-free symmetric splitting
+  of the conservation studies, whose exact or midpoint-corrected nonlinear
+  substeps give O(dt^2) drift of the invariants.
 
 ``holomorphy_check`` probes analyticity of z -> <phi(T, z), v> for the
 Theta-perturbed deterministic flow with fourth-order Cauchy-Riemann
@@ -207,18 +207,9 @@ def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
 def step_exp_euler(model: Model, state: State, dt: float,
                    dW: np.ndarray | None = None) -> State:
     """One exponential Euler step with left-point multiplicative noise; ``dW``
-    is the increment on the grid (an array of its shape) or None."""
-    return _one_step(_exp_euler, "exponential Euler", model, state, dt, dW)
-
-
-def step_strang(model: Model, state: State, dt: float) -> State:
-    """Symmetric split step: half free flow, nonlinear substep, half free flow."""
-    return _one_step(_strang, "Strang", model, state, dt, None)
-
-
-def _one_step(kernel, name: str, model: Model, state: State, dt: float, dW) -> State:
-    """``kernel`` on one state: the state is checked once, and the kernel works
-    on the raw arrays, writing to neither; BlowUpError on a non-finite result."""
+    is the increment on the grid (an array of its shape) or None. The state is
+    checked once, and ``_exp_euler`` works on the raw arrays, writing to
+    neither; BlowUpError on a non-finite result."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen = model.generator
@@ -226,9 +217,9 @@ def _one_step(kernel, name: str, model: Model, state: State, dt: float, dW) -> S
     shape = None if dW is None else dW.shape if type(dW) is np.ndarray else np.shape(dW)
     if shape not in (None, gen.grid.shape):
         raise ValueError(f"increment shape {shape} != grid shape {gen.grid.shape}")
-    out = kernel(model, state.data, dt, dW)
+    out = _exp_euler(model, state.data, dt, dW)
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise BlowUpError(f"non-finite state after {name} step")
+        raise BlowUpError("non-finite state after exponential Euler step")
     return State(gen.grid, out, state.roles)
 
 

@@ -16,7 +16,7 @@ from stochwave.chaos import (ChaosSpace, ChaosVector, FockOperator, exp_vector,
                              growth_bound_fit, s_transform, second_quantization,
                              solve_wick_evolution, wick_product)
 from stochwave.cli import _json
-from stochwave.noise import discrete_pairing
+from stochwave.noise import discrete_pairing, sample_moments
 
 GRID32 = sw.make_grid(1, [32], [2 * np.pi])
 GRID64 = sw.make_grid(1, [64], [2 * np.pi])
@@ -282,21 +282,23 @@ def test_wiener_integrals():
         iso_devs.append(abs(est - discrete_pairing(1, ones1, ones1, steps)) / se)
     iso_ok = all(d <= 3 for d in iso_devs)
 
-    n = 5000
-    dB = sw.brownian_increments(np.random.default_rng(205), n, 64)
+    # the discrete I_2(1) is beta(1)^2 - sum dB^2 row by row, and its first two
+    # moments are exactly 0 and the discrete pairing 2 - 2/64
+    dB = sw.brownian_increments(np.random.default_rng(205), 5000, 64)
     i2 = sw.multiple_wiener(2, ones2, dB)
-    ref = dB.sum(axis=1) ** 2 - 1.0
+    closed_ok = np.allclose(i2, dB.sum(axis=1) ** 2 - np.sum(dB**2, axis=1), rtol=0, atol=1e-12)
+    exact = (0.0, discrete_pairing(2, ones2, ones2, 64))
     moment_devs = []
-    for p in (1, 2):
-        se = (np.std(i2**p, ddof=1) + np.std(ref**p, ddof=1)) / np.sqrt(n)
-        moment_devs.append(abs(np.mean(i2**p) - np.mean(ref**p)) / se)
-    dist_ok = all(d <= 3 for d in moment_devs)
+    for p, want in zip((1, 2), exact):
+        mean, _, se = sample_moments(i2**p)
+        moment_devs.append(abs(mean - want) / se)
+    dist_ok = closed_ok and all(d <= 3 for d in moment_devs)
 
     ok = ortho_ok and iso_ok and dist_ok
     _report("wiener-integrals", ok,
             f"E[I1 I2]/se = {abs(est_o)/se_o:.2f}; isometry devs "
-            f"{[f'{d:.2f}' for d in iso_devs]}; closed-form moment devs "
-            f"{[f'{d:.2f}' for d in moment_devs]} (all <= 3)")
+            f"{[f'{d:.2f}' for d in iso_devs]}; rows equal beta^2 - sum dB^2: {closed_ok}; "
+            f"moment devs from 0 and 2 - 2/64 {[f'{d:.2f}' for d in moment_devs]} (all <= 3)")
     assert ok
 
 

@@ -411,7 +411,8 @@ def _observable_of_one_state(model, name, phi0, state):
     pairing = complex(np.sum(gen._flat_metric() * state.spectral().reshape(s, size)
                              * np.conj(probe.spectral().reshape(s, size))))
     if name.startswith("graph_norm_j"):
-        return model.graph_norm(state, int(name.removeprefix("graph_norm_j")))
+        j = int(name.removeprefix("graph_norm_j"))
+        return model.graph_norms(state, j)[j]
     return {"norm_sq": norm ** 2, "constant": 1.0, "norm": norm,
             "log_norm_sq": 2.0 * np.log(max(norm, 1e-300)),
             "pairing_re": pairing.real, "pairing_im": pairing.imag,

@@ -200,7 +200,8 @@ def _reference_reports(m, n, radius, seed):
     singles = [(m.random_smooth_state(rng, radius),) for _ in range(n)]
     pairs = [(m.random_smooth_state(rng, radius), m.random_smooth_state(rng, radius))
              for _ in range(n)]
-    gn, J, norm = m.graph_norm, m.apply_J, m.norm
+    J, norm = m.apply_J, m.norm
+    gn = lambda x, j: m.graph_norms(x, j)[j]
     e = {"sine_gordon": 1, "zakharov": 2, "maxwell_dirac": 2}.get(m.name, m.params.p) - 1
     top = lambda x, j: float(np.max(m.graph_norms(x, j)))
     suite = []  # (id, pair, args -> (lhs, core, envelope), declared)

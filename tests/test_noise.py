@@ -140,16 +140,17 @@ def test_wiener_integral_order_one_telescopes():
 
 
 def test_wiener_integral_order_two_closed_form_moments():
-    # I_2(1) should match beta(tau)^2 - tau in its first two moments
+    # the discrete I_2(1) is beta(1)^2 - sum dB^2 row by row (the continuous
+    # beta(1)^2 - 1 has second moment 2, the discrete one 2 - 2/64), and its
+    # first two moments lie within 3 standard errors of 0 and that pairing
     ones2 = lambda s, t: np.ones_like(s + t)
-    n = 3000
-    dB = brownian_increments(np.random.default_rng(1), n, 64)
+    dB = brownian_increments(np.random.default_rng(1), 3000, 64)
     i2 = multiple_wiener(2, ones2, dB)
-    ref = dB.sum(axis=1) ** 2 - 1.0
-    for moment in (1, 2):
-        se = np.std(i2**moment, ddof=1) / np.sqrt(n) \
-            + np.std(ref**moment, ddof=1) / np.sqrt(n)
-        assert abs(np.mean(i2**moment) - np.mean(ref**moment)) < 3 * se + 0.05
+    np.testing.assert_allclose(i2, dB.sum(axis=1) ** 2 - np.sum(dB**2, axis=1),
+                               rtol=0, atol=1e-12)
+    for moment, exact in ((1, 0.0), (2, discrete_pairing(2, ones2, ones2, 64))):
+        mean, _, se = sample_moments(i2**moment)
+        assert abs(mean - exact) <= 3 * se
 
 
 def test_wiener_integral_rejects_bad_kernels():

@@ -18,6 +18,13 @@ def _random_state(grid, s, seed=0):
     return State(grid, data, tuple(f"c{i}" for i in range(s)))
 
 
+def _apply(op, data):
+    """The spectral action of ``op`` on a state's (s, *grid.shape) values."""
+    g = op.grid
+    flat = g.to_spectral(data).reshape(op.n_components, g.size)
+    return g.to_physical(op.apply_spectral(flat).reshape(data.shape))
+
+
 def _mode_state(grid, wave, component=0, s=1):
     x = grid.x_axes[0]
     st_ = State(grid, np.zeros((s,) + grid.shape, dtype=complex),
@@ -53,18 +60,16 @@ def test_make_operator_rejects_unknown_and_missing(grid):
 def test_apply_laplacian_plane_wave(grid):
     lap = make_operator("laplacian", grid)
     st_ = _mode_state(grid, 1)
-    out = lap.apply(st_)
-    assert np.allclose(out.data, -st_.data, atol=1e-13)
+    assert np.allclose(_apply(lap, st_.data), -st_.data, atol=1e-13)
 
 
 def test_apply_identity_and_b_squared(grid):
     ident = make_operator("identity", grid)
     st_ = _random_state(grid, 1, seed=1)
-    assert np.allclose(ident.apply(st_).data, st_.data, atol=1e-13)
+    assert np.allclose(_apply(ident, st_.data), st_.data, atol=1e-13)
     B = make_operator("shifted_sqrt", grid, k0=2.0)
-    const = State(grid, np.full((1,) + grid.shape, 1.5 + 0.5j), ("c0",))
-    twice = B.apply(B.apply(const))
-    assert np.allclose(twice.data, 4.0 * const.data, atol=1e-12)
+    const = np.full((1,) + grid.shape, 1.5 + 0.5j)
+    assert np.allclose(_apply(B, _apply(B, const)), 4.0 * const, atol=1e-12)
 
 
 def test_free_schrodinger_phase(grid):
@@ -209,9 +214,6 @@ def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
         want = np.einsum("abm,bm->am", dense, flat)
         assert op.apply_spectral(flat).tobytes() == want.tobytes()
         state = State(g, data[0], roles)
-        assert op.apply(state).data.tobytes() == g.to_physical(
-            np.einsum("abm,bm->am", dense, state.spectral().reshape(s, g.size))
-            .reshape(state.data.shape)).tobytes()
         ladder, c = [], state.spectral().reshape(s, g.size)
         for _ in range(3):
             ladder.append(np.sqrt(np.sum(np.ones((s, g.size)) * np.abs(c) ** 2).real))
@@ -283,8 +285,10 @@ def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, ki
 
 def test_shape_mismatch_rejected(grid):
     lap = make_operator("laplacian", grid)
-    with pytest.raises(ValueError):
-        lap.apply(_random_state(grid, 2))
+    for act in (lambda st_: lap.propagate(0.1, st_), lambda st_: lap.graph_norm_ladder(st_, 1),
+                lap.metric_norm):
+        with pytest.raises(ValueError, match="components"):
+            act(_random_state(grid, 2))
 
 
 @pytest.mark.parametrize("kind,params,s", [
@@ -315,11 +319,9 @@ def test_graph_norm_values(grid):
     neg_lap = make_operator("laplacian", grid).scaled(-1.0)
     st_ = _mode_state(grid, 2)
     st_ = st_ * (1.0 / neg_lap.metric_norm(st_))
-    assert neg_lap.graph_norm(st_, 0) == pytest.approx(1.0, rel=1e-12)
-    assert neg_lap.graph_norm(st_, 1) == pytest.approx(4.0, rel=1e-12)
-    assert neg_lap.graph_norm(st_, 2) == pytest.approx(16.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        neg_lap.graph_norm(st_, -1)
+    assert neg_lap.graph_norm_ladder(st_, 2) == pytest.approx([1.0, 4.0, 16.0], rel=1e-12)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        neg_lap.graph_norm_ladder(st_, -1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -328,11 +330,11 @@ def test_graph_norm_monotone_under_truncation(seed, j):
     grid = make_grid(1, [16], [2 * np.pi])
     op = make_operator("laplacian", grid).scaled(-1.0)
     st_ = _random_state(grid, 1, seed=seed)
-    full = op.graph_norm(st_, j)
+    full = op.graph_norm_ladder(st_, j)[j]
     coeffs = st_.spectral()
     keep = np.abs(grid.k_axes[0]) <= 2.0
     truncated = State.from_spectral(grid, coeffs * keep, st_.roles)
-    assert op.graph_norm(truncated, j) <= full + 1e-12
+    assert op.graph_norm_ladder(truncated, j)[j] <= full + 1e-12
 
 
 def test_metric_hermiticity_flag_tolerance(grid):

@@ -8,7 +8,7 @@ import pytest
 from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State,
                        ThetaPotential, build_model, default_covariance,
                        holomorphy_check, make_grid, picard_solve, solve_ito,
-                       step_exp_euler, step_strang)
+                       step_exp_euler)
 from stochwave.cli import _csv, cmd_simulate
 from stochwave.config import ExperimentConfig
 from stochwave.solver import BLOWUP_CAP, _SCHEMES, _exp_euler, _ito_march
@@ -367,7 +367,7 @@ def test_step_exp_euler_flags_nonfinite_noise():
     st = m.random_smooth_state(np.random.default_rng(4), 0.5)
     dW = np.zeros(GRID.shape)
     dW[3] = np.nan
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError, match="after exponential Euler step"):
         step_exp_euler(m, st, 0.01, dW)
 
 
@@ -395,7 +395,7 @@ def test_step_exp_euler_vs_strang_one_step():
     diffs = []
     for dt in (2e-2, 1e-2, 5e-3):
         a = step_exp_euler(m, st, dt)
-        b = step_strang(m, st, dt)
+        b = solve_ito(m, st, dt, dt, None, scheme="strang").final
         diffs.append(m.norm(a - b))
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) > 1.8  # single-step difference O(dt^2)
@@ -723,17 +723,6 @@ def test_solve_ito_scheme_is_checked():
         solve_ito(m, st, 0.1, 0.01, QWienerSampler(cov, 5, 0), scheme="strang")
     with pytest.raises(ValueError, match="unknown scheme 'rk4'"):
         solve_ito(m, st, 0.1, 0.01, None, scheme="rk4")
-
-
-def test_step_strang_is_the_one_state_kernel():
-    # the one-state call checks the state and raises on a non-finite result
-    m = build_model("nls", make_grid(1, [8], [1.0]), p=31, sign=1, dealias=False)
-    with pytest.raises(ValueError, match="components"):
-        step_strang(m, State(m.grid, np.ones((2, 8), dtype=complex), ("a", "b")), 0.01)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        step_strang(m, m.zero_state(), 0.0)
-    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="Strang"):
-        step_strang(m, State(m.grid, np.full((1, 8), 1e20 + 0j), m.roles), 0.01)
 
 
 @pytest.mark.parametrize("case", ("tail_curve", "cap", "non_finite"))
