@@ -19,18 +19,28 @@ This dictionary makes the three central structures elementary:
   sum_{alpha+beta=gamma} a_alpha b_beta, the unique product with
   S(Phi : Psi) = (S Phi)(S Psi).
 
-``ChaosSpace.convolve`` adds each coefficient's products one at a time,
-from zero, in the order of the pair table, one column of pairs per pass, so
-it rounds as a scatter-add over that table would, bit for bit.
+A chaos element is its coefficient array, of shape (n_indices, ...): one
+coefficient per multi-index for a functional, one state block per index for
+a chaos-valued field. Each map of the calculus has one entry point on
+``ChaosSpace``:
 
-Exponential vectors satisfy <<phi_zeta, phi_eta>> = e^{<zeta,eta>} (bilinear
-pairing, no conjugation; the Hilbert inner product is used only for norms).
-Annihilation/creation act as the usual lowering/raising maps
-(``ChaosSpace.lowering``/``raising``, on coefficient stacks with scalar or
-field weights; the operator matrices are the maps applied to the identity)
-and satisfy the CCR on degrees strictly below the truncation order. Second
-quantization Gamma(B) is polynomial substitution zeta -> B^T zeta, which is
-degree-homogeneous and hence exact under truncation.
+* Wick product: ``convolve``. It adds each coefficient's products one at a
+  time, from zero, in the order of the pair table, one column of pairs per
+  pass, so it rounds as a scatter-add over that table would, bit for bit;
+* S-transform: ``s_transform``, the monomials zeta^alpha contracted with the
+  index axis, for a scalar, a stack of fields or an operator's symbol;
+* exponential vector phi_zeta: ``exp_vector``; the bilinear pairing of two
+  coefficient vectors: ``pairing``. They satisfy <<phi_zeta, phi_eta>> =
+  e^{<zeta,eta>} (no conjugation; the Hilbert inner product is used only
+  for norms);
+* annihilation/creation a_y/a+_y: ``lowering``/``raising``, with scalar or
+  field weights. The operator matrices are the maps applied to the identity,
+  and they satisfy the CCR on degrees strictly below the truncation order;
+* second quantization Gamma(B): ``gamma_matrix(B) @ a``, the polynomial
+  substitution zeta -> B^T zeta, which is degree-homogeneous and hence
+  exact under truncation;
+* the graded norm of a coefficient vector, ``norm``, and the test-vector
+  norms, ``mode_norm``, below.
 
 Conjugation convention: powers like |psi|^2 psi are not Wick polynomials in
 psi alone. We use the doubled-variable convention, treating psi and its
@@ -84,7 +94,8 @@ def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
 
 @dataclass
 class ChaosSpace:
-    """Truncation parameters plus cached combinatorial tables."""
+    """Truncation parameters, cached combinatorial tables, and the maps of the
+    calculus on (n_indices, ...) coefficient arrays."""
 
     n_modes: int
     max_degree: int
@@ -160,6 +171,40 @@ class ChaosSpace:
             out = np.prod(zeta[None, :] ** self.indices, axis=1)
         return out
 
+    def exp_vector(self, zeta: np.ndarray) -> np.ndarray:
+        """Exponential (coherent) vector phi_zeta: coefficients zeta^alpha / alpha!."""
+        return self.monomials(zeta) / self.factorials
+
+    def pairing(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """Bilinear pairing <<Phi, Psi>> = sum alpha! a_alpha b_alpha of two
+        coefficient vectors."""
+        return np.sum(self.factorials * a * b)
+
+    def s_transform(self, data: np.ndarray, zeta: np.ndarray):
+        """S Phi(zeta) = <<Phi, phi_zeta>> = sum_alpha Phi_alpha zeta^alpha on an
+        (n_idx, ...) stack: one value per remaining entry, and a numpy scalar,
+        not a 0-d array, for a 1-D ``data`` (scalar arithmetic rounds as
+        Python's complex does; the array loops may fuse a multiply-add)."""
+        return np.tensordot(self.monomials(zeta), data, axes=(0, 0))[()]
+
+    def mode_norm(self, zeta: np.ndarray, p: int) -> np.ndarray:
+        """|zeta|_p = |A^p zeta| = sqrt(sum_i w_i^(2p) |zeta_i|^2) over the last axis."""
+        return np.sqrt(np.sum(np.abs(self.mode_weights ** p * zeta) ** 2, axis=-1))
+
+    def norm(self, a: np.ndarray, p: int, beta: float) -> float:
+        """Graded weighted norm ||Phi||_{p,beta} of a coefficient vector; p < 0
+        selects the dual scale.
+
+        ||Phi||_0 is the (0, 0) case: sqrt(sum alpha! |a_alpha|^2).
+        """
+        if not 0 <= beta <= 1:
+            raise ValueError("beta must lie in [0, 1]")
+        sign = 1.0 if p >= 0 else -1.0
+        deg_fact = self._factorial[self.degrees].astype(float)
+        wpow = np.prod(self.mode_weights[None, :] ** (2.0 * p * self.indices), axis=1)
+        weights = (deg_fact ** (sign * beta)) * self.factorials * wpow
+        return float(np.sqrt(np.sum(weights * np.abs(a) ** 2)))
+
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Wick coefficient convolution; works on (n_idx, ...) stacks.
 
@@ -187,7 +232,6 @@ class ChaosSpace:
     def _ladder(self, weights, data, step):
         # sum_m y_m [beta_m + 1 if lowering] data_{beta + step e_m}
         table = self._shifts(step)
-        weights = list(weights.coords if isinstance(weights, TestVector) else weights)
         if len(weights) != self.n_modes:
             raise ValueError(f"need {self.n_modes} mode weights, got {len(weights)}")
         out = np.zeros_like(data)
@@ -233,186 +277,6 @@ class ChaosSpace:
 
 
 @dataclass
-class TestVector:
-    """Coordinates over the Gaussian modes with the weighted p-norms."""
-
-    space: ChaosSpace
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=complex)
-        if self.coords.shape != (self.space.n_modes,):
-            raise ValueError("coordinate count must match the mode count")
-
-    def norm_p(self, p: int) -> float:
-        w = self.space.mode_weights ** p
-        return float(np.sqrt(np.sum(np.abs(w * self.coords) ** 2)))
-
-
-@dataclass
-class ChaosVector:
-    """Scalar chaos expansion: one complex coefficient per multi-index."""
-
-    space: ChaosSpace
-    coeffs: np.ndarray
-    truncated: bool = False
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.space.n_indices,):
-            raise ValueError("coefficient count must match the index table")
-
-    @classmethod
-    def zero(cls, space: ChaosSpace) -> "ChaosVector":
-        return cls(space, np.zeros(space.n_indices, dtype=complex))
-
-    @classmethod
-    def vacuum(cls, space: ChaosSpace) -> "ChaosVector":
-        c = np.zeros(space.n_indices, dtype=complex)
-        c[0] = 1.0
-        return cls(space, c)
-
-    @classmethod
-    def first_chaos(cls, space: ChaosSpace, coords) -> "ChaosVector":
-        out = cls.zero(space)
-        for m, c in enumerate(np.asarray(coords, dtype=complex)):
-            out.coeffs[space.position(np.eye(space.n_modes, dtype=int)[m])] = c
-        return out
-
-    def degree(self) -> int:
-        nz = np.nonzero(np.abs(self.coeffs) > 0)[0]
-        return int(self.space.degrees[nz].max()) if len(nz) else 0
-
-    def norm0(self) -> float:
-        return float(np.sqrt(np.sum(self.space.factorials * np.abs(self.coeffs) ** 2)))
-
-    def __add__(self, other):
-        return ChaosVector(self.space, self.coeffs + other.coeffs,
-                           self.truncated or other.truncated)
-
-    def __sub__(self, other):
-        return ChaosVector(self.space, self.coeffs - other.coeffs,
-                           self.truncated or other.truncated)
-
-    def __mul__(self, c):
-        return ChaosVector(self.space, self.coeffs * c, self.truncated)
-
-    __rmul__ = __mul__
-
-
-def exp_vector(space: ChaosSpace, zeta) -> ChaosVector:
-    """Exponential (coherent) vector: coefficients zeta^alpha / alpha!."""
-    zeta = np.asarray(zeta, dtype=complex)
-    return ChaosVector(space, space.monomials(zeta) / space.factorials)
-
-
-def duality(phi: ChaosVector, psi: ChaosVector) -> complex:
-    """Bilinear pairing <<Phi, Psi>> = sum alpha! a_alpha b_alpha."""
-    return complex(np.sum(phi.space.factorials * phi.coeffs * psi.coeffs))
-
-
-def s_transform(phi: ChaosVector, zeta) -> complex:
-    """S Phi(zeta) = <<Phi, phi_zeta>> = sum_alpha a_alpha zeta^alpha."""
-    return complex(np.dot(phi.coeffs, phi.space.monomials(zeta)))
-
-
-def wick_product(phi: ChaosVector, psi: ChaosVector) -> ChaosVector:
-    """Coefficient convolution; exact when deg phi + deg psi <= M."""
-    space = phi.space
-    out = space.convolve(phi.coeffs, psi.coeffs)
-    spill = phi.degree() + psi.degree() > space.max_degree
-    return ChaosVector(space, out, truncated=spill or phi.truncated or psi.truncated)
-
-
-def wick_power(phi: ChaosVector, k: int) -> ChaosVector:
-    out = ChaosVector.vacuum(phi.space)
-    for _ in range(k):
-        out = wick_product(out, phi)
-    return out
-
-
-def annihilate(space: ChaosSpace, y, phi: ChaosVector) -> ChaosVector:
-    """Lowering map: (a_y Phi)_beta = sum_m y_m (beta_m + 1) a_{beta+e_m}."""
-    y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-    return ChaosVector(space, space.lowering(y, phi.coeffs), phi.truncated)
-
-
-def create(space: ChaosSpace, y, phi: ChaosVector) -> ChaosVector:
-    """Raising map: (a+_y Phi)_beta = sum_m y_m a_{beta-e_m}.
-
-    Coefficients pushed past degree M are dropped and flagged.
-    """
-    y = np.asarray(y.coords if isinstance(y, TestVector) else y, dtype=complex)
-    out = space.raising(y, phi.coeffs)
-    top = space.degrees == space.max_degree
-    spilled = bool(np.any(np.abs(phi.coeffs[top]) > 0) and np.any(np.abs(y) > 0))
-    return ChaosVector(space, out, truncated=spilled or phi.truncated)
-
-
-def second_quantization(space: ChaosSpace, mode_map, phi: ChaosVector) -> ChaosVector:
-    """Gamma(B): acts as B^{tensor k} on the degree-k block (exact)."""
-    mat = space.gamma_matrix(np.asarray(mode_map, dtype=complex))
-    return ChaosVector(space, mat @ phi.coeffs, phi.truncated)
-
-
-def norm_beta(phi: ChaosVector, p: int, beta: float) -> float:
-    """Graded weighted norm; p < 0 selects the dual (1 - beta) scale."""
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    space = phi.space
-    sign = 1.0 if p >= 0 else -1.0
-    deg_fact = space._factorial[space.degrees].astype(float)
-    wpow = np.prod(space.mode_weights[None, :] ** (2.0 * p * space.indices), axis=1)
-    weights = (deg_fact ** (sign * beta)) * space.factorials * wpow
-    return float(np.sqrt(np.sum(weights * np.abs(phi.coeffs) ** 2)))
-
-
-@dataclass
-class FockOperator:
-    """Dense operator on the truncated chaos space (Wick-basis matrix)."""
-
-    space: ChaosSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.space.n_indices
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (n, n):
-            raise ValueError("operator matrix has wrong shape")
-
-    @classmethod
-    def identity(cls, space: ChaosSpace) -> "FockOperator":
-        return cls(space, np.eye(space.n_indices, dtype=complex))
-
-    @classmethod
-    def zero(cls, space: ChaosSpace) -> "FockOperator":
-        return cls(space, np.zeros((space.n_indices, space.n_indices), dtype=complex))
-
-    @classmethod
-    def annihilation(cls, space: ChaosSpace, y) -> "FockOperator":
-        return cls(space, space.lowering(y, np.eye(space.n_indices, dtype=complex)))
-
-    @classmethod
-    def creation(cls, space: ChaosSpace, y) -> "FockOperator":
-        return cls(space, space.raising(y, np.eye(space.n_indices, dtype=complex)))
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.space, self.matrix @ other.matrix)
-
-    def commutator(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.space,
-                            self.matrix @ other.matrix - other.matrix @ self.matrix)
-
-    def apply(self, phi: ChaosVector) -> ChaosVector:
-        return ChaosVector(self.space, self.matrix @ phi.coeffs, phi.truncated)
-
-
-def operator_symbol(xi: FockOperator, zeta, eta) -> complex:
-    """Symbol <<Xi phi_zeta, phi_eta>> on the truncation."""
-    return s_transform(xi.apply(exp_vector(xi.space, zeta)), eta)
-
-
-@dataclass
 class GrowthFit:
     C: float
     K: float
@@ -433,9 +297,8 @@ def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
     rng = np.random.default_rng(seed)
     radii = np.asarray(sample_radii, dtype=float)
     n = space.n_modes
-    wp = space.mode_weights ** p
     dirs = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-    dirs /= np.sqrt(np.sum(np.abs(wp * dirs) ** 2, axis=1))[:, None]  # |dir|_p = 1
+    dirs /= space.mode_norm(dirs, p)[:, None]  # |dir|_p = 1
     xs, ys = [], []
     for r in radii:
         for d in dirs:
@@ -483,9 +346,6 @@ class ChaosState:
         data[0] = phi0.data
         return cls(space, model, data)
 
-    def block(self, i: int) -> State:
-        return State(self.model.grid, self.data[i].copy(), self.model.roles)
-
     def degree_energy(self) -> np.ndarray:
         """Energy alpha! ||Phi_alpha||_H^2 aggregated per degree."""
         norms = self.model.generator.metric_norm_blocks(self.data)
@@ -494,11 +354,6 @@ class ChaosState:
         # scatter-add over the indices would
         return np.bincount(self.space.degrees, weights=per_index,
                            minlength=self.space.max_degree + 1)
-
-    def s_transform(self, zeta) -> State:
-        mono = self.space.monomials(zeta)
-        values = np.tensordot(mono, self.data, axes=(0, 0))
-        return State(self.model.grid, values, self.model.roles)
 
 
 class _WickAlgebra:

@@ -204,13 +204,10 @@ class Model:
 
     # ---- conserved functionals -----------------------------------------
 
-    def conserved(self, state: State) -> dict[str, float]:
-        """Invariants of the deterministic flow (noise-free interpretation)."""
-        return {n: float(c[0]) for n, c in self.conserved_blocks(state.data[None]).items()}
-
     def conserved_blocks(self, data: np.ndarray) -> dict[str, np.ndarray]:
-        """``conserved`` of each state of a (B, s, *grid.shape) stack, one value
-        per state. Each sum runs over one block's grid, as over the block alone."""
+        """Invariants of the deterministic flow (noise-free interpretation) of
+        each state of a (B, s, *grid.shape) stack, one value per state. Each
+        sum runs over one block's grid, as over the block alone."""
         name, pr, dv = self.name, self.params, self.grid.dv
         axes = tuple(range(1, self.grid.dim + 1))  # the grid axes of a field stack
         out: dict[str, np.ndarray] = {}

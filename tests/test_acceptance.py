@@ -12,9 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import stochwave as sw
-from stochwave.chaos import (ChaosSpace, ChaosVector, FockOperator, exp_vector,
-                             growth_bound_fit, s_transform, second_quantization,
-                             solve_wick_evolution, wick_product)
+from stochwave.chaos import ChaosSpace, growth_bound_fit, solve_wick_evolution
 from stochwave.cli import _json
 from stochwave.noise import discrete_pairing, sample_moments
 
@@ -107,7 +105,7 @@ def test_deterministic_conservation():
     x = GRID64.x_axes[0]
     psi0 = sw.State(GRID64, (0.4 * np.exp(1j * x) + 0.1 * np.exp(2j * x))[None, :],
                     nls.roles)
-    c0 = nls.conserved(psi0)
+    c0 = {n: c[0] for n, c in nls.conserved_blocks(psi0.data[None]).items()}
     cons = sw.solve_ito(nls, psi0, 1.0, 1e-3, None, scheme="strang").conserved
     mass_drift = np.max(np.abs(cons["mass"] - c0["mass"])) / abs(c0["mass"])
     energy_drift = np.max(np.abs(cons["energy"] - c0["energy"])) / abs(c0["energy"])
@@ -117,7 +115,7 @@ def test_deterministic_conservation():
     for name, sign in (("klein_gordon", -1), ("sine_gordon", 1)):
         m = sw.build_model(name, GRID32, p=3, sign=sign, g=1.0, k0=1.0)
         st = _real_state(m, 3, 0.4)
-        e0 = m.conserved(st)["energy"]
+        e0 = m.conserved_blocks(st.data[None])["energy"][0]
         drifts = []
         for dt in (4e-3, 2e-3, 1e-3):
             tr = sw.solve_ito(m, st, 0.5, dt, None, scheme="strang")
@@ -127,13 +125,13 @@ def test_deterministic_conservation():
 
     zak = sw.build_model("zakharov", GRID32)
     st = _real_state(zak, 5, 0.4)
-    m0 = zak.conserved(st)["mass"]
+    m0 = zak.conserved_blocks(st.data[None])["mass"][0]
     tr = sw.solve_ito(zak, st, 1.0, 1e-3, None, scheme="strang")
     results.append(("zakharov mass", np.max(np.abs(tr.conserved["mass"] - m0)) / m0, 1e-8))
 
     md = sw.build_model("maxwell_dirac", GRID32, k0=1.0, m=1.0)
     st = _real_state(md, 7, 0.4)
-    q0 = md.conserved(st)["charge"]
+    q0 = md.conserved_blocks(st.data[None])["charge"][0]
     tr = sw.solve_ito(md, st, 1.0, 1e-3, None, scheme="strang")
     results.append(("maxwell_dirac charge", np.max(np.abs(tr.conserved["charge"] - q0)) / q0,
                     1e-6))
@@ -303,7 +301,12 @@ def test_wiener_integrals():
 
 
 def test_ito_moment_law():
-    """Scalar multiplicative noise: E||phi(1)||^2 = ||phi0||^2 e^(lambda)."""
+    """Scalar multiplicative noise: the exponential-Euler mean of ||phi(1)||^2.
+
+    Each step multiplies the state by 1 + dW with E|1 + dW|^2 = 1 + lambda dt,
+    so the scheme's exact mean is ||phi0||^2 (1 + lambda dt)^(T/dt) = 1.6446
+    ||phi0||^2 at dt = 0.02, not the continuous law's e^lambda = 1.6487.
+    """
     lam = 0.5
     m = sw.build_model("nls", UNIT8, sign=0, smoothness=1)
     cov = _scalar_noise(lam)
@@ -313,7 +316,7 @@ def test_ito_moment_law():
                            observables=("norm_sq",))
     res = sw.run_ensemble(cfg)
     stats = res.observables["norm_sq"]
-    target = m.norm(phi0) ** 2 * np.exp(lam)
+    target = m.norm(phi0) ** 2 * (1 + lam * cfg.dt) ** round(cfg.T / cfg.dt)
     dev = abs(stats["mean"] - target) / stats["stderr"]
     ok = dev <= 3.0
     _report("moment-law", ok,
@@ -370,27 +373,28 @@ def test_tail_curve():
 def test_chaos_algebra():
     """Wick/S-transform identities at tight tolerances on the truncation."""
     space = ChaosSpace(4, 4)
+    S = space.s_transform
     rng = np.random.default_rng(601)
     s_dev = 0.0
     for _ in range(100):
         mask = space.degrees <= 2
-        a = ChaosVector(space, np.where(mask, rng.standard_normal(space.n_indices)
-                                        + 1j * rng.standard_normal(space.n_indices), 0))
-        b = ChaosVector(space, np.where(mask, rng.standard_normal(space.n_indices)
-                                        + 1j * rng.standard_normal(space.n_indices), 0))
-        prod = wick_product(a, b)
+        a = np.where(mask, rng.standard_normal(space.n_indices)
+                     + 1j * rng.standard_normal(space.n_indices), 0)
+        b = np.where(mask, rng.standard_normal(space.n_indices)
+                     + 1j * rng.standard_normal(space.n_indices), 0)
+        prod = space.convolve(a, b)
         for _ in range(20):
             z = 0.6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            s_dev = max(s_dev, abs(s_transform(prod, z)
-                                   - s_transform(a, z) * s_transform(b, z)))
+            s_dev = max(s_dev, abs(S(prod, z) - S(a, z) * S(b, z)))
     s_ok = s_dev < 1e-10
 
     ccr_dev = 0.0
+    eye = np.eye(space.n_indices, dtype=complex)
     for _ in range(10):
         y = 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         z = 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        comm = FockOperator.annihilation(space, y).commutator(
-            FockOperator.creation(space, z)).matrix
+        a, a_plus = space.lowering(y, eye), space.raising(z, eye)
+        comm = a @ a_plus - a_plus @ a
         interior = space.degrees <= space.max_degree - 1
         block = comm[np.ix_(interior, interior)]
         ccr_dev = max(ccr_dev, np.max(np.abs(
@@ -403,11 +407,10 @@ def test_chaos_algebra():
         B = rng.standard_normal((4, 4))
         A /= np.linalg.norm(A, 2)
         B /= np.linalg.norm(B, 2)
-        phi = ChaosVector(space, rng.standard_normal(space.n_indices)
-                          + 1j * rng.standard_normal(space.n_indices))
-        lhs = second_quantization(space, A @ B, phi)
-        rhs = second_quantization(space, A, second_quantization(space, B, phi))
-        gamma_dev = max(gamma_dev, np.max(np.abs(lhs.coeffs - rhs.coeffs)))
+        phi = rng.standard_normal(space.n_indices) + 1j * rng.standard_normal(space.n_indices)
+        lhs = space.gamma_matrix(A @ B) @ phi
+        rhs = space.gamma_matrix(A) @ (space.gamma_matrix(B) @ phi)
+        gamma_dev = max(gamma_dev, np.max(np.abs(lhs - rhs)))
     gamma_ok = gamma_dev < 1e-10
 
     big = ChaosSpace(4, 8)
@@ -417,7 +420,7 @@ def test_chaos_algebra():
         eta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         zeta *= rng.uniform(0.3, 0.85) / np.sqrt(np.sum(np.abs(zeta) ** 2))
         eta *= rng.uniform(0.3, 0.85) / np.sqrt(np.sum(np.abs(eta) ** 2))
-        got = s_transform(exp_vector(big, eta), zeta)
+        got = big.s_transform(big.exp_vector(eta), zeta)
         tail_dev = max(tail_dev, abs(got - np.exp(np.sum(zeta * eta))))
     tail_ok = tail_dev < 1e-6
 
@@ -436,10 +439,11 @@ def test_growth_bound():
     radii = np.logspace(-1, 1, 9)
     fits = []
     for i in range(20):
-        phi = ChaosVector(space, rng.standard_normal(space.n_indices)
-                          + 1j * rng.standard_normal(space.n_indices))
+        phi = rng.standard_normal(space.n_indices) + 1j * rng.standard_normal(space.n_indices)
         fits.append(growth_bound_fit(
-            lambda z: s_transform(phi, np.asarray(z)), space, p=1,
+            # F as a Python complex, so the Cauchy-Riemann stencil runs in
+            # Python's complex arithmetic
+            lambda z: complex(space.s_transform(phi, np.asarray(z))), space, p=1,
             sample_radii=radii, seed=800 + i))
     for i in range(5):
         eta = 0.4 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -478,7 +482,8 @@ def test_cross_formulation():
             pic = sw.picard_solve(m, st, 0.4, theta, zeta,
                                   n_time_nodes=round(0.4 / dt) + 1, tol=1e-12,
                                   max_iter=80)
-            diffs.append(m.norm(wick.final.s_transform(zeta) - pic.final))
+            s_state = sw.State(grid, space.s_transform(wick.final.data, zeta), m.roles)
+            diffs.append(m.norm(s_state - pic.final))
         C, tail = np.polyfit(dts, diffs, 1)
         max_C = max(max_C, C)
         model_err = np.max(np.abs(np.polyval([C, tail], dts) - diffs))

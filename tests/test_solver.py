@@ -449,10 +449,10 @@ def _assert_table_of(traj, model, times, states, norms):
     for bit: its times, graph norms, every conserved column and final state."""
     assert traj.times.tobytes() == np.asarray(times).tobytes()
     assert traj.graph_norms.tobytes() == np.asarray(norms).tobytes()
-    rows = [model.conserved(s) for s in states]
+    rows = [model.conserved_blocks(s.data[None]) for s in states]
     assert list(traj.conserved) == list(rows[0])
     for name, column in traj.conserved.items():
-        assert column.tobytes() == np.array([r[name] for r in rows]).tobytes()
+        assert column.tobytes() == np.array([r[name][0] for r in rows]).tobytes()
     assert traj.final.data.tobytes() == states[-1].data.tobytes()
 
 
@@ -465,7 +465,7 @@ def test_solve_ito_norm_history_matches_states():
     for i, state in enumerate(states):
         recomputed = m.graph_norms(state)
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
-        energy = m.conserved(state)["energy"]
+        energy = m.conserved_blocks(state.data[None])["energy"][0]
         assert abs(energy - traj.conserved["energy"][i]) <= 1e-12 * abs(energy)
     assert traj.final.data.tobytes() == states[-1].data.tobytes()
 
@@ -852,13 +852,13 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 def _csv_of_states(model, times, states, graph_norms):
     """The reference trajectory table: it takes the conserved quantities of
     every recorded state when it formats the table."""
-    names = sorted(model.conserved(states[0]).keys())
+    names = sorted(model.conserved_blocks(states[0].data[None]).keys())
     n_orders = graph_norms.shape[1]
     header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
     lines = [",".join(header) + "\n"]
     for i, t in enumerate(times):
-        cons = model.conserved(states[i])
-        row = [t, *graph_norms[i], *[cons[n] for n in names]]
+        cons = model.conserved_blocks(states[i].data[None])
+        row = [t, *graph_norms[i], *[cons[n][0] for n in names]]
         lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
     return "".join(lines)
 
@@ -881,5 +881,5 @@ def test_export_trajectory_csv():
             assert text == _csv_of_states(m, times, states, norms)
             lines = text.strip().splitlines()
             assert lines[0].startswith("time,graph_norm_j0")
-            assert all(n in lines[0] for n in m.conserved(phi0))
+            assert all(n in lines[0] for n in m.conserved_blocks(phi0.data[None]))
             assert len(lines) == len(times) + 1 == 22
