@@ -17,7 +17,7 @@ from .models import (EstimateReport, Model, ModelParams, build_model,
 from .noise import (CovarianceSpec, QWienerSampler, brownian_increments,
                     default_covariance, discrete_pairing, empirical_covariance,
                     multiple_wiener, orthogonality_check)
-from .operators import SpectralOperator, make_operator
+from .operators import SpectralOperator
 from .solver import (BlowUpError, PicardResult, ThetaPotential, Trajectory,
                      holomorphy_check, picard_solve, solve_ito, step_exp_euler)
 

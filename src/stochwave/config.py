@@ -250,7 +250,9 @@ class ExperimentConfig:
 
     def build_initial(self, model: Model) -> State:
         """The initial state; ValueError on an ``initial.modes`` entry that is
-        not [component, wavenumber, re, im] with a component of the model."""
+        not [component, wavenumber, re, im] with a component of the model and
+        an integer wavenumber k with |k| <= grid.points[0] / 2 (any other k
+        aliases to one of these on the grid, or is no Fourier mode)."""
         ib = self.doc["initial"]
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
@@ -265,6 +267,10 @@ class ExperimentConfig:
                 raise ValueError(f"modes entry {i} must be [component, wavenumber, re, im] with "
                                  f"a component in 0..{st.n_components - 1}, got {entry!r}")
             comp, kidx, re, im = entry
+            top = model.grid.npts[0] // 2
+            if not (float(kidx).is_integer() and abs(kidx) <= top):
+                raise ValueError(f"modes entry {i} wavenumber must be an integer from "
+                                 f"{-top} to {top} (grid.points[0] / 2), got {kidx!r}")
             amp = complex(re, im)
             st.data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)
         return st * ib["amplitude"]

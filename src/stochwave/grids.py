@@ -261,6 +261,3 @@ class State:
         return State(self.grid, self.data * c, self.roles)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return State(self.grid, -self.data, self.roles)

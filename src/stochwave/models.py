@@ -1,8 +1,11 @@
 """The five concrete wave models behind the unified evolution dphi/dt = -i*A*phi + J(phi).
 
-Each builder normalizes its classical form to the abstract one, so the
+Each model's classical form is normalized to the abstract one, so the
 generator A is always (metric-)self-adjoint and J is whatever is left on the
-right-hand side after that normalization. Concretely:
+right-hand side after that normalization. ``build_model`` states each A once,
+as a ``SpectralOperator`` of the symbol helpers of ``operators`` (symbol k^2
+for -Lap, |k| for |grad|, the wave block with its energy metric, the Dirac
+block). Concretely:
 
 nls            i dpsi/dt + Lap psi + sign |psi|^{p-1} psi = 0 becomes
                A = -Lap, J = i*sign*|psi|^{p-1} psi  (paraxial beam equation;
@@ -12,7 +15,8 @@ klein_gordon   psi_tt + B^2 psi = sign |psi|^{p-1} psi with B = sqrt(-Lap+k0^2),
                J = (0, sign |psi|^{p-1} psi), state space D(B) + L2.
 sine_gordon    u_tt + B^2 u = g sin u, same wave block, J = (0, g sin u).
 zakharov       i psi_t + Lap psi = psi Re(v), i v_t + |grad| v = -|grad||psi|^2
-               gives A = diag(-Lap, -|grad|), J = (-i psi Re v, i |grad||psi|^2).
+               gives A = diag(-Lap, -|grad|) (symbol diag(k^2, -|k|)),
+               J = (-i psi Re v, i |grad||psi|^2).
 maxwell_dirac  1+1-dimensional reduction with 2-spinors (alpha = sigma1,
                beta = sigma3, same anticommutation algebra as the 3+1 case):
                state (psi1, psi2, A0, A0_t, A1, A1_t), generator
@@ -45,7 +49,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import Field, Grid, State
-from .operators import SpectralOperator, make_operator
+from .operators import (SpectralOperator, _abs_grad_symbol, _maxwell_dirac_symbol_metric,
+                        _wave_symbol_metric, _zeroed_nyquist_k)
 
 MODEL_NAMES = ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon")
 
@@ -280,21 +285,6 @@ class Model:
 
     # ---- gauge diagnostics (Maxwell-Dirac) -------------------------------
 
-    def make_gauge_compatible(self, state: State) -> State:
-        """Project Maxwell-Dirac initial data onto the gauge slice.
-
-        The continuum gauge condition ties the scalar-potential velocity to
-        the spatial divergence, d(A0)/dt = dx(A1); it is imposed on initial
-        data only and tracked, not enforced, along the discrete flow.
-        """
-        if self.name != "maxwell_dirac":
-            raise ValueError("gauge projection applies to maxwell_dirac only")
-        out = state.copy()
-        for i in (2, 3, 4, 5):
-            out.data[i] = np.real(out.data[i])
-        out.data[3] = self._spectral_dx(out.data[4])
-        return out
-
     def gauge_residual(self, state: State) -> float:
         """L2 size of d(A0)/dt - dx(A1), zero on the gauge slice."""
         if self.name != "maxwell_dirac":
@@ -304,8 +294,6 @@ class Model:
 
     def _spectral_dx(self, values: np.ndarray) -> np.ndarray:
         # Nyquist-zeroed first derivative, so real fields stay real
-        from .operators import _zeroed_nyquist_k
-
         k = _zeroed_nyquist_k(self.grid, 0) * np.ones(self.grid.shape)
         return self.grid.to_physical(1j * k * self.grid.to_spectral(values))
 
@@ -354,23 +342,26 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
         raise ValueError("nls is a 1d/2d (transverse-plane) model")
 
     params = ModelParams(p=int(p), sign=int(sign), g=float(g), k0=float(k0), m=float(m))
+    # the generator A of each model (module doc), from the symbol helpers of
+    # ``operators``; |grad| is also the multiplier of the Zakharov source
+    absgrad = _abs_grad_symbol(grid)
     if name == "nls":
-        gen = make_operator("laplacian", grid).scaled(-1.0)
+        gen = SpectralOperator(grid, grid.k_squared[None, None])
     elif name in ("klein_gordon", "sine_gordon"):
-        gen = make_operator("wave_block", grid, k0=k0)
+        gen = SpectralOperator(grid, *_wave_symbol_metric(grid, params.k0))
     elif name == "zakharov":
-        gen = make_operator("zakharov_block", grid).scaled(-1.0)
+        sym = np.zeros((2, 2) + grid.shape, dtype=complex)
+        sym[0, 0] = grid.k_squared
+        sym[1, 1] = -absgrad
+        gen = SpectralOperator(grid, sym)
     else:
-        gen = make_operator("maxwell_dirac_block", grid, k0=k0, m=m)
+        gen = SpectralOperator(grid, *_maxwell_dirac_symbol_metric(grid, params.k0, params.m))
 
-    model = Model(
+    return Model(
         name=name, grid=grid, generator=gen, roles=_ROLES[name], params=params,
         smoothness=_DEFAULT_SMOOTHNESS[name] if smoothness is None else int(smoothness),
-        dealias=dealias, break_j_hook=break_j_hook,
+        dealias=dealias, break_j_hook=break_j_hook, _absgrad=absgrad,
     )
-    # |grad| multiplier shared by the Zakharov source and diagnostics.
-    model._absgrad = np.real(make_operator("abs_grad", grid).symbol[0, 0])
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ class CovarianceSpec:
     def grid(self) -> Grid:
         return self.eigenfields[0].grid
 
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues))
-
     def apply_Q(self, psi: Field) -> Field:
         """Q psi = sum_i lambda_i <psi, e_i> e_i."""
         out = np.zeros(self.grid.shape, dtype=complex)
@@ -158,31 +154,26 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
                          n_steps: int = 64) -> tuple[float, float]:
     """Monte Carlo estimate of E[(W(t), psi)(W(tau), phi)] with its stderr.
 
-    The exact value is (t ^ tau) (Q psi, phi); W is accumulated on a grid
-    containing both t and tau so there is no time-discretization bias.
+    The exact value is (t ^ tau) (Q psi, phi). Each path's W is the cumulative
+    sum of the increments that the sampler draws for a march (stream p of the
+    sampler's master seed), on a step grid containing both t and tau so there
+    is no time-discretization bias, and is paired with psi and phi on the grid.
     """
     if t <= 0 or tau <= 0:
         raise ValueError("t and tau must be positive")
     if n_paths < 1000:
         raise ValueError("the covariance estimate needs at least 1000 paths")
-    t_max = max(t, tau)
-    dt = t_max / n_steps
+    dt = max(t, tau) / n_steps
     i_t, i_tau = round(t / dt), round(tau / dt)
-    if not (np.isclose(i_t * dt, t) and np.isclose(i_tau * dt, tau)):
+    if not (min(i_t, i_tau) >= 1 and np.isclose(i_t * dt, t) and np.isclose(i_tau * dt, tau)):
         raise ValueError("t and tau must be commensurate with the step grid")
-    lam_sqrt = np.sqrt(sampler.spec.eigenvalues)
-    modes = sampler.spec.mode_matrix()
-    # Pairings reduce to mode coordinates: (W, psi) = sum_i sqrt(l_i) b_i(t) <e_i, psi>.
-    c_psi = np.array([Field(psi.grid, m.astype(complex)).inner(psi).real for m in modes])
-    c_phi = np.array([Field(phi.grid, m.astype(complex)).inner(phi).real for m in modes])
+    dv = sampler.spec.grid.dv
+    c_psi, c_phi = np.conj(psi.values).ravel() * dv, np.conj(phi.values).ravel() * dv
     prods = np.empty(n_paths)
     for p in range(n_paths):
-        stream = QWienerSampler(sampler.spec, sampler.master_seed, p)
-        xi = stream.normals(n_steps) * np.sqrt(dt)
-        beta = np.cumsum(xi, axis=0)
-        w_t = lam_sqrt * beta[i_t - 1] if i_t > 0 else np.zeros_like(lam_sqrt)
-        w_tau = lam_sqrt * beta[i_tau - 1] if i_tau > 0 else np.zeros_like(lam_sqrt)
-        prods[p] = float(np.dot(w_t, c_psi) * np.dot(w_tau, c_phi))
+        inc = QWienerSampler(sampler.spec, sampler.master_seed, p).increments(dt, n_steps)
+        w = np.cumsum(inc.reshape(n_steps, -1), axis=0)  # W(k dt), k = 1..n_steps
+        prods[p] = np.dot(w[i_t - 1], c_psi).real * np.dot(w[i_tau - 1], c_phi).real
     est, _, stderr = sample_moments(prods)
     return float(est), float(stderr)
 

@@ -8,11 +8,12 @@ that inner product is encoded as a positive diagonal per-mode metric, and
 "hermitian" throughout this module means metric-Hermitian. The propagator
 exp(-i*t*A) is then exactly metric-norm preserving mode by mode.
 
-Supported symbols: laplacian, shifted square root B = sqrt(-Lap + k0^2),
-|grad|, the 2x2 wave block i[[0,1],[-B^2,0]] (propagator
-[[cos tB, B^-1 sin tB], [-B sin tB, cos tB]]), a 1+1-dimensional Dirac
-operator sigma1*k + sigma3*m, the Zakharov block diag(Lap, |grad|), and the
-block-diagonal Dirac + two wave pairs used by the Maxwell-Dirac reduction.
+``models.build_model`` states each model's generator from the grid's k^2
+(-Lap) and the symbol helpers below: |k| (|grad|), the 2x2 wave block
+i[[0,1],[-B^2,0]] with B = sqrt(-Lap + k0^2) and the energy metric (B^2, 1)
+(propagator [[cos tB, B^-1 sin tB], [-B sin tB, cos tB]]), the 1+1-dimensional
+Dirac symbol sigma1*k + sigma3*m, and the 6x6 Maxwell-Dirac block Dirac(m)
+plus two wave pairs.
 
 The unpaired Nyquist mode is zeroed inside odd-order symbols (|grad|, the
 Dirac momentum) so real fields stay real under the operator.
@@ -134,10 +135,6 @@ class SpectralOperator:
         dev = np.max(np.abs(GS - np.conj(np.transpose(GS, (1, 0, 2)))))
         scale = 1.0 + np.max(np.abs(GS))
         return bool(dev < HERMITICITY_TOL * scale)
-
-    def scaled(self, c: float) -> "SpectralOperator":
-        """Real rescaling; preserves metric-Hermiticity."""
-        return SpectralOperator(self.grid, self.symbol * c, self.metric)
 
     def _eigensystem(self):
         """Stacked eigendecomposition of the metric-symmetrized symbol."""
@@ -292,8 +289,7 @@ def _wave_symbol_metric(grid: Grid, k0: float):
 
 
 def _dirac_symbol(grid: Grid, m: float):
-    if grid.dim != 1:
-        raise ValueError("dirac_1d is defined on 1-dimensional grids")
+    """sigma1 * k + sigma3 * m on a 1-dimensional grid, Nyquist momentum zeroed."""
     if not m >= 0:
         raise ValueError("Dirac mass must be >= 0")
     k = _zeroed_nyquist_k(grid, 0).ravel()
@@ -305,58 +301,12 @@ def _dirac_symbol(grid: Grid, m: float):
     return sym
 
 
-def make_operator(kind: str, grid: Grid, **params) -> SpectralOperator:
-    """Build one of the named multiplier operators.
-
-    kinds: laplacian, shifted_sqrt (needs k0), abs_grad, wave_block (k0),
-    dirac_1d (m), zakharov_block, maxwell_dirac_block (k0, m), identity.
-    """
-
-    def need(name):
-        if name not in params:
-            raise ValueError(f"operator kind '{kind}' requires parameter '{name}'")
-        return float(params[name])
-
-    shape = grid.shape
-    if kind == "laplacian":
-        sym = (-grid.k_squared)[None, None]
-        return SpectralOperator(grid, sym)
-    if kind == "shifted_sqrt":
-        k0 = need("k0")
-        if not k0 >= 0:
-            raise ValueError("k0 must be >= 0")
-        sym = np.sqrt(grid.k_squared + k0**2)[None, None]
-        return SpectralOperator(grid, sym)
-    if kind == "abs_grad":
-        return SpectralOperator(grid, _abs_grad_symbol(grid)[None, None])
-    if kind == "wave_block":
-        sym, metric = _wave_symbol_metric(grid, need("k0"))
-        return SpectralOperator(grid, sym, metric)
-    if kind == "dirac_1d":
-        return SpectralOperator(grid, _dirac_symbol(grid, need("m")))
-    if kind == "zakharov_block":
-        sym = np.zeros((2, 2) + shape, dtype=complex)
-        sym[0, 0] = -grid.k_squared
-        sym[1, 1] = _abs_grad_symbol(grid)
-        return SpectralOperator(grid, sym)
-    if kind == "maxwell_dirac_block":
-        if grid.dim != 1:
-            raise ValueError("maxwell_dirac_block is defined on 1-d grids")
-        m = need("m")
-        wave_sym, wave_metric = _wave_symbol_metric(grid, need("k0"))
-        dirac = _dirac_symbol(grid, m)
-        sym = np.zeros((6, 6) + shape, dtype=complex)
-        sym[0:2, 0:2] = dirac
-        sym[2:4, 2:4] = wave_sym
-        sym[4:6, 4:6] = wave_sym
-        metric = np.concatenate(
-            [np.ones((2,) + shape), wave_metric, wave_metric]
-        )
-        return SpectralOperator(grid, sym, metric)
-    if kind == "identity":
-        s = int(params.get("s", 1))
-        sym = np.zeros((s, s) + shape, dtype=complex)
-        for a in range(s):
-            sym[a, a] = 1.0
-        return SpectralOperator(grid, sym)
-    raise ValueError(f"unknown operator kind '{kind}'")
+def _maxwell_dirac_symbol_metric(grid: Grid, k0: float, m: float):
+    """Dirac(m) + wave(k0) + wave(k0) on (psi1, psi2, A0, A0_t, A1, A1_t), unit
+    weights on the spinor and the wave block's energy weights on each pair."""
+    wave_sym, wave_metric = _wave_symbol_metric(grid, k0)
+    sym = np.zeros((6, 6) + grid.shape, dtype=complex)
+    sym[0:2, 0:2] = _dirac_symbol(grid, m)
+    sym[2:4, 2:4] = wave_sym
+    sym[4:6, 4:6] = wave_sym
+    return sym, np.concatenate([np.ones((2,) + grid.shape), wave_metric, wave_metric])

@@ -1,9 +1,5 @@
-import inspect
-import json
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +9,8 @@ from math import factorial
 
 from numpy.polynomial import hermite_e
 
-import stochwave.chaos as chaos_module
 from stochwave import State, build_model, make_grid
-from stochwave.cli import _csv, cmd_chaos, main
+from stochwave.cli import _csv, cmd_chaos
 from stochwave.config import ExperimentConfig
 from stochwave.chaos import (ChaosSpace, ChaosState, growth_bound_fit,
                              solve_wick_evolution, wick_nonlinearity)
@@ -599,75 +594,3 @@ def test_pair_columns_equal_a_scan_of_every_pair(n_modes, degree):
         assert I.tolist() == [i for i, _ in want]
         assert J.tolist() == [j for _, j in want]
     assert undo.tolist() == np.argsort(order).tolist()
-
-
-# The public entry points of ``stochwave.chaos`` that no command reaches: each
-# carries a claim of the white-noise calculus and names the test that checks it.
-UNREACHED = {
-    "ChaosSpace.lowering": ("the CCR below the truncation degree",
-                            "test_chaos::test_ccr_on_interior_degrees"),
-    "ChaosSpace.gamma_matrix": ("Gamma(AB) = Gamma(A) Gamma(B), Gamma(diag w) on coherent vectors",
-                                "test_chaos::test_second_quantization_properties"),
-    "ChaosSpace.position": ("the index lookup that builds Gamma(B)'s columns",
-                            "test_chaos::test_second_quantization_properties"),
-    "ChaosSpace.exp_vector": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
-                              "test_chaos::test_exp_vector_pairing_series"),
-    "ChaosSpace.pairing": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
-                           "test_chaos::test_exp_vector_pairing_series"),
-    "ChaosSpace.norm": ("graded norms: Gaussian quadrature and monotonicity in p and beta",
-                        "test_chaos::test_norm_values_and_monotonicity"),
-    "ChaosSpace.mode_norm": ("the test-vector norm |zeta|_p of the growth bound",
-                             "test_chaos::test_mode_norm_closed_form"),
-    "growth_bound_fit": ("|S Phi(zeta)| <= C exp(K |zeta|_p^2), entire in zeta",
-                         "test_acceptance::test_growth_bound"),
-}
-
-
-def _entry_points(module):
-    """Code object of each public function of ``module`` and each public method
-    of a class defined there, by qualified name."""
-    out = {}
-    for name, obj in vars(module).items():
-        if getattr(obj, "__module__", None) != module.__name__:
-            continue
-        if inspect.isfunction(obj) and not name.startswith("_"):
-            out[name] = obj.__code__
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                fn = getattr(member, "__func__", member)  # classmethods, staticmethods
-                if inspect.isfunction(fn) and not attr.startswith("_"):
-                    out[f"{name}.{attr}"] = fn.__code__
-    return out
-
-
-def test_every_public_chaos_entry_point_is_reached_or_allowed(tmp_path):
-    # ``chaos`` on three tiny models (the Wick powers, the sine and the real
-    # part of the Wick algebra) and ``verify``, traced call by call
-    tiny = {"grid": {"dim": 1, "points": [8], "lengths": [2 * np.pi]},
-            "solver": {"T": 0.02, "dt": 0.01}, "noise": {"enabled": True, "n_modes": 2},
-            "chaos": {"n_modes": 2, "max_degree": 2}, "mc": {"n_paths": 2},
-            "verify": {"sample_count": 100, "orthogonality_paths": 1000}}
-    runs = [("chaos", name) for name in ("klein_gordon", "sine_gordon", "maxwell_dirac")]
-    reached = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-
-    for i, (command, model) in enumerate(runs + [("verify", "nls")]):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps({**tiny, "model": {"name": model}}))
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            code = main([command, "--config", str(path), "--out", str(tmp_path / f"run{i}")])
-        finally:
-            sys.setprofile(previous)
-        assert code == 0
-    entry = _entry_points(chaos_module)
-    missed = sorted(name for name, code in entry.items() if code not in reached)
-    assert missed == sorted(UNREACHED)
-    tests = Path(__file__).parent
-    for name, (claim, test) in UNREACHED.items():
-        module, function = test.split("::")
-        assert f"def {function}(" in (tests / f"{module}.py").read_text(), (name, claim)

@@ -256,6 +256,12 @@ NOISE_ON = {"noise": {"enabled": True}}
     # these once printed an OverflowError traceback and exited 4: 171! is no float
     *[(command, {**NOISE_ON, "chaos": {"n_modes": 1, "max_degree": 171}},
        "chaos: max_degree must be at most 170, got 171") for command in ("verify", "chaos")],
+    # these once ran: on 8 points wavenumber 9 built the wavenumber-1 state, and
+    # 0.5 spread over every Fourier mode
+    *[("simulate", {"model": {"name": "nls"}, "grid": {"points": [8]},
+                    "initial": {"kind": "modes", "modes": [[0, 1, 1.0, 0.0], [0, k, 1.0, 0.0]]}},
+       f"initial: modes entry 1 wavenumber must be an integer from -4 to 4 "
+       f"(grid.points[0] / 2), got {k!r}") for k in (9, 0.5)],
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):

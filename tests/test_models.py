@@ -129,7 +129,12 @@ def test_maxwell_dirac_gauge_projection_and_residual():
     m = build_model("maxwell_dirac", GRID, k0=1.0, m=1.0)
     st = _real_state(m, seed=8, radius=0.4)
     assert m.gauge_residual(st) > 1e-6  # random data is off the gauge slice
-    fixed = m.make_gauge_compatible(st)
+    # the gauge slice: real potentials and A0_t = dx A1 (Nyquist-zeroed derivative)
+    fixed = st.copy()
+    fixed.data[2:] = np.real(fixed.data[2:])
+    k = GRID.k_axes[0].copy()
+    k[GRID.npts[0] // 2] = 0.0
+    fixed.data[3] = GRID.to_physical(1j * k * GRID.to_spectral(fixed.data[4]))
     assert m.gauge_residual(fixed) < 1e-12
     # the residual is a diagnostic, not enforced: it stays bounded but moves
     # at every step of the march that solve_ito runs, collected by its record

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from stochwave import State, make_grid, make_operator
+from stochwave import State, build_model, make_grid
+from stochwave.operators import SpectralOperator, _abs_grad_symbol, _dirac_symbol
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,29 @@ def _apply(op, data):
     return g.to_physical(op.apply_spectral(flat).reshape(data.shape))
 
 
+def _operator(kind, grid, k0=1.0, m=1.0):
+    """The generator block named ``kind``: a model's generator as ``build_model``
+    states it, or a test-local ``SpectralOperator`` of one symbol helper."""
+    if kind == "laplacian":  # A = -Lap, the NLS generator
+        return build_model("nls", grid).generator
+    if kind == "wave_block":
+        return build_model("klein_gordon", grid, k0=k0).generator
+    if kind == "zakharov_block":
+        return build_model("zakharov", grid).generator
+    if kind == "maxwell_dirac_block":
+        return build_model("maxwell_dirac", grid, k0=k0, m=m).generator
+    if kind == "shifted_sqrt":
+        return SpectralOperator(grid, np.sqrt(grid.k_squared + k0**2)[None, None])
+    if kind == "abs_grad":
+        return SpectralOperator(grid, _abs_grad_symbol(grid)[None, None])
+    assert kind == "dirac_1d"
+    return SpectralOperator(grid, _dirac_symbol(grid, m))
+
+
+def _identity(grid, s=1):
+    return SpectralOperator(grid, np.eye(s).reshape((s, s) + (1,) * grid.dim) * np.ones(grid.shape))
+
+
 def _mode_state(grid, wave, component=0, s=1):
     x = grid.x_axes[0]
     st_ = State(grid, np.zeros((s,) + grid.shape, dtype=complex),
@@ -34,61 +58,58 @@ def _mode_state(grid, wave, component=0, s=1):
 
 
 def test_symbol_values(grid):
-    lap = make_operator("laplacian", grid)
+    neg_lap = build_model("nls", grid).generator
     k = grid.k_axes[0]
     i2 = np.argmin(np.abs(k - 2.0))
-    assert lap.symbol[0, 0, i2] == pytest.approx(-4.0)
-    shifted = make_operator("shifted_sqrt", grid, k0=1.0)
-    assert shifted.symbol[0, 0, 0] == pytest.approx(1.0)  # k = 0
+    assert neg_lap.symbol[0, 0, i2] == pytest.approx(4.0)
+    wave = build_model("klein_gordon", grid, k0=1.0).generator
+    assert wave.metric[0, 0] == pytest.approx(1.0)  # B^2 = k^2 + k0^2 at k = 0
+    assert wave.symbol[1, 0, 0] == pytest.approx(-1j)
+    with pytest.raises(ValueError, match="k0 > 0"):
+        build_model("klein_gordon", grid, k0=0.0)  # degenerate metric
 
 
 def test_dirac_eigenvalues_at_zero_mode(grid):
-    dirac = make_operator("dirac_1d", grid, m=1.0)
-    eig = np.linalg.eigvalsh(dirac.symbol[:, :, 0])
+    gen = build_model("maxwell_dirac", grid, k0=1.0, m=1.0).generator
+    eig = np.linalg.eigvalsh(gen.symbol[0:2, 0:2, 0])
     assert eig == pytest.approx([-1.0, 1.0])
-
-
-def test_make_operator_rejects_unknown_and_missing(grid):
-    with pytest.raises(ValueError):
-        make_operator("spin_flip", grid)
-    with pytest.raises(ValueError):
-        make_operator("shifted_sqrt", grid)  # k0 missing
-    with pytest.raises(ValueError):
-        make_operator("wave_block", grid, k0=0.0)  # degenerate metric
+    # the one copy of the rule that the Dirac block lives on 1-d grids
+    with pytest.raises(ValueError, match="1\\+1-dimensional"):
+        build_model("maxwell_dirac", make_grid(2, [8, 8], [1.0, 1.0]))
 
 
 def test_apply_laplacian_plane_wave(grid):
-    lap = make_operator("laplacian", grid)
+    neg_lap = build_model("nls", grid).generator
     st_ = _mode_state(grid, 1)
-    assert np.allclose(_apply(lap, st_.data), -st_.data, atol=1e-13)
+    assert np.allclose(_apply(neg_lap, st_.data), st_.data, atol=1e-13)
 
 
 def test_apply_identity_and_b_squared(grid):
-    ident = make_operator("identity", grid)
+    ident = _identity(grid)
     st_ = _random_state(grid, 1, seed=1)
     assert np.allclose(_apply(ident, st_.data), st_.data, atol=1e-13)
-    B = make_operator("shifted_sqrt", grid, k0=2.0)
+    B = _operator("shifted_sqrt", grid, k0=2.0)
     const = np.full((1,) + grid.shape, 1.5 + 0.5j)
     assert np.allclose(_apply(B, _apply(B, const)), 4.0 * const, atol=1e-12)
 
 
 def test_free_schrodinger_phase(grid):
     # generator A = -Lap, so the k = 1 multiplier is exp(-i t)
-    neg_lap = make_operator("laplacian", grid).scaled(-1.0)
+    neg_lap = build_model("nls", grid).generator
     st_ = _mode_state(grid, 1)
     out = neg_lap.propagate(0.5, st_)
     assert np.allclose(out.data, np.exp(-0.5j) * st_.data, atol=1e-13)
 
 
 def test_propagate_t_zero_identity(grid):
-    wave = make_operator("wave_block", grid, k0=1.0)
+    wave = build_model("klein_gordon", grid, k0=1.0).generator
     st_ = _random_state(grid, 2, seed=2)
     assert np.allclose(wave.propagate(0.0, st_).data, st_.data, atol=1e-13)
 
 
 def test_wave_zero_mode_rotation(grid):
     # k = 0, k0 = 1: (1, 0) -> (cos t, -sin t)
-    wave = make_operator("wave_block", grid, k0=1.0)
+    wave = build_model("klein_gordon", grid, k0=1.0).generator
     st_ = State(grid, np.zeros((2,) + grid.shape, dtype=complex), ("u", "v"))
     st_.data[0] = 1.0
     t = 0.73
@@ -98,7 +119,7 @@ def test_wave_zero_mode_rotation(grid):
 
 
 def test_wave_propagator_closed_form(grid):
-    wave = make_operator("wave_block", grid, k0=1.3)
+    wave = build_model("klein_gordon", grid, k0=1.3).generator
     t = 0.41
     P = wave.propagator_matrices(t)
     k = grid.k_axes[0]
@@ -113,10 +134,11 @@ def test_wave_propagator_closed_form(grid):
 
 def test_dirac_dispersion_eigenphases(grid):
     m = 0.7
-    dirac = make_operator("dirac_1d", grid, m=m)
+    # the Dirac block [0:2, 0:2] of the block-diagonal Maxwell-Dirac generator
+    gen = build_model("maxwell_dirac", grid, k0=1.0, m=m).generator
     t = 0.9
-    P = dirac.propagator_matrices(t)
-    k = dirac.symbol[0, 1].real.ravel()  # Nyquist-zeroed momenta
+    P = gen.propagator_matrices(t)[:, 0:2, 0:2]
+    k = gen.symbol[0, 1].real.ravel()  # Nyquist-zeroed momenta
     for i in range(grid.size):
         om = np.sqrt(k[i] ** 2 + m**2)
         expected = np.array([np.exp(-1j * om * t), np.exp(1j * om * t)])
@@ -129,8 +151,6 @@ def test_dirac_dispersion_eigenphases(grid):
 def test_propagate_requires_hermitian(grid):
     sym = np.zeros((1, 1) + grid.shape, dtype=complex)
     sym[0, 0] = 1j * (1 + grid.k_squared)  # anti-Hermitian
-    from stochwave.operators import SpectralOperator
-
     op = SpectralOperator(grid, sym)
     assert not op.hermitian
     with pytest.raises(ValueError):
@@ -138,7 +158,7 @@ def test_propagate_requires_hermitian(grid):
 
 
 def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
-    wave = make_operator("wave_block", grid, k0=1.0)
+    wave = build_model("klein_gordon", grid, k0=1.0).generator
     built = []
     build = wave.propagator_matrices
     monkeypatch.setattr(wave, "propagator_matrices", lambda t: built.append(t) or build(t))
@@ -155,8 +175,6 @@ def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
 @pytest.mark.parametrize("s", [1, 2, 6])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
-    from stochwave.operators import SpectralOperator
-
     rng = np.random.default_rng(10 * s + dim)
     g = make_grid(dim, [8, 6, 4][:dim], [2 * np.pi, 3.0, 5.0][:dim])
     X = rng.standard_normal((s, s) + g.shape) + 1j * rng.standard_normal((s, s) + g.shape)
@@ -184,8 +202,6 @@ def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
 def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
     # a diagonal symbol contracts only its diagonals; on finite coefficients,
     # signed zeros and subnormals included, that is the dense einsum's result
-    from stochwave.operators import SpectralOperator
-
     rng = np.random.default_rng(100 + 10 * s + dim)
     g = make_grid(dim, [8, 6, 4][:dim], [2 * np.pi, 3.0, 5.0][:dim])
     sym = np.zeros((s, s) + g.shape, dtype=complex)
@@ -223,11 +239,12 @@ def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
 
 def test_diagonal_flag():
     g = make_grid(1, [8], [2 * np.pi])
-    assert make_operator("zakharov_block", g).diagonal
-    assert make_operator("identity", g, s=3).diagonal
-    for kind, params in (("laplacian", {}), ("wave_block", {"k0": 1.0}),
-                         ("dirac_1d", {"m": 0.5}), ("identity", {})):
-        assert not make_operator(kind, g, **params).diagonal
+    assert build_model("zakharov", g).generator.diagonal
+    assert _identity(g, s=3).diagonal
+    for name in ("nls", "klein_gordon", "maxwell_dirac"):
+        assert not build_model(name, g).generator.diagonal
+    assert not _operator("dirac_1d", g, m=0.5).diagonal
+    assert not _identity(g).diagonal
 
 
 @pytest.mark.parametrize("kind,params,s", [
@@ -237,7 +254,7 @@ def test_diagonal_flag():
     ("maxwell_dirac_block", {"k0": 1.0, "m": 1.0}, 6),
 ])
 def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, params, s):
-    op = make_operator(kind, grid, **params)
+    op = _operator(kind, grid, **params)
     g = np.ones((s, grid.size)) if op.metric is None else op.metric.reshape(s, grid.size)
     states = [_random_state(grid, s, seed=seed) for seed in range(12)]
     want = np.array([np.sqrt(np.sum(g * np.abs(st_.spectral().reshape(s, grid.size)) ** 2).real)
@@ -260,7 +277,7 @@ def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, ki
     # scalar, diagonal and dense-with-metric symbols: a block's ladder is the
     # per-state ladder and the single-state formula, whatever the stack
     g = make_grid(dim, [8, 6][:dim], [2 * np.pi, 3.0][:dim])
-    op = make_operator(kind, g, **params)
+    op = _operator(kind, g, **params)
     s = op.n_components
     dense = op.symbol.reshape(s, s, g.size)
     weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
@@ -284,7 +301,7 @@ def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, ki
 
 
 def test_shape_mismatch_rejected(grid):
-    lap = make_operator("laplacian", grid)
+    lap = build_model("nls", grid).generator
     for act in (lambda st_: lap.propagate(0.1, st_), lambda st_: lap.graph_norm_ladder(st_, 1),
                 lap.metric_norm):
         with pytest.raises(ValueError, match="components"):
@@ -301,7 +318,7 @@ def test_shape_mismatch_rejected(grid):
     ("maxwell_dirac_block", {"k0": 1.0, "m": 1.0}, 6),
 ])
 def test_unitarity_and_group_law(grid, kind, params, s):
-    op = make_operator(kind, grid, **params)
+    op = _operator(kind, grid, **params)
     assert op.hermitian
     rng = np.random.default_rng(5)
     for seed in range(5):
@@ -316,7 +333,7 @@ def test_unitarity_and_group_law(grid, kind, params, s):
 
 
 def test_graph_norm_values(grid):
-    neg_lap = make_operator("laplacian", grid).scaled(-1.0)
+    neg_lap = build_model("nls", grid).generator
     st_ = _mode_state(grid, 2)
     st_ = st_ * (1.0 / neg_lap.metric_norm(st_))
     assert neg_lap.graph_norm_ladder(st_, 2) == pytest.approx([1.0, 4.0, 16.0], rel=1e-12)
@@ -328,7 +345,7 @@ def test_graph_norm_values(grid):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
 def test_graph_norm_monotone_under_truncation(seed, j):
     grid = make_grid(1, [16], [2 * np.pi])
-    op = make_operator("laplacian", grid).scaled(-1.0)
+    op = build_model("nls", grid).generator
     st_ = _random_state(grid, 1, seed=seed)
     full = op.graph_norm_ladder(st_, j)[j]
     coeffs = st_.spectral()
@@ -338,7 +355,7 @@ def test_graph_norm_monotone_under_truncation(seed, j):
 
 
 def test_metric_hermiticity_flag_tolerance(grid):
-    wave = make_operator("wave_block", grid, k0=1.0)
+    wave = build_model("klein_gordon", grid, k0=1.0).generator
     g = wave._flat_metric()
     S = wave._flat_symbol()
     GS = g[:, None, :] * S
@@ -359,7 +376,7 @@ def test_metric_inner_blocks_equal_the_single_state_pairing_bit_for_bit(dim, kin
     # are all 1: (1 + 0j) * (-0 - 0j) is +0 - 0j, so skipping them would
     # flip signed zeros; zero components give such coefficients
     g = make_grid(dim, [8, 6][:dim], [2 * np.pi, 3.0][:dim])
-    op = make_operator(kind, g, **params)
+    op = _operator(kind, g, **params)
     s = op.n_components
     weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
     rng = np.random.default_rng(60 + dim)

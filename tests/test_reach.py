@@ -1,0 +1,110 @@
+"""Reach or delete: every public function and method of the library is called
+by some command, or names the claim it carries and the test that checks it."""
+
+import inspect
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import stochwave
+from stochwave import chaos, cli, config, ensemble, grids, models, noise, operators, solver
+from stochwave.cli import main
+
+MODULES = (chaos, cli, config, ensemble, grids, models, noise, operators, solver)
+
+# The public entry points that no command reaches: each carries a claim of the
+# paper or an oracle of a test, and names the test that checks it.
+UNREACHED = {
+    "chaos.ChaosSpace.lowering": ("the CCR below the truncation degree",
+                                  "test_chaos::test_ccr_on_interior_degrees"),
+    "chaos.ChaosSpace.gamma_matrix": ("Gamma(AB) = Gamma(A) Gamma(B), Gamma(diag w) on "
+                                      "coherent vectors",
+                                      "test_chaos::test_second_quantization_properties"),
+    "chaos.ChaosSpace.position": ("the index lookup that builds Gamma(B)'s columns",
+                                  "test_chaos::test_second_quantization_properties"),
+    "chaos.ChaosSpace.exp_vector": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
+                                    "test_chaos::test_exp_vector_pairing_series"),
+    "chaos.ChaosSpace.pairing": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
+                                 "test_chaos::test_exp_vector_pairing_series"),
+    "chaos.ChaosSpace.norm": ("graded norms: Gaussian quadrature and monotonicity in p and beta",
+                              "test_chaos::test_norm_values_and_monotonicity"),
+    "chaos.ChaosSpace.mode_norm": ("the test-vector norm |zeta|_p of the growth bound",
+                                   "test_chaos::test_mode_norm_closed_form"),
+    "chaos.growth_bound_fit": ("|S Phi(zeta)| <= C exp(K |zeta|_p^2), entire in zeta",
+                               "test_acceptance::test_growth_bound"),
+    "grids.State.spectral": ("the state-algebra oracle: a state's spectral coefficients",
+                             "test_operators::test_metric_norms_equal_the_single_state_formula"
+                             "_bit_for_bit"),
+    "noise.CovarianceSpec.apply_Q": ("(Q psi, phi), the target of the covariance identity",
+                                     "test_acceptance::test_covariance_identity"),
+    "noise.empirical_covariance": ("E[(W(t), psi)(W(tau), phi)], the covariance identity's "
+                                   "estimator", "test_acceptance::test_covariance_identity"),
+}
+
+TINY = {"grid": {"dim": 1, "points": [8], "lengths": [2 * np.pi]},
+        "solver": {"T": 0.02, "dt": 0.01}, "noise": {"enabled": True, "n_modes": 2},
+        "chaos": {"n_modes": 2, "max_degree": 2}, "mc": {"n_paths": 2},
+        "verify": {"sample_count": 100, "orthogonality_paths": 1000}}
+
+# (command, model, changes to TINY): every command, the five models, both
+# schemes, noise on and off, the Wick powers, sine and real part of chaos
+RUNS = [
+    ("simulate", "maxwell_dirac", {}),
+    ("simulate", "nls", {"noise": {"enabled": False}, "solver": {"scheme": "strang"}}),
+    ("picard", "zakharov", {"solver": {"n_time_nodes": 3}}),
+    ("converge", "nls", {"mc": {"n_paths": 2, "dt_ladder": [0.01, 0.005, 0.0025, 0.00125]}}),
+    ("ensemble", "klein_gordon", {"mc": {"n_paths": 2, "rho_grid": [0.5]}}),
+    ("verify", "nls", {}),
+    *[("chaos", name, {}) for name in ("klein_gordon", "sine_gordon", "maxwell_dirac")],
+]
+
+
+def _entry_points(module):
+    """Code object of each public function of ``module`` and each public method
+    of a class defined there, by qualified name."""
+    out = {}
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            out[name] = obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)  # classmethods, staticmethods
+                if inspect.isfunction(fn) and not attr.startswith("_"):
+                    out[f"{name}.{attr}"] = fn.__code__
+    return out
+
+
+def test_every_public_entry_point_is_reached_or_allowed(tmp_path):
+    assert {m.__name__ for m in MODULES} == {
+        f"stochwave.{p.stem}" for p in Path(stochwave.__file__).parent.glob("*.py")
+        if not p.stem.startswith("_")}
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    for i, (command, model, changes) in enumerate(RUNS):
+        doc = {block: {**TINY.get(block, {}), **changes.get(block, {})}
+               for block in {*TINY, *changes}}
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({**doc, "model": {"name": model}}))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = main([command, "--config", str(path), "--out", str(tmp_path / f"run{i}")])
+        finally:
+            sys.setprofile(previous)
+        assert code == 0, (command, model)
+    missed = sorted(f"{module.__name__.split('.')[-1]}.{name}"
+                    for module in MODULES
+                    for name, code in _entry_points(module).items() if code not in reached)
+    assert missed == sorted(UNREACHED)
+    tests = Path(__file__).parent
+    for name, (claim, test) in UNREACHED.items():
+        module, function = test.split("::")
+        assert f"def {function}(" in (tests / f"{module}.py").read_text(), (name, claim)
