@@ -51,9 +51,9 @@ not restated here: ``wick_nonlinearity`` evaluates ``Model.nonlinearity`` in
 the Wick algebra, whose product is ``ChaosSpace.convolve`` and whose sine is
 the truncated Wick-Taylor series.
 
-The weighted norms |zeta|_p = |A^p zeta| use the reference weights w_i > 1
-(default w_i = i + 1, whose inverse is Hilbert-Schmidt in the infinite
-limit), and the graded functional norms are
+The weighted norms |zeta|_p = |A^p zeta| use the reference weights fixed at
+w_i = i + 1 for modes i = 1..n (each above 1, and their inverse is
+Hilbert-Schmidt in the infinite limit), and the graded functional norms are
 
     ||Phi||_{p,beta}^2 = sum_alpha (|alpha|!)^{+-beta} alpha! |a_alpha|^2
                           prod_i w_i^{2 p alpha_i},
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from .solver import _cr_residual, _step_count
 # A Wick solve is flagged as truncated once the top degree holds more than
 # this fraction of the energy.
 TAIL_FLAG_FRACTION = 0.2
+MAX_INDICES = 100_000  # a fixed bound on a space's indices, each a state block
 
 
 def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
@@ -99,8 +100,7 @@ class ChaosSpace:
 
     n_modes: int
     max_degree: int
-    mode_weights: np.ndarray | None = None
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, least in (("n_modes", 1), ("max_degree", 0)):
@@ -108,13 +108,11 @@ class ChaosSpace:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.max_degree > 170:  # alpha! <= |alpha|!, and 171! overflows a float
             raise ValueError(f"max_degree must be at most 170, got {self.max_degree}")
-        if self.mode_weights is None:
-            self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
-        self.mode_weights = np.asarray(self.mode_weights, dtype=float)
-        if len(self.mode_weights) != self.n_modes:
-            raise ValueError("need one weight per mode")
-        if np.any(self.mode_weights <= 1):
-            raise ValueError("reference weights must all exceed 1")
+        count = comb(self.n_modes + self.max_degree, self.max_degree)
+        if count > MAX_INDICES:
+            raise ValueError(f"the index count C(n_modes + max_degree, max_degree) must be "
+                             f"at most {MAX_INDICES}, got {count}")
+        self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.indices = _multi_indices(self.n_modes, self.max_degree)
         self.n_indices = len(self.indices)
         self.degrees = self.indices.sum(axis=1)
@@ -348,7 +346,7 @@ class ChaosState:
 
     def degree_energy(self) -> np.ndarray:
         """Energy alpha! ||Phi_alpha||_H^2 aggregated per degree."""
-        norms = self.model.generator.metric_norm_blocks(self.data)
+        norms = self.model.generator.graph_norm_ladder_blocks(self.data, 0)[:, 0]
         per_index = self.space.factorials * _powers(norms, 2)
         # bincount adds the weights one at a time in index order, as a
         # scatter-add over the indices would

@@ -146,19 +146,19 @@ def _setup(cfg: ExperimentConfig):
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite build fails below
         model = _checked("model", cfg.build_model)
         phi0 = _checked("initial", cfg.build_initial, model)
-        if not np.all(np.isfinite(model.graph_norms(phi0))):
+        if not np.all(np.isfinite(model.generator.graph_norm_ladder(phi0, model.smoothness))):
             raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
                               f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
         return model, phi0, _checked("noise", cfg.build_covariance, model)
 
 
 def _ensemble(cfg: ExperimentConfig, model, phi0, cov, dt=None, **fields) -> EnsembleConfig:
-    """The ensemble of the resolved config, at ``dt`` (default solver.dt)."""
+    """The ensemble of the resolved config at ``dt`` (default solver.dt), checked as config."""
     sb = cfg.doc["solver"]
-    return EnsembleConfig(model=model, phi0=phi0, T=sb["T"],
-                          dt=sb["dt"] if dt is None else dt, covariance=cov,
-                          n_paths=cfg.doc["mc"]["n_paths"],
-                          master_seed=cfg.doc["master_seed"], **fields)
+    return _checked("mc", EnsembleConfig, model=model, phi0=phi0, T=sb["T"],
+                    dt=sb["dt"] if dt is None else dt, covariance=cov,
+                    n_paths=cfg.doc["mc"]["n_paths"],
+                    master_seed=cfg.doc["master_seed"], **fields)
 
 
 def _threshold(cfg: ExperimentConfig, model, phi0) -> float:

@@ -257,9 +257,9 @@ class ExperimentConfig:
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
             st = model.random_smooth_state(rng, radius=1.0)
-            n = model.norm(st)
+            n = model.generator.metric_norm(st)
             return st * (ib["amplitude"] / n) if n > 0 else st
-        st = model.zero_state()
+        st = State.zeros(model.grid, model.roles)
         x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
         L = model.grid.lengths[0]
         for i, entry in enumerate(ib["modes"]):

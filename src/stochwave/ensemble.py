@@ -34,6 +34,8 @@ from .solver import _ito_march, _step_count, step_exp_euler
 
 # The survival curve's lower-bound fit window is rho <= TAIL_FIT_RHO_MAX.
 TAIL_FIT_RHO_MAX = 0.5
+# fixed bounds on the work of one ensemble, the same on every host
+MAX_PATHS, MAX_PATH_STEPS = 1_000_000, 100_000_000
 _STACK_BYTES = 2 << 20  # the bytes of one stack's increments in run_ensemble
 
 
@@ -53,19 +55,23 @@ class EnsembleConfig:
 
     def __post_init__(self):
         _check_paths(self.n_paths)
-        _step_count(self.T, self.dt)
+        work = self.n_paths * _step_count(self.T, self.dt)
+        if work > MAX_PATH_STEPS:
+            raise ValueError(f"n_paths x steps must be at most {MAX_PATH_STEPS}, got {work}")
 
 
 def _check_paths(n_paths) -> None:
-    """A Monte Carlo path count, at least 2: a variance needs two."""
+    """A Monte Carlo path count, from 2 (a variance needs two) to MAX_PATHS."""
     if n_paths < 2:
         raise ValueError(f"an ensemble needs an integer count of at least 2 paths, "
                          f"got {n_paths!r}")
+    if n_paths > MAX_PATHS:
+        raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {n_paths!r}")
 
 
 def _probe(model: Model, phi0: State) -> State:
     """phi0 normalized in the model's H-norm, the probe of every pairing."""
-    return phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    return phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
 
 
 def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.ndarray:
@@ -76,7 +82,7 @@ def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.nd
         raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
                          "of the final state")
     if name in ("norm_sq", "log_norm_sq", "norm"):
-        norms = gen.metric_norm_blocks(data)
+        norms = gen.graph_norm_ladder_blocks(data, 0)[:, 0]
         if name == "norm_sq":
             return _powers(norms, 2)
         if name == "log_norm_sq":
@@ -163,7 +169,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     for name in config.observables:
         vals = sups if name == "sup_sum_sq" else _observable(model, name, phi0, finals)
         observables[name] = dict(zip(("mean", "var", "stderr"), map(float, sample_moments(vals))))
-    denom = float(np.sum(model.graph_norms(phi0) ** 2))
+    denom = float(np.sum(model.generator.graph_norm_ladder(phi0, model.smoothness) ** 2))
     return EnsembleResult(
         observables=observables,
         stop_times=[k * dt if k else None for k in stops.tolist()],
@@ -220,20 +226,19 @@ def _ladder(T: float, dt_ladder) -> np.ndarray:
     return dts
 
 
-def strong_order(config: EnsembleConfig, dt_ladder,
-                 noise_floor_factor: float = 10.0) -> OrderFit:
+def strong_order(config: EnsembleConfig, dt_ladder) -> OrderFit:
     """Pathwise strong error E||phi_dt(T) - phi_ref(T)|| vs dt, log-log fit.
 
     The finest ladder entry is the reference; coarse-level increments are
     sums of the fine ones, so every level sees the same Brownian path.
-    Rungs below noise_floor_factor times their standard error are dropped.
+    Rungs below ten times their standard error are dropped.
     """
-    model = config.model
+    gen = config.model.generator
     dts = _ladder(config.T, dt_ladder)
-    errs = _path_columns(config, dts, lambda f: model.generator.metric_norm_blocks(f[:-1] - f[-1]))
+    errs = _path_columns(config, dts,
+                         lambda f: gen.graph_norm_ladder_blocks(f[:-1] - f[-1], 0)[:, 0])
     mean, _, stderr = sample_moments(errs)
-    return _fit_order(dts[:-1], mean, stderr, scale=model.norm(config.phi0),
-                      floor=noise_floor_factor)
+    return _fit_order(dts[:-1], mean, stderr, scale=gen.metric_norm(config.phi0))
 
 
 def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",

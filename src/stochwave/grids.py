@@ -24,6 +24,7 @@ runs its passes in place on that. Neither transform modifies its argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath
 
 _COMPLEX = np.dtype(complex)
+MAX_GRID_POINTS = 1 << 22  # 2048 x 2048: a fixed bound on every array's size
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,9 @@ def make_grid(dim: int, points_per_axis, lengths) -> Grid:
             raise ValueError(f"grid needs at least 4 points per axis, got {n}")
         if n % 2 != 0:
             raise ValueError(f"points per axis must be even, got {n}")
+    if math.prod(points) > MAX_GRID_POINTS:
+        raise ValueError(f"points must number at most {MAX_GRID_POINTS} in all, "
+                         f"got {math.prod(points)}")
     for L in lens:
         if not 0 < L < np.inf:
             raise ValueError(f"axis lengths must be positive and finite, got {L}")

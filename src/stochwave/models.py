@@ -5,7 +5,9 @@ generator A is always (metric-)self-adjoint and J is whatever is left on the
 right-hand side after that normalization. ``build_model`` states each A once,
 as a ``SpectralOperator`` of the symbol helpers of ``operators`` (symbol k^2
 for -Lap, |k| for |grad|, the wave block with its energy metric, the Dirac
-block). Concretely:
+block). A generator owns every norm of its state space: the H-norm, the
+energy pairing and the graph norms ||A^j phi|| of the X_T metric are
+``model.generator``'s, and a ``Model`` forwards none of them. Concretely:
 
 nls            i dpsi/dt + Lap psi + sign |psi|^{p-1} psi = 0 becomes
                A = -Lap, J = i*sign*|psi|^{p-1} psi  (paraxial beam equation;
@@ -122,24 +124,7 @@ class Model:
         self._zero_J = (self.name in ("nls", "klein_gordon")
                         and self.params.sign == 0 and not self.break_j_hook)
 
-    # ---- state helpers -------------------------------------------------
-
-    def zero_state(self) -> State:
-        return State.zeros(self.grid, self.roles)
-
-    def norm(self, state: State) -> float:
-        """The model's H-norm (energy-weighted for wave blocks)."""
-        return self.generator.metric_norm(state)
-
-    def inner(self, a: State, b: State) -> complex:
-        return self.generator.metric_inner(a, b)
-
-    def graph_norms(self, state: State, j_max: int | None = None) -> np.ndarray:
-        j_max = self.smoothness if j_max is None else j_max
-        return self.generator.graph_norm_ladder(state, j_max)
-
-    def sum_graph_norms(self, state: State, j_max: int | None = None) -> float:
-        return float(np.sum(self.graph_norms(state, j_max)))
+    # ---- spectral helpers ----------------------------------------------
 
     def _dealias(self, values: np.ndarray) -> np.ndarray:
         if not self.dealias:
@@ -166,7 +151,7 @@ class Model:
         out = self.nonlinearity(_Pointwise, data)
         if self.break_j_hook:
             lead, block = data.shape[:-1 - self.grid.dim], data.shape[-1 - self.grid.dim:]
-            norms = self.generator.metric_norm_blocks(data.reshape((-1,) + block))
+            norms = self.generator.graph_norm_ladder_blocks(data.reshape((-1,) + block), 0)[:, 0]
             out = out * (1.0 + norms).reshape(lead + (1,) * len(block))
         return out
 
@@ -313,7 +298,7 @@ class Model:
         st = State.from_spectral(self.grid, coeffs, self.roles)
         if self.name == "sine_gordon":
             st = State(self.grid, np.real(st.data).astype(complex), self.roles)
-        n = self.norm(st)
+        n = self.generator.metric_norm(st)
         if n == 0:
             return st
         target = radius * rng.uniform(0.2, 1.0)
@@ -388,6 +373,7 @@ class EstimateReport:
 
 # Samples per stacked J and graph-norm ladder; the reports do not depend on it.
 _CHUNK = 64
+MAX_SAMPLES = 100_000  # a fixed bound on the samples of one estimate check
 
 
 def _powers(base: np.ndarray, e: int) -> np.ndarray:
@@ -443,11 +429,13 @@ def verify_estimates(model: Model, sample_count: int = 1000, radius: float = 1.0
     side, core or envelope is not finite, or whose left-hand side exceeds
     constant * envelope * core beyond 1e-10 relative slack, with the
     constant taken from the declared value when one exists and from the fit
-    over the finite samples otherwise. ValueError below 100 samples or on a
-    radius that is not a finite number above 0.
+    over the finite samples otherwise. ValueError below 100 samples, above
+    MAX_SAMPLES or on a radius that is not a finite number above 0.
     """
     if sample_count < 100:
         raise ValueError("estimate verification needs at least 100 samples")
+    if sample_count > MAX_SAMPLES:
+        raise ValueError(f"sample_count must be at most {MAX_SAMPLES}, got {sample_count}")
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError(f"estimate radius must be a finite number above 0, got {radius!r}")
     s, js, a, b, d, jd = _ladders(model, sample_count, radius, seed)

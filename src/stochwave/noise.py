@@ -120,7 +120,7 @@ class QWienerSampler:
     spec: CovarianceSpec
     master_seed: int
     stream_id: int = 0
-    _rng: np.random.Generator | None = dc_field(default=None, repr=False)
+    _rng: np.random.Generator | None = dc_field(default=None, init=False, repr=False)
 
     def _generator(self) -> np.random.Generator:
         if self._rng is None:

@@ -23,9 +23,11 @@ so every contraction with an (s, M) or (B, s, M) coefficient stack runs
 over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
 
 Each action has one entry point: the symbol acts on spectral coefficients
-through ``apply_spectral``, and the graph norms of a stack come from
-``graph_norm_ladder_blocks``, whose one-state case is ``graph_norm_ladder``
-(a single graph norm is one entry of a ladder).
+through ``apply_spectral``, and every norm comes from
+``graph_norm_ladder_blocks``, the graph norms ||A^j phi|| of a stack, whose
+one-state case is ``graph_norm_ladder``. The metric (H-) norm is the ladder's
+j = 0 column (``metric_norm`` for one state), and a single graph norm is one
+entry of a ladder.
 
 Two structures are detected once, at construction, and skip work that they
 make trivial. A diagonal symbol (s > 1, every off-diagonal entry exactly
@@ -85,8 +87,8 @@ class SpectralOperator:
     diagonal: bool = field(init=False)
     _diag: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _contract: str | None = field(default=None, init=False, repr=False, compare=False)
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
-    _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _prop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.symbol = np.asarray(self.symbol, dtype=complex)
@@ -121,12 +123,6 @@ class SpectralOperator:
         if self.metric is None:
             return np.ones((s, self.grid.size))
         return self.metric.reshape(s, self.grid.size)
-
-    def _weighted_squares(self, coeffs: np.ndarray) -> np.ndarray:
-        """g * |c|^2 over (..., s, M) coefficients; unweighted, |c|^2 alone,
-        the same bits without the product or a per-call array of ones."""
-        squares = np.abs(coeffs) ** 2
-        return squares if self.metric is None else self._flat_metric() * squares
 
     def _check_hermitian(self) -> bool:
         S = self._flat_symbol()
@@ -199,19 +195,9 @@ class SpectralOperator:
         return np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
 
     def metric_norm(self, state: State) -> float:
+        """The H-norm, the j = 0 entry of the graph-norm ladder."""
         self._check_state(state)
-        return float(self.metric_norm_blocks(state.data[None])[0])
-
-    def metric_norm_blocks(self, data: np.ndarray) -> np.ndarray:
-        """Metric norms of a (B, s, *grid.shape) stack, from one transform.
-
-        Each block's s x M weighted squares are one contiguous run that
-        np.sum reduces pairwise, as it would the block alone, so a norm does
-        not depend on the stack it is computed in, bit for bit.
-        """
-        coeffs = self.grid.to_spectral(data).reshape(
-            len(data), self.n_components, self.grid.size)
-        return np.sqrt(np.sum(self._weighted_squares(coeffs), axis=(1, 2)).real)
+        return float(self.graph_norm_ladder_blocks(state.data[None], 0)[0, 0])
 
     def metric_inner(self, a: State, b: State) -> complex:
         """Energy-weighted pairing <a, b>, conjugating the second argument."""
@@ -233,16 +219,19 @@ class SpectralOperator:
         return self.graph_norm_ladder_blocks(state.data[None], j_max)[0]
 
     def graph_norm_ladder_blocks(self, data: np.ndarray, j_max: int) -> np.ndarray:
-        """The (B, j_max + 1) graph norms of a (B, s, *grid.shape) stack, from
-        one transform; as in ``metric_norm_blocks``, a block's norms do not
-        depend on the stack it is computed in, bit for bit."""
+        """The (B, j_max + 1) graph norms of a (B, s, *grid.shape) stack from
+        one transform, the metric norms in column 0. A block's weights g times
+        |c|^2 (unweighted, |c|^2 alone: the same bits) are one contiguous run
+        that np.sum reduces pairwise, as for the block alone, bit for bit."""
         if j_max < 0:
             raise ValueError("graph_norm power j must be >= 0")
         flat = self.grid.to_spectral(data).reshape(
             len(data), self.n_components, self.grid.size)
+        g = None if self.metric is None else self._flat_metric()
         out = np.empty((len(data), j_max + 1))
         for j in range(j_max + 1):
-            out[:, j] = np.sqrt(np.sum(self._weighted_squares(flat), axis=(1, 2)).real)
+            squares = np.abs(flat) ** 2
+            out[:, j] = np.sqrt(np.sum(squares if g is None else g * squares, axis=(1, 2)).real)
             if j < j_max:
                 flat = self.apply_spectral(flat)
         return out

@@ -44,6 +44,8 @@ from .models import Model
 from .noise import QWienerSampler
 
 BLOWUP_CAP = 1e12
+# fixed bounds on the steps of one march and the nodes of one Picard solve
+MAX_STEPS, MAX_TIME_NODES = 10_000_000, 10_000
 _PLUS_ZERO = np.array(0j)  # "+ 0.0" as numpy adds it to complex arrays, pre-cast
 
 
@@ -135,7 +137,7 @@ def picard_solve(model: Model, phi0: State, T: float,
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
-    gen = model.generator
+    gen, N = model.generator, model.smoothness
     theta_values = None if theta is None else theta.field_values(
         np.zeros(theta.n_coords) if zeta is None else zeta, eta, z)
 
@@ -152,7 +154,7 @@ def picard_solve(model: Model, phi0: State, T: float,
         the X_T distance from ``states``. J of node i is taken, and halved once
         for both trapezoid halves, just before node i comes out; with ``keep``,
         node i then replaces ``states[i]``, so a sweep holds one path."""
-        dist, integral, half = 0.0, model.zero_state(), None
+        dist, integral, half = 0.0, State.zeros(model.grid, model.roles), None
         for i in range(n_nodes):
             prev, half = half, (0.5 * dt) * rhs(states[i])
             node = free[0]
@@ -160,9 +162,9 @@ def picard_solve(model: Model, phi0: State, T: float,
                 integral = gen.propagate(dt, integral + prev) + half
                 node = free[i] + integral
             if not np.all(np.isfinite(node.data)) or \
-               (keep and i == n_nodes - 1 and model.norm(node) > BLOWUP_CAP):
+               (keep and i == n_nodes - 1 and gen.metric_norm(node) > BLOWUP_CAP):
                 raise BlowUpError("Picard iterate left the finite-norm region")
-            dist = max(dist, model.sum_graph_norms(node - states[i], model.smoothness))
+            dist = max(dist, float(np.sum(gen.graph_norm_ladder(node - states[i], N))))
             if keep:
                 states[i] = node
         return dist
@@ -191,6 +193,8 @@ def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
     n_nodes = int(n_time_nodes)
     if n_nodes < 2:
         raise ValueError(f"n_time_nodes must be at least 2, got {n_time_nodes}")
+    if n_nodes > MAX_TIME_NODES:
+        raise ValueError(f"n_time_nodes must be at most {MAX_TIME_NODES}, got {n_time_nodes}")
     return n_nodes, T / (n_nodes - 1)
 
 
@@ -249,7 +253,7 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
     """Graph norms of phi0 up to N = model.smoothness; ValueError unless those
     below N stay under threshold."""
     N = model.smoothness
-    norms0 = model.graph_norms(phi0, N)
+    norms0 = model.generator.graph_norm_ladder(phi0, N)
     top = float(np.max(norms0[:max(N, 1)]))
     if not threshold > top:
         raise ValueError(f"stopping threshold {threshold:g} must exceed the initial "
@@ -283,7 +287,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
         for name, column in model.conserved_blocks(data).items():
             conserved.setdefault(name, []).extend(column.tolist())
 
-    record(0.0, phi0.data[None], model.graph_norms(phi0)[None])
+    record(0.0, phi0.data[None], model.generator.graph_norm_ladder(phi0, model.smoothness)[None])
     final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
                                        _SCHEMES[scheme])
     k = int(stop[0])
@@ -343,7 +347,10 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
 def _step_count(T: float, dt: float) -> int:
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n = round(T / dt) if np.isfinite(T / dt) else 0
+    steps = T / dt
+    if steps > MAX_STEPS:
+        raise ValueError(f"T / dt must be at most {MAX_STEPS} steps, got {steps:g}")
+    n = round(steps) if np.isfinite(steps) else 0
     if n < 1 or not np.isclose(n * dt, T, rtol=1e-9, atol=0):
         raise ValueError("dt must divide T")
     return int(n)
@@ -372,7 +379,7 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
                            _free=_free)
         if not res.converged:
             raise ConvergenceError("Picard solve failed to converge during stencil scan")
-        return model.inner(res.final, probe)
+        return model.generator.metric_inner(res.final, probe)
 
     worst = 0.0
     for z0 in z_centers:

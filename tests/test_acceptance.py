@@ -39,7 +39,7 @@ def _real_state(model, seed, radius):
 def _mode_state(grid, model, wave=1, amp=1.0):
     x = grid.x_axes[0]
     L = grid.lengths[0]
-    st = model.zero_state()
+    st = sw.State.zeros(model.grid, model.roles)
     st.data[0] = amp * np.exp(2j * np.pi * wave * x / L)
     return st
 
@@ -77,8 +77,9 @@ def test_unitarity():
     assert ok
 
 
-def test_wave_propagator_matrix():
-    """Wave-block propagator matches the cos/sin closed form and expm."""
+def _wave_propagator_deviation():
+    """Largest entrywise deviation of the wave-block propagator matrices from
+    the cos/sin closed form and from expm, at two k0 and two times."""
     worst = 0.0
     for k0 in (1.0, 2.5):
         wave = sw.build_model("klein_gordon", GRID32, k0=k0).generator
@@ -92,9 +93,23 @@ def test_wave_propagator_matrix():
                 oracle = expm(-1j * t * wave.symbol[:, :, i])
                 worst = max(worst, np.max(np.abs(P[i] - closed)),
                             np.max(np.abs(P[i] - oracle)))
+    return worst
+
+
+def test_wave_propagator_matrix():
+    """Wave-block propagator matches the cos/sin closed form and expm."""
+    worst = _wave_propagator_deviation()
     ok = worst < 1e-12
     _report("wave-propagator", ok, f"max entrywise deviation = {worst:.2e} (< 1e-12)")
     assert ok
+
+
+def test_wave_propagator_matrix_rejects_a_phase_defect(monkeypatch):
+    # a free propagator evaluated at (1 + 1e-6) t, a phase that drifts with t
+    exact = sw.SpectralOperator.propagator_matrices
+    monkeypatch.setattr(sw.SpectralOperator, "propagator_matrices",
+                        lambda self, t: exact(self, (1 + 1e-6) * t))
+    assert _wave_propagator_deviation() >= 1e-12
 
 
 def test_deterministic_conservation():
@@ -185,7 +200,7 @@ def test_picard_contraction():
         state, worst = st, 0.0
         for i in range(n):
             state = sw.step_exp_euler(m, state, dt)
-            worst = max(worst, m.norm(state - pic.states[i + 1]))
+            worst = max(worst, m.generator.metric_norm(state - pic.states[i + 1]))
         sups.append(worst)
     order = np.polyfit(np.log(dts), np.log(sups), 1)[0]
     ok = (res_T.converged and res_half.converged and geometric and halves
@@ -208,7 +223,7 @@ def test_holomorphy():
                                for l, e in zip(cov.eigenvalues, cov.eigenfields)])
     zeta = np.zeros(3)
     eta = 40.0 * np.array([1.0, 0.8, -0.5])
-    probe = st * (1.0 / m.norm(st))
+    probe = st * (1.0 / m.generator.metric_norm(st))
     r_coarse = sw.holomorphy_check(m, st, 0.4, theta, zeta, eta, [0.0], probe,
                                    spacing=1e-2, n_time_nodes=41, tol=1e-13,
                                    max_iter=200)
@@ -220,7 +235,7 @@ def test_holomorphy():
     lin = sw.build_model("nls", GRID32, sign=0, smoothness=1)
     phi0 = _mode_state(GRID32, lin)
     th_lin = sw.ThetaPotential([sw.Field(GRID32, np.ones(GRID32.shape))])
-    probe_lin = phi0 * (1.0 / lin.norm(phi0))
+    probe_lin = phi0 * (1.0 / lin.generator.metric_norm(phi0))
     rl_coarse = sw.holomorphy_check(lin, phi0, 0.5, th_lin, np.array([0.2]),
                                     np.array([11.0]), [0.0], probe_lin,
                                     spacing=1e-2, n_time_nodes=65, tol=1e-13,
@@ -332,7 +347,7 @@ def test_ito_moment_law():
                            observables=("norm_sq",))
     res = sw.run_ensemble(cfg)
     stats = res.observables["norm_sq"]
-    target = m.norm(phi0) ** 2 * (1 + lam * cfg.dt) ** round(cfg.T / cfg.dt)
+    target = m.generator.metric_norm(phi0) ** 2 * (1 + lam * cfg.dt) ** round(cfg.T / cfg.dt)
     dev = abs(stats["mean"] - target) / stats["stderr"]
     ok = dev <= 3.0
     _report("moment-law", ok,
@@ -371,7 +386,7 @@ def test_tail_curve():
     grid = m.grid
     phi0 = _mode_state(grid, m)
     cov = sw.default_covariance(grid, n_modes=3, lambda0=4.0, gamma=1.5)
-    n0 = max(m.graph_norms(phi0, 1))
+    n0 = max(m.generator.graph_norm_ladder(phi0, 1))
     cfg = sw.EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=1 / 100, covariance=cov,
                            n_paths=1000, master_seed=501, threshold=2.0 * n0)
     tc = sw.TailCurve.from_stop_times(sw.run_ensemble(cfg).stop_times,
@@ -386,11 +401,10 @@ def test_tail_curve():
     assert ok
 
 
-def test_chaos_algebra():
-    """Wick/S-transform identities at tight tolerances on the truncation."""
-    space = ChaosSpace(4, 4)
+def _s_multiplicativity_deviation(space, rng):
+    """max |S(a : b)(z) - S a(z) S b(z)| over 100 pairs of degree at most 2,
+    20 test vectors z each, drawn from ``rng``."""
     S = space.s_transform
-    rng = np.random.default_rng(601)
     s_dev = 0.0
     for _ in range(100):
         mask = space.degrees <= 2
@@ -402,6 +416,14 @@ def test_chaos_algebra():
         for _ in range(20):
             z = 0.6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
             s_dev = max(s_dev, abs(S(prod, z) - S(a, z) * S(b, z)))
+    return s_dev
+
+
+def test_chaos_algebra():
+    """Wick/S-transform identities at tight tolerances on the truncation."""
+    space = ChaosSpace(4, 4)
+    rng = np.random.default_rng(601)
+    s_dev = _s_multiplicativity_deviation(space, rng)
     s_ok = s_dev < 1e-10
 
     ccr_dev = 0.0
@@ -446,6 +468,18 @@ def test_chaos_algebra():
             f"dev {gamma_dev:.1e} (all < 1e-10); coherent-pairing tail {tail_dev:.1e} "
             f"(< 1e-6 at degree 8)")
     assert ok
+
+
+def test_chaos_algebra_rejects_a_convolution_without_its_vacuum_pairs(monkeypatch):
+    # a Wick product that drops pair column 0, the pairs (vacuum, K) of every K
+    table = ChaosSpace._pair_columns
+
+    def without_column_0(self):
+        columns, undo = table(self)
+        return columns[1:], undo
+
+    monkeypatch.setattr(ChaosSpace, "_pair_columns", without_column_0)
+    assert _s_multiplicativity_deviation(ChaosSpace(4, 4), np.random.default_rng(601)) >= 1e-10
 
 
 def test_growth_bound():
@@ -499,7 +533,7 @@ def test_cross_formulation():
                                   n_time_nodes=round(0.4 / dt) + 1, tol=1e-12,
                                   max_iter=80)
             s_state = sw.State(grid, space.s_transform(wick.final.data, zeta), m.roles)
-            diffs.append(m.norm(s_state - pic.final))
+            diffs.append(m.generator.metric_norm(s_state - pic.final))
         C, tail = np.polyfit(dts, diffs, 1)
         max_C = max(max_C, C)
         model_err = np.max(np.abs(np.polyval([C, tail], dts) - diffs))

@@ -47,9 +47,7 @@ def _first_chaos(space, coords):
 
 def test_space_counts_and_weights():
     assert SPACE.n_indices == 35  # C(3 + 4, 4)
-    assert np.all(SPACE.mode_weights > 1)
-    with pytest.raises(ValueError):
-        ChaosSpace(2, 3, mode_weights=[1.0, 2.0])
+    assert SPACE.mode_weights.tolist() == [2.0, 3.0, 4.0]  # w_i = i + 1
 
 
 def test_vacuum_exponential_vector():
@@ -60,7 +58,7 @@ def test_vacuum_exponential_vector():
 
 def test_single_mode_exp_vector_hermite_coefficients():
     # in the orthonormal Hermite dictionary the degree-k entry is 1/sqrt(k!)
-    space = ChaosSpace(1, 6, mode_weights=[2.0])
+    space = ChaosSpace(1, 6)
     v = space.exp_vector(np.array([1.0]))
 
     for k in range(7):
@@ -83,7 +81,7 @@ def test_exp_vector_pairing_series():
 
 def test_norm_matches_gaussian_quadrature_oracle():
     # hand-checkable degree <= 2 cases against Gauss-Hermite integration
-    space = ChaosSpace(1, 4, mode_weights=[2.0])
+    space = ChaosSpace(1, 4)
     nodes, weights = hermite_e.hermegauss(40)
     weights = weights / np.sqrt(2 * np.pi)
 
@@ -295,9 +293,6 @@ def test_mode_norm_closed_form():
     assert space.mode_norm(y, 0) == 5.0
     assert space.mode_norm(y, 1) == pytest.approx(np.sqrt(6.0**2 + 12.0**2), rel=1e-15)
     assert space.mode_norm(y, 2) == pytest.approx(np.sqrt(12.0**2 + 36.0**2), rel=1e-15)
-    weighted = ChaosSpace(2, 3, mode_weights=[1.5, 4.0])
-    assert weighted.mode_norm(np.array([1.0, -1.0]), 3) == \
-        pytest.approx(np.hypot(1.5**3, 4.0**3), rel=1e-15)
     # on a stack of vectors, one norm per row
     rows = np.array([[3.0, 4.0j], [0.0, 1.0]])
     assert space.mode_norm(rows, 1).tolist() == [space.mode_norm(r, 1) for r in rows]
@@ -411,7 +406,7 @@ def test_wick_power_requires_odd_exponent():
 
 
 def test_degree_energy_equals_per_block_norms_bit_for_bit():
-    # one transform of the stack must give each block's model.norm(...) ** 2;
+    # one transform of the stack must give each block's metric_norm(...) ** 2;
     # 10,500 blocks, since squaring as x * x instead of pow(x, 2) changes
     # about one value in a thousand
     grid = make_grid(1, [16], [2 * np.pi])
@@ -423,7 +418,8 @@ def test_degree_energy_equals_per_block_norms_bit_for_bit():
         chaos = ChaosState(space, model, rng.standard_normal(shape)
                            + 1j * rng.standard_normal(shape))
         blocks = [State(grid, chaos.data[i], model.roles) for i in range(space.n_indices)]
-        per_index = [space.factorials[i] * model.norm(b) ** 2 for i, b in enumerate(blocks)]
+        per_index = [space.factorials[i] * model.generator.metric_norm(b) ** 2
+                     for i, b in enumerate(blocks)]
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
         assert chaos.degree_energy().tobytes() == want.tobytes()
@@ -442,7 +438,7 @@ def test_degree_energy_sums_each_degree_in_index_order():
         scale = np.exp(rng.uniform(-8.0, 8.0, (space.n_indices, 1, 1)))
         data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         chaos = ChaosState(space, model, data)
-        norms = model.generator.metric_norm_blocks(data)
+        norms = model.generator.graph_norm_ladder_blocks(data, 0)[:, 0]
         per_index = space.factorials * np.array([n ** 2 for n in norms.tolist()])
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
@@ -459,7 +455,8 @@ def test_wick_evolution_zero_noise_reduces_to_deterministic():
     from stochwave import solve_ito
 
     det = solve_ito(model, st, 0.3, 0.01, None)
-    assert model.norm(State(grid, wick.final.data[0], model.roles) - det.final) < 1e-10
+    degree0 = State(grid, wick.final.data[0], model.roles)
+    assert model.generator.metric_norm(degree0 - det.final) < 1e-10
     assert np.max(np.abs(wick.final.data[1:])) == 0.0
 
 
@@ -467,7 +464,7 @@ def test_wick_evolution_linear_closed_form():
     # J = 0, one noise mode q = c (constant), zero spatial mode: blocks follow
     # the coherent expansion Phi_k(t) = e^{-i a t} (c t)^k / k! phi0 + O(dt)
     grid = make_grid(1, [8], [1.0])
-    space = ChaosSpace(1, 4, mode_weights=[2.0])
+    space = ChaosSpace(1, 4)
     model = build_model("nls", grid, sign=0, smoothness=1)
     phi0 = State(grid, np.ones((1,) + grid.shape, dtype=complex), model.roles)
     c = 0.8
@@ -509,7 +506,7 @@ def test_wick_evolution_s_transform_tracks_picard():
         s_state = State(grid, space.s_transform(wick.final.data, zeta), model.roles)
         pic = picard_solve(model, st, 0.4, theta, zeta, n_time_nodes=round(0.4 / dt) + 1,
                            tol=1e-12, max_iter=80)
-        diffs.append(model.norm(s_state - pic.final))
+        diffs.append(model.generator.metric_norm(s_state - pic.final))
     assert diffs[1] < diffs[0]
     assert diffs[0] / diffs[1] > 1.6  # O(dt) with a small truncation floor
 
@@ -517,7 +514,7 @@ def test_wick_evolution_s_transform_tracks_picard():
 def test_wick_evolution_flags_truncation_overflow():
     # strong coupling on a tiny truncation pushes energy into the top degree
     grid = make_grid(1, [8], [1.0])
-    space = ChaosSpace(1, 2, mode_weights=[2.0])
+    space = ChaosSpace(1, 2)
     model = build_model("nls", grid, sign=0, smoothness=1)
     phi0 = State(grid, np.ones((1,) + grid.shape, dtype=complex), model.roles)
     from stochwave import Field

@@ -262,6 +262,25 @@ NOISE_ON = {"noise": {"enabled": True}}
                     "initial": {"kind": "modes", "modes": [[0, 1, 1.0, 0.0], [0, k, 1.0, 0.0]]}},
        f"initial: modes entry 1 wavenumber must be an integer from -4 to 4 "
        f"(grid.points[0] / 2), got {k!r}") for k in (9, 0.5)],
+    # these once passed the config check and asked for work that would not
+    # finish: 1e302 steps, 1e12 paths, 1.9e9 chaos indices built in a Python
+    # loop, a 4e10-point grid, 1e9 Picard nodes, 1e12 estimate samples, and
+    # 1e9 path steps of one ensemble
+    ("simulate", {"solver": {"T": 1e300}},
+     "solver: T / dt must be at most 10000000 steps, got 1e+302"),
+    ("ensemble", {**NOISE_ON, "mc": {"n_paths": 1e12}},
+     "mc.n_paths: n_paths must be at most 1000000, got 1000000000000"),
+    ("chaos", {**NOISE_ON, "chaos": {"n_modes": 50, "max_degree": 8}},
+     "chaos: the index count C(n_modes + max_degree, max_degree) must be at most 100000, "
+     "got 1916797311"),
+    ("simulate", {"grid": {"dim": 2, "points": [200000, 200000], "lengths": [1.0, 1.0]}},
+     "grid: points must number at most 4194304 in all, got 40000000000"),
+    ("picard", {"solver": {"n_time_nodes": 1e9}},
+     "solver: n_time_nodes must be at most 10000, got 1000000000"),
+    ("verify", {"verify": {"sample_count": 1e12}},
+     "verify: sample_count must be at most 100000, got 1000000000000"),
+    ("ensemble", {**NOISE_ON, "solver": {"T": 10.0}, "mc": {"n_paths": 1000000}},
+     "mc: n_paths x steps must be at most 100000000, got 1000000000"),
 ])
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):

@@ -177,7 +177,7 @@ def test_tail_curve_zero_noise():
 def test_tail_curve_decreasing_and_bounded():
     m = _linear_model(UNIT_GRID)
     phi0 = _mode_state(UNIT_GRID, m)
-    n0 = max(m.graph_norms(phi0, 1))
+    n0 = max(m.generator.graph_norm_ladder(phi0, 1))
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01,
                         covariance=_scalar_noise(4.0), n_paths=300,
                         master_seed=23, threshold=2.0 * n0)
@@ -215,7 +215,7 @@ def test_chaos_vs_mc_discrepancy_grows_with_amplitude():
         cfg = EnsembleConfig(model=m, phi0=phi0, T=0.4, dt=0.02, covariance=cov,
                             n_paths=200, master_seed=31)
         rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 3))
-        ref = m.norm(phi0) ** 2
+        ref = m.generator.metric_norm(phi0) ** 2
         gaps.append(abs(rep.second_moment_gap) / ref)
     assert gaps[0] < gaps[-1]
 
@@ -249,12 +249,12 @@ def test_chaos_vs_mc_monte_carlo_side_equals_a_per_stream_loop():
                          n_paths=n_paths, master_seed=37)
     rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 2))
 
-    probe = phi0 * (1.0 / m.norm(phi0))
+    probe = phi0 * (1.0 / m.generator.metric_norm(phi0))
     pairs, norm_sq = [], []
     for i in range(n_paths):
         final = _march(m, phi0, dt, QWienerSampler(cov, 37, i).increments(dt, 5))
-        pairs.append(m.inner(final, probe))
-        norm_sq.append(m.norm(final) ** 2)
+        pairs.append(m.generator.metric_inner(final, probe))
+        norm_sq.append(m.generator.metric_norm(final) ** 2)
     re, im, norm_sq = np.real(pairs), np.imag(pairs), np.array(norm_sq)
     root_n = np.sqrt(n_paths)
     assert rep.probe_mc == [(float(re.mean()), float(im.mean()),
@@ -278,7 +278,7 @@ def test_strong_order_errors_equal_a_coupled_march():
         ref = _march(m, phi0, 1 / 32, fine)
         for k, factor in enumerate((8, 4, 2)):
             coarse = fine.reshape(32 // factor, factor, *fine.shape[1:]).sum(axis=1)
-            errs[k, i] = m.norm(_march(m, phi0, factor / 32, coarse) - ref)
+            errs[k, i] = m.generator.metric_norm(_march(m, phi0, factor / 32, coarse) - ref)
     np.testing.assert_array_equal(fit.dts, [1 / 4, 1 / 8, 1 / 16])
     np.testing.assert_array_equal(fit.errors, errs.mean(axis=1))
     np.testing.assert_array_equal(fit.stderrs, errs.std(axis=1, ddof=1) / np.sqrt(3))
@@ -310,8 +310,8 @@ def test_blown_paths_end_at_their_last_finite_state():
             assert traj.blown_up and traj.stop_time == res.stop_times[i]
             assert traj.times[-1] <= traj.stop_time
             assert traj.graph_norms[-1].tobytes() == \
-                m.graph_norms(traj.final).tobytes()
-            finals.append(m.norm(traj.final) ** 2)
+                m.generator.graph_norm_ladder(traj.final, m.smoothness).tobytes()
+            finals.append(m.generator.metric_norm(traj.final) ** 2)
     assert res.n_blown == 4
     assert res.observables["norm_sq"]["mean"] == np.mean(finals) > 9.0
 
@@ -323,8 +323,9 @@ def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
     m = _linear_model()
     phi0 = _mode_state(GRID, m)
     cov = default_covariance(GRID, n_modes=3, lambda0=4.0, gamma=1.5)
+    top = max(m.generator.graph_norm_ladder(phi0, m.smoothness))
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
-                         n_paths=30, master_seed=5, threshold=2.0 * max(m.graph_norms(phi0)),
+                         n_paths=30, master_seed=5, threshold=2.0 * top,
                          observables=("norm_sq", "sup_sum_sq", "pairing_re", "graph_norm_j1"))
     want = _json(run_ensemble(cfg))
     assert 0 < json.loads(want)["n_stopped"] < cfg.n_paths
@@ -358,14 +359,14 @@ def test_order_fits_step_once_per_path_and_step_through_the_module_name(monkeypa
     assert len(calls) == 2 * n_paths * (4 + 8 + 16 + 64)
 
     errs, diffs = np.zeros((3, n_paths)), np.zeros((3, n_paths))
-    f = lambda st: 2.0 * np.log(max(m.norm(st), 1e-300))
+    f = lambda st: 2.0 * np.log(max(m.generator.metric_norm(st), 1e-300))
     for i in range(n_paths):
         fine = QWienerSampler(cov, seed, i).increments(ladder[-1], 64)
         ref = _march(m, phi0, ladder[-1], fine)
         for k, dt in enumerate(ladder[:-1]):
             factor = round(dt / ladder[-1])
             sol = _march(m, phi0, dt, fine.reshape(64 // factor, factor, -1).sum(axis=1))
-            errs[k, i] = m.norm(sol - ref)
+            errs[k, i] = m.generator.metric_norm(sol - ref)
             diffs[k, i] = f(sol) - f(ref)
     root_n = np.sqrt(n_paths)
     assert strong.errors.tobytes() == errs.mean(axis=1).tobytes()
@@ -407,12 +408,12 @@ def _observable_of_one_state(model, name, phi0, state):
     s, size = gen.n_components, model.grid.size
     norm = float(np.sqrt(np.sum(gen._flat_metric()
                                 * np.abs(state.spectral().reshape(s, size)) ** 2).real))
-    probe = phi0 * (1.0 / max(model.norm(phi0), 1e-300))
+    probe = phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
     pairing = complex(np.sum(gen._flat_metric() * state.spectral().reshape(s, size)
                              * np.conj(probe.spectral().reshape(s, size))))
     if name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
-        return model.graph_norms(state, j)[j]
+        return model.generator.graph_norm_ladder(state, j)[j]
     return {"norm_sq": norm ** 2, "constant": 1.0, "norm": norm,
             "log_norm_sq": 2.0 * np.log(max(norm, 1e-300)),
             "pairing_re": pairing.real, "pairing_im": pairing.imag,
@@ -429,7 +430,7 @@ def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
     model = build_model(name, grid, smoothness=2)
     rng = np.random.default_rng(5)
     states = [model.random_smooth_state(rng, radius=r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    states.append(model.zero_state())
+    states.append(State.zeros(model.grid, model.roles))
     data = np.stack([st.data for st in states])
     phi0 = states[1]
     names = ("norm_sq", "constant", "log_norm_sq", "norm", "graph_norm_j0", "graph_norm_j1",

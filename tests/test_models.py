@@ -62,7 +62,7 @@ def test_nls_cubic_amplitude():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_J_of_zero_is_zero(name):
     m = build_model(name, GRID, p=3, sign=1, k0=1.0, m=1.0)
-    out = m.apply_J(m.zero_state())
+    out = m.apply_J(State.zeros(m.grid, m.roles))
     assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -81,11 +81,11 @@ def test_build_model_rejects_bad_input():
 def test_conserved_values():
     m = build_model("nls", GRID, p=3, sign=1)
     st = m.random_smooth_state(np.random.default_rng(0), 1.0)
-    st = st * (1.0 / m.norm(st))
+    st = st * (1.0 / m.generator.metric_norm(st))
     assert m.conserved_blocks(st.data[None])["mass"][0] == pytest.approx(1.0, rel=1e-12)
 
     sg = build_model("sine_gordon", GRID, g=1.0, k0=1.0)
-    zero = sg.zero_state()
+    zero = State.zeros(sg.grid, sg.roles)
     assert sg.conserved_blocks(zero.data[None])["energy"][0] == pytest.approx(GRID.volume)
 
 
@@ -147,7 +147,7 @@ def test_maxwell_dirac_gauge_projection_and_residual():
     assert len(residuals) == 200 and all(np.isfinite(r) for r in residuals)
     nls = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError):
-        nls.gauge_residual(nls.zero_state())
+        nls.gauge_residual(State.zeros(nls.grid, nls.roles))
 
 
 @pytest.mark.parametrize("name,invariant", [
@@ -206,10 +206,10 @@ def _reference_reports(m, n, radius, seed):
     singles = [(m.random_smooth_state(rng, radius),) for _ in range(n)]
     pairs = [(m.random_smooth_state(rng, radius), m.random_smooth_state(rng, radius))
              for _ in range(n)]
-    J, norm = m.apply_J, m.norm
-    gn = lambda x, j: m.graph_norms(x, j)[j]
+    J, norm = m.apply_J, m.generator.metric_norm
+    gn = lambda x, j: m.generator.graph_norm_ladder(x, j)[j]
     e = {"sine_gordon": 1, "zakharov": 2, "maxwell_dirac": 2}.get(m.name, m.params.p) - 1
-    top = lambda x, j: float(np.max(m.graph_norms(x, j)))
+    top = lambda x, j: float(np.max(m.generator.graph_norm_ladder(x, j)))
     suite = []  # (id, pair, args -> (lhs, core, envelope), declared)
     for j in range(m.smoothness + 1):
         suite += [(f"{m.name}:growth:j{j}", False,
@@ -311,9 +311,9 @@ def test_lipschitz_constant_tracks_power_envelope():
         for _ in range(60):
             a = m.random_smooth_state(rng, radius)
             b = m.random_smooth_state(rng, radius)
-            diff = m.norm(a - b)
+            diff = m.generator.metric_norm(a - b)
             if diff > 1e-12:
-                worst = max(worst, m.norm(m.apply_J(a) - m.apply_J(b)) / diff)
+                worst = max(worst, m.generator.metric_norm(m.apply_J(a) - m.apply_J(b)) / diff)
         ratios[radius] = worst
     # the cubic's local Lipschitz constant scales like the squared radius
     normalized = [ratios[r] / r**2 for r in (0.5, 1.0, 2.0)]

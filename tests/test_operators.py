@@ -259,7 +259,7 @@ def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, par
     states = [_random_state(grid, s, seed=seed) for seed in range(12)]
     want = np.array([np.sqrt(np.sum(g * np.abs(st_.spectral().reshape(s, grid.size)) ** 2).real)
                      for st_ in states])
-    blocks = op.metric_norm_blocks(np.stack([st_.data for st_ in states]))
+    blocks = op.graph_norm_ladder_blocks(np.stack([st_.data for st_ in states]), 0)[:, 0]
     assert blocks.tobytes() == want.tobytes()
     assert np.array([op.metric_norm(st_) for st_ in states]).tobytes() == want.tobytes()
 

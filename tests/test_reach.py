@@ -1,6 +1,10 @@
 """Reach or delete: every public function and method of the library is called
-by some command, or names the claim it carries and the test that checks it."""
+by some command, or names the claim it carries and the test that checks it;
+and every defaulted parameter is set by some call in the library, or names
+who sets it."""
 
+import ast
+import dataclasses
 import inspect
 import json
 import sys
@@ -108,3 +112,116 @@ def test_every_public_entry_point_is_reached_or_allowed(tmp_path):
     for name, (claim, test) in UNREACHED.items():
         module, function = test.split("::")
         assert f"def {function}(" in (tests / f"{module}.py").read_text(), (name, claim)
+
+
+# Defaulted parameters that no call in the library sets, and who sets them.
+SET_OUTSIDE = {
+    "cli.main": {"argv": "perfbench's workload runs and the CLI tests"},
+    "solver.holomorphy_check": {"max_iter": "test_acceptance::test_holomorphy, at 200"},
+}
+
+
+def _defaulted(module):
+    """The defaulted parameters of each public function, public method and
+    dataclass constructor of ``module``, by qualified name: (its callable
+    name, its positional parameters in order, its defaulted parameters)."""
+    out = {}
+    prefix = module.__name__.split(".")[-1]
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        found = []
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            found.append((name, name, obj, False))
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                found.append((name, name, obj, False))
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)  # classmethods, staticmethods
+                if inspect.isfunction(fn) and not attr.startswith("_"):
+                    found.append((f"{name}.{attr}", attr, fn,
+                                  not isinstance(member, staticmethod)))
+        for qualname, callee, fn, bound in found:
+            params = list(inspect.signature(fn).parameters.values())[bound:]
+            defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
+            if defaulted:
+                positional = [p.name for p in params
+                              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+                out[f"{prefix}.{qualname}"] = (callee, positional, defaulted)
+    return out
+
+
+def _calls():
+    """Each call in the library as (callee name, the count of positional places
+    it fills or None for all, its keywords, whether it has a ``**`` argument).
+    A ``*f(...)`` argument fills as many as the tuple that every return of the
+    library's ``f`` gives, any other ``*`` argument every positional place
+    from its own on; ``cls(...)`` calls its class, and ``_checked(where, fn,
+    *args, **kwargs)`` calls fn with the rest."""
+    trees = [ast.parse(p.read_text()) for p in Path(stochwave.__file__).parent.glob("*.py")]
+    returns = {}  # function name -> the set of its returns' tuple lengths (None: no tuple)
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.FunctionDef):
+            returns.setdefault(node.name, set()).update(
+                len(r.value.elts) if isinstance(r.value, ast.Tuple) else None
+                for r in ast.walk(node) if isinstance(r, ast.Return))
+
+    def name_of(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def filled(args):
+        """The positional places the arguments fill: a count, or None for all."""
+        count = 0
+        for a in args:
+            if isinstance(a, ast.Starred):
+                sizes = returns.get(name_of(a.value.func)) if isinstance(a.value, ast.Call) \
+                    else None
+                if not sizes or len(sizes) != 1 or None in sizes:
+                    return None
+                count += next(iter(sizes))
+            else:
+                count += 1
+        return count
+
+    out, classes = [], []  # the calls, and the classes around the one visited
+
+    class Visitor(ast.NodeVisitor):
+        def visit_ClassDef(self, node):
+            classes.append(node.name)
+            self.generic_visit(node)
+            classes.pop()
+
+        def visit_Call(self, node):
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "_checked" and len(args) > 1:
+                func, args = args[1], args[2:]
+            name = name_of(func)
+            if name == "cls" and classes:
+                name = classes[-1]
+            out.append((name, filled(args), {k.arg for k in node.keywords if k.arg},
+                        any(k.arg is None for k in node.keywords)))
+            self.generic_visit(node)
+
+    for tree in trees:
+        Visitor().visit(tree)
+    return out
+
+
+def test_every_default_is_set_by_a_program_path():
+    entries = {q: e for module in MODULES for q, e in _defaulted(module).items()}
+    calls = _calls()
+    unset = {}
+    for qualname, (callee, positional, defaulted) in entries.items():
+        if qualname in UNREACHED:
+            continue
+        left = defaulted - set(SET_OUTSIDE.get(qualname, ()))
+        for name, n_filled, keywords, double_star in calls:
+            if name == callee:
+                left -= set(positional[:n_filled]) | keywords  # n_filled None: every one
+                if double_star:
+                    left = set()
+        if left:
+            unset[qualname] = sorted(left)
+    assert unset == {}
+    for qualname, setters in SET_OUTSIDE.items():
+        assert set(setters) <= entries[qualname][2], qualname

@@ -43,7 +43,7 @@ def test_picard_homogeneous_single_sweep():
     res = picard_solve(m, st, 0.5, None, n_time_nodes=33, tol=1e-12)
     assert res.converged and len(res.residuals) == 1
     free = m.generator.propagate(0.5, st)
-    assert m.norm(res.final - free) < 1e-13
+    assert m.generator.metric_norm(res.final - free) < 1e-13
 
 
 def test_picard_constant_potential_closed_form():
@@ -57,12 +57,12 @@ def test_picard_constant_potential_closed_form():
     res = picard_solve(m, phi0, T, theta, np.array([c]), n_time_nodes=129, tol=1e-13,
                        max_iter=100)
     ref = phi0 * np.exp((-1j + c) * T)  # generator eigenvalue a = 1 at k = 1
-    err = m.norm(res.final - ref) / m.norm(ref)
+    err = m.generator.metric_norm(res.final - ref) / m.generator.metric_norm(ref)
     assert res.converged
     assert err < 5e-5  # trapezoid quadrature, O(dt^2)
     res2 = picard_solve(m, phi0, T, theta, np.array([c]), n_time_nodes=257, tol=1e-13,
                         max_iter=100)
-    err2 = m.norm(res2.final - ref) / m.norm(ref)
+    err2 = m.generator.metric_norm(res2.final - ref) / m.generator.metric_norm(ref)
     assert err / err2 > 3.0  # halving dt cuts the error about 4x
 
 
@@ -141,7 +141,7 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
     def sweep(states):
         F = [rhs(s) for s in states]
         out = [free[0]]
-        integral = model.zero_state()
+        integral = State.zeros(model.grid, model.roles)
         for i in range(1, n_nodes):
             integral = gen.propagate(dt, integral + (0.5 * dt) * F[i - 1])
             integral = integral + (0.5 * dt) * F[i]
@@ -149,14 +149,14 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
         return out
 
     def distance(a, b):
-        return max(model.sum_graph_norms(sa - sb, model.smoothness)
+        return max(float(np.sum(model.generator.graph_norm_ladder(sa - sb, model.smoothness)))
                    for sa, sb in zip(a, b))
 
     current, residuals, converged = list(free), [], False
     for _ in range(max_iter):
         nxt = sweep(current)
         if any(not np.all(np.isfinite(s.data)) for s in nxt) or \
-           model.norm(nxt[-1]) > BLOWUP_CAP:
+           model.generator.metric_norm(nxt[-1]) > BLOWUP_CAP:
             raise BlowUpError("Picard iterate left the finite-norm region")
         res = distance(nxt, current)
         residuals.append(res)
@@ -250,14 +250,14 @@ def test_picard_final_check_raises_on_a_non_finite_node():
 def test_picard_rejects_a_negative_max_iter():
     m = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError, match="max_iter must be >= 0"):
-        picard_solve(m, m.zero_state(), 0.1, None, n_time_nodes=5, max_iter=-1)
+        picard_solve(m, State.zeros(m.grid, m.roles), 0.1, None, n_time_nodes=5, max_iter=-1)
 
 
 def test_step_exp_euler_flags_nonfinite():
     from stochwave import BlowUpError
 
     m = build_model("nls", GRID, p=3, sign=1)
-    bad = m.zero_state()
+    bad = State.zeros(m.grid, m.roles)
     bad.data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(BlowUpError):
         step_exp_euler(m, bad, 0.01)
@@ -376,7 +376,7 @@ def test_step_exp_euler_exact_linear():
     st = m.random_smooth_state(np.random.default_rng(3), 0.5)
     stepped = step_exp_euler(m, st, 0.1)
     exact = m.generator.propagate(0.1, st)
-    assert m.norm(stepped - exact) < 1e-13
+    assert m.generator.metric_norm(stepped - exact) < 1e-13
 
 
 def test_step_exp_euler_gbm_reduction():
@@ -396,7 +396,7 @@ def test_step_exp_euler_vs_strang_one_step():
     for dt in (2e-2, 1e-2, 5e-3):
         a = step_exp_euler(m, st, dt)
         b = solve_ito(m, st, dt, dt, None, scheme="strang").final
-        diffs.append(m.norm(a - b))
+        diffs.append(m.generator.metric_norm(a - b))
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) > 1.8  # single-step difference O(dt^2)
 
@@ -413,7 +413,7 @@ def test_picard_matches_marching_at_order_one():
         worst = 0.0
         for i in range(n):
             state = step_exp_euler(m, state, dt)
-            worst = max(worst, m.norm(state - res.states[i + 1]))
+            worst = max(worst, m.generator.metric_norm(state - res.states[i + 1]))
         sups.append(worst)
     order = np.polyfit(np.log(dts), np.log(sups), 1)[0]
     assert order >= 0.9
@@ -432,7 +432,8 @@ def _recorded(model, phi0, T, dt, sampler=None, threshold=np.inf, kernel=_exp_eu
     recorded step: the times, the states and the graph norms, phi0's first."""
     n_steps = round(T / dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
-    times, states, norms = [0.0], [phi0.copy()], [model.graph_norms(phi0)]
+    ladder = lambda st: model.generator.graph_norm_ladder(st, model.smoothness)
+    times, states, norms = [0.0], [phi0.copy()], [ladder(phi0)]
 
     def record(t, data, ladders):
         for d, g in zip(data, ladders):
@@ -463,7 +464,7 @@ def test_solve_ito_norm_history_matches_states():
     times, states, _ = _recorded(m, st, 0.2, 0.01, QWienerSampler(cov, 5, 0))
     assert len(states) == len(traj.times) == 21
     for i, state in enumerate(states):
-        recomputed = m.graph_norms(state)
+        recomputed = m.generator.graph_norm_ladder(state, m.smoothness)
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
         energy = m.conserved_blocks(state.data[None])["energy"][0]
         assert abs(energy - traj.conserved["energy"][i]) <= 1e-12 * abs(energy)
@@ -498,14 +499,15 @@ def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
     assert traj.blown_up and traj.stop_time == 0.02
     assert list(traj.times) == [0.0, 0.01] and len(traj.conserved["mass"]) == 2
     assert traj.final.data.tobytes() == step1.data.tobytes()
-    assert traj.graph_norms[-1].tobytes() == m.graph_norms(step1).tobytes()
+    assert traj.graph_norms[-1].tobytes() == \
+        m.generator.graph_norm_ladder(step1, m.smoothness).tobytes()
 
 
 def test_solve_ito_validates_threshold():
     m = build_model("nls", GRID, sign=0, smoothness=1)
     st = m.random_smooth_state(np.random.default_rng(1), 0.5)
     with pytest.raises(ValueError):
-        solve_ito(m, st, 0.5, 0.01, None, threshold=0.1 * m.norm(st))
+        solve_ito(m, st, 0.5, 0.01, None, threshold=0.1 * m.generator.metric_norm(st))
 
 
 def test_tight_threshold_stops_with_strong_noise():
@@ -514,7 +516,7 @@ def test_tight_threshold_stops_with_strong_noise():
     spec = CovarianceSpec(np.array([4.0]), [Field(g, np.ones(g.shape))])
     x = g.x_axes[0]
     phi0 = State(g, np.exp(2j * np.pi * x)[None, :], m.roles)
-    threshold = m.norm(phi0) * 1.0001
+    threshold = m.generator.metric_norm(phi0) * 1.0001
     stopped = 0
     for i in range(100):
         traj = solve_ito(m, phi0, 1.0, 1e-3, QWienerSampler(spec, 17, i),
@@ -531,7 +533,7 @@ def test_stop_time_monotone_in_threshold():
     spec = CovarianceSpec(np.array([2.0]), [Field(g, np.ones(g.shape))])
     x = g.x_axes[0]
     phi0 = State(g, np.exp(2j * np.pi * x)[None, :], m.roles)
-    n0 = m.norm(phi0)
+    n0 = m.generator.metric_norm(phi0)
     for stream in range(10):
         previous = -np.inf
         for factor in (1.05, 1.2, 1.5, 2.5):
@@ -547,13 +549,13 @@ _Path = namedtuple("_Path", "times states norms stop_time blown_up seed_info sup
 
 def _per_path_ito(model, phi0, T, dt, sampler, threshold=np.inf):
     """The oracle of the stacked march: the per-path loop that ``solve_ito``
-    ran before it, on ``step_exp_euler`` and ``model.graph_norms``, recording
+    ran before it, on ``step_exp_euler`` and ``graph_norm_ladder``, recording
     every step. Returns its times, states, graph norms, stop time, blown-up
     flag and seed info, and the running sup of sum_j ||A^j phi||^2."""
     n_steps = round(T / dt)
     N = model.smoothness
     state = phi0.copy()
-    norms0 = model.graph_norms(state, N)
+    norms0 = model.generator.graph_norm_ladder(state, N)
     increments = None if sampler is None else sampler.increments(dt, n_steps)
     times, states, norm_hist = [0.0], [state.copy()], [norms0]
     sup_sq = float(np.sum(norms0**2))
@@ -566,7 +568,7 @@ def _per_path_ito(model, phi0, T, dt, sampler, threshold=np.inf):
             blown = True
             stop_time = (n + 1) * dt
             break
-        t, norms = (n + 1) * dt, model.graph_norms(state, N)
+        t, norms = (n + 1) * dt, model.generator.graph_norm_ladder(state, N)
         sup_sq = max(sup_sq, float(np.sum(norms**2)))
         hit = float(np.max(norms[:max(N, 1)])) > threshold
         blown = not hit and float(norms[0]) > BLOWUP_CAP
@@ -590,7 +592,7 @@ def _march_case(name):
     scalar = lambda lam: CovarianceSpec(np.array([lam]), [Field(unit, np.ones(unit.shape))])
     mode = lambda m, g: State(g, np.exp(2j * np.pi * g.x_axes[0] / g.lengths[0])[None],
                               m.roles)
-    top = lambda m, st: max(m.graph_norms(st)[:max(m.smoothness, 1)])
+    top = lambda m, st: max(m.generator.graph_norm_ladder(st, m.smoothness)[:max(m.smoothness, 1)])
     if name == "moment_law":
         m = build_model("nls", unit, sign=0, smoothness=1)
         return m, mode(m, unit), 1.0, 0.02, scalar(0.5), 301, 40, np.inf, False
@@ -690,12 +692,13 @@ def _deterministic_loop(model, phi0, T, dt, scheme):
 
     stepper = {"strang": strang, "exp_euler": lambda s: step_exp_euler(model, s, dt)}[scheme]
     state = phi0.copy()
-    times, states, norms = [0.0], [state.copy()], [model.graph_norms(state)]
+    ladder = lambda st: model.generator.graph_norm_ladder(st, model.smoothness)
+    times, states, norms = [0.0], [state.copy()], [ladder(state)]
     for n in range(round(T / dt)):
         state = stepper(state)
         times.append((n + 1) * dt)
         states.append(state.copy())
-        norms.append(model.graph_norms(state))
+        norms.append(ladder(state))
     return np.asarray(times), states, np.asarray(norms)
 
 
@@ -768,7 +771,7 @@ def test_ito_mean_square_continuity():
         for k in range(max(step_marks)):
             moving = step_exp_euler(m, moving, dt, incs[base_steps + k])
             if (k + 1) in step_marks:
-                gaps[step_marks.index(k + 1)] += m.norm(moving - anchor) ** 2
+                gaps[step_marks.index(k + 1)] += m.generator.metric_norm(moving - anchor) ** 2
     gaps /= n_paths
     slope = np.polyfit(np.log(deltas), np.log(gaps), 1)[0]
     assert 0.8 < slope < 1.2
@@ -783,10 +786,11 @@ def test_gronwall_graph_norm_growth():
 
     def growth_rate(state):
         res = picard_solve(m, state, T, theta, zeta, n_time_nodes=33, tol=1e-10)
-        s0 = m.sum_graph_norms(state)
+        sum_norms = lambda st: float(np.sum(m.generator.graph_norm_ladder(st, m.smoothness)))
+        s0 = sum_norms(state)
         rates = []
         for t, s in zip(res.times[1:], res.states[1:]):
-            rates.append(np.log(max(m.sum_graph_norms(s) / s0, 1e-300)) / t)
+            rates.append(np.log(max(sum_norms(s) / s0, 1e-300)) / t)
         return max(rates)
 
     calibration = max(growth_rate(State(GRID, np.real(
@@ -802,7 +806,7 @@ def test_gronwall_graph_norm_growth():
 def test_holomorphy_theta_independent_of_z():
     m, st, _ = _sine_gordon_setup()
     zero_theta = ThetaPotential([Field(GRID, np.zeros(GRID.shape))])
-    probe = st * (1.0 / m.norm(st))
+    probe = st * (1.0 / m.generator.metric_norm(st))
     res = holomorphy_check(m, st, 0.3, zero_theta, np.array([0.0]), np.array([0.0]),
                            [0.1 + 0.1j], probe, spacing=1e-2, n_time_nodes=31,
                            tol=1e-13)
@@ -814,7 +818,7 @@ def test_holomorphy_affine_single_mode():
     theta = ThetaPotential([Field(GRID, np.ones(GRID.shape))])
     x = GRID.x_axes[0]
     phi0 = State(GRID, np.exp(1j * x)[None, :], m.roles)
-    probe = phi0 * (1.0 / m.norm(phi0))
+    probe = phi0 * (1.0 / m.generator.metric_norm(phi0))
     res = holomorphy_check(m, phi0, 0.5, theta, np.array([0.3]), np.array([2.0]),
                            [0.25], probe, spacing=1e-2, n_time_nodes=65, tol=1e-13)
     assert res < 1e-8  # entire exponential in z
@@ -826,14 +830,14 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 
     m, st, theta, zeta = _zakharov_2d()
     eta = np.array([0.2, -0.1, 0.3, 0.05])
-    probe = st * (1.0 / m.norm(st))
+    probe = st * (1.0 / m.generator.metric_norm(st))
     centers = [0.0, 0.1 - 0.2j]
     kw = dict(n_time_nodes=9, tol=1e-12, max_iter=80)
     solves = []
 
     def F(z):
         solves.append(picard_solve(m, st, 0.5, theta, zeta, eta, z, **kw))
-        return m.inner(solves[-1].final, probe)
+        return m.generator.metric_inner(solves[-1].final, probe)
 
     want = max(0.0, *(_cr_residual(F, z0, 1e-2) for z0 in centers))
     calls = []
