@@ -40,12 +40,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _checked
-from .ensemble import (EnsembleConfig, TailCurve, _observable, _probe, chaos_vs_mc,
-                       run_ensemble, strong_order, weak_order)
+from .ensemble import (EnsembleConfig, TailCurve, _check_work, _observable, _probe,
+                       chaos_vs_mc, run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
-                     holomorphy_check, picard_solve, solve_ito)
+                     _step_count, holomorphy_check, picard_solve, solve_ito)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -229,7 +229,8 @@ def cmd_picard(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         residual = holomorphy_check(model, phi0, sb["T"], theta, zeta, eta,
                                     [0.0], probe, spacing=1e-2,
                                     n_time_nodes=sb["n_time_nodes"],
-                                    tol=min(sb["tol"], 1e-12), _free=free)
+                                    tol=min(sb["tol"], 1e-12), max_iter=sb["max_iter"],
+                                    _free=free)
     except ConvergenceError:
         residual = None  # a stencil solve did not converge: reported as null
     code = EXIT_OK if summary["converged"] and residual is not None else EXIT_BLOWUP
@@ -241,6 +242,9 @@ def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     model, phi0, cov = _setup(cfg)
     sb, mb = cfg.doc["solver"], cfg.doc["mc"]
     ladder = mb["dt_ladder"] or [sb["T"] / n for n in (8, 16, 32, 64, 128)]
+    # each of the two fits marches every path over every rung of the ladder
+    _checked("mc", _check_work, mb["n_paths"],
+             2 * sum(_step_count(sb["T"], dt) for dt in ladder))
     ens = _ensemble(cfg, model, phi0, cov, dt=min(ladder))
     strong = strong_order(ens, ladder)
     # log of the squared norm keeps the coupled weak estimator low-variance

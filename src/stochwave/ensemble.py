@@ -55,9 +55,15 @@ class EnsembleConfig:
 
     def __post_init__(self):
         _check_paths(self.n_paths)
-        work = self.n_paths * _step_count(self.T, self.dt)
-        if work > MAX_PATH_STEPS:
-            raise ValueError(f"n_paths x steps must be at most {MAX_PATH_STEPS}, got {work}")
+        _check_work(self.n_paths, _step_count(self.T, self.dt))
+
+
+def _check_work(n_paths: int, n_steps: int) -> None:
+    """The bound on a run's marching: ``n_paths`` paths of ``n_steps`` steps
+    each, at most MAX_PATH_STEPS steps in all."""
+    work = n_paths * n_steps
+    if work > MAX_PATH_STEPS:
+        raise ValueError(f"n_paths x steps must be at most {MAX_PATH_STEPS}, got {work}")
 
 
 def _check_paths(n_paths) -> None:

@@ -97,7 +97,9 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule mask: keep |mode index| <= floor(n/3) per axis."""
+        """Two-thirds rule mask: keep |mode index| <= floor(n/3) per axis, as
+        complex 1 and 0, the cast that a product of complex coefficients with
+        a bool mask makes on every call (the same bits), made once."""
         keep = np.ones(self.shape, dtype=bool)
         for ax, n in enumerate(self.npts):
             idx = np.abs(np.fft.fftfreq(n) * n)
@@ -105,7 +107,7 @@ class Grid:
             shape = [1] * self.dim
             shape[ax] = n
             keep &= ax_keep.reshape(shape)
-        return keep
+        return keep.astype(_COMPLEX)
 
     @cached_property
     def _fft_scale(self) -> float:
@@ -251,10 +253,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.grid, self.data.copy(), self.roles)
-
-    def times_field(self, values: np.ndarray) -> "State":
-        """Pointwise multiplication of every component by a scalar field."""
-        return State(self.grid, self.data * values, self.roles)
 
     def __add__(self, other):
         return State(self.grid, self.data + other.data, self.roles)

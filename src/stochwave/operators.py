@@ -39,9 +39,15 @@ starts at +0 either way, so the results are the same to the bit. (A
 non-finite coefficient differs: the dense form spreads it to every component
 of its mode as 0 * inf = NaN, the element-wise form keeps it in its own.)
 numpy's ``*`` is not used for this: its complex product rounds differently
-from einsum's, and it does not add to +0, so it keeps a -0. An unweighted
-operator (``metric`` None, plain L2) sums the squared moduli directly, which
-is exact since g * x with g = 1.0 is x.
+from einsum's, and it does not add to +0, so it keeps a -0. The one exception
+is a norm power of a real diagonal (every imaginary part exactly zero, as in
+Zakharov's diag(k^2, -|k|)), which ``graph_norm_ladder_blocks`` raises by
+``_diag * flat``: each part of d * c is then one product and a signed zero,
+rounded once whether or not the product is fused, so only the sign of a zero
+can differ from einsum's, and the ladder reads moduli alone. 0 * inf gives
+NaN in both. The product runs with numpy's overflow and invalid warnings off,
+as silent as einsum. An unweighted operator (``metric`` None, plain L2) sums
+the squared moduli directly, which is exact since g * x with g = 1.0 is x.
 
 The propagator's plan is fixed at construction as well: s = 1 multiplies
 the cached per-mode phases in place, a diagonal symbol contracts its cached
@@ -75,9 +81,10 @@ class SpectralOperator:
     ``diagonal`` is set when s > 1 and every off-diagonal symbol entry is
     exactly 0; ``propagate``, ``propagate_blocks`` and ``apply_spectral``
     then contract the (s, M) diagonals element-wise with
-    ``np.einsum``, bit for bit the dense contraction on finite coefficients
-    (see the module doc). With ``metric`` None the norms skip the product
-    with unit weights.
+    ``np.einsum``, bit for bit the dense contraction on finite coefficients,
+    and the norm ladder raises real diagonals by numpy's product (see the
+    module doc). With ``metric`` None the norms skip the product with unit
+    weights.
     """
 
     grid: Grid
@@ -86,6 +93,7 @@ class SpectralOperator:
     hermitian: bool = field(init=False)
     diagonal: bool = field(init=False)
     _diag: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _real_diag: bool = field(default=False, init=False, repr=False, compare=False)
     _contract: str | None = field(default=None, init=False, repr=False, compare=False)
     _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -106,6 +114,7 @@ class SpectralOperator:
         self.diagonal = s > 1 and not np.any(S[~np.eye(s, dtype=bool)])
         if self.diagonal:
             self._diag = _diagonals(S)
+            self._real_diag = not np.any(self._diag.imag)
         # the propagator plan (module doc): None for the phases of s = 1
         self._contract = None if s == 1 else (
             "am,nam->nam" if self.diagonal else "abm,nbm->nam")
@@ -233,7 +242,11 @@ class SpectralOperator:
             squares = np.abs(flat) ** 2
             out[:, j] = np.sqrt(np.sum(squares if g is None else g * squares, axis=(1, 2)).real)
             if j < j_max:
-                flat = self.apply_spectral(flat)
+                if self._real_diag:  # the product, the same moduli (module doc)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        flat = self._diag * flat
+                else:
+                    flat = self.apply_spectral(flat)
         return out
 
     def _check_state(self, state: State):

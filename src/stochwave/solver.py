@@ -11,7 +11,10 @@ Two integration routes share the exact free propagator exp(-i*A*t):
   exactly, so the time-discretization error is O(dt^2) and the fixed-point
   contraction structure (ratio proportional to the horizon T) survives
   discretization. Each sweep runs node by node, so a solve holds the free
-  path plus one iterate and a few nodes.
+  path plus one iterate and a few nodes. A sweep adds, scales and
+  accumulates in place on the raw arrays of the nodes it makes, in the order
+  and roundings of the State algebra, and writes into no array it was handed:
+  not phi0, the free path or an iterate.
 
 * ``_ito_march`` is the one march of every trajectory, noisy or not: a stack
   of paths, each stopping when sup_{j<=N-1} ||A^j phi|| first exceeds the
@@ -141,25 +144,26 @@ def picard_solve(model: Model, phi0: State, T: float,
     theta_values = None if theta is None else theta.field_values(
         np.zeros(theta.n_coords) if zeta is None else zeta, eta, z)
 
-    def rhs(state: State) -> State:
-        out = model.apply_J(state)
-        if theta_values is not None:
-            out = out + state.times_field(theta_values)
-        return out
-
     free = _free_path(gen, phi0, T, n_time_nodes) if _free is None else _free
 
     def sweep(states: list[State], keep: bool) -> float:
         """One trapezoid application of the integral map, node by node; returns
         the X_T distance from ``states``. J of node i is taken, and halved once
         for both trapezoid halves, just before node i comes out; with ``keep``,
-        node i then replaces ``states[i]``, so a sweep holds one path."""
+        node i then replaces ``states[i]``, so a sweep holds one path. In place
+        on arrays that the sweep owns (module doc): half = (0.5 dt)(J + theta
+        phi), integral = e^{-iA dt}(integral + previous half) + half."""
         dist, integral, half = 0.0, State.zeros(model.grid, model.roles), None
         for i in range(n_nodes):
-            prev, half = half, (0.5 * dt) * rhs(states[i])
+            prev, half = half, model.apply_J(states[i]).data
+            if theta_values is not None:
+                half += states[i].data * theta_values
+            half *= 0.5 * dt
             node = free[0]
             if i:
-                integral = gen.propagate(dt, integral + prev) + half
+                integral.data += prev
+                integral = gen.propagate(dt, integral)
+                integral.data += half
                 node = free[i] + integral
             if not np.all(np.isfinite(node.data)) or \
                (keep and i == n_nodes - 1 and gen.metric_norm(node) > BLOWUP_CAP):

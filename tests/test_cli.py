@@ -832,6 +832,79 @@ def test_picard_stencil_non_convergence_exits_3_with_a_full_run_dir(tmp_path, ca
     assert (out / "config.resolved.json").exists()
 
 
+def test_picard_stencil_solves_run_to_solver_max_iter(tmp_path, monkeypatch):
+    # a strong Theta potential on a linear model: the main solve takes 94
+    # sweeps and the stencil's solves 101 to 103, all within max_iter 120;
+    # the stencil once stopped at holomorphy_check's default of 80 sweeps and
+    # reported a null residual with exit 3
+    import stochwave.solver as solver
+
+    sweeps, solve = [], solver.picard_solve
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        sweeps.append(len(res.residuals))
+        return res
+
+    cfg = {
+        "model": {"name": "nls", "sign": 0, "smoothness": 1},
+        "grid": {"dim": 1, "points": [16], "lengths": [6.283185307179586]},
+        "initial": {"kind": "smooth_random", "amplitude": 1e-10, "seed": 7},
+        "noise": {"n_modes": 2, "lambda0": 9000.0},
+        "solver": {"T": 1.0, "n_time_nodes": 33, "max_iter": 120},
+    }
+    monkeypatch.setattr(solver, "picard_solve", counted)
+    monkeypatch.setattr(cli, "picard_solve", counted)
+    out = tmp_path / "p"
+    assert main(["picard", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(sweeps) == 9 and min(sweeps[1:]) > 80 and max(sweeps) <= 120
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True and report["iterations"] == sweeps[0]
+    assert np.isfinite(report["holomorphy_residual"])
+
+
+# ladder steps 2, 8, 10, 20 and 40: each path takes 2 x 80 steps over both
+# fits, so 625,000 paths take MAX_PATH_STEPS = 1e8 steps and one more path
+# takes 160 too many; the finest rung alone, the bound that the ensemble
+# checks, counts 2.5e7
+WORK_CONFIG = {
+    "model": {"name": "nls", "sign": 0, "smoothness": 1},
+    "grid": {"dim": 1, "points": [8], "lengths": [1.0]},
+    "solver": {"T": 1.0, "dt": 0.025},
+    "noise": {"enabled": True, "n_modes": 1},
+    "mc": {"dt_ladder": [0.5, 0.125, 0.1, 0.05, 0.025]},
+}
+
+
+@pytest.mark.parametrize("n_paths", [625_000, 625_001])
+def test_converge_bounds_the_steps_of_both_fits_over_every_rung(tmp_path, capsys,
+                                                                monkeypatch, n_paths):
+    # the bound once counted n_paths x the finest rung's steps; the fits are
+    # stubbed, so a config under the bound runs without marching
+    fits = []
+
+    def fit(config, dt_ladder, **kwargs):
+        fits.append(config.n_paths)
+        dts = np.asarray(dt_ladder[:-1])
+        return ensemble.OrderFit(dts, dts, dts, 1.0, 0.0, True)
+
+    monkeypatch.setattr(cli, "strong_order", fit)
+    monkeypatch.setattr(cli, "weak_order", fit)
+    cfg = json.loads(json.dumps(WORK_CONFIG))
+    cfg["mc"]["n_paths"] = n_paths
+    out = tmp_path / "c"
+    code = main(["converge", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if n_paths == 625_000:
+        assert code == 0 and fits == [n_paths, n_paths] and err == ""
+        assert (out / "report.json").exists()
+    else:
+        assert code == 2 and fits == []
+        assert err == ("config error: mc: n_paths x steps must be at most 100000000, "
+                       "got 100000160\n")
+        assert not out.exists()
+
+
 def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):
     runs = [tmp_path / "e1", tmp_path / "e2"]
     for out in runs:

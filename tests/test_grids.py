@@ -78,7 +78,7 @@ def test_operations_do_not_mutate_inputs():
     snapshot = st_.data.copy()
     _ = st_ + st_
     _ = st_ * 3.0
-    _ = st_.times_field(np.arange(8.0))
+    _ = st_ - st_
     assert np.array_equal(st_.data, snapshot)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,62 @@ def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
             ladder.append(np.sqrt(np.sum(np.ones((s, g.size)) * np.abs(c) ** 2).real))
             c = np.einsum("abm,bm->am", dense, c)
         assert op.graph_norm_ladder(state, 2).tobytes() == np.array(ladder).tobytes()
+
+
+def _einsum_ladder(op, data, j_max):
+    """The graph-norm ladder of a diagonal symbol with every power by einsum,
+    the contraction of ``apply_spectral``."""
+    g, s = op.grid, op.n_components
+    flat = g.to_spectral(data).reshape(len(data), s, g.size)
+    diag = np.diagonal(op.symbol.reshape(s, s, g.size), axis1=0, axis2=1).T
+    weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
+    out = []
+    for _ in range(j_max + 1):
+        out.append(np.sqrt(np.sum(weights * np.abs(flat) ** 2, axis=(1, 2)).real))
+        flat = np.einsum("am,...am->...am", diag, flat)
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_real_diagonal_norm_powers_equal_the_einsum_ladder_on_non_finite_values(
+        dim, weighted, monkeypatch):
+    # a real diagonal raises its norm powers by numpy's product, which warns on
+    # 0 * inf and on overflow where einsum is silent: on inf, NaN, overflowing
+    # and subnormal coefficients the ladder keeps einsum's bits, and it warns
+    # only where the einsum ladder warns: an inf coefficient times the
+    # transform's scale, or a finite power whose square overflows
+    g = make_grid(dim, [8, 6][:dim], [2 * np.pi, 3.0][:dim])
+    rng = np.random.default_rng(60 + dim)
+    sym = np.zeros((2, 2) + g.shape, dtype=complex)
+    sym[0, 0] = g.k_squared  # 0 at the zero mode: 0 * inf there
+    sym[1, 1] = -1e200 * rng.random(g.shape)  # 1e150 coefficients overflow
+    sym[1, 1].flat[1] = -0.0
+    metric = 1.0 + rng.random((2,) + g.shape) if weighted else None
+    op = SpectralOperator(g, sym, metric)
+    assert op.diagonal and op.hermitian
+    monkeypatch.setattr(op, "apply_spectral", None)  # every power by the product
+    data = rng.standard_normal((6, 2) + g.shape) + 1j * rng.standard_normal((6, 2) + g.shape)
+    data[rng.random(data.shape) < 0.2] = -0.0
+    data[0, 0].flat[3] = np.inf
+    data[1, 1].flat[2] = complex(-np.inf, np.nan)
+    data[2, 0].flat[0] = np.nan
+    data[3] *= 1e150
+    data[4] *= 1e-310  # subnormal
+    data[5, 1].flat[4] = complex(0.0, -np.inf)
+    for stack in (data, data[2:5]):
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = _einsum_ladder(op, stack, 3)
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = op.graph_norm_ladder_blocks(stack, 3)
+        assert got.tobytes() == want.tobytes()
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+    # the last stack: a NaN block; one whose power overflows to inf, and whose
+    # next power meets the -0 entry as 0 * inf = NaN; a subnormal block
+    assert np.isnan(want[0]).all() and np.isfinite(want[2, :3]).all()
+    assert np.isinf(want[1, 1]) and np.isnan(want[1, 2:]).all()
 
 
 def test_diagonal_flag():

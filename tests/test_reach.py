@@ -117,7 +117,6 @@ def test_every_public_entry_point_is_reached_or_allowed(tmp_path):
 # Defaulted parameters that no call in the library sets, and who sets them.
 SET_OUTSIDE = {
     "cli.main": {"argv": "perfbench's workload runs and the CLI tests"},
-    "solver.holomorphy_check": {"max_iter": "test_acceptance::test_holomorphy, at 200"},
 }
 
 

@@ -131,7 +131,7 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
     def rhs(state):
         out = model.apply_J(state)
         if theta_values is not None:
-            out = out + state.times_field(theta_values)
+            out = out + State(state.grid, state.data * theta_values, state.roles)
         return out
 
     free = [phi0.copy()]
@@ -165,8 +165,9 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
             converged = True
             break
     fp_res = distance(sweep(current), current)
+    floor = 1e3 * np.finfo(float).eps  # neither residual of a ratio at roundoff
     ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)
-              if residuals[i] > 1e3 * np.finfo(float).eps]
+              if residuals[i] > floor and residuals[i + 1] > floor]
     ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     return current, residuals, converged, fp_res, ratio
 
@@ -186,7 +187,21 @@ def _picard_cases():
     nls = build_model("nls", GRID, p=3, sign=1)
     nls_st = nls.random_smooth_state(np.random.default_rng(8), 0.4)
     zak, zak_st, zak_theta, zak_zeta = _zakharov_2d()
+    kg = build_model("klein_gordon", GRID, p=3, sign=1)
+    md = build_model("maxwell_dirac", GRID, k0=1.0, m=0.5)
+    # -0 real parts on even points, -0 imaginary parts on odd ones
+    zeros = zak_st.data.copy()
+    zeros.real[..., ::2] = -0.0
+    zeros.imag[..., 1::2] = -0.0
     return {
+        "klein_gordon_1d_theta": (kg, kg.random_smooth_state(np.random.default_rng(5), 0.3),
+                                  0.5, theta, [0.2, -0.3, 0.1],
+                                  dict(n_time_nodes=17, tol=1e-11)),
+        "maxwell_dirac_1d_theta": (md, md.random_smooth_state(np.random.default_rng(6), 0.3),
+                                   0.5, theta, [0.2, -0.3, 0.1],
+                                   dict(n_time_nodes=17, tol=1e-11)),
+        "zakharov_2d_signed_zeros": (zak, State(zak.grid, zeros, zak.roles), 0.5, zak_theta,
+                                     zak_zeta, dict(n_time_nodes=9, tol=1e-10)),
         "nls_1d_theta": (nls, nls_st, 0.5, theta, [0.2, -0.3, 0.1],
                          dict(n_time_nodes=17, tol=1e-11)),
         "zakharov_2d_theta": (zak, zak_st, 0.5, zak_theta, zak_zeta,
@@ -199,10 +214,14 @@ def _picard_cases():
 
 
 @pytest.mark.parametrize("case", ["nls_1d_theta", "zakharov_2d_theta",
-                                  "stopped_by_max_iter", "blow_up"])
+                                  "stopped_by_max_iter", "blow_up", "klein_gordon_1d_theta",
+                                  "maxwell_dirac_1d_theta", "zakharov_2d_signed_zeros"])
 def test_picard_matches_the_list_sweep_bit_for_bit(case):
     # the node-by-node sweep forms every node, residual and the final check
-    # with the operations, in the order, of the whole-path sweep
+    # with the operations, in the order, of the whole-path sweep; in place on
+    # the raw arrays, it keeps the State algebra's bits, the signed zeros too.
+    # Zakharov's real diagonal raises its norm powers by a plain product,
+    # Klein-Gordon's dense wave block and Maxwell-Dirac's by einsum
     model, phi0, T, theta, zeta, kw = _picard_cases()[case]
     zeta = None if zeta is None else np.asarray(zeta)
     with np.errstate(all="ignore"):
@@ -221,6 +240,35 @@ def test_picard_matches_the_list_sweep_bit_for_bit(case):
     assert np.array(got.residuals).tobytes() == np.array(residuals).tobytes()
     assert np.float64(got.fixed_point_residual).tobytes() == np.float64(fp_res).tobytes()
     assert np.float64(got.contraction_ratio).tobytes() == np.float64(ratio).tobytes()
+
+
+def test_picard_writes_into_no_shared_array(monkeypatch):
+    # the free path that the stencil's solves share, phi0 and every node that
+    # a sweep makes (an iterate's, a returned state's) are read-only here: an
+    # in-place op on any of them raises
+    m, st, theta, zeta = _zakharov_2d()
+    eta = np.array([0.2, -0.1, 0.3, 0.05])
+    probe = st * (1.0 / m.generator.metric_norm(st))
+    kw = dict(n_time_nodes=9, tol=1e-12, max_iter=80)
+    want = holomorphy_check(m, st, 0.5, theta, zeta, eta, [0.0], probe, **kw)
+    free = [st.copy()]
+    for _ in range(8):
+        free.append(m.generator.propagate(0.5 / 8, free[-1]))
+    for s in free + [st]:
+        s.data.flags.writeable = False
+    snapshot = [s.data.tobytes() for s in free]
+    nodes, add = [], State.__add__
+
+    def read_only_node(a, b):  # a sweep's node: free[i] + integral
+        nodes.append(add(a, b))
+        nodes[-1].data.flags.writeable = False
+        return nodes[-1]
+
+    monkeypatch.setattr(State, "__add__", read_only_node)
+    got = holomorphy_check(m, st, 0.5, theta, zeta, eta, [0.0], probe, _free=free, **kw)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # each of the 8 solves: a sweep and the final check, 8 nodes each past the first
+    assert [s.data.tobytes() for s in free] == snapshot and len(nodes) >= 8 * 2 * 8
 
 
 def test_picard_solve_holds_about_two_paths():
@@ -267,7 +315,7 @@ def _state_algebra_step(model, state, dt, dW):
     # the exponential Euler step written with State arithmetic
     inner = state + dt * model.apply_J(state)
     if dW is not None:
-        inner = inner + state.times_field(dW)
+        inner = inner + State(state.grid, state.data * dW, state.roles)
     return model.generator.propagate(dt, inner)
 
 
