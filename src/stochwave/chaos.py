@@ -69,7 +69,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grids import State
+from .grids import State, _bound
 from .models import Model, _powers
 from .solver import _cr_residual, _step_count
 
@@ -103,15 +103,11 @@ class ChaosSpace:
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key, least in (("n_modes", 1), ("max_degree", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        if self.max_degree > 170:  # alpha! <= |alpha|!, and 171! overflows a float
-            raise ValueError(f"max_degree must be at most 170, got {self.max_degree}")
-        count = comb(self.n_modes + self.max_degree, self.max_degree)
-        if count > MAX_INDICES:
-            raise ValueError(f"the index count C(n_modes + max_degree, max_degree) must be "
-                             f"at most {MAX_INDICES}, got {count}")
+        _bound("n_modes", self.n_modes, least=1)
+        # alpha! <= |alpha|!, and 171! overflows a float
+        _bound("max_degree", self.max_degree, 0, 170)
+        _bound("the index count C(n_modes + max_degree, max_degree)",
+               comb(self.n_modes + self.max_degree, self.max_degree), most=MAX_INDICES)
         self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.indices = _multi_indices(self.n_modes, self.max_degree)
         self.n_indices = len(self.indices)
@@ -195,8 +191,7 @@ class ChaosSpace:
 
         ||Phi||_0 is the (0, 0) case: sqrt(sum alpha! |a_alpha|^2).
         """
-        if not 0 <= beta <= 1:
-            raise ValueError("beta must lie in [0, 1]")
+        _bound("beta", beta, 0, 1)
         sign = 1.0 if p >= 0 else -1.0
         deg_fact = self._factorial[self.degrees].astype(float)
         wpow = np.prod(self.mode_weights[None, :] ** (2.0 * p * self.indices), axis=1)
@@ -354,6 +349,13 @@ class ChaosState:
                            minlength=self.space.max_degree + 1)
 
 
+def _odd_power(p: int) -> int:
+    """The power p of a Wick-quantized |a|^{p-1} a; ValueError unless odd."""
+    if p % 2 == 0:
+        raise ValueError(f"Wick quantization needs an odd power p, got {p}")
+    return p
+
+
 class _WickAlgebra:
     """Wick arithmetic on (n_indices, *grid.shape) chaos coefficient stacks."""
 
@@ -372,10 +374,8 @@ class _WickAlgebra:
 
     def abs_pow(self, a, p):
         """:|a|^{p-1} a: = a^{:(p+1)/2:} : conj(a)^{:(p-1)/2:} for odd p."""
-        if p % 2 == 0:
-            raise ValueError("Wick quantization needs an odd power p")
         mag = modsq = self.modsq(a)
-        for _ in range((p - 3) // 2):
+        for _ in range((_odd_power(p) - 3) // 2):
             mag = self.product(mag, modsq)
         return self.product(mag, a)
 

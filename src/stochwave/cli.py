@@ -39,12 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .chaos import _odd_power
 from .config import ConfigError, ExperimentConfig, _checked
 from .ensemble import (EnsembleConfig, TailCurve, _check_work, _observable, _probe,
                        chaos_vs_mc, run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
 from .noise import QWienerSampler, discrete_pairing, orthogonality_check
-from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms,
+from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms, _kernel,
                      _step_count, holomorphy_check, picard_solve, solve_ito)
 
 EXIT_OK = 0
@@ -165,7 +166,7 @@ def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
     """solver.threshold (inf when null); a config error unless above phi0's norms."""
     threshold = cfg.doc["solver"]["threshold"]
     threshold = np.inf if threshold is None else threshold
-    _checked("solver.threshold", _initial_norms, model, phi0, threshold)
+    _checked("solver", _initial_norms, model, phi0, threshold)
     return threshold
 
 
@@ -176,9 +177,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         raise ConfigError("solver.threshold: the noise-free march has no stopping "
                           "rule; set it to null or enable the noise")
     threshold = _threshold(cfg, model, phi0)
-    if cov is not None and sb["scheme"] == "strang":
-        raise ConfigError("solver.scheme: the Strang scheme has no noise term; "
-                          "set it to exp_euler or disable the noise")
+    _checked("solver", _kernel, sb["scheme"], cov is not None)
     sampler = None if cov is None else QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
     traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
     report = {
@@ -260,9 +259,8 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
     space = _checked("chaos", cfg.build_chaos_space)
-    pr = model.params
-    if model.name in ("nls", "klein_gordon") and pr.sign and pr.p % 2 == 0:
-        raise ConfigError(f"chaos: Wick quantization needs an odd power p, got {pr.p}")
+    if model.name in ("nls", "klein_gordon") and model.params.sign:  # J holds |a|^{p-1} a
+        _checked("model", _odd_power, model.params.p)
     report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
     coeffs = model.generator.metric_inner_blocks(wick.final.data, _probe(model, phi0).data)
@@ -286,7 +284,7 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
     for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
-        value = _checked("mc.observables", _observable, model, name, phi0, phi0.data[None])[0]
+        value = _checked("mc", _observable, model, name, phi0, phi0.data[None])[0]
         if not np.isfinite(value):
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,

@@ -18,10 +18,10 @@ import numpy as np
 
 from .chaos import ChaosSpace
 from .ensemble import _check_paths, _ladder, _rho_grid
-from .grids import State, make_grid
+from .grids import State, _bound, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
-from .solver import ThetaPotential, _step_count
+from .solver import ThetaPotential, _kernel, _step_count
 
 
 class ConfigError(ValueError):
@@ -158,7 +158,8 @@ def _check_values(resolved: dict) -> None:
     """Reject a value no command can run with, before any output exists: first
     one not of its default's JSON type (or its ``_EXPLICIT`` stand-in's), then
     one out of the range of the code that builds the grid, counts the steps,
-    builds an ensemble, fits the orders or reduces the stop times."""
+    picks the step kernel, builds an ensemble, fits the orders or reduces the
+    stop times; each range is that code's own check, whose message names the block."""
     for block, default in _SCHEMA.items():
         holder, keys = ((resolved[block], default) if isinstance(default, dict)
                         else (resolved, {block: default}))
@@ -169,35 +170,33 @@ def _check_values(resolved: dict) -> None:
             if value is _BAD:
                 raise ConfigError(f"{name} must be {_rule(proto)}, got {holder[key]!r}")
             holder[key] = value
-    g, sb, ib, mb, vb = (resolved[k] for k in ("grid", "solver", "initial", "mc", "verify"))
-    for name, value, least in (("master_seed", resolved["master_seed"], 0),
-                               ("initial.seed", ib["seed"], 0),
-                               ("solver.max_iter", sb["max_iter"], 1),
-                               # fewer paths fail verify's 3-standard-error checks by chance
-                               ("verify.orthogonality_paths", vb["orthogonality_paths"], 1000)):
-        if value < least:
-            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
+    for block, key, least in (("", "master_seed", 0), ("initial", "seed", 0),
+                              ("solver", "max_iter", 1),
+                              # fewer paths fail verify's 3-standard-error checks by chance
+                              ("verify", "orthogonality_paths", 1000)):
+        _checked(block, _bound, key, resolved[block][key] if block else resolved[key], least)
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
     _checked("solver", _step_count, sb["T"], sb["dt"])
-    if sb["scheme"] not in ("strang", "exp_euler"):
-        raise ConfigError(f"unknown solver.scheme '{sb['scheme']}'")
+    _checked("solver", _kernel, sb["scheme"], False)
     if ib["kind"] not in ("smooth_random", "modes"):
         raise ConfigError(f"unknown initial.kind '{ib['kind']}'")
-    _checked("mc.n_paths", _check_paths, mb["n_paths"])
+    _checked("mc", _check_paths, mb["n_paths"])
     if mb["n_workers"] != 1:
         raise ConfigError("mc.n_workers must be 1: every path runs in one thread "
                           "(the key stays so that every config_hash stays the same)")
     if mb["dt_ladder"]:
-        _checked("mc.dt_ladder", _ladder, sb["T"], mb["dt_ladder"])
-    _checked("mc.rho_grid", _rho_grid, mb["rho_grid"])
+        _checked("mc", _ladder, sb["T"], mb["dt_ladder"])
+    _checked("mc", _rho_grid, mb["rho_grid"])
 
 
-def _checked(where: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``; its ValueError or TypeError is a config error in ``where``."""
+def _checked(block: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; its ValueError or TypeError is a config error,
+    "<block>: <message>", or the message alone for a top-level key (block "")."""
     try:
         return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{block}: {exc}" if block else str(exc)) from exc
 
 
 def config_hash(resolved: dict) -> str:

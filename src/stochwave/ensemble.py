@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
-from .grids import State
+from .grids import State, _bound
 from .models import Model, _powers
 from .noise import CovarianceSpec, QWienerSampler, sample_moments
 from .solver import _ito_march, _step_count, step_exp_euler
@@ -61,18 +61,12 @@ class EnsembleConfig:
 def _check_work(n_paths: int, n_steps: int) -> None:
     """The bound on a run's marching: ``n_paths`` paths of ``n_steps`` steps
     each, at most MAX_PATH_STEPS steps in all."""
-    work = n_paths * n_steps
-    if work > MAX_PATH_STEPS:
-        raise ValueError(f"n_paths x steps must be at most {MAX_PATH_STEPS}, got {work}")
+    _bound("n_paths x steps", n_paths * n_steps, most=MAX_PATH_STEPS)
 
 
 def _check_paths(n_paths) -> None:
     """A Monte Carlo path count, from 2 (a variance needs two) to MAX_PATHS."""
-    if n_paths < 2:
-        raise ValueError(f"an ensemble needs an integer count of at least 2 paths, "
-                         f"got {n_paths!r}")
-    if n_paths > MAX_PATHS:
-        raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {n_paths!r}")
+    _bound("n_paths", n_paths, 2, MAX_PATHS)
 
 
 def _probe(model: Model, phi0: State) -> State:
@@ -153,11 +147,14 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
         yield finals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Independent trajectories with stream_id = path index, ordered reduction:
     ``_ito_march`` on stacks of paths in index order, whose increments fill one
     array of ``_STACK_BYTES`` (one path's, if larger). Blown-up paths count as
-    stopped, not fatal; the result is the same bit for bit for any stack size."""
+    stopped, not fatal, and their non-finite observables as data: the run, the
+    reduction too, has numpy's overflow and invalid warnings off. The result is
+    the same bit for bit for any stack size."""
     model, phi0, dt, grid = config.model, config.phi0, config.dt, config.model.grid
     n_steps = _step_count(config.T, dt)
     size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
@@ -224,11 +221,11 @@ def _ladder(T: float, dt_ladder) -> np.ndarray:
     must be distinct multiples of the finest, whose increments they sum.
     """
     dts = np.sort(np.asarray(dt_ladder, dtype=float))[::-1]
-    if len(dts) < 4:
-        raise ValueError("order fits need a ladder of at least 4 dt values")
-    steps = [_step_count(T, dt) for dt in dts]
+    _bound("dt_ladder length", len(dts), least=4)
+    steps = [_step_count(T, dt) for dt in dts.tolist()]
     if any(steps[-1] % n for n in steps) or len(set(steps)) < len(steps):
-        raise ValueError("ladder entries must be distinct multiples of the finest dt")
+        raise ValueError(f"dt_ladder entries must be distinct multiples of the finest dt, "
+                         f"got {dts.tolist()}")
     return dts
 
 
@@ -301,7 +298,7 @@ def _rho_grid(rho_grid) -> np.ndarray:
     """Validate a survival grid: a flat list of rho values, each in (0, 1)."""
     rhos = np.asarray(rho_grid, dtype=float)
     if rhos.ndim != 1 or not np.all((rhos > 0) & (rhos < 1)):
-        raise ValueError("rho grid must be a flat list of values in (0, 1)")
+        raise ValueError(f"rho_grid must be a flat list of values in (0, 1), got {rhos.tolist()}")
     return rhos
 
 

@@ -169,26 +169,37 @@ class Grid:
         return out
 
 
+def _bound(name: str, value, least=None, most=None, *, above=None, below=None):
+    """``value`` if it lies in its range, else ValueError "<name> must be
+    <range>, got <value>": the one wording of every bound on a count, a size
+    or a positive value. The range is at least ``least`` or above ``above``,
+    and at most ``most`` or below ``below``; in words "from <least> to <most>"
+    when both ends are inclusive. A NaN lies in no range."""
+    if ((least is None or value >= least) and (above is None or value > above)
+            and (most is None or value <= most) and (below is None or value < below)):
+        return value
+    ends = (("at least", least), ("above", above), ("at most", most), ("below", below))
+    words = (f"from {least} to {most}" if least is not None and most is not None
+             else " and ".join(f"{w} {b}" for w, b in ends if b is not None))
+    shown = value.item() if isinstance(value, np.generic) else value
+    raise ValueError(f"{name} must be {words}, got {shown!r}")
+
+
 def make_grid(dim: int, points_per_axis, lengths) -> Grid:
     """Build a periodic grid, rejecting odd or tiny sizes and bad lengths."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim!r}")
+    _bound("dim", dim, 1, 3)
     points = tuple(int(n) for n in np.atleast_1d(points_per_axis))
     lens = tuple(float(L) for L in np.atleast_1d(lengths))
     if len(points) != dim or len(lens) != dim:
         raise ValueError(f"points and lengths must each have dim = {dim} entries, "
                          f"got {points_per_axis!r} and {lengths!r}")
     for n in points:
-        if n < 4:
-            raise ValueError(f"grid needs at least 4 points per axis, got {n}")
+        _bound("points per axis", n, least=4)
         if n % 2 != 0:
             raise ValueError(f"points per axis must be even, got {n}")
-    if math.prod(points) > MAX_GRID_POINTS:
-        raise ValueError(f"points must number at most {MAX_GRID_POINTS} in all, "
-                         f"got {math.prod(points)}")
+    _bound("points in all", math.prod(points), most=MAX_GRID_POINTS)
     for L in lens:
-        if not 0 < L < np.inf:
-            raise ValueError(f"axis lengths must be positive and finite, got {L}")
+        _bound("axis lengths", L, above=0, below=np.inf)
     return Grid(dim=int(dim), npts=points, lengths=lens)
 
 

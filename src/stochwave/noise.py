@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field, Grid, _bound
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -86,14 +86,9 @@ def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
     gamma > 1 keeps the tail summable; the basis (constant, cos, sin, ...)
     along the first axis is exactly orthonormal on the grid.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    if n_modes >= grid.npts[0]:  # the next mode would be the Nyquist pair
-        raise ValueError(f"n_modes must be below grid.points[0] = {grid.npts[0]}, got {n_modes}")
-    if not lambda0 > 0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1 for a trace-class tail, got {gamma}")
+    _bound("n_modes", n_modes, 1, grid.npts[0] - 1)  # the next would be the Nyquist pair
+    _bound("lambda0", lambda0, above=0)
+    _bound("gamma", gamma, above=1)  # a trace-class tail
     L = grid.lengths[0]
     x = grid.x_mesh[0] * np.ones(grid.shape)
     vol = grid.volume
@@ -134,8 +129,8 @@ class QWienerSampler:
 
     def increments(self, dt: float, n_steps: int) -> np.ndarray:
         """(n_steps, *grid.shape) real increment fields, vectorized."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not dt > 0:  # inline: every path draws its increments here
+            _bound("dt", dt, above=0)
         xi = self.normals(n_steps)
         amp = xi * np.sqrt(self.spec.eigenvalues * dt)
         # np.tensordot(amp, mode_matrix(), axes=(1, 0)): its np.dot, without its reshapes
@@ -159,10 +154,9 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
     sampler's master seed), on a step grid containing both t and tau so there
     is no time-discretization bias, and is paired with psi and phi on the grid.
     """
-    if t <= 0 or tau <= 0:
-        raise ValueError("t and tau must be positive")
-    if n_paths < 1000:
-        raise ValueError("the covariance estimate needs at least 1000 paths")
+    _bound("t", t, above=0)
+    _bound("tau", tau, above=0)
+    _bound("n_paths", n_paths, least=1000)
     dt = max(t, tau) / n_steps
     i_t, i_tau = round(t / dt), round(tau / dt)
     if not (min(i_t, i_tau) >= 1 and np.isclose(i_t * dt, t) and np.isclose(i_tau * dt, tau)):

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, State
+from .grids import Grid, State, _bound
 
 HERMITICITY_TOL = 1e-13
 
@@ -232,8 +232,8 @@ class SpectralOperator:
         one transform, the metric norms in column 0. A block's weights g times
         |c|^2 (unweighted, |c|^2 alone: the same bits) are one contiguous run
         that np.sum reduces pairwise, as for the block alone, bit for bit."""
-        if j_max < 0:
-            raise ValueError("graph_norm power j must be >= 0")
+        if j_max < 0:  # inline: the ladder runs on every step of a march
+            _bound("graph_norm power j", j_max, least=0)
         flat = self.grid.to_spectral(data).reshape(
             len(data), self.n_components, self.grid.size)
         g = None if self.metric is None else self._flat_metric()
@@ -280,8 +280,7 @@ def _abs_grad_symbol(grid: Grid) -> np.ndarray:
 
 
 def _wave_symbol_metric(grid: Grid, k0: float):
-    if not k0 > 0:
-        raise ValueError("wave blocks need k0 > 0 so B is invertible")
+    _bound("k0", k0, above=0)  # so that B is invertible
     b2 = grid.k_squared + k0**2
     sym = np.zeros((2, 2) + grid.shape, dtype=complex)
     sym[0, 1] = 1j
@@ -292,8 +291,7 @@ def _wave_symbol_metric(grid: Grid, k0: float):
 
 def _dirac_symbol(grid: Grid, m: float):
     """sigma1 * k + sigma3 * m on a 1-dimensional grid, Nyquist momentum zeroed."""
-    if not m >= 0:
-        raise ValueError("Dirac mass must be >= 0")
+    _bound("m", m, least=0)
     k = _zeroed_nyquist_k(grid, 0).ravel()
     sym = np.zeros((2, 2) + grid.shape, dtype=complex)
     sym[0, 0] = m

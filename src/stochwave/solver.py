@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, State
+from .grids import Field, State, _bound
 from .models import Model
 from .noise import QWienerSampler
 
@@ -134,10 +134,8 @@ def picard_solve(model: Model, phi0: State, T: float,
     ``max_iter`` 0 runs the final check alone, on the free path, which the
     solve builds unless the caller hands it in as ``_free`` (``_free_path``).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    _bound("tol", tol, above=0)
+    _bound("max_iter", max_iter, least=0)
     n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
     gen, N = model.generator, model.smoothness
@@ -194,11 +192,7 @@ def picard_solve(model: Model, phi0: State, T: float,
 
 def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
     """The node count of a Picard solve, at least 2, and its node spacing."""
-    n_nodes = int(n_time_nodes)
-    if n_nodes < 2:
-        raise ValueError(f"n_time_nodes must be at least 2, got {n_time_nodes}")
-    if n_nodes > MAX_TIME_NODES:
-        raise ValueError(f"n_time_nodes must be at most {MAX_TIME_NODES}, got {n_time_nodes}")
+    n_nodes = int(_bound("n_time_nodes", n_time_nodes, 2, MAX_TIME_NODES))
     return n_nodes, T / (n_nodes - 1)
 
 
@@ -218,8 +212,8 @@ def step_exp_euler(model: Model, state: State, dt: float,
     is the increment on the grid (an array of its shape) or None. The state is
     checked once, and ``_exp_euler`` works on the raw arrays, writing to
     neither; BlowUpError on a non-finite result."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:  # inline: the order fits call this once a step
+        _bound("dt", dt, above=0)
     gen = model.generator
     gen._check_state(state)
     shape = None if dW is None else dW.shape if type(dW) is np.ndarray else np.shape(dW)
@@ -253,6 +247,17 @@ def _strang(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
 _SCHEMES = {"exp_euler": _exp_euler, "strang": _strang}
 
 
+def _kernel(scheme: str, noisy: bool):
+    """The step kernel of ``scheme``; ValueError on an unknown scheme, or on
+    Strang with noise, for which it has no term."""
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "strang" and noisy:
+        raise ValueError("the Strang scheme has no noise term; set scheme to exp_euler "
+                         "or disable the noise")
+    return _SCHEMES[scheme]
+
+
 def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
     """Graph norms of phi0 up to N = model.smoothness; ValueError unless those
     below N stay under threshold."""
@@ -265,6 +270,7 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
     return norms0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ito(model: Model, phi0: State, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
               scheme: str = "exp_euler") -> Trajectory:
@@ -276,11 +282,10 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold, N =
     model.smoothness, the order of the X_T norm, with stop_time set. A path
     that blows up is flagged, not raised, and ends at its last finite state.
+    Like the march, the t = 0 row runs with numpy's overflow and invalid
+    warnings off.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "strang" and sampler is not None:
-        raise ValueError("the Strang scheme has no noise term; march noise by exp_euler")
+    kernel = _kernel(scheme, sampler is not None)
     n_steps = _step_count(T, dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
     times, norms, conserved = [], [], {}
@@ -293,7 +298,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
 
     record(0.0, phi0.data[None], model.generator.graph_norm_ladder(phi0, model.smoothness)[None])
     final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
-                                       _SCHEMES[scheme])
+                                       kernel)
     k = int(stop[0])
     seed_info = {} if sampler is None else {"master_seed": sampler.master_seed,
                                             "stream_id": sampler.stream_id}
@@ -349,14 +354,11 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
 
 
 def _step_count(T: float, dt: float) -> int:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    steps = T / dt
-    if steps > MAX_STEPS:
-        raise ValueError(f"T / dt must be at most {MAX_STEPS} steps, got {steps:g}")
+    steps = T / _bound("dt", dt, above=0)
+    _bound("T / dt", steps, most=MAX_STEPS)
     n = round(steps) if np.isfinite(steps) else 0
     if n < 1 or not np.isclose(n * dt, T, rtol=1e-9, atol=0):
-        raise ValueError("dt must divide T")
+        raise ValueError(f"dt must divide T = {T!r}, got {dt!r}")
     return int(n)
 
 

@@ -569,7 +569,7 @@ def test_max_degree_stops_where_the_factorials_leave_the_floats():
     # alpha! <= |alpha|! and 170! ~ 7.3e306 is a float; 171! once raised
     # OverflowError from the factorial table
     assert ChaosSpace(1, 170).factorials[-1] == float(factorial(170))
-    with pytest.raises(ValueError, match="max_degree must be at most 170, got 171"):
+    with pytest.raises(ValueError, match="max_degree must be from 0 to 170, got 171"):
         ChaosSpace(1, 171)
 
 

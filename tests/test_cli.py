@@ -25,6 +25,22 @@ BASE_CONFIG = {
 TAIL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_tail.json"
 
 
+class _Reworded(str):
+    """An expected error message that rewords the one its case pinned before,
+    ``former``: the case keeps the name that the former message gave it."""
+
+    def __new__(cls, message: str, former: str):
+        self = super().__new__(cls, message)
+        self.former = former
+        return self
+
+
+def _former_name(value):
+    """A parameter's part of a case's name: a reworded message's former text,
+    else pytest's own (None)."""
+    return getattr(value, "former", None)
+
+
 def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -65,22 +81,28 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("block, key, value, message", [
     ("solver", "dt", 0.03, "dt must divide T"),
-    ("solver", "dt", 0.0, "dt must be positive"),
+    ("solver", "dt", 0.0, _Reworded("solver: dt must be above 0, got 0.0", "dt must be positive")),
     ("grid", "points", [31], "must be even"),
-    ("grid", "points", [2], "at least 4 points"),
-    ("solver", "scheme", "rk4", "unknown solver.scheme 'rk4'"),
+    ("grid", "points", [2], _Reworded("grid: points per axis must be at least 4, got 2",
+                                      "at least 4 points")),
+    ("solver", "scheme", "rk4", _Reworded("solver: unknown scheme 'rk4'",
+                                         "unknown solver.scheme 'rk4'")),
     ("initial", "kind", "nope", "unknown initial.kind 'nope'"),
     ("mc", "dt_ladder", [0.1, 0.05, 0.03, 0.01], "dt must divide T"),
     ("mc", "dt_ladder", [0.1, 0.05, 0.04, 0.02], "multiples of the finest dt"),
-    ("mc", "dt_ladder", [0.1, 0.05, 0.01], "at least 4 dt values"),
-    ("mc", "dt_ladder", [0.1, 0.05, 0.01, 0.0], "mc.dt_ladder: dt must be positive"),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.01], _Reworded(
+        "mc: dt_ladder length must be at least 4, got 3", "at least 4 dt values")),
+    ("mc", "dt_ladder", [0.1, 0.05, 0.01, 0.0], _Reworded(
+        "mc: dt must be above 0, got 0.0", "mc.dt_ladder: dt must be positive")),
     ("mc", "n_workers", 3, "mc.n_workers must be 1"),
-    ("mc", "n_paths", 0, "mc.n_paths: "),
+    ("mc", "n_paths", 0, _Reworded("mc: n_paths must be from 2 to 1000000, got 0", "mc.n_paths: ")),
     ("mc", "n_paths", 2.5, "mc.n_paths must be an integer, got 2.5"),
     ("mc", "n_paths", "many", "mc.n_paths must be an integer, got 'many'"),
     ("model", "name", "foo", "model: unknown model 'foo'"),
-    ("model", "p", 1, "model: power exponent p must be >= 2"),
-    ("model", "sign", 2, "model: sign must be -1, 0 or +1"),
+    ("model", "p", 1, _Reworded("model: p must be at least 2, got 1",
+                                "model: power exponent p must be >= 2")),
+    ("model", "sign", 2, _Reworded("model: sign must be from -1 to 1, got 2",
+                                   "model: sign must be -1, 0 or +1")),
     ("initial", "modes", [[0, 1, 1.0]], "initial: modes entry 0 must be [component, "
      "wavenumber, re, im] with a component in 0..1, got [0, 1, 1.0]"),
     # these once ran: a NaN amplitude or g exited 3, a NaN k0 exited 1 with a
@@ -94,7 +116,9 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     # a NaN length and a smoothness of -1 exited 1 with a traceback and a run
     # directory, and a smoothness of 2.5 ran with 2
     ("grid", "lengths", [float("nan")], "grid.lengths must be a list of finite numbers, got [nan]"),
-    ("model", "smoothness", -1, "model: smoothness must be an integer of at least 0, got -1"),
+    ("model", "smoothness", -1, _Reworded(
+        "model: smoothness must be at least 0, got -1",
+        "model: smoothness must be an integer of at least 0, got -1")),
     ("model", "smoothness", 2.5, "model.smoothness must be null or an integer, got 2.5"),
     # these once ran: a string switched a feature on ("false" ran a noisy
     # simulation, "no" the failure hook), a fractional or string point count
@@ -125,10 +149,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
      "initial.modes must be a list of lists of finite numbers, got [[0, 1, '1', 0]]"),
     # these once failed with numpy's "expected non-negative integer", and
     # converge with a repeated rung printed "strong order nan" and exited 0
-    ("initial", "seed", -3, "initial.seed must be an integer of at least 0, got -3"),
+    ("initial", "seed", -3, _Reworded("initial: seed must be at least 0, got -3",
+                                      "initial.seed must be an integer of at least 0, got -3")),
     ("mc", "dt_ladder", [0.1, 0.1, 0.05, 0.025],
-     "mc.dt_ladder: ladder entries must be distinct multiples of the finest dt"),
-])
+     _Reworded("mc: dt_ladder entries must be distinct multiples of the finest dt, "
+               "got [0.1, 0.1, 0.05, 0.025]",
+               "mc.dt_ladder: ladder entries must be distinct multiples of the finest dt")),
+], ids=_former_name)
 def test_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, block, key, value,
                                              message):
     bad = json.loads(json.dumps(BASE_CONFIG))
@@ -149,43 +176,56 @@ NOISE_ON = {"noise": {"enabled": True}}
 
 
 @pytest.mark.parametrize("command, changes, message", [
-    *[(command, {"mc": {"n_paths": 1}}, "mc.n_paths: an ensemble needs an integer "
-      "count of at least 2 paths, got 1") for command in COMMANDS],
+    *[(command, {"mc": {"n_paths": 1}}, _Reworded(
+        "mc: n_paths must be from 2 to 1000000, got 1",
+        "mc.n_paths: an ensemble needs an integer count of at least 2 paths, got 1"))
+      for command in COMMANDS],
     ("simulate", {"model": {"name": "klein_gordon", "k0": 0}},
-     "model: wave blocks need k0 > 0"),
+     _Reworded("model: k0 must be above 0, got 0.0", "model: wave blocks need k0 > 0")),
     ("simulate", {"model": {"name": "nls"},
                   "initial": {"kind": "modes", "modes": [[3, 1, 1.0, 0.0]]}},
      "initial: modes entry 0 must be [component, wavenumber, re, im] with a component in 0..0, "
      "got [3, 1, 1.0, 0.0]"),
     ("simulate", {"noise": {"enabled": True, "gamma": 1.0}},
-     "noise: gamma must exceed 1 for a trace-class tail, got 1.0"),
+     _Reworded("noise: gamma must be above 1, got 1.0",
+               "noise: gamma must exceed 1 for a trace-class tail, got 1.0")),
     ("simulate", {"noise": {"enabled": True, "lambda0": -1}},
-     "noise: lambda0 must be positive, got -1"),
+     _Reworded("noise: lambda0 must be above 0, got -1", "noise: lambda0 must be positive, got -1")),
     ("simulate", {"noise": {"enabled": True, "n_modes": 0}},
-     "noise: n_modes must be at least 1, got 0"),
+     _Reworded("noise: n_modes must be from 1 to 31, got 0", "noise: n_modes must be at least 1, got 0")),
     ("chaos", {**NOISE_ON, "chaos": {"max_degree": -1}},
-     "chaos: max_degree must be at least 0, got -1"),
+     _Reworded("chaos: max_degree must be from 0 to 170, got -1",
+               "chaos: max_degree must be at least 0, got -1")),
     ("chaos", {**NOISE_ON, "chaos": {"n_modes": 0}}, "chaos: n_modes must be at least 1, got 0"),
-    ("verify", {"chaos": {"max_degree": -1}}, "chaos: max_degree must be at least 0, got -1"),
+    ("verify", {"chaos": {"max_degree": -1}},
+     _Reworded("chaos: max_degree must be from 0 to 170, got -1",
+               "chaos: max_degree must be at least 0, got -1")),
     ("picard", {"solver": {"n_time_nodes": 1}},
-     "solver: n_time_nodes must be at least 2, got 1"),
-    ("picard", {"solver": {"tol": 0}}, "solver: tol must be positive"),
+     _Reworded("solver: n_time_nodes must be from 2 to 10000, got 1",
+               "solver: n_time_nodes must be at least 2, got 1")),
+    ("picard", {"solver": {"tol": 0}},
+     _Reworded("solver: tol must be above 0, got 0", "solver: tol must be positive")),
     ("verify", {"verify": {"sample_count": 10}},
-     "verify: estimate verification needs at least 100 samples"),
+     _Reworded("verify: sample_count must be from 100 to 100000, got 10",
+               "verify: estimate verification needs at least 100 samples")),
     # these once ran: max_iter <= 0 exited 3 with a full run directory, and one
     # orthogonality path gave NaN standard errors and "verification FAILED"
     ("picard", {"solver": {"max_iter": -1}},
-     "solver.max_iter must be an integer of at least 1, got -1"),
+     _Reworded("solver: max_iter must be at least 1, got -1",
+               "solver.max_iter must be an integer of at least 1, got -1")),
     ("picard", {"solver": {"max_iter": 0}},
-     "solver.max_iter must be an integer of at least 1, got 0"),
+     _Reworded("solver: max_iter must be at least 1, got 0",
+               "solver.max_iter must be an integer of at least 1, got 0")),
     ("verify", {"verify": {"orthogonality_paths": 1}},
-     "verify.orthogonality_paths must be an integer of at least 1000, got 1"),
+     _Reworded("verify: orthogonality_paths must be at least 1000, got 1",
+               "verify.orthogonality_paths must be an integer of at least 1000, got 1")),
     # these once ran: every such radius printed "verification ok", a NaN
     # lambda0 or gamma exited 3 with a run directory, a NaN tol ran every
     # sweep, a NaN threshold never stopped a path, and an even p marched
     # every chaos path before it failed with a traceback
     *[("verify", {"verify": {"radius": radius}},
-       f"verify: estimate radius must be a finite number above 0, got {radius!r}"
+       _Reworded(f"verify: radius must be above 0 and below inf, got {radius!r}",
+                 f"verify: estimate radius must be a finite number above 0, got {radius!r}")
        if np.isfinite(radius) else f"verify.radius must be a finite number, got {radius!r}")
       for radius in (float("nan"), 0, -1, float("inf"))],
     ("simulate", {"noise": {"enabled": True, "lambda0": float("nan")}},
@@ -196,20 +236,24 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("ensemble", {"solver": {"threshold": float("nan")}},
      "solver.threshold must be null or a finite number, got nan"),
     ("chaos", {**NOISE_ON, "model": {"name": "nls", "p": 2}},
-     "chaos: Wick quantization needs an odd power p, got 2"),
+     _Reworded("model: Wick quantization needs an odd power p, got 2",
+               "chaos: Wick quantization needs an odd power p, got 2")),
     # these once crashed with a traceback after the run directory existed
     ("ensemble", {**NOISE_ON, "master_seed": -3},
-     "master_seed must be an integer of at least 0, got -3"),
+     _Reworded("master_seed must be at least 0, got -3",
+               "master_seed must be an integer of at least 0, got -3")),
     *[("ensemble", {**NOISE_ON, "master_seed": seed},
        f"master_seed must be an integer, got {seed!r}") for seed in (1.5, True)],
     ("ensemble", {**NOISE_ON, "--seed": "-3"},
-     "master_seed must be an integer of at least 0, got -3"),
+     _Reworded("master_seed must be at least 0, got -3",
+               "master_seed must be an integer of at least 0, got -3")),
     *[(command, {"solver": {"T": float("inf")}}, "solver.T must be a finite number, got inf")
       for command in ("converge", "ensemble")],
     # these once ran: Strang with noise on marched exponential Euler, and a
     # node count of 9.5 or "9" ran picard on 9 nodes under the bad value's hash
     ("simulate", {**NOISE_ON, "solver": {"scheme": "strang"}},
-     "solver.scheme: the Strang scheme has no noise term"),
+     _Reworded("solver: the Strang scheme has no noise term; set scheme to exp_euler or "
+               "disable the noise", "solver.scheme: the Strang scheme has no noise term")),
     *[("picard", {"solver": {"n_time_nodes": nodes}},
        f"solver.n_time_nodes must be an integer, got {nodes!r}")
       for nodes in (9.5, "9", True)],
@@ -232,13 +276,16 @@ NOISE_ON = {"noise": {"enabled": True}}
     # 4 points is the Nyquist pair, and picard builds its potential from the
     # noise block with the noise off too
     ("simulate", {"grid": {"points": [4]}, "noise": {"enabled": True, "n_modes": 4}},
-     "noise: n_modes must be below grid.points[0] = 4, got 4"),
+     _Reworded("noise: n_modes must be from 1 to 3, got 4",
+               "noise: n_modes must be below grid.points[0] = 4, got 4")),
     ("picard", {"grid": {"points": [4]}},
-     "noise: n_modes must be below grid.points[0] = 4, got 4"),
+     _Reworded("noise: n_modes must be from 1 to 3, got 4",
+               "noise: n_modes must be below grid.points[0] = 4, got 4")),
     # this once ran, though below 1,000 paths verify's 3-standard-error checks
     # fail by chance far above their nominal rate
     ("verify", {"verify": {"orthogonality_paths": 999}},
-     "verify.orthogonality_paths must be an integer of at least 1000, got 999"),
+     _Reworded("verify: orthogonality_paths must be at least 1000, got 999",
+               "verify.orthogonality_paths must be an integer of at least 1000, got 999")),
     # these once named the grid builder's parameters and no value, or put the
     # modes entry before its rule
     ("simulate", {"grid": {"points": [32, 32]}}, "grid: points and lengths must each have "
@@ -250,12 +297,15 @@ NOISE_ON = {"noise": {"enabled": True}}
     # these once ran as graph_norm_j1 or graph_norm_j10 under a hash and a
     # report key of their own, or failed with int()'s message for 'x'
     *[("ensemble", {**NOISE_ON, "mc": {"observables": ["norm_sq", name]}},
-       f"mc.observables: unknown observable '{name}'")
+       _Reworded(f"mc: unknown observable '{name}'",
+                 f"mc.observables: unknown observable '{name}'"))
       for name in ("graph_norm_j+1", "graph_norm_j 1", "graph_norm_j01", "graph_norm_jx",
                    "graph_norm_j1_0", "graph_norm_j\u0661", "graph_norm_j", "graph_norm_j-0")],
     # these once printed an OverflowError traceback and exited 4: 171! is no float
     *[(command, {**NOISE_ON, "chaos": {"n_modes": 1, "max_degree": 171}},
-       "chaos: max_degree must be at most 170, got 171") for command in ("verify", "chaos")],
+       _Reworded("chaos: max_degree must be from 0 to 170, got 171",
+                 "chaos: max_degree must be at most 170, got 171"))
+      for command in ("verify", "chaos")],
     # these once ran: on 8 points wavenumber 9 built the wavenumber-1 state, and
     # 0.5 spread over every Fourier mode
     *[("simulate", {"model": {"name": "nls"}, "grid": {"points": [8]},
@@ -267,21 +317,59 @@ NOISE_ON = {"noise": {"enabled": True}}
     # loop, a 4e10-point grid, 1e9 Picard nodes, 1e12 estimate samples, and
     # 1e9 path steps of one ensemble
     ("simulate", {"solver": {"T": 1e300}},
-     "solver: T / dt must be at most 10000000 steps, got 1e+302"),
+     _Reworded("solver: T / dt must be at most 10000000, got 1e+302",
+               "solver: T / dt must be at most 10000000 steps, got 1e+302")),
     ("ensemble", {**NOISE_ON, "mc": {"n_paths": 1e12}},
-     "mc.n_paths: n_paths must be at most 1000000, got 1000000000000"),
+     _Reworded("mc: n_paths must be from 2 to 1000000, got 1000000000000",
+               "mc.n_paths: n_paths must be at most 1000000, got 1000000000000")),
     ("chaos", {**NOISE_ON, "chaos": {"n_modes": 50, "max_degree": 8}},
      "chaos: the index count C(n_modes + max_degree, max_degree) must be at most 100000, "
      "got 1916797311"),
     ("simulate", {"grid": {"dim": 2, "points": [200000, 200000], "lengths": [1.0, 1.0]}},
-     "grid: points must number at most 4194304 in all, got 40000000000"),
+     _Reworded("grid: points in all must be at most 4194304, got 40000000000",
+               "grid: points must number at most 4194304 in all, got 40000000000")),
     ("picard", {"solver": {"n_time_nodes": 1e9}},
-     "solver: n_time_nodes must be at most 10000, got 1000000000"),
+     _Reworded("solver: n_time_nodes must be from 2 to 10000, got 1000000000",
+               "solver: n_time_nodes must be at most 10000, got 1000000000")),
     ("verify", {"verify": {"sample_count": 1e12}},
-     "verify: sample_count must be at most 100000, got 1000000000000"),
+     _Reworded("verify: sample_count must be from 100 to 100000, got 1000000000000",
+               "verify: sample_count must be at most 100000, got 1000000000000")),
     ("ensemble", {**NOISE_ON, "solver": {"T": 10.0}, "mc": {"n_paths": 1000000}},
      "mc: n_paths x steps must be at most 100000000, got 1000000000"),
-])
+    # one value just past each end of each bound, each message with its value
+    ("simulate", {"model": {"p": 1}}, "model: p must be at least 2, got 1"),
+    *[("simulate", {"model": {"sign": sign}}, f"model: sign must be from -1 to 1, got {sign}")
+      for sign in (-2, 2)],
+    ("simulate", {"model": {"smoothness": -1}}, "model: smoothness must be at least 0, got -1"),
+    ("simulate", {"model": {"name": "maxwell_dirac", "m": -1}},
+     "model: m must be at least 0, got -1.0"),
+    *[("simulate", {"grid": {"dim": dim}}, f"grid: dim must be from 1 to 3, got {dim}")
+      for dim in (0, 4)],
+    ("simulate", {"grid": {"points": [2]}}, "grid: points per axis must be at least 4, got 2"),
+    ("simulate", {"grid": {"lengths": [0.0]}},
+     "grid: axis lengths must be above 0 and below inf, got 0.0"),
+    ("simulate", {"noise": {"enabled": True, "lambda0": 0}},
+     "noise: lambda0 must be above 0, got 0"),
+    ("simulate", {"noise": {"enabled": True, "gamma": 1}}, "noise: gamma must be above 1, got 1"),
+    ("ensemble", {**NOISE_ON, "mc": {"n_paths": 1000001}},
+     "mc: n_paths must be from 2 to 1000000, got 1000001"),
+    ("picard", {"solver": {"n_time_nodes": 10001}},
+     "solver: n_time_nodes must be from 2 to 10000, got 10001"),
+    ("picard", {"solver": {"tol": -1e-10}}, "solver: tol must be above 0, got -1e-10"),
+    ("simulate", {"solver": {"dt": -0.01}}, "solver: dt must be above 0, got -0.01"),
+    ("simulate", {"solver": {"T": 10000001.0, "dt": 1.0}},
+     "solver: T / dt must be at most 10000000, got 10000001.0"),
+    *[("verify", {"verify": {"sample_count": count}},
+       f"verify: sample_count must be from 100 to 100000, got {count}") for count in (99, 100001)],
+    # the rules that are not bounds name their value too
+    ("simulate", {"solver": {"dt": 0.03}}, "solver: dt must divide T = 0.2, got 0.03"),
+    ("simulate", {"model": {"name": "maxwell_dirac"},
+                  "grid": {"dim": 2, "points": [8, 8], "lengths": [1.0, 1.0]}},
+     "model: maxwell_dirac uses the 1+1-dimensional reduction, got dim 2"),
+    ("simulate", {"model": {"name": "nls"},
+                  "grid": {"dim": 3, "points": [4, 4, 4], "lengths": [1.0, 1.0, 1.0]}},
+     "model: nls is a 1d/2d (transverse-plane) model, got dim 3"),
+], ids=_former_name)
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
@@ -302,13 +390,35 @@ def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, 
     assert not [str(w.message) for w in recwarn]
 
 
+NLS_8 = {"model": {"name": "nls"}, "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
+         "solver": {"T": 0.02, "dt": 0.01}, "mc": {"n_paths": 4}}
+
+
+@pytest.mark.parametrize("command, changes, code", [
+    # the march blows up and stops, the state at t = 0 already too large to square
+    ("simulate", {"initial": {"amplitude": 1e100}}, 3),
+    # every path blows up, and the observables reduce the values it ends with
+    ("ensemble", {"initial": {"amplitude": 1e100}}, 0),
+    # every sample leaves the finite numbers and counts as a violation
+    ("verify", {"verify": {"sample_count": 100, "radius": 1e300}}, 1),
+])
+def test_non_finite_values_taken_as_data_print_no_numpy_warning(tmp_path, capsys, recwarn,
+                                                               command, changes, code):
+    doc = json.loads(json.dumps(NLS_8))
+    for block, values in changes.items():
+        doc.setdefault(block, {}).update(values)
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path / "run")]) == code
+    assert "Warning" not in capsys.readouterr().err
+    assert not [str(w.message) for w in recwarn]
+
+
 def test_paths_override_below_2_exits_2_before_output(tmp_path, capsys):
     # --paths 1 once ran 2 paths while config.resolved.json said 1
     out = tmp_path / "run"
     code = main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: mc.n_paths: ") and err.count("\n") == 1
+    assert err == "config error: mc: n_paths must be from 2 to 1000000, got 1\n"
     assert not out.exists()
 
 
@@ -330,7 +440,7 @@ def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag
 
 def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
     noisy = dict(BASE_CONFIG, noise={"enabled": True, "n_modes": 1, "lambda0": 0.5})
-    for threshold, message in ((1e-9, "solver.threshold: "), ("high", "solver.threshold must "
+    for threshold, message in ((1e-9, "solver: stopping threshold "), ("high", "solver.threshold must "
                                "be null or a finite number, got 'high'")):
         out = tmp_path / "run"
         bad = dict(noisy, solver=dict(BASE_CONFIG["solver"], threshold=threshold))
@@ -947,13 +1057,21 @@ def test_ensemble_marches_every_path_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("block, key, value, message", [
-    ("mc", "observables", ["norm_sq", "nope"], "mc.observables: unknown observable 'nope'"),
+    ("mc", "observables", ["norm_sq", "nope"],
+     _Reworded("mc: unknown observable 'nope'", "mc.observables: unknown observable 'nope'")),
     ("mc", "observables", ["charge"], "mc.observables: 'charge' is not defined for model nls"),
-    ("mc", "observables", ["graph_norm_j-1"], "mc.observables: graph_norm power j must be"),
-    ("mc", "rho_grid", [0.0, 0.5], "mc.rho_grid: "),
-    ("mc", "rho_grid", [0.5, 1.0], "mc.rho_grid: "),
-    ("solver", "threshold", 1e-9, "solver.threshold: "),
-])
+    ("mc", "observables", ["graph_norm_j-1"],
+     _Reworded("mc: graph_norm power j must be at least 0, got -1",
+               "mc.observables: graph_norm power j must be")),
+    ("mc", "rho_grid", [0.0, 0.5],
+     _Reworded("mc: rho_grid must be a flat list of values in (0, 1), got [0.0, 0.5]",
+               "mc.rho_grid: ")),
+    ("mc", "rho_grid", [0.5, 1.0],
+     _Reworded("mc: rho_grid must be a flat list of values in (0, 1), got [0.5, 1.0]",
+               "mc.rho_grid: ")),
+    ("solver", "threshold", 1e-9,
+     _Reworded("solver: stopping threshold 1e-09 must exceed the initial ", "solver.threshold: ")),
+], ids=_former_name)
 def test_ensemble_bad_value_exits_2_before_output(tmp_path, capsys, block, key, value,
                                                   message):
     bad = json.loads(TAIL_CONFIG.read_text())

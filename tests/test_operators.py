@@ -67,7 +67,7 @@ def test_symbol_values(grid):
     wave = build_model("klein_gordon", grid, k0=1.0).generator
     assert wave.metric[0, 0] == pytest.approx(1.0)  # B^2 = k^2 + k0^2 at k = 0
     assert wave.symbol[1, 0, 0] == pytest.approx(-1j)
-    with pytest.raises(ValueError, match="k0 > 0"):
+    with pytest.raises(ValueError, match="k0 must be above 0, got 0.0"):
         build_model("klein_gordon", grid, k0=0.0)  # degenerate metric
 
 
@@ -395,7 +395,7 @@ def test_graph_norm_values(grid):
     st_ = _mode_state(grid, 2)
     st_ = st_ * (1.0 / neg_lap.metric_norm(st_))
     assert neg_lap.graph_norm_ladder(st_, 2) == pytest.approx([1.0, 4.0, 16.0], rel=1e-12)
-    with pytest.raises(ValueError, match="must be >= 0"):
+    with pytest.raises(ValueError, match="graph_norm power j must be at least 0, got -1"):
         neg_lap.graph_norm_ladder(st_, -1)
 
 

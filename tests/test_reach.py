@@ -1,7 +1,7 @@
 """Reach or delete: every public function and method of the library is called
 by some command, or names the claim it carries and the test that checks it;
-and every defaulted parameter is set by some call in the library, or names
-who sets it."""
+every defaulted parameter is set by some call in the library, or names who
+sets it; and every error message is written in one place."""
 
 import ast
 import dataclasses
@@ -155,7 +155,7 @@ def _calls():
     it fills or None for all, its keywords, whether it has a ``**`` argument).
     A ``*f(...)`` argument fills as many as the tuple that every return of the
     library's ``f`` gives, any other ``*`` argument every positional place
-    from its own on; ``cls(...)`` calls its class, and ``_checked(where, fn,
+    from its own on; ``cls(...)`` calls its class, and ``_checked(block, fn,
     *args, **kwargs)`` calls fn with the rest."""
     trees = [ast.parse(p.read_text()) for p in Path(stochwave.__file__).parent.glob("*.py")]
     returns = {}  # function name -> the set of its returns' tuple lengths (None: no tuple)
@@ -224,3 +224,27 @@ def test_every_default_is_set_by_a_program_path():
     assert unset == {}
     for qualname, setters in SET_OUTSIDE.items():
         assert set(setters) <= entries[qualname][2], qualname
+
+
+def _message(node: ast.Raise) -> str | None:
+    """The message text of ``raise E("...")`` or ``raise E(f"...")``, each
+    placeholder written as {}; None for a message that starts with a
+    placeholder (a format whose words are its arguments, such as the bound
+    helper's "<name> must be <range>, got <value>") or is no string."""
+    msg = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+    parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+    if not (parts and isinstance(parts[0], ast.Constant) and isinstance(parts[0].value, str)):
+        return None
+    return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+
+
+def test_no_two_raises_share_a_message():
+    # each rule is stated once: a bound through grids._bound, any other rule
+    # by the one raise that owns it
+    sites = {}
+    for path in sorted(Path(stochwave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and _message(node):
+                sites.setdefault(_message(node), []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 40  # the walk found the library's raises
+    assert {m: s for m, s in sites.items() if len(s) > 1} == {}

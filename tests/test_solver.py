@@ -297,7 +297,7 @@ def test_picard_final_check_raises_on_a_non_finite_node():
 
 def test_picard_rejects_a_negative_max_iter():
     m = build_model("nls", GRID, p=3, sign=1)
-    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
         picard_solve(m, State.zeros(m.grid, m.roles), 0.1, None, n_time_nodes=5, max_iter=-1)
 
 
@@ -399,7 +399,8 @@ def test_step_exp_euler_rejects_bad_input(case):
     elif case == "component_count":
         state, match = State(GRID2, st.data[:1], ("c0",)), "components"
     elif case.startswith("dt_"):
-        dt, match = {"dt_zero": 0.0, "dt_negative": -0.01}[case], "dt must be positive"
+        dt = {"dt_zero": 0.0, "dt_negative": -0.01}[case]
+        match = f"dt must be above 0, got {dt}"
     else:
         dW = {"dW_axis": w[0], "dW_components": np.stack([w, w]), "dW_scalar": 0.01,
               "dW_numpy_scalar": np.float64(0.01)}[case]
