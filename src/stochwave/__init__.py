@@ -14,9 +14,9 @@ from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
 from .grids import Field, Grid, State, make_grid
 from .models import (EstimateReport, Model, ModelParams, build_model,
                      verify_estimates)
-from .noise import (CovarianceSpec, QWienerSampler, brownian_increments,
-                    default_covariance, discrete_pairing, empirical_covariance,
-                    multiple_wiener, orthogonality_check)
+from .noise import (CovarianceSpec, QWienerSampler, default_covariance,
+                    discrete_pairing, empirical_covariance, multiple_wiener,
+                    orthogonality_check, path_samplers, unit_increments)
 from .operators import SpectralOperator
 from .solver import (BlowUpError, PicardResult, ThetaPotential, Trajectory,
                      holomorphy_check, picard_solve, solve_ito, step_exp_euler)

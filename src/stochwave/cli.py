@@ -44,7 +44,7 @@ from .config import ConfigError, ExperimentConfig, _checked
 from .ensemble import (EnsembleConfig, TailCurve, _check_work, _observable, _probe,
                        chaos_vs_mc, run_ensemble, strong_order, weak_order)
 from .models import verify_estimates
-from .noise import QWienerSampler, discrete_pairing, orthogonality_check
+from .noise import discrete_pairing, orthogonality_check, path_samplers, unit_increments
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms, _kernel,
                      _step_count, holomorphy_check, picard_solve, solve_ito)
 
@@ -144,13 +144,13 @@ def _load(args) -> ExperimentConfig:
 def _setup(cfg: ExperimentConfig):
     """The model of the resolved config, its initial state and covariance
     (None with the noise off), each a config error if it cannot be built or is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite build fails below
-        model = _checked("model", cfg.build_model)
-        phi0 = _checked("initial", cfg.build_initial, model)
-        if not np.all(np.isfinite(model.generator.graph_norm_ladder(phi0, model.smoothness))):
-            raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
-                              f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
-        return model, phi0, _checked("noise", cfg.build_covariance, model)
+    model = _checked("model", cfg.build_model)
+    phi0 = _checked("initial", cfg.build_initial, model)
+    if not np.all(np.isfinite(model.generator.graph_norm_ladder(phi0, model.smoothness))):
+        raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
+                          f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
+    cov = _checked("noise", cfg.build_covariance, model) if cfg.doc["noise"]["enabled"] else None
+    return model, phi0, cov
 
 
 def _ensemble(cfg: ExperimentConfig, model, phi0, cov, dt=None, **fields) -> EnsembleConfig:
@@ -178,7 +178,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
                           "rule; set it to null or enable the noise")
     threshold = _threshold(cfg, model, phi0)
     _checked("solver", _kernel, sb["scheme"], cov is not None)
-    sampler = None if cov is None else QWienerSampler(cov, cfg.doc["master_seed"], stream_id=0)
+    [sampler] = path_samplers(cov, cfg.doc["master_seed"], 1)  # the march is path 0
     traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
     report = {
         "status": "stopped" if traj.stopped else "ran_to_T",
@@ -303,7 +303,8 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
-    model, _, _ = _setup(cfg)
+    model, _, cov = _setup(cfg)
+    cov = cov or _checked("noise", cfg.build_covariance, model)  # on or off, as for picard's Theta
     vb = cfg.doc["verify"]
     space = _checked("chaos", cfg.build_chaos_space)
     # the estimates check verify.sample_count before they sample
@@ -311,15 +312,12 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
                        radius=vb["radius"], seed=cfg.doc["master_seed"])
     violations = {r.inequality_id: r.violations for r in reports if r.violations}
 
-    # Wiener-integral orthogonality at moderate path counts.
-    npaths = vb["orthogonality_paths"]
+    # Wiener-integral orthogonality and isometry on the increments of the marches
+    dB = unit_increments(cov, cfg.doc["master_seed"], vb["orthogonality_paths"], 32)
     f_one = lambda t: np.ones_like(t)
-    g_sym = lambda s, t: np.ones_like(s + t)
-    est, se = orthogonality_check(1, 2, f_one, g_sym, n_paths=npaths, steps=32,
-                                  seed=cfg.doc["master_seed"])
+    est, se = orthogonality_check(1, 2, f_one, lambda s, t: np.ones_like(s + t), dB)
     ortho_ok = abs(est) <= 3 * se + 1e-12
-    iso_est, iso_se = orthogonality_check(1, 1, f_one, f_one, n_paths=npaths,
-                                          steps=32, seed=cfg.doc["master_seed"] + 1)
+    iso_est, iso_se = orthogonality_check(1, 1, f_one, f_one, dB)
     iso_ref = discrete_pairing(1, f_one, f_one, steps=32)
     iso_ok = abs(iso_est - iso_ref) <= 3 * iso_se
 
@@ -403,7 +401,9 @@ def main(argv=None) -> int:
         cfg = _load(args)
         out = Path(cfg.doc["output_dir"])
         _refuse_other_run(out, cfg)
-        code, report, files = args.fn(cfg, args)
+        # a non-finite value is data or a one-line blow-up, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report, files = args.fn(cfg, args)
         _write_run(out, cfg, report, files)
         return code
     except ConfigError as exc:

@@ -241,10 +241,9 @@ class ExperimentConfig:
             dealias=mb["dealias"], break_j_hook=mb["break_j_hook"],
         )
 
-    def build_covariance(self, model: Model) -> CovarianceSpec | None:
+    def build_covariance(self, model: Model) -> CovarianceSpec:
+        """The noise block's covariance, whether or not the noise is on."""
         nb = self.doc["noise"]
-        if not nb["enabled"]:
-            return None
         return default_covariance(model.grid, nb["n_modes"], nb["lambda0"], nb["gamma"])
 
     def build_initial(self, model: Model) -> State:
@@ -279,8 +278,4 @@ class ExperimentConfig:
         return ChaosSpace(cb["n_modes"], cb["max_degree"])
 
     def build_theta(self, model: Model, covariance: CovarianceSpec | None) -> ThetaPotential:
-        cov = covariance or default_covariance(
-            model.grid, self.doc["noise"]["n_modes"],
-            self.doc["noise"]["lambda0"], self.doc["noise"]["gamma"],
-        )
-        return ThetaPotential(cov.noise_fields())
+        return ThetaPotential((covariance or self.build_covariance(model)).noise_fields())

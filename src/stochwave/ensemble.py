@@ -1,16 +1,16 @@
 """Ensemble execution, convergence-order fits, tail statistics, cross-checks.
 
-Paths are independent: path i owns noise stream i (``_noise``) and results
-are reduced in index order, so the aggregate is bit-identical from run to
-run. ``run_ensemble`` marches the paths in stacks with the stopping rule
-(``solver._ito_march``; the stop times also give the survival curve,
-``TailCurve.from_stop_times``), and ``_path_finals`` one by one to T on one
-or more dts. Strong-order fits couple refinement levels pathwise by summing
-fine increments into coarse ones; weak-order fits use the same coupling so
-the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the variance of a
-pathwise difference rather than of two independent ensembles. Order fits are
-least squares on log-log ladders, discarding points below ten times the
-Monte Carlo noise floor.
+Paths are independent: path i owns noise stream i (``noise.path_samplers``)
+and results are reduced in index order, so the aggregate is bit-identical
+from run to run. ``run_ensemble`` marches the paths in stacks with the
+stopping rule (``solver._ito_march``; the stop times also give the survival
+curve, ``TailCurve.from_stop_times``), and ``_path_finals`` one by one to T
+on one or more dts. Strong-order fits couple refinement levels pathwise by
+summing fine increments into coarse ones; weak-order fits use the same
+coupling so the Monte Carlo noise on E f(phi_dt) - E f(phi_ref) is the
+variance of a pathwise difference rather than of two independent ensembles.
+Order fits are least squares on log-log ladders, discarding points below ten
+times the Monte Carlo noise floor.
 
 A Monte Carlo sample is a column: ``_observable`` maps a (B, s, *grid.shape)
 stack of final states (an ensemble's paths, or one path's rungs) to one float
@@ -29,7 +29,7 @@ import numpy as np
 from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
 from .grids import State, _bound
 from .models import Model, _powers
-from .noise import CovarianceSpec, QWienerSampler, sample_moments
+from .noise import CovarianceSpec, path_samplers, sample_moments
 from .solver import _ito_march, _step_count, step_exp_euler
 
 # The survival curve's lower-bound fit window is rho <= TAIL_FIT_RHO_MAX.
@@ -116,13 +116,6 @@ class EnsembleResult:
     n_paths: int
 
 
-def _noise(config: EnsembleConfig, i: int) -> QWienerSampler | None:
-    """Path i's noise: Philox stream i of the master seed, or none."""
-    if config.covariance is None:
-        return None
-    return QWienerSampler(config.covariance, config.master_seed, stream_id=i)
-
-
 def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
     """Yield each path's final states, one per dt in ``dts`` (finest last).
 
@@ -133,8 +126,7 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
     model, phi0 = config.model, config.phi0
     rungs = [(dt, _step_count(config.T, dt)) for dt in dts]
     n_fine = rungs[-1][1]
-    for i in range(config.n_paths):
-        sampler = _noise(config, i)
+    for sampler in path_samplers(config.covariance, config.master_seed, config.n_paths):
         fine = None if sampler is None else sampler.increments(dts[-1], n_fine)
         finals = np.empty((len(rungs),) + phi0.data.shape, dtype=complex)
         for r, (dt, n) in enumerate(rungs):
@@ -159,14 +151,14 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     n_steps = _step_count(config.T, dt)
     size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
     buf = None if config.covariance is None else np.empty((n_steps, size, 1) + grid.shape)
-    marches = []
+    marches, samplers = [], path_samplers(config.covariance, config.master_seed, config.n_paths)
     for start in range(0, config.n_paths, size):
-        paths = range(start, min(start + size, config.n_paths))
-        if buf is not None:
-            for b, i in enumerate(paths):
-                buf[:, b, 0] = _noise(config, i).increments(dt, n_steps)
-        dW = None if buf is None else buf[:, :len(paths)]
-        marches.append(_ito_march(model, phi0, dt, n_steps, config.threshold, dW, len(paths)))
+        n = min(size, config.n_paths - start)
+        for b, sampler in zip(range(n), samplers):
+            if sampler is not None:
+                buf[:, b, 0] = sampler.increments(dt, n_steps)
+        dW = None if buf is None else buf[:, :n]
+        marches.append(_ito_march(model, phi0, dt, n_steps, config.threshold, dW, n))
     finals, sups, stops, blown = (np.concatenate(part) for part in zip(*marches))
     observables = {}
     for name in config.observables:

@@ -2,11 +2,11 @@
 
 The H-valued Wiener process with trace-class covariance Q is sampled through
 its eigen-series W(t) = sum_i sqrt(lambda_i) e_i beta_i(t) with independent
-scalar Brownian motions beta_i. Increments are real fields. Sampling is
-deterministic per (master_seed, stream_id): each trajectory owns a Philox
-generator keyed by those two integers, so parallel paths reproduce bit for
-bit regardless of scheduling, and replaying a stream regenerates identical
-increments.
+scalar Brownian motions beta_i. ``QWienerSampler`` is the one source of
+increments, which are real fields: each trajectory owns a Philox generator
+keyed by (master_seed, stream_id), so paths reproduce bit for bit regardless
+of scheduling, and path p draws stream p (``path_samplers``) in every march
+and every estimate.
 
 Discrete multiple Wiener integrals are iterated left-point Ito sums; for a
 symmetric kernel f the order-2 integral is
@@ -17,13 +17,15 @@ whose covariance is E[I_2(f) I_2(g)] = 4 sum_{i<j} f_ij g_ij dt^2, the
 discrete version of 2 (f, g) over the full square (equivalently (2!)^2 times
 the inner product over the ordered simplex). Orthogonality across different
 orders holds exactly in expectation. The integrals on [0, 1] take a
-(n_paths, steps) stack of increments from one draw; each row's sum stays one
-np.dot (one r F r for order 2), which keeps the rounding of a path on its own.
+(n_paths, steps) stack of those increments (``unit_increments``); each row's
+sum stays one np.dot (one r F r for order 2), which keeps the rounding of a
+path on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,17 +117,14 @@ class QWienerSampler:
     spec: CovarianceSpec
     master_seed: int
     stream_id: int = 0
-    _rng: np.random.Generator | None = dc_field(default=None, init=False, repr=False)
 
-    def _generator(self) -> np.random.Generator:
-        if self._rng is None:
-            ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-            self._rng = np.random.Generator(np.random.Philox(ss))
-        return self._rng
+    def __post_init__(self):
+        seeds = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
+        self._rng = np.random.Generator(np.random.Philox(seeds))
 
     def normals(self, n_steps: int) -> np.ndarray:
         """(n_steps, n_modes) standard normals from this stream."""
-        return self._generator().standard_normal((n_steps, self.spec.n_modes))
+        return self._rng.standard_normal((n_steps, self.spec.n_modes))
 
     def increments(self, dt: float, n_steps: int) -> np.ndarray:
         """(n_steps, *grid.shape) real increment fields, vectorized."""
@@ -135,6 +134,28 @@ class QWienerSampler:
         amp = xi * np.sqrt(self.spec.eigenvalues * dt)
         # np.tensordot(amp, mode_matrix(), axes=(1, 0)): its np.dot, without its reshapes
         return np.dot(amp, self.spec._mode_rows).reshape((n_steps,) + self.spec.grid.shape)
+
+
+def path_samplers(spec: CovarianceSpec | None, master_seed: int,
+                  n_paths: int) -> Iterator[QWienerSampler | None]:
+    """The noise of paths 0 .. n_paths - 1 in order (None without a covariance):
+    path p draws stream p of the master seed, the one rule by which every
+    path gets its increments."""
+    for p in range(n_paths):
+        yield None if spec is None else QWienerSampler(spec, master_seed, stream_id=p)
+
+
+def unit_increments(spec: CovarianceSpec, master_seed: int, n_paths: int,
+                    steps: int) -> np.ndarray:
+    """(n_paths, steps) standard Brownian increments on [0, 1], one path per
+    row: path p's increment fields at dt = 1 / steps, projected on eigenfield p
+    mod n_modes and divided by sqrt(lambda), so all of ``increments`` (the
+    sqrt(dt), each eigenvalue's scaling, the mode matrix) shapes the rows."""
+    weights = [np.conj(e.values).ravel() * (spec.grid.dv / np.sqrt(lam))
+               for lam, e in zip(spec.eigenvalues, spec.eigenfields)]
+    return np.array([np.dot(path.increments(1.0 / steps, steps).reshape(steps, -1),
+                            weights[p % spec.n_modes]).real
+                     for p, path in enumerate(path_samplers(spec, master_seed, n_paths))])
 
 
 def sample_moments(sample: np.ndarray) -> tuple:
@@ -149,10 +170,11 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
                          n_steps: int = 64) -> tuple[float, float]:
     """Monte Carlo estimate of E[(W(t), psi)(W(tau), phi)] with its stderr.
 
-    The exact value is (t ^ tau) (Q psi, phi). Each path's W is the cumulative
-    sum of the increments that the sampler draws for a march (stream p of the
-    sampler's master seed), on a step grid containing both t and tau so there
-    is no time-discretization bias, and is paired with psi and phi on the grid.
+    The exact value is (t ^ tau) (Q psi, phi). Path p's W is the cumulative
+    sum of the increments that path p of a march draws (``path_samplers`` of
+    the sampler's master seed), on a step grid containing both t and tau so
+    there is no time-discretization bias, and is paired with psi and phi on
+    the grid.
     """
     _bound("t", t, above=0)
     _bound("tau", tau, above=0)
@@ -164,22 +186,12 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
     dv = sampler.spec.grid.dv
     c_psi, c_phi = np.conj(psi.values).ravel() * dv, np.conj(phi.values).ravel() * dv
     prods = np.empty(n_paths)
-    for p in range(n_paths):
-        inc = QWienerSampler(sampler.spec, sampler.master_seed, p).increments(dt, n_steps)
+    for p, path in enumerate(path_samplers(sampler.spec, sampler.master_seed, n_paths)):
+        inc = path.increments(dt, n_steps)
         w = np.cumsum(inc.reshape(n_steps, -1), axis=0)  # W(k dt), k = 1..n_steps
         prods[p] = np.dot(w[i_t - 1], c_psi).real * np.dot(w[i_tau - 1], c_phi).real
     est, _, stderr = sample_moments(prods)
     return float(est), float(stderr)
-
-
-def brownian_increments(rng: np.random.Generator, n_paths: int, steps: int) -> np.ndarray:
-    """(n_paths, steps) Brownian increments on [0, 1], one path per row.
-
-    The normals come from one draw, in the order of one draw per path, and each
-    increment is the difference of its row's partial sums, rounding included.
-    """
-    dB = rng.standard_normal((n_paths, steps)) * np.sqrt(1.0 / steps)
-    return np.diff(np.cumsum(dB, axis=1), axis=1, prepend=0.0)
 
 
 def _kernel_values(n: int, kernel, steps: int) -> np.ndarray:
@@ -218,10 +230,9 @@ def multiple_wiener(n: int, kernel, dB: np.ndarray) -> np.ndarray:
     return np.array([r @ K @ r - np.dot(diag, r**2) for r in dB])
 
 
-def orthogonality_check(n: int, m: int, f, g, n_paths: int = 2000,
-                        steps: int = 64, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of E[I_n(f) I_m(g)] over [0, 1] with its standard error."""
-    dB = brownian_increments(np.random.default_rng(seed), n_paths, steps)
+def orthogonality_check(n: int, m: int, f, g, dB: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo estimate of E[I_n(f) I_m(g)] over [0, 1] with its standard
+    error, over the rows of a (n_paths, steps) increment stack."""
     est, _, stderr = sample_moments(multiple_wiener(n, f, dB) * multiple_wiener(m, g, dB))
     return float(est), float(stderr)
 

@@ -297,23 +297,25 @@ def test_covariance_identity_rejects_a_sampler_variance_defect(monkeypatch):
 
 
 def test_wiener_integrals():
-    """Cross-order orthogonality, isometry, second-integral closed form."""
+    """Cross-order orthogonality, isometry, second-integral closed form, each on
+    the increments that the marches draw (path p's stream, on one eigenfield)."""
+    cov = sw.default_covariance(GRID32, n_modes=4, lambda0=0.5, gamma=2.0)
     ones1 = lambda t: np.ones_like(t)
     ones2 = lambda s, t: np.ones_like(s + t)
-    est_o, se_o = sw.orthogonality_check(1, 2, ones1, ones2, n_paths=5000,
-                                         steps=64, seed=211)
+    est_o, se_o = sw.orthogonality_check(1, 2, ones1, ones2,
+                                         sw.unit_increments(cov, 211, 5000, 64))
     ortho_ok = abs(est_o) <= 3 * se_o
 
     iso_devs = []
     for steps, seed in ((32, 202), (64, 203), (128, 204)):
-        est, se = sw.orthogonality_check(1, 1, ones1, ones1, n_paths=5000,
-                                         steps=steps, seed=seed)
+        est, se = sw.orthogonality_check(1, 1, ones1, ones1,
+                                         sw.unit_increments(cov, seed, 5000, steps))
         iso_devs.append(abs(est - discrete_pairing(1, ones1, ones1, steps)) / se)
     iso_ok = all(d <= 3 for d in iso_devs)
 
     # the discrete I_2(1) is beta(1)^2 - sum dB^2 row by row, and its first two
     # moments are exactly 0 and the discrete pairing 2 - 2/64
-    dB = sw.brownian_increments(np.random.default_rng(205), 5000, 64)
+    dB = sw.unit_increments(cov, 205, 5000, 64)
     i2 = sw.multiple_wiener(2, ones2, dB)
     closed_ok = np.allclose(i2, dB.sum(axis=1) ** 2 - np.sum(dB**2, axis=1), rtol=0, atol=1e-12)
     exact = (0.0, discrete_pairing(2, ones2, ones2, 64))
@@ -331,13 +333,9 @@ def test_wiener_integrals():
     assert ok
 
 
-def test_ito_moment_law():
-    """Scalar multiplicative noise: the exponential-Euler mean of ||phi(1)||^2.
-
-    Each step multiplies the state by 1 + dW with E|1 + dW|^2 = 1 + lambda dt,
-    so the scheme's exact mean is ||phi0||^2 (1 + lambda dt)^(T/dt) = 1.6446
-    ||phi0||^2 at dt = 0.02, not the continuous law's e^lambda = 1.6487.
-    """
+def _moment_law_deviation():
+    """The moment law's deviation |mean - target| / stderr, its mean and its
+    target, on 10,000 paths of 50 steps at master seed 301."""
     lam = 0.5
     m = sw.build_model("nls", UNIT8, sign=0, smoothness=1)
     cov = _scalar_noise(lam)
@@ -348,11 +346,30 @@ def test_ito_moment_law():
     res = sw.run_ensemble(cfg)
     stats = res.observables["norm_sq"]
     target = m.generator.metric_norm(phi0) ** 2 * (1 + lam * cfg.dt) ** round(cfg.T / cfg.dt)
-    dev = abs(stats["mean"] - target) / stats["stderr"]
+    return abs(stats["mean"] - target) / stats["stderr"], stats["mean"], target
+
+
+def test_ito_moment_law():
+    """Scalar multiplicative noise: the exponential-Euler mean of ||phi(1)||^2.
+
+    Each step multiplies the state by 1 + dW with E|1 + dW|^2 = 1 + lambda dt,
+    so the scheme's exact mean is ||phi0||^2 (1 + lambda dt)^(T/dt) = 1.6446
+    ||phi0||^2 at dt = 0.02, not the continuous law's e^lambda = 1.6487.
+    """
+    dev, mean, target = _moment_law_deviation()
     ok = dev <= 3.0
     _report("moment-law", ok,
-            f"mean {stats['mean']:.4f} vs {target:.4f}, deviation {dev:.2f} stderr (<= 3)")
+            f"mean {mean:.4f} vs {target:.4f}, deviation {dev:.2f} stderr (<= 3)")
     assert ok
+
+
+def test_ito_moment_law_rejects_a_sampler_variance_excess(monkeypatch):
+    # every path's increments come from the sampler, so a variance 20% too
+    # large moves the scheme's mean past the gate at its own seed and sample
+    drawn = sw.QWienerSampler.increments
+    monkeypatch.setattr(sw.QWienerSampler, "increments",
+                        lambda self, dt, n_steps: np.sqrt(1.2) * drawn(self, dt, n_steps))
+    assert _moment_law_deviation()[0] > 3.0
 
 
 def test_convergence_orders():

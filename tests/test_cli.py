@@ -11,7 +11,7 @@ import pytest
 
 import stochwave.cli as cli
 import stochwave.ensemble as ensemble
-from stochwave import BlowUpError
+from stochwave import BlowUpError, QWienerSampler
 from stochwave.cli import _csv, _write_run, main
 from stochwave.config import ExperimentConfig
 
@@ -23,6 +23,7 @@ BASE_CONFIG = {
     "master_seed": 42,
 }
 TAIL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_tail.json"
+LINEAR_CONFIG = TAIL_CONFIG.with_name("example_noisy_linear.json")
 
 
 class _Reworded(str):
@@ -410,6 +411,32 @@ def test_non_finite_values_taken_as_data_print_no_numpy_warning(tmp_path, capsys
     assert main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path / "run")]) == code
     assert "Warning" not in capsys.readouterr().err
     assert not [str(w.message) for w in recwarn]
+
+
+@pytest.mark.parametrize("command", ["picard", "chaos", "converge"])
+def test_blow_up_prints_its_one_line_and_no_numpy_warning(tmp_path, capsys, recwarn, command):
+    # the state at t = 0 is too large to square: the one blow-up line is all of
+    # stderr, and no run directory is made
+    doc = {**NLS_8, "initial": {"amplitude": 1e100}, "noise": {"enabled": True}}
+    out = tmp_path / "run"
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blow-up: ") and err.count("\n") == 1
+    assert not [str(w.message) for w in recwarn]
+    assert not out.exists()
+
+
+def test_verify_rejects_a_sampler_variance_excess(tmp_path, monkeypatch):
+    # verify's Wiener rows pair the increments that every march draws, so a
+    # sampler whose variance is 20% too large fails the Ito isometry row
+    drawn = QWienerSampler.increments
+    monkeypatch.setattr(QWienerSampler, "increments",
+                        lambda self, dt, n_steps: np.sqrt(1.2) * drawn(self, dt, n_steps))
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(LINEAR_CONFIG), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["ito_isometry"]["ok"] is False
+    assert not report["estimate_violations"] and report["wick_multiplicativity"]["ok"]
 
 
 def test_paths_override_below_2_exits_2_before_output(tmp_path, capsys):
@@ -1038,17 +1065,15 @@ def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):
 
 
 def test_ensemble_marches_every_path_once(tmp_path, monkeypatch):
-    # one noise stream per path, in index order
-    import stochwave.ensemble as ensemble
-
+    # one noise stream per path, each drawn once, in index order
     streams = []
-    noise = ensemble._noise
+    drawn = QWienerSampler.increments
 
-    def counted(config, i):
-        streams.append(i)
-        return noise(config, i)
+    def counted(self, dt, n_steps):
+        streams.append(self.stream_id)
+        return drawn(self, dt, n_steps)
 
-    monkeypatch.setattr(ensemble, "_noise", counted)
+    monkeypatch.setattr(QWienerSampler, "increments", counted)
     out = tmp_path / "once"
     assert main(["ensemble", "--config", str(TAIL_CONFIG), "--paths", "12",
                  "--out", str(out)]) == 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stochwave import (CovarianceSpec, Field, QWienerSampler, brownian_increments,
-                       default_covariance, empirical_covariance, make_grid,
-                       multiple_wiener, orthogonality_check)
+from stochwave import (CovarianceSpec, Field, QWienerSampler, default_covariance,
+                       empirical_covariance, make_grid, multiple_wiener,
+                       orthogonality_check, path_samplers, unit_increments)
 from stochwave.noise import discrete_pairing, sample_moments
 
 GRID = make_grid(1, [32], [2 * np.pi])
@@ -131,20 +131,41 @@ def test_empirical_covariance_enforces_path_floor(cov):
         empirical_covariance(sampler, 1.0, 1.0, e1, e1, n_paths=100)
 
 
-def test_wiener_integral_order_one_telescopes():
-    dB = brownian_increments(np.random.default_rng(0), 4, 128)
+def test_path_p_draws_stream_p_of_the_master_seed(cov):
+    samplers = list(path_samplers(cov, 42, 3))
+    assert [(s.master_seed, s.stream_id) for s in samplers] == [(42, 0), (42, 1), (42, 2)]
+    assert list(path_samplers(None, 42, 2)) == [None, None]
+
+
+def test_unit_increments_are_each_paths_increments_on_one_eigenfield(cov):
+    # row p is path p's increment fields at dt = 1 / steps paired with
+    # eigenfield p mod n_modes and scaled by 1 / sqrt(lambda)
+    steps = 8
+    rows = unit_increments(cov, 5, 6, steps)
+    for p, row in enumerate(rows):
+        lam, e = cov.eigenvalues[p % 4], cov.eigenfields[p % 4]
+        fields = QWienerSampler(cov, 5, p).increments(1.0 / steps, steps)
+        want = [Field(GRID, f.astype(complex)).inner(e).real / np.sqrt(lam) for f in fields]
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-15)
+    # which is sqrt(dt) times the stream's normal of that mode
+    normals = QWienerSampler(cov, 5, 3).normals(steps)[:, 3]
+    np.testing.assert_allclose(rows[3], normals / np.sqrt(steps), rtol=1e-13, atol=1e-15)
+
+
+def test_wiener_integral_order_one_telescopes(cov):
+    dB = unit_increments(cov, 0, 4, 128)
     ones = lambda t: np.ones_like(t)
     assert multiple_wiener(1, ones, dB) == pytest.approx(dB.sum(axis=1))
     zero = lambda t: np.zeros_like(t)
     assert np.array_equal(multiple_wiener(1, zero, dB), np.zeros(4))
 
 
-def test_wiener_integral_order_two_closed_form_moments():
+def test_wiener_integral_order_two_closed_form_moments(cov):
     # the discrete I_2(1) is beta(1)^2 - sum dB^2 row by row (the continuous
     # beta(1)^2 - 1 has second moment 2, the discrete one 2 - 2/64), and its
     # first two moments lie within 3 standard errors of 0 and that pairing
     ones2 = lambda s, t: np.ones_like(s + t)
-    dB = brownian_increments(np.random.default_rng(1), 3000, 64)
+    dB = unit_increments(cov, 1, 3000, 64)
     i2 = multiple_wiener(2, ones2, dB)
     np.testing.assert_allclose(i2, dB.sum(axis=1) ** 2 - np.sum(dB**2, axis=1),
                                rtol=0, atol=1e-12)
@@ -153,8 +174,8 @@ def test_wiener_integral_order_two_closed_form_moments():
         assert abs(mean - exact) <= 3 * se
 
 
-def test_wiener_integral_rejects_bad_kernels():
-    dB = brownian_increments(np.random.default_rng(2), 3, 16)
+def test_wiener_integral_rejects_bad_kernels(cov):
+    dB = unit_increments(cov, 2, 3, 16)
     with pytest.raises(ValueError, match="orders"):
         multiple_wiener(3, lambda t: t, dB)
     asym = np.triu(np.ones((16, 16)))
@@ -166,10 +187,10 @@ def test_wiener_integral_rejects_bad_kernels():
         multiple_wiener(1, np.ones(17), dB)
 
 
-def _per_path_orthogonality(n, m, f, g, n_paths, steps, seed):
-    """orthogonality_check one path at a time: a (steps, 1) draw per path from
-    one Generator, its values on a linspace time grid, and each kernel
-    evaluated and symmetry-checked per path."""
+def _per_path_orthogonality(n, m, f, g, dB):
+    """orthogonality_check one path at a time: each row's values on a
+    linspace time grid, and each kernel evaluated and symmetry-checked per
+    path."""
     def integral(order, kernel, times, dB):
         lefts = times[:-1]
         if order == 1:
@@ -177,32 +198,28 @@ def _per_path_orthogonality(n, m, f, g, n_paths, steps, seed):
         F = kernel(lefts[:, None], lefts[None, :])
         assert np.max(np.abs(F - F.T)) <= 1e-12 * (1.0 + np.max(np.abs(F)))
         return float(dB @ F @ dB) - float(np.dot(np.diag(F), dB**2))
-    rng = np.random.default_rng(seed)
-    prods = np.empty(n_paths)
-    for p in range(n_paths):
-        step_dB = rng.standard_normal((steps, 1)) * np.sqrt(1.0 / steps)
-        beta = np.vstack([np.zeros((1, 1)), np.cumsum(step_dB, axis=0)])
-        times = np.linspace(0.0, 1.0, steps + 1)
-        dB = np.diff(beta[:, 0])
-        prods[p] = integral(n, f, times, dB) * integral(m, g, times, dB)
+    prods = np.empty(len(dB))
+    for p, row in enumerate(dB):
+        times = np.linspace(0.0, 1.0, len(row) + 1)
+        prods[p] = integral(n, f, times, row) * integral(m, g, times, row)
     est, _, stderr = sample_moments(prods)
     return float(est), float(stderr)
 
 
-def test_stacked_integrals_equal_the_per_path_loop_bit_for_bit():
+def test_stacked_integrals_equal_the_per_path_loop_bit_for_bit(cov):
     ones = lambda t: np.ones_like(t)
     ones2 = lambda s, t: np.ones_like(s + t)
     wavy = lambda t: np.cos(3.0 * t) + t
     bump2 = lambda s, t: np.exp(-(s - t) ** 2) + s * t
     kernels = {1: wavy, 2: bump2}
-    # verify's two checks (master seed 42, 2,000 paths, 32 steps), then each
-    # pair of orders at three step counts
-    cases = [(1, 2, ones, ones2, 2000, 32, 42), (1, 1, ones, ones, 2000, 32, 43)]
+    # verify's two checks (master seed 42, 2,000 paths, 32 steps, one stack),
+    # then each pair of orders at three step counts
+    cases = [(1, 2, ones, ones2, 2000, 32, 42), (1, 1, ones, ones, 2000, 32, 42)]
     cases += [(n, m, kernels[n], kernels[m], 500, steps, 10 * steps + 3 * n + m)
               for steps in (16, 32, 64) for n, m in ((1, 1), (1, 2), (2, 2))]
-    for case in cases:
-        assert orthogonality_check(*case[:4], n_paths=case[4], steps=case[5],
-                                   seed=case[6]) == _per_path_orthogonality(*case)
+    for n, m, f, g, n_paths, steps, seed in cases:
+        dB = unit_increments(cov, seed, n_paths, steps)
+        assert orthogonality_check(n, m, f, g, dB) == _per_path_orthogonality(n, m, f, g, dB)
     for steps in (16, 32, 64):
         lefts = np.linspace(0.0, 1.0, steps + 1)[:-1]
         dt = 1.0 / steps
@@ -214,24 +231,24 @@ def test_stacked_integrals_equal_the_per_path_loop_bit_for_bit():
             4.0 * np.sum(F * G * lower.T) * dt * dt)
 
 
-def test_orthogonality_across_orders():
+def test_orthogonality_across_orders(cov):
     ones = lambda t: np.ones_like(t)
     ones2 = lambda s, t: np.ones_like(s + t)
-    est, se = orthogonality_check(1, 2, ones, ones2, n_paths=3000, steps=32, seed=3)
+    est, se = orthogonality_check(1, 2, ones, ones2, unit_increments(cov, 3, 3000, 32))
     assert abs(est) < 3 * se
 
 
-def test_ito_isometry_multiple_step_counts():
+def test_ito_isometry_multiple_step_counts(cov):
     f = lambda t: np.sqrt(2.0) * np.ones_like(t)  # ||f||^2 = 2 on [0, 1]
     for steps, seed in ((16, 4), (32, 5), (64, 6)):
-        est, se = orthogonality_check(1, 1, f, f, n_paths=3000, steps=steps, seed=seed)
+        est, se = orthogonality_check(1, 1, f, f, unit_increments(cov, seed, 3000, steps))
         assert abs(est - 2.0) < 3 * se
 
 
-def test_order_two_pairing_matches_discrete_oracle():
+def test_order_two_pairing_matches_discrete_oracle(cov):
     ones2 = lambda s, t: np.ones_like(s + t)
     steps = 32
-    est, se = orthogonality_check(2, 2, ones2, ones2, n_paths=4000, steps=steps, seed=7)
+    est, se = orthogonality_check(2, 2, ones2, ones2, unit_increments(cov, 7, 4000, steps))
     oracle = discrete_pairing(2, ones2, ones2, steps)  # -> 2 (f, f) as steps grow
     assert abs(est - oracle) < 3 * se
     assert oracle == pytest.approx(2.0 * (1.0 - 1.0 / steps))

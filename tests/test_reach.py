@@ -226,6 +226,48 @@ def test_every_default_is_set_by_a_program_path():
         assert set(setters) <= entries[qualname][2], qualname
 
 
+# The samplers of normals that are not the Brownian noise, and what each draws.
+NON_NOISE_NORMALS = {
+    "models.Model.random_smooth_state": "the initial state and verify's estimate samples",
+    "cli.cmd_picard": "the Theta potential's points zeta and eta",
+    "cli.cmd_verify": "the Wick spot checks' chaos vectors and points",
+    "chaos.growth_bound_fit": "the directions of the growth-bound fit",
+}
+
+
+def test_every_normal_draw_is_the_sampler_or_a_listed_non_noise_sampler():
+    # QWienerSampler.normals is the one source of Brownian increments; any other
+    # normal draw in the library is one of the listed samplers of something else,
+    # each named by its module, class and outermost function
+    drawers = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, prefix):
+            self.scope, self.in_function = [prefix], False
+
+        def visit_ClassDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_FunctionDef(self, node):
+            if self.in_function:  # a nested function draws for its outer one
+                return self.generic_visit(node)
+            self.in_function = True
+            self.visit_ClassDef(node)
+            self.in_function = False
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("standard_normal", "normal", "randn", "multivariate_normal"):
+                drawers.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in Path(stochwave.__file__).parent.glob("*.py"):
+        Visitor(path.stem).visit(ast.parse(path.read_text()))
+    assert drawers == {"noise.QWienerSampler.normals", *NON_NOISE_NORMALS}
+
+
 def _message(node: ast.Raise) -> str | None:
     """The message text of ``raise E("...")`` or ``raise E(f"...")``, each
     placeholder written as {}; None for a message that starts with a
