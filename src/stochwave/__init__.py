@@ -5,8 +5,8 @@ Picard and Ito mild solvers, truncated Fock-space Wick calculus, and a
 Monte Carlo harness for convergence and consistency studies.
 """
 
-from .chaos import (ChaosSpace, ChaosState, GrowthFit, growth_bound_fit,
-                    solve_wick_evolution, wick_nonlinearity)
+from .chaos import (ChaosSpace, GrowthFit, growth_bound_fit, solve_wick_evolution,
+                    wick_nonlinearity)
 from .config import ConfigError, ExperimentConfig
 from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
                        OrderFit, TailCurve, chaos_vs_mc, run_ensemble,

@@ -21,8 +21,9 @@ This dictionary makes the three central structures elementary:
 
 A chaos element is its coefficient array, of shape (n_indices, ...): one
 coefficient per multi-index for a functional, one state block per index for
-a chaos-valued field. Each map of the calculus has one entry point on
-``ChaosSpace``:
+a chaos-valued field, which ``solve_wick_evolution`` marches as its bare
+(n_indices, s, *grid.shape) stack. Each map of the calculus has one entry
+point on ``ChaosSpace``:
 
 * Wick product: ``convolve``. It adds each coefficient's products one at a
   time, from zero, in the order of the pair table, one column of pairs per
@@ -40,7 +41,8 @@ a chaos-valued field. Each map of the calculus has one entry point on
   substitution zeta -> B^T zeta, which is degree-homogeneous and hence
   exact under truncation;
 * the graded norm of a coefficient vector, ``norm``, and the test-vector
-  norms, ``mode_norm``, below.
+  norms, ``mode_norm``, below; the energy per degree of a chaos-valued
+  field, ``degree_energy``, under a generator's norm.
 
 Conjugation convention: powers like |psi|^2 psi are not Wick polynomials in
 psi alone. We use the doubled-variable convention, treating psi and its
@@ -198,6 +200,16 @@ class ChaosSpace:
         weights = (deg_fact ** (sign * beta)) * self.factorials * wpow
         return float(np.sqrt(np.sum(weights * np.abs(a) ** 2)))
 
+    def degree_energy(self, generator, data: np.ndarray) -> np.ndarray:
+        """Energy alpha! ||Phi_alpha||_H^2 of a chaos-valued field's
+        (n_indices, s, *grid.shape) stack, aggregated per degree; the norm is
+        ``generator``'s."""
+        norms = generator.graph_norm_ladder_blocks(data, 0)[:, 0]
+        per_index = self.factorials * _powers(norms, 2)
+        # bincount adds the weights one at a time in index order, as a
+        # scatter-add over the indices would
+        return np.bincount(self.degrees, weights=per_index, minlength=self.max_degree + 1)
+
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Wick coefficient convolution; works on (n_idx, ...) stacks.
 
@@ -318,37 +330,6 @@ def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
 # Chaos-valued fields and the Wick evolution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChaosState:
-    """Chaos expansion of a model state: one state block per multi-index."""
-
-    space: ChaosSpace
-    model: Model
-    data: np.ndarray  # (n_indices, s, *grid.shape) complex
-
-    def __post_init__(self):
-        expect = (self.space.n_indices, len(self.model.roles)) + self.model.grid.shape
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != expect:
-            raise ValueError(f"chaos state shape {self.data.shape}, expected {expect}")
-
-    @classmethod
-    def deterministic(cls, space: ChaosSpace, model: Model, phi0: State) -> "ChaosState":
-        data = np.zeros((space.n_indices, len(model.roles)) + model.grid.shape,
-                        dtype=complex)
-        data[0] = phi0.data
-        return cls(space, model, data)
-
-    def degree_energy(self) -> np.ndarray:
-        """Energy alpha! ||Phi_alpha||_H^2 aggregated per degree."""
-        norms = self.model.generator.graph_norm_ladder_blocks(self.data, 0)[:, 0]
-        per_index = self.space.factorials * _powers(norms, 2)
-        # bincount adds the weights one at a time in index order, as a
-        # scatter-add over the indices would
-        return np.bincount(self.space.degrees, weights=per_index,
-                           minlength=self.space.max_degree + 1)
-
-
 def _odd_power(p: int) -> int:
     """The power p of a Wick-quantized |a|^{p-1} a; ValueError unless odd."""
     if p % 2 == 0:
@@ -397,24 +378,29 @@ class _WickAlgebra:
         return out
 
 
-def wick_nonlinearity(model: Model, chaos_state: ChaosState) -> ChaosState:
-    """Wick quantization of the model nonlinearity, block by block.
+def wick_nonlinearity(model: Model, space: ChaosSpace, data: np.ndarray) -> np.ndarray:
+    """Wick quantization of the model nonlinearity on a chaos-valued field's
+    (n_indices, s, *grid.shape) stack, block by block.
 
     The same ``Model.nonlinearity`` that defines J, evaluated in the Wick
     algebra: polynomial terms become Wick powers (conjugates via the
     doubled-variable convention) and the sine its exact truncated Wick-Taylor
     series, so degree-0-only inputs reproduce the ordinary J.
     """
-    space = chaos_state.space
-    return ChaosState(space, model, model.nonlinearity(_WickAlgebra(space), chaos_state.data))
+    expect = (space.n_indices, len(model.roles)) + model.grid.shape
+    if data.shape != expect:
+        raise ValueError(f"chaos state shape {data.shape}, expected {expect}")
+    return model.nonlinearity(_WickAlgebra(space), data)
 
 
 @dataclass
 class WickTrajectory:
-    """The end of a Wick solve: its final state, the top degree's energy share
-    after each step, and whether that share ever passed ``TAIL_FLAG_FRACTION``."""
+    """The end of a Wick solve: its final (n_indices, s, *grid.shape) stack,
+    that stack's energy per degree, the top degree's energy share after each
+    step, and whether that share ever passed ``TAIL_FLAG_FRACTION``."""
 
-    final: ChaosState
+    final: np.ndarray
+    final_energy: np.ndarray
     tail_fractions: np.ndarray
     truncation_flagged: bool
 
@@ -423,31 +409,35 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
                          dt: float, space: ChaosSpace) -> WickTrajectory:
     """March the Wick-quantized equation on the truncated chaos space.
 
+    The chaos-valued field is its (n_indices, s, *grid.shape) coefficient
+    stack, which starts as ``phi0`` in the degree-0 block and zero elsewhere.
     ``noise_fields`` lists the potential ``Field``s q_i coupled to the Gaussian
     modes; the noise term is the time-frozen first-chaos element
     Z = sum_i q_i xi_i acting by Wick multiplication, so Wick multiplication
     is lower triangular in degree and the degree-0 block evolves as the
     deterministic equation. The S-transform of the solution at test vector
     zeta follows the deterministic flow with potential sum_i zeta_i q_i up
-    to O(dt) and the degree-M truncation tail. The solve is flagged once
-    the top degree's energy share exceeds ``TAIL_FLAG_FRACTION``.
+    to O(dt) and the degree-M truncation tail. Each step's per-degree energy
+    is computed once; the solve is flagged once the top degree's share of it
+    exceeds ``TAIL_FLAG_FRACTION``.
     """
     n_steps = _step_count(T, dt)
     fields = [q.values for q in noise_fields]
     if len(fields) > space.n_modes:
         raise ValueError("more noise fields than chaos modes")
-    chaos = ChaosState.deterministic(space, model, phi0)
     gen = model.generator
+    gen._check_state(phi0)
+    data = np.zeros((space.n_indices, len(model.roles)) + model.grid.shape, dtype=complex)
+    data[0] = phi0.data
     # Z = sum_i q_i xi_i acts by Wick multiplication, the raising map
     weights = fields + [None] * (space.n_modes - len(fields))
 
     tails = []
     for _ in range(n_steps):
-        drift = wick_nonlinearity(model, chaos).data + space.raising(weights, chaos.data)
-        new = gen.propagate_blocks(dt, chaos.data + dt * drift)
-        chaos = ChaosState(space, model, new)
-        energy = chaos.degree_energy()
+        drift = wick_nonlinearity(model, space, data) + space.raising(weights, data)
+        data = gen.propagate_blocks(dt, data + dt * drift)
+        energy = space.degree_energy(gen, data)
         total = float(np.sum(energy))
         tails.append(float(energy[-1] / total) if total > 0 else 0.0)
     tails = np.asarray(tails)
-    return WickTrajectory(chaos, tails, bool(np.any(tails > TAIL_FLAG_FRACTION)))
+    return WickTrajectory(data, energy, tails, bool(np.any(tails > TAIL_FLAG_FRACTION)))

@@ -263,7 +263,7 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
         _checked("model", _odd_power, model.params.p)
     report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
-    coeffs = model.generator.metric_inner_blocks(wick.final.data, _probe(model, phi0).data)
+    coeffs = model.generator.metric_inner_blocks(wick.final, _probe(model, phi0).data)
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,

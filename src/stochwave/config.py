@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace
-from .ensemble import _check_paths, _ladder, _rho_grid
+from .ensemble import MAX_PATHS, _check_paths, _ladder, _rho_grid
 from .grids import State, _bound, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
@@ -171,11 +171,12 @@ def _check_values(resolved: dict) -> None:
                 raise ConfigError(f"{name} must be {_rule(proto)}, got {holder[key]!r}")
             holder[key] = value
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
-    for block, key, least in (("", "master_seed", 0), ("initial", "seed", 0),
+    for block, key, *ends in (("", "master_seed", 0), ("initial", "seed", 0),
                               ("solver", "max_iter", 1),
-                              # fewer paths fail verify's 3-standard-error checks by chance
-                              ("verify", "orthogonality_paths", 1000)):
-        _checked(block, _bound, key, resolved[block][key] if block else resolved[key], least)
+                              # fewer paths fail verify's 3-standard-error checks
+                              # by chance; the cap is that of an ensemble's paths
+                              ("verify", "orthogonality_paths", 1000, MAX_PATHS)):
+        _checked(block, _bound, key, resolved[block][key] if block else resolved[key], *ends)
     _checked("grid", make_grid, g["dim"], g["points"], g["lengths"])
     _checked("solver", _step_count, sb["T"], sb["dt"])
     _checked("solver", _kernel, sb["scheme"], False)

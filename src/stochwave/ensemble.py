@@ -337,10 +337,10 @@ def chaos_vs_mc(config: EnsembleConfig,
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
     fields = cov.noise_fields()[: space.n_modes]
     wick = solve_wick_evolution(model, phi0, fields, config.T, config.dt, space)
-    cz = complex(model.generator.metric_inner_blocks(wick.final.data[:1], probe)[0])
+    cz = complex(model.generator.metric_inner_blocks(wick.final[:1], probe)[0])
     ok = abs(re - cz.real) <= 3 * se_re + 1e-12 and abs(im - cz.imag) <= 3 * se_im + 1e-12
 
-    energy = float(np.sum(wick.final.degree_energy()))
+    energy = float(np.sum(wick.final_energy))
     tail = float(wick.tail_fractions[-1]) if len(wick.tail_fractions) else 0.0
     return ChaosMcReport(
         probe_mc=[(re, im, se_re, se_im)],

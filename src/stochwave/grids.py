@@ -255,9 +255,6 @@ class State:
         roles = tuple(roles)
         return cls(grid, np.zeros((len(roles),) + grid.shape, dtype=complex), roles)
 
-    def spectral(self) -> np.ndarray:
-        return self.grid.to_spectral(self.data)
-
     @classmethod
     def from_spectral(cls, grid: Grid, coeffs: np.ndarray, roles) -> "State":
         return cls(grid, grid.to_physical(coeffs), tuple(roles))

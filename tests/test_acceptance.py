@@ -549,7 +549,7 @@ def test_cross_formulation():
             pic = sw.picard_solve(m, st, 0.4, theta, zeta,
                                   n_time_nodes=round(0.4 / dt) + 1, tol=1e-12,
                                   max_iter=80)
-            s_state = sw.State(grid, space.s_transform(wick.final.data, zeta), m.roles)
+            s_state = sw.State(grid, space.s_transform(wick.final, zeta), m.roles)
             diffs.append(m.generator.metric_norm(s_state - pic.final))
         C, tail = np.polyfit(dts, diffs, 1)
         max_C = max(max_C, C)

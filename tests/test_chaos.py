@@ -9,11 +9,11 @@ from math import factorial
 
 from numpy.polynomial import hermite_e
 
-from stochwave import State, build_model, make_grid
+from stochwave import State, build_model, default_covariance, make_grid
 from stochwave.cli import _csv, cmd_chaos
 from stochwave.config import ExperimentConfig
-from stochwave.chaos import (ChaosSpace, ChaosState, growth_bound_fit,
-                             solve_wick_evolution, wick_nonlinearity)
+from stochwave.chaos import (ChaosSpace, growth_bound_fit, solve_wick_evolution,
+                             wick_nonlinearity)
 
 SPACE = ChaosSpace(3, 4)
 RNG = np.random.default_rng(0)
@@ -43,6 +43,14 @@ def _first_chaos(space, coords):
     for m, y in enumerate(coords):
         c[space.position(np.eye(space.n_modes, dtype=int)[m])] = y
     return c
+
+
+def _deterministic(space, state):
+    """The chaos-valued field of a deterministic state: ``state`` in the
+    degree-0 block, zero in every other."""
+    data = np.zeros((space.n_indices,) + state.data.shape, dtype=complex)
+    data[0] = state.data
+    return data
 
 
 def test_space_counts_and_weights():
@@ -366,11 +374,10 @@ def test_wick_nonlinearity_reduces_to_J_on_degree_zero():
     for name in ("nls", "klein_gordon", "sine_gordon", "zakharov", "maxwell_dirac"):
         model = build_model(name, grid, p=3, sign=1, k0=1.0, m=1.0)
         st = model.random_smooth_state(rng, 0.4)
-        chaos = ChaosState.deterministic(space, model, st)
-        wick = wick_nonlinearity(model, chaos)
+        wick = wick_nonlinearity(model, space, _deterministic(space, st))
         plain = model.apply_J(st)
-        assert np.max(np.abs(wick.data[0] - plain.data)) < 1e-12
-        assert np.max(np.abs(wick.data[1:])) == 0.0
+        assert np.max(np.abs(wick[0] - plain.data)) < 1e-12
+        assert np.max(np.abs(wick[1:])) == 0.0
 
 
 def test_wick_cube_of_first_chaos_has_pure_degree_three():
@@ -380,10 +387,9 @@ def test_wick_cube_of_first_chaos_has_pure_degree_three():
     data = np.zeros((space.n_indices, 1) + grid.shape, dtype=complex)
     pos = space.position([1, 0])
     data[pos, 0] = 0.5 + 0.2j  # first-chaos, constant in space
-    chaos = ChaosState(space, model, data)
-    out = wick_nonlinearity(model, chaos)
+    out = wick_nonlinearity(model, space, data)
     nonzero_degrees = {int(space.degrees[i]) for i in range(space.n_indices)
-                       if np.max(np.abs(out.data[i])) > 1e-14}
+                       if np.max(np.abs(out[i])) > 1e-14}
     assert nonzero_degrees == {3}
 
 
@@ -392,8 +398,8 @@ def test_wick_sine_of_constant():
     space = ChaosSpace(2, 3)
     model = build_model("sine_gordon", grid, g=1.0, k0=1.0)
     st = State(grid, np.full((2,) + grid.shape, np.pi / 2, dtype=complex), model.roles)
-    out = wick_nonlinearity(model, ChaosState.deterministic(space, model, st))
-    assert np.allclose(out.data[0, 1], 1.0, atol=1e-13)
+    out = wick_nonlinearity(model, space, _deterministic(space, st))
+    assert np.allclose(out[0, 1], 1.0, atol=1e-13)
 
 
 def test_wick_power_requires_odd_exponent():
@@ -402,7 +408,16 @@ def test_wick_power_requires_odd_exponent():
     space = ChaosSpace(2, 3)
     st = model.random_smooth_state(np.random.default_rng(0), 0.3)
     with pytest.raises(ValueError):
-        wick_nonlinearity(model, ChaosState.deterministic(space, model, st))
+        wick_nonlinearity(model, space, _deterministic(space, st))
+
+
+def test_wick_nonlinearity_refuses_a_stack_of_the_wrong_shape():
+    grid = make_grid(1, [8], [2 * np.pi])
+    model = build_model("klein_gordon", grid, p=3, sign=1)
+    space = ChaosSpace(2, 2)
+    for shape in ((5, 2, 8), (6, 1, 8), (6, 2, 16), (6, 2)):
+        with pytest.raises(ValueError, match=r"chaos state shape .*, expected \(6, 2, 8\)"):
+            wick_nonlinearity(model, space, np.zeros(shape, dtype=complex))
 
 
 def test_degree_energy_equals_per_block_norms_bit_for_bit():
@@ -415,14 +430,13 @@ def test_degree_energy_equals_per_block_norms_bit_for_bit():
     rng = np.random.default_rng(8)
     shape = (space.n_indices, 2) + grid.shape
     for _ in range(300):
-        chaos = ChaosState(space, model, rng.standard_normal(shape)
-                           + 1j * rng.standard_normal(shape))
-        blocks = [State(grid, chaos.data[i], model.roles) for i in range(space.n_indices)]
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        blocks = [State(grid, data[i], model.roles) for i in range(space.n_indices)]
         per_index = [space.factorials[i] * model.generator.metric_norm(b) ** 2
                      for i, b in enumerate(blocks)]
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
-        assert chaos.degree_energy().tobytes() == want.tobytes()
+        assert space.degree_energy(model.generator, data).tobytes() == want.tobytes()
 
 
 def test_degree_energy_sums_each_degree_in_index_order():
@@ -437,12 +451,11 @@ def test_degree_energy_sums_each_degree_in_index_order():
     for _ in range(2000):
         scale = np.exp(rng.uniform(-8.0, 8.0, (space.n_indices, 1, 1)))
         data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        chaos = ChaosState(space, model, data)
         norms = model.generator.graph_norm_ladder_blocks(data, 0)[:, 0]
         per_index = space.factorials * np.array([n ** 2 for n in norms.tolist()])
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
-        assert chaos.degree_energy().tobytes() == want.tobytes()
+        assert space.degree_energy(model.generator, data).tobytes() == want.tobytes()
 
 
 def test_wick_evolution_zero_noise_reduces_to_deterministic():
@@ -455,9 +468,20 @@ def test_wick_evolution_zero_noise_reduces_to_deterministic():
     from stochwave import solve_ito
 
     det = solve_ito(model, st, 0.3, 0.01, None)
-    degree0 = State(grid, wick.final.data[0], model.roles)
+    degree0 = State(grid, wick.final[0], model.roles)
     assert model.generator.metric_norm(degree0 - det.final) < 1e-10
-    assert np.max(np.abs(wick.final.data[1:])) == 0.0
+    assert np.max(np.abs(wick.final[1:])) == 0.0
+
+
+def test_wick_evolution_refuses_an_initial_state_of_the_wrong_component_count():
+    # a 1-component state once broadcast into both Klein-Gordon components
+    # of the degree-0 block, and the solve ran
+    grid = make_grid(1, [16], [2 * np.pi])
+    model = build_model("klein_gordon", grid, p=3, sign=1)
+    st = State(grid, 0.1 * np.ones((1, 16)), ("psi",))
+    fields = default_covariance(grid, 2, 0.5, 2.0).noise_fields()
+    with pytest.raises(ValueError, match="state has 1 components, operator expects 2"):
+        solve_wick_evolution(model, st, fields, 0.02, 0.01, ChaosSpace(2, 2))
 
 
 def test_wick_evolution_linear_closed_form():
@@ -478,7 +502,7 @@ def test_wick_evolution_linear_closed_form():
         final = wick.final
         worst = 0.0
         for k in range(space.max_degree + 1):
-            block = final.data[space.position([k]), 0]
+            block = final[space.position([k]), 0]
             expect = (c * T) ** k / factorial(k)
             worst = max(worst, np.max(np.abs(block - expect)))
         errs.append(worst)
@@ -503,7 +527,7 @@ def test_wick_evolution_s_transform_tracks_picard():
     diffs = []
     for dt in (0.02, 0.01):
         wick = solve_wick_evolution(model, st, qfields, 0.4, dt, space)
-        s_state = State(grid, space.s_transform(wick.final.data, zeta), model.roles)
+        s_state = State(grid, space.s_transform(wick.final, zeta), model.roles)
         pic = picard_solve(model, st, 0.4, theta, zeta, n_time_nodes=round(0.4 / dt) + 1,
                            tol=1e-12, max_iter=80)
         diffs.append(model.generator.metric_norm(s_state - pic.final))

@@ -218,7 +218,7 @@ NOISE_ON = {"noise": {"enabled": True}}
      _Reworded("solver: max_iter must be at least 1, got 0",
                "solver.max_iter must be an integer of at least 1, got 0")),
     ("verify", {"verify": {"orthogonality_paths": 1}},
-     _Reworded("verify: orthogonality_paths must be at least 1000, got 1",
+     _Reworded("verify: orthogonality_paths must be from 1000 to 1000000, got 1",
                "verify.orthogonality_paths must be an integer of at least 1000, got 1")),
     # these once ran: every such radius printed "verification ok", a NaN
     # lambda0 or gamma exited 3 with a run directory, a NaN tol ran every
@@ -285,7 +285,7 @@ NOISE_ON = {"noise": {"enabled": True}}
     # this once ran, though below 1,000 paths verify's 3-standard-error checks
     # fail by chance far above their nominal rate
     ("verify", {"verify": {"orthogonality_paths": 999}},
-     _Reworded("verify: orthogonality_paths must be at least 1000, got 999",
+     _Reworded("verify: orthogonality_paths must be from 1000 to 1000000, got 999",
                "verify.orthogonality_paths must be an integer of at least 1000, got 999")),
     # these once named the grid builder's parameters and no value, or put the
     # modes entry before its rule
@@ -370,6 +370,9 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("simulate", {"model": {"name": "nls"},
                   "grid": {"dim": 3, "points": [4, 4, 4], "lengths": [1.0, 1.0, 1.0]}},
      "model: nls is a 1d/2d (transverse-plane) model, got dim 3"),
+    # this once drew every asked-for path: 10^8 ran for most of an hour
+    ("verify", {"verify": {"orthogonality_paths": 1_000_001}},
+     "verify: orthogonality_paths must be from 1000 to 1000000, got 1000001"),
 ], ids=_former_name)
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -902,6 +905,19 @@ def test_chaos_without_noise_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# a tiny Klein-Gordon chaos run of T / dt = 5 Wick steps
+KG_CHAOS = {
+    "model": {"name": "klein_gordon", "p": 3, "sign": 1},
+    "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
+    "initial": {"kind": "modes", "amplitude": 0.3, "modes": [[0, 1, 1.0, 0.0]]},
+    "solver": {"T": 0.1, "dt": 0.02},
+    "noise": {"enabled": True, "n_modes": 2, "lambda0": 0.2, "gamma": 2.0},
+    "chaos": {"n_modes": 2, "max_degree": 2},
+    "mc": {"n_paths": 4},
+    "master_seed": 3,
+}
+
+
 def test_chaos_command_solves_the_wick_evolution_once(tmp_path, monkeypatch):
     import stochwave.cli as cli
     import stochwave.ensemble as ensemble
@@ -915,20 +931,27 @@ def test_chaos_command_solves_the_wick_evolution_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ensemble, "solve_wick_evolution", counted)
     monkeypatch.setattr(cli, "solve_wick_evolution", counted, raising=False)
-    cfg = {
-        "model": {"name": "klein_gordon", "p": 3, "sign": 1},
-        "grid": {"dim": 1, "points": [8], "lengths": [6.283185307179586]},
-        "initial": {"kind": "modes", "amplitude": 0.3, "modes": [[0, 1, 1.0, 0.0]]},
-        "solver": {"T": 0.1, "dt": 0.02},
-        "noise": {"enabled": True, "n_modes": 2, "lambda0": 0.2, "gamma": 2.0},
-        "chaos": {"n_modes": 2, "max_degree": 2},
-        "mc": {"n_paths": 4},
-        "master_seed": 3,
-    }
     out = tmp_path / "once"
-    assert main(["chaos", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["chaos", "--config", _write(tmp_path, KG_CHAOS), "--out", str(out)]) == 0
     assert len(calls) == 1
     assert (out / "chaos_coefficients.csv").exists()
+
+
+def test_chaos_command_evaluates_the_degree_energy_once_per_wick_step(tmp_path, monkeypatch):
+    # the report's chaos energy sums the solve's last step energy, not a second evaluation
+    from stochwave.chaos import ChaosSpace
+
+    calls = []
+    energy = ChaosSpace.degree_energy
+
+    def counted(*args):
+        calls.append(1)
+        return energy(*args)
+
+    monkeypatch.setattr(ChaosSpace, "degree_energy", counted)
+    out = tmp_path / "energy"
+    assert main(["chaos", "--config", _write(tmp_path, KG_CHAOS), "--out", str(out)]) == 0
+    assert len(calls) == 5  # T / dt Wick steps
 
 
 def test_rerun_same_config_is_bit_identical(tmp_path):

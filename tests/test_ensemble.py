@@ -407,10 +407,10 @@ def _observable_of_one_state(model, name, phi0, state):
     gen = model.generator
     s, size = gen.n_components, model.grid.size
     norm = float(np.sqrt(np.sum(gen._flat_metric()
-                                * np.abs(state.spectral().reshape(s, size)) ** 2).real))
+                                * np.abs(model.grid.to_spectral(state.data).reshape(s, size)) ** 2).real))
     probe = phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
-    pairing = complex(np.sum(gen._flat_metric() * state.spectral().reshape(s, size)
-                             * np.conj(probe.spectral().reshape(s, size))))
+    pairing = complex(np.sum(gen._flat_metric() * model.grid.to_spectral(state.data).reshape(s, size)
+                             * np.conj(model.grid.to_spectral(probe.data).reshape(s, size))))
     if name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
         return model.generator.graph_norm_ladder(state, j)[j]

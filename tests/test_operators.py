@@ -232,7 +232,7 @@ def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
         want = np.einsum("abm,bm->am", dense, flat)
         assert op.apply_spectral(flat).tobytes() == want.tobytes()
         state = State(g, data[0], roles)
-        ladder, c = [], state.spectral().reshape(s, g.size)
+        ladder, c = [], g.to_spectral(state.data).reshape(s, g.size)
         for _ in range(3):
             ladder.append(np.sqrt(np.sum(np.ones((s, g.size)) * np.abs(c) ** 2).real))
             c = np.einsum("abm,bm->am", dense, c)
@@ -315,7 +315,7 @@ def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, par
     op = _operator(kind, grid, **params)
     g = np.ones((s, grid.size)) if op.metric is None else op.metric.reshape(s, grid.size)
     states = [_random_state(grid, s, seed=seed) for seed in range(12)]
-    want = np.array([np.sqrt(np.sum(g * np.abs(st_.spectral().reshape(s, grid.size)) ** 2).real)
+    want = np.array([np.sqrt(np.sum(g * np.abs(grid.to_spectral(st_.data).reshape(s, grid.size)) ** 2).real)
                      for st_ in states])
     blocks = op.graph_norm_ladder_blocks(np.stack([st_.data for st_ in states]), 0)[:, 0]
     assert blocks.tobytes() == want.tobytes()
@@ -349,7 +349,7 @@ def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, ki
         for k in range(B):
             state = State(g, data[k], roles)
             assert blocks[k].tobytes() == op.graph_norm_ladder(state, 3).tobytes()
-            ladder, c = [], state.spectral().reshape(s, g.size)
+            ladder, c = [], g.to_spectral(state.data).reshape(s, g.size)
             for _ in range(4):
                 ladder.append(np.sqrt(np.sum(weights * np.abs(c) ** 2).real))
                 c = np.einsum("abm,bm->am", dense, c)
@@ -406,7 +406,7 @@ def test_graph_norm_monotone_under_truncation(seed, j):
     op = build_model("nls", grid).generator
     st_ = _random_state(grid, 1, seed=seed)
     full = op.graph_norm_ladder(st_, j)[j]
-    coeffs = st_.spectral()
+    coeffs = grid.to_spectral(st_.data)
     keep = np.abs(grid.k_axes[0]) <= 2.0
     truncated = State.from_spectral(grid, coeffs * keep, st_.roles)
     assert op.graph_norm_ladder(truncated, j)[j] <= full + 1e-12
@@ -447,10 +447,10 @@ def test_metric_inner_blocks_equal_the_single_state_pairing_bit_for_bit(dim, kin
         b[-1] = complex(-0.0, -0.0)
         pairs = op.metric_inner_blocks(data, b)
         assert pairs.shape == (B,)
-        cb = State(g, b, roles).spectral().reshape(s, g.size)
+        cb = g.to_spectral(b).reshape(s, g.size)
         for k in range(B):
             a = State(g, data[k], roles)
-            want = np.array(complex(np.sum(weights * a.spectral().reshape(s, g.size)
+            want = np.array(complex(np.sum(weights * g.to_spectral(a.data).reshape(s, g.size)
                                            * np.conj(cb))))
             assert pairs[k].tobytes() == want.tobytes()
             assert np.array(op.metric_inner(a, State(g, b, roles))).tobytes() == want.tobytes()

@@ -38,9 +38,6 @@ UNREACHED = {
                                    "test_chaos::test_mode_norm_closed_form"),
     "chaos.growth_bound_fit": ("|S Phi(zeta)| <= C exp(K |zeta|_p^2), entire in zeta",
                                "test_acceptance::test_growth_bound"),
-    "grids.State.spectral": ("the state-algebra oracle: a state's spectral coefficients",
-                             "test_operators::test_metric_norms_equal_the_single_state_formula"
-                             "_bit_for_bit"),
     "noise.CovarianceSpec.apply_Q": ("(Q psi, phi), the target of the covariance identity",
                                      "test_acceptance::test_covariance_identity"),
     "noise.empirical_covariance": ("E[(W(t), psi)(W(tau), phi)], the covariance identity's "
