@@ -11,7 +11,7 @@ from .config import ConfigError, ExperimentConfig
 from .ensemble import (ChaosMcReport, EnsembleConfig, EnsembleResult,
                        OrderFit, TailCurve, chaos_vs_mc, run_ensemble,
                        strong_order, weak_order)
-from .grids import Field, Grid, State, make_grid
+from .grids import Field, Grid, make_grid
 from .models import (EstimateReport, Model, ModelParams, build_model,
                      verify_estimates)
 from .noise import (CovarianceSpec, QWienerSampler, default_covariance,

@@ -71,7 +71,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grids import State, _bound
+from .grids import _bound
 from .models import Model, _powers
 from .solver import _cr_residual, _step_count
 
@@ -204,7 +204,7 @@ class ChaosSpace:
         """Energy alpha! ||Phi_alpha||_H^2 of a chaos-valued field's
         (n_indices, s, *grid.shape) stack, aggregated per degree; the norm is
         ``generator``'s."""
-        norms = generator.graph_norm_ladder_blocks(data, 0)[:, 0]
+        norms = generator.graph_norm_ladder(data, 0)[:, 0]
         per_index = self.factorials * _powers(norms, 2)
         # bincount adds the weights one at a time in index order, as a
         # scatter-add over the indices would
@@ -405,7 +405,7 @@ class WickTrajectory:
     truncation_flagged: bool
 
 
-def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
+def solve_wick_evolution(model: Model, phi0: np.ndarray, noise_fields, T: float,
                          dt: float, space: ChaosSpace) -> WickTrajectory:
     """March the Wick-quantized equation on the truncated chaos space.
 
@@ -426,16 +426,16 @@ def solve_wick_evolution(model: Model, phi0: State, noise_fields, T: float,
     if len(fields) > space.n_modes:
         raise ValueError("more noise fields than chaos modes")
     gen = model.generator
-    gen._check_state(phi0)
-    data = np.zeros((space.n_indices, len(model.roles)) + model.grid.shape, dtype=complex)
-    data[0] = phi0.data
+    phi0 = gen._as_state(phi0)
+    data = np.zeros((space.n_indices,) + phi0.shape, dtype=complex)
+    data[0] = phi0
     # Z = sum_i q_i xi_i acts by Wick multiplication, the raising map
     weights = fields + [None] * (space.n_modes - len(fields))
 
     tails = []
     for _ in range(n_steps):
         drift = wick_nonlinearity(model, space, data) + space.raising(weights, data)
-        data = gen.propagate_blocks(dt, data + dt * drift)
+        data = gen.propagate(dt, data + dt * drift)
         energy = space.degree_energy(gen, data)
         total = float(np.sum(energy))
         tails.append(float(energy[-1] / total) if total > 0 else 0.0)

@@ -41,8 +41,9 @@ import numpy as np
 
 from .chaos import _odd_power
 from .config import ConfigError, ExperimentConfig, _checked
-from .ensemble import (EnsembleConfig, TailCurve, _check_work, _observable, _probe,
-                       chaos_vs_mc, run_ensemble, strong_order, weak_order)
+from .ensemble import (EnsembleConfig, TailCurve, _check_increments, _check_work, _observable,
+                       _probe, chaos_vs_mc, run_ensemble, strong_order, weak_order)
+from .grids import MAX_ARRAY_ELEMENTS, _bound
 from .models import verify_estimates
 from .noise import discrete_pairing, orthogonality_check, path_samplers, unit_increments
 from .solver import (BlowUpError, ConvergenceError, _free_path, _initial_norms, _kernel,
@@ -142,10 +143,10 @@ def _load(args) -> ExperimentConfig:
 
 
 def _setup(cfg: ExperimentConfig):
-    """The model of the resolved config, its initial state and covariance
+    """The model of the resolved config, its initial state's array and covariance
     (None with the noise off), each a config error if it cannot be built or is not finite."""
     model = _checked("model", cfg.build_model)
-    phi0 = _checked("initial", cfg.build_initial, model)
+    phi0 = model.generator._as_state(_checked("initial", cfg.build_initial, model))
     if not np.all(np.isfinite(model.generator.graph_norm_ladder(phi0, model.smoothness))):
         raise ConfigError(f"initial.amplitude must keep the graph norms up to model."
                           f"smoothness finite, got {cfg.doc['initial']['amplitude']!r}")
@@ -178,6 +179,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
                           "rule; set it to null or enable the noise")
     threshold = _threshold(cfg, model, phi0)
     _checked("solver", _kernel, sb["scheme"], cov is not None)
+    if cov is not None:  # the march draws the path's increments whole
+        _checked("solver", _check_increments, _step_count(sb["T"], sb["dt"]), model.grid.size)
     [sampler] = path_samplers(cov, cfg.doc["master_seed"], 1)  # the march is path 0
     traj = solve_ito(model, phi0, sb["T"], sb["dt"], sampler, threshold, scheme=sb["scheme"])
     report = {
@@ -259,11 +262,13 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     if cov is None:
         raise ConfigError("the chaos command needs noise.enabled = true")
     space = _checked("chaos", cfg.build_chaos_space)
+    _checked("chaos", _bound, "indices x components x grid points (the Wick stack)",
+             space.n_indices * phi0.size, most=MAX_ARRAY_ELEMENTS)
     if model.name in ("nls", "klein_gordon") and model.params.sign:  # J holds |a|^{p-1} a
         _checked("model", _odd_power, model.params.p)
     report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     # Coefficient dump: pairings of each chaos block against the initial state.
-    coeffs = model.generator.metric_inner_blocks(wick.final, _probe(model, phi0).data)
+    coeffs = model.generator.metric_inner(wick.final, _probe(model, phi0))
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,
@@ -284,7 +289,7 @@ def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     mb = cfg.doc["mc"]
     threshold = _threshold(cfg, model, phi0)
     for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
-        value = _checked("mc", _observable, model, name, phi0, phi0.data[None])[0]
+        value = _checked("mc", _observable, model, name, phi0, phi0[None])[0]
         if not np.isfinite(value):
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
     result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,

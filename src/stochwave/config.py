@@ -18,7 +18,7 @@ import numpy as np
 
 from .chaos import ChaosSpace
 from .ensemble import MAX_PATHS, _check_paths, _ladder, _rho_grid
-from .grids import State, _bound, make_grid
+from .grids import _bound, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
 from .solver import ThetaPotential, _kernel, _step_count
@@ -247,32 +247,33 @@ class ExperimentConfig:
         nb = self.doc["noise"]
         return default_covariance(model.grid, nb["n_modes"], nb["lambda0"], nb["gamma"])
 
-    def build_initial(self, model: Model) -> State:
-        """The initial state; ValueError on an ``initial.modes`` entry that is
-        not [component, wavenumber, re, im] with a component of the model and
-        an integer wavenumber k with |k| <= grid.points[0] / 2 (any other k
-        aliases to one of these on the grid, or is no Fourier mode)."""
+    def build_initial(self, model: Model) -> np.ndarray:
+        """The initial state's (s, *grid.shape) array; ValueError on an
+        ``initial.modes`` entry that is not [component, wavenumber, re, im]
+        with a component of the model and an integer wavenumber k with |k| <=
+        grid.points[0] / 2 (any other k aliases to one of these on the grid,
+        or is no Fourier mode)."""
         ib = self.doc["initial"]
         if ib["kind"] == "smooth_random":
             rng = np.random.default_rng(ib["seed"])
-            st = model.random_smooth_state(rng, radius=1.0)
-            n = model.generator.metric_norm(st)
-            return st * (ib["amplitude"] / n) if n > 0 else st
-        st = State.zeros(model.grid, model.roles)
+            data = model.random_smooth_state(rng, radius=1.0)
+            n = model.generator.metric_norm(data)
+            return data * (ib["amplitude"] / n) if n > 0 else data
+        data = np.zeros((len(model.roles),) + model.grid.shape, dtype=complex)
         x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
         L = model.grid.lengths[0]
         for i, entry in enumerate(ib["modes"]):
-            if len(entry) != 4 or entry[0] not in range(st.n_components):
+            if len(entry) != 4 or entry[0] not in range(len(data)):
                 raise ValueError(f"modes entry {i} must be [component, wavenumber, re, im] with "
-                                 f"a component in 0..{st.n_components - 1}, got {entry!r}")
+                                 f"a component in 0..{len(data) - 1}, got {entry!r}")
             comp, kidx, re, im = entry
             top = model.grid.npts[0] // 2
             if not (float(kidx).is_integer() and abs(kidx) <= top):
                 raise ValueError(f"modes entry {i} wavenumber must be an integer from "
                                  f"{-top} to {top} (grid.points[0] / 2), got {kidx!r}")
             amp = complex(re, im)
-            st.data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)
-        return st * ib["amplitude"]
+            data[int(comp)] += amp * np.exp(2j * np.pi * kidx * x / L)
+        return data * ib["amplitude"]
 
     def build_chaos_space(self) -> ChaosSpace:
         cb = self.doc["chaos"]

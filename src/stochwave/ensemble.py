@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSpace, WickTrajectory, solve_wick_evolution
-from .grids import State, _bound
+from .grids import MAX_ARRAY_ELEMENTS, _bound
 from .models import Model, _powers
 from .noise import CovarianceSpec, path_samplers, sample_moments
 from .solver import _ito_march, _step_count, step_exp_euler
@@ -44,7 +44,7 @@ class EnsembleConfig:
     """Everything one ensemble needs; reproducible from (config, seed)."""
 
     model: Model
-    phi0: State
+    phi0: np.ndarray
     T: float
     dt: float
     covariance: CovarianceSpec | None
@@ -54,8 +54,12 @@ class EnsembleConfig:
     observables: tuple[str, ...] = ("norm_sq",)
 
     def __post_init__(self):
+        self.phi0 = self.model.generator._as_state(self.phi0)
         _check_paths(self.n_paths)
-        _check_work(self.n_paths, _step_count(self.T, self.dt))
+        n_steps = _step_count(self.T, self.dt)
+        _check_work(self.n_paths, n_steps)
+        if self.covariance is not None:
+            _check_increments(n_steps, self.model.grid.size)
 
 
 def _check_work(n_paths: int, n_steps: int) -> None:
@@ -64,17 +68,23 @@ def _check_work(n_paths: int, n_steps: int) -> None:
     _bound("n_paths x steps", n_paths * n_steps, most=MAX_PATH_STEPS)
 
 
+def _check_increments(n_steps: int, points: int) -> None:
+    """The bound on one path's increments, an (n_steps, *grid.shape) array that
+    a march draws whole: at most MAX_ARRAY_ELEMENTS."""
+    _bound("steps x grid points", n_steps * points, most=MAX_ARRAY_ELEMENTS)
+
+
 def _check_paths(n_paths) -> None:
     """A Monte Carlo path count, from 2 (a variance needs two) to MAX_PATHS."""
     _bound("n_paths", n_paths, 2, MAX_PATHS)
 
 
-def _probe(model: Model, phi0: State) -> State:
+def _probe(model: Model, phi0: np.ndarray) -> np.ndarray:
     """phi0 normalized in the model's H-norm, the probe of every pairing."""
     return phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
 
 
-def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.ndarray:
+def _observable(model: Model, name: str, phi0: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The observable ``name`` of each state of a (B, s, *grid.shape) stack, one
     float per state; ``sup_sum_sq`` needs the path, not a state."""
     gen = model.generator
@@ -82,7 +92,7 @@ def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.nd
         raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
                          "of the final state")
     if name in ("norm_sq", "log_norm_sq", "norm"):
-        norms = gen.graph_norm_ladder_blocks(data, 0)[:, 0]
+        norms = gen.graph_norm_ladder(data, 0)[:, 0]
         if name == "norm_sq":
             return _powers(norms, 2)
         if name == "log_norm_sq":
@@ -96,9 +106,9 @@ def _observable(model: Model, name: str, phi0: State, data: np.ndarray) -> np.nd
     power = re.fullmatch(r"graph_norm_j(0|-?[1-9][0-9]*)", name)
     if power:
         j = int(power[1])
-        return gen.graph_norm_ladder_blocks(data, j)[:, j]
+        return gen.graph_norm_ladder(data, j)[:, j]
     if name in ("pairing_re", "pairing_im"):
-        pairs = gen.metric_inner_blocks(data, _probe(model, phi0).data)
+        pairs = gen.metric_inner(data, _probe(model, phi0))
         return pairs.real if name == "pairing_re" else pairs.imag
     if name in ("mass", "energy", "charge"):
         return model.conserved_blocks(data).get(name, np.full(len(data), np.nan))
@@ -128,14 +138,14 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
     n_fine = rungs[-1][1]
     for sampler in path_samplers(config.covariance, config.master_seed, config.n_paths):
         fine = None if sampler is None else sampler.increments(dts[-1], n_fine)
-        finals = np.empty((len(rungs),) + phi0.data.shape, dtype=complex)
+        finals = np.empty((len(rungs),) + phi0.shape, dtype=complex)
         for r, (dt, n) in enumerate(rungs):
             dW = [None] * n if fine is None else (fine if n == n_fine else fine.reshape(
                 n, n_fine // n, *fine.shape[1:]).sum(axis=1)).astype(complex)
             state = phi0
             for inc in dW:
                 state = step_exp_euler(model, state, dt, inc)
-            finals[r] = state.data
+            finals[r] = state
         yield finals
 
 
@@ -231,7 +241,7 @@ def strong_order(config: EnsembleConfig, dt_ladder) -> OrderFit:
     gen = config.model.generator
     dts = _ladder(config.T, dt_ladder)
     errs = _path_columns(config, dts,
-                         lambda f: gen.graph_norm_ladder_blocks(f[:-1] - f[-1], 0)[:, 0])
+                         lambda f: gen.graph_norm_ladder(f[:-1] - f[-1], 0)[:, 0])
     mean, _, stderr = sample_moments(errs)
     return _fit_order(dts[:-1], mean, stderr, scale=gen.metric_norm(config.phi0))
 
@@ -240,7 +250,7 @@ def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
                noise_floor_factor: float = 10.0) -> OrderFit:
     """Coupled weak error |E f(phi_dt) - E f(phi_ref)| vs dt, log-log fit."""
     model, phi0 = config.model, config.phi0
-    scale = abs(_observable(model, observable, phi0, phi0.data[None])[0]) + 1.0
+    scale = abs(_observable(model, observable, phi0, phi0[None])[0]) + 1.0
     dts = _ladder(config.T, dt_ladder)
     f = _path_columns(config, dts, lambda finals: _observable(model, observable, phi0, finals))
     mean, _, stderr = sample_moments(f[:-1] - f[-1])
@@ -325,11 +335,11 @@ def chaos_vs_mc(config: EnsembleConfig,
     model, phi0, cov = config.model, config.phi0, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
-    probe = _probe(model, phi0).data
+    probe = _probe(model, phi0)
 
     # Monte Carlo side: the paths' finals as one stack, paired with the probe.
     finals = np.concatenate(list(_path_finals(config, [config.dt])))
-    pairs = model.generator.metric_inner_blocks(finals, probe)
+    pairs = model.generator.metric_inner(finals, probe)
     re, _, se_re = map(float, sample_moments(pairs.real))
     im, _, se_im = map(float, sample_moments(pairs.imag))
     mc2, _, mc2_se = map(float, sample_moments(_observable(model, "norm_sq", phi0, finals)))
@@ -337,7 +347,7 @@ def chaos_vs_mc(config: EnsembleConfig,
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
     fields = cov.noise_fields()[: space.n_modes]
     wick = solve_wick_evolution(model, phi0, fields, config.T, config.dt, space)
-    cz = complex(model.generator.metric_inner_blocks(wick.final[:1], probe)[0])
+    cz = complex(model.generator.metric_inner(wick.final[0], probe))
     ok = abs(re - cz.real) <= 3 * se_re + 1e-12 and abs(im - cz.imag) <= 3 * se_im + 1e-12
 
     energy = float(np.sum(wick.final_energy))

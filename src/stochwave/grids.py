@@ -1,10 +1,12 @@
-"""Periodic grids, complex lattice fields, and multi-component states.
+"""Periodic grids, complex lattice fields and the fixed size bounds.
 
 All spatial discretization lives here: uniform periodic lattices on
-[0, L_1) x ... x [0, L_d), unitary Fourier transforms (Parseval scaling, so
-L2 norms agree between the physical and spectral views), and the value
-semantics shared by every downstream module: operations never mutate their
-inputs, grids are immutable and freely shareable.
+[0, L_1) x ... x [0, L_d) and unitary Fourier transforms (Parseval scaling,
+so L2 norms agree between the physical and spectral views). A state of an
+s-component model is its complex (s, *grid.shape) array of physical values,
+and a stack of B states a (B, s, *grid.shape) array; no type wraps them.
+Every kernel takes such arrays with any leading shape and writes into none
+that it is handed, and grids are immutable and freely shareable.
 
 The transforms call numpy's own pocketfft kernels, the gufuncs
 ``numpy.fft._pocketfft_umath.fft`` and ``.ifft`` (numpy >= 2.0), one 1-D pass
@@ -32,7 +34,11 @@ import numpy as np
 from numpy.fft import _pocketfft_umath
 
 _COMPLEX = np.dtype(complex)
-MAX_GRID_POINTS = 1 << 22  # 2048 x 2048: a fixed bound on every array's size
+MAX_GRID_POINTS = 1 << 22  # 2048 x 2048: a fixed bound on every field's size
+# a fixed bound on the elements of any array that a run allocates whole (one
+# path's increments, a Wick stack): 512 MiB as complex numbers, above the
+# largest state the grid bound admits (six components on 2**22 points)
+MAX_ARRAY_ELEMENTS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -223,52 +229,3 @@ class Field:
     def inner(self, other: "Field") -> complex:
         """L2 pairing int f * conj(g) dx."""
         return complex(np.sum(self.values * np.conj(other.values)) * self.grid.dv)
-
-
-@dataclass
-class State:
-    """Ordered bundle of components on a shared grid.
-
-    Stored as one (s, *grid.shape) complex array so spectral operators can
-    act on all components at once.
-    """
-
-    grid: Grid
-    data: np.ndarray
-    roles: tuple[str, ...]
-
-    def __post_init__(self):
-        if type(self.data) is not np.ndarray or self.data.dtype is not _COMPLEX:
-            self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (len(self.roles),) + self.grid.shape:
-            raise ValueError(
-                f"state shape {self.data.shape} incompatible with "
-                f"{len(self.roles)} roles on grid {self.grid.shape}"
-            )
-
-    @property
-    def n_components(self) -> int:
-        return len(self.roles)
-
-    @classmethod
-    def zeros(cls, grid: Grid, roles) -> "State":
-        roles = tuple(roles)
-        return cls(grid, np.zeros((len(roles),) + grid.shape, dtype=complex), roles)
-
-    @classmethod
-    def from_spectral(cls, grid: Grid, coeffs: np.ndarray, roles) -> "State":
-        return cls(grid, grid.to_physical(coeffs), tuple(roles))
-
-    def copy(self) -> "State":
-        return State(self.grid, self.data.copy(), self.roles)
-
-    def __add__(self, other):
-        return State(self.grid, self.data + other.data, self.roles)
-
-    def __sub__(self, other):
-        return State(self.grid, self.data - other.data, self.roles)
-
-    def __mul__(self, c):
-        return State(self.grid, self.data * c, self.roles)
-
-    __rmul__ = __mul__

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, Grid, State, _bound
+from .grids import Field, Grid, _bound
 from .operators import (SpectralOperator, _abs_grad_symbol, _maxwell_dirac_symbol_metric,
                         _wave_symbol_metric, _zeroed_nyquist_k)
 
@@ -139,20 +139,14 @@ class Model:
 
     # ---- the nonlinearity ----------------------------------------------
 
-    def apply_J(self, state: State) -> State:
-        """Evaluate J(state) in the abstract normalization (see module doc)."""
-        self.generator._check_state(state)
-        return State(self.grid, self._J(state.data), self.roles)
-
-    def _J(self, data: np.ndarray) -> np.ndarray:
-        """The values of ``apply_J`` from the raw (s, *grid.shape) array of a
-        state already checked against the generator, or from a (B, s,
-        *grid.shape) stack of them; the hook scales each block by its own norm."""
+    def apply_J(self, data: np.ndarray) -> np.ndarray:
+        """J in the abstract normalization (see module doc) of an (..., s,
+        *grid.shape) array, one state or a stack, as a new array; the hook
+        scales each state by its own norm."""
         out = self.nonlinearity(_Pointwise, data)
         if self.break_j_hook:
-            lead, block = data.shape[:-1 - self.grid.dim], data.shape[-1 - self.grid.dim:]
-            norms = self.generator.graph_norm_ladder_blocks(data.reshape((-1,) + block), 0)[:, 0]
-            out = out * (1.0 + norms).reshape(lead + (1,) * len(block))
+            norms = self.generator.graph_norm_ladder(data, 0)[..., 0]
+            out = out * (1.0 + norms).reshape(norms.shape + (1,) * (1 + self.grid.dim))
         return out
 
     def nonlinearity(self, alg, data: np.ndarray) -> np.ndarray:
@@ -228,8 +222,8 @@ class Model:
     # ---- exact/midpoint nonlinear substep for the split-step scheme -----
 
     def nonlinear_substep(self, data: np.ndarray, dt: float) -> np.ndarray:
-        """Flow of dphi/dt = J(phi) over dt, from the raw (s, *grid.shape) array
-        of a state or a (B, s, *grid.shape) stack of them, written to a copy.
+        """Flow of dphi/dt = J(phi) over dt, from the (s, *grid.shape) array of
+        a state or a (B, s, *grid.shape) stack of them, written to a copy.
 
         Exact for nls (pointwise phase rotation), klein_gordon / sine_gordon
         (the forced component is frozen), and zakharov (|psi| and Re v are
@@ -270,12 +264,11 @@ class Model:
 
     # ---- gauge diagnostics (Maxwell-Dirac) -------------------------------
 
-    def gauge_residual(self, state: State) -> float:
-        """L2 size of d(A0)/dt - dx(A1), zero on the gauge slice."""
+    def gauge_residual(self, data: np.ndarray) -> float:
+        """L2 size of d(A0)/dt - dx(A1) of one state, zero on the gauge slice."""
         if self.name != "maxwell_dirac":
             raise ValueError("gauge residual applies to maxwell_dirac only")
-        div = self._spectral_dx(state.data[4])
-        return Field(self.grid, state.data[3] - div).norm()
+        return Field(self.grid, data[3] - self._spectral_dx(data[4])).norm()
 
     def _spectral_dx(self, values: np.ndarray) -> np.ndarray:
         # Nyquist-zeroed first derivative, so real fields stay real
@@ -285,8 +278,8 @@ class Model:
     # ---- random smooth states for verification --------------------------
 
     def random_smooth_state(self, rng: np.random.Generator,
-                            radius: float = 1.0) -> State:
-        """Draw a random state with spectral decay (1+|k|^2)^-(N+1).
+                            radius: float = 1.0) -> np.ndarray:
+        """Draw a random state's array with spectral decay (1+|k|^2)^-(N+1).
 
         The decay keeps all graph norms up to order N finite and controlled;
         the state is rescaled to a uniform random H-norm in
@@ -295,14 +288,14 @@ class Model:
         decay = (1.0 + self.grid.k_squared) ** (-(self.smoothness + 1))
         shape = (len(self.roles),) + self.grid.shape
         coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * decay
-        st = State.from_spectral(self.grid, coeffs, self.roles)
+        data = self.grid.to_physical(coeffs)
         if self.name == "sine_gordon":
-            st = State(self.grid, np.real(st.data).astype(complex), self.roles)
-        n = self.generator.metric_norm(st)
+            data = np.real(data).astype(complex)
+        n = self.generator.metric_norm(data)
         if n == 0:
-            return st
+            return data
         target = radius * rng.uniform(0.2, 1.0)
-        return st * (target / n)
+        return data * (target / n)
 
 
 def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0,
@@ -402,15 +395,14 @@ def _ladders(model: Model, sample_count: int, radius: float, seed: int):
     the pair members a and b, of a - b and of J(a) - J(b), one (sample_count,
     max(N, 1) + 1) array each, evaluated _CHUNK samples at a time."""
     rng = np.random.default_rng(seed)
-    ladder = lambda x: model.generator.graph_norm_ladder_blocks(x, max(model.smoothness, 1))
-    draw = lambda n: np.stack([model.random_smooth_state(rng, radius).data
-                               for _ in range(n)])
+    ladder = lambda x: model.generator.graph_norm_ladder(x, max(model.smoothness, 1))
+    draw = lambda n: np.stack([model.random_smooth_state(rng, radius) for _ in range(n)])
     sizes = [min(_CHUNK, sample_count - k) for k in range(0, sample_count, _CHUNK)]
-    singles = [(ladder(x), ladder(model._J(x))) for x in (draw(n) for n in sizes)]
+    singles = [(ladder(x), ladder(model.apply_J(x))) for x in (draw(n) for n in sizes)]
     pairs = []
     for n in sizes:
         ab = draw(2 * n)
-        a, b, jab = ab[0::2], ab[1::2], model._J(ab)
+        a, b, jab = ab[0::2], ab[1::2], model.apply_J(ab)
         pairs.append((ladder(a), ladder(b), ladder(a - b), ladder(jab[0::2] - jab[1::2])))
     return [np.concatenate(c) for c in (*zip(*singles), *zip(*pairs))]
 

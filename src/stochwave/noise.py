@@ -153,9 +153,11 @@ def unit_increments(spec: CovarianceSpec, master_seed: int, n_paths: int,
     sqrt(dt), each eigenvalue's scaling, the mode matrix) shapes the rows."""
     weights = [np.conj(e.values).ravel() * (spec.grid.dv / np.sqrt(lam))
                for lam, e in zip(spec.eigenvalues, spec.eigenfields)]
-    return np.array([np.dot(path.increments(1.0 / steps, steps).reshape(steps, -1),
-                            weights[p % spec.n_modes]).real
-                     for p, path in enumerate(path_samplers(spec, master_seed, n_paths))])
+    out = np.empty((n_paths, steps))  # filled row by row: no per-path array outlives its row
+    for p, path in enumerate(path_samplers(spec, master_seed, n_paths)):
+        out[p] = np.dot(path.increments(1.0 / steps, steps).reshape(steps, -1),
+                        weights[p % spec.n_modes]).real
+    return out
 
 
 def sample_moments(sample: np.ndarray) -> tuple:

@@ -22,12 +22,15 @@ Per-mode matrices are held as (s, s, M) arrays, the layout of the symbol,
 so every contraction with an (s, M) or (B, s, M) coefficient stack runs
 over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
 
-Each action has one entry point: the symbol acts on spectral coefficients
-through ``apply_spectral``, and every norm comes from
-``graph_norm_ladder_blocks``, the graph norms ||A^j phi|| of a stack, whose
-one-state case is ``graph_norm_ladder``. The metric (H-) norm is the ladder's
-j = 0 column (``metric_norm`` for one state), and a single graph norm is one
-entry of a ladder.
+Each action has one entry point, and each takes a state's (s, *grid.shape)
+array or a stack of them with any leading shape: the free flow is
+``propagate``, the symbol acts on spectral coefficients through
+``apply_spectral``, every norm comes from ``graph_norm_ladder``, the graph
+norms ||A^j phi|| of each state, and every pairing from ``metric_inner``. The
+metric (H-) norm is the ladder's j = 0 column (``metric_norm`` for one
+state), and a single graph norm is one entry of a ladder. A stack's entries
+have the bits of each state alone. ``_as_state`` is the one check of a state
+array's shape, made where a state enters a solver or a command.
 
 Two structures are detected once, at construction, and skip work that they
 make trivial. A diagonal symbol (s > 1, every off-diagonal entry exactly
@@ -41,7 +44,7 @@ of its mode as 0 * inf = NaN, the element-wise form keeps it in its own.)
 numpy's ``*`` is not used for this: its complex product rounds differently
 from einsum's, and it does not add to +0, so it keeps a -0. The one exception
 is a norm power of a real diagonal (every imaginary part exactly zero, as in
-Zakharov's diag(k^2, -|k|)), which ``graph_norm_ladder_blocks`` raises by
+Zakharov's diag(k^2, -|k|)), which ``graph_norm_ladder`` raises by
 ``_diag * flat``: each part of d * c is then one product and a signed zero,
 rounded once whether or not the product is fused, so only the sign of a zero
 can differ from einsum's, and the ladder reads moduli alone. 0 * inf gives
@@ -52,10 +55,9 @@ the squared moduli directly, which is exact since g * x with g = 1.0 is x.
 The propagator's plan is fixed at construction as well: s = 1 multiplies
 the cached per-mode phases in place, a diagonal symbol contracts its cached
 (s, M) diagonals with "am,nam->nam", any other its (s, s, M) matrices with
-"abm,nbm->nam". A call of the private kernel ``_propagate``, the one that
-``propagate``, ``propagate_blocks`` and the exponential-Euler step share, is
-then the cache lookup, one forward transform, the contraction and one
-inverse transform.
+"abm,nbm->nam". A call of ``propagate``, on one state or a stack, is then
+the cache lookup, one forward transform, the contraction and one inverse
+transform.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, State, _bound
+from .grids import _COMPLEX, Grid, _bound
 
 HERMITICITY_TOL = 1e-13
 
@@ -79,12 +81,11 @@ class SpectralOperator:
     Immutable after construction; derived caches are lazy.
 
     ``diagonal`` is set when s > 1 and every off-diagonal symbol entry is
-    exactly 0; ``propagate``, ``propagate_blocks`` and ``apply_spectral``
-    then contract the (s, M) diagonals element-wise with
-    ``np.einsum``, bit for bit the dense contraction on finite coefficients,
-    and the norm ladder raises real diagonals by numpy's product (see the
-    module doc). With ``metric`` None the norms skip the product with unit
-    weights.
+    exactly 0; ``propagate`` and ``apply_spectral`` then contract the (s, M)
+    diagonals element-wise with ``np.einsum``, bit for bit the dense
+    contraction on finite coefficients, and the norm ladder raises real
+    diagonals by numpy's product (see the module doc). With ``metric`` None
+    the norms skip the product with unit weights.
     """
 
     grid: Grid
@@ -160,20 +161,12 @@ class SpectralOperator:
         core = np.einsum("mab,mb,mcb->mac", U, phase, np.conj(U))
         return core * sq[:, None, :] / sq[:, :, None]
 
-    def propagate(self, t: float, state: State) -> State:
-        """Apply exp(-i*t*A); exactly metric-norm preserving per mode."""
-        self._check_state(state)
-        return State(self.grid, self._propagate(t, state.data), state.roles)
-
-    def propagate_blocks(self, t: float, data: np.ndarray) -> np.ndarray:
-        """Apply exp(-i*t*A) to a (B, s, *grid.shape) stack of states."""
-        return self._propagate(t, data)
-
-    def _propagate(self, t: float, data: np.ndarray) -> np.ndarray:
-        # The one propagator kernel (module doc). Phases (s = 1), shaped
-        # (1, *grid.shape) like one state so that the product with a state
-        # needs no broadcast, or matrices are cached per time step under the
-        # keys ("phase", t) and t.
+    def propagate(self, t: float, data: np.ndarray) -> np.ndarray:
+        """Apply exp(-i*t*A) to an (..., s, *grid.shape) array, one state or a
+        stack; exactly metric-norm preserving per mode. Phases (s = 1), shaped
+        (1, *grid.shape) like one state so that the product with a state needs
+        no broadcast, or matrices are cached per time step under the keys
+        ("phase", t) and t."""
         if not self.hermitian:
             raise ValueError("propagate requires a (metric-)Hermitian symbol")
         spec = self._contract
@@ -203,41 +196,32 @@ class SpectralOperator:
             return np.einsum("am,...am->...am", self._diag, flat)
         return np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
 
-    def metric_norm(self, state: State) -> float:
-        """The H-norm, the j = 0 entry of the graph-norm ladder."""
-        self._check_state(state)
-        return float(self.graph_norm_ladder_blocks(state.data[None], 0)[0, 0])
+    def metric_norm(self, data: np.ndarray) -> float:
+        """The H-norm of one (s, *grid.shape) state, its ladder's j = 0 entry."""
+        return float(self.graph_norm_ladder(data, 0)[0])
 
-    def metric_inner(self, a: State, b: State) -> complex:
-        """Energy-weighted pairing <a, b>, conjugating the second argument."""
-        return complex(self.metric_inner_blocks(a.data[None], b.data)[0])
-
-    def metric_inner_blocks(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pairings <a, b> of each state a of a (B, s, *grid.shape) stack with the
-        (s, *grid.shape) state b, bit for bit as each block alone. Unit weights
-        multiply too: that keeps the signed zeros and non-finite values of g * a * conj(b)."""
+    def metric_inner(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Energy-weighted pairings <a, b>, conjugating b, of each state a of an
+        (..., s, *grid.shape) array with the (s, *grid.shape) state b, one per
+        state. Unit weights multiply too: that keeps the signed zeros and
+        non-finite values of g * a * conj(b)."""
         s, size = self.n_components, self.grid.size
-        ca = self.grid.to_spectral(data).reshape(len(data), s, size)
+        ca = self.grid.to_spectral(data).reshape(-1, s, size)
         cb = self.grid.to_spectral(b).reshape(s, size)
-        return np.sum(self._flat_metric() * ca * np.conj(cb), axis=(1, 2))
+        pairs = np.sum(self._flat_metric() * ca * np.conj(cb), axis=(1, 2))
+        return pairs.reshape(data.shape[:-1 - self.grid.dim])
 
-    def graph_norm_ladder(self, state: State, j_max: int) -> np.ndarray:
-        """The metric norms of A^j applied to the state, j = 0..j_max (j = 0
-        the plain norm), from one spectral transform."""
-        self._check_state(state)
-        return self.graph_norm_ladder_blocks(state.data[None], j_max)[0]
-
-    def graph_norm_ladder_blocks(self, data: np.ndarray, j_max: int) -> np.ndarray:
-        """The (B, j_max + 1) graph norms of a (B, s, *grid.shape) stack from
-        one transform, the metric norms in column 0. A block's weights g times
-        |c|^2 (unweighted, |c|^2 alone: the same bits) are one contiguous run
-        that np.sum reduces pairwise, as for the block alone, bit for bit."""
+    def graph_norm_ladder(self, data: np.ndarray, j_max: int) -> np.ndarray:
+        """The metric norms of A^j applied to each state of an (..., s,
+        *grid.shape) array, j = 0..j_max (j = 0 the plain norm), as (...,
+        j_max + 1) from one transform. A state's weights g times |c|^2
+        (unweighted, |c|^2 alone: the same bits) are one contiguous run that
+        np.sum reduces pairwise, as for the state alone, bit for bit."""
         if j_max < 0:  # inline: the ladder runs on every step of a march
             _bound("graph_norm power j", j_max, least=0)
-        flat = self.grid.to_spectral(data).reshape(
-            len(data), self.n_components, self.grid.size)
+        flat = self.grid.to_spectral(data).reshape(-1, self.n_components, self.grid.size)
         g = None if self.metric is None else self._flat_metric()
-        out = np.empty((len(data), j_max + 1))
+        out = np.empty((len(flat), j_max + 1))
         for j in range(j_max + 1):
             squares = np.abs(flat) ** 2
             out[:, j] = np.sqrt(np.sum(squares if g is None else g * squares, axis=(1, 2)).real)
@@ -247,16 +231,16 @@ class SpectralOperator:
                         flat = self._diag * flat
                 else:
                     flat = self.apply_spectral(flat)
-        return out
+        return out.reshape(data.shape[:-1 - self.grid.dim] + (j_max + 1,))
 
-    def _check_state(self, state: State):
-        if state.grid is not self.grid and state.grid != self.grid:
-            raise ValueError("state grid does not match operator grid")
-        if len(state.roles) != self.symbol.shape[0]:
-            raise ValueError(
-                f"state has {state.n_components} components, "
-                f"operator expects {self.n_components}"
-            )
+    def _as_state(self, data) -> np.ndarray:
+        """``data`` as a complex (s, *grid.shape) state array, cast once (no
+        copy when it is one already); ValueError on any other shape."""
+        if type(data) is not np.ndarray or data.dtype is not _COMPLEX:
+            data = np.asarray(data, dtype=complex)
+        if data.shape != self.symbol.shape[1:]:
+            raise ValueError(f"state shape {data.shape}, expected {self.symbol.shape[1:]}")
+        return data
 
 
 def _diagonals(matrices: np.ndarray) -> np.ndarray:

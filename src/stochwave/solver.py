@@ -12,19 +12,19 @@ Two integration routes share the exact free propagator exp(-i*A*t):
   contraction structure (ratio proportional to the horizon T) survives
   discretization. Each sweep runs node by node, so a solve holds the free
   path plus one iterate and a few nodes. A sweep adds, scales and
-  accumulates in place on the raw arrays of the nodes it makes, in the order
-  and roundings of the State algebra, and writes into no array it was handed:
-  not phi0, the free path or an iterate.
+  accumulates in place on the arrays of the nodes it makes, in the order and
+  roundings of numpy's array arithmetic, and writes into no array it was
+  handed: not phi0, the free path or an iterate.
 
 * ``_ito_march`` is the one march of every trajectory, noisy or not: a stack
   of paths, each stopping when sup_{j<=N-1} ||A^j phi|| first exceeds the
   threshold or at a blow-up (a norm above BLOWUP_CAP, or a non-finite step:
   it ends at its last finite state); ``solve_ito`` is its one-path case,
   keeping each step's row and the final state. Its step is one of two kernels
-  on raw arrays or stacks: ``_exp_euler``, the left-point (Ito) exponential
-  Euler step phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW), no
-  Stratonovich correction, whose one-state call ``step_exp_euler`` checks its
-  input once (``ensemble._path_finals`` hands it increments pre-cast to
+  on a state's array or a stack: ``_exp_euler``, the left-point (Ito)
+  exponential Euler step phi_{n+1} = e^{-iA dt}(phi_n + dt J(phi_n) + phi_n dW),
+  no Stratonovich correction, whose one-state call ``step_exp_euler`` checks
+  its input once (``ensemble._path_finals`` hands it increments pre-cast to
   complex, the same bits), and ``_strang``, the noise-free symmetric splitting
   of the conservation studies, whose exact or midpoint-corrected nonlinear
   substeps give O(dt^2) drift of the invariants.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, State, _bound
+from .grids import Field, _bound
 from .models import Model
 from .noise import QWienerSampler
 
@@ -95,7 +95,7 @@ class Trajectory:
     times: np.ndarray
     graph_norms: np.ndarray          # (n_times, N+1)
     conserved: dict[str, np.ndarray]
-    final: State                     # the last finite state
+    final: np.ndarray                # the last finite state
     stop_time: float | None = None   # None means "ran to T"
     blown_up: bool = False
     seed_info: dict = dc_field(default_factory=dict)
@@ -108,22 +108,23 @@ class Trajectory:
 @dataclass
 class PicardResult:
     times: np.ndarray
-    states: list[State]
+    states: list[np.ndarray]
     residuals: list[float]
     converged: bool
     fixed_point_residual: float
     contraction_ratio: float
 
     @property
-    def final(self) -> State:
+    def final(self) -> np.ndarray:
         return self.states[-1]
 
 
-def picard_solve(model: Model, phi0: State, T: float,
+def picard_solve(model: Model, phi0: np.ndarray, T: float,
                  theta: ThetaPotential | None = None,
                  zeta=None, eta=None, z: complex = 0.0,
                  n_time_nodes: int = 64, tol: float = 1e-10,
-                 max_iter: int = 60, *, _free: list[State] | None = None) -> PicardResult:
+                 max_iter: int = 60, *,
+                 _free: list[np.ndarray] | None = None) -> PicardResult:
     """Picard iteration for the Theta-perturbed deterministic mild equation.
 
     Residuals are sup-over-time graph-norm distances between successive
@@ -139,31 +140,32 @@ def picard_solve(model: Model, phi0: State, T: float,
     n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
     gen, N = model.generator, model.smoothness
+    phi0 = gen._as_state(phi0)
     theta_values = None if theta is None else theta.field_values(
         np.zeros(theta.n_coords) if zeta is None else zeta, eta, z)
 
     free = _free_path(gen, phi0, T, n_time_nodes) if _free is None else _free
 
-    def sweep(states: list[State], keep: bool) -> float:
+    def sweep(states: list[np.ndarray], keep: bool) -> float:
         """One trapezoid application of the integral map, node by node; returns
         the X_T distance from ``states``. J of node i is taken, and halved once
         for both trapezoid halves, just before node i comes out; with ``keep``,
         node i then replaces ``states[i]``, so a sweep holds one path. In place
         on arrays that the sweep owns (module doc): half = (0.5 dt)(J + theta
         phi), integral = e^{-iA dt}(integral + previous half) + half."""
-        dist, integral, half = 0.0, State.zeros(model.grid, model.roles), None
+        dist, integral, half = 0.0, np.zeros(phi0.shape, dtype=complex), None
         for i in range(n_nodes):
-            prev, half = half, model.apply_J(states[i]).data
+            prev, half = half, model.apply_J(states[i])
             if theta_values is not None:
-                half += states[i].data * theta_values
+                half += states[i] * theta_values
             half *= 0.5 * dt
             node = free[0]
             if i:
-                integral.data += prev
+                integral += prev
                 integral = gen.propagate(dt, integral)
-                integral.data += half
+                integral += half
                 node = free[i] + integral
-            if not np.all(np.isfinite(node.data)) or \
+            if not np.all(np.isfinite(node)) or \
                (keep and i == n_nodes - 1 and gen.metric_norm(node) > BLOWUP_CAP):
                 raise BlowUpError("Picard iterate left the finite-norm region")
             dist = max(dist, float(np.sum(gen.graph_norm_ladder(node - states[i], N))))
@@ -196,7 +198,7 @@ def _time_nodes(T: float, n_time_nodes: int) -> tuple[int, float]:
     return n_nodes, T / (n_nodes - 1)
 
 
-def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
+def _free_path(gen, phi0: np.ndarray, T: float, n_time_nodes: int) -> list[np.ndarray]:
     """Homogeneous part e^{-iA t_i} phi0 at the nodes t_i = i*dt of
     ``_time_nodes``, advanced stepwise (exact group law)."""
     n_nodes, dt = _time_nodes(T, n_time_nodes)
@@ -206,41 +208,41 @@ def _free_path(gen, phi0: State, T: float, n_time_nodes: int) -> list[State]:
     return free
 
 
-def step_exp_euler(model: Model, state: State, dt: float,
-                   dW: np.ndarray | None = None) -> State:
-    """One exponential Euler step with left-point multiplicative noise; ``dW``
-    is the increment on the grid (an array of its shape) or None. The state is
-    checked once, and ``_exp_euler`` works on the raw arrays, writing to
-    neither; BlowUpError on a non-finite result."""
+def step_exp_euler(model: Model, data: np.ndarray, dt: float,
+                   dW: np.ndarray | None = None) -> np.ndarray:
+    """One exponential Euler step of one state's array with left-point
+    multiplicative noise; ``dW`` is the increment on the grid (an array of its
+    shape) or None. The state is checked once, and ``_exp_euler`` writes to
+    neither array; BlowUpError on a non-finite result."""
     if not dt > 0:  # inline: the order fits call this once a step
         _bound("dt", dt, above=0)
     gen = model.generator
-    gen._check_state(state)
+    data = gen._as_state(data)
     shape = None if dW is None else dW.shape if type(dW) is np.ndarray else np.shape(dW)
     if shape not in (None, gen.grid.shape):
         raise ValueError(f"increment shape {shape} != grid shape {gen.grid.shape}")
-    out = _exp_euler(model, state.data, dt, dW)
+    out = _exp_euler(model, data, dt, dW)
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise BlowUpError("non-finite state after exponential Euler step")
-    return State(gen.grid, out, state.roles)
+    return out
 
 
 def _exp_euler(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
     """The step, unchecked, of an (s, *grid.shape) array or a (B, s, *grid.shape)
-    stack with dW (B, 1, *grid.shape): phi + dt*J(phi) + phi*dW in the order and
-    roundings of the State algebra. A J that is identically zero (``Model._zero_J``)
-    adds + 0.0, the bits of dt*J: it turns a -0 of phi into +0, as dt*J does."""
-    inner = data + (_PLUS_ZERO if model._zero_J else model._J(data) * dt)
+    stack with dW (B, 1, *grid.shape): phi + dt*J(phi) + phi*dW, in that order.
+    A J that is identically zero (``Model._zero_J``) adds + 0.0, the bits of
+    dt*J: it turns a -0 of phi into +0, as dt*J does."""
+    inner = data + (_PLUS_ZERO if model._zero_J else model.apply_J(data) * dt)
     if dW is not None:
         inner += data * dW
-    return model.generator._propagate(dt, inner)
+    return model.generator.propagate(dt, inner)
 
 
 def _strang(model: Model, data: np.ndarray, dt: float, dW) -> np.ndarray:
     """The split step, unchecked, of an array or a stack as ``_exp_euler`` takes
     them: half free flow, ``Model.nonlinear_substep``, half free flow. It has no
     noise term, so dW is None."""
-    prop = model.generator._propagate
+    prop = model.generator.propagate
     return prop(0.5 * dt, model.nonlinear_substep(prop(0.5 * dt, data), dt))
 
 
@@ -258,7 +260,7 @@ def _kernel(scheme: str, noisy: bool):
     return _SCHEMES[scheme]
 
 
-def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
+def _initial_norms(model: Model, phi0: np.ndarray, threshold: float) -> np.ndarray:
     """Graph norms of phi0 up to N = model.smoothness; ValueError unless those
     below N stay under threshold."""
     N = model.smoothness
@@ -271,7 +273,7 @@ def _initial_norms(model: Model, phi0: State, threshold: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_ito(model: Model, phi0: State, T: float, dt: float,
+def solve_ito(model: Model, phi0: np.ndarray, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
               scheme: str = "exp_euler") -> Trajectory:
     """March one trajectory with the graph-norm stopping rule: the one-path
@@ -285,6 +287,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
     Like the march, the t = 0 row runs with numpy's overflow and invalid
     warnings off.
     """
+    phi0 = model.generator._as_state(phi0)
     kernel = _kernel(scheme, sampler is not None)
     n_steps = _step_count(T, dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
@@ -296,7 +299,7 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
         for name, column in model.conserved_blocks(data).items():
             conserved.setdefault(name, []).extend(column.tolist())
 
-    record(0.0, phi0.data[None], model.generator.graph_norm_ladder(phi0, model.smoothness)[None])
+    record(0.0, phi0[None], model.generator.graph_norm_ladder(phi0[None], model.smoothness))
     final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
                                        kernel)
     k = int(stop[0])
@@ -304,12 +307,12 @@ def solve_ito(model: Model, phi0: State, T: float, dt: float,
                                             "stream_id": sampler.stream_id}
     return Trajectory(np.asarray(times), np.asarray(norms),
                       {n: np.array(v) for n, v in conserved.items()},
-                      State(model.grid, final[0], phi0.roles),
+                      final[0],
                       stop_time=k * dt if k else None,
                       blown_up=bool(blown[0]), seed_info=seed_info)
 
 
-def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: float,
+def _ito_march(model: Model, phi0: np.ndarray, dt: float, n_steps: int, threshold: float,
                dW: np.ndarray | None, n_paths: int, record=None, kernel=_exp_euler):
     """March ``n_paths`` copies of phi0 by the step ``kernel`` (``_exp_euler``,
     or ``_strang`` with dW None), path b with increments ``dW[:, b]`` (dW:
@@ -325,7 +328,7 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
     """
     N = model.smoothness
     norms0 = _initial_norms(model, phi0, threshold)
-    final = np.repeat(phi0.data[None], n_paths, axis=0)
+    final = np.repeat(phi0[None], n_paths, axis=0)
     sup = np.full(n_paths, np.sum(norms0**2))
     stop, blown = np.zeros(n_paths, dtype=int), np.zeros(n_paths, dtype=bool)
     live, data = np.arange(n_paths), final.copy()
@@ -334,7 +337,7 @@ def _ito_march(model: Model, phi0: State, dt: float, n_steps: int, threshold: fl
             step = kernel(model, data, dt, None if dW is None else dW[n, live])
             finite = np.isfinite(step.reshape(len(live), -1)).all(axis=1)
             step[~finite] = data[~finite]  # keep the last finite state, already checked
-            data, norms = step, model.generator.graph_norm_ladder_blocks(step, N)
+            data, norms = step, model.generator.graph_norm_ladder(step, N)
             sup[live] = np.fmax(sup[live], np.sum(norms**2, axis=1))  # like max(), NaN-blind
             hit = np.max(norms[:, :max(N, 1)], axis=1) > threshold
             capped = ~hit & (norms[:, 0] > BLOWUP_CAP)
@@ -362,10 +365,10 @@ def _step_count(T: float, dt: float) -> int:
     return int(n)
 
 
-def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
-                     zeta, eta, z_centers, probe: State, spacing: float = 1e-2,
+def holomorphy_check(model: Model, phi0: np.ndarray, T: float, theta: ThetaPotential,
+                     zeta, eta, z_centers, probe: np.ndarray, spacing: float = 1e-2,
                      n_time_nodes: int = 64, tol: float = 1e-12,
-                     max_iter: int = 80, *, _free: list[State] | None = None) -> float:
+                     max_iter: int = 80, *, _free: list[np.ndarray] | None = None) -> float:
     """Max fourth-order Cauchy-Riemann residual of z -> <phi(T, z), probe>.
 
     For each center the map is evaluated on the 8-point cross z + h*step,
@@ -375,9 +378,11 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
     share one free path, built here unless handed in as ``_free``, and give
     the bits of separate solves.
     """
+    gen = model.generator
+    phi0, probe = gen._as_state(phi0), gen._as_state(probe)
     z_centers = np.atleast_1d(np.asarray(z_centers, dtype=complex))
     if _free is None:
-        _free = _free_path(model.generator, phi0, T, n_time_nodes)
+        _free = _free_path(gen, phi0, T, n_time_nodes)
 
     def F(zval: complex) -> complex:
         res = picard_solve(model, phi0, T, theta, zeta, eta, zval,
@@ -385,7 +390,7 @@ def holomorphy_check(model: Model, phi0: State, T: float, theta: ThetaPotential,
                            _free=_free)
         if not res.converged:
             raise ConvergenceError("Picard solve failed to converge during stencil scan")
-        return model.generator.metric_inner(res.final, probe)
+        return complex(gen.metric_inner(res.final, probe))
 
     worst = 0.0
     for z0 in z_centers:

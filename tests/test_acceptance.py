@@ -27,20 +27,20 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 def _real_state(model, seed, radius):
     st = model.random_smooth_state(np.random.default_rng(seed), radius)
-    data = st.data
+    data = st
     if model.name == "sine_gordon":
         data = np.real(data)
     if model.name == "maxwell_dirac":
         data = data.copy()
         data[2:] = np.real(data[2:])
-    return sw.State(model.grid, data.astype(complex), model.roles)
+    return data.astype(complex)
 
 
 def _mode_state(grid, model, wave=1, amp=1.0):
     x = grid.x_axes[0]
     L = grid.lengths[0]
-    st = sw.State.zeros(model.grid, model.roles)
-    st.data[0] = amp * np.exp(2j * np.pi * wave * x / L)
+    st = np.zeros((len(model.roles),) + model.grid.shape, dtype=complex)
+    st[0] = amp * np.exp(2j * np.pi * wave * x / L)
     return st
 
 
@@ -68,7 +68,7 @@ def test_unitarity():
         for _ in range(100):
             data = rng.standard_normal((s,) + GRID32.shape) \
                 + 1j * rng.standard_normal((s,) + GRID32.shape)
-            st = sw.State(GRID32, data, model.roles)
+            st = data
             t = rng.uniform(-5, 5)
             dev = abs(gen.metric_norm(gen.propagate(t, st)) / gen.metric_norm(st) - 1)
             worst = max(worst, dev)
@@ -118,9 +118,8 @@ def test_deterministic_conservation():
 
     nls = sw.build_model("nls", GRID64, p=3, sign=1)
     x = GRID64.x_axes[0]
-    psi0 = sw.State(GRID64, (0.4 * np.exp(1j * x) + 0.1 * np.exp(2j * x))[None, :],
-                    nls.roles)
-    c0 = {n: c[0] for n, c in nls.conserved_blocks(psi0.data[None]).items()}
+    psi0 = (0.4 * np.exp(1j * x) + 0.1 * np.exp(2j * x))[None, :]
+    c0 = {n: c[0] for n, c in nls.conserved_blocks(psi0[None]).items()}
     cons = sw.solve_ito(nls, psi0, 1.0, 1e-3, None, scheme="strang").conserved
     mass_drift = np.max(np.abs(cons["mass"] - c0["mass"])) / abs(c0["mass"])
     energy_drift = np.max(np.abs(cons["energy"] - c0["energy"])) / abs(c0["energy"])
@@ -130,7 +129,7 @@ def test_deterministic_conservation():
     for name, sign in (("klein_gordon", -1), ("sine_gordon", 1)):
         m = sw.build_model(name, GRID32, p=3, sign=sign, g=1.0, k0=1.0)
         st = _real_state(m, 3, 0.4)
-        e0 = m.conserved_blocks(st.data[None])["energy"][0]
+        e0 = m.conserved_blocks(st[None])["energy"][0]
         drifts = []
         for dt in (4e-3, 2e-3, 1e-3):
             tr = sw.solve_ito(m, st, 0.5, dt, None, scheme="strang")
@@ -140,13 +139,13 @@ def test_deterministic_conservation():
 
     zak = sw.build_model("zakharov", GRID32)
     st = _real_state(zak, 5, 0.4)
-    m0 = zak.conserved_blocks(st.data[None])["mass"][0]
+    m0 = zak.conserved_blocks(st[None])["mass"][0]
     tr = sw.solve_ito(zak, st, 1.0, 1e-3, None, scheme="strang")
     results.append(("zakharov mass", np.max(np.abs(tr.conserved["mass"] - m0)) / m0, 1e-8))
 
     md = sw.build_model("maxwell_dirac", GRID32, k0=1.0, m=1.0)
     st = _real_state(md, 7, 0.4)
-    q0 = md.conserved_blocks(st.data[None])["charge"][0]
+    q0 = md.conserved_blocks(st[None])["charge"][0]
     tr = sw.solve_ito(md, st, 1.0, 1e-3, None, scheme="strang")
     results.append(("maxwell_dirac charge", np.max(np.abs(tr.conserved["charge"] - q0)) / q0,
                     1e-6))
@@ -383,7 +382,7 @@ def test_convergence_orders():
 
     det = sw.build_model("nls", GRID32, p=3, sign=1)
     x = GRID32.x_axes[0]
-    det0 = sw.State(GRID32, (0.5 * np.exp(1j * x))[None, :], det.roles)
+    det0 = (0.5 * np.exp(1j * x))[None, :]
     dcfg = sw.EnsembleConfig(model=det, phi0=det0, T=1.0, dt=1 / 512,
                             covariance=None, n_paths=2, master_seed=1)
     deterministic = sw.strong_order(dcfg, [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 512])
@@ -549,7 +548,7 @@ def test_cross_formulation():
             pic = sw.picard_solve(m, st, 0.4, theta, zeta,
                                   n_time_nodes=round(0.4 / dt) + 1, tol=1e-12,
                                   max_iter=80)
-            s_state = sw.State(grid, space.s_transform(wick.final, zeta), m.roles)
+            s_state = space.s_transform(wick.final, zeta)
             diffs.append(m.generator.metric_norm(s_state - pic.final))
         C, tail = np.polyfit(dts, diffs, 1)
         max_C = max(max_C, C)
@@ -561,7 +560,7 @@ def test_cross_formulation():
 
     lin = sw.build_model("nls", grid, sign=0, smoothness=1)
     phi0 = _mode_state(grid, lin, amp=1.0)
-    phi0.data[0] += 0.3
+    phi0[0] += 0.3
     cfg = sw.EnsembleConfig(model=lin, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                            n_paths=3000, master_seed=803)
     rep, _ = sw.chaos_vs_mc(cfg, space)

@@ -9,7 +9,7 @@ from math import factorial
 
 from numpy.polynomial import hermite_e
 
-from stochwave import State, build_model, default_covariance, make_grid
+from stochwave import build_model, default_covariance, make_grid
 from stochwave.cli import _csv, cmd_chaos
 from stochwave.config import ExperimentConfig
 from stochwave.chaos import (ChaosSpace, growth_bound_fit, solve_wick_evolution,
@@ -48,8 +48,8 @@ def _first_chaos(space, coords):
 def _deterministic(space, state):
     """The chaos-valued field of a deterministic state: ``state`` in the
     degree-0 block, zero in every other."""
-    data = np.zeros((space.n_indices,) + state.data.shape, dtype=complex)
-    data[0] = state.data
+    data = np.zeros((space.n_indices,) + state.shape, dtype=complex)
+    data[0] = state
     return data
 
 
@@ -376,7 +376,7 @@ def test_wick_nonlinearity_reduces_to_J_on_degree_zero():
         st = model.random_smooth_state(rng, 0.4)
         wick = wick_nonlinearity(model, space, _deterministic(space, st))
         plain = model.apply_J(st)
-        assert np.max(np.abs(wick[0] - plain.data)) < 1e-12
+        assert np.max(np.abs(wick[0] - plain)) < 1e-12
         assert np.max(np.abs(wick[1:])) == 0.0
 
 
@@ -397,7 +397,7 @@ def test_wick_sine_of_constant():
     grid = make_grid(1, [8], [2 * np.pi])
     space = ChaosSpace(2, 3)
     model = build_model("sine_gordon", grid, g=1.0, k0=1.0)
-    st = State(grid, np.full((2,) + grid.shape, np.pi / 2, dtype=complex), model.roles)
+    st = np.full((2,) + grid.shape, np.pi / 2, dtype=complex)
     out = wick_nonlinearity(model, space, _deterministic(space, st))
     assert np.allclose(out[0, 1], 1.0, atol=1e-13)
 
@@ -431,9 +431,8 @@ def test_degree_energy_equals_per_block_norms_bit_for_bit():
     shape = (space.n_indices, 2) + grid.shape
     for _ in range(300):
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        blocks = [State(grid, data[i], model.roles) for i in range(space.n_indices)]
         per_index = [space.factorials[i] * model.generator.metric_norm(b) ** 2
-                     for i, b in enumerate(blocks)]
+                     for i, b in enumerate(data)]
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
         assert space.degree_energy(model.generator, data).tobytes() == want.tobytes()
@@ -451,7 +450,7 @@ def test_degree_energy_sums_each_degree_in_index_order():
     for _ in range(2000):
         scale = np.exp(rng.uniform(-8.0, 8.0, (space.n_indices, 1, 1)))
         data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        norms = model.generator.graph_norm_ladder_blocks(data, 0)[:, 0]
+        norms = model.generator.graph_norm_ladder(data, 0)[:, 0]
         per_index = space.factorials * np.array([n ** 2 for n in norms.tolist()])
         want = np.zeros(space.max_degree + 1)
         np.add.at(want, space.degrees, per_index)
@@ -463,13 +462,12 @@ def test_wick_evolution_zero_noise_reduces_to_deterministic():
     space = ChaosSpace(2, 3)
     model = build_model("sine_gordon", grid, g=1.0, k0=1.0)
     st = model.random_smooth_state(np.random.default_rng(6), 0.3)
-    st = State(grid, np.real(st.data).astype(complex), model.roles)
+    st = np.real(st).astype(complex)
     wick = solve_wick_evolution(model, st, [], 0.3, 0.01, space)
     from stochwave import solve_ito
 
     det = solve_ito(model, st, 0.3, 0.01, None)
-    degree0 = State(grid, wick.final[0], model.roles)
-    assert model.generator.metric_norm(degree0 - det.final) < 1e-10
+    assert model.generator.metric_norm(wick.final[0] - det.final) < 1e-10
     assert np.max(np.abs(wick.final[1:])) == 0.0
 
 
@@ -478,9 +476,9 @@ def test_wick_evolution_refuses_an_initial_state_of_the_wrong_component_count():
     # of the degree-0 block, and the solve ran
     grid = make_grid(1, [16], [2 * np.pi])
     model = build_model("klein_gordon", grid, p=3, sign=1)
-    st = State(grid, 0.1 * np.ones((1, 16)), ("psi",))
+    st = 0.1 * np.ones((1, 16))
     fields = default_covariance(grid, 2, 0.5, 2.0).noise_fields()
-    with pytest.raises(ValueError, match="state has 1 components, operator expects 2"):
+    with pytest.raises(ValueError, match=r"state shape \(1, 16\), expected \(2, 16\)"):
         solve_wick_evolution(model, st, fields, 0.02, 0.01, ChaosSpace(2, 2))
 
 
@@ -490,7 +488,7 @@ def test_wick_evolution_linear_closed_form():
     grid = make_grid(1, [8], [1.0])
     space = ChaosSpace(1, 4)
     model = build_model("nls", grid, sign=0, smoothness=1)
-    phi0 = State(grid, np.ones((1,) + grid.shape, dtype=complex), model.roles)
+    phi0 = np.ones((1,) + grid.shape, dtype=complex)
     c = 0.8
     from stochwave import Field
 
@@ -516,7 +514,7 @@ def test_wick_evolution_s_transform_tracks_picard():
     space = ChaosSpace(2, 4)
     model = build_model("sine_gordon", grid, g=1.0, k0=1.0)
     st = model.random_smooth_state(np.random.default_rng(7), 0.25)
-    st = State(grid, np.real(st.data).astype(complex), model.roles)
+    st = np.real(st).astype(complex)
     from stochwave import Field, ThetaPotential, default_covariance, picard_solve
 
     cov = default_covariance(grid, n_modes=2, lambda0=0.3, gamma=2.0)
@@ -527,7 +525,7 @@ def test_wick_evolution_s_transform_tracks_picard():
     diffs = []
     for dt in (0.02, 0.01):
         wick = solve_wick_evolution(model, st, qfields, 0.4, dt, space)
-        s_state = State(grid, space.s_transform(wick.final, zeta), model.roles)
+        s_state = space.s_transform(wick.final, zeta)
         pic = picard_solve(model, st, 0.4, theta, zeta, n_time_nodes=round(0.4 / dt) + 1,
                            tol=1e-12, max_iter=80)
         diffs.append(model.generator.metric_norm(s_state - pic.final))
@@ -540,7 +538,7 @@ def test_wick_evolution_flags_truncation_overflow():
     grid = make_grid(1, [8], [1.0])
     space = ChaosSpace(1, 2)
     model = build_model("nls", grid, sign=0, smoothness=1)
-    phi0 = State(grid, np.ones((1,) + grid.shape, dtype=complex), model.roles)
+    phi0 = np.ones((1,) + grid.shape, dtype=complex)
     from stochwave import Field
 
     q = Field(grid, 6.0 * np.ones(grid.shape))

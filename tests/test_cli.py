@@ -1065,6 +1065,48 @@ def test_converge_bounds_the_steps_of_both_fits_over_every_rung(tmp_path, capsys
         assert not out.exists()
 
 
+# One path's increments (steps x grid points) and a Wick stack (indices x
+# components x grid points) are each one array, allocated whole. On a 512 x 512
+# grid (262,144 points) 128 steps or indices fill MAX_ARRAY_ELEMENTS = 2**25,
+# and the 129th is past it. The command runs with 200 MiB of address space
+# above what the interpreter holds when it starts, less than the refused
+# array's 258 or 516 MiB: a command that allocated it would exit 4.
+CAP_RUNS = {
+    "simulate": ({"model": {"name": "nls", "smoothness": 1}, "solver": {"T": 1.29, "dt": 0.01},
+                  "noise": {"enabled": True, "n_modes": 2}, "initial": {"amplitude": 0.1}},
+                 "solver: steps x grid points must be at most 33554432, got 33816576"),
+    "chaos": ({"model": {"name": "nls", "sign": 0}, "solver": {"T": 0.02, "dt": 0.01},
+               "noise": {"enabled": True, "n_modes": 2}, "chaos": {"n_modes": 128, "max_degree": 1},
+               "mc": {"n_paths": 2}},
+              "chaos: indices x components x grid points (the Wick stack) must be at most "
+              "33554432, got 33816576"),
+}
+_LIMITED_MAIN = """import os, resource, sys
+import stochwave.cli as cli
+held = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (held + 200 * 2**20, hard))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("command", sorted(CAP_RUNS))
+def test_an_array_past_the_element_cap_exits_2_before_it_is_allocated(tmp_path, command):
+    # these once exited 4, out of memory, or ran on where the host let them
+    changes, message = CAP_RUNS[command]
+    cfg = {"grid": {"dim": 2, "points": [512, 512], "lengths": [1.0, 1.0]}, **changes}
+    out = tmp_path / "run"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    res = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, command, "--config",
+                          _write(tmp_path, cfg), "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (res.returncode, res.stderr) == (2, f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):
     runs = [tmp_path / "e1", tmp_path / "e2"]
     for out in runs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochwave import (ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
-                       QWienerSampler, State, TailCurve, build_model, chaos_vs_mc,
+                       QWienerSampler, TailCurve, build_model, chaos_vs_mc,
                        default_covariance, make_grid, run_ensemble, solve_ito,
                        step_exp_euler, strong_order, weak_order)
 from stochwave.cli import _json
@@ -20,7 +20,7 @@ def _linear_model(grid=GRID):
 def _mode_state(grid, model, wave=1):
     x = grid.x_axes[0]
     L = grid.lengths[0]
-    return State(grid, np.exp(2j * np.pi * wave * x / L)[None, :], model.roles)
+    return np.exp(2j * np.pi * wave * x / L)[None, :]
 
 
 def _scalar_noise(lam=0.5):
@@ -68,7 +68,7 @@ def test_sup_ratio_stable_across_initial_data():
     ratios = []
     for _ in range(10):
         phases = np.exp(2j * np.pi * rng.uniform(size=UNIT_GRID.shape))
-        phi0 = State(UNIT_GRID, phases[None, :], m.roles)
+        phi0 = phases[None, :]
         cfg = EnsembleConfig(model=m, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                             n_paths=64, master_seed=7)
         ratios.append(run_ensemble(cfg).sup_ratio)
@@ -90,7 +90,7 @@ def test_strong_order_multiplicative_noise():
 def test_strong_order_deterministic_and_exact_cases():
     m = build_model("nls", GRID, p=3, sign=1)
     x = GRID.x_axes[0]
-    phi0 = State(GRID, (0.5 * np.exp(1j * x))[None, :], m.roles)
+    phi0 = (0.5 * np.exp(1j * x))[None, :]
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=1 / 256, covariance=None,
                         n_paths=2, master_seed=1)
     fit = strong_order(cfg, [1 / 16, 1 / 32, 1 / 64, 1 / 256])
@@ -195,7 +195,7 @@ def test_chaos_vs_mc_linear_agreement():
     m = build_model("nls", g, sign=0, smoothness=1)
     cov = default_covariance(g, n_modes=2, lambda0=0.4, gamma=2.0)
     x = g.x_axes[0]
-    phi0 = State(g, (np.exp(1j * x) + 0.3)[None, :], m.roles)
+    phi0 = (np.exp(1j * x) + 0.3)[None, :]
     cfg = EnsembleConfig(model=m, phi0=phi0, T=0.5, dt=0.02, covariance=cov,
                         n_paths=600, master_seed=29)
     rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 4))
@@ -211,7 +211,7 @@ def test_chaos_vs_mc_discrepancy_grows_with_amplitude():
     gaps = []
     for amp in (0.05, 0.2, 0.8):
         m = build_model("nls", g, p=3, sign=1, smoothness=1)
-        phi0 = State(g, (amp * np.exp(1j * x))[None, :], m.roles)
+        phi0 = (amp * np.exp(1j * x))[None, :]
         cfg = EnsembleConfig(model=m, phi0=phi0, T=0.4, dt=0.02, covariance=cov,
                             n_paths=200, master_seed=31)
         rep, _ = chaos_vs_mc(cfg, ChaosSpace(2, 3))
@@ -243,7 +243,7 @@ def test_chaos_vs_mc_monte_carlo_side_equals_a_per_stream_loop():
     m = build_model("nls", g, p=3, sign=1, smoothness=1)
     cov = default_covariance(g, n_modes=2, lambda0=0.3, gamma=2.0)
     x = g.x_axes[0]
-    phi0 = State(g, (0.5 * np.exp(1j * x) + 0.2)[None, :], m.roles)
+    phi0 = (0.5 * np.exp(1j * x) + 0.2)[None, :]
     n_paths, T, dt = 5, 0.1, 0.02
     cfg = EnsembleConfig(model=m, phi0=phi0, T=T, dt=dt, covariance=cov,
                          n_paths=n_paths, master_seed=37)
@@ -298,7 +298,7 @@ def test_blown_paths_end_at_their_last_finite_state():
     # end at its last finite state (the process stopped at tau ^ T), as its
     # solve_ito trajectory does, not at phi0
     m = build_model("nls", UNIT_GRID, p=3, sign=1)
-    phi0 = State(UNIT_GRID, np.full((1,) + UNIT_GRID.shape, 3.0 + 0j), m.roles)
+    phi0 = np.full((1,) + UNIT_GRID.shape, 3.0 + 0j)
     cov = CovarianceSpec(np.array([0.5]), [Field(UNIT_GRID, np.ones(UNIT_GRID.shape))])
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
                          n_paths=4, master_seed=3)
@@ -378,7 +378,7 @@ def test_order_fits_step_once_per_path_and_step_through_the_module_name(monkeypa
 def _conserved_of_one_state(model, state):
     """Model.conserved as a sum over one state's grid at a time."""
     pr, dv, grid = model.params, model.grid.dv, model.grid
-    data, out = state.data, {}
+    data, out = state, {}
     if model.name == "nls":
         psi = data[0]
         out["mass"] = float(np.sum(np.abs(psi) ** 2) * dv)
@@ -407,10 +407,10 @@ def _observable_of_one_state(model, name, phi0, state):
     gen = model.generator
     s, size = gen.n_components, model.grid.size
     norm = float(np.sqrt(np.sum(gen._flat_metric()
-                                * np.abs(model.grid.to_spectral(state.data).reshape(s, size)) ** 2).real))
+                                * np.abs(model.grid.to_spectral(state).reshape(s, size)) ** 2).real))
     probe = phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
-    pairing = complex(np.sum(gen._flat_metric() * model.grid.to_spectral(state.data).reshape(s, size)
-                             * np.conj(model.grid.to_spectral(probe.data).reshape(s, size))))
+    pairing = complex(np.sum(gen._flat_metric() * model.grid.to_spectral(state).reshape(s, size)
+                             * np.conj(model.grid.to_spectral(probe).reshape(s, size))))
     if name.startswith("graph_norm_j"):
         j = int(name.removeprefix("graph_norm_j"))
         return model.generator.graph_norm_ladder(state, j)[j]
@@ -430,8 +430,8 @@ def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
     model = build_model(name, grid, smoothness=2)
     rng = np.random.default_rng(5)
     states = [model.random_smooth_state(rng, radius=r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    states.append(State.zeros(model.grid, model.roles))
-    data = np.stack([st.data for st in states])
+    states.append(np.zeros((len(model.roles),) + model.grid.shape, dtype=complex))
+    data = np.stack(states)
     phi0 = states[1]
     names = ("norm_sq", "constant", "log_norm_sq", "norm", "graph_norm_j0", "graph_norm_j1",
              "graph_norm_j2", "pairing_re", "pairing_im", "mass", "energy", "charge")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from stochwave import State, build_model, make_grid
+from stochwave import build_model, make_grid
 from stochwave.operators import SpectralOperator, _abs_grad_symbol, _dirac_symbol
 
 
@@ -17,8 +17,7 @@ def grid():
 
 def _random_state(grid, s, seed=0):
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((s,) + grid.shape) + 1j * rng.standard_normal((s,) + grid.shape)
-    return State(grid, data, tuple(f"c{i}" for i in range(s)))
+    return rng.standard_normal((s,) + grid.shape) + 1j * rng.standard_normal((s,) + grid.shape)
 
 
 def _apply(op, data):
@@ -53,9 +52,8 @@ def _identity(grid, s=1):
 
 def _mode_state(grid, wave, component=0, s=1):
     x = grid.x_axes[0]
-    st_ = State(grid, np.zeros((s,) + grid.shape, dtype=complex),
-                tuple(f"c{i}" for i in range(s)))
-    st_.data[component] = np.exp(1j * wave * x)
+    st_ = np.zeros((s,) + grid.shape, dtype=complex)
+    st_[component] = np.exp(1j * wave * x)
     return st_
 
 
@@ -83,13 +81,13 @@ def test_dirac_eigenvalues_at_zero_mode(grid):
 def test_apply_laplacian_plane_wave(grid):
     neg_lap = build_model("nls", grid).generator
     st_ = _mode_state(grid, 1)
-    assert np.allclose(_apply(neg_lap, st_.data), st_.data, atol=1e-13)
+    assert np.allclose(_apply(neg_lap, st_), st_, atol=1e-13)
 
 
 def test_apply_identity_and_b_squared(grid):
     ident = _identity(grid)
     st_ = _random_state(grid, 1, seed=1)
-    assert np.allclose(_apply(ident, st_.data), st_.data, atol=1e-13)
+    assert np.allclose(_apply(ident, st_), st_, atol=1e-13)
     B = _operator("shifted_sqrt", grid, k0=2.0)
     const = np.full((1,) + grid.shape, 1.5 + 0.5j)
     assert np.allclose(_apply(B, _apply(B, const)), 4.0 * const, atol=1e-12)
@@ -100,24 +98,24 @@ def test_free_schrodinger_phase(grid):
     neg_lap = build_model("nls", grid).generator
     st_ = _mode_state(grid, 1)
     out = neg_lap.propagate(0.5, st_)
-    assert np.allclose(out.data, np.exp(-0.5j) * st_.data, atol=1e-13)
+    assert np.allclose(out, np.exp(-0.5j) * st_, atol=1e-13)
 
 
 def test_propagate_t_zero_identity(grid):
     wave = build_model("klein_gordon", grid, k0=1.0).generator
     st_ = _random_state(grid, 2, seed=2)
-    assert np.allclose(wave.propagate(0.0, st_).data, st_.data, atol=1e-13)
+    assert np.allclose(wave.propagate(0.0, st_), st_, atol=1e-13)
 
 
 def test_wave_zero_mode_rotation(grid):
     # k = 0, k0 = 1: (1, 0) -> (cos t, -sin t)
     wave = build_model("klein_gordon", grid, k0=1.0).generator
-    st_ = State(grid, np.zeros((2,) + grid.shape, dtype=complex), ("u", "v"))
-    st_.data[0] = 1.0
+    st_ = np.zeros((2,) + grid.shape, dtype=complex)
+    st_[0] = 1.0
     t = 0.73
     out = wave.propagate(t, st_)
-    assert np.allclose(out.data[0], np.cos(t), atol=1e-12)
-    assert np.allclose(out.data[1], -np.sin(t), atol=1e-12)
+    assert np.allclose(out[0], np.cos(t), atol=1e-12)
+    assert np.allclose(out[1], -np.sin(t), atol=1e-12)
 
 
 def test_wave_propagator_closed_form(grid):
@@ -165,13 +163,13 @@ def test_propagator_cache_shared_by_stacks_and_states(grid, monkeypatch):
     build = wave.propagator_matrices
     monkeypatch.setattr(wave, "propagator_matrices", lambda t: built.append(t) or build(t))
     st_ = _random_state(grid, 2, seed=4)
-    stack = np.stack([st_.data, 2.0 * st_.data])
-    first = wave.propagate_blocks(0.3, stack)
-    second = wave.propagate_blocks(0.3, stack)
+    stack = np.stack([st_, 2.0 * st_])
+    first = wave.propagate(0.3, stack)
+    second = wave.propagate(0.3, stack)
     single = wave.propagate(0.3, st_)
     assert built == [0.3]
     assert np.array_equal(first, second)
-    assert np.allclose(single.data, first[0], rtol=0, atol=1e-14)
+    assert np.allclose(single, first[0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("s", [1, 2, 6])
@@ -193,9 +191,9 @@ def test_propagate_equals_the_per_mode_matrix_product_bit_for_bit(s, dim):
             out = np.einsum("mab,nbm->nam", op.propagator_matrices(t), coeffs)
         want = g.to_physical(out.reshape(data.shape))
         snapshot = data.tobytes()
-        assert op.propagate_blocks(t, data).tobytes() == want.tobytes()
-        roles = tuple(f"c{i}" for i in range(s))
-        assert op.propagate(t, State(g, data[0], roles)).data.tobytes() == want[0].tobytes()
+        assert op.propagate(t, data).tobytes() == want.tobytes()
+        assert op.propagate(t, data[0]).tobytes() == want[0].tobytes()
+        assert op.propagate(t, data[None]).tobytes() == want[None].tobytes()
         assert data.tobytes() == snapshot
 
 
@@ -223,16 +221,15 @@ def test_diagonal_symbols_equal_the_dense_contraction_bit_for_bit(s, dim):
         coeffs = g.to_spectral(data).reshape(B, s, g.size)
         out = np.einsum("mab,nbm->nam", op.propagator_matrices(t), coeffs)
         want = g.to_physical(out.reshape(data.shape))
-        assert op.propagate_blocks(t, data).tobytes() == want.tobytes()
-        roles = tuple(f"c{i}" for i in range(s))
-        assert op.propagate(t, State(g, data[0], roles)).data.tobytes() == want[0].tobytes()
+        assert op.propagate(t, data).tobytes() == want.tobytes()
+        assert op.propagate(t, data[0]).tobytes() == want[0].tobytes()
         flat = coeffs[0].copy()
         flat[rng.random(flat.shape) < 0.2] = -0.0
         flat[rng.random(flat.shape) < 0.1] *= 1e-310
         want = np.einsum("abm,bm->am", dense, flat)
         assert op.apply_spectral(flat).tobytes() == want.tobytes()
-        state = State(g, data[0], roles)
-        ladder, c = [], g.to_spectral(state.data).reshape(s, g.size)
+        state = data[0]
+        ladder, c = [], g.to_spectral(state).reshape(s, g.size)
         for _ in range(3):
             ladder.append(np.sqrt(np.sum(np.ones((s, g.size)) * np.abs(c) ** 2).real))
             c = np.einsum("abm,bm->am", dense, c)
@@ -286,7 +283,7 @@ def test_real_diagonal_norm_powers_equal_the_einsum_ladder_on_non_finite_values(
             want = _einsum_ladder(op, stack, 3)
         with warnings.catch_warnings(record=True) as got_warned:
             warnings.simplefilter("always")
-            got = op.graph_norm_ladder_blocks(stack, 3)
+            got = op.graph_norm_ladder(stack, 3)
         assert got.tobytes() == want.tobytes()
         assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
     # the last stack: a NaN block; one whose power overflows to inf, and whose
@@ -315,9 +312,9 @@ def test_metric_norms_equal_the_single_state_formula_bit_for_bit(grid, kind, par
     op = _operator(kind, grid, **params)
     g = np.ones((s, grid.size)) if op.metric is None else op.metric.reshape(s, grid.size)
     states = [_random_state(grid, s, seed=seed) for seed in range(12)]
-    want = np.array([np.sqrt(np.sum(g * np.abs(grid.to_spectral(st_.data).reshape(s, grid.size)) ** 2).real)
+    want = np.array([np.sqrt(np.sum(g * np.abs(grid.to_spectral(st_).reshape(s, grid.size)) ** 2).real)
                      for st_ in states])
-    blocks = op.graph_norm_ladder_blocks(np.stack([st_.data for st_ in states]), 0)[:, 0]
+    blocks = op.graph_norm_ladder(np.stack(states), 0)[:, 0]
     assert blocks.tobytes() == want.tobytes()
     assert np.array([op.metric_norm(st_) for st_ in states]).tobytes() == want.tobytes()
 
@@ -340,30 +337,37 @@ def test_graph_norm_ladder_blocks_equal_the_per_state_ladder_bit_for_bit(dim, ki
     dense = op.symbol.reshape(s, s, g.size)
     weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
     rng = np.random.default_rng(40 + dim)
-    roles = tuple(f"c{i}" for i in range(s))
     for B in (1, 7):
         data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
         data[rng.random(data.shape) < 0.2] = -0.0
-        blocks = op.graph_norm_ladder_blocks(data, 3)
+        blocks = op.graph_norm_ladder(data, 3)
         assert blocks.shape == (B, 4)
+        assert op.graph_norm_ladder(data.reshape((1, B, s) + g.shape), 3).shape == (1, B, 4)
         for k in range(B):
-            state = State(g, data[k], roles)
+            state = data[k]
             assert blocks[k].tobytes() == op.graph_norm_ladder(state, 3).tobytes()
-            ladder, c = [], g.to_spectral(state.data).reshape(s, g.size)
+            ladder, c = [], g.to_spectral(state).reshape(s, g.size)
             for _ in range(4):
                 ladder.append(np.sqrt(np.sum(weights * np.abs(c) ** 2).real))
                 c = np.einsum("abm,bm->am", dense, c)
             assert blocks[k].tobytes() == np.array(ladder).tobytes()
     with pytest.raises(ValueError):
-        op.graph_norm_ladder_blocks(data, -1)
+        op.graph_norm_ladder(data, -1)
 
 
 def test_shape_mismatch_rejected(grid):
+    # the one state check: the shape (s, *grid.shape) of the generator, its
+    # one message, and the complex cast that it makes once (no copy when the
+    # array is complex already)
     lap = build_model("nls", grid).generator
-    for act in (lambda st_: lap.propagate(0.1, st_), lambda st_: lap.graph_norm_ladder(st_, 1),
-                lap.metric_norm):
-        with pytest.raises(ValueError, match="components"):
-            act(_random_state(grid, 2))
+    for bad in (_random_state(grid, 2), _random_state(grid, 1)[0], _random_state(grid, 1)[None],
+                _random_state(make_grid(1, [8], [2 * np.pi]), 1)):
+        with pytest.raises(ValueError, match=r"^state shape \(.*\), expected \(1, 16\)$"):
+            lap._as_state(bad)
+    good = _random_state(grid, 1)
+    assert lap._as_state(good) is good
+    real = np.ones((1,) + grid.shape)
+    assert lap._as_state(real).dtype == complex and np.array_equal(lap._as_state(real), real)
 
 
 @pytest.mark.parametrize("kind,params,s", [
@@ -406,9 +410,9 @@ def test_graph_norm_monotone_under_truncation(seed, j):
     op = build_model("nls", grid).generator
     st_ = _random_state(grid, 1, seed=seed)
     full = op.graph_norm_ladder(st_, j)[j]
-    coeffs = grid.to_spectral(st_.data)
+    coeffs = grid.to_spectral(st_)
     keep = np.abs(grid.k_axes[0]) <= 2.0
-    truncated = State.from_spectral(grid, coeffs * keep, st_.roles)
+    truncated = grid.to_physical(coeffs * keep)
     assert op.graph_norm_ladder(truncated, j)[j] <= full + 1e-12
 
 
@@ -438,19 +442,18 @@ def test_metric_inner_blocks_equal_the_single_state_pairing_bit_for_bit(dim, kin
     s = op.n_components
     weights = np.ones((s, g.size)) if op.metric is None else op.metric.reshape(s, g.size)
     rng = np.random.default_rng(60 + dim)
-    roles = tuple(f"c{i}" for i in range(s))
     for B in (1, 7):
         data = rng.standard_normal((B, s) + g.shape) + 1j * rng.standard_normal((B, s) + g.shape)
         data[rng.random(data.shape) < 0.2] = -0.0
         data[-1, 0] = -0.0
         b = np.where(rng.random((s,) + g.shape) < 0.5, -0.0, data[0])
         b[-1] = complex(-0.0, -0.0)
-        pairs = op.metric_inner_blocks(data, b)
+        pairs = op.metric_inner(data, b)
         assert pairs.shape == (B,)
         cb = g.to_spectral(b).reshape(s, g.size)
         for k in range(B):
-            a = State(g, data[k], roles)
-            want = np.array(complex(np.sum(weights * g.to_spectral(a.data).reshape(s, g.size)
+            want = np.array(complex(np.sum(weights * g.to_spectral(data[k]).reshape(s, g.size)
                                            * np.conj(cb))))
             assert pairs[k].tobytes() == want.tobytes()
-            assert np.array(op.metric_inner(a, State(g, b, roles))).tobytes() == want.tobytes()
+            assert op.metric_inner(data[k], b).shape == ()
+            assert op.metric_inner(data[k], b).tobytes() == want.tobytes()

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochwave import (BlowUpError, CovarianceSpec, Field, QWienerSampler, State,
-                       ThetaPotential, build_model, default_covariance,
-                       holomorphy_check, make_grid, picard_solve, solve_ito,
-                       step_exp_euler)
+from stochwave import (BlowUpError, ChaosSpace, CovarianceSpec, EnsembleConfig, Field,
+                       QWienerSampler, ThetaPotential, build_model, default_covariance,
+                       holomorphy_check, make_grid, picard_solve, run_ensemble,
+                       solve_ito, solve_wick_evolution, step_exp_euler)
 from stochwave.cli import _csv, cmd_simulate
 from stochwave.config import ExperimentConfig
 from stochwave.solver import BLOWUP_CAP, _SCHEMES, _exp_euler, _ito_march
@@ -19,7 +19,7 @@ GRID = make_grid(1, [32], [2 * np.pi])
 def _sine_gordon_setup(radius=0.3, seed=2):
     m = build_model("sine_gordon", GRID, g=1.0, k0=1.0)
     st = m.random_smooth_state(np.random.default_rng(seed), radius)
-    st = State(GRID, np.real(st.data).astype(complex), m.roles)
+    st = np.real(st).astype(complex)
     cov = default_covariance(GRID, n_modes=3, lambda0=0.5, gamma=2.0)
     theta = ThetaPotential([Field(GRID, np.sqrt(l) * e.values)
                             for l, e in zip(cov.eigenvalues, cov.eigenfields)])
@@ -52,7 +52,7 @@ def test_picard_constant_potential_closed_form():
     c = 0.4
     theta = ThetaPotential([Field(GRID, np.ones(GRID.shape))])
     x = GRID.x_axes[0]
-    phi0 = State(GRID, np.exp(1j * x)[None, :], m.roles)
+    phi0 = np.exp(1j * x)[None, :]
     T = 0.5
     res = picard_solve(m, phi0, T, theta, np.array([c]), n_time_nodes=129, tol=1e-13,
                        max_iter=100)
@@ -131,7 +131,7 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
     def rhs(state):
         out = model.apply_J(state)
         if theta_values is not None:
-            out = out + State(state.grid, state.data * theta_values, state.roles)
+            out = out + state * theta_values
         return out
 
     free = [phi0.copy()]
@@ -141,7 +141,7 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
     def sweep(states):
         F = [rhs(s) for s in states]
         out = [free[0]]
-        integral = State.zeros(model.grid, model.roles)
+        integral = np.zeros(phi0.shape, dtype=complex)
         for i in range(1, n_nodes):
             integral = gen.propagate(dt, integral + (0.5 * dt) * F[i - 1])
             integral = integral + (0.5 * dt) * F[i]
@@ -155,7 +155,7 @@ def _list_picard(model, phi0, T, theta=None, zeta=None, eta=None, z=0.0,
     current, residuals, converged = list(free), [], False
     for _ in range(max_iter):
         nxt = sweep(current)
-        if any(not np.all(np.isfinite(s.data)) for s in nxt) or \
+        if any(not np.all(np.isfinite(s)) for s in nxt) or \
            model.generator.metric_norm(nxt[-1]) > BLOWUP_CAP:
             raise BlowUpError("Picard iterate left the finite-norm region")
         res = distance(nxt, current)
@@ -190,7 +190,7 @@ def _picard_cases():
     kg = build_model("klein_gordon", GRID, p=3, sign=1)
     md = build_model("maxwell_dirac", GRID, k0=1.0, m=0.5)
     # -0 real parts on even points, -0 imaginary parts on odd ones
-    zeros = zak_st.data.copy()
+    zeros = zak_st.copy()
     zeros.real[..., ::2] = -0.0
     zeros.imag[..., 1::2] = -0.0
     return {
@@ -200,7 +200,7 @@ def _picard_cases():
         "maxwell_dirac_1d_theta": (md, md.random_smooth_state(np.random.default_rng(6), 0.3),
                                    0.5, theta, [0.2, -0.3, 0.1],
                                    dict(n_time_nodes=17, tol=1e-11)),
-        "zakharov_2d_signed_zeros": (zak, State(zak.grid, zeros, zak.roles), 0.5, zak_theta,
+        "zakharov_2d_signed_zeros": (zak, zeros, 0.5, zak_theta,
                                      zak_zeta, dict(n_time_nodes=9, tol=1e-10)),
         "nls_1d_theta": (nls, nls_st, 0.5, theta, [0.2, -0.3, 0.1],
                          dict(n_time_nodes=17, tol=1e-11)),
@@ -219,7 +219,7 @@ def _picard_cases():
 def test_picard_matches_the_list_sweep_bit_for_bit(case):
     # the node-by-node sweep forms every node, residual and the final check
     # with the operations, in the order, of the whole-path sweep; in place on
-    # the raw arrays, it keeps the State algebra's bits, the signed zeros too.
+    # the arrays of its own nodes, it keeps their bits, the signed zeros too.
     # Zakharov's real diagonal raises its norm powers by a plain product,
     # Klein-Gordon's dense wave block and Maxwell-Dirac's by einsum
     model, phi0, T, theta, zeta, kw = _picard_cases()[case]
@@ -236,39 +236,40 @@ def test_picard_matches_the_list_sweep_bit_for_bit(case):
     got = picard_solve(model, phi0, T, theta, zeta, **kw)
     states, residuals, converged, fp_res, ratio = want
     assert got.converged == converged == (case != "stopped_by_max_iter")
-    assert [s.data.tobytes() for s in got.states] == [s.data.tobytes() for s in states]
+    assert [s.tobytes() for s in got.states] == [s.tobytes() for s in states]
     assert np.array(got.residuals).tobytes() == np.array(residuals).tobytes()
     assert np.float64(got.fixed_point_residual).tobytes() == np.float64(fp_res).tobytes()
     assert np.float64(got.contraction_ratio).tobytes() == np.float64(ratio).tobytes()
 
 
-def test_picard_writes_into_no_shared_array(monkeypatch):
-    # the free path that the stencil's solves share, phi0 and every node that
-    # a sweep makes (an iterate's, a returned state's) are read-only here: an
-    # in-place op on any of them raises
+def test_picard_writes_into_no_shared_array():
+    # the free path that the stencil's solves share, phi0, the probe and every
+    # node that a sweep makes (an iterate's, a returned state's) are read-only
+    # here: an in-place op on any of them raises
     m, st, theta, zeta = _zakharov_2d()
     eta = np.array([0.2, -0.1, 0.3, 0.05])
     probe = st * (1.0 / m.generator.metric_norm(st))
     kw = dict(n_time_nodes=9, tol=1e-12, max_iter=80)
     want = holomorphy_check(m, st, 0.5, theta, zeta, eta, [0.0], probe, **kw)
+    nodes = []
+
+    class FreeNode(np.ndarray):  # its sum, a sweep's node free[i] + integral, is read-only
+        def __add__(self, other):
+            nodes.append(np.asarray(self) + other)
+            nodes[-1].flags.writeable = False
+            return nodes[-1]
+
     free = [st.copy()]
     for _ in range(8):
         free.append(m.generator.propagate(0.5 / 8, free[-1]))
-    for s in free + [st]:
-        s.data.flags.writeable = False
-    snapshot = [s.data.tobytes() for s in free]
-    nodes, add = [], State.__add__
-
-    def read_only_node(a, b):  # a sweep's node: free[i] + integral
-        nodes.append(add(a, b))
-        nodes[-1].data.flags.writeable = False
-        return nodes[-1]
-
-    monkeypatch.setattr(State, "__add__", read_only_node)
+    free = [s.view(FreeNode) for s in free]
+    for s in free + [st, probe]:
+        s.flags.writeable = False
+    snapshot = [s.tobytes() for s in free + [st, probe]]
     got = holomorphy_check(m, st, 0.5, theta, zeta, eta, [0.0], probe, _free=free, **kw)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     # each of the 8 solves: a sweep and the final check, 8 nodes each past the first
-    assert [s.data.tobytes() for s in free] == snapshot and len(nodes) >= 8 * 2 * 8
+    assert [s.tobytes() for s in free + [st, probe]] == snapshot and len(nodes) >= 8 * 2 * 8
 
 
 def test_picard_solve_holds_about_two_paths():
@@ -284,7 +285,7 @@ def test_picard_solve_holds_about_two_paths():
     finally:
         tracemalloc.stop()
     assert res.converged
-    assert peak <= 2.5 * 33 * st.data.nbytes
+    assert peak <= 2.5 * 33 * st.nbytes
 
 
 def test_picard_final_check_raises_on_a_non_finite_node():
@@ -298,24 +299,25 @@ def test_picard_final_check_raises_on_a_non_finite_node():
 def test_picard_rejects_a_negative_max_iter():
     m = build_model("nls", GRID, p=3, sign=1)
     with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
-        picard_solve(m, State.zeros(m.grid, m.roles), 0.1, None, n_time_nodes=5, max_iter=-1)
+        picard_solve(m, np.zeros((1,) + m.grid.shape, dtype=complex), 0.1, None,
+                     n_time_nodes=5, max_iter=-1)
 
 
 def test_step_exp_euler_flags_nonfinite():
     from stochwave import BlowUpError
 
     m = build_model("nls", GRID, p=3, sign=1)
-    bad = State.zeros(m.grid, m.roles)
-    bad.data[0, 0] = np.inf
+    bad = np.zeros((1,) + m.grid.shape, dtype=complex)
+    bad[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(BlowUpError):
         step_exp_euler(m, bad, 0.01)
 
 
 def _state_algebra_step(model, state, dt, dW):
-    # the exponential Euler step written with State arithmetic
+    # the exponential Euler step written out in array arithmetic
     inner = state + dt * model.apply_J(state)
     if dW is not None:
-        inner = inner + State(state.grid, state.data * dW, state.roles)
+        inner = inner + state * dW
     return model.generator.propagate(dt, inner)
 
 
@@ -346,15 +348,42 @@ NOISES = [None, "array", "complex"]
 def _assert_step_matches_state_algebra(m, st, w, noise):
     dW = {None: None, "array": w, "complex": w.astype(complex)}[noise]
     # read-only inputs: a step that wrote to the state or the increment raises
-    before = (st.data.tobytes(), None if dW is None else dW.tobytes())
-    st.data.flags.writeable = False
+    before = (st.tobytes(), None if dW is None else dW.tobytes())
+    st.flags.writeable = False
     if dW is not None:
         dW.flags.writeable = False
     got = step_exp_euler(m, st, 0.01, dW)
     oracle = _state_algebra_step(m, st, 0.01, None if dW is None else w)
-    assert got.data.tobytes() == oracle.data.tobytes()
-    assert got.roles == st.roles and got.grid == st.grid
-    assert (st.data.tobytes(), None if dW is None else dW.tobytes()) == before
+    assert got.tobytes() == oracle.tobytes()
+    assert got.shape == st.shape and got.dtype == complex and got.flags.writeable
+    assert (st.tobytes(), None if dW is None else dW.tobytes()) == before
+
+
+def _assert_kernels_write_into_no_input(m, st):
+    """Every public kernel and solver that takes a state, on read-only arrays:
+    the state, a stack, the probe and a free path. A write into any of them
+    raises, and each keeps its bytes."""
+    gen = m.generator
+    cov = default_covariance(m.grid, n_modes=2, lambda0=0.5, gamma=2.0)
+    probe = st * (1.0 / gen.metric_norm(st))
+    free = [st.copy()]
+    for _ in range(2):
+        free.append(gen.propagate(0.01, free[-1]))
+    inputs = [st, np.stack([st, 0.5 * st]), probe, *free]
+    for a in inputs:
+        a.flags.writeable = False
+    before = [a.tobytes() for a in inputs]
+    for data in inputs[:2]:  # a state and a stack
+        gen.propagate(0.01, data)
+        m.apply_J(data)
+        gen.graph_norm_ladder(data, 2)
+        gen.metric_inner(data, probe)
+    solve_ito(m, st, 0.02, 0.01, QWienerSampler(cov, 3, 0))
+    holomorphy_check(m, st, 0.02, ThetaPotential(cov.noise_fields()), [0.1, -0.2], [0.3, 0.1],
+                     [0.0], probe, n_time_nodes=3, _free=free)
+    solve_wick_evolution(m, st, cov.noise_fields(), 0.02, 0.01, ChaosSpace(2, 2))
+    run_ensemble(EnsembleConfig(m, st, 0.02, 0.01, cov, 2, 0))
+    assert [a.tobytes() for a in inputs] == before
 
 
 @pytest.mark.parametrize("name, params", STEP_MODELS)
@@ -362,6 +391,8 @@ def _assert_step_matches_state_algebra(m, st, w, noise):
 def test_step_exp_euler_equals_state_algebra_bit_for_bit(name, params, noise):
     m, st, w = _step_setup(name, params)
     _assert_step_matches_state_algebra(m, st, w, noise)
+    if noise == "array":  # once per model: the other kernels and solvers too
+        _assert_kernels_write_into_no_input(m, st)
 
 
 @pytest.mark.parametrize("name, params", STEP_MODELS)
@@ -370,7 +401,7 @@ def test_step_exp_euler_keeps_the_bits_of_signed_zeros(name, params, noise):
     # -0 entries, in the real part, the imaginary part or both: the sum
     # phi + dt*J turns each into +0, and so must the "+ 0.0" of a zero J
     m, st, w = _step_setup(name, params)
-    flat = st.data.reshape(-1)
+    flat = st.reshape(-1)
     flat[::3] = complex(-0.0, -0.0)
     flat.real[1::7] = -0.0
     flat.imag[2::5] = -0.0
@@ -394,10 +425,9 @@ def test_step_exp_euler_rejects_bad_input(case):
     m, st, w = _step_setup("zakharov", {})
     state, dt, dW, match = st, 0.01, w, None
     if case == "other_grid":
-        state, match = State(make_grid(2, [8, 8], [1.0, 1.0]),
-                             np.zeros((2, 8, 8)), m.roles), "grid"
+        state, match = np.zeros((2, 8, 8)), r"state shape \(2, 8, 8\), expected \(2, 16, 16\)"
     elif case == "component_count":
-        state, match = State(GRID2, st.data[:1], ("c0",)), "components"
+        state, match = st[:1], r"state shape \(1, 16, 16\), expected \(2, 16, 16\)"
     elif case.startswith("dt_"):
         dt = {"dt_zero": 0.0, "dt_negative": -0.01}[case]
         match = f"dt must be above 0, got {dt}"
@@ -432,15 +462,15 @@ def test_step_exp_euler_gbm_reduction():
     # zero generator mode: psi -> psi (1 + dW), plain multiplicative Euler
     g = make_grid(1, [8], [1.0])
     m = build_model("nls", g, sign=0, smoothness=1)
-    st = State(g, np.full((1,) + g.shape, 1.0 + 0.5j), m.roles)
+    st = np.full((1,) + g.shape, 1.0 + 0.5j)
     out = step_exp_euler(m, st, 0.01, np.full(g.shape, 0.03))
-    assert np.allclose(out.data, st.data * 1.03, atol=1e-14)
+    assert np.allclose(out, st * 1.03, atol=1e-14)
 
 
 def test_step_exp_euler_vs_strang_one_step():
     m = build_model("nls", GRID, p=3, sign=1)
     x = GRID.x_axes[0]
-    st = State(GRID, (0.5 * np.exp(1j * x))[None, :], m.roles)
+    st = (0.5 * np.exp(1j * x))[None, :]
     diffs = []
     for dt in (2e-2, 1e-2, 5e-3):
         a = step_exp_euler(m, st, dt)
@@ -487,7 +517,7 @@ def _recorded(model, phi0, T, dt, sampler=None, threshold=np.inf, kernel=_exp_eu
     def record(t, data, ladders):
         for d, g in zip(data, ladders):
             times.append(t)
-            states.append(State(model.grid, d, phi0.roles))
+            states.append(d)
             norms.append(g)
 
     _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record, kernel)
@@ -499,11 +529,11 @@ def _assert_table_of(traj, model, times, states, norms):
     for bit: its times, graph norms, every conserved column and final state."""
     assert traj.times.tobytes() == np.asarray(times).tobytes()
     assert traj.graph_norms.tobytes() == np.asarray(norms).tobytes()
-    rows = [model.conserved_blocks(s.data[None]) for s in states]
+    rows = [model.conserved_blocks(s[None]) for s in states]
     assert list(traj.conserved) == list(rows[0])
     for name, column in traj.conserved.items():
         assert column.tobytes() == np.array([r[name][0] for r in rows]).tobytes()
-    assert traj.final.data.tobytes() == states[-1].data.tobytes()
+    assert traj.final.tobytes() == states[-1].tobytes()
 
 
 def test_solve_ito_norm_history_matches_states():
@@ -515,9 +545,9 @@ def test_solve_ito_norm_history_matches_states():
     for i, state in enumerate(states):
         recomputed = m.generator.graph_norm_ladder(state, m.smoothness)
         assert np.max(np.abs(recomputed - traj.graph_norms[i])) < 1e-10
-        energy = m.conserved_blocks(state.data[None])["energy"][0]
+        energy = m.conserved_blocks(state[None])["energy"][0]
         assert abs(energy - traj.conserved["energy"][i]) <= 1e-12 * abs(energy)
-    assert traj.final.data.tobytes() == states[-1].data.tobytes()
+    assert traj.final.tobytes() == states[-1].tobytes()
 
 
 def test_solve_ito_keeps_rows_not_states():
@@ -534,20 +564,20 @@ def test_solve_ito_keeps_rows_not_states():
         finally:
             tracemalloc.stop()
         assert len(traj.times) == n_steps + 1
-    assert peaks[1] - peaks[0] < 4 * phi0.data.nbytes
+    assert peaks[1] - peaks[0] < 4 * phi0.nbytes
 
 
 def test_solve_ito_non_finite_step_ends_at_the_last_finite_state():
     # p = 31 from amplitude 2.5: step 1 stays under the cap, step 2 overflows,
     # so the path ends at the state of step 1
     m = build_model("nls", make_grid(1, [8], [1.0]), p=31, sign=1, dealias=False)
-    st = State(m.grid, np.full((1, 8), 2.5 + 0j), m.roles)
+    st = np.full((1, 8), 2.5 + 0j)
     with np.errstate(all="ignore"):
         traj = solve_ito(m, st, 1.0, 0.01, None)
     step1 = step_exp_euler(m, st, 0.01)
     assert traj.blown_up and traj.stop_time == 0.02
     assert list(traj.times) == [0.0, 0.01] and len(traj.conserved["mass"]) == 2
-    assert traj.final.data.tobytes() == step1.data.tobytes()
+    assert traj.final.tobytes() == step1.tobytes()
     assert traj.graph_norms[-1].tobytes() == \
         m.generator.graph_norm_ladder(step1, m.smoothness).tobytes()
 
@@ -564,7 +594,7 @@ def test_tight_threshold_stops_with_strong_noise():
     m = build_model("nls", g, sign=0, smoothness=1)
     spec = CovarianceSpec(np.array([4.0]), [Field(g, np.ones(g.shape))])
     x = g.x_axes[0]
-    phi0 = State(g, np.exp(2j * np.pi * x)[None, :], m.roles)
+    phi0 = np.exp(2j * np.pi * x)[None, :]
     threshold = m.generator.metric_norm(phi0) * 1.0001
     stopped = 0
     for i in range(100):
@@ -581,7 +611,7 @@ def test_stop_time_monotone_in_threshold():
     m = build_model("nls", g, sign=0, smoothness=1)
     spec = CovarianceSpec(np.array([2.0]), [Field(g, np.ones(g.shape))])
     x = g.x_axes[0]
-    phi0 = State(g, np.exp(2j * np.pi * x)[None, :], m.roles)
+    phi0 = np.exp(2j * np.pi * x)[None, :]
     n0 = m.generator.metric_norm(phi0)
     for stream in range(10):
         previous = -np.inf
@@ -639,8 +669,7 @@ def _march_case(name):
     ``mixed`` says that some paths stop and some run to T."""
     unit = make_grid(1, [8], [1.0])
     scalar = lambda lam: CovarianceSpec(np.array([lam]), [Field(unit, np.ones(unit.shape))])
-    mode = lambda m, g: State(g, np.exp(2j * np.pi * g.x_axes[0] / g.lengths[0])[None],
-                              m.roles)
+    mode = lambda m, g: np.exp(2j * np.pi * g.x_axes[0] / g.lengths[0])[None]
     top = lambda m, st: max(m.generator.graph_norm_ladder(st, m.smoothness)[:max(m.smoothness, 1)])
     if name == "moment_law":
         m = build_model("nls", unit, sign=0, smoothness=1)
@@ -661,11 +690,11 @@ def _march_case(name):
         return m, phi0, 0.3, 0.01, cov, 12, 16, 1.02 * top(m, phi0), True
     if name == "focusing":  # blown up above the cap
         m = build_model("nls", unit, p=3, sign=1)
-        phi0 = State(unit, np.full((1, 8), 3.0 + 0j), m.roles)
+        phi0 = np.full((1, 8), 3.0 + 0j)
         return m, phi0, 0.5, 0.01, scalar(0.5), 13, 20, np.inf, True
     if name == "non_finite":  # blown up by an overflowing step
         m = build_model("nls", unit, p=31, sign=1, dealias=False)
-        phi0 = State(unit, np.full((1, 8), 2.5 + 0j), m.roles)
+        phi0 = np.full((1, 8), 2.5 + 0j)
         return m, phi0, 0.1, 0.01, scalar(0.5), 16, 9, np.inf, False
     if name == "sine_gordon_hook":  # J scaled by each path's own norm
         m = build_model("sine_gordon", GRID, g=1.0, k0=1.0, break_j_hook=True)
@@ -712,12 +741,12 @@ def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
                     None if dW is None else dW[:, start:paths.stop], len(paths),
                     lambda t, data, norms: recorded.extend(d.tobytes() for d in data))
                 for b, path in enumerate(oracle[start:paths.stop]):
-                    assert final[b].tobytes() == path.states[-1].data.tobytes()
+                    assert final[b].tobytes() == path.states[-1].tobytes()
                     assert sup[b].tobytes() == np.float64(path.sup_sq).tobytes()
                     assert (stop[b] * dt if stop[b] else None) == path.stop_time
                     assert blown[b] == path.blown_up
                 if size == 1:
-                    assert recorded == [s.data.tobytes() for s in oracle[start].states[1:]]
+                    assert recorded == [s.tobytes() for s in oracle[start].states[1:]]
         for i, path in enumerate(oracle):  # solve_ito keeps the table of each path
             traj = solve_ito(m, phi0, T, dt, _sampler(cov, seed, i), threshold=threshold)
             _assert_table_of(traj, m, path.times, path.states, path.norms)
@@ -731,13 +760,12 @@ def test_ito_march_equals_the_per_path_march_bit_for_bit(case):
 def _deterministic_loop(model, phi0, T, dt, scheme):
     """The oracle of the noise-free march: the loop of the former
     ``solve_deterministic``, recording every step, with the split step written
-    in State arithmetic. Returns the times, states and graph norms."""
+    as its three calls. Returns the times, states and graph norms."""
     gen = model.generator
 
     def strang(state):
         half = gen.propagate(0.5 * dt, state)
-        mid = State(model.grid, model.nonlinear_substep(half.data, dt), state.roles)
-        return gen.propagate(0.5 * dt, mid)
+        return gen.propagate(0.5 * dt, model.nonlinear_substep(half, dt))
 
     stepper = {"strang": strang, "exp_euler": lambda s: step_exp_euler(model, s, dt)}[scheme]
     state = phi0.copy()
@@ -762,7 +790,7 @@ def test_march_equals_the_deterministic_loop_bit_for_bit(name, scheme):
     times, states, norms = _deterministic_loop(m, phi0, 0.2, 0.005, scheme)
     got = _recorded(m, phi0, 0.2, 0.005, kernel=_SCHEMES[scheme])
     assert got[0].tobytes() == times.tobytes() and got[2].tobytes() == norms.tobytes()
-    assert [s.data.tobytes() for s in got[1]] == [s.data.tobytes() for s in states]
+    assert [s.tobytes() for s in got[1]] == [s.tobytes() for s in states]
     traj = solve_ito(m, phi0, 0.2, 0.005, None, scheme=scheme)
     _assert_table_of(traj, m, times, states, norms)
     assert (traj.stop_time, traj.blown_up, traj.seed_info) == (None, False, {})
@@ -791,7 +819,7 @@ def test_solve_ito_records_the_per_path_trajectory(case):
             _assert_table_of(got, m, want.times, want.states, want.norms)
         assert times.tobytes() == want.times.tobytes()
         assert norms.tobytes() == want.norms.tobytes()
-        assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in want.states]
+        assert [s.tobytes() for s in states] == [s.tobytes() for s in want.states]
         assert (got.stop_time, got.blown_up, got.seed_info) == \
             (want.stop_time, want.blown_up, want.seed_info)
 
@@ -802,7 +830,7 @@ def test_ito_mean_square_continuity():
     g = make_grid(1, [8], [1.0])
     m = build_model("nls", g, sign=0, smoothness=1)
     spec = CovarianceSpec(np.array([0.5]), [Field(g, np.ones(g.shape))])
-    phi0 = State(g, np.ones((1,) + g.shape, dtype=complex), m.roles)
+    phi0 = np.ones((1,) + g.shape, dtype=complex)
     dt = 1 / 64
     step_marks = (1, 2, 4, 8)
     deltas = np.array(step_marks) * dt
@@ -842,13 +870,11 @@ def test_gronwall_graph_norm_growth():
             rates.append(np.log(max(sum_norms(s) / s0, 1e-300)) / t)
         return max(rates)
 
-    calibration = max(growth_rate(State(GRID, np.real(
-        m.random_smooth_state(rng, 0.3).data).astype(complex), m.roles))
-        for _ in range(5))
+    calibration = max(growth_rate(np.real(m.random_smooth_state(rng, 0.3)).astype(complex))
+                      for _ in range(5))
     c1 = max(calibration, 0.0) * 1.5 + 0.1
     for _ in range(50):
-        st = State(GRID, np.real(m.random_smooth_state(rng, 0.3).data).astype(complex),
-                   m.roles)
+        st = np.real(m.random_smooth_state(rng, 0.3)).astype(complex)
         assert growth_rate(st) <= c1
 
 
@@ -866,7 +892,7 @@ def test_holomorphy_affine_single_mode():
     m = build_model("nls", GRID, sign=0, smoothness=1)
     theta = ThetaPotential([Field(GRID, np.ones(GRID.shape))])
     x = GRID.x_axes[0]
-    phi0 = State(GRID, np.exp(1j * x)[None, :], m.roles)
+    phi0 = np.exp(1j * x)[None, :]
     probe = phi0 * (1.0 / m.generator.metric_norm(phi0))
     res = holomorphy_check(m, phi0, 0.5, theta, np.array([0.3]), np.array([2.0]),
                            [0.25], probe, spacing=1e-2, n_time_nodes=65, tol=1e-13)
@@ -886,7 +912,7 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 
     def F(z):
         solves.append(picard_solve(m, st, 0.5, theta, zeta, eta, z, **kw))
-        return m.generator.metric_inner(solves[-1].final, probe)
+        return complex(m.generator.metric_inner(solves[-1].final, probe))
 
     want = max(0.0, *(_cr_residual(F, z0, 1e-2) for z0 in centers))
     calls = []
@@ -905,12 +931,12 @@ def test_holomorphy_check_equals_separate_solves_bit_for_bit(monkeypatch):
 def _csv_of_states(model, times, states, graph_norms):
     """The reference trajectory table: it takes the conserved quantities of
     every recorded state when it formats the table."""
-    names = sorted(model.conserved_blocks(states[0].data[None]).keys())
+    names = sorted(model.conserved_blocks(states[0][None]).keys())
     n_orders = graph_norms.shape[1]
     header = ["time"] + [f"graph_norm_j{j}" for j in range(n_orders)] + names
     lines = [",".join(header) + "\n"]
     for i, t in enumerate(times):
-        cons = model.conserved_blocks(states[i].data[None])
+        cons = model.conserved_blocks(states[i][None])
         row = [t, *graph_norms[i], *[cons[n][0] for n in names]]
         lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
     return "".join(lines)
@@ -934,5 +960,5 @@ def test_export_trajectory_csv():
             assert text == _csv_of_states(m, times, states, norms)
             lines = text.strip().splitlines()
             assert lines[0].startswith("time,graph_norm_j0")
-            assert all(n in lines[0] for n in m.conserved_blocks(phi0.data[None]))
+            assert all(n in lines[0] for n in m.conserved_blocks(phi0[None]))
             assert len(lines) == len(times) + 1 == 22
