@@ -387,7 +387,7 @@ def wick_nonlinearity(model: Model, space: ChaosSpace, data: np.ndarray) -> np.n
     doubled-variable convention) and the sine its exact truncated Wick-Taylor
     series, so degree-0-only inputs reproduce the ordinary J.
     """
-    expect = (space.n_indices, len(model.roles)) + model.grid.shape
+    expect = (space.n_indices, model.generator.n_components) + model.grid.shape
     if data.shape != expect:
         raise ValueError(f"chaos state shape {data.shape}, expected {expect}")
     return model.nonlinearity(_WickAlgebra(space), data)

@@ -259,7 +259,7 @@ class ExperimentConfig:
             data = model.random_smooth_state(rng, radius=1.0)
             n = model.generator.metric_norm(data)
             return data * (ib["amplitude"] / n) if n > 0 else data
-        data = np.zeros((len(model.roles),) + model.grid.shape, dtype=complex)
+        data = np.zeros((model.generator.n_components,) + model.grid.shape, dtype=complex)
         x = model.grid.x_mesh[0] * np.ones(model.grid.shape)
         L = model.grid.lengths[0]
         for i, entry in enumerate(ib["modes"]):

@@ -13,9 +13,11 @@ Order fits are least squares on log-log ladders, discarding points below ten
 times the Monte Carlo noise floor.
 
 A Monte Carlo sample is a column: ``_observable`` maps a (B, s, *grid.shape)
-stack of final states (an ensemble's paths, or one path's rungs) to one float
-per state, each as from the state alone, and ``noise.sample_moments`` reduces
-columns to means, variances and standard errors.
+stack of final states (one stack of an ensemble's paths, or one path's rungs)
+to one float per state, each as from the state alone, and
+``noise.sample_moments`` reduces columns to means, variances and standard
+errors. A stack's finals are dropped once its columns are taken, so no run
+holds more than one stack of states.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def _path_finals(config: EnsembleConfig, dts) -> Iterator[np.ndarray]:
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Independent trajectories with stream_id = path index, ordered reduction:
     ``_ito_march`` on stacks of paths in index order, whose increments fill one
-    array of ``_STACK_BYTES`` (one path's, if larger). Blown-up paths count as
+    array of ``_STACK_BYTES`` (one path's, if larger), each stack's finals
+    reduced to their observable columns as it ends. Blown-up paths count as
     stopped, not fatal, and their non-finite observables as data: the run, the
     reduction too, has numpy's overflow and invalid warnings off. The result is
     the same bit for bit for any stack size."""
@@ -161,19 +164,20 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     n_steps = _step_count(config.T, dt)
     size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
     buf = None if config.covariance is None else np.empty((n_steps, size, 1) + grid.shape)
-    marches, samplers = [], path_samplers(config.covariance, config.master_seed, config.n_paths)
+    stacks, samplers = [], path_samplers(config.covariance, config.master_seed, config.n_paths)
     for start in range(0, config.n_paths, size):
         n = min(size, config.n_paths - start)
         for b, sampler in zip(range(n), samplers):
             if sampler is not None:
                 buf[:, b, 0] = sampler.increments(dt, n_steps)
         dW = None if buf is None else buf[:, :n]
-        marches.append(_ito_march(model, phi0, dt, n_steps, config.threshold, dW, n))
-    finals, sups, stops, blown = (np.concatenate(part) for part in zip(*marches))
-    observables = {}
-    for name in config.observables:
-        vals = sups if name == "sup_sum_sq" else _observable(model, name, phi0, finals)
-        observables[name] = dict(zip(("mean", "var", "stderr"), map(float, sample_moments(vals))))
+        finals, sups, stops, blown = _ito_march(model, phi0, dt, n_steps, config.threshold, dW, n)
+        stacks.append([sups, stops, blown] + [
+            sups if name == "sup_sum_sq" else _observable(model, name, phi0, finals)
+            for name in config.observables])
+    sups, stops, blown, *columns = (np.concatenate(part) for part in zip(*stacks))
+    observables = {name: dict(zip(("mean", "var", "stderr"), map(float, sample_moments(vals))))
+                   for name, vals in zip(config.observables, columns)}
     denom = float(np.sum(model.generator.graph_norm_ladder(phi0, model.smoothness) ** 2))
     return EnsembleResult(
         observables=observables,
@@ -260,7 +264,8 @@ def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
 
 def _path_columns(config: EnsembleConfig, dts, column) -> np.ndarray:
     """``column(finals)`` of each path's finals (``_path_finals``), one column
-    per path: a row per rung, which ``sample_moments`` reduces along."""
+    per path: a row per rung (or per observable of the one rung), which
+    ``sample_moments`` reduces along."""
     return np.stack([column(finals) for finals in _path_finals(config, dts)], axis=1)
 
 
@@ -335,19 +340,16 @@ def chaos_vs_mc(config: EnsembleConfig,
     model, phi0, cov = config.model, config.phi0, config.covariance
     if cov is None:
         raise ValueError("chaos_vs_mc needs a noise model")
-    probe = _probe(model, phi0)
 
-    # Monte Carlo side: the paths' finals as one stack, paired with the probe.
-    finals = np.concatenate(list(_path_finals(config, [config.dt])))
-    pairs = model.generator.metric_inner(finals, probe)
-    re, _, se_re = map(float, sample_moments(pairs.real))
-    im, _, se_im = map(float, sample_moments(pairs.imag))
-    mc2, _, mc2_se = map(float, sample_moments(_observable(model, "norm_sq", phi0, finals)))
+    # Monte Carlo side: each path's probe pairing and squared norm, a column per path.
+    columns = _path_columns(config, [config.dt], lambda f: np.concatenate([
+        _observable(model, name, phi0, f) for name in ("pairing_re", "pairing_im", "norm_sq")]))
+    (re, im, mc2), _, (se_re, se_im, mc2_se) = (map(float, m) for m in sample_moments(columns))
 
     # Chaos side: frozen first-chaos noise on the shared eigenbasis.
     fields = cov.noise_fields()[: space.n_modes]
     wick = solve_wick_evolution(model, phi0, fields, config.T, config.dt, space)
-    cz = complex(model.generator.metric_inner(wick.final[0], probe))
+    cz = complex(model.generator.metric_inner(wick.final[0], _probe(model, phi0)))
     ok = abs(re - cz.real) <= 3 * se_re + 1e-12 and abs(im - cz.imag) <= 3 * se_im + 1e-12
 
     energy = float(np.sum(wick.final_energy))

@@ -15,7 +15,7 @@ nls            i dpsi/dt + Lap psi + sign |psi|^{p-1} psi = 0 becomes
 klein_gordon   psi_tt + B^2 psi = sign |psi|^{p-1} psi with B = sqrt(-Lap+k0^2),
                first-order form in (psi, v=psi_t): A = i[[0,I],[-B^2,0]],
                J = (0, sign |psi|^{p-1} psi), state space D(B) + L2.
-sine_gordon    u_tt + B^2 u = g sin u, same wave block, J = (0, g sin u).
+sine_gordon    u_tt + B^2 u = g sin u, same wave block on (u, u_t), J = (0, g sin u).
 zakharov       i psi_t + Lap psi = psi Re(v), i v_t + |grad| v = -|grad||psi|^2
                gives A = diag(-Lap, -|grad|) (symbol diag(k^2, -|k|)),
                J = (-i psi Re v, i |grad||psi|^2).
@@ -55,14 +55,6 @@ from .operators import (SpectralOperator, _abs_grad_symbol, _maxwell_dirac_symbo
                         _wave_symbol_metric, _zeroed_nyquist_k)
 
 MODEL_NAMES = ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon")
-
-_ROLES = {
-    "nls": ("psi",),
-    "klein_gordon": ("psi", "psi_t"),
-    "sine_gordon": ("u", "u_t"),
-    "zakharov": ("psi", "v"),
-    "maxwell_dirac": ("psi1", "psi2", "A0", "A0_t", "A1", "A1_t"),
-}
 
 # Polynomial degree of J in the state, used for estimate envelopes; the power
 # models (nls, klein_gordon) have degree p.
@@ -105,12 +97,11 @@ class _Pointwise:
 
 @dataclass
 class Model:
-    """Named bundle: generator, component structure, nonlinearity, invariants."""
+    """Named bundle: generator (which fixes the component count), nonlinearity, invariants."""
 
     name: str
     grid: Grid
     generator: SpectralOperator
-    roles: tuple[str, ...]
     params: ModelParams
     smoothness: int
     dealias: bool = True
@@ -286,7 +277,7 @@ class Model:
         [0.2*radius, radius]. Sine-Gordon states are real-valued.
         """
         decay = (1.0 + self.grid.k_squared) ** (-(self.smoothness + 1))
-        shape = (len(self.roles),) + self.grid.shape
+        shape = (self.generator.n_components,) + self.grid.shape
         coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * decay
         data = self.grid.to_physical(coeffs)
         if self.name == "sine_gordon":
@@ -335,7 +326,7 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
         gen = SpectralOperator(grid, *_maxwell_dirac_symbol_metric(grid, params.k0, params.m))
 
     return Model(
-        name=name, grid=grid, generator=gen, roles=_ROLES[name], params=params,
+        name=name, grid=grid, generator=gen, params=params,
         smoothness=_DEFAULT_SMOOTHNESS[name] if smoothness is None else int(smoothness),
         dealias=dealias, break_j_hook=break_j_hook, _absgrad=absgrad,
     )

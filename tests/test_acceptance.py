@@ -39,7 +39,7 @@ def _real_state(model, seed, radius):
 def _mode_state(grid, model, wave=1, amp=1.0):
     x = grid.x_axes[0]
     L = grid.lengths[0]
-    st = np.zeros((len(model.roles),) + model.grid.shape, dtype=complex)
+    st = np.zeros((model.generator.n_components,) + model.grid.shape, dtype=complex)
     st[0] = amp * np.exp(2j * np.pi * wave * x / L)
     return st
 

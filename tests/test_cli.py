@@ -1090,21 +1090,40 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def _run_limited(tmp_path, command, cfg):
+    """Run ``command`` on ``cfg`` in a subprocess under _LIMITED_MAIN's bound."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", _LIMITED_MAIN, command, "--config",
+                           _write(tmp_path, cfg), "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
 @pytest.mark.parametrize("command", sorted(CAP_RUNS))
 def test_an_array_past_the_element_cap_exits_2_before_it_is_allocated(tmp_path, command):
     # these once exited 4, out of memory, or ran on where the host let them
     changes, message = CAP_RUNS[command]
     cfg = {"grid": {"dim": 2, "points": [512, 512], "lengths": [1.0, 1.0]}, **changes}
-    out = tmp_path / "run"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    res = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, command, "--config",
-                          _write(tmp_path, cfg), "--out", str(out)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    res = _run_limited(tmp_path, command, cfg)
     assert (res.returncode, res.stderr) == (2, f"config error: {message}\n")
-    assert not out.exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("command", ("chaos", "ensemble"))
+def test_an_ensemble_holds_one_stack_of_final_states(tmp_path, command):
+    # 1,000 paths' final states on a 128 x 128 grid are 250 MiB, more than the
+    # 200 MiB that _LIMITED_MAIN leaves: a command that held them all at once
+    # would exit 4, out of memory
+    cfg = {"model": {"name": "nls", "sign": 0},
+           "grid": {"dim": 2, "points": [128, 128], "lengths": [1.0, 1.0]},
+           "solver": {"T": 0.01, "dt": 0.01}, "noise": {"enabled": True, "n_modes": 2},
+           "chaos": {"n_modes": 2, "max_degree": 1}, "mc": {"n_paths": 1000}}
+    res = _run_limited(tmp_path, command, cfg)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert (tmp_path / "run" / "report.json").exists()
 
 
 def test_ensemble_writes_outputs_and_reruns_bit_identical(tmp_path):

@@ -317,7 +317,9 @@ def test_blown_paths_end_at_their_last_finite_state():
 
 
 def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
-    # stacks of every path (the default budget here), of 7 and of 1 path
+    # stacks of every path (the default budget here), of 7 and of 1 path, on
+    # every observable that _observable knows, the model's invariants too: each
+    # column is reduced stack by stack, in index order
     import stochwave.ensemble as ensemble
 
     m = _linear_model()
@@ -326,7 +328,9 @@ def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
     top = max(m.generator.graph_norm_ladder(phi0, m.smoothness))
     cfg = EnsembleConfig(model=m, phi0=phi0, T=1.0, dt=0.01, covariance=cov,
                          n_paths=30, master_seed=5, threshold=2.0 * top,
-                         observables=("norm_sq", "sup_sum_sq", "pairing_re", "graph_norm_j1"))
+                         observables=("norm_sq", "sup_sum_sq", "pairing_re", "graph_norm_j1",
+                                      "norm", "log_norm_sq", "constant", "pairing_im",
+                                      "graph_norm_j0", "mass", "energy"))
     want = _json(run_ensemble(cfg))
     assert 0 < json.loads(want)["n_stopped"] < cfg.n_paths
     for size in (7, 1):
@@ -430,7 +434,7 @@ def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
     model = build_model(name, grid, smoothness=2)
     rng = np.random.default_rng(5)
     states = [model.random_smooth_state(rng, radius=r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    states.append(np.zeros((len(model.roles),) + model.grid.shape, dtype=complex))
+    states.append(np.zeros((model.generator.n_components,) + model.grid.shape, dtype=complex))
     data = np.stack(states)
     phi0 = states[1]
     names = ("norm_sq", "constant", "log_norm_sq", "norm", "graph_norm_j0", "graph_norm_j1",

@@ -24,12 +24,12 @@ def test_build_nls_paraxial():
     # generator is -Lap: symbol +|k|^2
     assert m.generator.symbol[0, 0, 0, 0] == pytest.approx(0.0)
     assert np.all(np.real(m.generator.symbol[0, 0]) >= -1e-14)
-    assert m.roles == ("psi",)
+    assert m.generator.n_components == 1
 
 
 def test_build_sine_gordon_two_component():
     m = build_model("sine_gordon", GRID, g=1.0, k0=1.0)
-    assert m.roles == ("u", "u_t")
+    assert m.generator.n_components == 2
     st = np.full((2,) + GRID.shape, np.pi / 2, dtype=complex)
     out = m.apply_J(st)
     assert np.allclose(out[0], 0.0, atol=1e-14)
@@ -38,7 +38,7 @@ def test_build_sine_gordon_two_component():
 
 def test_build_zakharov_structure():
     m = build_model("zakharov", GRID)
-    assert m.roles == ("psi", "v")
+    assert m.generator.n_components == 2
     # normalized coupling carries the phase factor making mass an invariant:
     # J = (-i psi Re v, i |grad| |psi|^2)
     rng = np.random.default_rng(1)
@@ -62,7 +62,7 @@ def test_nls_cubic_amplitude():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_J_of_zero_is_zero(name):
     m = build_model(name, GRID, p=3, sign=1, k0=1.0, m=1.0)
-    out = m.apply_J(np.zeros((len(m.roles),) + m.grid.shape, dtype=complex))
+    out = m.apply_J(np.zeros((m.generator.n_components,) + m.grid.shape, dtype=complex))
     assert np.max(np.abs(out)) == 0.0
 
 
