@@ -79,6 +79,7 @@ from .solver import _cr_residual, _step_count
 # this fraction of the energy.
 TAIL_FLAG_FRACTION = 0.2
 MAX_INDICES = 100_000  # a fixed bound on a space's indices, each a state block
+MAX_WICK_POWER = 99  # a fixed bound on p, which sets the Wick products of |a|^{p-1} a
 
 
 def _multi_indices(n_modes: int, max_degree: int) -> np.ndarray:
@@ -331,10 +332,11 @@ def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
 # ---------------------------------------------------------------------------
 
 def _odd_power(p: int) -> int:
-    """The power p of a Wick-quantized |a|^{p-1} a; ValueError unless odd."""
+    """The power p of a Wick-quantized |a|^{p-1} a, which takes (p - 3) / 2
+    Wick products; ValueError unless odd and at most MAX_WICK_POWER."""
     if p % 2 == 0:
         raise ValueError(f"Wick quantization needs an odd power p, got {p}")
-    return p
+    return _bound("p", p, most=MAX_WICK_POWER)
 
 
 class _WickAlgebra:

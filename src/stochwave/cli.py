@@ -8,16 +8,16 @@ of a .json file, or a CSV's named columns in the order they are written).
 Before the command runs, ``main`` refuses an output path that is not a
 directory or holds a run of a different config; once it returns, ``main``
 writes the command's files, then config.resolved.json, then report.json
-last (both carry the config hash), each whole through a temporary file and a
-rename. An error raised on the way leaves no run directory, or a re-used one
-as it was. ``python -m stochwave`` runs the same commands.
+last (both carry the config hash), each piece by piece into a temporary file
+that is then renamed. An error raised on the way leaves no run directory, or
+a re-used one as it was. ``python -m stochwave`` runs the same commands.
 
 The file suffix picks one of two rules, and no other module formats file
 text. Every JSON file, and verify's --json stdout, is strict JSON written by
-``_json``: a non-finite number is written as null. Every CSV is written by
-``_csv``: a header row of the column names, then one row per entry with a
-float as ``%.17g`` (so ``inf`` and ``nan`` stay, which numeric CSV readers
-parse) and anything else by ``str``.
+``_json``: a non-finite number is written as null. Every CSV is written a
+line at a time by ``_csv``: a header of the column names, then one line per
+entry with a float as ``%.17g`` (so ``inf`` and ``nan`` stay, which numeric
+CSV readers parse) and anything else by ``str``.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime
 blow-up, stopped trajectory without --allow-stop, or a Picard solve that
@@ -91,16 +91,16 @@ def _json(value, indent=1) -> str:
     return json.dumps(_plain(value), sort_keys=True, indent=indent, allow_nan=False)
 
 
-def _csv(columns: dict) -> str:
-    """Named columns as CSV text: a header of the names, then one row per
-    entry, a float as ``%.17g`` and anything else by ``str``."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
-    return "".join(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-                   + "\n" for row in [list(columns), *rows])
+def _csv(columns: dict):
+    """Named columns as CSV lines, one at a time: a header of the names, then
+    one line per entry, a float as ``%.17g`` and anything else by ``str``."""
+    yield ",".join(columns) + "\n"
+    for row in zip(*columns.values()):
+        yield ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it.
+def write_atomic(path: Path, pieces) -> None:
+    """Write the text ``pieces`` one by one to a temporary file beside ``path``, then rename it.
 
     ``os.replace`` swaps the finished file in at once, so a run that fails
     while writing leaves the previous file whole and no temporary behind.
@@ -108,7 +108,8 @@ def write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -117,15 +118,15 @@ def write_atomic(path: Path, text: str) -> None:
 def _write_run(out: Path, cfg: ExperimentConfig, report: dict, files: dict) -> None:
     """Create ``out`` and write the command's files in order, then
     config.resolved.json, then report.json last, both stamped with the hash;
-    a .json file's value is written by ``_json``, a .csv file's columns by
-    ``_csv``."""
+    a .json file's value is written by ``_json`` in one piece, a .csv file's
+    columns by ``_csv`` a line at a time."""
     from . import __version__
 
     files = {**files, "config.resolved.json": dict(cfg.doc, config_hash=cfg.hash),
              "report.json": dict(report, config_hash=cfg.hash, artifact_version=__version__)}
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        write_atomic(out / name, _json(content) if name.endswith(".json") else _csv(content))
+        write_atomic(out / name, [_json(content)] if name.endswith(".json") else _csv(content))
 
 
 def _load(args) -> ExperimentConfig:

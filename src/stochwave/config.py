@@ -21,7 +21,7 @@ from .ensemble import MAX_PATHS, _check_paths, _ladder, _rho_grid
 from .grids import _bound, make_grid
 from .models import Model, build_model
 from .noise import CovarianceSpec, default_covariance
-from .solver import ThetaPotential, _kernel, _step_count
+from .solver import MAX_ITER, ThetaPotential, _kernel, _step_count
 
 
 class ConfigError(ValueError):
@@ -172,7 +172,7 @@ def _check_values(resolved: dict) -> None:
             holder[key] = value
     g, sb, ib, mb = (resolved[k] for k in ("grid", "solver", "initial", "mc"))
     for block, key, *ends in (("", "master_seed", 0), ("initial", "seed", 0),
-                              ("solver", "max_iter", 1),
+                              ("solver", "max_iter", 1, MAX_ITER),
                               # fewer paths fail verify's 3-standard-error checks
                               # by chance; the cap is that of an ensemble's paths
                               ("verify", "orthogonality_paths", 1000, MAX_PATHS)):

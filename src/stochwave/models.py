@@ -60,6 +60,7 @@ MODEL_NAMES = ("nls", "klein_gordon", "zakharov", "maxwell_dirac", "sine_gordon"
 # models (nls, klein_gordon) have degree p.
 _J_DEGREE = {"sine_gordon": 1, "zakharov": 2, "maxwell_dirac": 2}
 
+MAX_SMOOTHNESS = 8  # a fixed bound on the graph-norm order N, 4 x the largest default below
 _DEFAULT_SMOOTHNESS = {
     "nls": 2,
     "klein_gordon": 1,
@@ -303,7 +304,7 @@ def build_model(name: str, grid: Grid, p: int = 3, sign: int = 1, g: float = 1.0
         if not float(_bound(key, value, least, most)).is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
     if smoothness is not None:
-        _bound("smoothness", smoothness, least=0)
+        _bound("smoothness", smoothness, 0, MAX_SMOOTHNESS)
     if name == "maxwell_dirac" and grid.dim != 1:
         raise ValueError(f"maxwell_dirac uses the 1+1-dimensional reduction, got dim {grid.dim}")
     if name == "nls" and grid.dim > 2:

@@ -38,6 +38,7 @@ or handed in (``_free``), as ``stochwave picard`` hands its main solve's.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -47,8 +48,8 @@ from .models import Model
 from .noise import QWienerSampler
 
 BLOWUP_CAP = 1e12
-# fixed bounds on the steps of one march and the nodes of one Picard solve
-MAX_STEPS, MAX_TIME_NODES = 10_000_000, 10_000
+# fixed bounds on the steps of one march, and the nodes and sweeps of one Picard solve
+MAX_STEPS, MAX_TIME_NODES, MAX_ITER = 10_000_000, 10_000, 10_000
 _PLUS_ZERO = np.array(0j)  # "+ 0.0" as numpy adds it to complex arrays, pre-cast
 
 
@@ -136,7 +137,7 @@ def picard_solve(model: Model, phi0: np.ndarray, T: float,
     solve builds unless the caller hands it in as ``_free`` (``_free_path``).
     """
     _bound("tol", tol, above=0)
-    _bound("max_iter", max_iter, least=0)
+    _bound("max_iter", max_iter, 0, MAX_ITER)
     n_nodes, dt = _time_nodes(T, n_time_nodes)
     times = np.linspace(0.0, T, n_nodes)
     gen, N = model.generator, model.smoothness
@@ -277,9 +278,9 @@ def solve_ito(model: Model, phi0: np.ndarray, T: float, dt: float,
               sampler: QWienerSampler | None, threshold: float = np.inf,
               scheme: str = "exp_euler") -> Trajectory:
     """March one trajectory with the graph-norm stopping rule: the one-path
-    case of ``_ito_march``, keeping each step's row and the final state, by
-    exponential Euler or, with no sampler, by Strang splitting (``scheme``,
-    the config's solver.scheme).
+    case of ``_ito_march``, keeping the final state and each step's row in
+    8-byte float columns, returned as numpy views of them, by exponential
+    Euler or, with no sampler, by Strang splitting (``scheme``, solver.scheme).
 
     Stops at the first time sup_{0 <= j <= N-1} ||A^j phi|| > threshold, N =
     model.smoothness, the order of the X_T norm, with stop_time set. A path
@@ -291,13 +292,13 @@ def solve_ito(model: Model, phi0: np.ndarray, T: float, dt: float,
     kernel = _kernel(scheme, sampler is not None)
     n_steps = _step_count(T, dt)
     dW = None if sampler is None else sampler.increments(dt, n_steps)[:, None, None]
-    times, norms, conserved = [], [], {}
+    times, norms, conserved = array("d"), array("d"), {}
 
     def record(t, data, ladders):
         times.extend([t] * len(data))
-        norms.extend(ladders.tolist())  # rows of floats, not an array per step
+        norms.extend(ladders.ravel().tolist())
         for name, column in model.conserved_blocks(data).items():
-            conserved.setdefault(name, []).extend(column.tolist())
+            conserved.setdefault(name, array("d")).extend(column.tolist())
 
     record(0.0, phi0[None], model.generator.graph_norm_ladder(phi0[None], model.smoothness))
     final, _, stop, blown = _ito_march(model, phi0, dt, n_steps, threshold, dW, 1, record,
@@ -305,8 +306,8 @@ def solve_ito(model: Model, phi0: np.ndarray, T: float, dt: float,
     k = int(stop[0])
     seed_info = {} if sampler is None else {"master_seed": sampler.master_seed,
                                             "stream_id": sampler.stream_id}
-    return Trajectory(np.asarray(times), np.asarray(norms),
-                      {n: np.array(v) for n, v in conserved.items()},
+    return Trajectory(np.frombuffer(times), np.frombuffer(norms).reshape(len(times), -1),
+                      {n: np.frombuffer(v) for n, v in conserved.items()},
                       final[0],
                       stop_time=k * dt if k else None,
                       blown_up=bool(blown[0]), seed_info=seed_info)

@@ -558,7 +558,7 @@ def test_chaos_csv_export():
         "noise": {"enabled": True, "n_modes": 3, "lambda0": 0.5},
         "chaos": {"n_modes": 3, "max_degree": 4}, "mc": {"n_paths": 4}})
     _, _, files = cmd_chaos(cfg, None)
-    lines = _csv(files["chaos_coefficients.csv"]).splitlines()
+    lines = "".join(_csv(files["chaos_coefficients.csv"])).splitlines()
     assert lines[0] == "multi_index,real,imag"
     assert len(lines) == SPACE.n_indices + 1
     rows = [line.split(",") for line in lines[1:]]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     # directory, and a smoothness of 2.5 ran with 2
     ("grid", "lengths", [float("nan")], "grid.lengths must be a list of finite numbers, got [nan]"),
     ("model", "smoothness", -1, _Reworded(
-        "model: smoothness must be at least 0, got -1",
+        "model: smoothness must be from 0 to 8, got -1",
         "model: smoothness must be an integer of at least 0, got -1")),
     ("model", "smoothness", 2.5, "model.smoothness must be null or an integer, got 2.5"),
     # these once ran: a string switched a feature on ("false" ran a noisy
@@ -212,10 +213,10 @@ NOISE_ON = {"noise": {"enabled": True}}
     # these once ran: max_iter <= 0 exited 3 with a full run directory, and one
     # orthogonality path gave NaN standard errors and "verification FAILED"
     ("picard", {"solver": {"max_iter": -1}},
-     _Reworded("solver: max_iter must be at least 1, got -1",
+     _Reworded("solver: max_iter must be from 1 to 10000, got -1",
                "solver.max_iter must be an integer of at least 1, got -1")),
     ("picard", {"solver": {"max_iter": 0}},
-     _Reworded("solver: max_iter must be at least 1, got 0",
+     _Reworded("solver: max_iter must be from 1 to 10000, got 0",
                "solver.max_iter must be an integer of at least 1, got 0")),
     ("verify", {"verify": {"orthogonality_paths": 1}},
      _Reworded("verify: orthogonality_paths must be from 1000 to 1000000, got 1",
@@ -341,7 +342,9 @@ NOISE_ON = {"noise": {"enabled": True}}
     ("simulate", {"model": {"p": 1}}, "model: p must be at least 2, got 1"),
     *[("simulate", {"model": {"sign": sign}}, f"model: sign must be from -1 to 1, got {sign}")
       for sign in (-2, 2)],
-    ("simulate", {"model": {"smoothness": -1}}, "model: smoothness must be at least 0, got -1"),
+    ("simulate", {"model": {"smoothness": -1}},
+     _Reworded("model: smoothness must be from 0 to 8, got -1",
+               "model: smoothness must be at least 0, got -1")),
     ("simulate", {"model": {"name": "maxwell_dirac", "m": -1}},
      "model: m must be at least 0, got -1.0"),
     *[("simulate", {"grid": {"dim": dim}}, f"grid: dim must be from 1 to 3, got {dim}")
@@ -373,6 +376,14 @@ NOISE_ON = {"noise": {"enabled": True}}
     # this once drew every asked-for path: 10^8 ran for most of an hour
     ("verify", {"verify": {"orthogonality_paths": 1_000_001}},
      "verify: orthogonality_paths must be from 1000 to 1000000, got 1000001"),
+    # these once ran past any timeout: a ladder of 1e7 graph norms, 1e8 sweeps
+    # of a Picard solve, and 500,000 Wick products per nonlinearity
+    ("simulate", {"model": {"name": "nls", "smoothness": 10_000_000}, "grid": {"points": [8]}},
+     "model: smoothness must be from 0 to 8, got 10000000"),
+    ("picard", {"solver": {"max_iter": 100_000_000}},
+     "solver: max_iter must be from 1 to 10000, got 100000000"),
+    ("chaos", {**NOISE_ON, "model": {"name": "klein_gordon", "p": 1_000_001}},
+     "model: p must be at most 99, got 1000001"),
 ], ids=_former_name)
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -510,6 +521,30 @@ def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_holds_its_table_in_8_byte_columns(tmp_path):
+    # 4-point NLS: time, 3 graph norms, mass and energy, 48 bytes a step; the
+    # traced peak of 4,000 steps exceeds 500 steps' by under 150 bytes a step
+    # (about 540 when the rows were Python lists and the CSV one string). The
+    # first, untraced run makes what a process makes once.
+    peaks = []
+    for n_steps in (500, 500, 4000):
+        config = _write(tmp_path, {
+            "model": {"name": "nls", "sign": 0},
+            "grid": {"dim": 1, "points": [4], "lengths": [6.283185307179586]},
+            "solver": {"T": n_steps * 1e-3, "dt": 1e-3}}, f"{n_steps}.json")
+        out = tmp_path / f"{n_steps}-{len(peaks)}"
+        if peaks:
+            tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == n_steps + 2 and rows[0].count(",") == 5
+    assert peaks[2] - peaks[1] < 150 * 3500
+
+
 def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE_CONFIG)))
     _write_run(tmp_path, cfg, {"status": "first"}, {})
@@ -540,18 +575,19 @@ def test_report_write_failing_midway_keeps_previous_report(tmp_path, monkeypatch
 
 
 def test_csv_writes_a_header_then_floats_at_17_digits_and_the_rest_by_str():
-    text = _csv({"label": ["(0 1)", "(2 0)", "x"], "n": np.arange(3),
-                 "value": [-0.0, float("inf"), float("nan")],
-                 "f64": np.array([0.1, 1e300, -2.5]), "scalars": [np.float64(1 / 3), 7, "s"]})
+    text = "".join(_csv({"label": ["(0 1)", "(2 0)", "x"], "n": np.arange(3),
+                         "value": [-0.0, float("inf"), float("nan")],
+                         "f64": np.array([0.1, 1e300, -2.5]),
+                         "scalars": [np.float64(1 / 3), 7, "s"]}))
     assert text == ("label,n,value,f64,scalars\n"
                     "(0 1),0,-0,0.10000000000000001,0.33333333333333331\n"
                     "(2 0),1,inf,1.0000000000000001e+300,7\n"
                     "x,2,nan,-2.5,s\n")
     # a float column reads back bit for bit
     values = np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25)
-    rows = _csv({"v": values}).splitlines()
+    rows = "".join(_csv({"v": values})).splitlines()
     assert rows[0] == "v" and np.array_equal([float(r) for r in rows[1:]], values)
-    assert _csv({"a": [], "b": []}) == "a,b\n"
+    assert "".join(_csv({"a": [], "b": []})) == "a,b\n"
 
 
 def test_python_dash_m_stochwave_runs_the_cli():

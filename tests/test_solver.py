@@ -298,7 +298,7 @@ def test_picard_final_check_raises_on_a_non_finite_node():
 
 def test_picard_rejects_a_negative_max_iter():
     m = build_model("nls", GRID, p=3, sign=1)
-    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
+    with pytest.raises(ValueError, match="max_iter must be from 0 to 10000, got -1"):
         picard_solve(m, np.zeros((1,) + m.grid.shape, dtype=complex), 0.1, None,
                      n_time_nodes=5, max_iter=-1)
 
@@ -956,7 +956,7 @@ def test_export_trajectory_csv():
             phi0 = cfg.build_initial(m)
             _, _, files = cmd_simulate(cfg, SimpleNamespace(allow_stop=False))
             times, states, norms = _recorded(m, phi0, 0.1, 0.005, kernel=_SCHEMES[scheme])
-            text = _csv(files["trajectory.csv"])
+            text = "".join(_csv(files["trajectory.csv"]))
             assert text == _csv_of_states(m, times, states, norms)
             lines = text.strip().splitlines()
             assert lines[0].startswith("time,graph_norm_j0")
