@@ -41,7 +41,7 @@ import numpy as np
 
 from .chaos import _odd_power
 from .config import ConfigError, ExperimentConfig, _checked
-from .ensemble import (EnsembleConfig, TailCurve, _check_increments, _check_work, _observable,
+from .ensemble import (EnsembleConfig, TailCurve, _check_increments, _check_work, _columns,
                        _probe, chaos_vs_mc, run_ensemble, strong_order, weak_order)
 from .grids import MAX_ARRAY_ELEMENTS, _bound
 from .models import verify_estimates
@@ -251,8 +251,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     ens = _ensemble(cfg, model, phi0, cov, dt=min(ladder))
     strong = strong_order(ens, ladder)
     # log of the squared norm keeps the coupled weak estimator low-variance
-    weak = weak_order(ens, ladder, observable="log_norm_sq",
-                      noise_floor_factor=3.0)
+    weak = weak_order(ens, ladder, observable="log_norm_sq", noise_floor_factor=3.0)
     print(f"strong order {strong.order:.3f}  weak order {weak.order:.3f}")
     return EXIT_OK, {"strong": strong, "weak": weak}, {"convergence.csv": {
         "dt": strong.dts, "strong_error": strong.errors, "strong_stderr": strong.stderrs}}
@@ -267,9 +266,7 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
              space.n_indices * phi0.size, most=MAX_ARRAY_ELEMENTS)
     if model.name in ("nls", "klein_gordon") and model.params.sign:  # J holds |a|^{p-1} a
         _checked("model", _odd_power, model.params.p)
-    report, wick = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
-    # Coefficient dump: pairings of each chaos block against the initial state.
-    coeffs = model.generator.metric_inner(wick.final, _probe(model, phi0))
+    report, (wick, coeffs) = chaos_vs_mc(_ensemble(cfg, model, phi0, cov), space)
     header = {
         "n_modes": space.n_modes,
         "max_degree": space.max_degree,
@@ -288,13 +285,13 @@ def cmd_chaos(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
 def cmd_ensemble(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     model, phi0, cov = _setup(cfg)
     mb = cfg.doc["mc"]
-    threshold = _threshold(cfg, model, phi0)
-    for name in (n for n in mb["observables"] if n != "sup_sum_sq"):  # finite at phi0
-        value = _checked("mc", _observable, model, name, phi0, phi0[None])[0]
+    ens = _ensemble(cfg, model, phi0, cov, threshold=_threshold(cfg, model, phi0),
+                    observables=tuple(mb["observables"]))
+    named = [n for n in ens.observables if n != "sup_sum_sq"]  # each finite at phi0
+    for name, [value] in zip(named, _checked("mc", _columns, model, named, ens.probe, phi0[None])):
         if not np.isfinite(value):
             raise ConfigError(f"mc.observables: '{name}' is not defined for model {model.name}")
-    result = run_ensemble(_ensemble(cfg, model, phi0, cov, threshold=threshold,
-                                    observables=tuple(mb["observables"])))
+    result = run_ensemble(ens)
     report, files = {"ensemble": result}, {}
     print(f"{result.n_stopped} of {result.n_paths} paths stopped, {result.n_blown} blown up")
     if mb["rho_grid"]:

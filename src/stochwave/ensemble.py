@@ -12,19 +12,19 @@ variance of a pathwise difference rather than of two independent ensembles.
 Order fits are least squares on log-log ladders, discarding points below ten
 times the Monte Carlo noise floor.
 
-A Monte Carlo sample is a column: ``_observable`` maps a (B, s, *grid.shape)
-stack of final states (one stack of an ensemble's paths, or one path's rungs)
-to one float per state, each as from the state alone, and
-``noise.sample_moments`` reduces columns to means, variances and standard
-errors. A stack's finals are dropped once its columns are taken, so no run
-holds more than one stack of states.
+A Monte Carlo sample is a column: ``_columns`` maps a (B, s, *grid.shape)
+stack of final states (an ensemble's stack of paths, or a path's rungs) to a
+row per named observable, each value as from its state alone, from one norm
+ladder and one probe pairing; ``noise.sample_moments`` reduces the rows to
+means, variances and standard errors. A stack's finals are dropped once its
+columns are taken, so no run holds more than one stack of states.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class EnsembleConfig:
     master_seed: int
     threshold: float = np.inf
     observables: tuple[str, ...] = ("norm_sq",)
+    probe: np.ndarray = field(init=False)  # built once per run (``_probe``)
 
     def __post_init__(self):
         self.phi0 = self.model.generator._as_state(self.phi0)
@@ -62,6 +63,7 @@ class EnsembleConfig:
         _check_work(self.n_paths, n_steps)
         if self.covariance is not None:
             _check_increments(n_steps, self.model.grid.size)
+        self.probe = _probe(self.model, self.phi0)
 
 
 def _check_work(n_paths: int, n_steps: int) -> None:
@@ -86,35 +88,37 @@ def _probe(model: Model, phi0: np.ndarray) -> np.ndarray:
     return phi0 * (1.0 / max(model.generator.metric_norm(phi0), 1e-300))
 
 
-def _observable(model: Model, name: str, phi0: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """The observable ``name`` of each state of a (B, s, *grid.shape) stack, one
-    float per state; ``sup_sum_sq`` needs the path, not a state."""
-    gen = model.generator
-    if name == "sup_sum_sq":
+def _columns(model: Model, names, probe: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The observables ``names`` of each state of a (B, s, *grid.shape) stack as
+    (len(names), B), each as from the state alone: one graph-norm ladder, one
+    pairing with ``probe`` and the invariants, each only if a name needs it."""
+    if "sup_sum_sq" in names:
         raise ValueError("sup_sum_sq is a sup over the whole path, not a function "
                          "of the final state")
-    if name in ("norm_sq", "log_norm_sq", "norm"):
-        norms = gen.graph_norm_ladder(data, 0)[:, 0]
+    gen, out, named = model.generator, np.empty((len(names), len(data))), set(names)
+    # the ladder's names and powers, one spelling per power: ASCII digits with no
+    # sign or leading zero; a negative power gets past it for the ladder's own error
+    js = {n: int(m[1] or 0) for n in names
+          if (m := re.fullmatch(r"graph_norm_j(0|-?[1-9][0-9]*)|norm|norm_sq|log_norm_sq", n))}
+    if js:  # to the top power, or to a negative one for the error
+        ladder = gen.graph_norm_ladder(data, min(js.values(), key=lambda j: (j >= 0, -j)))
+    pairs = gen.metric_inner(data, probe) if {"pairing_re", "pairing_im"} & named else 0j
+    values = {"constant": 1.0, "pairing_re": pairs.real, "pairing_im": pairs.imag,
+              **dict.fromkeys(("mass", "energy", "charge"), np.nan),
+              **(model.conserved_blocks(data) if {"mass", "energy", "charge"} & named else {})}
+    for row, name in zip(out, names):
         if name == "norm_sq":
-            return _powers(norms, 2)
-        if name == "log_norm_sq":
+            row[:] = _powers(ladder[:, 0], 2)
+        elif name == "log_norm_sq":
             # low-variance functional for weak-order fits on multiplicative noise
-            return np.array([2.0 * np.log(max(n, 1e-300)) for n in norms.tolist()])
-        return norms
-    if name == "constant":
-        return np.ones(len(data))
-    # one spelling per power: ASCII digits with no sign or leading zero; a
-    # negative power gets past the spelling for the ladder's own error
-    power = re.fullmatch(r"graph_norm_j(0|-?[1-9][0-9]*)", name)
-    if power:
-        j = int(power[1])
-        return gen.graph_norm_ladder(data, j)[:, j]
-    if name in ("pairing_re", "pairing_im"):
-        pairs = gen.metric_inner(data, _probe(model, phi0))
-        return pairs.real if name == "pairing_re" else pairs.imag
-    if name in ("mass", "energy", "charge"):
-        return model.conserved_blocks(data).get(name, np.full(len(data), np.nan))
-    raise ValueError(f"unknown observable '{name}'")
+            row[:] = [2.0 * np.log(max(n, 1e-300)) for n in ladder[:, 0].tolist()]
+        elif name in js:
+            row[:] = ladder[:, js[name]]
+        elif name in values:
+            row[:] = values[name]
+        else:
+            raise ValueError(f"unknown observable '{name}'")
+    return out
 
 
 @dataclass
@@ -165,6 +169,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     size = min(config.n_paths, max(1, _STACK_BYTES // (8 * n_steps * grid.size)))
     buf = None if config.covariance is None else np.empty((n_steps, size, 1) + grid.shape)
     stacks, samplers = [], path_samplers(config.covariance, config.master_seed, config.n_paths)
+    named = [name for name in config.observables if name != "sup_sum_sq"]
     for start in range(0, config.n_paths, size):
         n = min(size, config.n_paths - start)
         for b, sampler in zip(range(n), samplers):
@@ -172,12 +177,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
                 buf[:, b, 0] = sampler.increments(dt, n_steps)
         dW = None if buf is None else buf[:, :n]
         finals, sups, stops, blown = _ito_march(model, phi0, dt, n_steps, config.threshold, dW, n)
-        stacks.append([sups, stops, blown] + [
-            sups if name == "sup_sum_sq" else _observable(model, name, phi0, finals)
-            for name in config.observables])
-    sups, stops, blown, *columns = (np.concatenate(part) for part in zip(*stacks))
-    observables = {name: dict(zip(("mean", "var", "stderr"), map(float, sample_moments(vals))))
-                   for name, vals in zip(config.observables, columns)}
+        stacks.append((sups, stops, blown, _columns(model, named, config.probe, finals)))
+    sups, stops, blown, columns = (np.concatenate(part, axis=-1) for part in zip(*stacks))
+    moments = dict(zip(named, zip(*sample_moments(columns))), sup_sum_sq=sample_moments(sups))
+    observables = {name: dict(zip(("mean", "var", "stderr"), map(float, moments[name])))
+                   for name in config.observables}
     denom = float(np.sum(model.generator.graph_norm_ladder(phi0, model.smoothness) ** 2))
     return EnsembleResult(
         observables=observables,
@@ -244,8 +248,7 @@ def strong_order(config: EnsembleConfig, dt_ladder) -> OrderFit:
     """
     gen = config.model.generator
     dts = _ladder(config.T, dt_ladder)
-    errs = _path_columns(config, dts,
-                         lambda f: gen.graph_norm_ladder(f[:-1] - f[-1], 0)[:, 0])
+    errs = _path_columns(config, dts, lambda f: gen.graph_norm_ladder(f[:-1] - f[-1], 0)[:, 0])
     mean, _, stderr = sample_moments(errs)
     return _fit_order(dts[:-1], mean, stderr, scale=gen.metric_norm(config.phi0))
 
@@ -253,13 +256,12 @@ def strong_order(config: EnsembleConfig, dt_ladder) -> OrderFit:
 def weak_order(config: EnsembleConfig, dt_ladder, observable: str = "norm_sq",
                noise_floor_factor: float = 10.0) -> OrderFit:
     """Coupled weak error |E f(phi_dt) - E f(phi_ref)| vs dt, log-log fit."""
-    model, phi0 = config.model, config.phi0
-    scale = abs(_observable(model, observable, phi0, phi0[None])[0]) + 1.0
+    column = lambda data: _columns(config.model, (observable,), config.probe, data)[0]
+    scale = abs(column(config.phi0[None])[0]) + 1.0
     dts = _ladder(config.T, dt_ladder)
-    f = _path_columns(config, dts, lambda finals: _observable(model, observable, phi0, finals))
+    f = _path_columns(config, dts, column)
     mean, _, stderr = sample_moments(f[:-1] - f[-1])
-    return _fit_order(dts[:-1], np.abs(mean), stderr, scale=scale,
-                      floor=noise_floor_factor)
+    return _fit_order(dts[:-1], np.abs(mean), stderr, scale=scale, floor=noise_floor_factor)
 
 
 def _path_columns(config: EnsembleConfig, dts, column) -> np.ndarray:
@@ -326,9 +328,9 @@ class ChaosMcReport:
 
 
 def chaos_vs_mc(config: EnsembleConfig,
-                space: ChaosSpace) -> tuple[ChaosMcReport, WickTrajectory]:
+                space: ChaosSpace) -> tuple[ChaosMcReport, tuple[WickTrajectory, np.ndarray]]:
     """Compare the Ito ensemble against the Wick-evolution chaos solution;
-    returns the report and the chaos side's solve.
+    returns the report, and the chaos side's solve with its blocks' probe pairings.
 
     The probe is the normalized initial state. The mean field comparison is
     exact up to Monte Carlo and dt error: the centered noise contributes
@@ -342,14 +344,15 @@ def chaos_vs_mc(config: EnsembleConfig,
         raise ValueError("chaos_vs_mc needs a noise model")
 
     # Monte Carlo side: each path's probe pairing and squared norm, a column per path.
-    columns = _path_columns(config, [config.dt], lambda f: np.concatenate([
-        _observable(model, name, phi0, f) for name in ("pairing_re", "pairing_im", "norm_sq")]))
+    columns = _path_columns(config, [config.dt], lambda f: _columns(
+        model, ("pairing_re", "pairing_im", "norm_sq"), config.probe, f)[:, 0])
     (re, im, mc2), _, (se_re, se_im, mc2_se) = (map(float, m) for m in sample_moments(columns))
 
-    # Chaos side: frozen first-chaos noise on the shared eigenbasis.
+    # Chaos side: frozen first-chaos noise on the shared eigenbasis, each block paired.
     fields = cov.noise_fields()[: space.n_modes]
     wick = solve_wick_evolution(model, phi0, fields, config.T, config.dt, space)
-    cz = complex(model.generator.metric_inner(wick.final[0], _probe(model, phi0)))
+    pairs = model.generator.metric_inner(wick.final, config.probe)
+    cz = complex(pairs[0])
     ok = abs(re - cz.real) <= 3 * se_re + 1e-12 and abs(im - cz.imag) <= 3 * se_im + 1e-12
 
     energy = float(np.sum(wick.final_energy))
@@ -360,4 +363,4 @@ def chaos_vs_mc(config: EnsembleConfig,
         mc_second_moment=mc2, mc_second_moment_stderr=mc2_se,
         chaos_energy=energy, second_moment_gap=float(energy - mc2),
         tail_fraction=tail,
-    ), wick
+    ), (wick, pairs)

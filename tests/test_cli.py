@@ -1216,6 +1216,11 @@ def test_ensemble_marches_every_path_once(tmp_path, monkeypatch):
                "mc.rho_grid: ")),
     ("solver", "threshold", 1e-9,
      _Reworded("solver: stopping threshold 1e-09 must exceed the initial ", "solver.threshold: ")),
+    # a ladder shared by several names still refuses a negative power
+    ("mc", "observables", ["norm_sq", "graph_norm_j-1"],
+     "mc: graph_norm power j must be at least 0, got -1"),
+    ("mc", "observables", ["graph_norm_j2", "graph_norm_j-1"],
+     "mc: graph_norm power j must be at least 0, got -1"),
 ], ids=_former_name)
 def test_ensemble_bad_value_exits_2_before_output(tmp_path, capsys, block, key, value,
                                                   message):

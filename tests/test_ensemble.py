@@ -264,6 +264,47 @@ def test_chaos_vs_mc_monte_carlo_side_equals_a_per_stream_loop():
     assert rep.mc_second_moment_stderr == float(norm_sq.std(ddof=1) / root_n)
 
 
+def test_chaos_vs_mc_monte_carlo_side_transforms_each_final_at_most_three_times(monkeypatch):
+    # the observables of the Monte Carlo side (both probe pairings and the
+    # squared norm) take one ladder and one pairing per path: at most three
+    # forward transforms beside the steps' own, the probe built once per run
+    import stochwave.ensemble as ensemble
+    from stochwave.grids import Grid
+
+    g = make_grid(1, [16], [2 * np.pi])
+    m = build_model("nls", g, sign=0, smoothness=1)
+    cov = default_covariance(g, n_modes=2, lambda0=0.3, gamma=2.0)
+    phi0 = (0.5 * np.exp(1j * g.x_axes[0]) + 0.2)[None, :]
+    cfg = EnsembleConfig(model=m, phi0=phi0, T=0.04, dt=0.02, covariance=cov,
+                         n_paths=6, master_seed=3)
+    to_spectral, step, path_columns = Grid.to_spectral, ensemble.step_exp_euler, \
+        ensemble._path_columns
+    count = {"all": 0, "step": 0, "mc": 0}
+
+    def counted(self, values):
+        count["all"] += 1
+        return to_spectral(self, values)
+
+    def stepped(*args):
+        before = count["all"]
+        out = step(*args)
+        count["step"] += count["all"] - before
+        return out
+
+    def monte_carlo_side(*args):
+        before = count["all"] - count["step"]
+        out = path_columns(*args)
+        count["mc"] += count["all"] - count["step"] - before
+        return out
+
+    monkeypatch.setattr(Grid, "to_spectral", counted)
+    monkeypatch.setattr(ensemble, "step_exp_euler", stepped)
+    monkeypatch.setattr(ensemble, "_path_columns", monte_carlo_side)
+    chaos_vs_mc(cfg, ChaosSpace(2, 2))
+    assert count["step"] > 0
+    assert 0 < count["mc"] <= 3 * cfg.n_paths
+
+
 def test_strong_order_errors_equal_a_coupled_march():
     m = build_model("nls", UNIT_GRID, p=3, sign=1, smoothness=1)
     phi0 = _mode_state(UNIT_GRID, m)
@@ -318,7 +359,7 @@ def test_blown_paths_end_at_their_last_finite_state():
 
 def test_run_ensemble_does_not_depend_on_the_stack_size(monkeypatch):
     # stacks of every path (the default budget here), of 7 and of 1 path, on
-    # every observable that _observable knows, the model's invariants too: each
+    # every observable that _columns knows, the model's invariants too: each
     # column is reduced stack by stack, in index order
     import stochwave.ensemble as ensemble
 
@@ -428,7 +469,9 @@ def _observable_of_one_state(model, name, phi0, state):
                                        ("sine_gordon", 1), ("zakharov", 1), ("zakharov", 2),
                                        ("maxwell_dirac", 1)])
 def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
-    from stochwave.ensemble import _observable
+    # each name alone, then every name in one call, forward and reversed: one
+    # shared ladder, pairing and invariant set give each row the same bits
+    from stochwave.ensemble import _columns, _probe
 
     grid = make_grid(dim, [16, 8][:dim], [2 * np.pi, 3.0][:dim])
     model = build_model(name, grid, smoothness=2)
@@ -437,14 +480,21 @@ def test_observable_columns_equal_the_one_state_values_bit_for_bit(name, dim):
     states.append(np.zeros((model.generator.n_components,) + model.grid.shape, dtype=complex))
     data = np.stack(states)
     phi0 = states[1]
+    probe = _probe(model, phi0)
     names = ("norm_sq", "constant", "log_norm_sq", "norm", "graph_norm_j0", "graph_norm_j1",
              "graph_norm_j2", "pairing_re", "pairing_im", "mass", "energy", "charge")
+    want = {observable: np.array([_observable_of_one_state(model, observable, phi0, st)
+                                  for st in states]).tobytes() for observable in names}
     for observable in names:
-        column = _observable(model, observable, phi0, data)
-        want = np.array([_observable_of_one_state(model, observable, phi0, st) for st in states])
-        assert column.shape == (len(states),)
-        assert np.ascontiguousarray(column).tobytes() == want.tobytes(), observable
+        column = _columns(model, [observable], probe, data)
+        assert column.shape == (1, len(states))
+        assert column[0].tobytes() == want[observable], observable
+    for order in (names, names[::-1]):
+        rows = _columns(model, order, probe, data)
+        assert rows.shape == (len(names), len(states))
+        for observable, row in zip(order, rows):
+            assert row.tobytes() == want[observable], (order[0], observable)
     with pytest.raises(ValueError, match="whole path"):
-        _observable(model, "sup_sum_sq", phi0, data)
-    with pytest.raises(ValueError, match="unknown observable"):
-        _observable(model, "nope", phi0, data)
+        _columns(model, ["norm_sq", "sup_sum_sq"], probe, data)
+    with pytest.raises(ValueError, match="unknown observable 'nope'"):
+        _columns(model, ["norm_sq", "nope"], probe, data)
