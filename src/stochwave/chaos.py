@@ -30,10 +30,10 @@ point on ``ChaosSpace``:
   pass, so it rounds as a scatter-add over that table would, bit for bit;
 * S-transform: ``s_transform``, the monomials zeta^alpha contracted with the
   index axis, for a scalar, a stack of fields or an operator's symbol;
-* exponential vector phi_zeta: ``exp_vector``; the bilinear pairing of two
-  coefficient vectors: ``pairing``. They satisfy <<phi_zeta, phi_eta>> =
-  e^{<zeta,eta>} (no conjugation; the Hilbert inner product is used only
-  for norms);
+* exponential vector phi_zeta: ``exp_vector``. The pairing of two
+  exponential vectors is an S-transform, <<phi_zeta, phi_eta>> =
+  S phi_eta(zeta) = e^{<zeta,eta>} (bilinear, no conjugation; the Hilbert
+  inner product is used only for norms);
 * annihilation/creation a_y/a+_y: ``lowering``/``raising``, with scalar or
   field weights. The operator matrices are the maps applied to the identity,
   and they satisfy the CCR on degrees strictly below the truncation order;
@@ -171,11 +171,6 @@ class ChaosSpace:
     def exp_vector(self, zeta: np.ndarray) -> np.ndarray:
         """Exponential (coherent) vector phi_zeta: coefficients zeta^alpha / alpha!."""
         return self.monomials(zeta) / self.factorials
-
-    def pairing(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """Bilinear pairing <<Phi, Psi>> = sum alpha! a_alpha b_alpha of two
-        coefficient vectors."""
-        return np.sum(self.factorials * a * b)
 
     def s_transform(self, data: np.ndarray, zeta: np.ndarray):
         """S Phi(zeta) = <<Phi, phi_zeta>> = sum_alpha Phi_alpha zeta^alpha on an

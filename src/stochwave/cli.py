@@ -175,9 +175,6 @@ def _threshold(cfg: ExperimentConfig, model, phi0) -> float:
 def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict, dict]:
     model, phi0, cov = _setup(cfg)
     sb = cfg.doc["solver"]
-    if cov is None and sb["threshold"] is not None:
-        raise ConfigError("solver.threshold: the noise-free march has no stopping "
-                          "rule; set it to null or enable the noise")
     threshold = _threshold(cfg, model, phi0)
     _checked("solver", _kernel, sb["scheme"], cov is not None)
     if cov is not None:  # the march draws the path's increments whole

@@ -72,11 +72,11 @@ _DEFAULT_SMOOTHNESS = {
 
 @dataclass(frozen=True)
 class ModelParams:
-    p: int = 3
-    sign: int = 1
-    g: float = 1.0
-    k0: float = 1.0
-    m: float = 1.0
+    p: int
+    sign: int
+    g: float
+    k0: float
+    m: float
 
 
 class _Pointwise:
@@ -105,9 +105,9 @@ class Model:
     generator: SpectralOperator
     params: ModelParams
     smoothness: int
-    dealias: bool = True
-    break_j_hook: bool = False  # failure-injection hook for the verify command
-    _absgrad: np.ndarray | None = dc_field(default=None, repr=False)
+    dealias: bool
+    break_j_hook: bool  # failure-injection hook for the verify command
+    _absgrad: np.ndarray = dc_field(repr=False)
     # J is identically zero: a power model with sign 0 and no hook (with the
     # hook, J = 0 * (1 + ||phi||) can be NaN); derived here, not settable
     _zero_J: bool = dc_field(init=False, repr=False, compare=False)
@@ -269,8 +269,7 @@ class Model:
 
     # ---- random smooth states for verification --------------------------
 
-    def random_smooth_state(self, rng: np.random.Generator,
-                            radius: float = 1.0) -> np.ndarray:
+    def random_smooth_state(self, rng: np.random.Generator, radius: float) -> np.ndarray:
         """Draw a random state's array with spectral decay (1+|k|^2)^-(N+1).
 
         The decay keeps all graph norms up to order N finite and controlled;
@@ -342,7 +341,7 @@ class EstimateReport:
     """Outcome of sampling one nonlinearity inequality.
 
     ``fitted_constant`` is the smallest constant making the inequality hold
-    on the sample. ``declared_constant`` is set only where the inequality
+    on the sample. ``declared_constant`` is None unless the inequality
     comes with a pinned constant (the sine contraction, constant 1); in that
     case violations are counted against it with 1e-10 relative slack.
     Otherwise violations are counted against the fitted constant.
@@ -352,7 +351,7 @@ class EstimateReport:
     sample_count: int
     violations: int
     fitted_constant: float
-    declared_constant: float | None = None
+    declared_constant: float | None
 
 
 # Samples per stacked J and graph-norm ladder; the reports do not depend on it.
@@ -400,7 +399,7 @@ def _ladders(model: Model, sample_count: int, radius: float, seed: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def verify_estimates(model: Model, sample_count: int = 1000, radius: float = 1.0,
+def verify_estimates(model: Model, sample_count: int, radius: float = 1.0,
                      seed: int = 0) -> list[EstimateReport]:
     """Sample the nonlinearity inequalities, graph orders up to N = model.smoothness.
 

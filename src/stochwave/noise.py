@@ -53,8 +53,9 @@ class CovarianceSpec:
         dev = np.max(np.abs(gram - np.eye(len(self.eigenfields))))
         if dev > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenfields not orthonormal (deviation {dev:.2e})")
-        # mode_matrix() as (n_modes, grid.size) rows, built once for every increment
-        self._mode_rows = self.mode_matrix().reshape(len(self.eigenvalues), -1)
+        # the eigenfields' real parts as (n_modes, grid.size) rows, built once
+        # for every increment
+        self._mode_rows = np.stack([np.real(e.values).ravel() for e in self.eigenfields])
 
     @property
     def n_modes(self) -> int:
@@ -76,13 +77,9 @@ class CovarianceSpec:
         return [Field(self.grid, np.sqrt(lam) * e.values)
                 for lam, e in zip(self.eigenvalues, self.eigenfields)]
 
-    def mode_matrix(self) -> np.ndarray:
-        """(n_modes, *grid.shape) stack of eigenfield values (real part)."""
-        return np.stack([np.real(e.values) for e in self.eigenfields])
 
-
-def default_covariance(grid: Grid, n_modes: int = 4, lambda0: float = 1.0,
-                       gamma: float = 2.0) -> CovarianceSpec:
+def default_covariance(grid: Grid, n_modes: int, lambda0: float,
+                       gamma: float) -> CovarianceSpec:
     """Real trigonometric eigenbasis with lambda_i = lambda0 * i^-gamma.
 
     gamma > 1 keeps the tail summable; the basis (constant, cos, sin, ...)
@@ -116,7 +113,7 @@ class QWienerSampler:
 
     spec: CovarianceSpec
     master_seed: int
-    stream_id: int = 0
+    stream_id: int
 
     def __post_init__(self):
         seeds = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
@@ -132,7 +129,7 @@ class QWienerSampler:
             _bound("dt", dt, above=0)
         xi = self.normals(n_steps)
         amp = xi * np.sqrt(self.spec.eigenvalues * dt)
-        # np.tensordot(amp, mode_matrix(), axes=(1, 0)): its np.dot, without its reshapes
+        # tensordot of amp with the eigenfield stack: its np.dot, without its reshapes
         return np.dot(amp, self.spec._mode_rows).reshape((n_steps,) + self.spec.grid.shape)
 
 
@@ -168,7 +165,7 @@ def sample_moments(sample: np.ndarray) -> tuple:
 
 
 def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
-                         psi: Field, phi: Field, n_paths: int = 1000,
+                         psi: Field, phi: Field, n_paths: int,
                          n_steps: int = 64) -> tuple[float, float]:
     """Monte Carlo estimate of E[(W(t), psi)(W(tau), phi)] with its stderr.
 
@@ -199,17 +196,15 @@ def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
 def _kernel_values(n: int, kernel, steps: int) -> np.ndarray:
     """An order-n kernel at the left points of [0, 1] cut into `steps` cells.
 
-    Kernels may be callables on left endpoints or precomputed arrays; the
-    values must have one entry per step (per cell of the square for n = 2),
-    and an order-2 kernel must be symmetric.
+    A kernel is a callable on left endpoints (f(t), or f(s, t) on the
+    broadcast grid of the square for n = 2); its values must have one entry
+    per step (per cell of the square for n = 2), and an order-2 kernel must
+    be symmetric.
     """
     if n not in (1, 2):
         raise ValueError("only orders n in {1, 2} are supported")
     lefts = np.arange(steps) * (1.0 / steps)
-    if callable(kernel):
-        K = kernel(lefts) if n == 1 else kernel(lefts[:, None], lefts[None, :])
-    else:
-        K = np.asarray(kernel, dtype=float)
+    K = kernel(lefts) if n == 1 else kernel(lefts[:, None], lefts[None, :])
     if K.shape != (steps,) * n:
         raise ValueError(f"order-{n} kernel must have shape {(steps,) * n}, got {K.shape}")
     if n == 2 and np.max(np.abs(K - K.T)) > 1e-12 * (1.0 + np.max(np.abs(K))):

@@ -24,9 +24,8 @@ over contiguous memory; ``propagator_matrices`` returns the (M, s, s) form.
 
 Each action has one entry point, and each takes a state's (s, *grid.shape)
 array or a stack of them with any leading shape: the free flow is
-``propagate``, the symbol acts on spectral coefficients through
-``apply_spectral``, every norm comes from ``graph_norm_ladder``, the graph
-norms ||A^j phi|| of each state, and every pairing from ``metric_inner``. The
+``propagate``, every norm comes from ``graph_norm_ladder``, the graph norms
+||A^j phi|| of each state, and every pairing from ``metric_inner``. The
 metric (H-) norm is the ladder's j = 0 column (``metric_norm`` for one
 state), and a single graph norm is one entry of a ladder. A stack's entries
 have the bits of each state alone. ``_as_state`` is the one check of a state
@@ -34,23 +33,24 @@ array's shape, made where a state enters a solver or a command.
 
 Two structures are detected once, at construction, and skip work that they
 make trivial. A diagonal symbol (s > 1, every off-diagonal entry exactly
-zero, as for the Zakharov block) keeps only the (s, M) diagonals of its
-symbol and of its propagators, and contracts with an element-wise einsum
-instead of the dense per-mode one. On finite coefficients the off-diagonal
-terms that this drops are signed zeros, and einsum sums into an output that
-starts at +0 either way, so the results are the same to the bit. (A
-non-finite coefficient differs: the dense form spreads it to every component
-of its mode as 0 * inf = NaN, the element-wise form keeps it in its own.)
-numpy's ``*`` is not used for this: its complex product rounds differently
-from einsum's, and it does not add to +0, so it keeps a -0. The one exception
-is a norm power of a real diagonal (every imaginary part exactly zero, as in
-Zakharov's diag(k^2, -|k|)), which ``graph_norm_ladder`` raises by
-``_diag * flat``: each part of d * c is then one product and a signed zero,
-rounded once whether or not the product is fused, so only the sign of a zero
-can differ from einsum's, and the ladder reads moduli alone. 0 * inf gives
-NaN in both. The product runs with numpy's overflow and invalid warnings off,
-as silent as einsum. An unweighted operator (``metric`` None, plain L2) sums
-the squared moduli directly, which is exact since g * x with g = 1.0 is x.
+zero and every diagonal entry real, as in Zakharov's diag(k^2, -|k|); a
+metric-Hermitian diagonal symbol is real) keeps only the (s, M) diagonals of
+its symbol and of its propagators, and its propagator contracts them with an
+element-wise einsum instead of the dense per-mode one. On finite
+coefficients the off-diagonal terms that this drops are signed zeros, and
+einsum sums into an output that starts at +0 either way, so the results are
+the same to the bit. (A non-finite coefficient differs: the dense form
+spreads it to every component of its mode as 0 * inf = NaN, the element-wise
+form keeps it in its own.) numpy's ``*`` is not used for this: its complex
+product rounds differently from einsum's, and it does not add to +0, so it
+keeps a -0. The one exception is a norm power of a diagonal symbol, which
+``graph_norm_ladder`` raises by ``_diag * flat``: the diagonal being real,
+each part of d * c is one product and a signed zero, rounded once whether or
+not the product is fused, so only the sign of a zero can differ from
+einsum's, and the ladder reads moduli alone. 0 * inf gives NaN in both. The
+product runs with numpy's overflow and invalid warnings off, as silent as
+einsum. An unweighted operator (``metric`` None, plain L2) sums the squared
+moduli directly, which is exact since g * x with g = 1.0 is x.
 
 The propagator's plan is fixed at construction as well: s = 1 multiplies
 the cached per-mode phases in place, a diagonal symbol contracts its cached
@@ -80,12 +80,12 @@ class SpectralOperator:
     <u, v> = sum_k sum_a g_a(k) u_a(k) conj(v_a(k)) on spectral coefficients.
     Immutable after construction; derived caches are lazy.
 
-    ``diagonal`` is set when s > 1 and every off-diagonal symbol entry is
-    exactly 0; ``propagate`` and ``apply_spectral`` then contract the (s, M)
-    diagonals element-wise with ``np.einsum``, bit for bit the dense
-    contraction on finite coefficients, and the norm ladder raises real
-    diagonals by numpy's product (see the module doc). With ``metric`` None
-    the norms skip the product with unit weights.
+    ``diagonal`` is set when s > 1, every off-diagonal symbol entry is
+    exactly 0 and every diagonal entry is real; ``propagate`` then contracts
+    the (s, M) diagonals element-wise with ``np.einsum``, bit for bit the
+    dense contraction on finite coefficients, and the norm ladder raises them
+    by numpy's product (see the module doc). With ``metric`` None the norms
+    skip the product with unit weights.
     """
 
     grid: Grid
@@ -94,7 +94,6 @@ class SpectralOperator:
     hermitian: bool = field(init=False)
     diagonal: bool = field(init=False)
     _diag: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _real_diag: bool = field(default=False, init=False, repr=False, compare=False)
     _contract: str | None = field(default=None, init=False, repr=False, compare=False)
     _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -112,10 +111,11 @@ class SpectralOperator:
                 raise ValueError("metric weights must be positive")
         self.hermitian = self._check_hermitian()
         S = self._flat_symbol()
-        self.diagonal = s > 1 and not np.any(S[~np.eye(s, dtype=bool)])
+        diag = _diagonals(S)
+        self.diagonal = s > 1 and not np.any(S[~np.eye(s, dtype=bool)]) \
+            and not np.any(diag.imag)
         if self.diagonal:
-            self._diag = _diagonals(S)
-            self._real_diag = not np.any(self._diag.imag)
+            self._diag = diag
         # the propagator plan (module doc): None for the phases of s = 1
         self._contract = None if s == 1 else (
             "am,nam->nam" if self.diagonal else "abm,nbm->nam")
@@ -189,13 +189,6 @@ class SpectralOperator:
             coeffs = np.einsum(spec, P, flat).reshape(data.shape)
         return self.grid.to_physical(coeffs)
 
-    def apply_spectral(self, flat: np.ndarray) -> np.ndarray:
-        """Spectral action on flat (s, M) or (B, s, M) coefficients: each
-        coefficient vector times symbol(k)."""
-        if self.diagonal:
-            return np.einsum("am,...am->...am", self._diag, flat)
-        return np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
-
     def metric_norm(self, data: np.ndarray) -> float:
         """The H-norm of one (s, *grid.shape) state, its ladder's j = 0 entry."""
         return float(self.graph_norm_ladder(data, 0)[0])
@@ -225,12 +218,12 @@ class SpectralOperator:
         for j in range(j_max + 1):
             squares = np.abs(flat) ** 2
             out[:, j] = np.sqrt(np.sum(squares if g is None else g * squares, axis=(1, 2)).real)
-            if j < j_max:
-                if self._real_diag:  # the product, the same moduli (module doc)
+            if j < j_max:  # each coefficient vector times symbol(k)
+                if self.diagonal:  # the product, the same moduli (module doc)
                     with np.errstate(over="ignore", invalid="ignore"):
                         flat = self._diag * flat
                 else:
-                    flat = self.apply_spectral(flat)
+                    flat = np.einsum("abm,...bm->...am", self._flat_symbol(), flat)
         return out.reshape(data.shape[:-1 - self.grid.dim] + (j_max + 1,))
 
     def _as_state(self, data) -> np.ndarray:

@@ -39,7 +39,7 @@ or handed in (``_free``), as ``stochwave picard`` hands its main solve's.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,9 +97,9 @@ class Trajectory:
     graph_norms: np.ndarray          # (n_times, N+1)
     conserved: dict[str, np.ndarray]
     final: np.ndarray                # the last finite state
-    stop_time: float | None = None   # None means "ran to T"
-    blown_up: bool = False
-    seed_info: dict = dc_field(default_factory=dict)
+    stop_time: float | None          # None means "ran to T"
+    blown_up: bool
+    seed_info: dict
 
     @property
     def stopped(self) -> bool:
@@ -122,9 +122,8 @@ class PicardResult:
 
 def picard_solve(model: Model, phi0: np.ndarray, T: float,
                  theta: ThetaPotential | None = None,
-                 zeta=None, eta=None, z: complex = 0.0,
-                 n_time_nodes: int = 64, tol: float = 1e-10,
-                 max_iter: int = 60, *,
+                 zeta=None, eta=None, z: complex = 0.0, *,
+                 n_time_nodes: int, tol: float = 1e-10, max_iter: int = 60,
                  _free: list[np.ndarray] | None = None) -> PicardResult:
     """Picard iteration for the Theta-perturbed deterministic mild equation.
 
@@ -367,9 +366,9 @@ def _step_count(T: float, dt: float) -> int:
 
 
 def holomorphy_check(model: Model, phi0: np.ndarray, T: float, theta: ThetaPotential,
-                     zeta, eta, z_centers, probe: np.ndarray, spacing: float = 1e-2,
-                     n_time_nodes: int = 64, tol: float = 1e-12,
-                     max_iter: int = 80, *, _free: list[np.ndarray] | None = None) -> float:
+                     zeta, eta, z_centers, probe: np.ndarray, spacing: float = 1e-2, *,
+                     n_time_nodes: int, tol: float = 1e-12, max_iter: int = 80,
+                     _free: list[np.ndarray] | None = None) -> float:
     """Max fourth-order Cauchy-Riemann residual of z -> <phi(T, z), probe>.
 
     For each center the map is evaluated on the 8-point cross z + h*step,

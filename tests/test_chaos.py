@@ -79,7 +79,7 @@ def test_exp_vector_pairing_series():
     space = ChaosSpace(3, 10)
     zeta = _random_zeta(space, 0.4)
     eta = _random_zeta(space, 0.4)
-    got = space.pairing(space.exp_vector(zeta), space.exp_vector(eta))
+    got = space.s_transform(space.exp_vector(eta), zeta)  # <<phi_zeta, phi_eta>>
     # direct series summation oracle
     ip = np.sum(zeta * eta)
     oracle = sum(ip**k / factorial(k) for k in range(11))
@@ -576,12 +576,12 @@ def test_factorials_are_exact_products_rounded_once(n_modes, degree):
     space = ChaosSpace(n_modes, degree)
     want = [float(math.prod(factorial(a) for a in alpha)) for alpha in space.indices.tolist()]
     assert space.factorials.tolist() == want
-    # <<E(z), E(z)>> = sum over |alpha| <= M of z^(2 alpha) / alpha!, which
-    # sums by degree to the truncated series of exp(|z|^2)
+    # <<E(z), E(z)>> = S E(z)(z) = sum over |alpha| <= M of z^(2 alpha) /
+    # alpha!, which sums by degree to the truncated series of exp(|z|^2)
     zeta = np.full(n_modes, 2.0)
     v = space.exp_vector(zeta)
     series = sum(Fraction(4 * n_modes) ** k / factorial(k) for k in range(degree + 1))
-    assert space.pairing(v, v) == pytest.approx(float(series), rel=1e-14)
+    assert space.s_transform(v, zeta) == pytest.approx(float(series), rel=1e-14)
     # with the degree factorials |alpha|! the degree-d block sums to |z|^(2d)
     assert space.norm(v, 0, 1.0) ** 2 == pytest.approx(
         sum((4 * n_modes) ** d for d in range(degree + 1)), rel=1e-13)

@@ -499,17 +499,37 @@ def test_threshold_at_or_below_the_initial_norms_exits_2(tmp_path, capsys):
     assert resolved["solver"]["threshold"] == 1e6
 
 
-def test_threshold_without_noise_exits_2(tmp_path, capsys):
-    # the noise-free march has no stopping rule, so a threshold there is refused
-    # rather than accepted, echoed and never applied
-    for threshold in (1e-9, 1e6):
-        out = tmp_path / "run"
-        bad = dict(BASE_CONFIG, solver=dict(BASE_CONFIG["solver"], threshold=threshold))
-        code = main(["simulate", "--config", _write(tmp_path, bad), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: solver.threshold: ") and err.count("\n") == 1
-        assert not out.exists()
+def test_threshold_without_noise_stops_the_march(tmp_path, capsys):
+    # the noise-free march takes the stopping rule of the noisy one: the
+    # sine-Gordon example (Strang, noise off, H-norm 0.3 at t = 0) stops at
+    # its first step whose H-norm passes 0.3003, at t = 0.148; a threshold at
+    # or below the initial norms is still a config error
+    doc = json.loads(TAIL_CONFIG.with_name("example_sine_gordon.json").read_text())
+    assert not doc["noise"]["enabled"] and doc["solver"]["scheme"] == "strang"
+    doc["solver"]["threshold"] = 0.3003
+    config = _write(tmp_path, doc)
+    for flags, want in (([], 3), (["--allow-stop"], 0)):
+        out = tmp_path / f"run{want}"
+        assert main(["simulate", "--config", config, "--out", str(out), *flags]) == want
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "stopped" and report["blown_up"] is False
+        assert report["stop_time"] == pytest.approx(0.148, abs=1e-12)
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 150  # the header and the steps 0 to 148
+        norms = [float(r.split(",")[1]) for r in rows[1:]]
+        assert max(norms[:-1]) <= 0.3003 < norms[-1] == report["final_norms"][0]
+    # the stopped table is the first rows of the unstopped one, bit for bit
+    free = dict(doc, solver=dict(doc["solver"], threshold=None))
+    assert main(["simulate", "--config", _write(tmp_path, free, "free.json"),
+                 "--out", str(tmp_path / "free")]) == 0
+    assert (tmp_path / "free" / "trajectory.csv").read_text().splitlines()[:150] == rows
+    out = tmp_path / "low"
+    low = dict(doc, solver=dict(doc["solver"], threshold=1e-9))
+    assert main(["simulate", "--config", _write(tmp_path, low, "low.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver: stopping threshold ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_dt_override_that_does_not_divide_T_exits_2(tmp_path, capsys):

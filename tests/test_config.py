@@ -250,7 +250,6 @@ def in_range(draw):
     if command == "simulate" and noise["enabled"]:
         solver["scheme"] = "exp_euler"
     elif command == "simulate":
-        solver["threshold"] = None
         solver["scheme"] = draw(st.sampled_from(["exp_euler", "strang"]))
     flags = []
     if draw(st.booleans()):

@@ -67,7 +67,8 @@ def test_increments_equal_the_tensordot_form_bit_for_bit(grid):
     for n_steps, dt in ((17, 0.01), (1, 0.25), (0, 0.1), (40, 1e-3)):
         got = sampler.increments(dt, n_steps)
         amp = replay.normals(n_steps) * np.sqrt(spec.eigenvalues * dt)
-        want = np.tensordot(amp, spec.mode_matrix(), axes=(1, 0))
+        modes = np.stack([np.real(e.values) for e in spec.eigenfields])
+        want = np.tensordot(amp, modes, axes=(1, 0))
         assert got.shape == want.shape == (n_steps,) + grid.shape
         assert got.tobytes() == want.tobytes()
 
@@ -178,13 +179,13 @@ def test_wiener_integral_rejects_bad_kernels(cov):
     dB = unit_increments(cov, 2, 3, 16)
     with pytest.raises(ValueError, match="orders"):
         multiple_wiener(3, lambda t: t, dB)
-    asym = np.triu(np.ones((16, 16)))
+    asym = lambda s, t: np.where(s <= t, 1.0, 0.0)  # upper triangular on the square
     with pytest.raises(ValueError, match="symmetric"):
         multiple_wiener(2, asym, dB)
     with pytest.raises(ValueError, match="shape"):
-        multiple_wiener(2, np.ones((16, 15)), dB)
+        multiple_wiener(2, lambda s, t: np.ones((16, 15)), dB)
     with pytest.raises(ValueError, match="shape"):
-        multiple_wiener(1, np.ones(17), dB)
+        multiple_wiener(1, lambda t: np.ones(17), dB)
 
 
 def _per_path_orthogonality(n, m, f, g, dB):

@@ -1,7 +1,8 @@
 """Reach or delete: every public function and method of the library is called
 by some command, or names the claim it carries and the test that checks it;
 every defaulted parameter is set by some call in the library, or names who
-sets it; and every error message is written in one place."""
+sets it, and is left out by some call in the library, its tests or the
+benchmark; and every error message is written in one place."""
 
 import ast
 import dataclasses
@@ -30,8 +31,6 @@ UNREACHED = {
                                   "test_chaos::test_second_quantization_properties"),
     "chaos.ChaosSpace.exp_vector": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
                                     "test_chaos::test_exp_vector_pairing_series"),
-    "chaos.ChaosSpace.pairing": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
-                                 "test_chaos::test_exp_vector_pairing_series"),
     "chaos.ChaosSpace.norm": ("graded norms: Gaussian quadrature and monotonicity in p and beta",
                               "test_chaos::test_norm_values_and_monotonicity"),
     "chaos.ChaosSpace.mode_norm": ("the test-vector norm |zeta|_p of the growth bound",
@@ -147,14 +146,19 @@ def _defaulted(module):
     return out
 
 
-def _calls():
-    """Each call in the library as (callee name, the count of positional places
-    it fills or None for all, its keywords, whether it has a ``**`` argument).
-    A ``*f(...)`` argument fills as many as the tuple that every return of the
-    library's ``f`` gives, any other ``*`` argument every positional place
-    from its own on; ``cls(...)`` calls its class, and ``_checked(block, fn,
-    *args, **kwargs)`` calls fn with the rest."""
-    trees = [ast.parse(p.read_text()) for p in Path(stochwave.__file__).parent.glob("*.py")]
+LIBRARY = Path(stochwave.__file__).parent
+REPO = Path(__file__).parents[1]
+
+
+def _calls(*roots):
+    """Each call in the Python files under ``roots`` as (callee name, the count
+    of positional places it fills or None for all, its keywords, whether it
+    has a ``**`` argument). A ``*f(...)`` argument fills as many as the tuple
+    that every return of the scanned files' ``f`` gives, any other ``*``
+    argument every positional place from its own on; ``cls(...)`` calls its
+    class, and ``_checked(block, fn, *args, **kwargs)`` calls fn with the
+    rest."""
+    trees = [ast.parse(p.read_text()) for root in roots for p in sorted(root.rglob("*.py"))]
     returns = {}  # function name -> the set of its returns' tuple lengths (None: no tuple)
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.FunctionDef):
@@ -205,7 +209,7 @@ def _calls():
 
 def test_every_default_is_set_by_a_program_path():
     entries = {q: e for module in MODULES for q, e in _defaulted(module).items()}
-    calls = _calls()
+    calls = _calls(LIBRARY)
     unset = {}
     for qualname, (callee, positional, defaulted) in entries.items():
         if qualname in UNREACHED:
@@ -221,6 +225,24 @@ def test_every_default_is_set_by_a_program_path():
     assert unset == {}
     for qualname, setters in SET_OUTSIDE.items():
         assert set(setters) <= entries[qualname][2], qualname
+
+
+def test_every_default_is_relied_on_by_a_caller():
+    # a default that every call overrides states a value that no run takes:
+    # each defaulted parameter is left out by some call in the library, its
+    # tests or the benchmark (a call with a * or ** argument that may fill it
+    # relies on nothing)
+    entries = {q: e for module in MODULES for q, e in _defaulted(module).items()}
+    calls = _calls(LIBRARY, REPO / "tests", REPO / "perfbench")
+    dead = {}
+    for qualname, (callee, positional, defaulted) in entries.items():
+        left = set(defaulted)  # the defaults that every call seen so far fills
+        for name, n_filled, keywords, double_star in calls:
+            if name == callee and n_filled is not None and not double_star:
+                left &= set(positional[:n_filled]) | keywords
+        if left:
+            dead[qualname] = sorted(left)
+    assert dead == {}
 
 
 # The samplers of normals that are not the Brownian noise, and what each draws.
