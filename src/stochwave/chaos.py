@@ -40,9 +40,15 @@ point on ``ChaosSpace``:
 * second quantization Gamma(B): ``gamma_matrix(B) @ a``, the polynomial
   substitution zeta -> B^T zeta, which is degree-homogeneous and hence
   exact under truncation;
-* the graded norm of a coefficient vector, ``norm``, and the test-vector
-  norms, ``mode_norm``, below; the energy per degree of a chaos-valued
-  field, ``degree_energy``, under a generator's norm.
+* the graded norm of a coefficient vector, ``norm``, below; the energy per
+  degree of a chaos-valued field, ``degree_energy``, under a generator's
+  norm. (No ``mode_norm`` any more: the test-vector norm |zeta|_p served
+  only the growth-bound fit, a test oracle.)
+
+``wick_identity_deviations`` checks three identities of these maps on a
+space: S(a : b) = (S a)(S b), the CCR [a_y, a+_z] = <y, z> below the top
+degree, and <<phi_zeta, phi_eta>> = sum_{k <= M} <zeta, eta>^k / k!.
+``stochwave verify`` reports each on the config's chaos space.
 
 Conjugation convention: powers like |psi|^2 psi are not Wick polynomials in
 psi alone. We use the doubled-variable convention, treating psi and its
@@ -73,12 +79,15 @@ import numpy as np
 
 from .grids import _bound
 from .models import Model, _powers
-from .solver import _cr_residual, _step_count
+from .solver import _step_count
 
 # A Wick solve is flagged as truncated once the top degree holds more than
 # this fraction of the energy.
 TAIL_FLAG_FRACTION = 0.2
 MAX_INDICES = 100_000  # a fixed bound on a space's indices, each a state block
+# a fixed bound on the Wick pair table, which Python builds pair by pair: a
+# million pairs take about 2.3 s and 85 MB (one core of a 2-core Xeon host)
+MAX_PAIRS = 1_000_000
 MAX_WICK_POWER = 99  # a fixed bound on p, which sets the Wick products of |a|^{p-1} a
 
 
@@ -111,6 +120,9 @@ class ChaosSpace:
         _bound("max_degree", self.max_degree, 0, 170)
         _bound("the index count C(n_modes + max_degree, max_degree)",
                comb(self.n_modes + self.max_degree, self.max_degree), most=MAX_INDICES)
+        # the pairs alpha + beta of degree <= M: the indices over 2 n_modes modes
+        _bound("the pair count C(2 n_modes + max_degree, max_degree)",
+               comb(2 * self.n_modes + self.max_degree, self.max_degree), most=MAX_PAIRS)
         self.mode_weights = np.arange(2, self.n_modes + 2, dtype=float)
         self.indices = _multi_indices(self.n_modes, self.max_degree)
         self.n_indices = len(self.indices)
@@ -178,10 +190,6 @@ class ChaosSpace:
         not a 0-d array, for a 1-D ``data`` (scalar arithmetic rounds as
         Python's complex does; the array loops may fuse a multiply-add)."""
         return np.tensordot(self.monomials(zeta), data, axes=(0, 0))[()]
-
-    def mode_norm(self, zeta: np.ndarray, p: int) -> np.ndarray:
-        """|zeta|_p = |A^p zeta| = sqrt(sum_i w_i^(2p) |zeta_i|^2) over the last axis."""
-        return np.sqrt(np.sum(np.abs(self.mode_weights ** p * zeta) ** 2, axis=-1))
 
     def norm(self, a: np.ndarray, p: int, beta: float) -> float:
         """Graded weighted norm ||Phi||_{p,beta} of a coefficient vector; p < 0
@@ -277,49 +285,56 @@ class ChaosSpace:
         return cols
 
 
-@dataclass
-class GrowthFit:
-    C: float
-    K: float
-    cr_residual: float
-    covered: bool
+def wick_identity_deviations(space: ChaosSpace, rng: np.random.Generator) -> dict:
+    """The largest deviation of three identities of the calculus on ``space``,
+    each over 10 draws from ``rng`` of complex normal vectors:
 
+    * ``wick_multiplicativity``: |S(a : b)(zeta) - S a(zeta) S b(zeta)|, for a
+      and b of degree at most M // 2, so that a : b stays inside the truncation;
+    * ``ccr``: the largest |([a_y, a+_z] Phi - <y, z> Phi)_beta| over the
+      degrees |beta| <= M - 1, where the truncated maps satisfy the CCR (0 at
+      M = 0, which has no such degree);
+    * ``exp_vector_pairing``: |<<phi_zeta, phi_eta>> - sum_{k <= M}
+      <zeta, eta>^k / k!|, with <<phi_zeta, phi_eta>> = S phi_eta(zeta),
+      relative to the same series in sum_i |zeta_i eta_i|, which bounds every
+      term of the pairing.
 
-def growth_bound_fit(F, space: ChaosSpace, p: int, sample_radii,
-                     seed: int = 0) -> GrowthFit:
-    """Fit |F(zeta)| <= C exp(K |zeta|_p^2) over ray samples.
-
-    The rays go along 6 random directions of unit p-norm. K is the
-    nonnegative least-squares slope of log|F| against |zeta|_p^2 and C is
-    lifted so the envelope covers every sample. Also estimates the
-    Cauchy-Riemann residual of z -> F(z*zeta + eta) on a fourth-order
-    stencil of spacing 1e-3 as the entireness check.
+    Each ladder map acts on a vector, not on the identity, so a draw costs
+    O(n_modes x n_indices). A NaN deviation stays NaN.
     """
-    rng = np.random.default_rng(seed)
-    radii = np.asarray(sample_radii, dtype=float)
-    n = space.n_modes
-    dirs = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-    dirs /= space.mode_norm(dirs, p)[:, None]  # |dir|_p = 1
-    xs, ys = [], []
-    for r in radii:
-        for d in dirs:
-            val = abs(F(r * d))
-            xs.append(r * r)
-            ys.append(np.log(max(val, 1e-300)))
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    finite = np.isfinite(ys)
-    if not np.all(finite):
-        return GrowthFit(np.inf, np.inf, np.inf, covered=False)
-    xbar, ybar = xs.mean(), ys.mean()
-    denom = np.sum((xs - xbar) ** 2)
-    slope = float(np.sum((xs - xbar) * (ys - ybar)) / denom) if denom > 0 else 0.0
-    K = max(slope, 0.0)
-    C = float(np.exp(np.max(ys - K * xs)))
-    covered = bool(np.all(ys <= np.log(C) + K * xs + 1e-9))
-    # Entireness probe along a random complex line.
-    zdir, base = dirs[0], 0.5 * dirs[1]
-    cr = _cr_residual(lambda zv: F(zv * zdir + base), 0.37 + 0.21j, 1e-3)
-    return GrowthFit(C=C, K=K, cr_residual=float(cr), covered=covered)
+    def normals(size, scale=1.0):
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    n, low = space.n_modes, space.degrees <= space.max_degree // 2
+    wick = 0.0
+    for _ in range(10):
+        a = np.where(low, normals(space.n_indices), 0.0)
+        b = np.where(low, normals(space.n_indices), 0.0)
+        zeta = normals(n, 0.5)
+        lhs = space.s_transform(space.convolve(a, b), zeta)
+        wick = np.maximum(wick, abs(lhs - space.s_transform(a, zeta) * space.s_transform(b, zeta)))
+
+    interior = space.degrees <= space.max_degree - 1
+    ccr = 0.0
+    for _ in range(10):
+        y, z, phi = normals(n, 0.5), normals(n, 0.5), normals(space.n_indices)
+        comm = (space.lowering(y, space.raising(z, phi))
+                - space.raising(z, space.lowering(y, phi)))
+        ccr = np.maximum(ccr, np.max(np.abs(comm - np.sum(y * z) * phi)[interior], initial=0.0))
+
+    # the series term by term, in Python's complex arithmetic
+    pairing = 0.0
+    for _ in range(10):
+        zeta, eta = normals(n, 0.5), normals(n, 0.5)
+        w, u = complex(np.sum(zeta * eta)), float(np.sum(np.abs(zeta * eta)))
+        series, bound, w_term, u_term = 0j, 0.0, 1 + 0j, 1.0
+        for k in range(1, space.max_degree + 2):
+            series, bound = series + w_term, bound + u_term
+            w_term, u_term = w_term * w / k, u_term * u / k
+        got = space.s_transform(space.exp_vector(eta), zeta)
+        pairing = np.maximum(pairing, abs(got - series) / bound)
+    return {"wick_multiplicativity": float(wick), "ccr": float(ccr),
+            "exp_vector_pairing": float(pairing)}
 
 
 # ---------------------------------------------------------------------------

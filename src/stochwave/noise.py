@@ -65,13 +65,6 @@ class CovarianceSpec:
     def grid(self) -> Grid:
         return self.eigenfields[0].grid
 
-    def apply_Q(self, psi: Field) -> Field:
-        """Q psi = sum_i lambda_i <psi, e_i> e_i."""
-        out = np.zeros(self.grid.shape, dtype=complex)
-        for lam, e in zip(self.eigenvalues, self.eigenfields):
-            out += lam * psi.inner(e) * e.values
-        return Field(self.grid, out)
-
     def noise_fields(self) -> list[Field]:
         """The noise potential sqrt(lambda_i) e_i, one field per mode."""
         return [Field(self.grid, np.sqrt(lam) * e.values)
@@ -162,35 +155,6 @@ def sample_moments(sample: np.ndarray) -> tuple:
     axis; the standard error is np.std(ddof=1) / sqrt(n), to the bit."""
     var = np.var(sample, axis=-1, ddof=1)
     return np.mean(sample, axis=-1), var, np.sqrt(var) / np.sqrt(sample.shape[-1])
-
-
-def empirical_covariance(sampler: QWienerSampler, t: float, tau: float,
-                         psi: Field, phi: Field, n_paths: int,
-                         n_steps: int = 64) -> tuple[float, float]:
-    """Monte Carlo estimate of E[(W(t), psi)(W(tau), phi)] with its stderr.
-
-    The exact value is (t ^ tau) (Q psi, phi). Path p's W is the cumulative
-    sum of the increments that path p of a march draws (``path_samplers`` of
-    the sampler's master seed), on a step grid containing both t and tau so
-    there is no time-discretization bias, and is paired with psi and phi on
-    the grid.
-    """
-    _bound("t", t, above=0)
-    _bound("tau", tau, above=0)
-    _bound("n_paths", n_paths, least=1000)
-    dt = max(t, tau) / n_steps
-    i_t, i_tau = round(t / dt), round(tau / dt)
-    if not (min(i_t, i_tau) >= 1 and np.isclose(i_t * dt, t) and np.isclose(i_tau * dt, tau)):
-        raise ValueError("t and tau must be commensurate with the step grid")
-    dv = sampler.spec.grid.dv
-    c_psi, c_phi = np.conj(psi.values).ravel() * dv, np.conj(phi.values).ravel() * dv
-    prods = np.empty(n_paths)
-    for p, path in enumerate(path_samplers(sampler.spec, sampler.master_seed, n_paths)):
-        inc = path.increments(dt, n_steps)
-        w = np.cumsum(inc.reshape(n_steps, -1), axis=0)  # W(k dt), k = 1..n_steps
-        prods[p] = np.dot(w[i_t - 1], c_psi).real * np.dot(w[i_tau - 1], c_phi).real
-    est, _, stderr = sample_moments(prods)
-    return float(est), float(stderr)
 
 
 def _kernel_values(n: int, kernel, steps: int) -> np.ndarray:

@@ -12,7 +12,8 @@ import pytest
 from scipy.linalg import expm
 
 import stochwave as sw
-from stochwave.chaos import ChaosSpace, growth_bound_fit, solve_wick_evolution
+from oracles import apply_Q, empirical_covariance, growth_bound_fit
+from stochwave.chaos import ChaosSpace, solve_wick_evolution, wick_identity_deviations
 from stochwave.cli import _json
 from stochwave.noise import discrete_pairing, sample_moments
 
@@ -269,9 +270,9 @@ def _covariance_deviations(combos=range(6)):
     ]
     devs = []
     for t, tau, psi, phi, steps in (table[i] for i in combos):
-        est, se = sw.empirical_covariance(sampler, t, tau, psi, phi,
-                                          n_paths=10000, n_steps=steps)
-        target = min(t, tau) * cov.apply_Q(psi).inner(phi).real
+        est, se = empirical_covariance(sampler, t, tau, psi, phi,
+                                       n_paths=10000, n_steps=steps)
+        target = min(t, tau) * apply_Q(cov, psi).inner(phi).real
         devs.append(abs(est - target) / se if se > 0 else 0.0)
     return devs
 
@@ -417,43 +418,25 @@ def test_tail_curve():
     assert ok
 
 
-def _s_multiplicativity_deviation(space, rng):
-    """max |S(a : b)(z) - S a(z) S b(z)| over 100 pairs of degree at most 2,
-    20 test vectors z each, drawn from ``rng``."""
-    S = space.s_transform
-    s_dev = 0.0
-    for _ in range(100):
-        mask = space.degrees <= 2
-        a = np.where(mask, rng.standard_normal(space.n_indices)
-                     + 1j * rng.standard_normal(space.n_indices), 0)
-        b = np.where(mask, rng.standard_normal(space.n_indices)
-                     + 1j * rng.standard_normal(space.n_indices), 0)
-        prod = space.convolve(a, b)
-        for _ in range(20):
-            z = 0.6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            s_dev = max(s_dev, abs(S(prod, z) - S(a, z) * S(b, z)))
-    return s_dev
+def _wick_identity_deviations(space, rng):
+    """Each identity's largest deviation (``wick_identity_deviations``) over
+    200 calls with ``rng``: 2,000 pairs a : b and test vectors, 2,000 CCR
+    draws and 2,000 exponential-vector pairings."""
+    worst = {}
+    for _ in range(200):
+        for name, dev in wick_identity_deviations(space, rng).items():
+            worst[name] = np.maximum(worst.get(name, 0.0), dev)  # a NaN stays
+    return worst
 
 
 def test_chaos_algebra():
     """Wick/S-transform identities at tight tolerances on the truncation."""
     space = ChaosSpace(4, 4)
     rng = np.random.default_rng(601)
-    s_dev = _s_multiplicativity_deviation(space, rng)
-    s_ok = s_dev < 1e-10
-
-    ccr_dev = 0.0
-    eye = np.eye(space.n_indices, dtype=complex)
-    for _ in range(10):
-        y = 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        z = 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        a, a_plus = space.lowering(y, eye), space.raising(z, eye)
-        comm = a @ a_plus - a_plus @ a
-        interior = space.degrees <= space.max_degree - 1
-        block = comm[np.ix_(interior, interior)]
-        ccr_dev = max(ccr_dev, np.max(np.abs(
-            block - np.sum(y * z) * np.eye(block.shape[0]))))
-    ccr_ok = ccr_dev < 1e-10
+    devs = _wick_identity_deviations(space, rng)
+    s_dev, ccr_dev, pair_dev = (devs["wick_multiplicativity"], devs["ccr"],
+                                devs["exp_vector_pairing"])
+    identities_ok = all(dev < 1e-10 for dev in devs.values())
 
     gamma_dev = 0.0
     for _ in range(5):
@@ -478,11 +461,11 @@ def test_chaos_algebra():
         tail_dev = max(tail_dev, abs(got - np.exp(np.sum(zeta * eta))))
     tail_ok = tail_dev < 1e-6
 
-    ok = s_ok and ccr_ok and gamma_ok and tail_ok
+    ok = identities_ok and gamma_ok and tail_ok
     _report("chaos-algebra", ok,
-            f"S-mult dev {s_dev:.1e}, CCR dev {ccr_dev:.1e}, second-quantization "
-            f"dev {gamma_dev:.1e} (all < 1e-10); coherent-pairing tail {tail_dev:.1e} "
-            f"(< 1e-6 at degree 8)")
+            f"S-mult dev {s_dev:.1e}, CCR dev {ccr_dev:.1e}, exp-vector pairing rel dev "
+            f"{pair_dev:.1e}, second-quantization dev {gamma_dev:.1e} (all < 1e-10); "
+            f"coherent-pairing tail {tail_dev:.1e} (< 1e-6 at degree 8)")
     assert ok
 
 
@@ -495,7 +478,8 @@ def test_chaos_algebra_rejects_a_convolution_without_its_vacuum_pairs(monkeypatc
         return columns[1:], undo
 
     monkeypatch.setattr(ChaosSpace, "_pair_columns", without_column_0)
-    assert _s_multiplicativity_deviation(ChaosSpace(4, 4), np.random.default_rng(601)) >= 1e-10
+    devs = _wick_identity_deviations(ChaosSpace(4, 4), np.random.default_rng(601))
+    assert devs["wick_multiplicativity"] >= 1e-10
 
 
 def test_growth_bound():

@@ -9,10 +9,11 @@ from math import factorial
 
 from numpy.polynomial import hermite_e
 
+from oracles import growth_bound_fit, mode_norm
 from stochwave import build_model, default_covariance, make_grid
 from stochwave.cli import _csv, cmd_chaos
 from stochwave.config import ExperimentConfig
-from stochwave.chaos import (ChaosSpace, growth_bound_fit, solve_wick_evolution,
+from stochwave.chaos import (ChaosSpace, solve_wick_evolution, wick_identity_deviations,
                              wick_nonlinearity)
 
 SPACE = ChaosSpace(3, 4)
@@ -141,6 +142,15 @@ def test_s_multiplicativity(seed):
     lhs = SPACE.s_transform(SPACE.convolve(a, b), zeta)
     rhs = SPACE.s_transform(a, zeta) * SPACE.s_transform(b, zeta)
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
+
+
+def test_wick_identity_deviations_keep_a_nan(monkeypatch):
+    # a NaN exponential vector reads NaN, which no tolerance admits, not 0
+    exact = ChaosSpace.exp_vector
+    monkeypatch.setattr(ChaosSpace, "exp_vector", lambda self, zeta: exact(self, zeta) * np.nan)
+    devs = wick_identity_deviations(SPACE, np.random.default_rng(0))
+    assert np.isnan(devs["exp_vector_pairing"])
+    assert devs["wick_multiplicativity"] < 1e-10 and devs["ccr"] < 1e-10
 
 
 def test_wick_algebra_commutative_associative_distributive():
@@ -298,12 +308,12 @@ def test_mode_norm_closed_form():
     # |y|_p^2 = sum_i w_i^(2p) |y_i|^2 with the default weights w = (2, 3)
     space = ChaosSpace(2, 3)
     y = np.array([3.0, 4.0j])
-    assert space.mode_norm(y, 0) == 5.0
-    assert space.mode_norm(y, 1) == pytest.approx(np.sqrt(6.0**2 + 12.0**2), rel=1e-15)
-    assert space.mode_norm(y, 2) == pytest.approx(np.sqrt(12.0**2 + 36.0**2), rel=1e-15)
+    assert mode_norm(space, y, 0) == 5.0
+    assert mode_norm(space, y, 1) == pytest.approx(np.sqrt(6.0**2 + 12.0**2), rel=1e-15)
+    assert mode_norm(space, y, 2) == pytest.approx(np.sqrt(12.0**2 + 36.0**2), rel=1e-15)
     # on a stack of vectors, one norm per row
     rows = np.array([[3.0, 4.0j], [0.0, 1.0]])
-    assert space.mode_norm(rows, 1).tolist() == [space.mode_norm(r, 1) for r in rows]
+    assert mode_norm(space, rows, 1).tolist() == [mode_norm(space, r, 1) for r in rows]
 
 
 def test_norm_values_and_monotonicity():

@@ -12,7 +12,7 @@ import pytest
 
 import stochwave.cli as cli
 import stochwave.ensemble as ensemble
-from stochwave import BlowUpError, QWienerSampler
+from stochwave import BlowUpError, ChaosSpace, QWienerSampler
 from stochwave.cli import _csv, _write_run, main
 from stochwave.config import ExperimentConfig
 
@@ -384,6 +384,11 @@ NOISE_ON = {"noise": {"enabled": True}}
      "solver: max_iter must be from 1 to 10000, got 100000000"),
     ("chaos", {**NOISE_ON, "model": {"name": "klein_gordon", "p": 1_000_001}},
      "model: p must be at most 99, got 1000001"),
+    # 91,881 indices, within their bound, once built 4.7e8 Wick pairs in a
+    # Python loop: about 40 minutes and 47 GB
+    *[(command, {**NOISE_ON, "chaos": {"n_modes": 3, "max_degree": 80}},
+       "chaos: the pair count C(2 n_modes + max_degree, max_degree) must be at most 1000000, "
+       "got 470155077") for command in ("verify", "chaos")],
 ], ids=_former_name)
 def test_command_invalid_value_exits_2_before_output(tmp_path, capsys, recwarn, command,
                                                      changes, message):
@@ -440,17 +445,48 @@ def test_blow_up_prints_its_one_line_and_no_numpy_warning(tmp_path, capsys, recw
     assert not out.exists()
 
 
+def _verify_report(tmp_path):
+    """verify's exit code and report on the linear example."""
+    out = tmp_path / "v"
+    code = main(["verify", "--config", str(LINEAR_CONFIG), "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
 def test_verify_rejects_a_sampler_variance_excess(tmp_path, monkeypatch):
     # verify's Wiener rows pair the increments that every march draws, so a
     # sampler whose variance is 20% too large fails the Ito isometry row
     drawn = QWienerSampler.increments
     monkeypatch.setattr(QWienerSampler, "increments",
                         lambda self, dt, n_steps: np.sqrt(1.2) * drawn(self, dt, n_steps))
-    out = tmp_path / "v"
-    assert main(["verify", "--config", str(LINEAR_CONFIG), "--out", str(out)]) == 1
-    report = json.loads((out / "report.json").read_text())
-    assert report["ito_isometry"]["ok"] is False
+    code, report = _verify_report(tmp_path)
+    assert code == 1 and report["ito_isometry"]["ok"] is False
     assert not report["estimate_violations"] and report["wick_multiplicativity"]["ok"]
+
+
+def test_verify_rejects_a_lowering_without_its_count_factor(tmp_path, monkeypatch):
+    # a_y without its (beta_m + 1) factor: the CCR row fails, the other Wick rows hold
+    def lowering(self, weights, data):
+        table, out = self._shifts(+1), np.zeros_like(data)
+        for m, y in enumerate(weights):
+            ok = table[:, m] >= 0
+            out[ok] += y * data[table[ok, m]]
+        return out
+
+    monkeypatch.setattr(ChaosSpace, "lowering", lowering)
+    code, report = _verify_report(tmp_path)
+    assert code == 1 and report["ok"] is False and report["ccr"]["ok"] is False
+    assert report["wick_multiplicativity"]["ok"] and report["exp_vector_pairing"]["ok"]
+
+
+def test_verify_rejects_an_exp_vector_off_at_degree_2(tmp_path, monkeypatch):
+    # phi_zeta 1% off at degree 2: the pairing row fails, the other Wick rows hold
+    exact = ChaosSpace.exp_vector
+    monkeypatch.setattr(ChaosSpace, "exp_vector", lambda self, zeta: exact(self, zeta)
+                        * np.where(self.degrees == 2, 1.01, 1.0))
+    code, report = _verify_report(tmp_path)
+    assert code == 1 and report["ok"] is False
+    assert report["exp_vector_pairing"]["ok"] is False
+    assert report["wick_multiplicativity"]["ok"] and report["ccr"]["ok"]
 
 
 def test_paths_override_below_2_exits_2_before_output(tmp_path, capsys):
@@ -843,8 +879,11 @@ def test_verify_wick_check_stays_inside_the_truncation(tmp_path, max_degree):
     }
     out = tmp_path / "v"
     assert main(["verify", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
-    wick = json.loads((out / "report.json").read_text())["wick_multiplicativity"]
-    assert wick["ok"] is True and wick["max_deviation"] < 1e-10
+    report = json.loads((out / "report.json").read_text())
+    for row in ("wick_multiplicativity", "ccr", "exp_vector_pairing"):
+        assert report[row]["ok"] is True and report[row]["max_deviation"] < 1e-10
+    # at degree 0 no degree lies below the top one, and the CCR holds on none
+    assert max_degree > 0 or report["ccr"]["max_deviation"] == 0
 
 
 def test_verify_broken_j_exits_1(tmp_path, capsys):
@@ -995,8 +1034,6 @@ def test_chaos_command_solves_the_wick_evolution_once(tmp_path, monkeypatch):
 
 def test_chaos_command_evaluates_the_degree_energy_once_per_wick_step(tmp_path, monkeypatch):
     # the report's chaos energy sums the solve's last step energy, not a second evaluation
-    from stochwave.chaos import ChaosSpace
-
     calls = []
     energy = ChaosSpace.degree_energy
 

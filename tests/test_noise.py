@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import empirical_covariance
 from stochwave import (CovarianceSpec, Field, QWienerSampler, default_covariance,
-                       empirical_covariance, make_grid, multiple_wiener,
-                       orthogonality_check, path_samplers, unit_increments)
+                       make_grid, multiple_wiener, orthogonality_check, path_samplers,
+                       unit_increments)
 from stochwave.noise import discrete_pairing, sample_moments
 
 GRID = make_grid(1, [32], [2 * np.pi])

@@ -22,25 +22,16 @@ MODULES = (chaos, cli, config, ensemble, grids, models, noise, operators, solver
 # The public entry points that no command reaches: each carries a claim of the
 # paper or an oracle of a test, and names the test that checks it.
 UNREACHED = {
-    "chaos.ChaosSpace.lowering": ("the CCR below the truncation degree",
-                                  "test_chaos::test_ccr_on_interior_degrees"),
+    # a dense n_indices^2 matrix that no command builds
     "chaos.ChaosSpace.gamma_matrix": ("Gamma(AB) = Gamma(A) Gamma(B), Gamma(diag w) on "
                                       "coherent vectors",
                                       "test_chaos::test_second_quantization_properties"),
+    # Gamma(B)'s index lookup
     "chaos.ChaosSpace.position": ("the index lookup that builds Gamma(B)'s columns",
                                   "test_chaos::test_second_quantization_properties"),
-    "chaos.ChaosSpace.exp_vector": ("<<phi_zeta, phi_eta>> = e^<zeta, eta>",
-                                    "test_chaos::test_exp_vector_pairing_series"),
+    # no command takes a graded norm
     "chaos.ChaosSpace.norm": ("graded norms: Gaussian quadrature and monotonicity in p and beta",
                               "test_chaos::test_norm_values_and_monotonicity"),
-    "chaos.ChaosSpace.mode_norm": ("the test-vector norm |zeta|_p of the growth bound",
-                                   "test_chaos::test_mode_norm_closed_form"),
-    "chaos.growth_bound_fit": ("|S Phi(zeta)| <= C exp(K |zeta|_p^2), entire in zeta",
-                               "test_acceptance::test_growth_bound"),
-    "noise.CovarianceSpec.apply_Q": ("(Q psi, phi), the target of the covariance identity",
-                                     "test_acceptance::test_covariance_identity"),
-    "noise.empirical_covariance": ("E[(W(t), psi)(W(tau), phi)], the covariance identity's "
-                                   "estimator", "test_acceptance::test_covariance_identity"),
 }
 
 TINY = {"grid": {"dim": 1, "points": [8], "lengths": [2 * np.pi]},
@@ -249,8 +240,7 @@ def test_every_default_is_relied_on_by_a_caller():
 NON_NOISE_NORMALS = {
     "models.Model.random_smooth_state": "the initial state and verify's estimate samples",
     "cli.cmd_picard": "the Theta potential's points zeta and eta",
-    "cli.cmd_verify": "the Wick spot checks' chaos vectors and points",
-    "chaos.growth_bound_fit": "the directions of the growth-bound fit",
+    "chaos.wick_identity_deviations": "the Wick identity checks' chaos vectors and points",
 }
 
 
